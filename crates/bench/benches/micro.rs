@@ -10,12 +10,17 @@
 //! benchmark framework. Run with `cargo bench --bench micro`; pass a filter
 //! string to run a subset: `cargo bench --bench micro -- drr`.
 
+use gimbal_broker::{BrokerConfig, BrokerHandle};
 use gimbal_cache::{AdmissionPolicy, CacheConfig, SsdCache};
 use gimbal_core::{GimbalPolicy, LatencyMonitor, Params, VirtualSlotScheduler, WriteCostEstimator};
 use gimbal_fabric::{CmdId, IoType, NvmeCmd, Priority, SsdId, TenantId};
+use gimbal_nic::CpuCost;
 use gimbal_sim::{EventQueue, Histogram, SimDuration, SimRng, SimTime, TokenBucket};
-use gimbal_ssd::{FlashSsd, SsdConfig, StorageDevice};
-use gimbal_switch::{CompletionInfo, PolicyPoll, Request, SwitchPolicy};
+use gimbal_ssd::{FlashSsd, NullDevice, SsdConfig, StorageDevice};
+use gimbal_switch::{
+    CompletionInfo, FifoPolicy, Pipeline, PipelineConfig, PipelineOut, PolicyPoll, Request,
+    SwitchPolicy,
+};
 use gimbal_telemetry::{EventKind, TraceConfig, TraceHandle, Tracer};
 use gimbal_workload::Zipfian;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -26,7 +31,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Allocation-counting wrapper around the system allocator so the telemetry
-/// section can assert the disabled record path never touches the heap.
+/// and switch sections can assert their steady-state hot paths never touch
+/// the heap.
 struct CountingAlloc;
 
 static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
@@ -238,6 +244,85 @@ fn bench_telemetry(want: &dyn Fn(&str) -> bool) {
     }
 }
 
+fn bench_switch(want: &dyn Fn(&str) -> bool) {
+    if want("switch/poll_all_denied_zero_alloc") {
+        // The broker-gated submit path at its worst: every tenant parked
+        // behind a denial, every poll re-asking the ledger for each of
+        // them. With warm buffers, the poll plus the engines' drains (the
+        // broker journal visited in place, the completion capsules swapped
+        // into a recycled buffer) must not allocate.
+        const TENANTS: u32 = 4;
+        let broker = BrokerHandle::new(
+            BrokerConfig {
+                capacity_bps: 1_000_000,
+                burst_bytes: 128 * 1024,
+                ..BrokerConfig::default()
+            },
+            TraceHandle::disabled(),
+        );
+        let mut p = Pipeline::new(
+            SsdId(0),
+            NullDevice::new(),
+            Box::new(FifoPolicy::new()),
+            PipelineConfig {
+                cpu_cost: CpuCost::arm_vanilla(),
+                null_device: true,
+                cache: None,
+                broker: Some(broker.clone()),
+            },
+        );
+        let mut outs: Vec<PipelineOut> = Vec::new();
+        let mut pump = |p: &mut Pipeline<NullDevice>, now: SimTime| {
+            p.poll(now);
+            broker.drain_journal_with(|op, key| {
+                black_box((op, key));
+            });
+            p.take_outputs_into(&mut outs);
+            for out in outs.drain(..) {
+                black_box(out);
+            }
+            black_box(p.next_event_at());
+        };
+        // Warm-up: each tenant spends its burst (borrowing on the way, so
+        // the journal buffer grows) and leaves seven 128 KiB writes parked.
+        // At 250 KB/s per tenant the next grant is half a second away.
+        let mut id = 0u64;
+        for _ in 0..8 {
+            for t in 0..TENANTS {
+                p.on_command(req(id, t, IoType::Write, 128 * 1024).cmd, SimTime::ZERO);
+                id += 1;
+            }
+        }
+        let mut t = 0u64;
+        for _ in 0..1_000 {
+            t += 1_000;
+            pump(&mut p, SimTime::from_nanos(t));
+        }
+        assert_eq!(
+            p.in_progress(),
+            7 * TENANTS as usize,
+            "all but the bursts parked"
+        );
+        let mut step = || {
+            t += 1;
+            pump(&mut p, SimTime::from_nanos(t));
+        };
+        let denials = broker.stats().denials;
+        let before = ALLOC_COUNT.load(Ordering::Relaxed);
+        for _ in 0..100_000u64 {
+            step();
+        }
+        let allocs = ALLOC_COUNT.load(Ordering::Relaxed) - before;
+        assert_eq!(
+            broker.stats().denials - denials,
+            100_000 * u64::from(TENANTS),
+            "every tenant must be denied on every poll"
+        );
+        assert_eq!(allocs, 0, "all-denied broker poll allocated {allocs}x");
+        bench("switch/poll_all_denied_zero_alloc", 200_000, step);
+    }
+}
+
 fn bench_cache(want: &dyn Fn(&str) -> bool) {
     let read_at = |id: u64, lba: u64| NvmeCmd {
         id: CmdId(id),
@@ -342,6 +427,7 @@ fn main() {
     bench_sim_primitives(&want);
     bench_gimbal_components(&want);
     bench_telemetry(&want);
+    bench_switch(&want);
     bench_cache(&want);
     bench_substrates(&want);
 }

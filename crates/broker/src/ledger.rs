@@ -134,17 +134,57 @@ struct Account {
     demand_epoch: u64,
 }
 
+/// Per-SSD ledger state.
+#[derive(Clone, Debug)]
+struct SsdState {
+    /// Instant up to which the SSD's accounts have accrued.
+    refilled_to: SimTime,
+    /// Tenant ids holding an account on this SSD, ascending: the lender
+    /// ring, and (by its length) the entitlement divisor. Kept in step with
+    /// `accounts` at every membership change, so neither is recomputed per
+    /// charge.
+    ring: Vec<u32>,
+}
+
+const NS_PER_SEC: u64 = 1_000_000_000;
+
+/// `rate × dt_ns` bytes·ns split into whole bytes and a sub-byte remainder
+/// (< 1e9). Computed once per refill; `u64` arithmetic whenever the product
+/// fits, the `u128` form otherwise.
+fn accrual(rate: u64, dt_ns: u64) -> (u128, u64) {
+    match rate.checked_mul(dt_ns) {
+        Some(p) => (u128::from(p / NS_PER_SEC), p % NS_PER_SEC),
+        None => {
+            let p = u128::from(rate) * u128::from(dt_ns);
+            let ns = u128::from(NS_PER_SEC);
+            (p / ns, (p % ns) as u64)
+        }
+    }
+}
+
+/// Add an [`accrual`] to an account's carried remainder `frac` (< 1e9):
+/// the whole bytes gained and the new remainder. Equal to
+/// `(frac + rate × dt_ns)` div/mod 1e9 without a per-account division.
+fn accrue(frac: u64, (whole, rem): (u128, u64)) -> (u128, u64) {
+    let f = frac + rem;
+    if f >= NS_PER_SEC {
+        (whole + 1, f - NS_PER_SEC)
+    } else {
+        (whole, f)
+    }
+}
+
 /// The borrow ledger. See the module docs for the economics.
 #[derive(Clone, Debug)]
 pub struct Broker {
     cfg: BrokerConfig,
-    /// Accounts keyed by (ssd, tenant). Lender scans sort keys explicitly;
-    /// the map's insertion order is never load-bearing.
+    /// Accounts keyed by (ssd, tenant). The map's insertion order is never
+    /// load-bearing: lender scans walk the SSD's sorted ring.
     accounts: DetMap<(u32, u32), Account>,
     /// Outstanding debt keyed by (ssd, borrower, lender).
     debts: DetMap<(u32, u32, u32), u64>,
-    /// Per-SSD instant up to which accounts have accrued.
-    refilled_to: DetMap<u32, SimTime>,
+    /// Refill horizon and membership ring of every SSD seen so far.
+    ssds: DetMap<u32, SsdState>,
     stats: BrokerStats,
     trace: TraceHandle,
     journal_pending: Vec<JournalRecord>,
@@ -158,7 +198,7 @@ impl Broker {
             cfg,
             accounts: DetMap::new(),
             debts: DetMap::new(),
-            refilled_to: DetMap::new(),
+            ssds: DetMap::new(),
             stats: BrokerStats::default(),
             trace,
             journal_pending: Vec::new(),
@@ -181,69 +221,87 @@ impl Broker {
         self.debts.values().sum()
     }
 
-    /// Number of accounts currently on `ssd` (the entitlement divisor).
-    fn tenants_on(&self, ssd: u32) -> u64 {
-        self.accounts.keys().filter(|(s, _)| *s == ssd).count() as u64
-    }
-
     /// Bring every account on `ssd` up to `now` at the current entitlement
     /// rate. Must run *before* any membership change on the SSD so the old
     /// divisor covers the elapsed span exactly.
     fn refill_ssd(&mut self, ssd: u32, now: SimTime) {
-        let last = *self.refilled_to.get_or_insert_with(ssd, || now);
+        let st = self.ssds.get_or_insert_with(ssd, || SsdState {
+            refilled_to: now,
+            ring: Vec::new(),
+        });
+        let last = st.refilled_to;
         if now <= last {
             return;
         }
-        self.refilled_to.insert(ssd, now);
-        let n = self.tenants_on(ssd);
+        st.refilled_to = now;
+        let n = st.ring.len() as u64;
         if n == 0 {
             return;
         }
         let rate = self.cfg.capacity_bps / n;
-        let dt_ns = now.since(last).as_nanos();
+        let gained = accrual(rate, now.since(last).as_nanos());
         let burst = self.cfg.burst_bytes as i64;
         for ((s, _), acc) in self.accounts.iter_mut() {
             if *s != ssd {
                 continue;
             }
-            let num = acc.frac as u128 + rate as u128 * dt_ns as u128;
-            let add = num / 1_000_000_000;
-            acc.frac = (num % 1_000_000_000) as u64;
+            let (add, frac) = accrue(acc.frac, gained);
+            acc.frac = frac;
             let topped = (acc.balance as i128 + add as i128).min(burst as i128);
             // Safe narrowing: `topped` is >= the old i64 balance and <= burst.
             acc.balance = topped as i64;
         }
     }
 
-    fn ensure_account(&mut self, ssd: u32, tenant: u32) {
-        let burst = self.cfg.burst_bytes as i64;
-        self.accounts.get_or_insert_with((ssd, tenant), || Account {
-            balance: burst,
-            frac: 0,
-            demand_epoch: 0,
-        });
+    /// Insert `tenant` into `ssd`'s ring (no-op when present).
+    fn ring_insert(&mut self, ssd: u32, tenant: u32) {
+        let st = self.ssds.get_mut(&ssd).expect("SSD refilled before join");
+        if let Err(pos) = st.ring.binary_search(&tenant) {
+            st.ring.insert(pos, tenant);
+        }
     }
 
-    /// Deterministic lender scan order: the ascending tenant-id ring on the
-    /// same SSD, entered just past the borrower. Every borrower starts at a
-    /// different lender, so repeated borrowing drains lenders evenly
-    /// instead of always bleeding the lowest ids first (which measurably
-    /// skews per-tenant fairness on staggered bursty mixes). Reversed under
-    /// the sanitizer-suite perturbation hook.
-    fn lender_order(&self, ssd: u32, borrower: u32) -> Vec<u32> {
-        let mut v: Vec<u32> = self
-            .accounts
-            .keys()
-            .filter(|(s, t)| *s == ssd && *t != borrower)
-            .map(|(_, t)| *t)
-            .collect();
-        v.sort_unstable();
-        let enter = v.partition_point(|&t| t <= borrower);
-        v.rotate_left(enter);
-        if self.cfg.perturb_lender_order {
-            v.reverse();
+    /// Remove `tenant` from `ssd`'s ring (no-op when absent).
+    fn ring_remove(&mut self, ssd: u32, tenant: u32) {
+        if let Some(st) = self.ssds.get_mut(&ssd) {
+            if let Ok(pos) = st.ring.binary_search(&tenant) {
+                st.ring.remove(pos);
+            }
         }
-        v
+    }
+
+    /// Open `tenant`'s account on `ssd` (at a full burst) if it has none.
+    /// The SSD must already be refilled to the current instant.
+    fn ensure_account(&mut self, ssd: u32, tenant: u32) {
+        if self.accounts.contains_key(&(ssd, tenant)) {
+            return;
+        }
+        self.accounts.insert(
+            (ssd, tenant),
+            Account {
+                balance: self.cfg.burst_bytes as i64,
+                frac: 0,
+                demand_epoch: 0,
+            },
+        );
+        self.ring_insert(ssd, tenant);
+    }
+
+    /// The lenders `borrower` asks, in order: everyone else on its SSD's
+    /// ascending tenant-id `ring`, entered just past the borrower. Every
+    /// borrower starts at a different lender, so repeated borrowing drains
+    /// lenders evenly instead of always bleeding the lowest ids first
+    /// (which measurably skews per-tenant fairness on staggered bursty
+    /// mixes). `reversed` is the sanitizer-suite perturbation hook.
+    fn lender_order(ring: &[u32], borrower: u32, reversed: bool) -> impl Iterator<Item = u32> + '_ {
+        let n = ring.len();
+        // `borrower` sits at `enter - 1`, so offsets 0..n-1 from `enter`
+        // visit everyone else exactly once.
+        let enter = ring.partition_point(|&t| t <= borrower);
+        (0..n.saturating_sub(1)).map(move |i| {
+            let i = if reversed { n - 2 - i } else { i };
+            ring[(enter + i) % n]
+        })
     }
 
     /// Headroom `lender` can extend to `borrower` right now: balance above
@@ -254,6 +312,11 @@ impl Broker {
             return 0;
         };
         let headroom = acc.balance.saturating_sub(floor).max(0) as u64;
+        if headroom == 0 {
+            // A lender at its floor lends nothing whatever the pair owes —
+            // the common case while an SSD is saturated.
+            return 0;
+        }
         let owed = self
             .debts
             .get(&(ssd, borrower, lender))
@@ -269,9 +332,8 @@ impl Broker {
     /// tick forever. `for_bytes` rounds up to >= 1 ns, but the clamp keeps
     /// the no-spin property locally evident rather than an artifact of a
     /// helper's rounding mode.
-    fn retry_at(&self, ssd: u32, deficit: u64, now: SimTime) -> SimTime {
-        let n = self.tenants_on(ssd).max(1);
-        let rate = self.cfg.capacity_bps / n;
+    fn retry_at(&self, tenants: u64, deficit: u64, now: SimTime) -> SimTime {
+        let rate = self.cfg.capacity_bps / tenants.max(1);
         let wait = if rate == 0 {
             self.cfg.epoch
         } else {
@@ -295,13 +357,15 @@ impl Broker {
         self.refill_ssd(s, now);
         self.ensure_account(s, t);
         let need = bytes as i64;
-        let balance = self.accounts.get(&(s, t)).map(|a| a.balance).unwrap_or(0);
+        let acc = self.accounts.get_mut(&(s, t)).expect("account exists");
+        let balance = acc.balance;
         if balance >= need {
-            let acc = self.accounts.get_mut(&(s, t)).expect("account exists");
             acc.balance -= need;
-            self.note_grant(s, t, bytes, flush);
+            Self::note_grant(&mut self.stats, acc, bytes, flush);
             return Charge::Granted;
         }
+        let ring = &self.ssds.get(&s).expect("SSD refilled").ring;
+        let tenants = ring.len() as u64;
         // A tenant still repaying a settlement (negative balance) may not
         // borrow again: it must climb back to zero on its own refill first.
         // That bounds debt growth and is what makes repayment deterministic.
@@ -309,16 +373,16 @@ impl Broker {
             self.stats.denials += 1;
             let deficit = (need - balance) as u64;
             return Charge::Denied {
-                retry_at: self.retry_at(s, deficit, now),
+                retry_at: self.retry_at(tenants, deficit, now),
             };
         }
         // Borrow path: own balance is in [0, need). Two passes over the
         // fixed lender order — the first only sums availability so a denial
         // mutates nothing.
         let deficit = (need - balance) as u64;
-        let lenders = self.lender_order(s, t);
+        let reversed = self.cfg.perturb_lender_order;
         let mut avail = 0u64;
-        for &l in &lenders {
+        for l in Self::lender_order(ring, t, reversed) {
             avail = avail.saturating_add(self.lendable(s, t, l));
             if avail >= deficit {
                 break;
@@ -327,12 +391,15 @@ impl Broker {
         if avail < deficit {
             self.stats.denials += 1;
             return Charge::Denied {
-                retry_at: self.retry_at(s, deficit, now),
+                retry_at: self.retry_at(tenants, deficit, now),
             };
         }
+        // The ring is lifted out for the taking pass (and put back below)
+        // so the loop can mutate the ledger; nothing in between touches it.
+        let ring = std::mem::take(&mut self.ssds.get_mut(&s).expect("SSD refilled").ring);
         let floor = self.cfg.floor_bytes() as i64;
         let mut remaining = deficit;
-        for &l in &lenders {
+        for l in Self::lender_order(&ring, t, reversed) {
             if remaining == 0 {
                 break;
             }
@@ -360,21 +427,20 @@ impl Broker {
             self.journal_pending.push(("borrow", u64::from(l)));
             remaining -= take;
         }
+        self.ssds.get_mut(&s).expect("SSD refilled").ring = ring;
         // Own balance plus everything borrowed exactly covers the IO.
         let acc = self.accounts.get_mut(&(s, t)).expect("account exists");
         acc.balance = 0;
-        self.note_grant(s, t, bytes, flush);
+        Self::note_grant(&mut self.stats, acc, bytes, flush);
         Charge::Granted
     }
 
-    fn note_grant(&mut self, ssd: u32, tenant: u32, bytes: u64, flush: bool) {
-        self.stats.charged_bytes += bytes;
+    fn note_grant(stats: &mut BrokerStats, acc: &mut Account, bytes: u64, flush: bool) {
+        stats.charged_bytes += bytes;
         if flush {
-            self.stats.flush_charged_bytes += bytes;
+            stats.flush_charged_bytes += bytes;
         }
-        if let Some(acc) = self.accounts.get_mut(&(ssd, tenant)) {
-            acc.demand_epoch = acc.demand_epoch.saturating_add(bytes);
-        }
+        acc.demand_epoch = acc.demand_epoch.saturating_add(bytes);
     }
 
     /// Epoch-boundary settlement. `active` lists, per SSD, the tenants that
@@ -383,7 +449,7 @@ impl Broker {
     /// tenants without an account get one, so an idle tenant can lend.
     pub fn settle_epoch(&mut self, now: SimTime, active: &[(SsdId, Vec<TenantId>)]) {
         // Refill every SSD we know about before membership changes.
-        let mut ssds: Vec<u32> = self.refilled_to.keys().copied().collect();
+        let mut ssds: Vec<u32> = self.ssds.keys().copied().collect();
         for (ssd, _) in active {
             ssds.push(ssd.0);
         }
@@ -435,6 +501,7 @@ impl Broker {
             }
             for k in &departed {
                 self.accounts.remove(k);
+                self.ring_remove(k.0, k.1);
             }
         }
         for k in &live {
@@ -584,8 +651,10 @@ impl Broker {
             "migrating tenant {} with outstanding debt",
             m.tenant.0
         );
+        self.ring_remove(m.from.0, m.tenant.0);
         self.refill_ssd(m.to.0, now);
         self.accounts.insert((m.to.0, m.tenant.0), acc);
+        self.ring_insert(m.to.0, m.tenant.0);
         self.stats.migrations += 1;
         self.trace.record(
             now,
@@ -611,6 +680,15 @@ impl Broker {
     /// Drain pending sanitizer-journal records (in decision order).
     pub fn drain_journal(&mut self) -> Vec<JournalRecord> {
         std::mem::take(&mut self.journal_pending)
+    }
+
+    /// [`Self::drain_journal`] without the allocation: visit the pending
+    /// records in place (in decision order) and clear them, keeping the
+    /// buffer for the next decisions.
+    pub fn drain_journal_with(&mut self, mut visit: impl FnMut(&'static str, u64)) {
+        for (op, key) in self.journal_pending.drain(..) {
+            visit(op, key);
+        }
     }
 
     /// A tenant's current balance, for tests and results.
@@ -680,6 +758,13 @@ impl BrokerHandle {
     /// Drain pending sanitizer-journal records.
     pub fn drain_journal(&self) -> Vec<JournalRecord> {
         self.inner.borrow_mut().drain_journal()
+    }
+
+    /// Visit and clear pending sanitizer-journal records in place. See
+    /// [`Broker::drain_journal_with`]; `visit` must not call back into
+    /// this handle.
+    pub fn drain_journal_with(&self, visit: impl FnMut(&'static str, u64)) {
+        self.inner.borrow_mut().drain_journal_with(visit);
     }
 
     /// Snapshot the counters.
@@ -1020,5 +1105,135 @@ mod tests {
         s2.sort_unstable();
         f2.sort_unstable();
         assert_eq!(s2, f2, "same decisions, different order");
+    }
+
+    /// The lender scan as it was before the per-SSD ring was cached —
+    /// collect the SSD's other accounts, sort, rotate past the borrower,
+    /// reverse under the perturbation hook — kept as the reference.
+    fn reference_lender_order(br: &Broker, ssd: u32, borrower: u32) -> Vec<u32> {
+        let mut v: Vec<u32> = br
+            .accounts
+            .keys()
+            .filter(|(s, t)| *s == ssd && *t != borrower)
+            .map(|(_, t)| *t)
+            .collect();
+        v.sort_unstable();
+        let enter = v.partition_point(|&t| t <= borrower);
+        v.rotate_left(enter);
+        if br.cfg.perturb_lender_order {
+            v.reverse();
+        }
+        v
+    }
+
+    /// Every account's cached lender scan equals the reference, and every
+    /// ring lists exactly its SSD's accounts.
+    fn assert_rings_match_accounts(br: &Broker, when: &str) {
+        for &(s, t) in br.accounts.keys() {
+            let ring = &br.ssds.get(&s).expect("account on a known SSD").ring;
+            let cached: Vec<u32> =
+                Broker::lender_order(ring, t, br.cfg.perturb_lender_order).collect();
+            assert_eq!(
+                cached,
+                reference_lender_order(br, s, t),
+                "{when}: lender scan of tenant {t} on SSD {s}"
+            );
+        }
+        let members: usize = br.ssds.values().map(|st| st.ring.len()).sum();
+        assert_eq!(members, br.accounts.len(), "{when}: ring sizes");
+    }
+
+    #[test]
+    fn cached_ring_equals_reference_lender_order_across_membership_changes() {
+        for perturb in [false, true] {
+            let mut c = cfg();
+            c.perturb_lender_order = perturb;
+            let mut br = Broker::new(c, TraceHandle::disabled());
+            let burst = cfg().burst_bytes;
+            let s1 = SsdId(1);
+            // Accounts open in scrambled id order, on two SSDs.
+            for id in [5u32, 1, 9, 3, 7] {
+                br.try_charge(S, TenantId(id), 0, false, t(0));
+                assert_rings_match_accounts(&br, "creation");
+            }
+            for id in [4u32, 2] {
+                br.try_charge(s1, TenantId(id), 0, false, t(0));
+            }
+            assert_rings_match_accounts(&br, "second SSD");
+            // Tenant 3 drains itself and borrows, then departs in debt
+            // together with lender 7: forgiveness removes both accounts.
+            assert_eq!(
+                br.try_charge(S, TenantId(3), burst, false, t(1)),
+                Charge::Granted
+            );
+            assert_eq!(
+                br.try_charge(S, TenantId(3), 64 * 1024, false, t(1)),
+                Charge::Granted
+            );
+            assert!(br.stats().outstanding > 0);
+            let stay = |ids: &[u32]| ids.iter().map(|&i| TenantId(i)).collect::<Vec<_>>();
+            br.settle_epoch(t(10), &[(S, stay(&[1, 5, 9, 6])), (s1, stay(&[2, 4]))]);
+            assert_eq!(br.balance(S, TenantId(3)), None);
+            assert_eq!(br.balance(S, TenantId(7)), None);
+            assert!(br.balance(S, TenantId(6)).is_some(), "idle tenant joined");
+            assert_rings_match_accounts(&br, "departure");
+            // A debt-free tenant migrates between the SSDs, and back.
+            for (from, to) in [(S, s1), (s1, S)] {
+                br.apply_migration(
+                    &Migration {
+                        tenant: TenantId(5),
+                        from,
+                        to,
+                    },
+                    t(10),
+                );
+                assert!(br.balance(to, TenantId(5)).is_some());
+                assert_eq!(br.balance(from, TenantId(5)), None);
+                assert_rings_match_accounts(&br, "migration");
+            }
+            br.audit();
+        }
+    }
+
+    #[test]
+    fn u64_refill_fast_path_equals_u128_path_on_boundary_products() {
+        // The per-account arithmetic `refill_ssd` used before the split.
+        let reference = |frac: u64, rate: u64, dt: u64| {
+            let num = frac as u128 + rate as u128 * dt as u128;
+            (num / 1_000_000_000, (num % 1_000_000_000) as u64)
+        };
+        let fracs = [0, 1, 499_999_999, 999_999_998, 999_999_999];
+        let mut cases: Vec<(u64, u64)> = vec![(0, 0), (1, 1), (u64::MAX, 1), (1, u64::MAX)];
+        // Products straddling u64::MAX (the fast/fallback boundary) and
+        // whole-second multiples (remainder 0 and 1e9 - 1).
+        for dt in [
+            1u64,
+            3,
+            1_000,
+            999_999_999,
+            1_000_000_000,
+            17_000_000,
+            1 << 32,
+        ] {
+            let rate = u64::MAX / dt;
+            for r in [rate - 1, rate, rate.saturating_add(1)] {
+                cases.push((r, dt));
+                cases.push((dt, r));
+            }
+            cases.push((dt, 1_000_000_000));
+            cases.push((dt, 999_999_999));
+        }
+        for &(rate, dt) in &cases {
+            for &frac in &fracs {
+                assert_eq!(
+                    accrue(frac, accrual(rate, dt)),
+                    reference(frac, rate, dt),
+                    "frac {frac} rate {rate} dt {dt}"
+                );
+            }
+        }
+        // Both sides of the boundary were exercised.
+        assert!(cases.iter().any(|&(r, d)| r.checked_mul(d).is_none()));
+        assert!(cases.iter().any(|&(r, d)| r.checked_mul(d).is_some()));
     }
 }

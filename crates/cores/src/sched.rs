@@ -296,6 +296,15 @@ impl CoreScheduler {
         std::mem::take(&mut self.journal_pending)
     }
 
+    /// [`Self::drain_journal`] without the allocation: visit the queued
+    /// decisions in place (in decision order) and clear them, keeping the
+    /// buffer for the next steal.
+    pub fn drain_journal_with(&mut self, mut visit: impl FnMut(&'static str, u64)) {
+        for (op, key) in self.journal_pending.drain(..) {
+            visit(op, key);
+        }
+    }
+
     /// Whole-run counters. Callers expose these only when stealing is
     /// configured, so steal-off results stay bit-identical.
     pub fn stats(&self) -> CoresStats {

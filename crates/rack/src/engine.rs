@@ -52,7 +52,7 @@ use gimbal_sim::{
     SimTime,
 };
 use gimbal_ssd::FlashSsd;
-use gimbal_switch::{ClientPolicy, Pipeline, PipelineConfig};
+use gimbal_switch::{ClientPolicy, Pipeline, PipelineConfig, PipelineOut};
 use gimbal_telemetry::{CapsuleKind, EventKind, TraceHandle, Tracer};
 use gimbal_testbed::{FaultCounters, Precondition};
 use std::cell::RefCell;
@@ -183,6 +183,9 @@ struct Rt {
     pipelines: Vec<Pipeline<FlashSsd>>,
     node_ports: Vec<Port>,
     wake_at: Vec<SimTime>,
+    /// Recycled completion-capsule buffer, swapped with a pipeline's own
+    /// every pump ([`Pipeline::take_outputs_into`]).
+    out_buf: Vec<PipelineOut>,
     /// Shared routing view: per-backend credit/outstanding/dead/suspect.
     /// Gating is per-client (`Client::gates`), so this limiter is disabled.
     router: RateLimiter,
@@ -375,6 +378,7 @@ impl Rt {
             next_logical: 0,
             phys: DetMap::new(),
             phys_arena: IoArena::new(),
+            out_buf: Vec::new(),
             next_cmd: 0,
             counters: FaultCounters::default(),
             rack: RackCounters::default(),
@@ -723,7 +727,9 @@ impl Rt {
             .record(now.as_nanos(), "switch.pipeline", "pump", backend as u64);
         self.pipelines[backend].poll(now);
         self.drain_broker_journal(now);
-        for out in self.pipelines[backend].take_outputs() {
+        let mut outs = std::mem::take(&mut self.out_buf);
+        self.pipelines[backend].take_outputs_into(&mut outs);
+        for out in outs.drain(..) {
             self.sanitizer
                 .record(now.as_nanos(), "switch.pipeline", "complete", out.cmd.id.0);
             let cpl = NvmeCompletion {
@@ -745,6 +751,7 @@ impl Rt {
             }
             self.send_completion(backend, cpl, out.cmd, out.at);
         }
+        self.out_buf = outs;
         if let Some(t) = self.pipelines[backend].next_event_at() {
             let t = t.max(now + SimDuration::from_nanos(1));
             if t < self.wake_at[backend] {
@@ -780,10 +787,10 @@ impl Rt {
     /// same-named decisions on different nodes stay distinguishable.
     fn drain_cores_journal(&mut self, node: usize, now: SimTime) {
         let base = node as u64 * u64::from(self.cfg.ssds_per_node);
-        for (op, key) in self.scheds[node].drain_journal() {
-            self.sanitizer
-                .record(now.as_nanos(), "cores", op, base + key);
-        }
+        let sanitizer = &self.sanitizer;
+        self.scheds[node].drain_journal_with(|op, key| {
+            sanitizer.record(now.as_nanos(), "cores", op, base + key);
+        });
     }
 
     /// Mark a node suspect (idempotent while suspicion lasts).
@@ -904,9 +911,7 @@ impl Rt {
     /// while preserving decision order).
     fn drain_broker_journal(&mut self, now: SimTime) {
         let Some(b) = &self.broker else { return };
-        for (op, key) in b.drain_journal() {
-            self.sanitizer.record(now.as_nanos(), "broker", op, key);
-        }
+        b.drain_journal_with(|op, key| self.sanitizer.record(now.as_nanos(), "broker", op, key));
     }
 
     /// One broker settlement boundary. Backends on dead or partitioned

@@ -169,6 +169,9 @@ pub struct FlashSsd {
     pending_writes: VecDeque<PendingWrite>,
     /// Pages admitted to the buffer but not yet batched into a program.
     drain_accum: Vec<u64>,
+    /// Recycled scratch for one read's NAND chunks, `(die, bytes)`; empty
+    /// between submissions.
+    read_chunks: Vec<(u32, u64)>,
     /// Round-robin die cursor for drain batches.
     next_die: u32,
     inflight: usize,
@@ -203,6 +206,7 @@ impl FlashSsd {
             reads: DetMap::new(),
             pending_writes: VecDeque::new(),
             drain_accum: Vec::new(),
+            read_chunks: Vec::new(),
             next_die: 0,
             inflight: 0,
             failed: false,
@@ -441,7 +445,7 @@ impl FlashSsd {
 
         // Group consecutive logical pages by the physical NAND page they sit
         // on; each distinct NAND page costs one tR on its die.
-        let mut chunks: Vec<(u32, u64)> = Vec::new(); // (die, bytes)
+        let mut chunks = std::mem::take(&mut self.read_chunks);
         let mut i = 0u64;
         while i < pages {
             let lpn = lba + i;
@@ -474,6 +478,7 @@ impl FlashSsd {
         self.stats.reads += 1;
         self.stats.read_bytes += len;
         if chunks.is_empty() {
+            self.read_chunks = chunks;
             // Fully served from the controller (buffer hits / unmapped).
             let done = ready + self.cfg.buffer_read_latency;
             self.events.push(
@@ -500,9 +505,10 @@ impl FlashSsd {
             },
         );
         let t_read = self.cfg.t_read;
-        for (die, bytes) in chunks {
+        for (die, bytes) in chunks.drain(..) {
             self.enqueue_fg(die, DieOp::ReadChunk { tag, bytes }, ready, t_read, now);
         }
+        self.read_chunks = chunks;
     }
 
     // ------------------------------------------------------------------

@@ -22,6 +22,8 @@ use gimbal_sim::collections::{DetMap, DetSet};
 use gimbal_sim::{EventQueue, SimDuration, SimTime};
 use gimbal_ssd::{SsdCompletion, StorageDevice};
 use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::rc::Rc;
 
 /// Pipeline configuration.
@@ -94,12 +96,8 @@ pub struct Pipeline<D: StorageDevice> {
     policy_wake: Option<SimTime>,
     /// NIC-DRAM cache tier ahead of the policy; absent when disabled.
     cache: Option<SsdCache>,
-    /// Shared broker ledger metering the submit path; absent when disabled.
-    broker: Option<BrokerHandle>,
-    /// Policy submissions the broker denied tokens for, in denial order.
-    /// Parking is per tenant: a broke tenant's requests wait here (FIFO)
-    /// while other tenants keep submitting; each poll retries them first.
-    broker_parked: Vec<Request>,
+    /// Broker gate metering the submit path; absent when disabled.
+    gate: Option<BrokerGate>,
     /// Recycled device-completion buffer: drained every poll, so the steady
     /// state allocates nothing on the completion path.
     cpl_buf: Vec<SsdCompletion>,
@@ -107,14 +105,121 @@ pub struct Pipeline<D: StorageDevice> {
 
 /// Outcome of metering one submission through the broker gate.
 enum Gate {
-    /// No broker, or the ledger granted tokens: submit to the device.
-    Pass,
-    /// Fresh denial: park the request and wake at the ledger's hint.
+    /// The ledger granted tokens: submit the request to the device.
+    Pass(Request),
+    /// Fresh denial: the request is parked; wake at the ledger's hint.
     Deny(SimTime),
-    /// The tenant was already denied this poll round: park behind its
-    /// earlier request (preserving per-tenant submit order) without
+    /// The tenant was already denied this poll round: the request parked
+    /// behind its earlier one (preserving per-tenant submit order) without
     /// touching the wake — the first denial already set it.
     Queue,
+}
+
+/// One tenant's parked requests, oldest first, each tagged with the global
+/// park sequence number it was parked under.
+struct ParkLane {
+    tenant: TenantId,
+    q: VecDeque<(u64, Request)>,
+}
+
+/// The broker gate of one pipeline: the shared ledger plus the requests it
+/// denied tokens for, parked in per-tenant FIFO lanes.
+///
+/// A poll round retries parked requests in park order (smallest `park_seq`
+/// first, merged across lanes) until each lane is empty or its head is
+/// denied; a denied lane is not looked at again that round. So the retry
+/// phase costs O(lanes + (grants + denials) · log lanes), not O(parked
+/// requests), and when it ends *a lane is non-empty exactly when its tenant
+/// was denied this round* — which is all [`Self::admit`] needs to keep a
+/// denied tenant's later submissions behind its parked ones. (`admit`
+/// finds the tenant's lane by scanning `lanes`: one entry per tenant ever
+/// denied on this SSD.)
+struct BrokerGate {
+    broker: BrokerHandle,
+    ssd: SsdId,
+    /// Lanes in first-denial order; a lane is created at a tenant's first
+    /// denial and kept (empty) afterwards so its buffer is reused.
+    lanes: Vec<ParkLane>,
+    /// This round's retry frontier: `(head park_seq, lane index)` of every
+    /// lane not yet denied. Rebuilt by [`Self::begin_round`].
+    frontier: BinaryHeap<Reverse<(u64, usize)>>,
+    next_seq: u64,
+    parked: usize,
+}
+
+impl BrokerGate {
+    fn new(broker: BrokerHandle, ssd: SsdId) -> Self {
+        BrokerGate {
+            broker,
+            ssd,
+            lanes: Vec::new(),
+            frontier: BinaryHeap::new(),
+            next_seq: 0,
+            parked: 0,
+        }
+    }
+
+    fn charge(&self, req: &Request, now: SimTime) -> Charge {
+        let flush = is_flush_id(req.cmd.id.0);
+        self.broker
+            .try_charge(self.ssd, req.cmd.tenant, req.cmd.len_bytes(), flush, now)
+    }
+
+    /// Open a poll round: every lane with parked work is retried.
+    fn begin_round(&mut self) {
+        self.frontier.clear();
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(&(seq, _)) = lane.q.front() {
+                self.frontier.push(Reverse((seq, i)));
+            }
+        }
+    }
+
+    /// Retry the oldest parked request whose tenant has not been denied
+    /// this round; `None` once every lane is empty or denied.
+    fn retry_next(&mut self, now: SimTime) -> Option<Gate> {
+        let Reverse((_, i)) = self.frontier.pop()?;
+        let (_, req) = *self.lanes[i].q.front().expect("frontier lane has a head");
+        Some(match self.charge(&req, now) {
+            Charge::Granted => {
+                let lane = &mut self.lanes[i];
+                lane.q.pop_front();
+                self.parked -= 1;
+                if let Some(&(seq, _)) = lane.q.front() {
+                    self.frontier.push(Reverse((seq, i)));
+                }
+                Gate::Pass(req)
+            }
+            // Dropped from the frontier: not touched again this round.
+            Charge::Denied { retry_at } => Gate::Deny(retry_at),
+        })
+    }
+
+    /// Meter a fresh policy submission. Only valid after this round's
+    /// retry phase has run dry (see the type docs).
+    fn admit(&mut self, req: Request, now: SimTime) -> Gate {
+        let lane = self.lanes.iter().position(|l| l.tenant == req.cmd.tenant);
+        let denied_before = lane.is_some_and(|i| !self.lanes[i].q.is_empty());
+        let verdict = if denied_before {
+            Gate::Queue
+        } else {
+            match self.charge(&req, now) {
+                Charge::Granted => return Gate::Pass(req),
+                Charge::Denied { retry_at } => Gate::Deny(retry_at),
+            }
+        };
+        let i = lane.unwrap_or_else(|| {
+            self.lanes.push(ParkLane {
+                tenant: req.cmd.tenant,
+                q: VecDeque::new(),
+            });
+            self.lanes.len() - 1
+        });
+        self.lanes[i].q.push_back((self.next_seq, req));
+        self.next_seq += 1;
+        self.parked += 1;
+        verdict
+    }
 }
 
 impl<D: StorageDevice> Pipeline<D> {
@@ -136,15 +241,14 @@ impl<D: StorageDevice> Pipeline<D> {
             .as_ref()
             .filter(|c| c.enabled())
             .map(|c| SsdCache::new(ssd, c.clone()));
-        let broker = cfg.broker.clone();
+        let gate = cfg.broker.clone().map(|b| BrokerGate::new(b, ssd));
         Pipeline {
             ssd,
             device,
             policy,
             core,
             cfg,
-            broker,
-            broker_parked: Vec::new(),
+            gate,
             cpl_buf: Vec::new(),
             events: EventQueue::new(),
             inflight: DetMap::new(),
@@ -410,21 +514,15 @@ impl<D: StorageDevice> Pipeline<D> {
         // tokens holds only its own requests (in FIFO order) while every
         // other tenant keeps flowing — a global park would let one broke
         // tenant head-of-line-block the whole SSD for its entire refill
-        // lockout. Once a tenant is denied in a poll round, its later
-        // requests park unexamined to preserve per-tenant submit order.
+        // lockout. Parked requests are retried first, oldest first; once a
+        // tenant is denied in a poll round, its later requests park
+        // unexamined to preserve per-tenant submit order.
         self.policy_wake = None;
-        let mut denied_tenants: Vec<TenantId> = Vec::new();
-        let parked = std::mem::take(&mut self.broker_parked);
-        for req in parked {
-            match self.broker_gate(&req, &denied_tenants, now) {
-                Gate::Pass => self.submit_to_device(req, now),
-                Gate::Deny(retry_at) => {
-                    denied_tenants.push(req.cmd.tenant);
-                    self.bump_wake(retry_at, now);
-                    self.broker_parked.push(req);
-                }
-                Gate::Queue => self.broker_parked.push(req),
-            }
+        if let Some(gate) = &mut self.gate {
+            gate.begin_round();
+        }
+        while let Some(verdict) = self.gate.as_mut().and_then(|g| g.retry_next(now)) {
+            self.apply_gate(verdict, now);
         }
         loop {
             let req = match self.policy.next_submission(now, self.device.inflight()) {
@@ -436,14 +534,12 @@ impl<D: StorageDevice> Pipeline<D> {
                 }
                 PolicyPoll::Idle => break,
             };
-            match self.broker_gate(&req, &denied_tenants, now) {
-                Gate::Pass => self.submit_to_device(req, now),
-                Gate::Deny(retry_at) => {
-                    denied_tenants.push(req.cmd.tenant);
-                    self.bump_wake(retry_at, now);
-                    self.broker_parked.push(req);
+            match &mut self.gate {
+                None => self.submit_to_device(req, now),
+                Some(gate) => {
+                    let verdict = gate.admit(req, now);
+                    self.apply_gate(verdict, now);
                 }
-                Gate::Queue => self.broker_parked.push(req),
             }
         }
         // Completion CPU may have finished within `now` (zero-cost models).
@@ -456,20 +552,13 @@ impl<D: StorageDevice> Pipeline<D> {
         }
     }
 
-    /// Meter one submission through the broker ledger (a no-op pass when
-    /// no broker is attached). Tenants already denied in this poll round
-    /// queue without re-charging, keeping their submit order intact.
-    fn broker_gate(&self, req: &Request, denied: &[TenantId], now: SimTime) -> Gate {
-        let Some(broker) = &self.broker else {
-            return Gate::Pass;
-        };
-        if denied.contains(&req.cmd.tenant) {
-            return Gate::Queue;
-        }
-        let flush = is_flush_id(req.cmd.id.0);
-        match broker.try_charge(self.ssd, req.cmd.tenant, req.cmd.len_bytes(), flush, now) {
-            Charge::Granted => Gate::Pass,
-            Charge::Denied { retry_at } => Gate::Deny(retry_at),
+    /// Act on a broker-gate verdict: submit what passed, wake for what was
+    /// freshly denied.
+    fn apply_gate(&mut self, verdict: Gate, now: SimTime) {
+        match verdict {
+            Gate::Pass(req) => self.submit_to_device(req, now),
+            Gate::Deny(retry_at) => self.bump_wake(retry_at, now),
+            Gate::Queue => {}
         }
     }
 
@@ -532,9 +621,20 @@ impl<D: StorageDevice> Pipeline<D> {
         std::mem::take(&mut self.outputs)
     }
 
+    /// [`Self::take_outputs`] without the allocation: swap the capsules
+    /// produced since the last call into `buf` (cleared first), keeping
+    /// `buf`'s old allocation as the pipeline's next output buffer. A
+    /// caller that drains `buf` and passes it back every pump allocates
+    /// nothing in steady state.
+    pub fn take_outputs_into(&mut self, buf: &mut Vec<PipelineOut>) {
+        buf.clear();
+        std::mem::swap(&mut self.outputs, buf);
+    }
+
     /// Commands accepted but not yet emitted as completions.
     pub fn in_progress(&self) -> usize {
-        self.inflight.len() + self.policy.queued() + self.events.len() + self.broker_parked.len()
+        let parked = self.gate.as_ref().map_or(0, |g| g.parked);
+        self.inflight.len() + self.policy.queued() + self.events.len() + parked
     }
 }
 

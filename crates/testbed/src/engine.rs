@@ -17,7 +17,7 @@ use gimbal_sim::{
     SimRng, SimTime, TimeSeries,
 };
 use gimbal_ssd::FlashSsd;
-use gimbal_switch::{ClientPolicy, Pipeline, PipelineConfig};
+use gimbal_switch::{ClientPolicy, Pipeline, PipelineConfig, PipelineOut};
 use gimbal_telemetry::{CapsuleKind, EventKind, TraceHandle, Tracer};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -192,6 +192,9 @@ struct Engine {
     /// Recycled telemetry sample buffer: device latencies collected during
     /// one pump, flushed in a single [`TraceHandle::observe_many`] call.
     obs_buf: Vec<(TenantId, u64)>,
+    /// Recycled completion-capsule buffer, swapped with a pipeline's own
+    /// every pump ([`Pipeline::take_outputs_into`]).
+    out_buf: Vec<PipelineOut>,
     /// The node's reactor-core scheduler (gimbal-cores). Owns every core;
     /// each pipeline quantum runs on the core it assigns. With
     /// [`TestbedConfig::steal`] unset it always assigns the home core and
@@ -329,6 +332,7 @@ impl Engine {
             counters: FaultCounters::default(),
             events_processed: 0,
             obs_buf: Vec::new(),
+            out_buf: Vec::new(),
             tracer,
             trace,
             sanitizer,
@@ -504,9 +508,9 @@ impl Engine {
     /// the divergence journal under component `cores`. Empty — and free —
     /// when stealing is off.
     fn drain_cores_journal(&mut self, now: SimTime) {
-        for (op, key) in self.sched.drain_journal() {
-            self.sanitizer.record(now.as_nanos(), "cores", op, key);
-        }
+        let sanitizer = &self.sanitizer;
+        self.sched
+            .drain_journal_with(|op, key| sanitizer.record(now.as_nanos(), "cores", op, key));
     }
 
     /// Poll a pipeline, route its completion capsules, reschedule its wake.
@@ -516,7 +520,9 @@ impl Engine {
             .record(now.as_nanos(), "switch.pipeline", "pump", ssd as u64);
         self.pipelines[ssd].poll(now);
         self.drain_broker_journal(now);
-        for out in self.pipelines[ssd].take_outputs() {
+        let mut outs = std::mem::take(&mut self.out_buf);
+        self.pipelines[ssd].take_outputs_into(&mut outs);
+        for out in outs.drain(..) {
             // Journal at `now` (the poll step), not `out.at`: ticks must be
             // monotone and the capsule's departure lies in the future.
             self.sanitizer
@@ -559,6 +565,7 @@ impl Engine {
             }
             self.send_completion(ssd, &out.cmd, cpl, out.at);
         }
+        self.out_buf = outs;
         if !self.obs_buf.is_empty() {
             self.trace.observe_many("device_latency_ns", &self.obs_buf);
             self.obs_buf.clear();
@@ -612,9 +619,7 @@ impl Engine {
     /// ticks monotone while preserving decision order.
     fn drain_broker_journal(&mut self, now: SimTime) {
         let Some(b) = &self.broker else { return };
-        for (op, key) in b.drain_journal() {
-            self.sanitizer.record(now.as_nanos(), "broker", op, key);
-        }
+        b.drain_journal_with(|op, key| self.sanitizer.record(now.as_nanos(), "broker", op, key));
     }
 
     /// One broker settlement boundary: repay all debts, forgive departures
@@ -709,28 +714,11 @@ impl Engine {
             self.queue.push(SimTime::ZERO + e, Ev::CoresRebalance);
         }
         let end = self.duration();
-        let debug = std::env::var("GIMBAL_ENGINE_DEBUG").is_ok(); // lint: allow(ambient-time-env, owner=testbed, expires=2028-08-01) — debug tracing toggle only, never affects simulation state
-        let mut last_report = 0u64;
         while let Some((now, ev)) = self.queue.pop() {
             if now > end {
                 break;
             }
             self.events_processed += 1;
-            if debug && now.as_nanos() / 100_000_000 != last_report {
-                last_report = now.as_nanos() / 100_000_000;
-                eprintln!(
-                    "t={now} queue={} pipes={:?} outs={:?}",
-                    self.queue.len(),
-                    self.pipelines
-                        .iter()
-                        .map(|p| p.in_progress())
-                        .collect::<Vec<_>>(),
-                    self.workers
-                        .iter()
-                        .map(|w| w.outstanding)
-                        .collect::<Vec<_>>(),
-                );
-            }
             if self.sanitizer.is_enabled() {
                 let (component, op, key) = match &ev {
                     Ev::WorkerStart(i) => ("engine.worker", "start", *i as u64),

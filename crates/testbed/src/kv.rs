@@ -21,7 +21,7 @@ use gimbal_sim::collections::DetMap;
 use gimbal_sim::stats::LatencySummary;
 use gimbal_sim::{EventQueue, Histogram, SimDuration, SimRng, SimTime};
 use gimbal_ssd::{FlashSsd, SsdConfig, SsdStats};
-use gimbal_switch::{ClientPolicy, Pipeline, PipelineConfig};
+use gimbal_switch::{ClientPolicy, Pipeline, PipelineConfig, PipelineOut};
 use gimbal_workload::{KvOp, YcsbMix, YcsbWorkload};
 use std::collections::VecDeque;
 
@@ -353,6 +353,9 @@ impl KvTestbed {
         // --- event loop state ---
         let mut queue: EventQueue<Ev> = EventQueue::new();
         let mut wake_at = vec![SimTime::MAX; backends];
+        // Recycled completion-capsule buffer, swapped with a pipeline's own
+        // every pump.
+        let mut out_buf: Vec<PipelineOut> = Vec::new();
         let mut next_cmd: u64 = 0;
         // cmd id → (instance, kv io tag, is-low-priority)
         let mut cmd_map: DetMap<u64, (usize, u64, bool)> = DetMap::new();
@@ -394,6 +397,7 @@ impl KvTestbed {
                             &mut pipelines,
                             &mut target_ports,
                             &mut wake_at,
+                            &mut out_buf,
                             &delays,
                             &mut queue,
                             &cmd_map,
@@ -468,6 +472,7 @@ impl KvTestbed {
                         &mut pipelines,
                         &mut target_ports,
                         &mut wake_at,
+                        &mut out_buf,
                         &delays,
                         &mut queue,
                         &cmd_map,
@@ -484,6 +489,7 @@ impl KvTestbed {
                         &mut pipelines,
                         &mut target_ports,
                         &mut wake_at,
+                        &mut out_buf,
                         &delays,
                         &mut queue,
                         &cmd_map,
@@ -702,6 +708,7 @@ impl KvTestbed {
         pipelines: &mut [Pipeline<FlashSsd>],
         target_ports: &mut [Port],
         wake_at: &mut [SimTime],
+        out_buf: &mut Vec<PipelineOut>,
         delays: &RdmaDelays,
         queue: &mut EventQueue<Ev>,
         cmd_map: &DetMap<u64, (usize, u64, bool)>,
@@ -709,7 +716,8 @@ impl KvTestbed {
         now: SimTime,
     ) {
         pipelines[backend].poll(now);
-        for out in pipelines[backend].take_outputs() {
+        pipelines[backend].take_outputs_into(out_buf);
+        for out in out_buf.drain(..) {
             let (instance, _, _) = *cmd_map.get(&out.cmd.id.0).expect("tracked cmd");
             let cpl = NvmeCompletion {
                 id: out.cmd.id,

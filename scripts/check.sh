@@ -67,6 +67,14 @@ echo "==> steal-flip localization smoke (perturbed steal ring diverges under com
 cargo test --release --offline -p gimbal-testbed -q \
     sanitizer_localizes_injected_steal_order_flip
 
+echo "==> zero-alloc gates (disabled telemetry; all-denied broker poll + engine drains)"
+cargo bench --offline -q -p gimbal-bench --bench micro -- zero_alloc
+
+echo "==> jbof_bench (the standalone benchmark crate still builds against the core crates: its tests, then a quick burst_skew run through every gate)"
+cargo test --offline -q --manifest-path jbof_bench/Cargo.toml
+cargo run --release --offline -q --manifest-path jbof_bench/Cargo.toml \
+    --bin jbof-bench -- run burst_skew --quick > /dev/null
+
 echo "==> gimbal-lint (determinism policy)"
 cargo run --offline -q -p gimbal-lint
 

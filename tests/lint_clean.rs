@@ -99,6 +99,13 @@ fn all_waivers_are_active_and_well_formed() {
         !report.waivers.is_empty(),
         "waiver scan found nothing — parser broken?"
     );
+    // Ratchet: the ledger only shrinks (13 → 12 when the engine's env-var
+    // debug print went). A new waiver must retire an old one or lower this.
+    assert!(
+        report.waivers.len() <= 12,
+        "waiver ledger grew to {} (budget 12)",
+        report.waivers.len()
+    );
     let orphaned: Vec<String> = report
         .orphaned_waivers()
         .map(|w| format!("{}:{} {}", w.file, w.site.line, w.site.slug))

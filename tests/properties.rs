@@ -6,18 +6,29 @@
 //! many cases per property — but fully deterministic, which also means a
 //! failure here reproduces identically on every machine.
 
-use gimbal_repro::cache::{AdmissionPolicy, CacheConfig, SsdCache, WritePolicy};
+use gimbal_repro::broker::{Broker, BrokerConfig, BrokerHandle, BrokerMode, BrokerStats, Charge};
+use gimbal_repro::cache::{
+    is_flush_id, AdmissionPolicy, CacheConfig, SsdCache, WritePolicy, FLUSH_ID_BASE,
+};
 use gimbal_repro::fabric::{CmdId, IoType, NvmeCmd, Priority, SsdId, TenantId};
 use gimbal_repro::gimbal::scheduler::SchedPoll;
 use gimbal_repro::gimbal::{Params, VirtualSlotScheduler};
+use gimbal_repro::nic::CpuCost;
 use gimbal_repro::sim::{
-    ArenaError, EventQueue, HeapEventQueue, Histogram, IoArena, SimRng, SimTime, TokenBucket,
+    ArenaError, EventQueue, HeapEventQueue, Histogram, IoArena, SimDuration, SimRng, SimTime,
+    TokenBucket,
 };
 use gimbal_repro::ssd::ftl::Ftl;
-use gimbal_repro::ssd::SsdConfig;
-use gimbal_repro::switch::Request;
+use gimbal_repro::ssd::{SsdCompletion, SsdConfig, StorageDevice};
+use gimbal_repro::switch::{
+    CompletionInfo, Pipeline, PipelineConfig, PolicyPoll, Request, SwitchPolicy,
+};
+use gimbal_repro::telemetry::TraceHandle;
 use gimbal_repro::testbed::check_journal;
 use gimbal_repro::workload::Zipfian;
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::rc::Rc;
 
 fn req(id: u64, tenant: u32, op: IoType, len: u32) -> Request {
     Request {
@@ -606,4 +617,274 @@ fn timer_wheel_pop_if_at_agrees_with_pop() {
             }
         }
     }
+}
+
+/// What the broker gate shows the outside, at every point it calls out:
+/// each pull from the policy and each device submit, stamped with the
+/// ledger's running denial and charge counters. Grants appear by id and in
+/// order; denials are pinned between the observations that bracket them —
+/// so two equal logs over identically configured ledgers mean the same
+/// `try_charge` call sequence.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum GateObs {
+    Pull {
+        denials: u64,
+    },
+    Submit {
+        id: u64,
+        at: SimTime,
+        denials: u64,
+        charged: u64,
+    },
+}
+
+type GateLog = Rc<RefCell<Vec<GateObs>>>;
+
+/// A device that never completes anything and logs every submit.
+struct SubmitLog {
+    ledger: BrokerHandle,
+    log: GateLog,
+    inflight: usize,
+}
+
+impl StorageDevice for SubmitLog {
+    fn submit(&mut self, tag: u64, _op: IoType, _lba: u64, _len: u64, now: SimTime) {
+        let st = self.ledger.stats();
+        self.inflight += 1;
+        self.log.borrow_mut().push(GateObs::Submit {
+            id: tag,
+            at: now,
+            denials: st.denials,
+            charged: st.charged_bytes,
+        });
+    }
+    fn poll(&mut self, _now: SimTime) -> Vec<SsdCompletion> {
+        Vec::new()
+    }
+    fn next_event_at(&self) -> Option<SimTime> {
+        None
+    }
+    fn inflight(&self) -> usize {
+        self.inflight
+    }
+}
+
+/// A policy that releases whatever the test fed it, in order, logging
+/// every pull.
+struct ScriptedPolicy {
+    feed: Rc<RefCell<VecDeque<Request>>>,
+    ledger: BrokerHandle,
+    log: GateLog,
+}
+
+impl SwitchPolicy for ScriptedPolicy {
+    fn on_arrival(&mut self, req: Request, _now: SimTime) {
+        self.feed.borrow_mut().push_back(req);
+    }
+    fn next_submission(&mut self, _now: SimTime, _device_inflight: usize) -> PolicyPoll {
+        let denials = self.ledger.stats().denials;
+        self.log.borrow_mut().push(GateObs::Pull { denials });
+        match self.feed.borrow_mut().pop_front() {
+            Some(req) => PolicyPoll::Submit(req),
+            None => PolicyPoll::Idle,
+        }
+    }
+    fn on_completion(&mut self, _info: &CompletionInfo, _now: SimTime) {}
+    fn queued(&self) -> usize {
+        self.feed.borrow().len()
+    }
+    fn name(&self) -> &'static str {
+        "scripted"
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+/// The broker gate as `Pipeline::poll` ran it before the per-tenant park
+/// lanes: one global park `Vec` in denial order, moved out and rescanned
+/// whole on every poll, with a per-round list of denied tenants. Kept here
+/// — and only here — as the reference the lanes must be order-equivalent to.
+struct GlobalScanPark {
+    ledger: Broker,
+    parked: Vec<Request>,
+    submitted: usize,
+    wake: Option<SimTime>,
+    log: Vec<GateObs>,
+}
+
+impl GlobalScanPark {
+    fn gate(&mut self, req: Request, denied: &mut Vec<TenantId>, now: SimTime) {
+        if denied.contains(&req.cmd.tenant) {
+            self.parked.push(req);
+            return;
+        }
+        let (tenant, bytes) = (req.cmd.tenant, req.cmd.len_bytes());
+        let flush = is_flush_id(req.cmd.id.0);
+        match self.ledger.try_charge(SsdId(0), tenant, bytes, flush, now) {
+            Charge::Granted => {
+                let st = self.ledger.stats();
+                self.submitted += 1;
+                self.log.push(GateObs::Submit {
+                    id: req.cmd.id.0,
+                    at: now,
+                    denials: st.denials,
+                    charged: st.charged_bytes,
+                });
+            }
+            Charge::Denied { retry_at } => {
+                denied.push(tenant);
+                let at = retry_at.max(now + SimDuration::from_nanos(1));
+                self.wake = Some(self.wake.map_or(at, |w| w.min(at)));
+                self.parked.push(req);
+            }
+        }
+    }
+
+    fn poll(&mut self, fresh: &[Request], now: SimTime) {
+        self.wake = None;
+        let mut denied = Vec::new();
+        for req in std::mem::take(&mut self.parked) {
+            self.gate(req, &mut denied, now);
+        }
+        for &req in fresh {
+            let denials = self.ledger.stats().denials;
+            self.log.push(GateObs::Pull { denials });
+            self.gate(req, &mut denied, now);
+        }
+        let denials = self.ledger.stats().denials;
+        self.log.push(GateObs::Pull { denials });
+    }
+}
+
+/// The per-tenant park lanes behind `Pipeline`'s broker gate are
+/// order-equivalent to the global park scan they replaced: driven with the
+/// same seeded streams — interleaved tenants, mixed sizes, flush-tagged
+/// ids, refills that grant a tenant mid-queue, settlements (with
+/// departures) between polls — against identically configured ledgers,
+/// both make the same `try_charge` calls in the same order, submit to the
+/// device in the same order, wake at the same instant, hold the same
+/// number of requests, and leave the same `BrokerStats` and balances.
+#[test]
+fn park_lanes_match_global_scan_reference_on_adversarial_streams() {
+    const SIZES: [u32; 4] = [4096, 16 * 1024, 64 * 1024, 128 * 1024];
+    let mut meta = SimRng::new(0x9157_000D);
+    let mut seen = BrokerStats::default();
+    let mut deepest_park = 0;
+    for case in 0..60 {
+        let mut rng = SimRng::new(meta.next_u64());
+        let tenants = 2 + rng.gen_below(5) as u32;
+        let bcfg = BrokerConfig {
+            mode: if rng.gen_bool(0.25) {
+                BrokerMode::Strict
+            } else {
+                BrokerMode::Borrow
+            },
+            capacity_bps: (20 + rng.gen_below(400)) * 1024 * 1024,
+            burst_bytes: (128 << rng.gen_below(4)) * 1024,
+            epoch: SimDuration::from_millis(1),
+            ..BrokerConfig::default()
+        };
+        let ledger = BrokerHandle::new(bcfg.clone(), TraceHandle::disabled());
+        let log: GateLog = Rc::default();
+        let feed: Rc<RefCell<VecDeque<Request>>> = Rc::default();
+        let mut lanes = Pipeline::new(
+            SsdId(0),
+            SubmitLog {
+                ledger: ledger.clone(),
+                log: Rc::clone(&log),
+                inflight: 0,
+            },
+            Box::new(ScriptedPolicy {
+                feed: Rc::clone(&feed),
+                ledger: ledger.clone(),
+                log: Rc::clone(&log),
+            }),
+            PipelineConfig {
+                cpu_cost: CpuCost::arm_vanilla(),
+                null_device: true,
+                cache: None,
+                broker: Some(ledger.clone()),
+            },
+        );
+        let mut scan = GlobalScanPark {
+            ledger: Broker::new(bcfg, TraceHandle::disabled()),
+            parked: Vec::new(),
+            submitted: 0,
+            wake: None,
+            log: Vec::new(),
+        };
+        let mut now = SimTime::ZERO;
+        let mut next_id = 0u64;
+        for step in 0..120 {
+            // Advance: a short hop, or exactly to the armed wake.
+            now = match scan.wake {
+                Some(w) if rng.gen_bool(0.4) => w,
+                _ => now + SimDuration::from_nanos(1 + rng.gen_below(200_000)),
+            };
+            if step % 16 == 15 {
+                // Settlement between polls; sometimes a tenant has left.
+                let gone = rng.gen_below(u64::from(tenants) * 2) as u32;
+                let stay: Vec<TenantId> =
+                    (0..tenants).filter(|&t| t != gone).map(TenantId).collect();
+                let active = [(SsdId(0), stay)];
+                ledger.settle_epoch(now, &active);
+                ledger.end_epoch();
+                scan.ledger.settle_epoch(now, &active);
+                scan.ledger.end_epoch();
+            }
+            let fresh: Vec<Request> = (0..rng.gen_below(7))
+                .map(|_| {
+                    let flush = rng.gen_bool(0.1);
+                    let id = next_id | if flush { FLUSH_ID_BASE } else { 0 };
+                    next_id += 1;
+                    let len = SIZES[rng.gen_below(4) as usize];
+                    let tenant = rng.gen_below(u64::from(tenants)) as u32;
+                    req(id, tenant, IoType::Write, len)
+                })
+                .collect();
+            feed.borrow_mut().extend(fresh.iter().copied());
+            lanes.poll(now);
+            scan.poll(&fresh, now);
+
+            let at = format!("case {case} step {step}");
+            assert_eq!(*log.borrow(), scan.log, "{at}: gate call sequence");
+            log.borrow_mut().clear();
+            scan.log.clear();
+            assert_eq!(lanes.next_event_at(), scan.wake, "{at}: wake");
+            assert_eq!(
+                lanes.in_progress(),
+                scan.submitted + scan.parked.len(),
+                "{at}: in_progress"
+            );
+            assert_eq!(ledger.stats(), scan.ledger.stats(), "{at}: BrokerStats");
+            for t in (0..tenants).map(TenantId) {
+                assert_eq!(
+                    ledger.balance(SsdId(0), t),
+                    scan.ledger.balance(SsdId(0), t),
+                    "{at}: balance of tenant {}",
+                    t.0
+                );
+            }
+            deepest_park = deepest_park.max(scan.parked.len());
+        }
+        let st = ledger.stats();
+        seen.denials += st.denials;
+        seen.borrow_events += st.borrow_events;
+        seen.forgiven += st.forgiven;
+        seen.flush_charged_bytes += st.flush_charged_bytes;
+    }
+    // The streams really were adversarial.
+    assert!(seen.denials > 1000, "only {} denials", seen.denials);
+    assert!(
+        seen.borrow_events > 100,
+        "only {} borrows",
+        seen.borrow_events
+    );
+    assert!(seen.forgiven > 0, "no departure ever forgave a debt");
+    assert!(
+        seen.flush_charged_bytes > 0,
+        "no flush-tagged id was charged"
+    );
+    assert!(deepest_park >= 20, "parks stayed shallow: {deepest_park}");
 }
