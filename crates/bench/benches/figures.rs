@@ -73,6 +73,7 @@ fn main() {
         ("abl_threshold", gimbal_bench::figs::abl_threshold::run),
         ("abl_bucket_cost", gimbal_bench::figs::abl_bucket_cost::run),
         ("abl_slots", gimbal_bench::figs::abl_slots::run),
+        ("abl_cache", gimbal_bench::figs::abl_cache::run),
     ];
 
     let total = Instant::now();

@@ -467,12 +467,14 @@ impl Broker {
             }
         }
         live.sort_unstable();
-        let departed: Vec<(u32, u32)> = self
+        let mut departed: Vec<(u32, u32)> = self
             .accounts
             .keys()
             .filter(|&k| live.binary_search(k).is_err())
             .copied()
             .collect();
+        // Accounts open in arrival order, not id order; `is_gone` searches.
+        departed.sort_unstable();
 
         // Forgive every debt whose borrower or lender departed.
         if !departed.is_empty() {
@@ -1105,6 +1107,71 @@ mod tests {
         s2.sort_unstable();
         f2.sort_unstable();
         assert_eq!(s2, f2, "same decisions, different order");
+    }
+
+    #[test]
+    fn multi_departure_epoch_forgives_every_debt_of_departed_tenants() {
+        // Accounts open in scrambled id order, so account-insertion order
+        // is not id order; then three tenants depart in one epoch. Every
+        // debt with a departed party must be forgiven in the departure pass
+        // — none may be collected from a borrower that no longer exists.
+        let mut br = Broker::new(cfg(), TraceHandle::disabled());
+        let burst = cfg().burst_bytes;
+        let headroom = burst - cfg().floor_bytes();
+        for id in [5u32, 1, 9, 3, 7] {
+            assert_eq!(
+                br.try_charge(S, TenantId(id), 0, false, t(0)),
+                Charge::Granted
+            );
+        }
+        // Tenant 9 drains itself and borrows past lender 1 (survives) into
+        // lender 3 (departs).
+        let nine = TenantId(9);
+        assert_eq!(br.try_charge(S, nine, burst, false, t(1)), Charge::Granted);
+        assert_eq!(
+            br.try_charge(S, nine, headroom + 8192, false, t(1)),
+            Charge::Granted
+        );
+        // Tenant 7 drains itself and borrows from lender 3 (departs) and
+        // lender 5 (survives) — 9 and 1 are at their floor.
+        let seven = TenantId(7);
+        assert_eq!(br.try_charge(S, seven, burst, false, t(1)), Charge::Granted);
+        assert_eq!(
+            br.try_charge(S, seven, headroom, false, t(1)),
+            Charge::Granted
+        );
+        let debts = [(9u32, 1u32), (9, 3), (7, 3), (7, 5)];
+        for (b, l) in debts {
+            assert!(br.debt(S, TenantId(b), TenantId(l)) > 0, "{b} owes {l}");
+        }
+        let granted = br.stats().granted;
+        br.drain_journal(); // discard the borrow records
+        let stay = vec![(S, vec![TenantId(1), TenantId(5)])];
+        br.settle_epoch(t(10), &stay);
+        let st = br.stats();
+        assert_eq!(st.forgiven, granted, "every debt forgiven in full");
+        assert_eq!(st.repaid, 0, "collected from a departed borrower");
+        assert_eq!(st.interest_paid, 0);
+        assert_eq!(st.outstanding, 0);
+        assert!(st.conservation_holds());
+        br.audit();
+        let journal = br.drain_journal();
+        assert!(
+            !journal.iter().any(|&(op, _)| op == "repay"),
+            "repayment journaled: {journal:?}"
+        );
+        let mut forgiven: Vec<u64> = journal
+            .iter()
+            .filter(|&&(op, _)| op == "forgive")
+            .map(|&(_, lender)| lender)
+            .collect();
+        forgiven.sort_unstable();
+        let mut lenders: Vec<u64> = debts.iter().map(|&(_, l)| u64::from(l)).collect();
+        lenders.sort_unstable();
+        assert_eq!(forgiven, lenders, "one forgive record per debt");
+        for id in [3u32, 7, 9] {
+            assert_eq!(br.balance(S, TenantId(id)), None, "{id} departed");
+        }
     }
 
     /// The lender scan as it was before the per-SSD ring was cached —

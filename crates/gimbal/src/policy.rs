@@ -24,6 +24,13 @@ pub struct GimbalPolicy {
     scheduler: VirtualSlotScheduler,
     rate: RateController,
     write_cost: WriteCostEstimator,
+    /// The head-of-line request the last DRR walk stopped at for lack of
+    /// tokens, until the next arrival or completion. Until then a re-walk
+    /// would stop at the same request: the front tenant keeps its open slot
+    /// and a deficit covering it, its priority pick repeats, a refused
+    /// token check changes nothing, and the write cost only moves on
+    /// completions. So only the bucket needs rechecking.
+    blocked: Option<(IoType, u64)>,
 }
 
 impl GimbalPolicy {
@@ -35,6 +42,7 @@ impl GimbalPolicy {
             scheduler: VirtualSlotScheduler::new(params),
             rate: RateController::new(params),
             write_cost: WriteCostEstimator::new(&params),
+            blocked: None,
         }
     }
 
@@ -72,20 +80,29 @@ impl GimbalPolicy {
 
 impl SwitchPolicy for GimbalPolicy {
     fn on_arrival(&mut self, req: Request, now: SimTime) {
+        self.blocked = None;
         self.scheduler.on_arrival(req, now);
     }
 
     fn next_submission(&mut self, now: SimTime, _device_inflight: usize) -> PolicyPoll {
         let wc = self.write_cost.cost();
         self.rate.update_buckets(now, wc);
+        if let Some((io_type, size)) = self.blocked {
+            if !self.rate.can_consume(io_type, size) {
+                return PolicyPoll::WaitUntil(self.rate.wait_hint(now, io_type, size, wc));
+            }
+        }
         // Split borrows: the scheduler walks its lists while the token check
         // consults the rate controller.
         let rate = &mut self.rate;
-        match self.scheduler.dequeue(now, wc, |req| {
+        let poll = self.scheduler.dequeue(now, wc, |req| {
             rate.try_consume(req.cmd.opcode, req.cmd.len_bytes())
-        }) {
+        });
+        self.blocked = None;
+        match poll {
             SchedPoll::Submit(req) => PolicyPoll::Submit(req),
             SchedPoll::Blocked { io_type, size } => {
+                self.blocked = Some((io_type, size));
                 PolicyPoll::WaitUntil(self.rate.wait_hint(now, io_type, size, wc))
             }
             SchedPoll::Empty => PolicyPoll::Idle,
@@ -93,6 +110,7 @@ impl SwitchPolicy for GimbalPolicy {
     }
 
     fn on_completion(&mut self, info: &CompletionInfo, now: SimTime) {
+        self.blocked = None;
         let op = info.cmd.opcode;
         // Error completions release scheduler state but carry no valid
         // latency signal for congestion control.
@@ -293,5 +311,159 @@ mod tests {
         let wait = wait.expect("must block on tokens, not go idle");
         assert!(wait > now);
         assert!((1..16).contains(&submits), "submitted {submits}");
+    }
+
+    /// `next_submission` as it was before the sticky verdict — every poll
+    /// refills the buckets and walks the DRR — built only from the public
+    /// parts, as the reference for the cached path.
+    struct WalkEveryPoll {
+        scheduler: VirtualSlotScheduler,
+        rate: RateController,
+        write_cost: WriteCostEstimator,
+    }
+
+    impl WalkEveryPoll {
+        fn new(params: Params) -> Self {
+            WalkEveryPoll {
+                scheduler: VirtualSlotScheduler::new(params),
+                rate: RateController::new(params),
+                write_cost: WriteCostEstimator::new(&params),
+            }
+        }
+
+        fn next_submission(&mut self, now: SimTime) -> PolicyPoll {
+            let wc = self.write_cost.cost();
+            self.rate.update_buckets(now, wc);
+            let rate = &mut self.rate;
+            match self.scheduler.dequeue(now, wc, |req| {
+                rate.try_consume(req.cmd.opcode, req.cmd.len_bytes())
+            }) {
+                SchedPoll::Submit(req) => PolicyPoll::Submit(req),
+                SchedPoll::Blocked { io_type, size } => {
+                    PolicyPoll::WaitUntil(self.rate.wait_hint(now, io_type, size, wc))
+                }
+                SchedPoll::Empty => PolicyPoll::Idle,
+            }
+        }
+
+        fn on_completion(&mut self, info: &CompletionInfo, now: SimTime) {
+            let op = info.cmd.opcode;
+            if !info.failed {
+                self.rate
+                    .on_completion(now, op, info.cmd.len_bytes(), info.device_latency);
+                if op.is_write() {
+                    let below = self.rate.monitor(IoType::Write).below_min();
+                    self.write_cost.on_write_completion(now, below);
+                }
+            }
+            self.scheduler.on_completion(info.cmd.id, now);
+        }
+    }
+
+    /// A comparable rendering of a verdict: kind, then command id or instant.
+    fn verdict(p: PolicyPoll) -> (u8, u64) {
+        match p {
+            PolicyPoll::Submit(r) => (0, r.cmd.id.0),
+            PolicyPoll::WaitUntil(t) => (1, t.as_nanos()),
+            PolicyPoll::Idle => (2, 0),
+        }
+    }
+
+    #[test]
+    fn sticky_verdict_matches_walking_the_drr_on_every_poll() {
+        use crate::congestion::CongestionState;
+        use gimbal_sim::SimDuration;
+        let (mut sticky_hits, mut overloads, mut costs_seen) = (0u32, 0u32, Vec::new());
+        for case in 0..64u64 {
+            let single_bucket = case % 2 == 1;
+            // A short write-cost period so completions move the cost often.
+            let params = Params {
+                single_bucket,
+                write_cost_period: SimDuration::from_micros(500),
+                ..Params::default()
+            };
+            let mut rng = SimRng::new(0x5EED_0000 + case);
+            let tenants = 1 + rng.gen_below(3) as u32;
+            let mut policy = GimbalPolicy::new(SsdId(0), params);
+            let mut reference = WalkEveryPoll::new(params);
+            let mut now = SimTime::from_micros(1);
+            let mut inflight: Vec<NvmeCmd> = Vec::new();
+            let mut next_id = 0u64;
+            let steps = 1500u64;
+            for step in 0..steps {
+                match rng.gen_below(10) {
+                    // Arrivals: all three priorities, reads and writes, 4-128 KiB.
+                    0..=2 => {
+                        let op = if rng.gen_below(2) == 0 {
+                            IoType::Read
+                        } else {
+                            IoType::Write
+                        };
+                        let len = 4096 * (1 + rng.gen_below(32) as u32);
+                        let tenant = rng.gen_below(u64::from(tenants)) as u32;
+                        let mut c = cmd(next_id, tenant, op, 0, len, now);
+                        c.priority = Priority(rng.gen_below(3) as u8);
+                        next_id += 1;
+                        let req = Request {
+                            cmd: c,
+                            ready_at: now,
+                        };
+                        policy.on_arrival(req, now);
+                        reference.scheduler.on_arrival(req, now);
+                    }
+                    // Completions: latency walks Alg. 1 from under-utilized
+                    // to overloaded over the case; fast writes early and slow
+                    // writes late move the write cost both ways.
+                    3..=4 if !inflight.is_empty() => {
+                        let i = rng.gen_below(inflight.len() as u64) as usize;
+                        let c = inflight.swap_remove(i);
+                        let phase_us = [100, 400, 1_000, 2_500, 8_000][(step * 5 / steps) as usize];
+                        let lat_us = phase_us / 2 + rng.gen_below(phase_us);
+                        let info = CompletionInfo {
+                            cmd: c,
+                            device_latency: SimDuration::from_micros(lat_us),
+                            completed_at: now,
+                            failed: rng.gen_below(50) == 0,
+                        };
+                        policy.on_completion(&info, now);
+                        reference.on_completion(&info, now);
+                        if policy.rate.state() == CongestionState::Overloaded {
+                            overloads += 1;
+                        }
+                    }
+                    // Advance time; the next poll sees a refill.
+                    5 => now += SimDuration::from_micros(rng.gen_below(1_000)),
+                    // Polls at the current instant, repeated or drained.
+                    _ => {
+                        let drain = rng.gen_below(2) == 0;
+                        for _ in 0..if drain { 64 } else { 1 } {
+                            sticky_hits += u32::from(policy.blocked.is_some());
+                            let got = policy.next_submission(now, inflight.len());
+                            let want = reference.next_submission(now);
+                            assert_eq!(verdict(got), verdict(want), "case {case} step {step}");
+                            match got {
+                                PolicyPoll::Submit(r) => inflight.push(r.cmd),
+                                _ => break,
+                            }
+                        }
+                    }
+                }
+                let (got, want) = (&policy.rate, &reference.rate);
+                assert_eq!(
+                    (got.read_tokens().to_bits(), got.write_tokens().to_bits()),
+                    (want.read_tokens().to_bits(), want.write_tokens().to_bits()),
+                    "tokens: case {case} step {step}"
+                );
+                let wc = policy.current_write_cost();
+                assert_eq!(wc.to_bits(), reference.write_cost.cost().to_bits());
+                if !costs_seen.contains(&wc.to_bits()) {
+                    costs_seen.push(wc.to_bits());
+                }
+            }
+        }
+        // The interleavings reached what the argument depends on.
+        assert!(sticky_hits > 1_000, "sticky path taken {sticky_hits} times");
+        assert!(overloads > 0, "Alg. 1 never reached overloaded");
+        assert!(costs_seen.len() > 2, "write cost never moved");
     }
 }

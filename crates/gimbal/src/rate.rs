@@ -149,6 +149,16 @@ impl RateController {
         self.bucket(io_type).try_consume(size)
     }
 
+    /// Whether [`Self::try_consume`] would succeed right now (consumes
+    /// nothing).
+    pub fn can_consume(&self, io_type: IoType, size: u64) -> bool {
+        let bucket = match io_type {
+            IoType::Write if !self.params.single_bucket => &self.write_bucket,
+            _ => &self.read_bucket,
+        };
+        bucket.can_consume(size)
+    }
+
     /// Estimate when enough tokens for (`io_type`, `size`) will exist.
     /// Conservative hint: the caller re-polls and re-checks.
     pub fn wait_hint(&self, now: SimTime, io_type: IoType, size: u64, write_cost: f64) -> SimTime {

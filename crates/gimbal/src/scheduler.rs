@@ -124,6 +124,9 @@ pub struct VirtualSlotScheduler {
     active: VecDeque<TenantId>,
     /// Maps an in-flight command to (tenant, slot index).
     inflight: DetMap<CmdId, (TenantId, usize)>,
+    /// Tenants with queued or outstanding IO. Moves only where a tenant
+    /// enters that set (`on_arrival`) or leaves it (`on_completion`).
+    contending: u32,
     trace: TraceHandle,
     trace_ssd: SsdId,
 }
@@ -137,6 +140,7 @@ impl VirtualSlotScheduler {
             tenants: DetMap::new(),
             active: VecDeque::new(),
             inflight: DetMap::new(),
+            contending: 0,
             trace: TraceHandle::disabled(),
             trace_ssd: SsdId(0),
         }
@@ -154,26 +158,20 @@ impl VirtualSlotScheduler {
         }
     }
 
-    /// Number of tenants contending for the device (queued or in-flight IO).
-    fn contending(&self) -> u32 {
-        let contending = self
-            .tenants
-            .values()
-            .filter(|t| t.queued > 0 || t.outstanding > 0)
-            .count();
-        cast::usize_to_u32(contending)
-    }
-
-    /// Per-tenant slot allotment: equal split of the threshold, minimum one
-    /// (so the total may exceed the threshold under high consolidation).
+    /// Per-tenant slot allotment: equal split of the threshold among the
+    /// contending tenants (queued or in-flight IO), minimum one (so the
+    /// total may exceed the threshold under high consolidation).
     pub fn slot_limit(&self) -> u32 {
-        (self.params.slots_per_tenant / self.contending().max(1)).max(1)
+        (self.params.slots_per_tenant / self.contending.max(1)).max(1)
     }
 
     /// Enqueue an arriving request into its tenant's priority queue.
     pub fn on_arrival(&mut self, req: Request, _now: SimTime) {
         self.ensure_tenant(req.cmd.tenant);
         let t = self.tenants.get_mut(&req.cmd.tenant).unwrap();
+        if t.queued == 0 && t.outstanding == 0 {
+            self.contending += 1;
+        }
         t.queues[req.cmd.priority.0.min(2) as usize].push_back(req);
         t.queued += 1;
         if t.state == ListState::Idle {
@@ -314,6 +312,9 @@ impl VirtualSlotScheduler {
         };
         let t = self.tenants.get_mut(&tid).unwrap();
         t.outstanding -= 1;
+        if t.queued == 0 && t.outstanding == 0 {
+            self.contending -= 1;
+        }
         let slot = &mut t.slots[slot_idx];
         slot.completions += 1;
         if slot.full && slot.submits == slot.completions {
@@ -645,6 +646,63 @@ mod tests {
             s.credit_for(TenantId(0)) >= after_one,
             "credit keeps converging upward"
         );
+    }
+
+    /// The contending count as `slot_limit` used to compute it: a scan over
+    /// every tenant, kept as the reference for the counter.
+    fn contending_by_scan(s: &VirtualSlotScheduler) -> u32 {
+        let n = s
+            .tenants
+            .values()
+            .filter(|t| t.queued > 0 || t.outstanding > 0)
+            .count();
+        cast::usize_to_u32(n)
+    }
+
+    #[test]
+    fn contending_counter_equals_scan_on_seeded_streams() {
+        use gimbal_sim::SimRng;
+        for case in 0..48u64 {
+            let mut rng = SimRng::new(0xC0_u64 + case);
+            let tenants = 1 + rng.gen_below(64) as u32;
+            let mut s = sched();
+            let mut inflight: Vec<CmdId> = Vec::new();
+            let mut next = 0u64;
+            for step in 0..600 {
+                let now = SimTime::from_micros(step);
+                match rng.gen_below(10) {
+                    0..=3 => {
+                        let op = if rng.gen_below(3) == 0 {
+                            IoType::Write
+                        } else {
+                            IoType::Read
+                        };
+                        let len = 4096 * (1 + rng.gen_below(32) as u32);
+                        let prio = Priority(rng.gen_below(3) as u8);
+                        let tenant = rng.gen_below(u64::from(tenants)) as u32;
+                        s.on_arrival(req_full(next, tenant, op, len, prio), now);
+                        next += 1;
+                    }
+                    4..=6 => {
+                        let pass = rng.gen_below(4) != 0;
+                        if let SchedPoll::Submit(r) = s.dequeue(now, 3.0, |_| pass) {
+                            inflight.push(r.cmd.id);
+                        }
+                    }
+                    7 | 8 if !inflight.is_empty() => {
+                        let i = rng.gen_below(inflight.len() as u64) as usize;
+                        s.on_completion(inflight.swap_remove(i), now);
+                    }
+                    // Unknown ids (never submitted) must not move the count.
+                    _ => s.on_completion(CmdId(u64::MAX - step), now),
+                }
+                assert_eq!(
+                    s.contending,
+                    contending_by_scan(&s),
+                    "case {case} ({tenants} tenants) step {step}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,12 +12,87 @@
 //! hash index from key to slab position. Lookup/insert/remove are O(1)
 //! amortized; removal leaves a tombstone that iteration skips, and the slab
 //! compacts itself whenever tombstones outnumber live entries, keeping
-//! iteration O(live) amortized. The interior `HashMap` is used purely as an
-//! index — it is never iterated — so its random ordering cannot leak into
+//! iteration O(live) amortized. The interior hash map is used purely as an
+//! index — it is never iterated — so its ordering cannot leak into
 //! simulation behaviour.
+//!
+//! The index hashes with a fixed-seed `IndexHasher`, not std's randomly
+//! keyed SipHash: lookups sit on every per-IO path (in-flight tables,
+//! broker accounts, cache lines). Keys are ids the simulator generates,
+//! never outside input, so SipHash's resistance to crafted collisions buys
+//! nothing here.
 
-use std::collections::HashMap; // lint: allow(unordered-map, owner=sim, expires=2028-08-01) — index only, never iterated; order comes from the slab
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// Key → slab position. The one place a std hash map is allowed in the
+/// simulation crates: never iterated, so its layout decides speed, never order.
+type Index<K> = std::collections::HashMap<K, usize, BuildHasherDefault<IndexHasher>>; // lint: allow(unordered-map, owner=sim, expires=2028-08-01) — index only, never iterated; order comes from the slab
+
+/// Odd multiplier (2^64 / golden ratio) that folds each input word in.
+const FOLD: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Fixed-seed hasher for the [`DetMap`] index.
+///
+/// Input is folded one word at a time (`state = (rotl(state, 5) ^ word) ×
+/// FOLD`), then [`Hasher::finish`] applies a 64-bit xor-shift-multiply
+/// finalizer. The fold alone leaves a key's low bits depending only on its
+/// low bits — ids that differ only above bit 40 (`k << 40`, flush ids at
+/// `1 << 63`) would all land in one bucket, and the hash table picks buckets
+/// from the low bits. The finalizer mixes every input bit into every output
+/// bit.
+#[derive(Clone, Copy, Debug, Default)]
+struct IndexHasher(u64);
+
+impl IndexHasher {
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(FOLD);
+    }
+}
+
+impl Hasher for IndexHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        let mut word = [0u8; 8];
+        for chunk in &mut chunks {
+            word.copy_from_slice(chunk);
+            self.fold(u64::from_le_bytes(word));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.fold(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.fold(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.fold(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.fold(n as u64);
+    }
+
+    /// The murmur3 `fmix64` finalizer.
+    #[inline]
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+}
 
 /// A deterministic insertion-ordered map.
 #[derive(Clone, Debug)]
@@ -25,14 +100,14 @@ pub struct DetMap<K, V> {
     /// Entries in insertion order; `None` marks a removed entry.
     slab: Vec<Option<(K, V)>>,
     /// Key → slab position.
-    index: HashMap<K, usize>, // lint: allow(unordered-map, owner=sim, expires=2028-08-01) — index only, never iterated
+    index: Index<K>,
 }
 
 impl<K, V> Default for DetMap<K, V> {
     fn default() -> Self {
         DetMap {
             slab: Vec::new(),
-            index: HashMap::new(), // lint: allow(unordered-map, owner=sim, expires=2028-08-01) — index only, never iterated
+            index: Index::default(),
         }
     }
 }
@@ -47,7 +122,7 @@ impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
     pub fn with_capacity(n: usize) -> Self {
         DetMap {
             slab: Vec::with_capacity(n),
-            index: HashMap::with_capacity(n), // lint: allow(unordered-map, owner=sim, expires=2028-08-01) — index only, never iterated
+            index: Index::with_capacity_and_hasher(n, Default::default()),
         }
     }
 
@@ -389,6 +464,66 @@ mod tests {
             vec![3, 1, 5, 9, 2, 6]
         );
         assert_eq!(s.len(), 6);
+    }
+
+    fn index_hash<T: Hash>(key: T) -> u64 {
+        use std::hash::BuildHasher;
+        BuildHasherDefault::<IndexHasher>::default().hash_one(key)
+    }
+
+    #[test]
+    fn index_hasher_has_no_seed() {
+        use std::hash::BuildHasher;
+        let (a, b) = (
+            BuildHasherDefault::<IndexHasher>::default(),
+            BuildHasherDefault::<IndexHasher>::default(),
+        );
+        for k in [0u64, 1, 42, 1 << 40, u64::MAX] {
+            assert_eq!(a.hash_one(k), b.hash_one(k));
+        }
+        assert_eq!(a.hash_one("tenant"), b.hash_one("tenant"));
+        // Pinned: a change here changes the index layout (never the order).
+        assert_eq!(index_hash(42u64), 15_865_929_701_139_458_749);
+        assert_eq!(index_hash((3u32, 7u32)), 11_119_857_194_942_354_389);
+    }
+
+    #[test]
+    fn index_hasher_spreads_structured_keys_over_low_bits() {
+        // The hash table picks buckets from the low bits. 65 536 keys over
+        // 4 096 low-12-bit buckets: mean load 16, allowed max 48.
+        const N: u64 = 65_536;
+        const BUCKETS: usize = 1 << 12;
+        // gimbal_cache::FLUSH_ID_BASE: write-back flush ids set the top bit.
+        const FLUSH_ID_BASE: u64 = 1 << 63;
+        let mean = (N as usize / BUCKETS) as u32;
+        let sets: [(&str, Vec<u64>); 4] = [
+            ("dense ids", (0..N).map(index_hash).collect()),
+            (
+                "high bits only",
+                (0..N).map(|k| index_hash(k << 40)).collect(),
+            ),
+            (
+                "flush ids",
+                (0..N).map(|k| index_hash(FLUSH_ID_BASE | k)).collect(),
+            ),
+            (
+                "(u32, u32) pairs",
+                (0..N)
+                    .map(|k| index_hash(((k / 256) as u32, (k % 256) as u32)))
+                    .collect(),
+            ),
+        ];
+        for (name, hashes) in sets {
+            let mut load = vec![0u32; BUCKETS];
+            for h in hashes {
+                load[(h as usize) & (BUCKETS - 1)] += 1;
+            }
+            let max = *load.iter().max().expect("buckets");
+            assert!(
+                max <= 3 * mean,
+                "{name}: max bucket load {max}, mean {mean}"
+            );
+        }
     }
 
     #[test]

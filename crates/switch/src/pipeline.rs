@@ -606,16 +606,6 @@ impl<D: StorageDevice> Pipeline<D> {
         }
     }
 
-    /// Debug helper: describe why next_event_at is what it is.
-    pub fn debug_wakes(&self, now: SimTime) -> String {
-        format!(
-            "now={now} internal={:?} device={:?} policy_wake={:?}",
-            self.events.peek_time(),
-            self.device.next_event_at(),
-            self.policy_wake
-        )
-    }
-
     /// Take all completion capsules produced since the last call.
     pub fn take_outputs(&mut self) -> Vec<PipelineOut> {
         std::mem::take(&mut self.outputs)

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The full local gate — everything CI runs, in the same order.
+# The full gate. CI (.github/workflows/ci.yml) runs exactly this script.
 # Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
