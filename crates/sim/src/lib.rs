@@ -40,7 +40,7 @@ pub use collections::{DetMap, DetSet};
 pub use digest::Digest;
 pub use fault::{FaultInjector, FaultPlan, FaultWindow, NodeFaultSpec, SsdFaultSpec};
 pub use journal::{first_divergence, AccessJournal, DivergenceReport, JournalHandle};
-pub use queue::{EventQueue, HeapEventQueue};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use stats::{Ewma, Histogram, Meter, TimeSeries};
 pub use time::{SimDuration, SimTime};

@@ -17,12 +17,11 @@
 //! slot by sequence number, which restores global FIFO order for same-instant
 //! events regardless of how many cascades they rode through — the wheel
 //! reproduces the exact `(time, seq)` pop order of the binary heap it
-//! replaced. That heap survives as [`HeapEventQueue`], the equivalence oracle
-//! used by the wheel-vs-heap property tests.
+//! replaced. That heap survives in `tests/properties.rs` as the equivalence
+//! oracle the wheel is tested against.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Bits of the timestamp consumed per wheel level.
 const BITS: usize = 6;
@@ -37,29 +36,6 @@ struct Entry<E> {
     at: SimTime,
     seq: u64,
     event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 /// The wheel level of timestamp `at` relative to the wheel origin: the index
@@ -316,94 +292,9 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The binary-heap event queue the timer wheel replaced, kept verbatim as
-/// the **equivalence oracle**: the wheel must reproduce this queue's exact
-/// `(time, seq)` pop order on any push/pop stream. Property tests drive both
-/// from shared `SimRng` streams and assert identical sequences; nothing in
-/// the engines uses this type.
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-    watermark: SimTime,
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Create an empty queue.
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            watermark: SimTime::ZERO,
-        }
-    }
-
-    /// Schedule `event` to fire at instant `at` (same contract as
-    /// [`EventQueue::push`]).
-    pub fn push(&mut self, at: SimTime, event: E) {
-        debug_assert!(
-            at >= self.watermark,
-            "event scheduled at {at} before current time {}",
-            self.watermark
-        );
-        let at = at.max(self.watermark);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { at, seq, event });
-    }
-
-    /// Remove and return the earliest event, advancing the causality watermark.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        self.watermark = entry.at;
-        Some((entry.at, entry.event))
-    }
-
-    /// Pop the head only if due exactly at `at` and accepted by `pred` (same
-    /// contract as [`EventQueue::pop_if_at`]).
-    pub fn pop_if_at<F: FnOnce(&E) -> bool>(&mut self, at: SimTime, pred: F) -> Option<E> {
-        let head = self.heap.peek()?;
-        if head.at != at || !pred(&head.event) {
-            return None;
-        }
-        self.pop().map(|(_, e)| e)
-    }
-
-    /// The instant of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// The current simulation watermark (time of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.watermark
-    }
-
-    /// Drop all pending events without firing them.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::SimRng;
     use crate::time::SimDuration;
 
     #[test]
@@ -528,60 +419,5 @@ mod tests {
         assert_eq!(q.pop_if_at(t, |_| true), None);
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some((SimTime::from_micros(3), 3)));
-    }
-
-    /// In-crate oracle: random streams with same-tick collisions and
-    /// pop-interleaved pushes produce identical sequences from the wheel and
-    /// the heap. (The heavier cross-crate version lives in
-    /// `tests/properties.rs`.)
-    #[test]
-    fn wheel_matches_heap_on_random_streams() {
-        let mut rng = SimRng::new(0xA11CE);
-        for _ in 0..50 {
-            let mut wheel = EventQueue::new();
-            let mut heap = HeapEventQueue::new();
-            let mut base = 0u64;
-            for _ in 0..400 {
-                if rng.gen_bool(0.6) {
-                    let jump = match rng.gen_below(4) {
-                        0 => rng.gen_below(4),                   // same-tick collisions
-                        1 => rng.gen_below(1 << 10),             // near future
-                        2 => rng.gen_below(1 << 30),             // mid future
-                        _ => rng.next_u64() >> rng.gen_below(8), // far future
-                    };
-                    let at = SimTime::from_nanos(base.saturating_add(jump));
-                    let tag = rng.next_u64();
-                    wheel.push(at, tag);
-                    heap.push(at, tag);
-                } else {
-                    let got = wheel.pop();
-                    assert_eq!(got, heap.pop());
-                    if let Some((t, _)) = got {
-                        base = t.as_nanos();
-                    }
-                }
-                assert_eq!(wheel.len(), heap.len());
-                assert_eq!(wheel.peek_time(), heap.peek_time());
-            }
-            while let Some(got) = wheel.pop() {
-                assert_eq!(Some(got), heap.pop());
-            }
-            assert!(heap.pop().is_none());
-        }
-    }
-
-    #[test]
-    fn heap_oracle_matches_original_contract() {
-        let mut q = HeapEventQueue::new();
-        q.push(SimTime::from_micros(5), "later");
-        q.push(SimTime::from_micros(1), "first");
-        q.push(SimTime::from_micros(5), "even later");
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(1)));
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some((SimTime::from_micros(1), "first")));
-        assert_eq!(q.pop(), Some((SimTime::from_micros(5), "later")));
-        assert_eq!(q.pop(), Some((SimTime::from_micros(5), "even later")));
-        assert_eq!(q.now(), SimTime::from_micros(5));
-        assert_eq!(q.pop(), None);
     }
 }

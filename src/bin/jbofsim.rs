@@ -13,12 +13,12 @@
 
 use gimbal_repro::cores::{CoresStats, StealConfig};
 use gimbal_repro::fabric::RetryConfig;
-use gimbal_repro::rack::{RackConfig, RackResult, RackTestbed};
-use gimbal_repro::sim::{EventQueue, FaultPlan, FaultWindow, HeapEventQueue, SimDuration, SimTime};
+use gimbal_repro::rack::{RackConfig, RackTestbed};
+use gimbal_repro::sim::{FaultPlan, FaultWindow, SimDuration, SimTime};
 use gimbal_repro::telemetry::{export, TraceConfig};
 use gimbal_repro::testbed::{
-    cache_tier_wb, jain_index, AdmissionPolicy, BrokerConfig, BrokerMode, FaultConfig,
-    Precondition, RunResult, Scheme, Testbed, TestbedConfig, WorkerSpec, WritePolicy,
+    cache_tier_wb, AdmissionPolicy, BrokerConfig, BrokerMode, FaultConfig, Precondition, Scheme,
+    Testbed, TestbedConfig, WorkerSpec, WritePolicy,
 };
 use gimbal_repro::workload::FioSpec;
 use std::process::exit;
@@ -30,7 +30,7 @@ fn usage() -> ! {
          \x20              [--duration-ms N] [--warmup-ms N] [--ssds N] [--cores N]\n\
          \x20              [--seed N] [--trace-out FILE] [--trace-format chrome|jsonl]\n\
          \x20              [--cache-mb N] [--cache-policy always|congestion|never]\n\
-         \x20              [--cache-write-policy through|back] [--bench-json FILE]\n\
+         \x20              [--cache-write-policy through|back]\n\
          \x20              [--borrow] [--borrow-strict] [--borrow-mbps N]\n\
          \x20              [--borrow-epoch-ms N] [--placement]\n\
          \x20              [--steal] [--steal-rebalance-ms N] [--cores-sweep K[,K…]]\n\
@@ -63,7 +63,7 @@ fn usage() -> ! {
          \x20      (default 20, 0 disables rebalance)\n\
          --cores-sweep runs the workload once per listed core count, with\n\
          \x20      stealing off and on, and reports the throughput-vs-cores\n\
-         \x20      curve (the XBOF claim; --bench-json writes it as JSON)\n\
+         \x20      curve (the XBOF claim)\n\
          --cache-mb enables a NIC-DRAM cache of N MiB per SSD pipeline (0 = off);\n\
          \x20      --cache-policy picks the fill admission law (default congestion);\n\
          \x20      --cache-write-policy back acks writes from DRAM and drains\n\
@@ -73,10 +73,7 @@ fn usage() -> ! {
          \x20      across batch sizes — see tests/trace_conformance.rs)\n\
          --scale runs the hot-path bench: TENANTS synthesized 4 KiB readers\n\
          \x20      spread round-robin over the SSDs, batching on, wall-clock\n\
-         \x20      events/sec reported alongside a wheel-vs-heap event-queue\n\
-         \x20      microbench; --bench-json writes BENCH_scale.json-shaped\n\
-         \x20      output (--workers is ignored in this mode)\n\
-         --bench-json writes a machine-readable run summary to FILE\n\
+         \x20      events/sec reported (--workers is ignored in this mode)\n\
          --rack-nodes switches to the rack testbed: N JBOF nodes behind a\n\
          \x20      deterministic ToR with GC/failure-aware routing; --rack-fault\n\
          \x20      injects a canonical mid-run fault (node-death kills node 1,\n\
@@ -169,142 +166,6 @@ fn parse_worker(spec: &str) -> Option<ParsedWorker> {
     })
 }
 
-/// Minimal JSON string escape for worker labels (quotes and backslashes;
-/// specs cannot contain control characters).
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn latency_json(l: &gimbal_repro::sim::stats::LatencySummary) -> String {
-    format!(
-        "{{\"count\": {}, \"mean_us\": {:.3}, \"p50_us\": {:.3}, \"p99_us\": {:.3}, \"p999_us\": {:.3}}}",
-        l.count,
-        l.mean_us(),
-        l.p50_ns as f64 / 1e3,
-        l.p99_us(),
-        l.p999_us()
-    )
-}
-
-/// Write the machine-readable run summary: scheme, per-group throughput and
-/// latency percentiles, per-SSD device stats, and the cache tier's hit
-/// ratio. Hand-rolled JSON — the workspace carries no serializer.
-fn write_bench_json(
-    path: &str,
-    scheme: Scheme,
-    cache_mb: u64,
-    cache_policy: AdmissionPolicy,
-    cache_write: WritePolicy,
-    worker_specs: &[ParsedWorker],
-    res: &RunResult,
-) -> std::io::Result<()> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"scheme\": \"{}\",\n", scheme.name()));
-    let total_mbps = res.aggregate_bps(|_| true) / 1e6;
-    out.push_str(&format!("  \"total_throughput_mbps\": {total_mbps:.3},\n"));
-    // Per-tenant fairness: Jain's index over per-worker achieved bandwidth,
-    // plus each group's achieved share of the aggregate against its
-    // entitled (equal-split) share.
-    let per_worker: Vec<f64> = res.workers.iter().map(|w| w.bandwidth_mbps()).collect();
-    let total_workers: u32 = worker_specs.iter().map(|w| w.count).sum();
-    out.push_str(&format!(
-        "  \"fairness\": {{\"jain_index\": {:.6}, \"groups\": [",
-        jain_index(&per_worker)
-    ));
-    for (gi, w) in worker_specs.iter().enumerate() {
-        let achieved = if total_mbps > 0.0 {
-            res.aggregate_bps(|l| l == w.label) / 1e6 / total_mbps
-        } else {
-            0.0
-        };
-        let entitled = f64::from(w.count) / f64::from(total_workers.max(1));
-        out.push_str(&format!(
-            "{}{{\"label\": \"{}\", \"achieved_share\": {achieved:.6}, \"entitled_share\": {entitled:.6}}}",
-            if gi > 0 { ", " } else { "" },
-            json_escape(&w.label)
-        ));
-    }
-    out.push_str("]},\n");
-    if let Some(b) = &res.broker {
-        out.push_str(&format!(
-            "  \"broker\": {{\"granted\": {}, \"repaid\": {}, \"interest_paid\": {}, \"forgiven\": {}, \"outstanding\": {}, \"denials\": {}, \"borrow_events\": {}, \"charged_bytes\": {}, \"flush_charged_bytes\": {}, \"migrations\": {}, \"epochs\": {}, \"floor_violations\": {}, \"conservation\": {}}},\n",
-            b.granted,
-            b.repaid,
-            b.interest_paid,
-            b.forgiven,
-            b.outstanding,
-            b.denials,
-            b.borrow_events,
-            b.charged_bytes,
-            b.flush_charged_bytes,
-            b.migrations,
-            b.epochs,
-            b.floor_violations,
-            b.conservation_holds()
-        ));
-    }
-    if let Some(c) = &res.cores {
-        out.push_str(&format!(
-            "  \"cores\": {{\"count\": {}, \"steals\": {}, \"rebalances\": {}, \"moved_homes\": {}, \"stolen_busy_ns\": {}, \"per_core_busy_ns\": [{}]}},\n",
-            c.cores,
-            c.steals,
-            c.rebalances,
-            c.moved_homes,
-            c.stolen_busy_ns,
-            c.per_core_busy_ns
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-    }
-    let [_, wr_all] = res.group_latency(|_| true);
-    out.push_str(&format!(
-        "  \"cache\": {{\"enabled\": {}, \"mb_per_ssd\": {cache_mb}, \"policy\": \"{}\", \"write_policy\": \"{}\", \"hit_ratio\": {:.4}, \"write_back\": {{\"acked\": {}, \"flushed_lines\": {}, \"lost_lines\": {}, \"dirty_lines\": {}, \"mean_write_us\": {:.3}}}}},\n",
-        !res.cache.is_empty(),
-        cache_policy.name(),
-        cache_write.name(),
-        res.cache_hit_ratio(),
-        res.write_back.iter().map(|w| w.acked).sum::<u64>(),
-        res.write_back.iter().map(|w| w.flushed_lines).sum::<u64>(),
-        res.write_back.iter().map(|w| w.lost_lines).sum::<u64>(),
-        res.write_back.iter().map(|w| w.dirty_lines).sum::<u64>(),
-        wr_all.mean_us()
-    ));
-    out.push_str("  \"groups\": [\n");
-    for (gi, w) in worker_specs.iter().enumerate() {
-        let bw = res.aggregate_bps(|l| l == w.label) / 1e6;
-        let [rd, wr] = res.group_latency(|l| l == w.label);
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"workers\": {}, \"throughput_mbps\": {:.3}, \"read_latency\": {}, \"write_latency\": {}}}{}\n",
-            json_escape(&w.label),
-            w.count,
-            bw,
-            latency_json(&rd),
-            latency_json(&wr),
-            if gi + 1 < worker_specs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"ssds\": [\n");
-    for (si, s) in res.ssd_stats.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"reads\": {}, \"writes\": {}, \"write_amplification\": {:.4}}}{}\n",
-            s.reads,
-            s.writes,
-            s.write_amplification(),
-            if si + 1 < res.ssd_stats.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out)
-}
-
 /// The canonical mid-run fault plans the CLI can inject into a rack run.
 /// Windows are fractions of the run so any `--duration-ms` works.
 fn rack_fault_config(kind: &str, duration_ms: u64) -> Option<FaultConfig> {
@@ -338,60 +199,6 @@ fn rack_fault_config(kind: &str, duration_ms: u64) -> Option<FaultConfig> {
     }
 }
 
-/// Machine-readable rack run summary: throughput, read/write latency, the
-/// two conservation ledgers, and per-node ToR byte counts.
-fn write_rack_bench_json(
-    path: &str,
-    scheme: Scheme,
-    fault: &str,
-    res: &RackResult,
-) -> std::io::Result<()> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"scheme\": \"{}\",\n", scheme.name()));
-    out.push_str(&format!("  \"fault\": \"{}\",\n", json_escape(fault)));
-    out.push_str(&format!("  \"iops\": {:.3},\n", res.iops()));
-    out.push_str(&format!(
-        "  \"read_latency\": {{\"mean_us\": {:.3}, \"p99_us\": {:.3}}},\n",
-        res.mean_read_latency_us(),
-        res.p99_read_latency_us()
-    ));
-    let r = &res.rack;
-    out.push_str(&format!(
-        "  \"rack\": {{\"issued\": {}, \"acked_ok\": {}, \"acked_degraded\": {}, \"failed_typed\": {}, \"in_flight_at_end\": {}, \"nodes_suspected\": {}, \"reroutes\": {}, \"tor_cmd_drops\": {}, \"tor_cpl_drops\": {}, \"link_degraded_crossings\": {}}},\n",
-        r.issued,
-        r.acked_ok,
-        r.acked_degraded,
-        r.failed_typed,
-        r.in_flight_at_end,
-        r.nodes_suspected,
-        r.reroutes,
-        r.tor_cmd_drops,
-        r.tor_cpl_drops,
-        r.link_degraded_crossings
-    ));
-    out.push_str(&format!(
-        "  \"physical\": {{\"submitted\": {}, \"timed_out\": {}, \"retries\": {}}},\n",
-        res.physical.submitted, res.physical.timed_out, res.physical.retries
-    ));
-    out.push_str(&format!(
-        "  \"conservation_audit\": {},\n",
-        res.conservation_audit_holds()
-    ));
-    out.push_str("  \"tor\": [\n");
-    let nodes = res.tor_bytes_down.len();
-    for n in 0..nodes {
-        out.push_str(&format!(
-            "    {{\"node\": {n}, \"bytes_down\": {}, \"bytes_up\": {}}}{}\n",
-            res.tor_bytes_down[n],
-            res.tor_bytes_up[n],
-            if n + 1 < nodes { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out)
-}
-
 #[allow(clippy::too_many_arguments)]
 fn run_rack(
     scheme: Scheme,
@@ -408,7 +215,6 @@ fn run_rack(
     seed: u64,
     sanitize: bool,
     steal: Option<StealConfig>,
-    bench_json: Option<&str>,
 ) {
     let cfg = RackConfig {
         scheme,
@@ -505,31 +311,18 @@ fn run_rack(
         exit(1);
     }
     println!("conservation audit: ok (physical and logical ledgers balance)");
-
-    if let Some(path) = bench_json {
-        match write_rack_bench_json(path, scheme, fault, &res) {
-            Ok(()) => eprintln!("bench summary -> {path}"),
-            Err(e) => {
-                eprintln!("bench summary: failed to write {path}: {e}");
-                exit(1);
-            }
-        }
-    }
+    println!("stats digest {:#018x}", res.stats_digest());
 }
 
 /// Throughput-vs-cores sweep (the XBOF claim): for each listed core count
 /// run the same workload twice — shared-nothing (steal off) and with the
-/// core scheduler stealing — and report the curve. The headline
-/// `steal_win_pct` is the largest win across the sweep, i.e. the most
-/// skewed point; the bench gate pins it at ≥10 %.
+/// core scheduler stealing — and report the curve. The headline is the
+/// largest win across the sweep, i.e. the most skewed point.
 fn run_cores_sweep(
-    scheme: Scheme,
     template: &TestbedConfig,
     workers: &[WorkerSpec],
     sweep: &[u32],
     steal_cfg: &StealConfig,
-    steal_rebalance_ms: u64,
-    bench_json: Option<&str>,
 ) {
     let mut points: Vec<(u32, f64, f64, CoresStats)> = Vec::new();
     for &k in sweep {
@@ -575,98 +368,11 @@ fn run_cores_sweep(
         );
     }
     println!("best steal win across the sweep: {headline:.1}%");
-
-    if let Some(path) = bench_json {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"bench\": \"cores\",\n");
-        out.push_str(&format!("  \"scheme\": \"{}\",\n", scheme.name()));
-        out.push_str(&format!("  \"ssds\": {},\n", template.num_ssds));
-        out.push_str(&format!(
-            "  \"steal_rebalance_ms\": {steal_rebalance_ms},\n"
-        ));
-        out.push_str(&format!("  \"steal_win_pct\": {headline:.3},\n"));
-        out.push_str("  \"points\": [\n");
-        for (pi, (k, b, s, st)) in points.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"cores\": {k}, \"shared_nothing_mbps\": {b:.3}, \"steal_mbps\": {s:.3}, \"win_pct\": {:.3}, \"steals\": {}, \"rebalances\": {}, \"moved_homes\": {}, \"stolen_busy_ns\": {}}}{}\n",
-                win_pct(*b, *s),
-                st.steals,
-                st.rebalances,
-                st.moved_homes,
-                st.stolen_busy_ns,
-                if pi + 1 < points.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        match std::fs::write(path, out) {
-            Ok(()) => eprintln!("bench summary -> {path}"),
-            Err(e) => {
-                eprintln!("bench summary: failed to write {path}: {e}");
-                exit(1);
-            }
-        }
-    }
-}
-
-/// Random inter-event jump for the queue microbench, shaped like the
-/// engine's real push distribution: overwhelmingly near-future device and
-/// fabric events (≤ ~131 µs), with an occasional timeout-class timer
-/// (~67 ms) to force high-level wheel cascades.
-fn bench_jump(rng: &mut gimbal_repro::sim::SimRng) -> u64 {
-    if rng.gen_below(16) == 0 {
-        1 + rng.gen_below(1 << 26)
-    } else {
-        1 + rng.gen_below(1 << 17)
-    }
-}
-
-/// Hold-and-push loop over one queue implementation: keep `pending` events
-/// in flight, pop the head, push a replacement a random jump past it, `ops`
-/// times. Both variants are fed the same seeded [`SimRng`] stream, so they
-/// do bit-identical work; only the container differs.
-macro_rules! queue_bench {
-    ($Q:ty, $pending:expr, $ops:expr) => {{
-        let mut q: $Q = <$Q>::new();
-        let mut rng = gimbal_repro::sim::SimRng::new(0x5CA1E);
-        for _ in 0..$pending {
-            let at = q.now() + SimDuration::from_nanos(bench_jump(&mut rng));
-            q.push(at, ());
-        }
-        let t0 = std::time::Instant::now();
-        for _ in 0..$ops {
-            let (at, ()) = q.pop().expect("queue stays full");
-            q.push(at + SimDuration::from_nanos(bench_jump(&mut rng)), ());
-        }
-        let dt = t0.elapsed();
-        assert_eq!(q.len(), $pending as usize, "hold-and-push conserves events");
-        dt
-    }};
-}
-
-/// Wheel-vs-heap event-queue microbench at a pending population matching
-/// the scale run (1k tenants x qd 32 ≈ 32k in-flight events). Returns
-/// `(wheel_mops, heap_mops, speedup)` where speedup > 1 means the
-/// hierarchical wheel beats the pre-PR `BinaryHeap` path.
-fn queue_microbench(pending: u64, ops: u64) -> (f64, f64, f64) {
-    // Untimed warm-up pass so neither variant pays first-touch page faults.
-    let _ = queue_bench!(EventQueue<()>, pending, ops / 8);
-    let _ = queue_bench!(HeapEventQueue<()>, pending, ops / 8);
-    let wheel = queue_bench!(EventQueue<()>, pending, ops);
-    let heap = queue_bench!(HeapEventQueue<()>, pending, ops);
-    let mops = |d: std::time::Duration| ops as f64 / d.as_secs_f64() / 1e6;
-    (
-        mops(wheel),
-        mops(heap),
-        heap.as_secs_f64() / wheel.as_secs_f64(),
-    )
 }
 
 /// The `--scale` hot-path bench: `tenants` synthesized 4 KiB readers over
 /// disjoint LBA regions, round-robin across the SSDs, command batching on.
-/// Reports wall-clock events/sec for the whole simulation plus the
-/// wheel-vs-heap microbench, and writes the `BENCH_scale.json` shape the
-/// bench gate consumes.
+/// Reports wall-clock events/sec for the whole simulation.
 #[allow(clippy::too_many_arguments)]
 fn run_scale(
     scheme: Scheme,
@@ -677,7 +383,6 @@ fn run_scale(
     warmup_ms: u64,
     seed: u64,
     batch: u32,
-    bench_json: Option<&str>,
 ) {
     let cap_blocks = 512 * 1024 * 1024 / 4096u64;
     let per_region = (cap_blocks / u64::from(tenants).max(1)).max(1);
@@ -719,50 +424,12 @@ fn run_scale(
     let total_ios: u64 = res.ssd_stats.iter().map(|s| s.reads + s.writes).sum();
     let total_mbps = res.aggregate_bps(|_| true) / 1e6;
 
-    let pending = (u64::from(tenants) * 32).clamp(1 << 12, 1 << 16);
-    let (wheel_mops, heap_mops, speedup) = queue_microbench(pending, 2_000_000);
-
     println!(
         "scale: {} events in {wall_ms:.0} ms = {:.2} M events/s, {} device IOs, {total_mbps:.0} MB/s",
         res.events_processed,
         events_per_sec / 1e6,
         total_ios
     );
-    println!(
-        "queue microbench ({pending} pending): wheel {wheel_mops:.1} Mops/s, heap {heap_mops:.1} Mops/s, speedup {speedup:.2}x"
-    );
-
-    if let Some(path) = bench_json {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"bench\": \"scale\",\n");
-        out.push_str(&format!("  \"scheme\": \"{}\",\n", scheme.name()));
-        out.push_str(&format!("  \"tenants\": {tenants},\n"));
-        out.push_str(&format!("  \"ssds\": {ssds},\n"));
-        out.push_str(&format!("  \"cores\": {cores},\n"));
-        out.push_str(&format!("  \"batch\": {batch},\n"));
-        out.push_str(&format!("  \"duration_ms\": {duration_ms},\n"));
-        out.push_str(&format!(
-            "  \"events_processed\": {},\n",
-            res.events_processed
-        ));
-        out.push_str(&format!("  \"total_ios\": {total_ios},\n"));
-        out.push_str(&format!("  \"total_throughput_mbps\": {total_mbps:.3},\n"));
-        out.push_str(&format!("  \"wall_ms\": {wall_ms:.1},\n"));
-        out.push_str(&format!("  \"events_per_sec\": {events_per_sec:.0},\n"));
-        out.push_str(&format!(
-            "  \"queue_microbench\": {{\"pending\": {pending}, \"ops\": 2000000, \"wheel_mops\": {wheel_mops:.2}, \"heap_mops\": {heap_mops:.2}}},\n"
-        ));
-        out.push_str(&format!("  \"wheel_vs_heap_speedup\": {speedup:.3}\n"));
-        out.push_str("}\n");
-        match std::fs::write(path, out) {
-            Ok(()) => eprintln!("bench summary -> {path}"),
-            Err(e) => {
-                eprintln!("bench summary: failed to write {path}: {e}");
-                exit(1);
-            }
-        }
-    }
 }
 
 fn main() {
@@ -778,7 +445,6 @@ fn main() {
     let mut cache_mb = 0u64;
     let mut cache_policy = AdmissionPolicy::CongestionAware;
     let mut cache_write = WritePolicy::Through;
-    let mut bench_json: Option<String> = None;
     let mut sanitize = false;
     let mut borrow = false;
     let mut borrow_strict = false;
@@ -888,10 +554,6 @@ fn main() {
                         usage()
                     }
                 };
-                i += 2;
-            }
-            "--bench-json" => {
-                bench_json = Some(need(i).clone());
                 i += 2;
             }
             "--workers" => {
@@ -1026,7 +688,6 @@ fn main() {
             seed,
             sanitize,
             steal.then(|| steal_cfg.clone()),
-            bench_json.as_deref(),
         );
         return;
     }
@@ -1040,7 +701,6 @@ fn main() {
             warmup_ms,
             seed,
             batch.unwrap_or(32),
-            bench_json.as_deref(),
         );
         return;
     }
@@ -1118,15 +778,7 @@ fn main() {
     };
 
     if !cores_sweep.is_empty() {
-        run_cores_sweep(
-            scheme,
-            &cfg,
-            &workers,
-            &cores_sweep,
-            &steal_cfg,
-            steal_rebalance_ms,
-            bench_json.as_deref(),
-        );
+        run_cores_sweep(&cfg, &workers, &cores_sweep, &steal_cfg);
         return;
     }
 
@@ -1221,24 +873,7 @@ fn main() {
             "write-back: {acked} acks from DRAM, {flushed} lines flushed, {dirty} dirty at end, {lost} lost"
         );
     }
-
-    if let Some(path) = bench_json {
-        match write_bench_json(
-            &path,
-            scheme,
-            cache_mb,
-            cache_policy,
-            cache_write,
-            &worker_specs,
-            &res,
-        ) {
-            Ok(()) => eprintln!("bench summary -> {path}"),
-            Err(e) => {
-                eprintln!("bench summary: failed to write {path}: {e}");
-                exit(1);
-            }
-        }
-    }
+    println!("stats digest {:#018x}", res.stats_digest());
 
     if let Some(path) = trace_out {
         let trace = res.trace.as_ref().expect("trace was enabled");

@@ -12,13 +12,17 @@
 //! * conservation and debt forgiveness across injected device death;
 //! * the isolation floor against adversarial always-on borrowers;
 //! * flush traffic (write-back cache) charged to the owning tenant;
-//! * deterministic Serifos-style migrations off interference telemetry.
+//! * deterministic Serifos-style migrations off interference telemetry;
+//! * the headline: borrowing beats strict buckets on staggered bursts.
 
+mod common;
+
+use common::broker_bench;
 use gimbal_repro::fabric::RetryConfig;
 use gimbal_repro::sim::{FaultPlan, SimDuration, SimTime, SsdFaultSpec};
 use gimbal_repro::testbed::{
-    cache_tier_wb, AdmissionPolicy, BrokerConfig, FaultConfig, Precondition, RunResult, Scheme,
-    Testbed, TestbedConfig, WorkerSpec, WritePolicy,
+    cache_tier_wb, jain_index, AdmissionPolicy, BrokerConfig, BrokerMode, FaultConfig,
+    Precondition, RunResult, Scheme, Testbed, TestbedConfig, WorkerSpec, WritePolicy,
 };
 use gimbal_repro::workload::FioSpec;
 
@@ -263,5 +267,30 @@ fn placement_migrations_fire_and_are_deterministic() {
     assert_eq!(
         a.access_journal.unwrap().digest(),
         b.access_journal.unwrap().digest()
+    );
+}
+
+/// The broker's headline on the staggered bursty mix: strict per-tenant
+/// buckets waste every off-phase tenant's refill, borrowing lends it to the
+/// one tenant that is on. Borrowing must buy at least 15 % aggregate
+/// throughput (measured: 195.7 vs 141.1 MB/s, +38.6 %) while giving up no
+/// more than 0.01 of Jain's index against strict (0.9957 vs 1.0000).
+#[test]
+fn borrowing_beats_strict_on_staggered_bursts() {
+    let measure = |mode| {
+        let (cfg, workers) = broker_bench(mode);
+        let res = run(cfg, workers);
+        let per_worker: Vec<f64> = res.workers.iter().map(|w| w.bandwidth_mbps()).collect();
+        (res.aggregate_bps(|_| true) / 1e6, jain_index(&per_worker))
+    };
+    let (strict_mbps, strict_jain) = measure(BrokerMode::Strict);
+    let (borrow_mbps, borrow_jain) = measure(BrokerMode::Borrow);
+    assert!(
+        borrow_mbps >= strict_mbps * 1.15,
+        "borrowing {borrow_mbps:.1} MB/s must beat strict {strict_mbps:.1} MB/s by >= 15%"
+    );
+    assert!(
+        borrow_jain >= strict_jain - 0.01,
+        "borrowing gave up fairness: Jain {borrow_jain:.5} vs strict {strict_jain:.5}"
     );
 }

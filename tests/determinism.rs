@@ -8,11 +8,17 @@
 //! digest. It would have failed, flakily, before the `DetMap` migration:
 //! per-process `HashMap` ordering leaked into tenant scheduling order.
 
-use gimbal_repro::sim::SimDuration;
+mod common;
+
+use common::{broker_bench, cli_workers};
+use gimbal_repro::cores::StealConfig;
+use gimbal_repro::fabric::RetryConfig;
+use gimbal_repro::rack::{RackConfig, RackTestbed};
+use gimbal_repro::sim::{FaultPlan, SimDuration, SimTime};
 use gimbal_repro::telemetry::TraceConfig;
 use gimbal_repro::testbed::{
-    check_run, AdmissionPolicy, CacheConfig, Precondition, RunResult, Scheme, Testbed,
-    TestbedConfig, WorkerSpec, WritePolicy,
+    cache_tier_wb, check_run, AdmissionPolicy, BrokerMode, CacheConfig, FaultConfig, Precondition,
+    RunResult, Scheme, Testbed, TestbedConfig, WorkerSpec, WritePolicy,
 };
 use gimbal_repro::workload::{AccessPattern, FioSpec};
 
@@ -387,6 +393,122 @@ fn write_back_off_is_bit_identical_for_every_engine() {
             scheme.name()
         );
     }
+}
+
+/// Behaviour pins: one configuration per extension, each held to the stats
+/// digest it produced when its numbers were last accepted. The digests fold
+/// per-worker latency and throughput plus the broker, cores, cache and
+/// write-back counters, so any behaviour change moves them. Each row is the
+/// `jbofsim` command line in its name; the CLI prints the same
+/// `stats digest 0x…`, which is how a row is regenerated after an intended
+/// model change.
+#[test]
+fn headline_configurations_keep_their_pinned_digests() {
+    let run = |cfg: TestbedConfig, workers| Testbed::new(cfg, workers).run().stats_digest();
+    let ms = SimDuration::from_millis;
+    // --precondition clean --duration-ms 500 --warmup-ms 100 --seed 42
+    //   --cache-mb 16 --cache-policy congestion
+    let smoke = TestbedConfig {
+        duration: ms(500),
+        warmup: ms(100),
+        seed: 42,
+        cache: cache_tier_wb(16, AdmissionPolicy::CongestionAware, WritePolicy::Through),
+        ..TestbedConfig::default()
+    };
+    // --ssds 8 --cores 2 --duration-ms 400 --warmup-ms 100 --seed 42 [--steal]
+    let cores = |steal| TestbedConfig {
+        num_ssds: 8,
+        cores: 2,
+        duration: ms(400),
+        warmup: ms(100),
+        seed: 42,
+        steal,
+        ..TestbedConfig::default()
+    };
+    let hot = [
+        "1x4k-read-ssd0",
+        "1x4k-read-ssd2",
+        "1x4k-read-ssd4",
+        "1x4k-read-ssd6",
+    ];
+    // --rack-nodes 3 --rack-fault node-death --duration-ms 200
+    //   --warmup-ms 40 --seed 42: node 1 dies a third of the way in.
+    let rack = RackConfig {
+        duration: ms(200),
+        warmup: ms(40),
+        seed: 42,
+        faults: Some(FaultConfig {
+            plan: FaultPlan::default()
+                .with_node_death(1, SimTime::ZERO + SimDuration::from_micros(66_666)),
+            retry: RetryConfig {
+                base_timeout: ms(1),
+                max_timeout: ms(8),
+                max_retries: 5,
+                suspect_after: 2,
+            },
+        }),
+        ..RackConfig::default()
+    };
+    let (strict, strict_workers) = broker_bench(BrokerMode::Strict);
+    let (borrow, borrow_workers) = broker_bench(BrokerMode::Borrow);
+    let rows = [
+        (
+            "smoke: --workers 4x4k-read-zipf,2x4k-write",
+            0xf87f_8378_e079_e165,
+            run(
+                smoke.clone(),
+                cli_workers(&["4x4k-read-zipf", "2x4k-write"], 1),
+            ),
+        ),
+        (
+            "smoke_wb: --precondition fragmented --cache-policy always \
+             --cache-write-policy back --workers 2x4k-read-zipf,4x4k-write-zipf",
+            0x6cb3_3548_0d54_215f,
+            run(
+                TestbedConfig {
+                    precondition: Precondition::Fragmented,
+                    cache: cache_tier_wb(16, AdmissionPolicy::Always, WritePolicy::Back),
+                    ..smoke
+                },
+                cli_workers(&["2x4k-read-zipf", "4x4k-write-zipf"], 1),
+            ),
+        ),
+        (
+            "broker_strict: --borrow-strict --borrow-mbps 200 --borrow-epoch-ms 17",
+            0x4b2d_7824_e11f_ad70,
+            run(strict, strict_workers),
+        ),
+        (
+            "broker: --borrow --borrow-mbps 200 --borrow-epoch-ms 17",
+            0x9d8f_cd27_7fef_20e2,
+            run(borrow, borrow_workers),
+        ),
+        (
+            "cores: --workers 1x4k-read-ssd0,…,1x4k-read-ssd6",
+            0xa751_72ed_2964_7a3b,
+            run(cores(None), cli_workers(&hot, 8)),
+        ),
+        (
+            "cores: --workers 1x4k-read-ssd0,…,1x4k-read-ssd6 --steal",
+            0x2e68_7d23_c46d_7504,
+            run(cores(Some(StealConfig::default())), cli_workers(&hot, 8)),
+        ),
+        (
+            "rack node-death",
+            0x9a39_c4d2_8f4b_094e,
+            RackTestbed::new(rack).run().stats_digest(),
+        ),
+    ];
+    let moved: Vec<String> = rows
+        .iter()
+        .filter(|(_, pinned, got)| pinned != got)
+        .map(|(name, pinned, got)| format!("{name}: {got:#018x}, pinned {pinned:#018x}"))
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "stats digests moved:\n{}",
+        moved.join("\n")
+    );
 }
 
 /// Different seeds must actually change the run (guards against the digest

@@ -180,8 +180,7 @@ fn fio_power_loss_mid_run_keeps_oracle_green() {
 }
 
 /// The payoff: on a Zipfian 4 KiB write workload, write-back acks at DRAM
-/// cost and beats write-through's mean write latency. This is the
-/// `--bench-json` latency-win datapoint, asserted.
+/// cost and beats write-through's mean write latency.
 #[test]
 fn write_back_beats_write_through_on_skewed_writes() {
     let run = |write: WritePolicy| {

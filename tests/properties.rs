@@ -15,8 +15,7 @@ use gimbal_repro::gimbal::scheduler::SchedPoll;
 use gimbal_repro::gimbal::{Params, VirtualSlotScheduler};
 use gimbal_repro::nic::CpuCost;
 use gimbal_repro::sim::{
-    ArenaError, EventQueue, HeapEventQueue, Histogram, IoArena, SimDuration, SimRng, SimTime,
-    TokenBucket,
+    ArenaError, EventQueue, Histogram, IoArena, SimDuration, SimRng, SimTime, TokenBucket,
 };
 use gimbal_repro::ssd::ftl::Ftl;
 use gimbal_repro::ssd::{SsdCompletion, SsdConfig, StorageDevice};
@@ -27,7 +26,8 @@ use gimbal_repro::telemetry::TraceHandle;
 use gimbal_repro::testbed::check_journal;
 use gimbal_repro::workload::Zipfian;
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 use std::rc::Rc;
 
 fn req(id: u64, tenant: u32, op: IoType, len: u32) -> Request {
@@ -462,6 +462,120 @@ fn rng_gen_below_is_in_range() {
     }
 }
 
+struct Entry<E> {
+    at: SimTime,
+    seq: u64,
+    event: E,
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
+        other
+            .at
+            .cmp(&self.at)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// The binary-heap event queue the timer wheel replaced, kept as the
+/// **equivalence oracle**: the wheel must reproduce this queue's exact
+/// `(time, seq)` pop order on any push/pop stream. The oracle test drives
+/// both from shared `SimRng` streams and asserts identical sequences.
+struct HeapEventQueue<E> {
+    heap: BinaryHeap<Entry<E>>,
+    next_seq: u64,
+    watermark: SimTime,
+}
+
+impl<E> HeapEventQueue<E> {
+    /// Create an empty queue.
+    fn new() -> Self {
+        HeapEventQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+            watermark: SimTime::ZERO,
+        }
+    }
+
+    /// Schedule `event` to fire at instant `at` (same contract as
+    /// [`EventQueue::push`]).
+    fn push(&mut self, at: SimTime, event: E) {
+        debug_assert!(
+            at >= self.watermark,
+            "event scheduled at {at} before current time {}",
+            self.watermark
+        );
+        let at = at.max(self.watermark);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Entry { at, seq, event });
+    }
+
+    /// Remove and return the earliest event, advancing the causality watermark.
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        let entry = self.heap.pop()?;
+        self.watermark = entry.at;
+        Some((entry.at, entry.event))
+    }
+
+    /// The instant of the earliest pending event, if any.
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.at)
+    }
+
+    /// Number of pending events.
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// The current simulation watermark (time of the last popped event).
+    fn now(&self) -> SimTime {
+        self.watermark
+    }
+}
+
+/// Adversarial instants: due now, same-tick collisions with a recent push,
+/// near and timeout-class futures, and times near `u64::MAX` whose pops
+/// cascade down every wheel level.
+fn adversarial_instant(rng: &mut SimRng, now: u64, recent: &[u64]) -> u64 {
+    match rng.gen_below(6) {
+        0 => now, // due immediately
+        // same-tick collision with an earlier push
+        1 if !recent.is_empty() => recent[rng.gen_below(recent.len() as u64) as usize],
+        1 | 2 => now.saturating_add(1 + rng.gen_below(64)),
+        3 => now.saturating_add(1 + rng.gen_below(1 << 18)),
+        4 => now.saturating_add(1 + rng.gen_below(1 << 34)),
+        // far future: pops from here cascade down every level
+        _ => u64::MAX - rng.gen_below(1 << 10),
+    }
+}
+
+/// Jumps past the watermark: same-tick (< 4 ns), near (< 1 µs), mid (< 1 s)
+/// and far (a shifted full-range draw, saturating at `u64::MAX`).
+fn jump_instant(rng: &mut SimRng, now: u64, _recent: &[u64]) -> u64 {
+    let jump = match rng.gen_below(4) {
+        0 => rng.gen_below(4),
+        1 => rng.gen_below(1 << 10),
+        2 => rng.gen_below(1 << 30),
+        _ => rng.next_u64() >> rng.gen_below(8),
+    };
+    now.saturating_add(jump)
+}
+
 /// The hierarchical timer wheel is observationally identical to the
 /// `BinaryHeap` oracle it replaced: driven from the same `SimRng` event
 /// streams — same-tick collisions, pushes interleaved with pops, far-future
@@ -472,59 +586,71 @@ fn rng_gen_below_is_in_range() {
 /// queue swap.
 #[test]
 fn timer_wheel_matches_heap_oracle_on_adversarial_streams() {
-    let mut meta = SimRng::new(0x9157_000A);
-    for case in 0..60 {
-        let mut rng = SimRng::new(meta.next_u64());
-        let mut wheel: EventQueue<u64> = EventQueue::new();
-        let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
-        let mut next_id = 0u64;
-        // A short memory of recently scheduled instants so pushes can
-        // collide on the exact same tick (FIFO order must survive).
-        let mut recent: Vec<u64> = Vec::new();
-        for step in 0..500 {
-            if wheel.is_empty() || rng.gen_bool(0.55) {
-                let now = wheel.now().as_nanos();
-                let at = match rng.gen_below(6) {
-                    0 => now, // due immediately
-                    1 if !recent.is_empty() => {
-                        // same-tick collision with an earlier push
-                        recent[rng.gen_below(recent.len() as u64) as usize]
+    // The oracle itself keeps the queue contract: earliest first, FIFO
+    // within an instant, watermark at the last pop.
+    let mut q = HeapEventQueue::new();
+    q.push(SimTime::from_micros(5), "later");
+    q.push(SimTime::from_micros(1), "first");
+    q.push(SimTime::from_micros(5), "even later");
+    assert_eq!(q.peek_time(), Some(SimTime::from_micros(1)));
+    assert_eq!(q.len(), 3);
+    assert_eq!(q.pop(), Some((SimTime::from_micros(1), "first")));
+    assert_eq!(q.pop(), Some((SimTime::from_micros(5), "later")));
+    assert_eq!(q.pop(), Some((SimTime::from_micros(5), "even later")));
+    assert_eq!(q.now(), SimTime::from_micros(5));
+    assert_eq!(q.pop(), None);
+
+    type Draw = fn(&mut SimRng, u64, &[u64]) -> u64;
+    let shapes: [(&str, u64, Draw); 2] = [
+        ("adversarial", 0x9157_000A, adversarial_instant),
+        ("jumps", 0xA11CE, jump_instant),
+    ];
+    for (shape, seed, instant) in shapes {
+        let mut meta = SimRng::new(seed);
+        for case in 0..60 {
+            let mut rng = SimRng::new(meta.next_u64());
+            let mut wheel: EventQueue<u64> = EventQueue::new();
+            let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
+            let mut next_id = 0u64;
+            // A short memory of recently scheduled instants so pushes can
+            // collide on the exact same tick (FIFO order must survive).
+            let mut recent: Vec<u64> = Vec::new();
+            for step in 0..500 {
+                if wheel.is_empty() || rng.gen_bool(0.55) {
+                    let now = wheel.now().as_nanos();
+                    let at = instant(&mut rng, now, &recent).max(now);
+                    recent.push(at);
+                    if recent.len() > 8 {
+                        recent.remove(0);
                     }
-                    1 | 2 => now.saturating_add(1 + rng.gen_below(64)),
-                    3 => now.saturating_add(1 + rng.gen_below(1 << 18)),
-                    4 => now.saturating_add(1 + rng.gen_below(1 << 34)),
-                    // far future: pops from here cascade down every level
-                    _ => u64::MAX - rng.gen_below(1 << 10),
-                };
-                let at = at.max(now);
-                recent.push(at);
-                if recent.len() > 8 {
-                    recent.remove(0);
+                    wheel.push(SimTime::from_nanos(at), next_id);
+                    heap.push(SimTime::from_nanos(at), next_id);
+                    next_id += 1;
+                } else {
+                    let w = wheel.pop();
+                    let h = heap.pop();
+                    assert_eq!(w, h, "{shape} case {case} step {step}: pop diverged");
+                    // Old instants below the new watermark can no longer
+                    // collide; drop them so future pushes stay legal.
+                    let now = wheel.now().as_nanos();
+                    recent.retain(|&t| t >= now);
                 }
-                wheel.push(SimTime::from_nanos(at), next_id);
-                heap.push(SimTime::from_nanos(at), next_id);
-                next_id += 1;
-            } else {
-                let w = wheel.pop();
-                let h = heap.pop();
-                assert_eq!(w, h, "case {case} step {step}: pop diverged");
-                // Old instants below the new watermark can no longer
-                // collide; drop them so future pushes stay legal.
-                let now = wheel.now().as_nanos();
-                recent.retain(|&t| t >= now);
+                assert_eq!(wheel.len(), heap.len(), "{shape} case {case} step {step}");
+                assert_eq!(
+                    wheel.peek_time(),
+                    heap.peek_time(),
+                    "{shape} case {case} step {step}"
+                );
             }
-            assert_eq!(wheel.len(), heap.len(), "case {case} step {step}");
-            assert_eq!(
-                wheel.peek_time(),
-                heap.peek_time(),
-                "case {case} step {step}"
+            // Drain: the full residual sequence must agree too.
+            while let Some(w) = wheel.pop() {
+                assert_eq!(Some(w), heap.pop(), "{shape} case {case} drain");
+            }
+            assert!(
+                heap.pop().is_none(),
+                "{shape} case {case}: heap had extra events"
             );
         }
-        // Drain: the full residual sequence must agree too.
-        while let Some(w) = wheel.pop() {
-            assert_eq!(Some(w), heap.pop(), "case {case} drain");
-        }
-        assert!(heap.pop().is_none(), "case {case}: heap had extra events");
     }
 }
 
