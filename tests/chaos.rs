@@ -17,6 +17,9 @@
 //! in flight at the wall — exactly once. Double runs at the same seed must
 //! produce identical submission traces, faults and all.
 
+mod common;
+
+use common::{combined, mixed_workers};
 use gimbal_repro::fabric::RetryConfig;
 use gimbal_repro::sim::{FaultPlan, FaultWindow, SimDuration, SimTime, SsdFaultSpec};
 use gimbal_repro::telemetry::{CapsuleKind, EventKind, TraceConfig};
@@ -38,21 +41,6 @@ fn ms(v: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(v)
 }
 
-fn mixed_workers(readers: u32, writers: u32) -> Vec<WorkerSpec> {
-    let n = readers + writers;
-    let per = CAP / u64::from(n);
-    (0..n)
-        .map(|i| {
-            let ratio = if i < readers { 1.0 } else { 0.0 };
-            let label = if i < readers { "read" } else { "write" };
-            WorkerSpec::new(
-                label,
-                FioSpec::paper_default(ratio, 4096, u64::from(i) * per, per),
-            )
-        })
-        .collect()
-}
-
 fn loss_only() -> FaultPlan {
     FaultPlan {
         cmd_loss_prob: 0.02,
@@ -67,20 +55,6 @@ fn stall_only() -> FaultPlan {
         ssd: vec![SsdFaultSpec {
             stall_windows: vec![FaultWindow::new(ms(150), ms(250))],
             ..SsdFaultSpec::default()
-        }],
-        ..FaultPlan::default()
-    }
-}
-
-fn combined() -> FaultPlan {
-    FaultPlan {
-        cmd_loss_prob: 0.01,
-        cpl_loss_prob: 0.01,
-        burst_windows: vec![FaultWindow::new(ms(120), ms(130))],
-        ssd: vec![SsdFaultSpec {
-            transient_error_prob: 0.02,
-            stall_windows: vec![FaultWindow::new(ms(180), ms(220))],
-            fail_at: Some(ms(320)),
         }],
         ..FaultPlan::default()
     }

@@ -10,34 +10,17 @@
 
 mod common;
 
-use common::{broker_bench, cli_workers};
+use common::{broker_bench, cli_workers, combined, fault_digest, kv_digest, mixed_workers};
 use gimbal_repro::cores::StealConfig;
 use gimbal_repro::fabric::RetryConfig;
 use gimbal_repro::rack::{RackConfig, RackTestbed};
 use gimbal_repro::sim::{FaultPlan, SimDuration, SimTime};
 use gimbal_repro::telemetry::TraceConfig;
 use gimbal_repro::testbed::{
-    cache_tier_wb, check_run, AdmissionPolicy, BrokerMode, CacheConfig, FaultConfig, Precondition,
-    RunResult, Scheme, Testbed, TestbedConfig, WorkerSpec, WritePolicy,
+    cache_tier_wb, check_run, AdmissionPolicy, BrokerMode, CacheConfig, FaultConfig, KvTestbed,
+    KvTestbedConfig, Precondition, RunResult, Scheme, Testbed, TestbedConfig, WritePolicy,
 };
-use gimbal_repro::workload::{AccessPattern, FioSpec};
-
-const CAP: u64 = 512 * 1024 * 1024 / 4096;
-
-fn mixed_workers(readers: u32, writers: u32) -> Vec<WorkerSpec> {
-    let n = readers + writers;
-    let per = CAP / u64::from(n);
-    (0..n)
-        .map(|i| {
-            let ratio = if i < readers { 1.0 } else { 0.0 };
-            let label = if i < readers { "read" } else { "write" };
-            WorkerSpec::new(
-                label,
-                FioSpec::paper_default(ratio, 4096, u64::from(i) * per, per),
-            )
-        })
-        .collect()
-}
+use gimbal_repro::workload::AccessPattern;
 
 fn run_once(scheme: Scheme, seed: u64) -> RunResult {
     run_cfg(scheme, seed, None)
@@ -398,10 +381,11 @@ fn write_back_off_is_bit_identical_for_every_engine() {
 /// Behaviour pins: one configuration per extension, each held to the stats
 /// digest it produced when its numbers were last accepted. The digests fold
 /// per-worker latency and throughput plus the broker, cores, cache and
-/// write-back counters, so any behaviour change moves them. Each row is the
-/// `jbofsim` command line in its name; the CLI prints the same
-/// `stats digest 0x…`, which is how a row is regenerated after an intended
-/// model change.
+/// write-back counters, so any behaviour change moves them. The first seven
+/// rows are `jbofsim` command lines; the CLI prints the same
+/// `stats digest 0x…`, which is how such a row is regenerated after an
+/// intended model change. The journal, fault-counter and KV rows have no
+/// CLI form: the failure message prints their new values.
 #[test]
 fn headline_configurations_keep_their_pinned_digests() {
     let run = |cfg: TestbedConfig, workers| Testbed::new(cfg, workers).run().stats_digest();
@@ -432,11 +416,13 @@ fn headline_configurations_keep_their_pinned_digests() {
         "1x4k-read-ssd6",
     ];
     // --rack-nodes 3 --rack-fault node-death --duration-ms 200
-    //   --warmup-ms 40 --seed 42: node 1 dies a third of the way in.
+    //   --warmup-ms 40 --seed 42 --sanitize: node 1 dies a third of the
+    //   way in.
     let rack = RackConfig {
         duration: ms(200),
         warmup: ms(40),
         seed: 42,
+        sanitize: true,
         faults: Some(FaultConfig {
             plan: FaultPlan::default()
                 .with_node_death(1, SimTime::ZERO + SimDuration::from_micros(66_666)),
@@ -449,6 +435,48 @@ fn headline_configurations_keep_their_pinned_digests() {
         }),
         ..RackConfig::default()
     };
+    let rack = RackTestbed::new(rack).run();
+    // The chaos suite's combined plan (loss, brown-out, stall, transient
+    // errors, device death) with the journal on: the only rows that reach
+    // the fio engine's replay dedup, resend and retry paths.
+    let chaos = Testbed::new(
+        TestbedConfig {
+            precondition: Precondition::Fragmented,
+            duration: ms(400),
+            warmup: ms(100),
+            seed: 42,
+            record_submissions: true,
+            sanitize: true,
+            faults: Some(FaultConfig {
+                plan: combined(),
+                retry: RetryConfig::default(),
+            }),
+            ..TestbedConfig::default()
+        },
+        mixed_workers(3, 3),
+    )
+    .run();
+    // A small YCSB-A deployment with a memtable small enough to flush and
+    // compact inside the run.
+    let mut kv = KvTestbedConfig {
+        instances: 3,
+        records_per_instance: 10_000,
+        duration: ms(400),
+        warmup: ms(100),
+        seed: 42,
+        ..KvTestbedConfig::default()
+    };
+    kv.lsm.memtable_bytes = 256 * 1024;
+    let kv = KvTestbed::new(kv).run();
+    let f = &chaos.faults;
+    assert!(
+        f.retries > 0 && f.completions_resent > 0 && f.duplicate_cmds_ignored > 0,
+        "chaos row misses a recovery path: {f:?}"
+    );
+    assert!(
+        kv.instances.iter().any(|i| i.lsm.flushes > 0),
+        "kv row never flushed"
+    );
     let (strict, strict_workers) = broker_bench(BrokerMode::Strict);
     let (borrow, borrow_workers) = broker_bench(BrokerMode::Borrow);
     let rows = [
@@ -496,8 +524,29 @@ fn headline_configurations_keep_their_pinned_digests() {
         (
             "rack node-death",
             0x9a39_c4d2_8f4b_094e,
-            RackTestbed::new(rack).run().stats_digest(),
+            rack.stats_digest(),
         ),
+        (
+            "rack node-death: access journal",
+            0x0f94_b50f_788c_7e44,
+            rack.access_digest().expect("sanitize was on"),
+        ),
+        (
+            "chaos combined",
+            0xaf77_2a15_4608_5f66,
+            chaos.stats_digest(),
+        ),
+        (
+            "chaos combined: access journal",
+            0x035d_8d48_c019_0761,
+            chaos.access_digest().expect("sanitize was on"),
+        ),
+        (
+            "chaos combined: fault counters",
+            0xa8c3_4885_7f07_c756,
+            fault_digest(&chaos.faults),
+        ),
+        ("kv ycsb-a", 0x631c_bec6_004a_b53a, kv_digest(&kv)),
     ];
     let moved: Vec<String> = rows
         .iter()
