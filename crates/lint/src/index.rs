@@ -11,8 +11,8 @@
 //!
 //! The one consumer today is rule D4 (`unwrap-hot-path`): a finding fires
 //! only inside a function reachable from one of the [`RootSpec`] reactor
-//! roots (`Pipeline::poll` and the engine's event pump), replacing the old
-//! crate-name heuristic.
+//! roots (`Pipeline::poll`, the node runtime's pump and the engine loops),
+//! replacing the old crate-name heuristic.
 
 use std::collections::BTreeMap;
 
@@ -47,8 +47,9 @@ pub struct RootSpec {
 }
 
 /// The reactor roots for hot-path reachability: every event in a run is
-/// dispatched by the engine pump, and every device-side state transition by
-/// `Pipeline::poll`.
+/// dispatched by one of the three engine loops (fio, KV, rack), every
+/// target-side quantum by the node runtime's pump, and every device-side
+/// state transition by `Pipeline::poll`.
 pub const REACTOR_ROOTS: &[RootSpec] = &[
     RootSpec {
         crate_name: "switch",
@@ -56,11 +57,19 @@ pub const REACTOR_ROOTS: &[RootSpec] = &[
     },
     RootSpec {
         crate_name: "testbed",
-        qualified: "Engine::run",
+        qualified: "Node::pump",
     },
     RootSpec {
         crate_name: "testbed",
-        qualified: "Engine::pump",
+        qualified: "Testbed::run",
+    },
+    RootSpec {
+        crate_name: "testbed",
+        qualified: "KvTestbed::run",
+    },
+    RootSpec {
+        crate_name: "rack",
+        qualified: "RackTestbed::run",
     },
 ];
 
@@ -340,6 +349,13 @@ impl WorkspaceIndex {
     /// Total number of call edges (post-dedup).
     pub fn edge_count(&self) -> usize {
         self.fns.iter().map(|f| f.calls.len()).sum()
+    }
+
+    /// Whether `root` names an indexed (non-test) function.
+    pub fn resolves(&self, root: &RootSpec) -> bool {
+        self.fns
+            .iter()
+            .any(|f| !f.in_test && f.crate_name == root.crate_name && f.qualified == root.qualified)
     }
 
     /// Per-function reachability from `roots`, by breadth-first search over

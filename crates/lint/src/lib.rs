@@ -61,6 +61,9 @@ pub struct Report {
     pub call_edges: usize,
     /// Functions reachable from the reactor poll roots.
     pub fns_hot: usize,
+    /// Reactor roots that name no indexed function (a rename or move that
+    /// would silently shrink the hot set).
+    pub unresolved_roots: Vec<&'static str>,
 }
 
 impl Report {
@@ -192,6 +195,11 @@ pub fn run_workspace_at(root: &Path, today: Date) -> io::Result<Report> {
         fns_indexed: ix.fns.len(),
         call_edges: ix.edge_count(),
         fns_hot: reach.iter().filter(|&&r| r).count(),
+        unresolved_roots: REACTOR_ROOTS
+            .iter()
+            .filter(|r| !ix.resolves(r))
+            .map(|r| r.qualified)
+            .collect(),
         ..Report::default()
     };
 

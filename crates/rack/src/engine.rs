@@ -1,10 +1,10 @@
 //! The rack-scale event loop.
 //!
-//! N JBOF nodes, each `ssds_per_node` switch pipelines, behind one
-//! deterministic ToR switch. Closed-loop clients issue logical IOs against
-//! zone-replicated blobstore files; every logical read maps to one physical
-//! NVMe command (plus reroutes), every logical write fans out to one command
-//! per live replica.
+//! N JBOF nodes ([`Node`]), each `ssds_per_node` switch pipelines, behind
+//! one deterministic ToR switch. Closed-loop clients issue logical IOs
+//! against zone-replicated blobstore files; every logical read maps to one
+//! physical NVMe command (plus reroutes), every logical write fans out to
+//! one command per live replica.
 //!
 //! ## Capsule path
 //!
@@ -40,7 +40,6 @@ use gimbal_blobstore::{
     BackendId, Blobstore, HbaConfig, HierarchicalAllocator, RateLimiter, ReplicaHealth,
 };
 use gimbal_broker::BrokerHandle;
-use gimbal_cores::{CoreScheduler, Quantum};
 use gimbal_fabric::{
     CmdId, EscalationAction, IoType, NvmeCmd, NvmeCompletion, Port, Priority, RdmaDelays,
     RetryConfig, SsdId, TenantId, TorSwitch, CMD_CAPSULE_BYTES, RSP_CAPSULE_BYTES,
@@ -48,16 +47,13 @@ use gimbal_fabric::{
 use gimbal_sim::collections::DetMap;
 use gimbal_sim::journal::JournalHandle;
 use gimbal_sim::{
-    EventQueue, FaultInjector, FaultPlan, Histogram, IoArena, IoHandle, SimDuration, SimRng,
-    SimTime,
+    EventQueue, FaultInjector, FaultPlan, Histogram, SimDuration, SimRng, SimTime, SsdFaultSpec,
 };
 use gimbal_ssd::FlashSsd;
-use gimbal_switch::{ClientPolicy, Pipeline, PipelineConfig, PipelineOut};
-use gimbal_telemetry::{CapsuleKind, EventKind, TraceHandle, Tracer};
-use gimbal_testbed::{FaultCounters, Precondition};
-use std::cell::RefCell;
+use gimbal_switch::{ClientPolicy, PipelineOut};
+use gimbal_telemetry::{CapsuleKind, EventKind, TraceHandle};
+use gimbal_testbed::{recorders, FaultCounters, InFlight, Node, NodeHost, NodeSpec, Tracing};
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 /// One physical IO waiting behind a client's per-backend submission gate.
 struct PendIo {
@@ -103,30 +99,11 @@ struct Logical {
     tried: Vec<u32>,
 }
 
-/// One live (non-terminal) physical command. Removed exactly once — at
-/// completion delivery, final timeout, or abandonment for a reroute — which
-/// is what makes the physical conservation audit exact.
-struct Phys {
-    logical: u64,
-    backend: usize,
-    attempt: u32,
-    /// Whether any capsule copy reached the target pipeline.
-    delivered: bool,
-    /// Target-side cached completion for retransmit dedup.
-    done_cpl: Option<NvmeCompletion>,
-    cmd: NvmeCmd,
-}
-
 enum Ev {
     ClientStart(usize),
-    DeliverCmd {
-        backend: usize,
-        cmd: NvmeCmd,
-    },
+    DeliverCmd(NvmeCmd),
     PipelineWake(usize),
-    DeliverCpl {
-        cpl: NvmeCompletion,
-    },
+    DeliverCpl(NvmeCompletion),
     Timeout {
         cmd: u64,
         attempt: u32,
@@ -141,64 +118,20 @@ enum Ev {
     CoresRebalance,
 }
 
-/// The rack experiment.
-pub struct RackTestbed {
-    cfg: RackConfig,
-    /// Test-only nondeterminism injector: flip the first read-routing
-    /// decision to a different live replica. Exists to prove the sanitizer
-    /// localizes cross-node routing nondeterminism to its tick and the
-    /// `rack.route` component.
-    #[cfg(test)]
-    pub(crate) perturb_first_route: bool,
-}
-
-impl RackTestbed {
-    /// Create the experiment (panics on inconsistent configuration).
-    pub fn new(cfg: RackConfig) -> Self {
-        cfg.validate();
-        RackTestbed {
-            cfg,
-            #[cfg(test)]
-            perturb_first_route: false,
-        }
-    }
-
-    /// Run it.
-    pub fn run(self) -> RackResult {
-        #[cfg_attr(not(test), allow(unused_mut))]
-        let mut rt = Rt::build(self.cfg);
-        #[cfg(test)]
-        {
-            rt.perturb_first_route = self.perturb_first_route;
-        }
-        rt.run()
-    }
-}
-
-struct Rt {
-    cfg: RackConfig,
+/// What the nodes call back into: the event queue, the ToR path back to
+/// the clients, the physical in-flight table, and the fault state every
+/// crossing consults.
+struct Net {
     queue: EventQueue<Ev>,
     delays: RdmaDelays,
     tor: TorSwitch,
-    pipelines: Vec<Pipeline<FlashSsd>>,
     node_ports: Vec<Port>,
-    wake_at: Vec<SimTime>,
-    /// Recycled completion-capsule buffer, swapped with a pipeline's own
-    /// every pump ([`Pipeline::take_outputs_into`]).
-    out_buf: Vec<PipelineOut>,
-    /// Shared routing view: per-backend credit/outstanding/dead/suspect.
-    /// Gating is per-client (`Client::gates`), so this limiter is disabled.
-    router: RateLimiter,
-    bs: Blobstore,
-    clients: Vec<Client>,
-    logical: DetMap<u64, Logical>,
-    next_logical: u64,
-    /// Live physical commands, by command id. The map holds arena handles;
-    /// the arena recycles the `Phys` records themselves (incarnation-tagged,
-    /// so a stale handle is a typed error instead of aliased state).
-    phys: DetMap<u64, IoHandle>,
-    phys_arena: IoArena<Phys>,
-    next_cmd: u64,
+    ssds_per_node: usize,
+    /// Live physical commands by id, each tagged with the logical IO it
+    /// serves. Removed exactly once — at completion delivery, final
+    /// timeout, or abandonment for a reroute — which is what makes the
+    /// physical conservation audit exact.
+    phys: DetMap<u64, InFlight<u64>>,
     counters: FaultCounters,
     rack: RackCounters,
     /// `Some` only when the plan actually targets this rack: a plan whose
@@ -206,26 +139,169 @@ struct Rt {
     /// `faults: None`, timers and all.
     active_plan: Option<FaultPlan>,
     injector: Option<FaultInjector>,
-    retry: RetryConfig,
     node_dead: Vec<bool>,
-    tracer: Option<Rc<RefCell<Tracer>>>,
     trace: TraceHandle,
+}
+
+impl Net {
+    fn node_of(&self, backend: usize) -> usize {
+        backend / self.ssds_per_node
+    }
+
+    /// Whether `node`'s ToR link swallows capsules at `t` (death is
+    /// permanent, partitions are windowed; both act in both directions).
+    fn node_down(&self, node: usize, t: SimTime) -> bool {
+        self.node_dead[node]
+            || self
+                .active_plan
+                .as_ref()
+                .and_then(|p| p.node_spec(node))
+                .is_some_and(|s| s.dead(t) || s.partitioned(t))
+    }
+
+    /// Degraded-link penalty for a crossing of `node`'s link at `t`, with
+    /// the counter and telemetry event it implies.
+    fn link_extra(&mut self, node: usize, t: SimTime, ssd: SsdId, tenant: TenantId) -> SimDuration {
+        let extra = self
+            .active_plan
+            .as_ref()
+            .and_then(|p| p.node_spec(node))
+            .and_then(|s| s.link_extra(t));
+        match extra {
+            Some(x) => {
+                self.rack.link_degraded_crossings += 1;
+                self.trace.record(
+                    t,
+                    ssd,
+                    Some(tenant),
+                    EventKind::LinkDegraded { node: node as u32 },
+                );
+                x
+            }
+            None => SimDuration::ZERO,
+        }
+    }
+
+    /// Transmit (or retransmit) a command capsule: client port → ToR →
+    /// node, subject to injected capsule loss.
+    fn send_command(&mut self, port: &mut Port, cmd: NvmeCmd, now: SimTime) {
+        if let Some(inj) = self.injector.as_mut() {
+            if inj.drop_command(now) {
+                self.counters.cmd_capsules_dropped += 1;
+                self.trace.record(
+                    now,
+                    cmd.ssd,
+                    Some(cmd.tenant),
+                    EventKind::FaultInjected {
+                        capsule: CapsuleKind::Command,
+                    },
+                );
+                return;
+            }
+        }
+        let mut at_tor = self.delays.command_arrival(port, now, &cmd);
+        if cmd.opcode.is_write() {
+            at_tor = self.delays.write_payload_fetched(port, at_tor, &cmd);
+        }
+        let node = self.node_of(cmd.ssd.index());
+        let extra = self.link_extra(node, at_tor, cmd.ssd, cmd.tenant);
+        let bytes = CMD_CAPSULE_BYTES
+            + if cmd.opcode.is_write() {
+                u64::from(cmd.len)
+            } else {
+                0
+            };
+        let arrive = self.tor.to_node(node, at_tor, bytes, extra);
+        self.queue.push(arrive, Ev::DeliverCmd(cmd));
+    }
+}
+
+impl NodeHost for Net {
+    type Tag = u64;
+
+    fn arm_wake(&mut self, backend: usize, at: SimTime) {
+        self.queue.push(at, Ev::PipelineWake(backend));
+    }
+
+    fn served(&mut self, _: usize, _: &PipelineOut, _: SimTime) {}
+
+    /// Completion capsules go node port → ToR → client. A dead or
+    /// partitioned node emits nothing.
+    fn send(&mut self, backend: usize, cmd: &NvmeCmd, cpl: NvmeCompletion, at: SimTime) {
+        let node = self.node_of(backend);
+        if self.node_down(node, at) {
+            self.rack.tor_cpl_drops += 1;
+            return;
+        }
+        if let Some(inj) = self.injector.as_mut() {
+            if inj.drop_completion(at) {
+                self.counters.cpl_capsules_dropped += 1;
+                self.trace.record(
+                    at,
+                    cmd.ssd,
+                    Some(cmd.tenant),
+                    EventKind::FaultInjected {
+                        capsule: CapsuleKind::Completion,
+                    },
+                );
+                return;
+            }
+        }
+        let at_tor = self
+            .delays
+            .completion_arrival(&mut self.node_ports[backend], at, cmd);
+        let extra = self.link_extra(node, at_tor, cmd.ssd, cmd.tenant);
+        let bytes = RSP_CAPSULE_BYTES
+            + if cmd.opcode.is_write() {
+                0
+            } else {
+                u64::from(cmd.len)
+            };
+        let arrive = self.tor.from_node(node, at_tor, bytes, extra);
+        self.queue.push(arrive, Ev::DeliverCpl(cpl));
+    }
+
+    fn in_flight(&mut self) -> Option<(&mut DetMap<u64, InFlight<u64>>, &mut FaultCounters)> {
+        Some((&mut self.phys, &mut self.counters))
+    }
+}
+
+/// The rack experiment.
+pub struct RackTestbed {
+    cfg: RackConfig,
+    /// The JBOF nodes, in node order. Stealing never crosses the ToR: each
+    /// node schedules only its own cores.
+    nodes: Vec<Node>,
+    net: Net,
+    /// Shared routing view: per-backend credit/outstanding/dead/suspect.
+    /// Gating is per-client (`Client::gates`), so this limiter is disabled.
+    router: RateLimiter,
+    bs: Blobstore,
+    clients: Vec<Client>,
+    logical: DetMap<u64, Logical>,
+    next_logical: u64,
+    next_cmd: u64,
+    retry: RetryConfig,
+    tracer: Tracing,
     sanitizer: JournalHandle,
     /// Shared borrow ledger (`None` = broker off).
     broker: Option<BrokerHandle>,
-    /// Per-node core schedulers, node-major (stealing never crosses the
-    /// ToR). With `steal: None` each is an inert home-binding map.
-    scheds: Vec<CoreScheduler>,
     end: SimTime,
     warm: SimTime,
+    /// Test-only nondeterminism injector: flip the first read-routing
+    /// decision to a different live replica. Exists to prove the sanitizer
+    /// localizes cross-node routing nondeterminism to its tick and the
+    /// `rack.route` component.
     #[cfg(test)]
     perturb_first_route: bool,
     #[cfg(test)]
     perturb_done: bool,
 }
 
-impl Rt {
-    fn build(cfg: RackConfig) -> Rt {
+impl RackTestbed {
+    /// Create the experiment (panics on inconsistent configuration).
+    pub fn new(cfg: RackConfig) -> Self {
+        cfg.validate();
         let mut root_rng = SimRng::new(cfg.seed);
         let backends = cfg.backends() as usize;
         let nodes = cfg.nodes as usize;
@@ -245,69 +321,50 @@ impl Rt {
         let active_plan = active_plan.cloned();
         let retry = cfg.faults.as_ref().map(|fc| fc.retry).unwrap_or_default();
 
-        let sanitizer = if cfg.sanitize {
-            JournalHandle::enabled()
-        } else {
-            JournalHandle::disabled()
-        };
-        let (tracer, trace) = match &cfg.trace {
-            Some(tc) => {
-                let t = Rc::new(RefCell::new(Tracer::new(tc.clone())));
-                let h = TraceHandle::attached(&t);
-                (Some(t), h)
-            }
-            None => (None, TraceHandle::disabled()),
-        };
-
+        let (tracer, trace, sanitizer) = recorders(cfg.trace.as_ref(), cfg.sanitize);
         let broker = cfg
             .broker
             .as_ref()
             .map(|bc| BrokerHandle::new(bc.clone(), trace.clone()));
         let spn = cfg.ssds_per_node as usize;
-        let scheds: Vec<CoreScheduler> = (0..nodes)
-            .map(|_| CoreScheduler::new(spn, spn, cfg.steal.clone(), trace.clone()))
-            .collect();
-        let mut pipelines: Vec<Pipeline<FlashSsd>> = (0..backends)
-            .map(|i| {
-                let mut ssd = FlashSsd::new(cfg.ssd.clone(), root_rng.next_u64());
-                match cfg.precondition {
-                    Precondition::Clean => ssd.precondition_clean(),
-                    Precondition::Fragmented => ssd.precondition_fragmented(),
-                    Precondition::None => {}
-                }
-                if let Some(p) = &active_plan {
-                    // Node-scoped GC storms are *correlated* device storms:
-                    // fold them into every member SSD's stall windows so the
-                    // device model both stalls and advertises `gc_busy`.
-                    let mut spec = p.ssd_spec(i).cloned().unwrap_or_default();
-                    if let Some(ns) = p.node_spec(cfg.node_of(i)) {
-                        spec.stall_windows
-                            .extend(ns.gc_storm_windows.iter().copied());
-                    }
-                    if !spec.is_noop() {
-                        ssd.arm_faults(spec, FaultPlan::device_rng(cfg.seed, i));
-                    }
-                }
-                let node_sched = &scheds[cfg.node_of(i)];
-                Pipeline::with_core(
-                    SsdId(i as u32),
-                    ssd,
-                    cfg.scheme.make_policy(SsdId(i as u32), cfg.gimbal_params),
-                    PipelineConfig {
+        let rack_nodes: Vec<Node> = (0..nodes)
+            .map(|n| {
+                Node::build(
+                    NodeSpec {
+                        first_ssd: n * spn,
+                        ssds: spn,
+                        cores: spn,
+                        scheme: cfg.scheme,
+                        gimbal_params: cfg.gimbal_params,
+                        ssd: &cfg.ssd,
+                        precondition: cfg.precondition,
                         cpu_cost: cfg.scheme.cpu_cost(false),
-                        null_device: false,
                         cache: None,
                         broker: broker.clone(),
+                        steal: cfg.steal.clone(),
+                        seed: cfg.seed,
+                        trace: &trace,
+                        sanitizer: &sanitizer,
                     },
-                    node_sched.core_rc(node_sched.home(i % spn)),
+                    &mut root_rng,
+                    |i| {
+                        let Some(p) = &active_plan else {
+                            return SsdFaultSpec::default();
+                        };
+                        // Node-scoped GC storms are *correlated* device
+                        // storms: fold them into every member SSD's stall
+                        // windows so the device model both stalls and
+                        // advertises `gc_busy`.
+                        let mut spec = p.ssd_spec(i).cloned().unwrap_or_default();
+                        if let Some(ns) = p.node_spec(n) {
+                            spec.stall_windows
+                                .extend(ns.gc_storm_windows.iter().copied());
+                        }
+                        spec
+                    },
                 )
             })
             .collect();
-        if trace.is_enabled() {
-            for p in &mut pipelines {
-                p.attach_trace(trace.clone());
-            }
-        }
 
         let router = RateLimiter::new(backends, cfg.gimbal_params.initial_credit_ios, false);
 
@@ -359,41 +416,40 @@ impl Rt {
         if let Some(bc) = &cfg.broker {
             queue.push(SimTime::ZERO + bc.epoch, Ev::BrokerEpoch);
         }
-        if let Some(e) = scheds.first().and_then(CoreScheduler::rebalance_epoch) {
+        if let Some(e) = rack_nodes.first().and_then(Node::rebalance_epoch) {
             queue.push(SimTime::ZERO + e, Ev::CoresRebalance);
         }
 
-        Rt {
-            delays: RdmaDelays::new(cfg.fabric),
-            tor: TorSwitch::new(cfg.tor, nodes),
-            node_ports: (0..backends)
-                .map(|_| Port::new(cfg.fabric.port_bandwidth))
-                .collect(),
-            wake_at: vec![SimTime::MAX; backends],
-            pipelines,
+        RackTestbed {
+            nodes: rack_nodes,
+            net: Net {
+                queue,
+                delays: RdmaDelays::new(cfg.fabric),
+                tor: TorSwitch::new(cfg.tor, nodes),
+                node_ports: (0..backends)
+                    .map(|_| Port::new(cfg.fabric.port_bandwidth))
+                    .collect(),
+                ssds_per_node: spn,
+                phys: DetMap::new(),
+                counters: FaultCounters::default(),
+                rack: RackCounters::default(),
+                active_plan,
+                injector,
+                node_dead: vec![false; nodes],
+                trace,
+            },
             router,
             bs,
             clients,
             logical: DetMap::new(),
             next_logical: 0,
-            phys: DetMap::new(),
-            phys_arena: IoArena::new(),
-            out_buf: Vec::new(),
             next_cmd: 0,
-            counters: FaultCounters::default(),
-            rack: RackCounters::default(),
-            active_plan,
-            injector,
             retry,
-            node_dead: vec![false; nodes],
             tracer,
-            trace,
             sanitizer,
             broker,
-            scheds,
             end: SimTime::ZERO + cfg.duration,
             warm: SimTime::ZERO + cfg.warmup,
-            queue,
             cfg,
             #[cfg(test)]
             perturb_first_route: false,
@@ -402,54 +458,26 @@ impl Rt {
         }
     }
 
-    fn armed(&self) -> bool {
-        self.active_plan.is_some()
-    }
-
-    /// Whether `node`'s ToR link swallows capsules at `t` (death is
-    /// permanent, partitions are windowed; both act in both directions).
-    fn node_down(&self, node: usize, t: SimTime) -> bool {
-        self.node_dead[node]
-            || self
-                .active_plan
-                .as_ref()
-                .and_then(|p| p.node_spec(node))
-                .is_some_and(|s| s.dead(t) || s.partitioned(t))
-    }
-
-    /// Degraded-link penalty for a crossing of `node`'s link at `t`, with
-    /// the counter and telemetry event it implies.
-    fn link_extra(&mut self, node: usize, t: SimTime, ssd: SsdId, tenant: TenantId) -> SimDuration {
-        let extra = self
-            .active_plan
-            .as_ref()
-            .and_then(|p| p.node_spec(node))
-            .and_then(|s| s.link_extra(t));
-        match extra {
-            Some(x) => {
-                self.rack.link_degraded_crossings += 1;
-                self.trace.record(
-                    t,
-                    ssd,
-                    Some(tenant),
-                    EventKind::LinkDegraded { node: node as u32 },
-                );
-                x
-            }
-            None => SimDuration::ZERO,
-        }
+    /// The device behind backend `b`.
+    fn device(&self, b: usize) -> &FlashSsd {
+        let spn = self.net.ssds_per_node;
+        self.nodes[b / spn].pipelines()[b % spn].device()
     }
 
     /// Environment-sourced health of one backend, as the router sees it.
     fn backend_health(&self, b: BackendId, now: SimTime) -> ReplicaHealth {
         let node = self.cfg.node_of(b.index());
-        let spec = self.active_plan.as_ref().and_then(|p| p.node_spec(node));
+        let spec = self
+            .net
+            .active_plan
+            .as_ref()
+            .and_then(|p| p.node_spec(node));
         ReplicaHealth {
             partitioned: spec.is_some_and(|s| s.dead(now) || s.partitioned(now)),
             // The GC signal is read straight off the device model, so
             // organic die-level collections steer exactly like injected
             // storms. The blind baseline reports "never busy".
-            gc_busy: self.cfg.gc_aware_routing && self.pipelines[b.index()].device().gc_busy(now),
+            gc_busy: self.cfg.gc_aware_routing && self.device(b.index()).gc_busy(now),
         }
     }
 
@@ -495,7 +523,7 @@ impl Rt {
             let file = self.clients[i].file;
             let id = self.next_logical;
             self.next_logical += 1;
-            self.rack.issued += 1;
+            self.net.rack.issued += 1;
             self.clients[i].inflight += 1;
             if is_read {
                 let pair = self.bs.replicas_at(file, offset);
@@ -507,7 +535,7 @@ impl Rt {
                 let Some(b) = self.route(&cands, now, "choose") else {
                     // Every replica of this span is dead: typed error at
                     // issue, never a panic.
-                    self.rack.failed_typed += 1;
+                    self.net.rack.failed_typed += 1;
                     self.clients[i].inflight -= 1;
                     continue;
                 };
@@ -544,7 +572,7 @@ impl Rt {
                 {
                     Err(_) => {
                         // No live replica can take the write.
-                        self.rack.failed_typed += 1;
+                        self.net.rack.failed_typed += 1;
                         self.clients[i].inflight -= 1;
                     }
                     Ok(wp) => {
@@ -609,23 +637,17 @@ impl Rt {
             wal: None,
         };
         self.next_cmd += 1;
-        self.counters.submitted += 1;
+        self.net.counters.submitted += 1;
         self.clients[i].outstanding[io.backend] += 1;
         self.clients[i].gates[io.backend].on_submit(now);
         self.router.on_submit(BackendId(io.backend as u32));
         self.sanitizer
             .record(now.as_nanos(), "rack.issue", "submit", cmd.id.0);
-        let h = self.phys_arena.alloc(Phys {
-            logical: io.logical,
-            backend: io.backend,
-            attempt: 0,
-            delivered: false,
-            done_cpl: None,
-            cmd,
-        });
-        self.phys.insert(cmd.id.0, h);
-        if self.armed() {
-            self.queue.push(
+        self.net
+            .phys
+            .insert(cmd.id.0, InFlight::new(cmd, io.logical));
+        if self.net.active_plan.is_some() {
+            self.net.queue.push(
                 now + self.retry.timeout_for(0),
                 Ev::Timeout {
                     cmd: cmd.id.0,
@@ -633,164 +655,8 @@ impl Rt {
                 },
             );
         }
-        self.send_command(i, cmd, now);
-    }
-
-    /// Transmit (or retransmit) a command capsule: client port → ToR →
-    /// node, subject to injected capsule loss.
-    fn send_command(&mut self, i: usize, cmd: NvmeCmd, now: SimTime) {
-        if let Some(inj) = self.injector.as_mut() {
-            if inj.drop_command(now) {
-                self.counters.cmd_capsules_dropped += 1;
-                self.trace.record(
-                    now,
-                    cmd.ssd,
-                    Some(cmd.tenant),
-                    EventKind::FaultInjected {
-                        capsule: CapsuleKind::Command,
-                    },
-                );
-                return;
-            }
-        }
-        let mut at_tor = self
-            .delays
-            .command_arrival(&mut self.clients[i].tx_port, now, &cmd);
-        if cmd.opcode.is_write() {
-            at_tor = self
-                .delays
-                .write_payload_fetched(&mut self.clients[i].tx_port, at_tor, &cmd);
-        }
-        let node = self.cfg.node_of(cmd.ssd.index());
-        let extra = self.link_extra(node, at_tor, cmd.ssd, cmd.tenant);
-        let bytes = CMD_CAPSULE_BYTES
-            + if cmd.opcode.is_write() {
-                u64::from(cmd.len)
-            } else {
-                0
-            };
-        let arrive = self.tor.to_node(node, at_tor, bytes, extra);
-        self.queue.push(
-            arrive,
-            Ev::DeliverCmd {
-                backend: cmd.ssd.index(),
-                cmd,
-            },
-        );
-    }
-
-    /// Transmit a completion capsule: node port → ToR → client. A dead or
-    /// partitioned node emits nothing.
-    fn send_completion(&mut self, backend: usize, cpl: NvmeCompletion, cmd: NvmeCmd, at: SimTime) {
-        let node = self.cfg.node_of(backend);
-        if self.node_down(node, at) {
-            self.rack.tor_cpl_drops += 1;
-            return;
-        }
-        if let Some(inj) = self.injector.as_mut() {
-            if inj.drop_completion(at) {
-                self.counters.cpl_capsules_dropped += 1;
-                self.trace.record(
-                    at,
-                    cmd.ssd,
-                    Some(cmd.tenant),
-                    EventKind::FaultInjected {
-                        capsule: CapsuleKind::Completion,
-                    },
-                );
-                return;
-            }
-        }
-        let at_tor = self
-            .delays
-            .completion_arrival(&mut self.node_ports[backend], at, &cmd);
-        let extra = self.link_extra(node, at_tor, cmd.ssd, cmd.tenant);
-        let bytes = RSP_CAPSULE_BYTES
-            + if cmd.opcode.is_write() {
-                0
-            } else {
-                u64::from(cmd.len)
-            };
-        let arrive = self.tor.from_node(node, at_tor, bytes, extra);
-        self.queue.push(arrive, Ev::DeliverCpl { cpl });
-    }
-
-    /// Poll one pipeline, emit its completions, reschedule its wake. Dead
-    /// nodes are frozen: their pipelines never pump again, and whatever was
-    /// in flight inside them is recovered initiator-side by the ladder.
-    fn pump(&mut self, backend: usize, now: SimTime) {
-        if self.node_dead[self.cfg.node_of(backend)] {
-            return;
-        }
-        let q = self.begin_quantum(backend, now);
-        self.sanitizer
-            .record(now.as_nanos(), "switch.pipeline", "pump", backend as u64);
-        self.pipelines[backend].poll(now);
-        self.drain_broker_journal(now);
-        let mut outs = std::mem::take(&mut self.out_buf);
-        self.pipelines[backend].take_outputs_into(&mut outs);
-        for out in outs.drain(..) {
-            self.sanitizer
-                .record(now.as_nanos(), "switch.pipeline", "complete", out.cmd.id.0);
-            let cpl = NvmeCompletion {
-                id: out.cmd.id,
-                tenant: out.cmd.tenant,
-                ssd: out.cmd.ssd,
-                opcode: out.cmd.opcode,
-                len: out.cmd.len,
-                status: out.status,
-                credit: out.credit,
-                issued_at: out.cmd.issued_at,
-                completed_at: out.at,
-            };
-            if let Some(&h) = self.phys.get(&out.cmd.id.0) {
-                self.phys_arena
-                    .get_mut(h)
-                    .expect("tracked handle is live")
-                    .done_cpl = Some(cpl);
-            }
-            self.send_completion(backend, cpl, out.cmd, out.at);
-        }
-        self.out_buf = outs;
-        if let Some(t) = self.pipelines[backend].next_event_at() {
-            let t = t.max(now + SimDuration::from_nanos(1));
-            if t < self.wake_at[backend] {
-                self.wake_at[backend] = t;
-                self.queue.push(t, Ev::PipelineWake(backend));
-            }
-        }
-        self.end_quantum(backend, q);
-    }
-
-    /// Open a poll quantum for `backend` on whichever of its node's cores
-    /// the scheduler picks, repointing the pipeline there and forwarding
-    /// any steal decision into the journal *before* the quantum's own
-    /// records — so a steal-order flip localizes to component `cores`.
-    fn begin_quantum(&mut self, backend: usize, now: SimTime) -> Quantum {
-        let node = self.cfg.node_of(backend);
-        let local = backend % self.cfg.ssds_per_node as usize;
-        let q = self.scheds[node].begin(local, now);
-        let core = self.scheds[node].core_rc(q.core());
-        self.pipelines[backend].set_core(core);
-        self.drain_cores_journal(node, now);
-        q
-    }
-
-    /// Close a poll quantum, attributing the CPU time it consumed.
-    fn end_quantum(&mut self, backend: usize, q: Quantum) {
-        let node = self.cfg.node_of(backend);
-        self.scheds[node].end(backend % self.cfg.ssds_per_node as usize, q);
-    }
-
-    /// Forward one node scheduler's queued decisions into the divergence
-    /// journal. Keys are offset to rack-global core/pipeline indices so
-    /// same-named decisions on different nodes stay distinguishable.
-    fn drain_cores_journal(&mut self, node: usize, now: SimTime) {
-        let base = node as u64 * u64::from(self.cfg.ssds_per_node);
-        let sanitizer = &self.sanitizer;
-        self.scheds[node].drain_journal_with(|op, key| {
-            sanitizer.record(now.as_nanos(), "cores", op, base + key);
-        });
+        self.net
+            .send_command(&mut self.clients[i].tx_port, cmd, now);
     }
 
     /// Mark a node suspect (idempotent while suspicion lasts).
@@ -803,8 +669,8 @@ impl Rt {
             self.router
                 .mark_suspect(BackendId(node as u32 * self.cfg.ssds_per_node + s));
         }
-        self.rack.nodes_suspected += 1;
-        self.trace.record(
+        self.net.rack.nodes_suspected += 1;
+        self.net.trace.record(
             now,
             SsdId(first.0),
             None,
@@ -827,15 +693,16 @@ impl Rt {
     }
 
     /// Remove a physical command that timed out terminally or is being
-    /// abandoned for a reroute, settling its client/gate/router state.
+    /// abandoned for a reroute, settling its client/gate/router state; the
+    /// caller then settles its side with [`Self::side_done`].
     fn abandon_phys(&mut self, cmd: u64, attempt: u32, now: SimTime) {
-        let h = self.phys.remove(&cmd).expect("abandoning a tracked cmd");
         let p = self
-            .phys_arena
-            .free(h)
-            .expect("tracked handle is live at abandon");
-        self.counters.timed_out += 1;
-        self.trace.record(
+            .net
+            .phys
+            .remove(&cmd)
+            .expect("abandoning a tracked cmd");
+        self.net.counters.timed_out += 1;
+        self.net.trace.record(
             now,
             p.cmd.ssd,
             Some(p.cmd.tenant),
@@ -844,14 +711,37 @@ impl Rt {
                 attempts: attempt + 1,
             },
         );
-        let i = p.cmd.tenant.index();
-        self.clients[i].outstanding[p.backend] -= 1;
-        self.clients[i].gates[p.backend].on_timeout(now);
-        self.router.on_completion(BackendId(p.backend as u32), None);
-        self.logical
-            .get_mut(&p.logical)
-            .expect("live logical")
-            .pending -= 1;
+        let (i, b) = (p.cmd.tenant.index(), p.cmd.ssd.index());
+        self.clients[i].outstanding[b] -= 1;
+        self.clients[i].gates[b].on_timeout(now);
+        self.router.on_completion(BackendId(b as u32), None);
+    }
+
+    /// One physical side of logical IO `lg_id` on backend `b` resolved,
+    /// `ok` or not (`cmd` names it in reroute events): finish the logical
+    /// IO or reroute a failed read, then refill the client's loop.
+    fn side_done(&mut self, lg_id: u64, ok: bool, b: usize, cmd: u64, now: SimTime) {
+        let lg = self.logical.get_mut(&lg_id).expect("live logical");
+        lg.pending -= 1;
+        if !lg.is_read {
+            if ok {
+                lg.ok_sides += 1;
+            } else {
+                lg.err_sides += 1;
+            }
+        }
+        let (i, is_read, pending_left) = (lg.client, lg.is_read, lg.pending);
+        if is_read {
+            if ok {
+                self.finish_read_ok(lg_id, now);
+            } else if !self.reroute_read(lg_id, b, cmd, now) {
+                self.finish_failed(lg_id, now);
+            }
+        } else if pending_left == 0 {
+            self.finish_write(lg_id, now);
+        }
+        self.issue_logical(i, now);
+        self.dispatch(i, now);
     }
 
     /// Route an in-error read to an untried live replica. Returns false
@@ -876,8 +766,8 @@ impl Rt {
         let Some(b) = self.route(&cands, now, "reroute") else {
             return false;
         };
-        self.rack.reroutes += 1;
-        self.trace.record(
+        self.net.rack.reroutes += 1;
+        self.net.trace.record(
             now,
             SsdId(b.0),
             Some(TenantId(client as u32)),
@@ -906,14 +796,6 @@ impl Rt {
         true
     }
 
-    /// Forward queued broker ledger decisions into the divergence journal,
-    /// stamped with the engine's current tick (keeps journal ticks monotone
-    /// while preserving decision order).
-    fn drain_broker_journal(&mut self, now: SimTime) {
-        let Some(b) = &self.broker else { return };
-        b.drain_journal_with(|op, key| self.sanitizer.record(now.as_nanos(), "broker", op, key));
-    }
-
     /// One broker settlement boundary. Backends on dead or partitioned
     /// nodes drop out of the active set, so every account and debt touching
     /// them is forgiven — clients can't repay through a link that swallows
@@ -924,8 +806,8 @@ impl Rt {
             return;
         };
         let mut active: Vec<(SsdId, Vec<TenantId>)> = Vec::new();
-        for b in 0..self.pipelines.len() {
-            if self.node_down(self.cfg.node_of(b), now) || self.pipelines[b].device().is_failed() {
+        for b in 0..self.cfg.backends() as usize {
+            if self.net.node_down(self.cfg.node_of(b), now) || self.device(b).is_failed() {
                 continue;
             }
             let tenants = (0..self.clients.len() as u32).map(TenantId).collect();
@@ -933,14 +815,17 @@ impl Rt {
         }
         broker.settle_epoch(now, &active);
         broker.end_epoch();
-        self.drain_broker_journal(now);
+        broker
+            .drain_journal_with(|op, key| self.sanitizer.record(now.as_nanos(), "broker", op, key));
         // Settlement restores lender balances; parked requests may now
-        // clear the gate.
-        for b in 0..self.pipelines.len() {
-            self.pump(b, now);
+        // clear the gate. Dead nodes stay frozen.
+        for (n, node) in self.nodes.iter_mut().enumerate() {
+            if !self.net.node_dead[n] {
+                node.pump_all(now, &mut self.net);
+            }
         }
         let epoch = self.cfg.broker.as_ref().expect("broker cfg").epoch;
-        self.queue.push(now + epoch, Ev::BrokerEpoch);
+        self.net.queue.push(now + epoch, Ev::BrokerEpoch);
     }
 
     fn record_ack(&mut self, lg: &Logical, now: SimTime) {
@@ -959,13 +844,13 @@ impl Rt {
 
     fn finish_read_ok(&mut self, lg_id: u64, now: SimTime) {
         let lg = self.logical.remove(&lg_id).expect("live logical");
-        self.rack.acked_ok += 1;
+        self.net.rack.acked_ok += 1;
         self.record_ack(&lg, now);
     }
 
     fn finish_failed(&mut self, lg_id: u64, _now: SimTime) {
         let lg = self.logical.remove(&lg_id).expect("live logical");
-        self.rack.failed_typed += 1;
+        self.net.rack.failed_typed += 1;
         self.clients[lg.client].inflight -= 1;
     }
 
@@ -973,28 +858,29 @@ impl Rt {
         let lg = self.logical.remove(&lg_id).expect("live logical");
         if lg.ok_sides > 0 {
             if lg.err_sides > 0 || lg.degraded {
-                self.rack.acked_degraded += 1;
+                self.net.rack.acked_degraded += 1;
             } else {
-                self.rack.acked_ok += 1;
+                self.net.rack.acked_ok += 1;
             }
             self.record_ack(&lg, now);
         } else {
-            self.rack.failed_typed += 1;
+            self.net.rack.failed_typed += 1;
             self.clients[lg.client].inflight -= 1;
         }
     }
 
-    fn run(mut self) -> RackResult {
-        while let Some((now, ev)) = self.queue.pop() {
+    /// Run it.
+    pub fn run(mut self) -> RackResult {
+        while let Some((now, ev)) = self.net.queue.pop() {
             if now > self.end {
                 break;
             }
             if self.sanitizer.is_enabled() {
                 let (component, op, key) = match &ev {
                     Ev::ClientStart(i) => ("rack.client", "start", *i as u64),
-                    Ev::DeliverCmd { cmd, .. } => ("rack.fabric", "deliver_cmd", cmd.id.0),
+                    Ev::DeliverCmd(cmd) => ("rack.fabric", "deliver_cmd", cmd.id.0),
                     Ev::PipelineWake(b) => ("rack.wake", "wake", *b as u64),
-                    Ev::DeliverCpl { cpl } => ("rack.fabric", "deliver_cpl", cpl.id.0),
+                    Ev::DeliverCpl(cpl) => ("rack.fabric", "deliver_cpl", cpl.id.0),
                     Ev::Timeout { cmd, .. } => ("rack.fault", "timeout", *cmd),
                     Ev::NodeDeath(n) => ("rack.node", "death", *n as u64),
                     Ev::BrokerEpoch => ("engine.broker", "epoch", 0),
@@ -1009,132 +895,79 @@ impl Rt {
                 }
                 Ev::BrokerEpoch => self.broker_epoch(now),
                 Ev::CoresRebalance => {
-                    for node in 0..self.scheds.len() {
-                        self.scheds[node].rebalance(now);
-                        self.drain_cores_journal(node, now);
+                    for node in &mut self.nodes {
+                        node.rebalance(now);
                     }
-                    if let Some(e) = self.scheds.first().and_then(CoreScheduler::rebalance_epoch) {
-                        self.queue.push(now + e, Ev::CoresRebalance);
+                    if let Some(e) = self.nodes.first().and_then(Node::rebalance_epoch) {
+                        self.net.queue.push(now + e, Ev::CoresRebalance);
                     }
                 }
                 Ev::NodeDeath(node) => {
-                    if self.node_dead[node] {
+                    if self.net.node_dead[node] {
                         continue;
                     }
-                    self.node_dead[node] = true;
+                    // The node is frozen from here on: its pipelines never
+                    // pump again, and whatever was in flight inside them is
+                    // recovered initiator-side by the ladder.
+                    self.net.node_dead[node] = true;
                     for s in 0..self.cfg.ssds_per_node {
                         self.router
                             .mark_dead(BackendId(node as u32 * self.cfg.ssds_per_node + s));
                     }
-                    self.trace.record(
+                    self.net.trace.record(
                         now,
                         SsdId(node as u32 * self.cfg.ssds_per_node),
                         None,
                         EventKind::NodeDead { node: node as u32 },
                     );
                 }
-                Ev::DeliverCmd { backend, cmd } => {
+                Ev::DeliverCmd(cmd) => {
+                    let backend = cmd.ssd.index();
                     let node = self.cfg.node_of(backend);
-                    if self.node_down(node, now) {
-                        self.rack.tor_cmd_drops += 1;
+                    if self.net.node_down(node, now) {
+                        self.net.rack.tor_cmd_drops += 1;
                         continue;
                     }
-                    match self
-                        .phys
-                        .get(&cmd.id.0)
-                        .copied()
-                        .map(|h| self.phys_arena.get_mut(h).expect("tracked handle is live"))
-                    {
-                        // Initiator already abandoned it (rerouted or
-                        // terminal): late replay, ignore.
-                        None => self.counters.duplicate_cmds_ignored += 1,
-                        Some(p) if p.delivered => match p.done_cpl {
-                            Some(cpl) => {
-                                self.counters.completions_resent += 1;
-                                self.send_completion(backend, cpl, cmd, now);
-                            }
-                            None => self.counters.duplicate_cmds_ignored += 1,
-                        },
-                        Some(p) => {
-                            p.delivered = true;
-                            // Submit-path CPU cost is charged inside
-                            // `on_command`, so it runs under its own quantum
-                            // (same-tick `begin`s reuse one core decision).
-                            let q = self.begin_quantum(backend, now);
-                            self.pipelines[backend].on_command(cmd, now);
-                            self.end_quantum(backend, q);
-                            self.pump(backend, now);
-                        }
-                    }
+                    self.nodes[node].deliver(backend, cmd, now, &mut self.net, 1, |_| None);
                 }
                 Ev::PipelineWake(backend) => {
-                    if self.wake_at[backend] == now {
-                        self.wake_at[backend] = SimTime::MAX;
-                        self.pump(backend, now);
+                    let node = self.cfg.node_of(backend);
+                    if !self.net.node_dead[node] {
+                        self.nodes[node].wake(backend, now, &mut self.net);
                     }
                 }
-                Ev::DeliverCpl { cpl } => {
-                    let Some(h) = self.phys.remove(&cpl.id.0) else {
-                        self.counters.stale_completions_ignored += 1;
+                Ev::DeliverCpl(cpl) => {
+                    let Some(p) = self.net.phys.remove(&cpl.id.0) else {
+                        self.net.counters.stale_completions_ignored += 1;
                         continue;
                     };
-                    let p = self
-                        .phys_arena
-                        .free(h)
-                        .expect("tracked handle is live at completion");
                     let i = cpl.tenant.index();
-                    let b = p.backend;
+                    let b = p.cmd.ssd.index();
                     self.clients[i].outstanding[b] -= 1;
                     self.clients[i].gates[b].on_completion(&cpl, now);
                     self.router.on_completion(BackendId(b as u32), cpl.credit);
                     let ok = cpl.status.is_success();
                     if ok {
-                        self.counters.completed_ok += 1;
+                        self.net.counters.completed_ok += 1;
                         self.clear_suspect_node(self.cfg.node_of(b));
                     } else {
-                        self.counters.completed_err += 1;
+                        self.net.counters.completed_err += 1;
                         // The error completion is the client's first sight
                         // of a flash failure: hard-exclude the backend and
                         // recover via its replica (§4.3).
                         self.router.mark_dead(BackendId(b as u32));
                     }
-                    let lg_id = p.logical;
-                    let (is_read, pending_left) = {
-                        let lg = self.logical.get_mut(&lg_id).expect("live logical");
-                        lg.pending -= 1;
-                        if !lg.is_read {
-                            if ok {
-                                lg.ok_sides += 1;
-                            } else {
-                                lg.err_sides += 1;
-                            }
-                        }
-                        (lg.is_read, lg.pending)
-                    };
-                    if is_read {
-                        if ok {
-                            self.finish_read_ok(lg_id, now);
-                        } else if !self.reroute_read(lg_id, b, cpl.id.0, now) {
-                            self.finish_failed(lg_id, now);
-                        }
-                    } else if pending_left == 0 {
-                        self.finish_write(lg_id, now);
-                    }
-                    self.issue_logical(i, now);
-                    self.dispatch(i, now);
+                    self.side_done(p.tag, ok, b, cpl.id.0, now);
                 }
                 Ev::Timeout { cmd, attempt } => {
-                    let Some(p) = self
-                        .phys
-                        .get(&cmd)
-                        .map(|&h| self.phys_arena.get(h).expect("tracked handle is live"))
-                    else {
+                    let Some(p) = self.net.phys.get_mut(&cmd) else {
                         continue; // resolved before the timer fired
                     };
                     if p.attempt != attempt {
                         continue; // superseded by a retransmission's timer
                     }
-                    let (i, b, lg_id, pcmd) = (p.cmd.tenant.index(), p.backend, p.logical, p.cmd);
+                    let (lg_id, pcmd) = (p.tag, p.cmd);
+                    let (i, b) = (pcmd.tenant.index(), pcmd.ssd.index());
                     let can_reroute = {
                         let lg = self.logical.get(&lg_id).expect("live logical");
                         lg.is_read && {
@@ -1147,14 +980,10 @@ impl Rt {
                     match self.retry.escalate(attempt, can_reroute) {
                         EscalationAction::Retransmit => {
                             let next = attempt + 1;
-                            let h = *self.phys.get(&cmd).expect("tracked");
-                            self.phys_arena
-                                .get_mut(h)
-                                .expect("tracked handle is live")
-                                .attempt = next;
-                            self.counters.retries += 1;
+                            p.attempt = next;
+                            self.net.counters.retries += 1;
                             let t = self.retry.timeout_for(next);
-                            self.trace.record(
+                            self.net.trace.record(
                                 now,
                                 pcmd.ssd,
                                 Some(pcmd.tenant),
@@ -1164,51 +993,39 @@ impl Rt {
                                     timeout_ns: t.as_nanos(),
                                 },
                             );
-                            self.queue.push(now + t, Ev::Timeout { cmd, attempt: next });
-                            self.send_command(i, pcmd, now);
+                            self.net
+                                .queue
+                                .push(now + t, Ev::Timeout { cmd, attempt: next });
+                            self.net
+                                .send_command(&mut self.clients[i].tx_port, pcmd, now);
                         }
                         EscalationAction::SuspectAndReroute => {
                             self.abandon_phys(cmd, attempt, now);
                             self.suspect_node(self.cfg.node_of(b), now);
-                            if !self.reroute_read(lg_id, b, cmd, now) {
-                                self.finish_failed(lg_id, now);
-                            }
-                            self.issue_logical(i, now);
-                            self.dispatch(i, now);
+                            self.side_done(lg_id, false, b, cmd, now);
                         }
                         EscalationAction::Terminal => {
+                            // No untried live replica: the side fails
+                            // without a reroute.
                             self.abandon_phys(cmd, attempt, now);
-                            let (is_read, pending_left) = {
-                                let lg = self.logical.get_mut(&lg_id).expect("live logical");
-                                if !lg.is_read {
-                                    lg.err_sides += 1;
-                                }
-                                (lg.is_read, lg.pending)
-                            };
-                            if is_read {
-                                self.finish_failed(lg_id, now);
-                            } else if pending_left == 0 {
-                                self.finish_write(lg_id, now);
-                            }
-                            self.issue_logical(i, now);
-                            self.dispatch(i, now);
+                            self.side_done(lg_id, false, b, cmd, now);
                         }
                     }
                 }
             }
         }
 
-        self.counters.in_flight_at_end = self.phys.len() as u64;
-        self.rack.in_flight_at_end = self.logical.len() as u64;
+        let mut physical = self.net.counters;
+        physical.in_flight_at_end = self.net.phys.len() as u64;
+        let mut rack = self.net.rack;
+        rack.in_flight_at_end = self.logical.len() as u64;
         debug_assert!(
-            self.counters.conservation_holds(),
-            "physical conservation violated: {:?}",
-            self.counters
+            physical.conservation_holds(),
+            "physical conservation violated: {physical:?}"
         );
         debug_assert!(
-            self.rack.logical_conservation_holds(),
-            "logical conservation violated: {:?}",
-            self.rack
+            rack.logical_conservation_holds(),
+            "logical conservation violated: {rack:?}"
         );
 
         // Broker conservation must hold at every exit, including chaos
@@ -1228,21 +1045,20 @@ impl Rt {
                     write_latency: c.write_hist.summary(),
                 })
                 .collect(),
-            ssd_stats: self.pipelines.iter().map(|p| p.device().stats()).collect(),
-            physical: self.counters,
-            rack: self.rack,
-            tor_bytes_down: (0..nodes).map(|n| self.tor.bytes_down(n)).collect(),
-            tor_bytes_up: (0..nodes).map(|n| self.tor.bytes_up(n)).collect(),
+            ssd_stats: self
+                .nodes
+                .iter()
+                .flat_map(|n| n.device_results().ssd_stats)
+                .collect(),
+            physical,
+            rack,
+            tor_bytes_down: (0..nodes).map(|n| self.net.tor.bytes_down(n)).collect(),
+            tor_bytes_up: (0..nodes).map(|n| self.net.tor.bytes_up(n)).collect(),
             window: self.cfg.duration - self.cfg.warmup,
-            trace: self.tracer.take().map(|t| t.borrow_mut().finish()),
+            trace: self.tracer.finish(),
             access_journal: self.sanitizer.snapshot(),
             broker: self.broker.as_ref().map(|b| b.stats()),
-            // Collected only when stealing was configured, so steal-off
-            // digests are bit-identical to pre-scheduler builds.
-            cores: match self.cfg.steal {
-                Some(_) => self.scheds.iter().map(CoreScheduler::stats).collect(),
-                None => Vec::new(),
-            },
+            cores: self.nodes.iter().filter_map(Node::cores_stats).collect(),
         }
     }
 }

@@ -8,7 +8,8 @@
 //! across the fabric, into the per-SSD switch pipelines.
 
 use crate::config::Precondition;
-use crate::results::GimbalTrace;
+use crate::node::{InFlight, Node, NodeHost, NodeSpec};
+use crate::results::{FaultCounters, GimbalTrace};
 use crate::scheme::Scheme;
 use gimbal_baselines::PardaClient;
 use gimbal_blobstore::{BackendId, Blobstore, HbaConfig, HierarchicalAllocator, RateLimiter};
@@ -18,10 +19,12 @@ use gimbal_fabric::{
 };
 use gimbal_lsm_kv::{IoCtx, LsmConfig, LsmKv, LsmStats, StepOutput, TaggedIo};
 use gimbal_sim::collections::DetMap;
+use gimbal_sim::journal::JournalHandle;
 use gimbal_sim::stats::LatencySummary;
-use gimbal_sim::{EventQueue, Histogram, SimDuration, SimRng, SimTime};
-use gimbal_ssd::{FlashSsd, SsdConfig, SsdStats};
-use gimbal_switch::{ClientPolicy, Pipeline, PipelineConfig, PipelineOut};
+use gimbal_sim::{EventQueue, Histogram, SimDuration, SimRng, SimTime, SsdFaultSpec};
+use gimbal_ssd::{SsdConfig, SsdStats};
+use gimbal_switch::{ClientPolicy, PipelineOut};
+use gimbal_telemetry::TraceHandle;
 use gimbal_workload::{KvOp, YcsbMix, YcsbWorkload};
 use std::collections::VecDeque;
 
@@ -203,15 +206,39 @@ enum Ev {
     PowerLoss,
     InstanceStart(usize),
     KvPump(usize),
-    DeliverCmd {
-        backend: usize,
-        cmd: NvmeCmd,
-    },
+    DeliverCmd(NvmeCmd),
     PipelineWake(usize),
-    DeliverCpl {
-        instance: usize,
-        cpl: NvmeCompletion,
-    },
+    DeliverCpl(NvmeCompletion),
+}
+
+/// What the node calls back into: the event queue and the completion path
+/// back to the instances. The KV engine injects no capsule loss, so it
+/// tracks nothing at the node and every arrival executes.
+struct Host {
+    queue: EventQueue<Ev>,
+    delays: RdmaDelays,
+    target_ports: Vec<Port>,
+}
+
+impl NodeHost for Host {
+    type Tag = ();
+
+    fn arm_wake(&mut self, backend: usize, at: SimTime) {
+        self.queue.push(at, Ev::PipelineWake(backend));
+    }
+
+    fn served(&mut self, _: usize, _: &PipelineOut, _: SimTime) {}
+
+    fn send(&mut self, backend: usize, cmd: &NvmeCmd, cpl: NvmeCompletion, at: SimTime) {
+        let arrive = self
+            .delays
+            .completion_arrival(&mut self.target_ports[backend], at, cmd);
+        self.queue.push(arrive, Ev::DeliverCpl(cpl));
+    }
+
+    fn in_flight(&mut self) -> Option<(&mut DetMap<u64, InFlight<()>>, &mut FaultCounters)> {
+        None
+    }
 }
 
 struct OpTicket {
@@ -253,6 +280,15 @@ impl Instance {
 /// The KV experiment engine.
 pub struct KvTestbed {
     cfg: KvTestbedConfig,
+    node: Node,
+    host: Host,
+    bs: Blobstore,
+    instances: Vec<Instance>,
+    next_cmd: u64,
+    /// cmd id → (kv io tag, is-low-priority); the instance is the command's
+    /// tenant.
+    cmd_map: DetMap<u64, (u64, bool)>,
+    traces: Vec<GimbalTrace>,
 }
 
 impl KvTestbed {
@@ -261,41 +297,31 @@ impl KvTestbed {
         cfg.ssd.validate();
         assert!(cfg.instances >= 1 && cfg.backends() >= 1);
         assert!(!cfg.replicate || cfg.backends() >= 2);
-        KvTestbed { cfg }
-    }
-
-    /// Run it.
-    pub fn run(self) -> KvRunResult {
-        let cfg = self.cfg;
         let mut root_rng = SimRng::new(cfg.seed);
         let backends = cfg.backends() as usize;
-        let delays = RdmaDelays::new(cfg.fabric);
 
-        // JBOF pipelines, one core each (§4.1).
-        let mut pipelines: Vec<Pipeline<FlashSsd>> = (0..backends)
-            .map(|i| {
-                let mut ssd = FlashSsd::new(cfg.ssd.clone(), root_rng.next_u64());
-                match cfg.precondition {
-                    Precondition::Clean => ssd.precondition_clean(),
-                    Precondition::Fragmented => ssd.precondition_fragmented(),
-                    Precondition::None => {}
-                }
-                Pipeline::new(
-                    SsdId(i as u32),
-                    ssd,
-                    cfg.scheme.make_policy(SsdId(i as u32), cfg.gimbal_params),
-                    PipelineConfig {
-                        cpu_cost: cfg.scheme.cpu_cost(false),
-                        null_device: false,
-                        cache: cfg.cache.clone(),
-                        broker: None,
-                    },
-                )
-            })
-            .collect();
-        let mut target_ports: Vec<Port> = (0..backends)
-            .map(|_| Port::new(cfg.fabric.port_bandwidth))
-            .collect();
+        // The JBOF backends as one node with a core per pipeline (§4.1):
+        // with stealing off its scheduler only ever picks the home core.
+        let node = Node::build(
+            NodeSpec {
+                first_ssd: 0,
+                ssds: backends,
+                cores: backends,
+                scheme: cfg.scheme,
+                gimbal_params: cfg.gimbal_params,
+                ssd: &cfg.ssd,
+                precondition: cfg.precondition,
+                cpu_cost: cfg.scheme.cpu_cost(false),
+                cache: cfg.cache.clone(),
+                broker: None,
+                steal: None,
+                seed: cfg.seed,
+                trace: &TraceHandle::disabled(),
+                sanitizer: &JournalHandle::disabled(),
+            },
+            &mut root_rng,
+            |_| SsdFaultSpec::default(),
+        );
 
         // Shared blobstore over all backends.
         let caps: Vec<u64> = (0..backends)
@@ -310,7 +336,7 @@ impl KvTestbed {
 
         // Instances, preloaded.
         let initial_credit = cfg.gimbal_params.initial_credit_ios;
-        let mut instances: Vec<Instance> = (0..cfg.instances as usize)
+        let instances: Vec<Instance> = (0..cfg.instances as usize)
             .map(|i| {
                 let mut kv = LsmKv::new(cfg.lsm, root_rng.next_u64());
                 let lim = RateLimiter::new(
@@ -350,255 +376,147 @@ impl KvTestbed {
             })
             .collect();
 
-        // --- event loop state ---
-        let mut queue: EventQueue<Ev> = EventQueue::new();
-        let mut wake_at = vec![SimTime::MAX; backends];
-        // Recycled completion-capsule buffer, swapped with a pipeline's own
-        // every pump.
-        let mut out_buf: Vec<PipelineOut> = Vec::new();
-        let mut next_cmd: u64 = 0;
-        // cmd id → (instance, kv io tag, is-low-priority)
-        let mut cmd_map: DetMap<u64, (usize, u64, bool)> = DetMap::new();
+        KvTestbed {
+            node,
+            host: Host {
+                queue: EventQueue::new(),
+                delays: RdmaDelays::new(cfg.fabric),
+                target_ports: (0..backends)
+                    .map(|_| Port::new(cfg.fabric.port_bandwidth))
+                    .collect(),
+            },
+            bs,
+            instances,
+            next_cmd: 0,
+            cmd_map: DetMap::new(),
+            traces: (0..backends).map(|_| GimbalTrace::default()).collect(),
+            cfg,
+        }
+    }
 
-        let end = SimTime::ZERO + cfg.duration;
-        let warm = SimTime::ZERO + cfg.warmup;
-        let pump_step = SimDuration::from_micros(200);
-
-        for i in 0..instances.len() {
+    /// Run it.
+    pub fn run(mut self) -> KvRunResult {
+        let cfg = &self.cfg;
+        let queue = &mut self.host.queue;
+        for i in 0..self.instances.len() {
             let start = (i as u64).saturating_mul(10);
             queue.push(SimTime::from_micros(start), Ev::InstanceStart(i));
         }
-        let mut traces: Vec<GimbalTrace> = (0..backends).map(|_| GimbalTrace::default()).collect();
         if let Some(step) = cfg.sample_interval {
             queue.push(SimTime::ZERO + step, Ev::Sample);
         }
         if let Some((b, at)) = cfg.fail_backend_at {
-            assert!((b as usize) < backends, "failing a missing backend");
+            assert!(b < cfg.backends(), "failing a missing backend");
             queue.push(SimTime::ZERO + at, Ev::FailBackend(b as usize));
         }
         if let Some(at) = cfg.power_loss_at {
             queue.push(SimTime::ZERO + at, Ev::PowerLoss);
         }
 
-        // Helper macro-ish closures are impossible with the borrows involved,
-        // so the loop body is written out long-hand.
-        while let Some((now, ev)) = queue.pop() {
+        let end = SimTime::ZERO + self.cfg.duration;
+        let pump_step = SimDuration::from_micros(200);
+        while let Some((now, ev)) = self.host.queue.pop() {
             if now > end {
                 break;
             }
             match ev {
-                Ev::FailBackend(b) => {
-                    pipelines[b].device_mut().inject_failure();
-                }
-                Ev::PowerLoss => {
-                    for b in 0..backends {
-                        pipelines[b].power_loss(now);
-                        Self::pump_pipeline(
-                            &mut pipelines,
-                            &mut target_ports,
-                            &mut wake_at,
-                            &mut out_buf,
-                            &delays,
-                            &mut queue,
-                            &cmd_map,
-                            b,
-                            now,
-                        );
-                    }
-                }
+                Ev::FailBackend(b) => self.node.fail_device(b),
+                Ev::PowerLoss => self.node.power_loss(now, &mut self.host),
                 Ev::Sample => {
-                    for (b, p) in pipelines.iter().enumerate() {
-                        if let Some(g) = p
-                            .policy()
-                            .as_any()
-                            .downcast_ref::<gimbal_core::GimbalPolicy>()
-                        {
-                            let tr = &mut traces[b];
-                            tr.target_rate.push(now, g.target_rate());
-                            tr.write_cost.push(now, g.current_write_cost());
-                            let rm = g.monitor(gimbal_fabric::IoType::Read);
-                            tr.read_ewma_us.push(now, rm.ewma_ns() / 1e3);
-                            tr.read_thresh_us.push(now, rm.thresh_ns() / 1e3);
-                            let wm = g.monitor(gimbal_fabric::IoType::Write);
-                            tr.write_ewma_us.push(now, wm.ewma_ns() / 1e3);
-                            tr.write_thresh_us.push(now, wm.thresh_ns() / 1e3);
-                        }
-                    }
-                    if let Some(step) = cfg.sample_interval {
-                        queue.push(now + step, Ev::Sample);
+                    self.node.sample_gimbal(now, &mut self.traces);
+                    if let Some(step) = self.cfg.sample_interval {
+                        self.host.queue.push(now + step, Ev::Sample);
                     }
                 }
                 Ev::InstanceStart(i) => {
-                    Self::top_up_ops(&cfg, &mut instances, &mut bs, i, now);
-                    Self::dispatch_all(
-                        &cfg,
-                        &mut instances,
-                        &delays,
-                        &mut queue,
-                        &mut cmd_map,
-                        &mut next_cmd,
-                        i,
-                        now,
-                    );
-                    queue.push(now + pump_step, Ev::KvPump(i));
+                    self.refill(i, now);
+                    self.host.queue.push(now + pump_step, Ev::KvPump(i));
                 }
                 Ev::KvPump(i) => {
-                    let out = {
-                        let inst = &mut instances[i];
-                        let mut ctx = IoCtx {
-                            bs: &mut bs,
-                            lim: &inst.lim,
-                            load_balance: cfg.load_balance,
-                        };
-                        inst.kv.pump(now, &mut ctx)
+                    let inst = &mut self.instances[i];
+                    let mut ctx = IoCtx {
+                        bs: &mut self.bs,
+                        lim: &inst.lim,
+                        load_balance: self.cfg.load_balance,
                     };
-                    Self::absorb(&cfg, &mut instances, i, out, now, warm, end);
-                    Self::top_up_ops(&cfg, &mut instances, &mut bs, i, now);
-                    Self::dispatch_all(
-                        &cfg,
-                        &mut instances,
-                        &delays,
-                        &mut queue,
-                        &mut cmd_map,
-                        &mut next_cmd,
-                        i,
-                        now,
-                    );
-                    queue.push(now + pump_step, Ev::KvPump(i));
+                    let out = inst.kv.pump(now, &mut ctx);
+                    self.absorb(i, out, now);
+                    self.refill(i, now);
+                    self.host.queue.push(now + pump_step, Ev::KvPump(i));
                 }
-                Ev::DeliverCmd { backend, cmd } => {
-                    pipelines[backend].on_command(cmd, now);
-                    Self::pump_pipeline(
-                        &mut pipelines,
-                        &mut target_ports,
-                        &mut wake_at,
-                        &mut out_buf,
-                        &delays,
-                        &mut queue,
-                        &cmd_map,
-                        backend,
-                        now,
-                    );
+                Ev::DeliverCmd(cmd) => {
+                    self.node
+                        .deliver(cmd.ssd.index(), cmd, now, &mut self.host, 1, |_| None)
                 }
-                Ev::PipelineWake(backend) => {
-                    if wake_at[backend] != now {
-                        continue; // stale, superseded wake
-                    }
-                    wake_at[backend] = SimTime::MAX;
-                    Self::pump_pipeline(
-                        &mut pipelines,
-                        &mut target_ports,
-                        &mut wake_at,
-                        &mut out_buf,
-                        &delays,
-                        &mut queue,
-                        &cmd_map,
-                        backend,
-                        now,
-                    );
-                }
-                Ev::DeliverCpl { instance: i, cpl } => {
-                    let (_, kv_tag, was_low) = cmd_map.remove(&cpl.id.0).expect("known cmd");
-                    let backend = cpl.ssd.index();
-                    let out = {
-                        let inst = &mut instances[i];
-                        if was_low {
-                            inst.low_outstanding[backend] =
-                                inst.low_outstanding[backend].saturating_sub(1);
-                        }
-                        inst.lim
-                            .on_completion(BackendId(backend as u32), cpl.credit);
-                        if let Some(parda) = &mut inst.parda {
-                            parda[backend].on_completion(&cpl, now);
-                        }
-                        if !cpl.status.is_success() {
-                            // The client learns about the flash failure from
-                            // the error completion: avoid the backend from
-                            // now on and recover the IO via its replica.
-                            inst.lim.mark_dead(BackendId(backend as u32));
-                        }
-                        let mut ctx = IoCtx {
-                            bs: &mut bs,
-                            lim: &inst.lim,
-                            load_balance: cfg.load_balance,
-                        };
-                        if cpl.status.is_success() {
-                            inst.kv.io_done(kv_tag, now, &mut ctx)
-                        } else {
-                            inst.kv.io_failed(kv_tag, now, &mut ctx)
-                        }
-                    };
-                    Self::absorb(&cfg, &mut instances, i, out, now, warm, end);
-                    Self::top_up_ops(&cfg, &mut instances, &mut bs, i, now);
-                    Self::dispatch_all(
-                        &cfg,
-                        &mut instances,
-                        &delays,
-                        &mut queue,
-                        &mut cmd_map,
-                        &mut next_cmd,
-                        i,
-                        now,
-                    );
-                }
+                Ev::PipelineWake(backend) => self.node.wake(backend, now, &mut self.host),
+                Ev::DeliverCpl(cpl) => self.complete(cpl, now),
             }
         }
 
-        let window = cfg.duration - cfg.warmup;
-        let results = instances
-            .iter()
-            .map(|inst| KvInstanceResult {
-                ops: inst.ops_done,
-                read_latency: inst.read_hist.summary(),
-                write_latency: inst.write_hist.summary(),
-                lsm: inst.kv.stats(),
-            })
-            .collect();
-        let mut write_back = Vec::new();
-        let mut journals = Vec::new();
-        for p in &pipelines {
-            if let Some(c) = p
-                .cache()
-                .filter(|c| c.write_policy() == gimbal_cache::WritePolicy::Back)
-            {
-                let wb = c.write_back_stats();
-                debug_assert!(
-                    wb.conservation_holds(),
-                    "write-back line conservation violated: {wb:?}"
-                );
-                write_back.push(wb);
-                journals.push(c.journal().to_vec());
-            }
-        }
+        let device = self.node.device_results();
         KvRunResult {
-            instances: results,
-            ssd_stats: pipelines.iter().map(|p| p.device().stats()).collect(),
-            gimbal_traces: traces,
-            cache: pipelines.iter().filter_map(|p| p.cache_stats()).collect(),
-            cache_losses: pipelines
+            instances: self
+                .instances
                 .iter()
-                .flat_map(|p| p.cache_losses().iter().copied())
+                .map(|inst| KvInstanceResult {
+                    ops: inst.ops_done,
+                    read_latency: inst.read_hist.summary(),
+                    write_latency: inst.write_hist.summary(),
+                    lsm: inst.kv.stats(),
+                })
                 .collect(),
-            write_back,
-            journals,
-            window,
+            ssd_stats: device.ssd_stats,
+            gimbal_traces: self.traces,
+            cache: device.cache,
+            cache_losses: device.cache_losses,
+            write_back: device.write_back,
+            journals: device.journals,
+            window: self.cfg.duration - self.cfg.warmup,
         }
     }
 
+    /// A completion capsule reached instance `cpl.tenant`.
+    fn complete(&mut self, cpl: NvmeCompletion, now: SimTime) {
+        let i = cpl.tenant.index();
+        let (kv_tag, was_low) = self.cmd_map.remove(&cpl.id.0).expect("known cmd");
+        let backend = cpl.ssd.index();
+        let inst = &mut self.instances[i];
+        if was_low {
+            inst.low_outstanding[backend] = inst.low_outstanding[backend].saturating_sub(1);
+        }
+        inst.lim
+            .on_completion(BackendId(backend as u32), cpl.credit);
+        if let Some(parda) = &mut inst.parda {
+            parda[backend].on_completion(&cpl, now);
+        }
+        if !cpl.status.is_success() {
+            // The client learns about the flash failure from the error
+            // completion: avoid the backend from now on and recover the IO
+            // via its replica.
+            inst.lim.mark_dead(BackendId(backend as u32));
+        }
+        let mut ctx = IoCtx {
+            bs: &mut self.bs,
+            lim: &inst.lim,
+            load_balance: self.cfg.load_balance,
+        };
+        let out = if cpl.status.is_success() {
+            inst.kv.io_done(kv_tag, now, &mut ctx)
+        } else {
+            inst.kv.io_failed(kv_tag, now, &mut ctx)
+        };
+        self.absorb(i, out, now);
+        self.refill(i, now);
+    }
+
     /// Record finished ops and enqueue new IOs from a step output.
-    fn absorb(
-        _cfg: &KvTestbedConfig,
-        instances: &mut [Instance],
-        i: usize,
-        out: StepOutput,
-        now: SimTime,
-        warm: SimTime,
-        end: SimTime,
-    ) {
-        let inst = &mut instances[i];
+    fn absorb(&mut self, i: usize, out: StepOutput, now: SimTime) {
+        let measured =
+            now >= SimTime::ZERO + self.cfg.warmup && now < SimTime::ZERO + self.cfg.duration;
+        let inst = &mut self.instances[i];
         for op in out.finished {
             if let Some(ticket) = inst.ops_inflight.remove(&op) {
-                if now >= warm && now < end {
+                if measured {
                     inst.ops_done += 1;
                     let lat = now.since(ticket.started);
                     if ticket.is_read {
@@ -615,32 +533,20 @@ impl KvTestbed {
         }
     }
 
-    /// Keep the closed loop full: begin new YCSB ops up to the concurrency
-    /// target.
-    fn top_up_ops(
-        cfg: &KvTestbedConfig,
-        instances: &mut [Instance],
-        bs: &mut Blobstore,
-        i: usize,
-        now: SimTime,
-    ) {
-        let warm = SimTime::ZERO + cfg.warmup;
-        let end = SimTime::ZERO + cfg.duration;
-        loop {
-            let inst = &mut instances[i];
-            if inst.ops_inflight.len() >= cfg.ops_concurrency as usize {
-                break;
-            }
+    /// Keep instance `i`'s closed loop full — begin new YCSB ops up to the
+    /// concurrency target — then drain its per-backend pending queues
+    /// through its gate onto the fabric.
+    fn refill(&mut self, i: usize, now: SimTime) {
+        while self.instances[i].ops_inflight.len() < self.cfg.ops_concurrency as usize {
+            let inst = &mut self.instances[i];
             let op = inst.workload.next_op();
             let is_read = matches!(op, KvOp::Read(_));
-            let (id, out) = {
-                let mut ctx = IoCtx {
-                    bs,
-                    lim: &inst.lim,
-                    load_balance: cfg.load_balance,
-                };
-                inst.kv.begin_op(op, now, &mut ctx)
+            let mut ctx = IoCtx {
+                bs: &mut self.bs,
+                lim: &inst.lim,
+                load_balance: self.cfg.load_balance,
             };
+            let (id, out) = inst.kv.begin_op(op, now, &mut ctx);
             inst.ops_inflight.insert(
                 id,
                 OpTicket {
@@ -648,24 +554,9 @@ impl KvTestbed {
                     is_read,
                 },
             );
-            Self::absorb(cfg, instances, i, out, now, warm, end);
+            self.absorb(i, out, now);
         }
-    }
-
-    /// Drain an instance's per-backend pending queues through its gate onto
-    /// the fabric.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_all(
-        _cfg: &KvTestbedConfig,
-        instances: &mut [Instance],
-        delays: &RdmaDelays,
-        queue: &mut EventQueue<Ev>,
-        cmd_map: &mut DetMap<u64, (usize, u64, bool)>,
-        next_cmd: &mut u64,
-        i: usize,
-        now: SimTime,
-    ) {
-        let inst = &mut instances[i];
+        let inst = &mut self.instances[i];
         for backend in 0..inst.pending.len() {
             const MAX_LOW_OUTSTANDING: u32 = 2;
             while let Some(lvl) = (0..3).find(|&l| {
@@ -680,7 +571,7 @@ impl KvTestbed {
                     inst.low_outstanding[backend] += 1;
                 }
                 let cmd = NvmeCmd {
-                    id: CmdId(*next_cmd),
+                    id: CmdId(self.next_cmd),
                     tenant: TenantId(i as u32),
                     ssd: SsdId(backend as u32),
                     opcode: io.plan.op,
@@ -690,54 +581,15 @@ impl KvTestbed {
                     issued_at: now,
                     wal: io.wal_seq,
                 };
-                *next_cmd += 1;
-                cmd_map.insert(cmd.id.0, (i, io.tag, lvl == 2));
+                self.next_cmd += 1;
+                self.cmd_map.insert(cmd.id.0, (io.tag, lvl == 2));
                 inst.lim.on_submit(BackendId(backend as u32));
+                let delays = &self.host.delays;
                 let mut arrive = delays.command_arrival(&mut inst.tx_port, now, &cmd);
                 if cmd.opcode.is_write() {
                     arrive = delays.write_payload_fetched(&mut inst.tx_port, arrive, &cmd);
                 }
-                queue.push(arrive, Ev::DeliverCmd { backend, cmd });
-            }
-        }
-    }
-
-    /// Poll a pipeline, send completion capsules back, reschedule its wake.
-    #[allow(clippy::too_many_arguments)]
-    fn pump_pipeline(
-        pipelines: &mut [Pipeline<FlashSsd>],
-        target_ports: &mut [Port],
-        wake_at: &mut [SimTime],
-        out_buf: &mut Vec<PipelineOut>,
-        delays: &RdmaDelays,
-        queue: &mut EventQueue<Ev>,
-        cmd_map: &DetMap<u64, (usize, u64, bool)>,
-        backend: usize,
-        now: SimTime,
-    ) {
-        pipelines[backend].poll(now);
-        pipelines[backend].take_outputs_into(out_buf);
-        for out in out_buf.drain(..) {
-            let (instance, _, _) = *cmd_map.get(&out.cmd.id.0).expect("tracked cmd");
-            let cpl = NvmeCompletion {
-                id: out.cmd.id,
-                tenant: out.cmd.tenant,
-                ssd: out.cmd.ssd,
-                opcode: out.cmd.opcode,
-                len: out.cmd.len,
-                status: out.status,
-                credit: out.credit,
-                issued_at: out.cmd.issued_at,
-                completed_at: out.at,
-            };
-            let arrive = delays.completion_arrival(&mut target_ports[backend], out.at, &out.cmd);
-            queue.push(arrive, Ev::DeliverCpl { instance, cpl });
-        }
-        if let Some(t) = pipelines[backend].next_event_at() {
-            let t = t.max(now + SimDuration::from_nanos(1));
-            if t < wake_at[backend] {
-                wake_at[backend] = t;
-                queue.push(t, Ev::PipelineWake(backend));
+                self.host.queue.push(arrive, Ev::DeliverCmd(cmd));
             }
         }
     }

@@ -67,9 +67,14 @@ fn lint_covers_the_telemetry_crate() {
 fn call_graph_index_finds_the_reactor_roots() {
     // D4's reachability analysis is only as good as the index under it:
     // if the poll-loop roots stop resolving (rename, move), D4 would
-    // silently report nothing. Guard the index shape directly.
+    // silently report nothing. Every root must name an indexed fn.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let report = run_workspace(root).expect("lint scan must be able to read the workspace");
+    assert!(
+        report.unresolved_roots.is_empty(),
+        "reactor roots name no indexed fn: {:?}",
+        report.unresolved_roots
+    );
     assert!(
         report.fns_indexed > 500,
         "suspiciously small symbol index: {} fns",
