@@ -29,4 +29,4 @@ pub mod store;
 pub use allocator::{BackendId, BlobAddr, HbaConfig, HierarchicalAllocator};
 pub use error::BlobError;
 pub use limiter::{RateLimiter, ReplicaHealth};
-pub use store::{Blobstore, FileId, IoPlan, WritePlan};
+pub use store::{Blobstore, FileId, IoPlan};

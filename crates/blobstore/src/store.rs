@@ -28,18 +28,6 @@ pub struct IoPlan {
     pub op: IoType,
 }
 
-/// A write plan together with its degradation status (§4.3 failure
-/// handling).
-#[derive(Clone, Debug)]
-pub struct WritePlan {
-    /// The IOs to execute.
-    pub plans: Vec<IoPlan>,
-    /// True when at least one micro lost a replica to a failed backend: the
-    /// data lands on a single live copy and redundancy is reduced until
-    /// re-replication.
-    pub degraded: bool,
-}
-
 struct File {
     /// `[primary, shadow]` micro pairs, in file order. With replication
     /// disabled the shadow equals the primary.
@@ -170,53 +158,78 @@ impl Blobstore {
         [pair[0].backend, pair[1].backend]
     }
 
+    /// Append one IO per touched micro per picked replica to `out`, in file
+    /// order. `pick` returns the chosen copies of one micro pair and how
+    /// many of them are used.
     fn span_plans(
         &self,
         id: FileId,
         offset: u64,
         blocks: u64,
         op: IoType,
-        mut pick: impl FnMut(&[BlobAddr; 2]) -> Vec<BlobAddr>,
-    ) -> Vec<IoPlan> {
+        mut pick: impl FnMut(&[BlobAddr; 2]) -> ([BlobAddr; 2], usize),
+        out: &mut Vec<IoPlan>,
+    ) {
         let f = self.files.get(&id).expect("live file");
         assert!(offset + blocks <= f.size_blocks, "IO beyond file size");
         let micro = self.alloc.micro_blocks();
-        let mut plans = Vec::new();
         let mut cur = offset;
         let end = offset + blocks;
         while cur < end {
             let idx = (cur / micro) as usize;
             let within = cur % micro;
             let len = (micro - within).min(end - cur);
-            for addr in pick(&f.micros[idx]) {
-                plans.push(IoPlan {
-                    backend: addr.backend,
-                    lba: addr.lba + within,
-                    blocks: len,
-                    op,
-                });
-            }
+            let (addrs, n) = pick(&f.micros[idx]);
+            out.extend(addrs[..n].iter().map(|addr| IoPlan {
+                backend: addr.backend,
+                lba: addr.lba + within,
+                blocks: len,
+                op,
+            }));
             cur += len;
         }
-        plans
     }
 
-    /// Plan a write: one IO per touched micro per replica. The caller must
-    /// treat the whole set as one logical write (complete when all
-    /// complete).
-    pub fn plan_write(&self, id: FileId, offset: u64, blocks: u64) -> Vec<IoPlan> {
-        let replicate = self.replicate;
-        self.span_plans(id, offset, blocks, IoType::Write, move |pair| {
-            if replicate {
-                vec![pair[0], pair[1]]
-            } else {
-                vec![pair[0]]
-            }
-        })
+    /// Plan a write, appending to `out`: one IO per touched micro per
+    /// replica. The caller must treat the whole set as one logical write
+    /// (complete when all complete).
+    pub fn plan_write_into(&self, id: FileId, offset: u64, blocks: u64, out: &mut Vec<IoPlan>) {
+        let copies = if self.replicate { 2 } else { 1 };
+        self.span_plans(
+            id,
+            offset,
+            blocks,
+            IoType::Write,
+            |pair| (*pair, copies),
+            out,
+        );
     }
 
-    /// Plan a read; `choose` picks the replica index (0 = primary) per
-    /// micro, typically [`crate::RateLimiter::choose_replica`].
+    /// Plan a read, appending to `out`; `choose` picks the replica index
+    /// (0 = primary) per micro, typically
+    /// [`crate::RateLimiter::choose_replica`].
+    pub fn plan_read_into<C: Fn(&[BackendId; 2]) -> usize>(
+        &self,
+        id: FileId,
+        offset: u64,
+        blocks: u64,
+        choose: C,
+        out: &mut Vec<IoPlan>,
+    ) {
+        self.span_plans(
+            id,
+            offset,
+            blocks,
+            IoType::Read,
+            |pair| {
+                let pick = choose(&[pair[0].backend, pair[1].backend]).min(1);
+                ([pair[pick]; 2], 1)
+            },
+            out,
+        );
+    }
+
+    /// [`Self::plan_read_into`] into a fresh `Vec`.
     pub fn plan_read<C: Fn(&[BackendId; 2]) -> usize>(
         &self,
         id: FileId,
@@ -224,69 +237,58 @@ impl Blobstore {
         blocks: u64,
         choose: C,
     ) -> Vec<IoPlan> {
-        self.span_plans(id, offset, blocks, IoType::Read, move |pair| {
-            let backends = [pair[0].backend, pair[1].backend];
-            let pick = choose(&backends).min(1);
-            vec![pair[pick]]
-        })
-    }
-
-    /// Re-plan a read on the *other* replica after `avoid` errored or was
-    /// marked failed: every touched micro is served by its copy that is not
-    /// on `avoid`. Errs with [`BlobError::DataUnavailable`] when some micro
-    /// has no such copy (unreplicated, or both replicas on `avoid`).
-    pub fn plan_read_shadow(
-        &self,
-        id: FileId,
-        offset: u64,
-        blocks: u64,
-        avoid: BackendId,
-    ) -> Result<Vec<IoPlan>, BlobError> {
-        let mut unservable = false;
-        let plans = self.span_plans(id, offset, blocks, IoType::Read, |pair| {
-            match pair.iter().find(|a| a.backend != avoid) {
-                Some(&alt) => vec![alt],
-                None => {
-                    unservable = true;
-                    vec![]
-                }
-            }
-        });
-        if unservable {
-            return Err(BlobError::DataUnavailable);
-        }
-        Ok(plans)
+        let mut out = Vec::new();
+        self.plan_read_into(id, offset, blocks, choose, &mut out);
+        out
     }
 
     /// Plan a write that skips failed backends (`dead` reports the failure
-    /// view, typically [`crate::RateLimiter::is_dead`]): replicas on dead
-    /// backends are dropped and the loss is surfaced via
-    /// [`WritePlan::degraded`]. Errs with [`BlobError::DataUnavailable`]
-    /// when a micro has no live replica left at all.
-    pub fn plan_write_degraded<D: Fn(BackendId) -> bool>(
+    /// view, typically [`crate::RateLimiter::is_dead`]), appending to
+    /// `out`: replicas on dead backends are dropped. Returns whether any
+    /// micro lost a replica that way — the data then lands on a single
+    /// live copy and redundancy is reduced until re-replication. Errs with
+    /// [`BlobError::DataUnavailable`], leaving `out` as it was, when a
+    /// micro has no live replica left at all.
+    pub fn plan_write_degraded_into<D: Fn(BackendId) -> bool>(
         &self,
         id: FileId,
         offset: u64,
         blocks: u64,
         dead: D,
-    ) -> Result<WritePlan, BlobError> {
-        let replicate = self.replicate;
+        out: &mut Vec<IoPlan>,
+    ) -> Result<bool, BlobError> {
+        let want = if self.replicate { 2 } else { 1 };
         let mut degraded = false;
         let mut unservable = false;
-        let plans = self.span_plans(id, offset, blocks, IoType::Write, |pair| {
-            let want: &[BlobAddr] = if replicate { &pair[..] } else { &pair[..1] };
-            let live: Vec<BlobAddr> = want.iter().copied().filter(|a| !dead(a.backend)).collect();
-            if live.is_empty() {
-                unservable = true;
-            } else if live.len() < want.len() {
-                degraded = true;
-            }
-            live
-        });
+        let start = out.len();
+        self.span_plans(
+            id,
+            offset,
+            blocks,
+            IoType::Write,
+            |pair| {
+                let mut live = *pair;
+                let mut n = 0;
+                for &a in &pair[..want] {
+                    if !dead(a.backend) {
+                        live[n] = a;
+                        n += 1;
+                    }
+                }
+                if n == 0 {
+                    unservable = true;
+                } else if n < want {
+                    degraded = true;
+                }
+                (live, n)
+            },
+            out,
+        );
         if unservable {
+            out.truncate(start);
             return Err(BlobError::DataUnavailable);
         }
-        Ok(WritePlan { plans, degraded })
+        Ok(degraded)
     }
 }
 
@@ -300,12 +302,30 @@ mod tests {
         Blobstore::new(alloc, replicate).expect("valid store config")
     }
 
+    fn plan_write(s: &Blobstore, id: FileId, offset: u64, blocks: u64) -> Vec<IoPlan> {
+        let mut out = Vec::new();
+        s.plan_write_into(id, offset, blocks, &mut out);
+        out
+    }
+
+    fn plan_write_degraded(
+        s: &Blobstore,
+        id: FileId,
+        offset: u64,
+        blocks: u64,
+        dead: impl Fn(BackendId) -> bool,
+    ) -> Result<(Vec<IoPlan>, bool), BlobError> {
+        let mut out = Vec::new();
+        let degraded = s.plan_write_degraded_into(id, offset, blocks, dead, &mut out)?;
+        Ok((out, degraded))
+    }
+
     #[test]
     fn create_write_read_roundtrip() {
         let mut s = store(true, 3);
         let f = s.create_file(128, |_| 1.0).unwrap();
         assert_eq!(s.file_blocks(f), 128);
-        let writes = s.plan_write(f, 0, 128);
+        let writes = plan_write(&s, f, 0, 128);
         // 2 micros × 2 replicas.
         assert_eq!(writes.len(), 4);
         assert!(writes.iter().all(|p| p.op == IoType::Write));
@@ -361,7 +381,7 @@ mod tests {
     fn unreplicated_store_writes_once() {
         let mut s = store(false, 1);
         let f = s.create_file(64, |_| 1.0).unwrap();
-        assert_eq!(s.plan_write(f, 0, 64).len(), 1);
+        assert_eq!(plan_write(&s, f, 0, 64).len(), 1);
     }
 
     #[test]
@@ -431,50 +451,167 @@ mod tests {
     }
 
     #[test]
-    fn shadow_replan_avoids_the_failed_backend() {
-        let mut s = store(true, 2);
-        let f = s.create_file(128, |_| 1.0).unwrap();
-        let primary = s.plan_read(f, 0, 128, |_| 0);
-        let failed = primary[0].backend;
-        let replanned = s.plan_read_shadow(f, 0, 128, failed).unwrap();
-        assert_eq!(replanned.len(), primary.len());
-        assert!(replanned.iter().all(|p| p.backend != failed));
-        // Same spans, different copies.
-        for (a, b) in primary.iter().zip(&replanned) {
-            assert_eq!(a.blocks, b.blocks);
-            assert_eq!(a.op, b.op);
-        }
-    }
-
-    #[test]
-    fn shadow_replan_without_replication_reports_data_unavailable() {
-        let mut s = store(false, 1);
-        let f = s.create_file(64, |_| 1.0).unwrap();
-        let only = s.plan_read(f, 0, 64, |_| 0)[0].backend;
-        assert_eq!(
-            s.plan_read_shadow(f, 0, 64, only),
-            Err(crate::BlobError::DataUnavailable)
-        );
-    }
-
-    #[test]
     fn degraded_write_drops_dead_replicas_and_surfaces_it() {
         let mut s = store(true, 2);
         let f = s.create_file(128, |_| 1.0).unwrap();
         // Healthy: both replicas, not degraded.
-        let healthy = s.plan_write_degraded(f, 0, 128, |_| false).unwrap();
-        assert_eq!(healthy.plans.len(), 4);
-        assert!(!healthy.degraded);
+        let (plans, degraded) = plan_write_degraded(&s, f, 0, 128, |_| false).unwrap();
+        assert_eq!(plans.len(), 4);
+        assert!(!degraded);
         // Backend 0 dies: single-replica writes, surfaced as degraded.
         let dead = BackendId(0);
-        let w = s.plan_write_degraded(f, 0, 128, |b| b == dead).unwrap();
-        assert_eq!(w.plans.len(), 2);
-        assert!(w.degraded);
-        assert!(w.plans.iter().all(|p| p.backend != dead));
+        let (plans, degraded) = plan_write_degraded(&s, f, 0, 128, |b| b == dead).unwrap();
+        assert_eq!(plans.len(), 2);
+        assert!(degraded);
+        assert!(plans.iter().all(|p| p.backend != dead));
         // Everything dead: unservable.
         assert_eq!(
-            s.plan_write_degraded(f, 0, 128, |_| true).err(),
+            plan_write_degraded(&s, f, 0, 128, |_| true).err(),
             Some(crate::BlobError::DataUnavailable)
         );
+    }
+
+    /// The planner before it wrote into a caller's buffer: one `Vec` of
+    /// chosen copies per micro, collected into a fresh plan list.
+    fn reference_plans(
+        s: &Blobstore,
+        id: FileId,
+        offset: u64,
+        blocks: u64,
+        op: IoType,
+        mut pick: impl FnMut(&[BlobAddr; 2]) -> Vec<BlobAddr>,
+    ) -> Vec<IoPlan> {
+        let f = s.files.get(&id).expect("live file");
+        let micro = s.alloc.micro_blocks();
+        let mut plans = Vec::new();
+        let mut cur = offset;
+        let end = offset + blocks;
+        while cur < end {
+            let idx = (cur / micro) as usize;
+            let within = cur % micro;
+            let len = (micro - within).min(end - cur);
+            for addr in pick(&f.micros[idx]) {
+                plans.push(IoPlan {
+                    backend: addr.backend,
+                    lba: addr.lba + within,
+                    blocks: len,
+                    op,
+                });
+            }
+            cur += len;
+        }
+        plans
+    }
+
+    fn reference_degraded(
+        s: &Blobstore,
+        id: FileId,
+        offset: u64,
+        blocks: u64,
+        dead: impl Fn(BackendId) -> bool,
+    ) -> Result<(Vec<IoPlan>, bool), BlobError> {
+        let (mut degraded, mut unservable) = (false, false);
+        let plans = reference_plans(s, id, offset, blocks, IoType::Write, |pair| {
+            let want: &[BlobAddr] = if s.replicate { &pair[..] } else { &pair[..1] };
+            let live: Vec<BlobAddr> = want.iter().copied().filter(|a| !dead(a.backend)).collect();
+            if live.is_empty() {
+                unservable = true;
+            } else if live.len() < want.len() {
+                degraded = true;
+            }
+            live
+        });
+        if unservable {
+            return Err(BlobError::DataUnavailable);
+        }
+        Ok((plans, degraded))
+    }
+
+    #[test]
+    fn into_planners_match_the_per_micro_vec_planner() {
+        let mut rng = gimbal_sim::SimRng::new(7);
+        for (replicate, backends) in [(false, 1), (false, 3), (true, 2), (true, 4)] {
+            let mut s = store(replicate, backends);
+            let files: Vec<FileId> = (0..3)
+                .map(|_| s.create_file(64 * 7 + 13, |_| 1.0).unwrap())
+                .collect();
+            // No backend dead, each one dead alone, and every one dead.
+            let mut dead_sets: Vec<Vec<u32>> = vec![vec![]];
+            dead_sets.extend((0..backends as u32).map(|b| vec![b]));
+            dead_sets.push((0..backends as u32).collect());
+            for _ in 0..200 {
+                let f = files[rng.gen_below(3) as usize];
+                let size = s.file_blocks(f);
+                let offset = rng.gen_below(size);
+                // Up to three micros long, so most spans cross a boundary.
+                let blocks = 1 + rng.gen_below((size - offset).min(3 * 64));
+                let side = rng.gen_below(2) as usize;
+                let choose = |_: &[BackendId; 2]| side;
+                assert_eq!(
+                    s.plan_read(f, offset, blocks, choose),
+                    reference_plans(&s, f, offset, blocks, IoType::Read, |pair| {
+                        vec![pair[side]]
+                    })
+                );
+                assert_eq!(
+                    plan_write(&s, f, offset, blocks),
+                    reference_plans(&s, f, offset, blocks, IoType::Write, |pair| {
+                        if replicate {
+                            pair.to_vec()
+                        } else {
+                            vec![pair[0]]
+                        }
+                    })
+                );
+                for dead in &dead_sets {
+                    let is_dead = |b: BackendId| dead.contains(&b.0);
+                    assert_eq!(
+                        plan_write_degraded(&s, f, offset, blocks, is_dead),
+                        reference_degraded(&s, f, offset, blocks, is_dead),
+                        "replicate {replicate}, dead {dead:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn into_planners_append_to_out() {
+        let mut s = store(true, 2);
+        let f = s.create_file(128, |_| 1.0).unwrap();
+        let marker = IoPlan {
+            backend: BackendId(9),
+            lba: 1,
+            blocks: 1,
+            op: IoType::Read,
+        };
+        let mut out = vec![marker];
+        s.plan_read_into(f, 0, 128, |_| 0, &mut out);
+        assert_eq!(out.len(), 3);
+        s.plan_write_into(f, 0, 128, &mut out);
+        assert_eq!(out.len(), 7);
+        assert_eq!(
+            s.plan_write_degraded_into(f, 0, 128, |_| false, &mut out),
+            Ok(false)
+        );
+        assert_eq!(out.len(), 11);
+        assert_eq!(out[0], marker);
+    }
+
+    #[test]
+    fn failed_degraded_write_leaves_out_unchanged() {
+        let mut s = store(true, 3);
+        let f = s.create_file(64 * 4, |_| 1.0).unwrap();
+        let before = plan_write(&s, f, 0, 64);
+        let mut out = before.clone();
+        // Kill both copies of the last micro: whatever was planned for the
+        // micros before it must be rolled back.
+        let [p, sh] = s.replicas_at(f, 64 * 3);
+        let dead = |b: BackendId| b == p || b == sh;
+        assert_eq!(
+            s.plan_write_degraded_into(f, 0, 64 * 4, dead, &mut out),
+            Err(BlobError::DataUnavailable)
+        );
+        assert_eq!(out, before);
     }
 }

@@ -1128,10 +1128,8 @@ impl SsdCache {
         opportunistic: bool,
     ) -> Option<(u64, TenantId, Option<u64>, bool)> {
         // Purge stale heads so the candidate scan below sees live entries.
-        let tenant_ids: Vec<TenantId> = self.tenants.keys().copied().collect();
-        for t in &tenant_ids {
-            let lines = &self.lines;
-            let p = self.tenants.get_mut(t).expect("listed tenant");
+        let lines = &self.lines;
+        for (t, p) in self.tenants.iter_mut() {
             while let Some(&(l, _, w)) = p.wal_q.front() {
                 if Self::queue_entry_valid(lines, *t, l, Some(w)) {
                     break;

@@ -199,16 +199,10 @@ impl CoreScheduler {
         if self.cores.len() < 2 || self.cores[home].borrow().busy_until() <= now {
             return home;
         }
-        // Fixed-order steal ring: ascending core ids, the thief scan
-        // entering past the home id — the broker's lender-ring discipline
-        // applied to cores. The first idle core wins.
-        let mut ring: Vec<usize> = (0..self.cores.len()).filter(|&c| c != home).collect();
-        let enter = ring.partition_point(|&c| c <= home);
-        ring.rotate_left(enter);
-        if self.steal.as_ref().is_some_and(|s| s.perturb_steal_order) {
-            ring.reverse();
-        }
-        for c in ring {
+        let n = self.cores.len();
+        let reversed = self.steal.as_ref().is_some_and(|s| s.perturb_steal_order);
+        for k in 1..n {
+            let c = steal_candidate(n, home, k, reversed);
             if self.cores[c].borrow().busy_until() <= now {
                 self.steals += 1;
                 self.journal_pending.push(("steal", c as u64));
@@ -332,6 +326,21 @@ impl std::fmt::Debug for CoreScheduler {
             .field("stealing", &self.steal.is_some())
             .field("steals", &self.steals)
             .finish_non_exhaustive()
+    }
+}
+
+/// The `k`-th core (1-based) a busy `home` core's pipeline tries to
+/// steal, among `n` cores. The fixed-order steal ring is ascending core
+/// ids, the thief scan entering past the home id — the broker's
+/// lender-ring discipline applied to cores — so it visits `home + 1`,
+/// `home + 2`, … modulo `n`; `reversed` (the injected nondeterminism of
+/// [`StealConfig::perturb_steal_order`]) walks it backwards. The first
+/// idle core wins.
+fn steal_candidate(n: usize, home: usize, k: usize, reversed: bool) -> usize {
+    if reversed {
+        (home + n - k) % n
+    } else {
+        (home + k) % n
     }
 }
 
@@ -524,5 +533,36 @@ mod tests {
             (s.drain_journal(), d.value())
         };
         assert_eq!(run(), run());
+    }
+
+    /// The steal ring as it was built before the walk became arithmetic:
+    /// collect every other core, rotate past the home id, and reverse
+    /// under perturbation.
+    fn reference_ring(n: usize, home: usize, reversed: bool) -> Vec<usize> {
+        let mut ring: Vec<usize> = (0..n).filter(|&c| c != home).collect();
+        let enter = ring.partition_point(|&c| c <= home);
+        ring.rotate_left(enter);
+        if reversed {
+            ring.reverse();
+        }
+        ring
+    }
+
+    #[test]
+    fn steal_walk_visits_the_reference_ring_in_order() {
+        for n in 1..=8 {
+            for home in 0..n {
+                for reversed in [false, true] {
+                    let walk: Vec<usize> = (1..n)
+                        .map(|k| steal_candidate(n, home, k, reversed))
+                        .collect();
+                    assert_eq!(
+                        walk,
+                        reference_ring(n, home, reversed),
+                        "n {n}, home {home}, reversed {reversed}"
+                    );
+                }
+            }
+        }
     }
 }

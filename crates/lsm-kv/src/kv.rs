@@ -73,13 +73,6 @@ pub struct TaggedIo {
     pub priority: Priority,
 }
 
-/// What happened to an operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KvOutcome {
-    /// Operation finished.
-    Done,
-}
-
 /// Output of one state-machine step.
 #[derive(Debug, Default)]
 pub struct StepOutput {
@@ -87,13 +80,6 @@ pub struct StepOutput {
     pub ios: Vec<TaggedIo>,
     /// Operations that finished in this step.
     pub finished: Vec<u64>,
-}
-
-impl StepOutput {
-    fn merge(&mut self, other: StepOutput) {
-        self.ios.extend(other.ios);
-        self.finished.extend(other.finished);
-    }
 }
 
 /// Running statistics for one store instance.
@@ -136,6 +122,7 @@ enum OpState {
     WaitingWal,
 }
 
+#[derive(Clone, Copy)]
 enum IoKind {
     Probe { op: u64, table: TableId },
     WalGroup { group: u64 },
@@ -237,6 +224,14 @@ pub struct LsmKv {
     /// `emit_pending_wal` at the next call that holds an [`IoCtx`].
     pending_wal: Option<(FileId, u64, u64, u64, Vec<u64>)>,
 
+    /// Recycled scratch for one blobstore planning call; empty between
+    /// calls.
+    plan_buf: Vec<IoPlan>,
+    /// Emptied probe candidate lists, reused by the next probe walk.
+    spare_candidates: Vec<Vec<TableId>>,
+    /// Emptied WAL-group op lists, reused by the next WAL batch.
+    spare_ops: Vec<Vec<u64>>,
+
     stats: LsmStats,
 }
 
@@ -268,6 +263,9 @@ impl LsmKv {
             flush: None,
             compaction: None,
             pending_wal: None,
+            plan_buf: Vec::new(),
+            spare_candidates: Vec::new(),
+            spare_ops: Vec::new(),
             stats: LsmStats::default(),
         }
     }
@@ -358,10 +356,10 @@ impl LsmKv {
     }
 
     /// Build the newest-to-oldest probe candidate list for `key`, applying
-    /// Bloom filters.
+    /// Bloom filters, in a recycled list.
     fn candidates(&mut self, key: u64) -> Vec<TableId> {
         let fp = self.cfg.bloom_fp;
-        let mut out = Vec::new();
+        let mut out = self.spare_candidates.pop().unwrap_or_default();
         // Work around split borrows: collect decisions with a local RNG ref.
         let rng = &mut self.rng;
         for t in &self.l0 {
@@ -380,11 +378,44 @@ impl LsmKv {
         out
     }
 
+    fn recycle_candidates(&mut self, mut candidates: Vec<TableId>) {
+        candidates.clear();
+        self.spare_candidates.push(candidates);
+    }
+
+    /// Tag the plans in `plan_buf` as `kind` IOs and append them to `out`,
+    /// allocating tags in plan order. Returns how many were appended.
+    fn push_planned(
+        &mut self,
+        kind: IoKind,
+        priority: Priority,
+        wal_seq: Option<u64>,
+        out: &mut Vec<TaggedIo>,
+    ) -> usize {
+        let plans = std::mem::take(&mut self.plan_buf);
+        for &plan in &plans {
+            let tag = self.alloc_tag(kind);
+            out.push(TaggedIo {
+                tag,
+                plan,
+                priority,
+                wal_seq,
+            });
+        }
+        let n = plans.len();
+        self.plan_buf = plans;
+        self.plan_buf.clear();
+        n
+    }
+
     fn issue_probe(&mut self, op: u64, key: u64, table: TableId, ctx: &mut IoCtx<'_>) -> TaggedIo {
         let t = self.find_table(table).expect("probe target exists");
         let block = t.block_of(key);
         let file = t.file;
-        let plan = ctx.bs.plan_read(file, block, 1, |reps| ctx.choose(reps))[0];
+        ctx.bs
+            .plan_read_into(file, block, 1, |reps| ctx.choose(reps), &mut self.plan_buf);
+        let plan = self.plan_buf[0];
+        self.plan_buf.clear();
         self.stats.probe_reads += 1;
         let tag = self.alloc_tag(IoKind::Probe { op, table });
         TaggedIo {
@@ -395,14 +426,20 @@ impl LsmKv {
         }
     }
 
-    fn start_probing(&mut self, op: u64, key: u64, rmw: bool, ctx: &mut IoCtx<'_>) -> StepOutput {
+    fn start_probing(
+        &mut self,
+        op: u64,
+        key: u64,
+        rmw: bool,
+        ctx: &mut IoCtx<'_>,
+        out: &mut StepOutput,
+    ) {
         let candidates = self.candidates(key);
         if candidates.is_empty() {
             // Not found anywhere (possible for not-yet-loaded keys).
-            return StepOutput {
-                ios: vec![],
-                finished: vec![op],
-            };
+            self.recycle_candidates(candidates);
+            out.finished.push(op);
+            return;
         }
         let io = self.issue_probe(op, key, candidates[0], ctx);
         self.ops.insert(
@@ -414,10 +451,7 @@ impl LsmKv {
                 rmw,
             },
         );
-        StepOutput {
-            ios: vec![io],
-            finished: vec![],
-        }
+        out.ios.push(io);
     }
 
     fn memtable_full(&self) -> bool {
@@ -425,13 +459,13 @@ impl LsmKv {
     }
 
     /// Apply the write part of an update: memtable insert + WAL batch join.
-    /// Returns `None` if the op stalled.
-    fn apply_update(&mut self, op: u64, key: u64, now: SimTime) -> Option<StepOutput> {
+    /// Returns `false` if the op stalled.
+    fn apply_update(&mut self, op: u64, key: u64, now: SimTime) -> bool {
         if self.imm && self.memtable_full() {
             // Write stall: both memtables full; wait for the flush.
             self.stats.write_stalls += 1;
             self.stalled.push_back((op, key));
-            return None;
+            return false;
         }
         self.mem.insert(key);
         self.mem_bytes += self.cfg.value_bytes;
@@ -439,35 +473,32 @@ impl LsmKv {
         self.batch_bytes += self.cfg.value_bytes + 32; // WAL record header
         self.batch_started.get_or_insert(now);
         self.ops.insert(op, OpState::WaitingWal);
-        let mut out = StepOutput::default();
         if self.batch_bytes >= self.cfg.wal_batch_bytes {
-            out.ios.extend(self.flush_wal());
+            self.flush_wal();
         }
-        Some(out)
+        true
     }
 
-    fn flush_wal(&mut self) -> Vec<TaggedIo> {
+    /// Close the current WAL batch into `pending_wal`; its plans need the
+    /// blobstore, so `emit_pending_wal` materializes them at the next call
+    /// that holds an [`IoCtx`].
+    fn flush_wal(&mut self) {
         if self.batch_ops.is_empty() {
-            return vec![];
+            return;
         }
         let wal = self.wal_file.expect("loaded");
         let blocks = self.batch_bytes.div_ceil(4096).max(1);
         if self.wal_cursor + blocks > self.cfg.wal_file_blocks {
             self.wal_cursor = 0; // circular log
         }
-        // Plan against the blobstore happens in the caller-provided ctx for
-        // reads; WAL writes always hit both replicas via plan_write, which
-        // needs &Blobstore — stored plans are deferred to `take`-style
-        // emission here. We reconstruct plans inline instead.
-        let ops = std::mem::take(&mut self.batch_ops);
+        let spare = self.spare_ops.pop().unwrap_or_default();
+        let ops = std::mem::replace(&mut self.batch_ops, spare);
         self.batch_bytes = 0;
         self.batch_started = None;
         let group = self.next_group;
         self.next_group += 1;
         self.pending_wal = Some((wal, self.wal_cursor, blocks, group, ops));
         self.wal_cursor += blocks;
-        // Resolved by emit_pending_wal (needs ctx); the caller invokes it.
-        vec![]
     }
 
     fn level_bytes(&self, level1_based: usize) -> u64 {
@@ -477,74 +508,78 @@ impl LsmKv {
             .sum()
     }
 
-    /// Begin a client operation; returns its id plus initial IOs.
-    pub fn begin_op(&mut self, op: KvOp, now: SimTime, ctx: &mut IoCtx<'_>) -> (u64, StepOutput) {
+    /// Begin a client operation; returns its id and appends its initial
+    /// IOs (and the op itself, if it finished at once) to `out`.
+    pub fn begin_op_into(
+        &mut self,
+        op: KvOp,
+        now: SimTime,
+        ctx: &mut IoCtx<'_>,
+        out: &mut StepOutput,
+    ) -> u64 {
         assert!(self.wal_file.is_some(), "call load() first");
         let id = self.next_op;
         self.next_op += 1;
-        let mut out = match op {
+        match op {
             KvOp::Read(key) => {
                 if self.mem.contains(&key) {
                     self.stats.mem_hits += 1;
-                    StepOutput {
-                        ios: vec![],
-                        finished: vec![id],
-                    }
+                    out.finished.push(id);
                 } else {
-                    self.start_probing(id, key, false, ctx)
+                    self.start_probing(id, key, false, ctx, out);
                 }
             }
             KvOp::Update(key) | KvOp::Insert(key) => {
-                self.apply_update(id, key, now).unwrap_or_default()
+                self.apply_update(id, key, now);
             }
             KvOp::ReadModifyWrite(key) => {
                 if self.mem.contains(&key) {
                     self.stats.mem_hits += 1;
-                    self.apply_update(id, key, now).unwrap_or_default()
+                    self.apply_update(id, key, now);
                 } else {
-                    self.start_probing(id, key, true, ctx)
+                    self.start_probing(id, key, true, ctx, out);
                 }
             }
-        };
-        out.ios.extend(self.emit_pending_wal(ctx));
+        }
+        self.emit_pending_wal(ctx, out);
+        id
+    }
+
+    /// [`Self::begin_op_into`] into a fresh [`StepOutput`].
+    pub fn begin_op(&mut self, op: KvOp, now: SimTime, ctx: &mut IoCtx<'_>) -> (u64, StepOutput) {
+        let mut out = StepOutput::default();
+        let id = self.begin_op_into(op, now, ctx, &mut out);
         (id, out)
     }
 
-    fn emit_pending_wal(&mut self, ctx: &mut IoCtx<'_>) -> Vec<TaggedIo> {
+    fn emit_pending_wal(&mut self, ctx: &mut IoCtx<'_>, out: &mut StepOutput) {
         let Some((wal, cursor, blocks, group, ops)) = self.pending_wal.take() else {
-            return vec![];
+            return;
         };
-        let plans = ctx.bs.plan_write(wal, cursor, blocks);
-        self.wal_groups.insert(
-            group,
-            WalGroup {
-                remaining: plans.len(),
-                ops,
-            },
+        ctx.bs
+            .plan_write_into(wal, cursor, blocks, &mut self.plan_buf);
+        let remaining = self.plan_buf.len();
+        self.wal_groups.insert(group, WalGroup { remaining, ops });
+        self.stats.wal_writes += remaining as u64;
+        self.push_planned(
+            IoKind::WalGroup { group },
+            Priority::NORMAL,
+            Some(group),
+            &mut out.ios,
         );
-        self.stats.wal_writes += plans.len() as u64;
-        plans
-            .into_iter()
-            .map(|plan| TaggedIo {
-                tag: self.alloc_tag(IoKind::WalGroup { group }),
-                plan,
-                priority: Priority::NORMAL,
-                wal_seq: Some(group),
-            })
-            .collect()
     }
 
     /// Advance background work: stale WAL batches, memtable flushes, and
-    /// compactions. The engine calls this on completions and on a timer.
-    pub fn pump(&mut self, now: SimTime, ctx: &mut IoCtx<'_>) -> StepOutput {
-        let mut out = StepOutput::default();
+    /// compactions, appending the IOs it starts to `out`. The engine calls
+    /// this on completions and on a timer.
+    pub fn pump_into(&mut self, now: SimTime, ctx: &mut IoCtx<'_>, out: &mut StepOutput) {
         // Stale WAL batch.
         if let Some(started) = self.batch_started {
             if now.since(started) >= self.cfg.wal_max_batch_age {
                 self.flush_wal();
             }
         }
-        out.ios.extend(self.emit_pending_wal(ctx));
+        self.emit_pending_wal(ctx, out);
         // Start a memtable flush.
         if !self.imm && self.memtable_full() {
             let keys = std::mem::take(&mut self.mem);
@@ -554,54 +589,51 @@ impl LsmKv {
             let score = |b: BackendId| ctx.lim.headroom(b) as f64;
             let file = ctx.bs.create_file(blocks, score).expect("flush allocation");
             // Sequential writes in micro-blob chunks.
-            let mut ios = Vec::new();
+            let mut pending = 0;
             let mut off = 0;
             while off < blocks {
                 let len = 64.min(blocks - off);
-                for plan in ctx.bs.plan_write(file, off, len) {
-                    ios.push(TaggedIo {
-                        tag: self.alloc_tag(IoKind::Flush),
-                        plan,
-                        priority: Priority::LOW,
-                        wal_seq: None,
-                    });
-                    self.stats.background_write_bytes += len * 4096;
-                }
+                ctx.bs.plan_write_into(file, off, len, &mut self.plan_buf);
+                self.stats.background_write_bytes += len * 4096 * self.plan_buf.len() as u64;
+                pending += self.push_planned(IoKind::Flush, Priority::LOW, None, &mut out.ios);
                 off += len;
             }
             self.flush = Some(FlushJob {
                 keys,
                 file,
                 size_blocks: blocks,
-                pending: ios.len(),
+                pending,
             });
-            // Stall relief: the active memtable is empty now.
-            out.merge(self.drain_stalled(now));
-            out.ios.extend(ios);
+            // Stall relief: the active memtable is empty now. Resumed
+            // updates only join the WAL batch, so this emits nothing.
+            self.drain_stalled(now);
         }
         // Start a compaction.
         if self.compaction.is_none() {
-            if let Some(job_ios) = self.maybe_start_compaction(ctx) {
-                out.ios.extend(job_ios);
-            }
+            self.maybe_start_compaction(ctx, &mut out.ios);
         }
-        out
     }
 
-    fn drain_stalled(&mut self, now: SimTime) -> StepOutput {
+    /// [`Self::pump_into`] into a fresh [`StepOutput`].
+    pub fn pump(&mut self, now: SimTime, ctx: &mut IoCtx<'_>) -> StepOutput {
         let mut out = StepOutput::default();
-        while let Some((op, key)) = self.stalled.pop_front() {
-            match self.apply_update(op, key, now) {
-                Some(o) => out.merge(o),
-                None => break, // stalled again
-            }
-        }
+        self.pump_into(now, ctx, &mut out);
         out
     }
 
-    fn maybe_start_compaction(&mut self, ctx: &mut IoCtx<'_>) -> Option<Vec<TaggedIo>> {
+    fn drain_stalled(&mut self, now: SimTime) {
+        while let Some((op, key)) = self.stalled.pop_front() {
+            if !self.apply_update(op, key, now) {
+                break; // stalled again
+            }
+        }
+    }
+
+    /// The input tables and target level of the next compaction, if any
+    /// level needs one.
+    fn pick_compaction(&self) -> Option<(Vec<(usize, TableId)>, usize)> {
         // L0 → L1 when L0 is deep.
-        let (input_tables, target_level) = if self.l0.len() > self.cfg.l0_limit {
+        if self.l0.len() > self.cfg.l0_limit {
             let lo = self.l0.iter().map(|t| t.key_min).min().unwrap();
             let hi = self.l0.iter().map(|t| t.key_max).max().unwrap();
             let mut inputs: Vec<(usize, TableId)> = self.l0.iter().map(|t| (0, t.id)).collect();
@@ -611,29 +643,32 @@ impl LsmKv {
                     .filter(|t| t.overlaps(lo, hi))
                     .map(|t| (1, t.id)),
             );
-            (inputs, 1usize)
-        } else {
-            // Size-triggered compaction of the first over-cap level.
-            let mut found = None;
-            for l in 1..self.levels.len() {
-                if self.level_bytes(l) > self.level_cap_bytes(l) && !self.levels[l - 1].is_empty() {
-                    let victim = &self.levels[l - 1][0];
-                    let (lo, hi) = (victim.key_min, victim.key_max);
-                    let mut inputs = vec![(l, victim.id)];
-                    inputs.extend(
-                        self.levels[l]
-                            .iter()
-                            .filter(|t| t.overlaps(lo, hi))
-                            .map(|t| (l + 1, t.id)),
-                    );
-                    found = Some((inputs, l + 1));
-                    break;
-                }
+            return Some((inputs, 1));
+        }
+        // Size-triggered compaction of the first over-cap level.
+        for l in 1..self.levels.len() {
+            if self.level_bytes(l) > self.level_cap_bytes(l) && !self.levels[l - 1].is_empty() {
+                let victim = &self.levels[l - 1][0];
+                let (lo, hi) = (victim.key_min, victim.key_max);
+                let mut inputs = vec![(l, victim.id)];
+                inputs.extend(
+                    self.levels[l]
+                        .iter()
+                        .filter(|t| t.overlaps(lo, hi))
+                        .map(|t| (l + 1, t.id)),
+                );
+                return Some((inputs, l + 1));
             }
-            found?
+        }
+        None
+    }
+
+    fn maybe_start_compaction(&mut self, ctx: &mut IoCtx<'_>, out: &mut Vec<TaggedIo>) {
+        let Some((input_tables, target_level)) = self.pick_compaction() else {
+            return;
         };
         // Read phase: sequential reads of every input file.
-        let mut ios = Vec::new();
+        let mut pending = 0;
         let mut merged: DetSet<u64> = DetSet::new();
         let mut input_files = Vec::new();
         for &(_, tid) in &input_tables {
@@ -645,15 +680,10 @@ impl LsmKv {
             let mut off = 0;
             while off < blocks {
                 let len = 64.min(blocks - off);
-                for plan in ctx.bs.plan_read(file, off, len, |reps| ctx.choose(reps)) {
-                    ios.push(TaggedIo {
-                        tag: self.alloc_tag(IoKind::CompactionRead),
-                        plan,
-                        priority: Priority::LOW,
-                        wal_seq: None,
-                    });
-                    self.stats.background_read_bytes += len * 4096;
-                }
+                ctx.bs
+                    .plan_read_into(file, off, len, |reps| ctx.choose(reps), &mut self.plan_buf);
+                self.stats.background_read_bytes += len * 4096 * self.plan_buf.len() as u64;
+                pending += self.push_planned(IoKind::CompactionRead, Priority::LOW, None, out);
                 off += len;
             }
         }
@@ -661,26 +691,24 @@ impl LsmKv {
         merged.sort_unstable();
         self.compaction = Some(CompactionJob {
             phase: CompactionPhase::Reading,
-            pending: ios.len(),
+            pending,
             input_tables,
             input_files,
             merged_keys: merged,
             outputs: Vec::new(),
             target_level,
         });
-        Some(ios)
     }
 
-    fn compaction_write_phase(&mut self, ctx: &mut IoCtx<'_>) -> Vec<TaggedIo> {
+    fn compaction_write_phase(&mut self, ctx: &mut IoCtx<'_>, out: &mut Vec<TaggedIo>) {
         let per = self.entries_per_table();
         let value_bytes = self.cfg.value_bytes;
         let job = self.compaction.as_mut().expect("job");
         job.phase = CompactionPhase::Writing;
         let keys = std::mem::take(&mut job.merged_keys);
-        let mut ios = Vec::new();
         let score = |b: BackendId| ctx.lim.headroom(b) as f64;
         let mut outputs = Vec::new();
-        let mut background_bytes = 0u64;
+        let mut pending = 0;
         for chunk in keys.chunks(per as usize) {
             let blocks = ((chunk.len() as u64) * value_bytes).div_ceil(4096).max(1);
             let file = ctx
@@ -691,26 +719,16 @@ impl LsmKv {
             let mut off = 0;
             while off < blocks {
                 let len = 64.min(blocks - off);
-                for plan in ctx.bs.plan_write(file, off, len) {
-                    ios.push((plan, len));
-                    background_bytes += len * 4096;
-                }
+                ctx.bs.plan_write_into(file, off, len, &mut self.plan_buf);
+                self.stats.background_write_bytes += len * 4096 * self.plan_buf.len() as u64;
+                pending += self.push_planned(IoKind::CompactionWrite, Priority::LOW, None, out);
                 off += len;
             }
             outputs.push((file, keyset, blocks));
         }
-        let job = self.compaction.as_mut().unwrap();
+        let job = self.compaction.as_mut().expect("job");
         job.outputs = outputs;
-        job.pending = ios.len();
-        self.stats.background_write_bytes += background_bytes;
-        ios.into_iter()
-            .map(|(plan, _)| TaggedIo {
-                tag: self.alloc_tag(IoKind::CompactionWrite),
-                plan,
-                priority: Priority::LOW,
-                wal_seq: None,
-            })
-            .collect()
+        job.pending = pending;
     }
 
     fn finish_compaction(&mut self, ctx: &mut IoCtx<'_>) {
@@ -736,37 +754,55 @@ impl LsmKv {
         self.stats.compactions += 1;
     }
 
-    /// An IO failed (device error on its backend). Probe reads restart and
+    /// An IO failed (device error on its backend); appends the follow-on
+    /// IOs and finished operations to `out`. Probe reads restart and
     /// re-plan — the replica chooser now avoids the dead backend — while
     /// write-side IOs complete *degraded*: the surviving replica carries the
     /// data (§4.3's failure tolerance).
-    pub fn io_failed(&mut self, tag: u64, now: SimTime, ctx: &mut IoCtx<'_>) -> StepOutput {
+    pub fn io_failed_into(
+        &mut self,
+        tag: u64,
+        now: SimTime,
+        ctx: &mut IoCtx<'_>,
+        out: &mut StepOutput,
+    ) {
         let kind = self.io_kinds.remove(&tag).expect("unknown IO tag");
-        let mut out = StepOutput::default();
         match kind {
             IoKind::Probe { op, .. } => {
-                let Some(OpState::Probing { key, rmw, .. }) = self.ops.remove(&op) else {
+                let Some(OpState::Probing {
+                    key,
+                    rmw,
+                    candidates,
+                    ..
+                }) = self.ops.remove(&op)
+                else {
                     // lint: allow(panic-in-lib, owner=lsm-kv, expires=2028-08-01) — io_kinds/ops are private twins; a Probe tag with a non-Probing op is internal corruption, not tenant input
                     panic!("probe for op not probing");
                 };
+                self.recycle_candidates(candidates);
                 self.stats.failed_read_retries += 1;
-                out.merge(self.start_probing(op, key, rmw, ctx));
+                self.start_probing(op, key, rmw, ctx, out);
             }
             other => {
                 self.stats.degraded_writes += 1;
                 // Count the replica write as done so the logical operation
                 // (group/flush/compaction) completes on the surviving copy.
                 self.io_kinds.insert(tag, other);
-                out.merge(self.io_done(tag, now, ctx));
+                self.io_done_into(tag, now, ctx, out);
             }
         }
-        out
     }
 
-    /// An IO completed. Returns follow-on IOs and finished operations.
-    pub fn io_done(&mut self, tag: u64, now: SimTime, ctx: &mut IoCtx<'_>) -> StepOutput {
+    /// An IO completed. Appends follow-on IOs and finished operations to
+    /// `out`.
+    pub fn io_done_into(
+        &mut self,
+        tag: u64,
+        now: SimTime,
+        ctx: &mut IoCtx<'_>,
+        out: &mut StepOutput,
+    ) {
         let kind = self.io_kinds.remove(&tag).expect("unknown IO tag");
-        let mut out = StepOutput::default();
         match kind {
             IoKind::Probe { op, table } => {
                 let Some(OpState::Probing {
@@ -782,11 +818,10 @@ impl LsmKv {
                 let found = self.find_table(table).map(|t| t.contains(key));
                 match found {
                     Some(true) => {
+                        self.recycle_candidates(candidates);
                         // Found. RMW continues into its write phase.
                         if rmw {
-                            if let Some(o) = self.apply_update(op, key, now) {
-                                out.merge(o)
-                            }
+                            self.apply_update(op, key, now);
                         } else {
                             out.finished.push(op);
                         }
@@ -806,12 +841,14 @@ impl LsmKv {
                         out.ios.push(io);
                     }
                     Some(false) => {
+                        self.recycle_candidates(candidates);
                         self.stats.probe_misses += 1;
                         out.finished.push(op); // exhausted: not found
                     }
                     None => {
+                        self.recycle_candidates(candidates);
                         // Table compacted away mid-probe: restart the walk.
-                        out.merge(self.start_probing(op, key, rmw, ctx));
+                        self.start_probing(op, key, rmw, ctx, out);
                     }
                 }
             }
@@ -819,11 +856,13 @@ impl LsmKv {
                 let g = self.wal_groups.get_mut(&group).expect("group");
                 g.remaining -= 1;
                 if g.remaining == 0 {
-                    let g = self.wal_groups.remove(&group).unwrap();
-                    for op in g.ops {
+                    let mut g = self.wal_groups.remove(&group).unwrap();
+                    for &op in &g.ops {
                         self.ops.remove(&op);
                         out.finished.push(op);
                     }
+                    g.ops.clear();
+                    self.spare_ops.push(g.ops);
                 }
             }
             IoKind::Flush => {
@@ -835,14 +874,14 @@ impl LsmKv {
                     self.l0.insert(0, t); // newest first
                     self.imm = false;
                     self.stats.flushes += 1;
-                    out.merge(self.drain_stalled(now));
+                    self.drain_stalled(now);
                 }
             }
             IoKind::CompactionRead => {
                 let job = self.compaction.as_mut().expect("compaction");
                 job.pending -= 1;
                 if job.pending == 0 {
-                    out.ios.extend(self.compaction_write_phase(ctx));
+                    self.compaction_write_phase(ctx, &mut out.ios);
                 }
             }
             IoKind::CompactionWrite => {
@@ -853,7 +892,13 @@ impl LsmKv {
                 }
             }
         }
-        out.merge(self.pump(now, ctx));
+        self.pump_into(now, ctx, out);
+    }
+
+    /// [`Self::io_done_into`] into a fresh [`StepOutput`].
+    pub fn io_done(&mut self, tag: u64, now: SimTime, ctx: &mut IoCtx<'_>) -> StepOutput {
+        let mut out = StepOutput::default();
+        self.io_done_into(tag, now, ctx, &mut out);
         out
     }
 }
@@ -1035,7 +1080,8 @@ mod tests {
             lim: &lim,
             load_balance: true,
         };
-        let retry = kv.io_failed(first.tag, SimTime::ZERO, &mut ctx);
+        let mut retry = StepOutput::default();
+        kv.io_failed_into(first.tag, SimTime::ZERO, &mut ctx, &mut retry);
         assert_eq!(retry.ios.len(), 1, "one replacement probe");
         assert_ne!(
             retry.ios[0].plan.backend, first.plan.backend,
@@ -1068,7 +1114,8 @@ mod tests {
             lim: &lim,
             load_balance: true,
         };
-        let out1 = kv.io_failed(ios[0].tag, SimTime::ZERO, &mut ctx);
+        let mut out1 = StepOutput::default();
+        kv.io_failed_into(ios[0].tag, SimTime::ZERO, &mut ctx, &mut out1);
         assert!(out1.finished.is_empty());
         let fin = settle(&mut kv, &mut bs, &lim, vec![ios[1]], SimTime::ZERO);
         let mut fin = fin;

@@ -19,5 +19,5 @@
 pub mod kv;
 pub mod sstable;
 
-pub use kv::{IoCtx, KvOutcome, LsmConfig, LsmKv, LsmStats, StepOutput, TaggedIo};
+pub use kv::{IoCtx, LsmConfig, LsmKv, LsmStats, StepOutput, TaggedIo};
 pub use sstable::{SsTable, TableId};

@@ -37,7 +37,8 @@
 use crate::config::RackConfig;
 use crate::results::{RackClientResult, RackCounters, RackResult};
 use gimbal_blobstore::{
-    BackendId, Blobstore, HbaConfig, HierarchicalAllocator, RateLimiter, ReplicaHealth,
+    BackendId, Blobstore, FileId, HbaConfig, HierarchicalAllocator, IoPlan, RateLimiter,
+    ReplicaHealth,
 };
 use gimbal_broker::BrokerHandle;
 use gimbal_fabric::{
@@ -73,7 +74,7 @@ struct Client {
     /// Gated per-backend submission queues.
     pending: Vec<VecDeque<PendIo>>,
     tx_port: Port,
-    file: gimbal_blobstore::FileId,
+    file: FileId,
     rng: SimRng,
     /// Open logical IOs (the closed loop's fill level).
     inflight: u32,
@@ -96,7 +97,27 @@ struct Logical {
     /// Write planned onto fewer replicas than configured.
     degraded: bool,
     /// Backends this read has been routed to (reroutes never revisit one).
-    tried: Vec<u32>,
+    tried: Tried,
+}
+
+/// The replica backends a read has been routed to: at most the two copies
+/// of its span, since a reroute never revisits one.
+#[derive(Clone, Copy, Default)]
+struct Tried([Option<u32>; 2]);
+
+impl Tried {
+    fn contains(&self, b: u32) -> bool {
+        self.0.contains(&Some(b))
+    }
+
+    fn insert(&mut self, b: u32) {
+        let slot = self
+            .0
+            .iter_mut()
+            .find(|s| s.is_none())
+            .expect("a read has at most two replicas to try");
+        *slot = Some(b);
+    }
 }
 
 enum Ev {
@@ -279,6 +300,8 @@ pub struct RackTestbed {
     bs: Blobstore,
     clients: Vec<Client>,
     logical: DetMap<u64, Logical>,
+    /// Recycled blobstore plan buffer; empty between logical IOs.
+    plans: Vec<IoPlan>,
     next_logical: u64,
     next_cmd: u64,
     retry: RetryConfig,
@@ -442,6 +465,7 @@ impl RackTestbed {
             bs,
             clients,
             logical: DetMap::new(),
+            plans: Vec::new(),
             next_logical: 0,
             next_cmd: 0,
             retry,
@@ -481,11 +505,14 @@ impl RackTestbed {
         }
     }
 
-    /// Pick a replica among `cands` via the GC/failure-aware chooser, and
-    /// journal the decision (`op` is "choose" or "reroute").
+    /// Pick a replica among `cands` (at most the two copies of one span)
+    /// via the GC/failure-aware chooser, and journal the decision (`op` is
+    /// "choose" or "reroute").
     fn route(&mut self, cands: &[BackendId], now: SimTime, op: &'static str) -> Option<BackendId> {
-        let healths: Vec<ReplicaHealth> =
-            cands.iter().map(|&b| self.backend_health(b, now)).collect();
+        let mut healths = [ReplicaHealth::default(); 2];
+        for (h, &b) in healths.iter_mut().zip(cands) {
+            *h = self.backend_health(b, now);
+        }
         let chosen = self
             .router
             .choose_replica_aware(cands, |b| {
@@ -509,6 +536,21 @@ impl RackTestbed {
         Some(b)
     }
 
+    /// The first IO of a read of `file` served by its copy on `b`, planned
+    /// in the recycled buffer.
+    fn plan_read(&mut self, file: FileId, offset: u64, blocks: u64, b: BackendId) -> IoPlan {
+        self.bs.plan_read_into(
+            file,
+            offset,
+            blocks,
+            |pair| usize::from(pair[0] != b),
+            &mut self.plans,
+        );
+        let plan = self.plans[0];
+        self.plans.clear();
+        plan
+    }
+
     /// Keep client `i`'s closed loop full. Bounded per call so a rack with
     /// no live replicas produces a finite burst of typed errors per event
     /// instead of spinning.
@@ -527,21 +569,15 @@ impl RackTestbed {
             self.clients[i].inflight += 1;
             if is_read {
                 let pair = self.bs.replicas_at(file, offset);
-                let cands: Vec<BackendId> = if pair[0] == pair[1] {
-                    vec![pair[0]]
-                } else {
-                    pair.to_vec()
-                };
-                let Some(b) = self.route(&cands, now, "choose") else {
+                let n = if pair[0] == pair[1] { 1 } else { 2 };
+                let Some(b) = self.route(&pair[..n], now, "choose") else {
                     // Every replica of this span is dead: typed error at
                     // issue, never a panic.
                     self.net.rack.failed_typed += 1;
                     self.clients[i].inflight -= 1;
                     continue;
                 };
-                let plan = self
-                    .bs
-                    .plan_read(file, offset, io_blocks, |pair| usize::from(pair[0] != b))[0];
+                let plan = self.plan_read(file, offset, io_blocks, b);
                 self.logical.insert(
                     id,
                     Logical {
@@ -554,7 +590,7 @@ impl RackTestbed {
                         ok_sides: 0,
                         err_sides: 0,
                         degraded: false,
-                        tried: vec![b.0],
+                        tried: Tried([Some(b.0), None]),
                     },
                 );
                 self.clients[i].pending[plan.backend.index()].push_back(PendIo {
@@ -566,16 +602,19 @@ impl RackTestbed {
                 });
             } else {
                 let router = &self.router;
-                match self
-                    .bs
-                    .plan_write_degraded(file, offset, io_blocks, |b| router.is_dead(b))
-                {
+                match self.bs.plan_write_degraded_into(
+                    file,
+                    offset,
+                    io_blocks,
+                    |b| router.is_dead(b),
+                    &mut self.plans,
+                ) {
                     Err(_) => {
                         // No live replica can take the write.
                         self.net.rack.failed_typed += 1;
                         self.clients[i].inflight -= 1;
                     }
-                    Ok(wp) => {
+                    Ok(degraded) => {
                         self.logical.insert(
                             id,
                             Logical {
@@ -584,14 +623,14 @@ impl RackTestbed {
                                 blocks: io_blocks,
                                 is_read: false,
                                 started: now,
-                                pending: wp.plans.len() as u32,
+                                pending: self.plans.len() as u32,
                                 ok_sides: 0,
                                 err_sides: 0,
-                                degraded: wp.degraded,
-                                tried: vec![],
+                                degraded,
+                                tried: Tried::default(),
                             },
                         );
-                        for p in wp.plans {
+                        for p in self.plans.drain(..) {
                             self.clients[i].pending[p.backend.index()].push_back(PendIo {
                                 logical: id,
                                 backend: p.backend.index(),
@@ -753,17 +792,19 @@ impl RackTestbed {
         };
         let file = self.clients[client].file;
         let pair = self.bs.replicas_at(file, offset);
-        let mut cands: Vec<BackendId> = Vec::new();
-        for b in [pair[0], pair[1]] {
-            let tried = &self.logical.get(&lg_id).expect("live logical").tried;
-            if !cands.contains(&b) && !tried.contains(&b.0) && !self.router.is_dead(b) {
-                cands.push(b);
+        let tried = self.logical.get(&lg_id).expect("live logical").tried;
+        let mut cands = pair;
+        let mut n = 0;
+        for b in pair {
+            if !cands[..n].contains(&b) && !tried.contains(b.0) && !self.router.is_dead(b) {
+                cands[n] = b;
+                n += 1;
             }
         }
-        if cands.is_empty() {
+        if n == 0 {
             return false;
         }
-        let Some(b) = self.route(&cands, now, "reroute") else {
+        let Some(b) = self.route(&cands[..n], now, "reroute") else {
             return false;
         };
         self.net.rack.reroutes += 1;
@@ -779,12 +820,10 @@ impl RackTestbed {
         );
         {
             let lg = self.logical.get_mut(&lg_id).expect("live logical");
-            lg.tried.push(b.0);
+            lg.tried.insert(b.0);
             lg.pending += 1;
         }
-        let plan = self
-            .bs
-            .plan_read(file, offset, blocks, |pair| usize::from(pair[0] != b))[0];
+        let plan = self.plan_read(file, offset, blocks, b);
         self.clients[client].pending[plan.backend.index()].push_back(PendIo {
             logical: lg_id,
             backend: plan.backend.index(),
@@ -972,9 +1011,8 @@ impl RackTestbed {
                         let lg = self.logical.get(&lg_id).expect("live logical");
                         lg.is_read && {
                             let pair = self.bs.replicas_at(self.clients[i].file, lg.offset);
-                            [pair[0], pair[1]]
-                                .iter()
-                                .any(|r| !lg.tried.contains(&r.0) && !self.router.is_dead(*r))
+                            pair.iter()
+                                .any(|r| !lg.tried.contains(r.0) && !self.router.is_dead(*r))
                         }
                     };
                     match self.retry.escalate(attempt, can_reroute) {

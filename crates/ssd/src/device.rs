@@ -169,6 +169,8 @@ pub struct FlashSsd {
     pending_writes: VecDeque<PendingWrite>,
     /// Pages admitted to the buffer but not yet batched into a program.
     drain_accum: Vec<u64>,
+    /// Emptied program batches, reused by the next drain program.
+    spare_batches: Vec<Vec<u64>>,
     /// Recycled scratch for one read's NAND chunks, `(die, bytes)`; empty
     /// between submissions.
     read_chunks: Vec<(u32, u64)>,
@@ -206,6 +208,7 @@ impl FlashSsd {
             reads: DetMap::new(),
             pending_writes: VecDeque::new(),
             drain_accum: Vec::new(),
+            spare_batches: Vec::new(),
             read_chunks: Vec::new(),
             next_die: 0,
             inflight: 0,
@@ -562,15 +565,8 @@ impl FlashSsd {
     fn schedule_full_batches(&mut self, now: SimTime) {
         let unit = self.cfg.slots_per_program() as usize;
         while self.drain_accum.len() >= unit {
-            let batch: Vec<u64> = self.drain_accum.drain(..unit).collect();
-            self.schedule_program(batch, now);
-        }
-    }
-
-    /// Flush any partial drain batch (used by tests and idle flushing).
-    pub fn flush_partial_batch(&mut self, now: SimTime) {
-        if !self.drain_accum.is_empty() {
-            let batch: Vec<u64> = self.drain_accum.drain(..).collect();
+            let mut batch = self.spare_batches.pop().unwrap_or_default();
+            batch.extend(self.drain_accum.drain(..unit));
             self.schedule_program(batch, now);
         }
     }
@@ -680,10 +676,11 @@ impl FlashSsd {
         true
     }
 
-    fn on_program_done(&mut self, lpns: Vec<u64>, now: SimTime) {
-        for lpn in lpns {
+    fn on_program_done(&mut self, mut lpns: Vec<u64>, now: SimTime) {
+        for lpn in lpns.drain(..) {
             self.buffer.release(lpn);
         }
+        self.spare_batches.push(lpns);
         // Admit pending writes FIFO while space allows.
         while let Some(front) = self.pending_writes.front() {
             let pages = front.len / self.cfg.logical_page_bytes;

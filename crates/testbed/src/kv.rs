@@ -288,6 +288,8 @@ pub struct KvTestbed {
     /// cmd id → (kv io tag, is-low-priority); the instance is the command's
     /// tenant.
     cmd_map: DetMap<u64, (u64, bool)>,
+    /// Recycled output of one store step; [`Self::absorb`] drains it.
+    step: StepOutput,
     traces: Vec<GimbalTrace>,
 }
 
@@ -389,6 +391,7 @@ impl KvTestbed {
             instances,
             next_cmd: 0,
             cmd_map: DetMap::new(),
+            step: StepOutput::default(),
             traces: (0..backends).map(|_| GimbalTrace::default()).collect(),
             cfg,
         }
@@ -439,8 +442,8 @@ impl KvTestbed {
                         lim: &inst.lim,
                         load_balance: self.cfg.load_balance,
                     };
-                    let out = inst.kv.pump(now, &mut ctx);
-                    self.absorb(i, out, now);
+                    inst.kv.pump_into(now, &mut ctx, &mut self.step);
+                    self.absorb(i, now);
                     self.refill(i, now);
                     self.host.queue.push(now + pump_step, Ev::KvPump(i));
                 }
@@ -500,21 +503,23 @@ impl KvTestbed {
             lim: &inst.lim,
             load_balance: self.cfg.load_balance,
         };
-        let out = if cpl.status.is_success() {
-            inst.kv.io_done(kv_tag, now, &mut ctx)
+        if cpl.status.is_success() {
+            inst.kv.io_done_into(kv_tag, now, &mut ctx, &mut self.step);
         } else {
-            inst.kv.io_failed(kv_tag, now, &mut ctx)
-        };
-        self.absorb(i, out, now);
+            inst.kv
+                .io_failed_into(kv_tag, now, &mut ctx, &mut self.step);
+        }
+        self.absorb(i, now);
         self.refill(i, now);
     }
 
-    /// Record finished ops and enqueue new IOs from a step output.
-    fn absorb(&mut self, i: usize, out: StepOutput, now: SimTime) {
+    /// Record finished ops and enqueue new IOs from the last step of
+    /// instance `i`, leaving `self.step` empty.
+    fn absorb(&mut self, i: usize, now: SimTime) {
         let measured =
             now >= SimTime::ZERO + self.cfg.warmup && now < SimTime::ZERO + self.cfg.duration;
         let inst = &mut self.instances[i];
-        for op in out.finished {
+        for op in self.step.finished.drain(..) {
             if let Some(ticket) = inst.ops_inflight.remove(&op) {
                 if measured {
                     inst.ops_done += 1;
@@ -527,7 +532,7 @@ impl KvTestbed {
                 }
             }
         }
-        for io in out.ios {
+        for io in self.step.ios.drain(..) {
             let lvl = usize::from(io.priority.0).min(2);
             inst.pending[io.plan.backend.index()][lvl].push_back(io);
         }
@@ -546,7 +551,7 @@ impl KvTestbed {
                 lim: &inst.lim,
                 load_balance: self.cfg.load_balance,
             };
-            let (id, out) = inst.kv.begin_op(op, now, &mut ctx);
+            let id = inst.kv.begin_op_into(op, now, &mut ctx, &mut self.step);
             inst.ops_inflight.insert(
                 id,
                 OpTicket {
@@ -554,7 +559,7 @@ impl KvTestbed {
                     is_read,
                 },
             );
-            self.absorb(i, out, now);
+            self.absorb(i, now);
         }
         let inst = &mut self.instances[i];
         for backend in 0..inst.pending.len() {

@@ -47,10 +47,12 @@ cargo test --release --offline -p gimbal-testbed -q \
 echo "==> zero-alloc gates (disabled telemetry; all-denied broker poll + engine drains)"
 cargo bench --offline -q -p gimbal-bench --bench micro -- zero_alloc
 
-echo "==> jbof_bench (the standalone benchmark crate still builds against the core crates: its tests, then a quick burst_skew run through every gate)"
+echo "==> jbof_bench (the standalone benchmark crate still builds against the core crates: its tests, then quick burst_skew, kv_ycsb_a and rack_failover runs through every gate)"
 cargo test --offline -q --manifest-path jbof_bench/Cargo.toml
-cargo run --release --offline -q --manifest-path jbof_bench/Cargo.toml \
-    --bin jbof-bench -- run burst_skew --quick > /dev/null
+for w in burst_skew kv_ycsb_a rack_failover; do
+    cargo run --release --offline -q --manifest-path jbof_bench/Cargo.toml \
+        --bin jbof-bench -- run "$w" --quick > /dev/null
+done
 
 echo "==> gimbal-lint (determinism policy)"
 cargo run --offline -q -p gimbal-lint
