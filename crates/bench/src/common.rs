@@ -40,17 +40,23 @@ impl Region {
 /// Standalone maximum bandwidth (bytes/s) of one worker running exclusively
 /// on the SSD — the denominator of the paper's f-Util metric (§5.1).
 /// Measured on the vanilla (no-policy) target so it reflects the device.
-pub fn standalone_bw(mut fio: FioSpec, pre: Precondition, quick: bool) -> f64 {
+/// `quick` is accepted for symmetry with the figures; the window is fixed.
+pub fn standalone_bw(fio: FioSpec, pre: Precondition, quick: bool) -> f64 {
+    let _ = quick;
+    standalone_bw_on(default_ssd(), fio, pre)
+}
+
+/// [`standalone_bw`] on an arbitrary SSD configuration.
+pub fn standalone_bw_on(ssd: SsdConfig, mut fio: FioSpec, pre: Precondition) -> f64 {
     // Boost the queue depth a little so a single worker can actually reach
     // the device maximum (fio's standalone runs do the same).
     fio.queue_depth = fio.queue_depth.max(32);
     // Short window: the paper's standalone numbers are per-condition peaks
     // measured right after preconditioning; a long sustained-write window
     // would drift a clean drive into GC and understate the denominator.
-    let _ = quick;
     let cfg = TestbedConfig {
         scheme: Scheme::Vanilla,
-        ssd: default_ssd(),
+        ssd,
         precondition: pre,
         duration: SimDuration::from_millis(700),
         warmup: SimDuration::from_millis(150),
@@ -58,6 +64,19 @@ pub fn standalone_bw(mut fio: FioSpec, pre: Precondition, quick: bool) -> f64 {
     };
     let res = Testbed::new(cfg, vec![WorkerSpec::new("standalone", fio)]).run();
     res.workers[0].bandwidth_bps()
+}
+
+/// The standard fio experiment: `scheme` on the default SSD in condition
+/// `pre`, for [`durations`]`(quick)`. Figures override the rest with `..`.
+pub fn testbed_config(scheme: Scheme, pre: Precondition, quick: bool) -> TestbedConfig {
+    let (duration, warmup) = durations(quick);
+    TestbedConfig {
+        scheme,
+        precondition: pre,
+        duration,
+        warmup,
+        ..TestbedConfig::default()
+    }
 }
 
 /// Standard (duration, warmup) pair; quick mode shortens both but keeps the

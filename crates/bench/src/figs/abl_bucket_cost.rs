@@ -8,7 +8,7 @@
 //!   the device's write-buffer optimization, starving writes that the SSD
 //!   could have absorbed for free (the Fig 9 effect).
 
-use crate::common::{default_ssd, durations, println_header, Region, CAP_BLOCKS};
+use crate::common::{durations, println_header, testbed_config, Region, CAP_BLOCKS};
 use gimbal_core::Params;
 use gimbal_sim::{SimDuration, SimTime};
 use gimbal_testbed::{Precondition, Scheme, Testbed, TestbedConfig, WorkerSpec};
@@ -37,15 +37,9 @@ fn rw_mix(params: Params, pre: Precondition, io: u64, quick: bool) -> Row {
             fio,
         ));
     }
-    let (duration, warmup) = durations(quick);
     let cfg = TestbedConfig {
-        scheme: Scheme::Gimbal,
         gimbal_params: params,
-        ssd: default_ssd(),
-        precondition: pre,
-        duration,
-        warmup,
-        ..TestbedConfig::default()
+        ..testbed_config(Scheme::Gimbal, pre, quick)
     };
     let res = Testbed::new(cfg, workers).run();
     let [_, wr] = res.group_latency(|l| l == "write");
@@ -86,13 +80,9 @@ fn write_burst(params: Params, quick: bool) -> Row {
         );
     }
     let cfg = TestbedConfig {
-        scheme: Scheme::Gimbal,
         gimbal_params: params,
-        ssd: default_ssd(),
-        precondition: Precondition::Fragmented,
         duration: duration + SimDuration::from_millis(200),
-        warmup,
-        ..TestbedConfig::default()
+        ..testbed_config(Scheme::Gimbal, Precondition::Fragmented, quick)
     };
     let res = Testbed::new(cfg, workers).run();
     let [_, wr] = res.group_latency(|l| l == "write");

@@ -10,7 +10,7 @@
 //! `never` only once the classifier sees an uncongested device (the
 //! bypassed fills still consume no cache state).
 
-use crate::common::{default_ssd, durations, println_header, CAP_BLOCKS};
+use crate::common::{println_header, testbed_config, CAP_BLOCKS};
 use gimbal_cache::{AdmissionPolicy, WritePolicy};
 use gimbal_testbed::{
     cache_tier, cache_tier_wb, Precondition, Scheme, Testbed, TestbedConfig, WorkerSpec,
@@ -28,15 +28,9 @@ fn run_variant(cache_mb: u64, policy: AdmissionPolicy, quick: bool) -> (f64, f64
             WorkerSpec::new(format!("r{i}"), fio)
         })
         .collect();
-    let (duration, warmup) = durations(quick);
     let cfg = TestbedConfig {
-        scheme: Scheme::Gimbal,
-        ssd: default_ssd(),
-        precondition: Precondition::Fragmented,
-        duration,
-        warmup,
         cache: cache_tier(cache_mb, policy),
-        ..TestbedConfig::default()
+        ..testbed_config(Scheme::Gimbal, Precondition::Fragmented, quick)
     };
     let res = Testbed::new(cfg, workers).run();
     let bw = res.aggregate_bps(|_| true) / 1e6;
@@ -68,15 +62,9 @@ fn run_wb_variant(write: WritePolicy, quick: bool) -> (f64, f64, f64, u64, u64) 
             )
         })
         .collect();
-    let (duration, warmup) = durations(quick);
     let cfg = TestbedConfig {
-        scheme: Scheme::Gimbal,
-        ssd: default_ssd(),
-        precondition: Precondition::Fragmented,
-        duration,
-        warmup,
         cache: cache_tier_wb(16, AdmissionPolicy::Always, write),
-        ..TestbedConfig::default()
+        ..testbed_config(Scheme::Gimbal, Precondition::Fragmented, quick)
     };
     let res = Testbed::new(cfg, workers).run();
     let bw = res.aggregate_bps(|_| true) / 1e6;

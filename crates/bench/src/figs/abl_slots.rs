@@ -6,9 +6,9 @@
 //! measures single-tenant utilization and 16-tenant fairness across slot
 //! thresholds.
 
-use crate::common::{default_ssd, durations, println_header, Region, CAP_BLOCKS};
+use crate::common::{println_header, testbed_config, Region, CAP_BLOCKS};
 use gimbal_core::Params;
-use gimbal_testbed::{Precondition, Scheme, Testbed, TestbedConfig, WorkerSpec};
+use gimbal_testbed::{jain_index, Precondition, Scheme, Testbed, TestbedConfig, WorkerSpec};
 use gimbal_workload::FioSpec;
 
 fn run_with_slots(slots: u32, tenants: u32, quick: bool) -> (f64, f64) {
@@ -24,32 +24,17 @@ fn run_with_slots(slots: u32, tenants: u32, quick: bool) -> (f64, f64) {
             )
         })
         .collect();
-    let (duration, warmup) = durations(quick);
     let cfg = TestbedConfig {
-        scheme: Scheme::Gimbal,
         gimbal_params: Params {
             slots_per_tenant: slots,
             ..Params::default()
         },
-        ssd: default_ssd(),
-        precondition: Precondition::Clean,
-        duration,
-        warmup,
-        ..TestbedConfig::default()
+        ..testbed_config(Scheme::Gimbal, Precondition::Clean, quick)
     };
     let res = Testbed::new(cfg, workers).run();
     let total = res.aggregate_bps(|_| true) / 1e6;
-    // Jain's fairness index over per-worker bandwidth.
     let bws: Vec<f64> = res.workers.iter().map(|w| w.bandwidth_bps()).collect();
-    let sum: f64 = bws.iter().sum();
-    let sum_sq: f64 = bws.iter().map(|b| b * b).sum();
-    // lint: allow(float-eq, owner=bench, expires=2028-08-01) — exact-zero guard before division, not a tolerance check
-    let jain = if sum_sq == 0.0 {
-        1.0
-    } else {
-        sum * sum / (bws.len() as f64 * sum_sq)
-    };
-    (total, jain)
+    (total, jain_index(&bws))
 }
 
 /// Run the sweep.

@@ -8,7 +8,7 @@
 //! full dynamic design and both fixed settings, reporting utilization and
 //! latency.
 
-use crate::common::{default_ssd, durations, println_header, Region, CAP_BLOCKS};
+use crate::common::{println_header, testbed_config, Region, CAP_BLOCKS};
 use gimbal_core::Params;
 use gimbal_sim::SimDuration;
 use gimbal_testbed::{Precondition, Scheme, Testbed, TestbedConfig, WorkerSpec};
@@ -33,15 +33,9 @@ fn run_variant(
             )
         })
         .collect();
-    let (duration, warmup) = durations(quick);
     let cfg = TestbedConfig {
-        scheme: Scheme::Gimbal,
         gimbal_params: params,
-        ssd: default_ssd(),
-        precondition: pre,
-        duration,
-        warmup,
-        ..TestbedConfig::default()
+        ..testbed_config(Scheme::Gimbal, pre, quick)
     };
     let res = Testbed::new(cfg, workers).run();
     let bw = res.aggregate_bps(|_| true) / 1e6;

@@ -5,27 +5,21 @@
 //! nearly identical latencies for small IOs (device time dominates), with
 //! the SmartNIC adding ~20 % for ≥128 KB (per-byte CPU cost).
 
-use crate::common::{default_ssd, println_header, Region, CAP_BLOCKS};
+use crate::common::{println_header, Region, CAP_BLOCKS};
 use gimbal_sim::SimDuration;
 use gimbal_testbed::{Precondition, Scheme, Testbed, TestbedConfig, WorkerSpec};
 use gimbal_workload::{AccessPattern, FioSpec};
 
 fn one_latency_us(io_kb: u64, read: bool, xeon: bool, quick: bool) -> f64 {
     let region = Region::slice(0, 1, CAP_BLOCKS);
+    let read_ratio = if read { 1.0 } else { 0.0 };
     let fio = FioSpec {
-        read_ratio: if read { 1.0 } else { 0.0 },
-        io_bytes: io_kb * 1024,
-        read_pattern: AccessPattern::Random,
         write_pattern: AccessPattern::Sequential,
         queue_depth: 1,
-        rate_limit: None,
-        burst: None,
-        region_start: region.start,
-        region_blocks: region.blocks,
+        ..FioSpec::paper_default(read_ratio, io_kb * 1024, region.start, region.blocks)
     };
     let cfg = TestbedConfig {
         scheme: Scheme::Vanilla,
-        ssd: default_ssd(),
         precondition: Precondition::Clean,
         xeon,
         duration: if quick {

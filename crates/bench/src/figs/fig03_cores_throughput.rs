@@ -6,7 +6,7 @@
 //! (~1.5 M KIOPS reads) with 2 cores, the SmartNIC needs 3; beyond that the
 //! curves are flat (device-limited).
 
-use crate::common::{default_ssd, println_header, Region, CAP_BLOCKS};
+use crate::common::{println_header, Region, CAP_BLOCKS};
 use gimbal_sim::SimDuration;
 use gimbal_testbed::{Precondition, Scheme, Testbed, TestbedConfig, WorkerSpec};
 use gimbal_workload::{AccessPattern, FioSpec};
@@ -15,23 +15,17 @@ fn kiops(cores: u32, read: bool, xeon: bool, quick: bool) -> f64 {
     let workers: Vec<WorkerSpec> = (0..4)
         .map(|i| {
             let region = Region::slice(0, 1, CAP_BLOCKS);
+            let read_ratio = if read { 1.0 } else { 0.0 };
             let fio = FioSpec {
-                read_ratio: if read { 1.0 } else { 0.0 },
-                io_bytes: 4096,
-                read_pattern: AccessPattern::Random,
                 write_pattern: AccessPattern::Sequential,
                 queue_depth: 192,
-                rate_limit: None,
-                burst: None,
-                region_start: region.start,
-                region_blocks: region.blocks,
+                ..FioSpec::paper_default(read_ratio, 4096, region.start, region.blocks)
             };
             WorkerSpec::new(format!("ssd{i}"), fio).on_ssd(i)
         })
         .collect();
     let cfg = TestbedConfig {
         scheme: Scheme::Vanilla,
-        ssd: default_ssd(),
         num_ssds: 4,
         cores,
         xeon,

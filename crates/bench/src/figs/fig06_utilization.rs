@@ -7,10 +7,10 @@
 //! ×6.6 writes); Parda underutilizes fragmented reads; Gimbal and Parda
 //! keep latency low (flow control), FlashFQ/ReFlex let it blow up.
 
-use crate::common::{default_ssd, durations, println_header, Region, CAP_BLOCKS};
+use crate::common::{println_header, testbed_config, Region, CAP_BLOCKS};
 use gimbal_fabric::IoType;
 use gimbal_sim::stats::LatencySummary;
-use gimbal_testbed::{Precondition, RunResult, Scheme, Testbed, TestbedConfig, WorkerSpec};
+use gimbal_testbed::{Precondition, RunResult, Scheme, Testbed, WorkerSpec};
 use gimbal_workload::FioSpec;
 
 /// The four condition × type cases of Fig 6 (C-R, C-W, F-R, F-W): clean
@@ -43,16 +43,7 @@ pub fn run_case(
             )
         })
         .collect();
-    let (duration, warmup) = durations(quick);
-    let cfg = TestbedConfig {
-        scheme,
-        ssd: default_ssd(),
-        precondition: pre,
-        duration,
-        warmup,
-        ..TestbedConfig::default()
-    };
-    Testbed::new(cfg, workers).run()
+    Testbed::new(testbed_config(scheme, pre, quick), workers).run()
 }
 
 fn lat_of(res: &RunResult, op: IoType) -> LatencySummary {

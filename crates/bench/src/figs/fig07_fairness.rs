@@ -12,9 +12,9 @@
 //! writes; FlashFQ equalizes read/write bandwidth; Parda collapses
 //! fragmented reads against buffered writes.
 
-use crate::common::{default_ssd, durations, println_header, standalone_bw, Region, CAP_BLOCKS};
+use crate::common::{println_header, standalone_bw, testbed_config, Region, CAP_BLOCKS};
 use gimbal_sim::stats::LatencySummary;
-use gimbal_testbed::{f_util, Precondition, RunResult, Scheme, Testbed, TestbedConfig, WorkerSpec};
+use gimbal_testbed::{f_util, Precondition, Scheme, Testbed, WorkerSpec};
 use gimbal_workload::{AccessPattern, FioSpec};
 
 /// One worker group within a mix.
@@ -128,16 +128,7 @@ pub fn run_mix(mix: &Mix, scheme: Scheme, quick: bool) -> MixResult {
             idx += 1;
         }
     }
-    let (duration, warmup) = durations(quick);
-    let cfg = TestbedConfig {
-        scheme,
-        ssd: default_ssd(),
-        precondition: mix.pre,
-        duration,
-        warmup,
-        ..TestbedConfig::default()
-    };
-    let res: RunResult = Testbed::new(cfg, workers).run();
+    let res = Testbed::new(testbed_config(scheme, mix.pre, quick), workers).run();
 
     let mut groups = [(0.0, 0.0); 2];
     for (gi, g) in mix.groups.iter().enumerate() {

@@ -8,57 +8,65 @@
 //! buffer, write latency jumps ~10×, Gimbal raises the write cost, and
 //! writer bandwidth converges to the fair share.
 
-use crate::common::{default_ssd, println_header, Region, CAP_BLOCKS};
+use crate::common::{println_header, Region, CAP_BLOCKS};
 use gimbal_sim::{SimDuration, SimTime};
-use gimbal_testbed::{Precondition, Scheme, Testbed, TestbedConfig, WorkerSpec};
-use gimbal_workload::{AccessPattern, FioSpec};
+use gimbal_testbed::{Precondition, RunResult, Scheme, Testbed, TestbedConfig, WorkerSpec};
+use gimbal_workload::FioSpec;
 
-/// Run the experiment and print the timeline.
-pub fn run(quick: bool) {
-    println_header("Figure 9: dynamic workload (Gimbal), write-cost adaptation");
-    // Paper interval: 5 s. Quick mode compresses to 1 s.
+/// Readers and writers of the mix.
+const READERS: u32 = 8;
+const WRITERS: u32 = 8;
+/// Full timeline length in intervals: readers alone, 8 writer joins, 7
+/// reader drops, and a tail.
+const INTERVALS: u32 = READERS + WRITERS + 1;
+
+/// One interval of the timeline: per-active-worker bandwidth (bytes/s),
+/// device latencies (µs) and Gimbal's write cost, each averaged over it.
+pub struct Interval {
+    /// End of the interval (s).
+    pub t_s: f64,
+    /// Mean bandwidth of the readers active in the interval.
+    pub reader_bps: f64,
+    /// Mean bandwidth of the writers active in the interval.
+    pub writer_bps: f64,
+    /// Mean device read latency.
+    pub read_lat_us: f64,
+    /// Mean device write latency.
+    pub write_lat_us: f64,
+    /// Mean dynamic write cost (NaN before the first sample).
+    pub write_cost: f64,
+}
+
+/// Run the first `intervals` intervals of the dynamic workload and average
+/// each one. Paper interval: 5 s; quick mode compresses it to 1 s.
+pub fn timeline(quick: bool, intervals: u32) -> (RunResult, Vec<Interval>) {
     let step = if quick {
         SimDuration::from_secs(1)
     } else {
         SimDuration::from_secs(5)
     };
-    let readers = 8u32;
-    let writers = 8u32;
-    let phases = readers + writers; // 8 writer joins + 7 reader drops + tail
-    let duration = step * u64::from(phases + 1);
+    let duration = step * u64::from(intervals);
 
     let mut specs = Vec::new();
-    let total = readers + writers;
-    for i in 0..readers {
+    let total = READERS + WRITERS;
+    for i in 0..READERS {
         let r = Region::slice(i, total, CAP_BLOCKS);
         let fio = FioSpec {
-            read_ratio: 1.0,
-            io_bytes: 128 * 1024,
-            read_pattern: AccessPattern::Random,
-            write_pattern: AccessPattern::Sequential,
             queue_depth: 8,
             rate_limit: Some(200e6),
-            burst: None,
-            region_start: r.start,
-            region_blocks: r.blocks,
+            ..FioSpec::paper_default(1.0, 128 * 1024, r.start, r.blocks)
         };
         // Reader i stops at step × (8 + i) (first-started drops first once
         // the drop phase begins).
-        let stop = SimTime::ZERO + step * u64::from(writers + i);
+        let stop = SimTime::ZERO + step * u64::from(WRITERS + i);
         specs.push(WorkerSpec::new("reader", fio).active(SimTime::ZERO, Some(stop)));
     }
-    for j in 0..writers {
-        let r = Region::slice(readers + j, total, CAP_BLOCKS);
+    for j in 0..WRITERS {
+        let r = Region::slice(READERS + j, total, CAP_BLOCKS);
         let fio = FioSpec {
-            read_ratio: 0.0,
-            io_bytes: 128 * 1024,
-            read_pattern: AccessPattern::Random,
-            write_pattern: AccessPattern::Sequential,
             queue_depth: 8,
             rate_limit: Some(60e6),
-            burst: None,
-            region_start: r.start,
-            region_blocks: r.blocks,
+            ..FioSpec::paper_default(0.0, 128 * 1024, r.start, r.blocks)
         };
         let start = SimTime::ZERO + step * u64::from(j + 1);
         specs.push(WorkerSpec::new("writer", fio).active(start, None));
@@ -66,7 +74,6 @@ pub fn run(quick: bool) {
 
     let cfg = TestbedConfig {
         scheme: Scheme::Gimbal,
-        ssd: default_ssd(),
         precondition: Precondition::Fragmented,
         duration,
         warmup: SimDuration::from_millis(100),
@@ -75,14 +82,9 @@ pub fn run(quick: bool) {
     };
     let res = Testbed::new(cfg, specs).run();
 
-    // Timeline: per-interval mean of reader/writer bandwidth, device
-    // latencies, and the dynamic write cost.
-    println!(
-        "{:>7} {:>12} {:>12} {:>11} {:>11} {:>10}",
-        "t (s)", "RD MB/s/wkr", "WR MB/s/wkr", "RD lat us", "WR lat us", "write cost"
-    );
     let trace = &res.gimbal_traces[0];
     let dev = &res.device_series[0];
+    let mut rows = Vec::new();
     let mut t = SimTime::ZERO + step;
     while t <= SimTime::ZERO + duration {
         let lo = t - step;
@@ -100,15 +102,36 @@ pub fn run(quick: bool) {
                 vals.iter().sum::<f64>() / vals.len() as f64
             }
         };
+        rows.push(Interval {
+            t_s: t.as_secs_f64(),
+            reader_bps: mean("reader"),
+            writer_bps: mean("writer"),
+            read_lat_us: dev.read_lat_us.mean_in(lo, t).unwrap_or(0.0),
+            write_lat_us: dev.write_lat_us.mean_in(lo, t).unwrap_or(0.0),
+            write_cost: trace.write_cost.mean_in(lo, t).unwrap_or(f64::NAN),
+        });
+        t += step;
+    }
+    (res, rows)
+}
+
+/// Run the experiment and print the timeline.
+pub fn run(quick: bool) {
+    println_header("Figure 9: dynamic workload (Gimbal), write-cost adaptation");
+    let (_, rows) = timeline(quick, INTERVALS);
+    println!(
+        "{:>7} {:>12} {:>12} {:>11} {:>11} {:>10}",
+        "t (s)", "RD MB/s/wkr", "WR MB/s/wkr", "RD lat us", "WR lat us", "write cost"
+    );
+    for r in &rows {
         println!(
             "{:>7.1} {:>12.0} {:>12.0} {:>11.0} {:>11.0} {:>10.1}",
-            t.as_secs_f64(),
-            mean("reader") / 1e6,
-            mean("writer") / 1e6,
-            dev.read_lat_us.mean_in(lo, t).unwrap_or(0.0),
-            dev.write_lat_us.mean_in(lo, t).unwrap_or(0.0),
-            trace.write_cost.mean_in(lo, t).unwrap_or(f64::NAN),
+            r.t_s,
+            r.reader_bps / 1e6,
+            r.writer_bps / 1e6,
+            r.read_lat_us,
+            r.write_lat_us,
+            r.write_cost,
         );
-        t += step;
     }
 }

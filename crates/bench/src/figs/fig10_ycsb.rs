@@ -46,10 +46,19 @@ pub fn run_cell(scheme: Scheme, mix: YcsbMix, instances: u32, quick: bool) -> Kv
     KvTestbed::new(kv_config(scheme, mix, instances, quick)).run()
 }
 
+/// DB instances of the study (the paper runs 24).
+pub fn instances(quick: bool) -> u32 {
+    if quick {
+        12
+    } else {
+        24
+    }
+}
+
 /// Run the experiment and print all three panels.
 pub fn run(quick: bool) {
     println_header("Figure 10: YCSB over the KV store, 4 schemes (fragmented SSDs)");
-    let instances = if quick { 12 } else { 24 };
+    let instances = instances(quick);
     println!(
         "{:>8} {:>9} {:>12} {:>14} {:>16}",
         "Mix", "Scheme", "KIOPS", "Avg RD (us)", "p99.9 RD (us)"

@@ -5,8 +5,8 @@
 //! only ≈ 17 % of clean) and even 5 % writes cost ~40 % of a read stream's
 //! IOPS; the clean drive degrades far more gracefully.
 
-use crate::common::{default_ssd, durations, println_header, Region, CAP_BLOCKS};
-use gimbal_testbed::{Precondition, Scheme, Testbed, TestbedConfig, WorkerSpec};
+use crate::common::{println_header, testbed_config, Region, CAP_BLOCKS};
+use gimbal_testbed::{Precondition, Scheme, Testbed, WorkerSpec};
 use gimbal_workload::FioSpec;
 
 fn split_bw(pre: Precondition, read_ratio: f64, quick: bool) -> (f64, f64) {
@@ -20,16 +20,7 @@ fn split_bw(pre: Precondition, read_ratio: f64, quick: bool) -> (f64, f64) {
             )
         })
         .collect();
-    let (duration, warmup) = durations(quick);
-    let cfg = TestbedConfig {
-        scheme: Scheme::Vanilla,
-        ssd: default_ssd(),
-        precondition: pre,
-        duration,
-        warmup,
-        ..TestbedConfig::default()
-    };
-    let res = Testbed::new(cfg, workers).run();
+    let res = Testbed::new(testbed_config(Scheme::Vanilla, pre, quick), workers).run();
     // Split by op using per-worker op counts is not tracked per type; infer
     // from the ratio: measure via read/write latency counts × 4 KB.
     let window = res.workers[0].window.as_secs_f64();

@@ -6,7 +6,7 @@
 //! read latency, and larger IOs degrade more (they touch more dies, so
 //! they are more likely to queue behind a busy one).
 
-use crate::common::{default_ssd, println_header, Region, CAP_BLOCKS};
+use crate::common::{println_header, Region, CAP_BLOCKS};
 use gimbal_sim::SimDuration;
 use gimbal_testbed::{Precondition, Scheme, Testbed, TestbedConfig, WorkerSpec};
 use gimbal_workload::{AccessPattern, FioSpec};
@@ -14,19 +14,12 @@ use gimbal_workload::{AccessPattern, FioSpec};
 fn read_lat_us(io_kb: u64, pre: Precondition, read_ratio: f64, qd: u32, quick: bool) -> f64 {
     let region = Region::slice(0, 1, CAP_BLOCKS);
     let fio = FioSpec {
-        read_ratio,
-        io_bytes: io_kb * 1024,
-        read_pattern: AccessPattern::Random,
         write_pattern: AccessPattern::Random,
         queue_depth: qd,
-        rate_limit: None,
-        burst: None,
-        region_start: region.start,
-        region_blocks: region.blocks,
+        ..FioSpec::paper_default(read_ratio, io_kb * 1024, region.start, region.blocks)
     };
     let cfg = TestbedConfig {
         scheme: Scheme::Vanilla,
-        ssd: default_ssd(),
         precondition: pre,
         duration: if quick {
             SimDuration::from_millis(200)

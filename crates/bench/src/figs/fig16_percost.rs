@@ -5,7 +5,7 @@
 //! 4 KB streams tolerate ~1 µs of added cost before bandwidth falls; 128 KB
 //! streams tolerate 5–10 µs; beyond that bandwidth decays as 1/cost.
 
-use crate::common::{default_ssd, println_header, Region, CAP_BLOCKS};
+use crate::common::{println_header, Region, CAP_BLOCKS};
 use gimbal_fabric::IoType;
 use gimbal_sim::SimDuration;
 use gimbal_testbed::{Precondition, Scheme, Testbed, TestbedConfig, WorkerSpec};
@@ -15,23 +15,17 @@ fn agg_gbps(io_kb: u64, op: IoType, added_us: f64, quick: bool) -> f64 {
     let workers: Vec<WorkerSpec> = (0..4)
         .map(|i| {
             let region = Region::slice(0, 1, CAP_BLOCKS);
+            let read_ratio = if op == IoType::Read { 1.0 } else { 0.0 };
             let fio = FioSpec {
-                read_ratio: if op == IoType::Read { 1.0 } else { 0.0 },
-                io_bytes: io_kb * 1024,
-                read_pattern: AccessPattern::Random,
                 write_pattern: AccessPattern::Sequential,
                 queue_depth: if io_kb >= 128 { 16 } else { 192 },
-                rate_limit: None,
-                burst: None,
-                region_start: region.start,
-                region_blocks: region.blocks,
+                ..FioSpec::paper_default(read_ratio, io_kb * 1024, region.start, region.blocks)
             };
             WorkerSpec::new(format!("w{i}"), fio).on_ssd(i)
         })
         .collect();
     let cfg = TestbedConfig {
         scheme: Scheme::Vanilla,
-        ssd: default_ssd(),
         num_ssds: 4,
         cores: 8,
         precondition: Precondition::Clean,

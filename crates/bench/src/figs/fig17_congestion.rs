@@ -6,7 +6,7 @@
 //! until then, spikes dramatically at the congestion point — the signal
 //! Gimbal's delay-based congestion control feeds on.
 
-use crate::common::{default_ssd, println_header, Region, CAP_BLOCKS};
+use crate::common::{println_header, Region, CAP_BLOCKS};
 use gimbal_sim::{SimDuration, SimTime};
 use gimbal_testbed::{Precondition, Scheme, Testbed, TestbedConfig, WorkerSpec};
 use gimbal_workload::FioSpec;
@@ -43,7 +43,6 @@ pub fn run(quick: bool) {
     }
     let cfg = TestbedConfig {
         scheme: Scheme::Vanilla,
-        ssd: default_ssd(),
         precondition: Precondition::Clean,
         duration,
         warmup: SimDuration::from_millis(50),

@@ -6,7 +6,7 @@
 //! springs toward `Thresh_max`, firing more often the closer latency gets
 //! to the ceiling.
 
-use crate::common::{default_ssd, println_header, Region, CAP_BLOCKS};
+use crate::common::{println_header, Region, CAP_BLOCKS};
 use gimbal_sim::{SimDuration, SimTime};
 use gimbal_testbed::{Precondition, Scheme, Testbed, TestbedConfig, WorkerSpec};
 use gimbal_workload::FioSpec;
@@ -34,7 +34,6 @@ pub fn run(quick: bool) {
     };
     let cfg = TestbedConfig {
         scheme: Scheme::Gimbal,
-        ssd: default_ssd(),
         precondition: Precondition::Clean,
         duration,
         warmup: SimDuration::from_millis(50),

@@ -5,9 +5,9 @@
 //! Paper shape: the more intense stream takes ~2× the bandwidth at every
 //! size, for both random reads and sequential writes.
 
-use crate::common::{default_ssd, durations, println_header, Region, CAP_BLOCKS};
+use crate::common::{println_header, testbed_config, Region, CAP_BLOCKS};
 use gimbal_fabric::IoType;
-use gimbal_testbed::{Precondition, Scheme, Testbed, TestbedConfig, WorkerSpec};
+use gimbal_testbed::{Precondition, Scheme, Testbed, WorkerSpec};
 use gimbal_workload::{AccessPattern, FioSpec};
 
 fn pair_bw(io_kb: u64, op: IoType, quick: bool) -> (f64, f64) {
@@ -21,27 +21,13 @@ fn pair_bw(io_kb: u64, op: IoType, quick: bool) -> (f64, f64) {
         WorkerSpec::new(
             format!("s{}", i + 1),
             FioSpec {
-                read_ratio,
-                io_bytes: io_kb * 1024,
-                read_pattern: AccessPattern::Random,
                 write_pattern: wp,
                 queue_depth: qd,
-                rate_limit: None,
-                burst: None,
-                region_start: r.start,
-                region_blocks: r.blocks,
+                ..FioSpec::paper_default(read_ratio, io_kb * 1024, r.start, r.blocks)
             },
         )
     };
-    let (duration, warmup) = durations(quick);
-    let cfg = TestbedConfig {
-        scheme: Scheme::Vanilla,
-        ssd: default_ssd(),
-        precondition: Precondition::Clean,
-        duration,
-        warmup,
-        ..TestbedConfig::default()
-    };
+    let cfg = testbed_config(Scheme::Vanilla, Precondition::Clean, quick);
     let res = Testbed::new(cfg, vec![mk(0, qd1), mk(1, qd2)]).run();
     (
         res.workers[0].bandwidth_mbps(),

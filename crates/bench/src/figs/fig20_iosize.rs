@@ -4,11 +4,12 @@
 //! Paper shape: larger neighbor IOs take an ever-larger bandwidth share;
 //! e.g. 4 KB vs 64 KB random reads end up ~91 vs ~1473 MB/s.
 
-use crate::common::{default_ssd, durations, println_header, Region, CAP_BLOCKS};
-use gimbal_testbed::{Precondition, Scheme, Testbed, TestbedConfig, WorkerSpec};
+use crate::common::{println_header, testbed_config, Region, CAP_BLOCKS};
+use gimbal_testbed::{Precondition, Scheme, Testbed, WorkerSpec};
 use gimbal_workload::{AccessPattern, FioSpec};
 
 fn stream1_bw(read: bool, seq: bool, s2_kb: u64, quick: bool) -> (f64, f64) {
+    let read_ratio = if read { 1.0 } else { 0.0 };
     let mk = |i: u32, kb: u64| {
         let r = Region::slice(i, 2, CAP_BLOCKS);
         let pattern = if seq {
@@ -19,27 +20,14 @@ fn stream1_bw(read: bool, seq: bool, s2_kb: u64, quick: bool) -> (f64, f64) {
         WorkerSpec::new(
             format!("s{}", i + 1),
             FioSpec {
-                read_ratio: if read { 1.0 } else { 0.0 },
-                io_bytes: kb * 1024,
                 read_pattern: pattern,
                 write_pattern: pattern,
                 queue_depth: 32,
-                rate_limit: None,
-                burst: None,
-                region_start: r.start,
-                region_blocks: r.blocks,
+                ..FioSpec::paper_default(read_ratio, kb * 1024, r.start, r.blocks)
             },
         )
     };
-    let (duration, warmup) = durations(quick);
-    let cfg = TestbedConfig {
-        scheme: Scheme::Vanilla,
-        ssd: default_ssd(),
-        precondition: Precondition::Clean,
-        duration,
-        warmup,
-        ..TestbedConfig::default()
-    };
+    let cfg = testbed_config(Scheme::Vanilla, Precondition::Clean, quick);
     let res = Testbed::new(cfg, vec![mk(0, 4), mk(1, s2_kb)]).run();
     (
         res.workers[0].bandwidth_mbps(),

@@ -6,8 +6,8 @@
 //! its standalone bandwidth (program operations occupy dies for hundreds of
 //! microseconds).
 
-use crate::common::{default_ssd, durations, println_header, Region, CAP_BLOCKS};
-use gimbal_testbed::{Precondition, Scheme, Testbed, TestbedConfig, WorkerSpec};
+use crate::common::{println_header, testbed_config, Region, CAP_BLOCKS};
+use gimbal_testbed::{Precondition, Scheme, Testbed, WorkerSpec};
 use gimbal_workload::{AccessPattern, FioSpec};
 
 fn read_bw(io_kb: u64, seq: bool, with_writes: bool, quick: bool) -> f64 {
@@ -16,49 +16,21 @@ fn read_bw(io_kb: u64, seq: bool, with_writes: bool, quick: bool) -> f64 {
     } else {
         AccessPattern::Random
     };
-    let mut workers = Vec::new();
     let n = if with_writes { 2 } else { 1 };
-    let r = Region::slice(0, n, CAP_BLOCKS);
-    workers.push(WorkerSpec::new(
-        "reader",
+    let stream = |i: u32, read_ratio: f64| {
+        let r = Region::slice(i, n, CAP_BLOCKS);
         FioSpec {
-            read_ratio: 1.0,
-            io_bytes: io_kb * 1024,
             read_pattern: pattern,
             write_pattern: pattern,
             queue_depth: 32,
-            rate_limit: None,
-            burst: None,
-            region_start: r.start,
-            region_blocks: r.blocks,
-        },
-    ));
-    if with_writes {
-        let r = Region::slice(1, 2, CAP_BLOCKS);
-        workers.push(WorkerSpec::new(
-            "writer",
-            FioSpec {
-                read_ratio: 0.0,
-                io_bytes: io_kb * 1024,
-                read_pattern: pattern,
-                write_pattern: pattern,
-                queue_depth: 32,
-                rate_limit: None,
-                burst: None,
-                region_start: r.start,
-                region_blocks: r.blocks,
-            },
-        ));
-    }
-    let (duration, warmup) = durations(quick);
-    let cfg = TestbedConfig {
-        scheme: Scheme::Vanilla,
-        ssd: default_ssd(),
-        precondition: Precondition::Clean,
-        duration,
-        warmup,
-        ..TestbedConfig::default()
+            ..FioSpec::paper_default(read_ratio, io_kb * 1024, r.start, r.blocks)
+        }
     };
+    let mut workers = vec![WorkerSpec::new("reader", stream(0, 1.0))];
+    if with_writes {
+        workers.push(WorkerSpec::new("writer", stream(1, 0.0)));
+    }
+    let cfg = testbed_config(Scheme::Vanilla, Precondition::Clean, quick);
     let res = Testbed::new(cfg, workers).run();
     res.workers[0].bandwidth_mbps()
 }

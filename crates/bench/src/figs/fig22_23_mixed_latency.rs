@@ -7,9 +7,9 @@
 //! background IOs mean worse head-of-line blocking; the curves flatten once
 //! the background stream saturates its bandwidth.
 
-use crate::common::{default_ssd, durations, println_header, Region, CAP_BLOCKS};
+use crate::common::{println_header, testbed_config, Region, CAP_BLOCKS};
 use gimbal_fabric::IoType;
-use gimbal_testbed::{Precondition, Scheme, Testbed, TestbedConfig, WorkerSpec};
+use gimbal_testbed::{Precondition, Scheme, Testbed, WorkerSpec};
 use gimbal_workload::{AccessPattern, FioSpec};
 
 /// (avg µs, p99.9 µs) of the 4 KB foreground stream.
@@ -20,24 +20,26 @@ fn foreground_lat(
     bg_kb: u64,
     quick: bool,
 ) -> (f64, f64) {
-    let fg_region = Region::slice(0, 2, CAP_BLOCKS);
-    let fg = WorkerSpec::new(
-        "fg",
+    // Both streams run QD16 on half the drive each.
+    let stream = |i: u32, op: IoType, kb: u64, read_pattern, write_pattern| {
+        let r = Region::slice(i, 2, CAP_BLOCKS);
+        let read_ratio = if op == IoType::Read { 1.0 } else { 0.0 };
         FioSpec {
-            read_ratio: if fg_op == IoType::Read { 1.0 } else { 0.0 },
-            io_bytes: 4096,
-            read_pattern: AccessPattern::Random,
-            write_pattern: AccessPattern::Sequential,
+            read_pattern,
+            write_pattern,
             queue_depth: 16,
-            rate_limit: None,
-            burst: None,
-            region_start: fg_region.start,
-            region_blocks: fg_region.blocks,
-        },
+            ..FioSpec::paper_default(read_ratio, kb * 1024, r.start, r.blocks)
+        }
+    };
+    let fg = stream(
+        0,
+        fg_op,
+        4,
+        AccessPattern::Random,
+        AccessPattern::Sequential,
     );
-    let mut workers = vec![fg];
+    let mut workers = vec![WorkerSpec::new("fg", fg)];
     if bg_kb > 0 {
-        let r = Region::slice(1, 2, CAP_BLOCKS);
         let pattern = if bg_seq {
             AccessPattern::Sequential
         } else {
@@ -45,28 +47,10 @@ fn foreground_lat(
         };
         workers.push(WorkerSpec::new(
             "bg",
-            FioSpec {
-                read_ratio: if bg_op == IoType::Read { 1.0 } else { 0.0 },
-                io_bytes: bg_kb * 1024,
-                read_pattern: pattern,
-                write_pattern: pattern,
-                queue_depth: 16,
-                rate_limit: None,
-                burst: None,
-                region_start: r.start,
-                region_blocks: r.blocks,
-            },
+            stream(1, bg_op, bg_kb, pattern, pattern),
         ));
     }
-    let (duration, warmup) = durations(quick);
-    let cfg = TestbedConfig {
-        scheme: Scheme::Vanilla,
-        ssd: default_ssd(),
-        precondition: Precondition::Clean,
-        duration,
-        warmup,
-        ..TestbedConfig::default()
-    };
+    let cfg = testbed_config(Scheme::Vanilla, Precondition::Clean, quick);
     let res = Testbed::new(cfg, workers).run();
     let s = if fg_op == IoType::Read {
         res.workers[0].read_latency

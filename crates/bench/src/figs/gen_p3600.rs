@@ -6,7 +6,9 @@
 //! read/write) and 0.58/0.90 (fragmented read/write): Gimbal adapts to a
 //! different device without re-engineering.
 
-use crate::common::{durations, println_header, standalone_bw, Region};
+use crate::common::{
+    println_header, standalone_bw, standalone_bw_on, testbed_config, Region, CAP_BLOCKS,
+};
 use gimbal_core::Params;
 use gimbal_ssd::{SsdConfig, SsdProfile};
 use gimbal_testbed::{f_util, Precondition, Scheme, Testbed, TestbedConfig, WorkerSpec};
@@ -19,14 +21,24 @@ fn p3600_ssd() -> SsdConfig {
     }
 }
 
-const CAP: u64 = 512 * 1024 * 1024 / 4096;
+/// Standalone 128 KB clean-read bandwidth (bytes/s) of the DCT983 and the
+/// P3600 — the device sanity row (paper: −33.5 %).
+pub fn clean_read_bw(quick: bool) -> (f64, f64) {
+    let fio = FioSpec::paper_default(1.0, 128 * 1024, 0, CAP_BLOCKS);
+    (
+        standalone_bw(fio, Precondition::Clean, quick),
+        standalone_bw_on(p3600_ssd(), fio, Precondition::Clean),
+    )
+}
 
-fn rw_futils(pre: Precondition, io: u64, quick: bool) -> (f64, f64) {
+/// Read and write f-Utils of 16 readers + 16 writers under Gimbal on the
+/// P3600 (clean runs use 128 KB sequential reads / random writes).
+pub fn rw_futils(pre: Precondition, io: u64, quick: bool) -> (f64, f64) {
     let n = 32u32;
     let mut workers = Vec::new();
     let mut specs = Vec::new();
     for i in 0..n {
-        let r = Region::slice(i, n, CAP);
+        let r = Region::slice(i, n, CAP_BLOCKS);
         let ratio = if i < n / 2 { 1.0 } else { 0.0 };
         let mut fio = FioSpec::paper_default(ratio, io, r.start, r.blocks);
         if io >= 128 * 1024 {
@@ -39,54 +51,25 @@ fn rw_futils(pre: Precondition, io: u64, quick: bool) -> (f64, f64) {
             fio,
         ));
     }
-    let (duration, warmup) = durations(quick);
     let cfg = TestbedConfig {
-        scheme: Scheme::Gimbal,
         gimbal_params: Params::p3600(),
         ssd: p3600_ssd(),
-        precondition: pre,
-        duration,
-        warmup,
-        ..TestbedConfig::default()
+        ..testbed_config(Scheme::Gimbal, pre, quick)
     };
     let res = Testbed::new(cfg, workers).run();
     // f-Util against the P3600's own standalone capabilities.
-    let read_alone = standalone_bw_p3600(specs[0], pre);
-    let write_alone = standalone_bw_p3600(specs[(n - 1) as usize], pre);
+    let read_alone = standalone_bw_on(p3600_ssd(), specs[0], pre);
+    let write_alone = standalone_bw_on(p3600_ssd(), specs[(n - 1) as usize], pre);
     let rd = res.aggregate_bps(|l| l == "read") / f64::from(n / 2);
     let wr = res.aggregate_bps(|l| l == "write") / f64::from(n / 2);
     (f_util(rd, read_alone, n), f_util(wr, write_alone, n))
-}
-
-fn standalone_bw_p3600(mut fio: FioSpec, pre: Precondition) -> f64 {
-    fio.queue_depth = fio.queue_depth.max(32);
-    let cfg = TestbedConfig {
-        scheme: Scheme::Vanilla,
-        ssd: p3600_ssd(),
-        precondition: pre,
-        duration: gimbal_sim::SimDuration::from_millis(700),
-        warmup: gimbal_sim::SimDuration::from_millis(150),
-        ..TestbedConfig::default()
-    };
-    Testbed::new(cfg, vec![WorkerSpec::new("solo", fio)])
-        .run()
-        .workers[0]
-        .bandwidth_bps()
 }
 
 /// Run the generalization study.
 pub fn run(quick: bool) {
     println_header("§5.8 generalization: Gimbal on the Intel P3600 profile (Thresh_max = 3ms)");
     // Device sanity vs the DCT983 (paper: −33.5 % 128K read, +35 % 4K write).
-    let d = standalone_bw(
-        FioSpec::paper_default(1.0, 128 * 1024, 0, CAP),
-        Precondition::Clean,
-        quick,
-    );
-    let p = standalone_bw_p3600(
-        FioSpec::paper_default(1.0, 128 * 1024, 0, CAP),
-        Precondition::Clean,
-    );
+    let (d, p) = clean_read_bw(quick);
     println!(
         "128KB clean read: DCT983 {:.0} MB/s vs P3600 {:.0} MB/s ({:+.1}%)",
         d / 1e6,

@@ -44,6 +44,10 @@ echo "==> steal-flip localization smoke (perturbed steal ring diverges under com
 cargo test --release --offline -p gimbal-testbed -q \
     sanitizer_localizes_injected_steal_order_flip
 
+echo "==> figures smoke (registry listing, argument handling on the static Table 2)"
+cargo run --release --offline -q -p gimbal-bench --bin figures -- list > /dev/null
+cargo run --release --offline -q -p gimbal-bench --bin figures -- --quick tab2_comparison > /dev/null
+
 echo "==> zero-alloc gates (disabled telemetry; all-denied broker poll + engine drains)"
 cargo bench --offline -q -p gimbal-bench --bench micro -- zero_alloc
 
