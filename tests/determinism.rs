@@ -20,7 +20,7 @@ use gimbal_repro::testbed::{
     cache_tier_wb, check_run, AdmissionPolicy, BrokerMode, CacheConfig, FaultConfig, KvTestbed,
     KvTestbedConfig, Precondition, RunResult, Scheme, Testbed, TestbedConfig, WritePolicy,
 };
-use gimbal_repro::workload::AccessPattern;
+use gimbal_repro::workload::{AccessPattern, YcsbMix};
 
 fn run_once(scheme: Scheme, seed: u64) -> RunResult {
     run_cfg(scheme, seed, None)
@@ -418,7 +418,7 @@ fn headline_configurations_keep_their_pinned_digests() {
     // --rack-nodes 3 --rack-fault node-death --duration-ms 200
     //   --warmup-ms 40 --seed 42 --sanitize: node 1 dies a third of the
     //   way in.
-    let rack = RackConfig {
+    let rack_cfg = RackConfig {
         duration: ms(200),
         warmup: ms(40),
         seed: 42,
@@ -435,7 +435,7 @@ fn headline_configurations_keep_their_pinned_digests() {
         }),
         ..RackConfig::default()
     };
-    let rack = RackTestbed::new(rack).run();
+    let rack = RackTestbed::new(rack_cfg.clone()).run();
     // The chaos suite's combined plan (loss, brown-out, stall, transient
     // errors, device death) with the journal on: the only rows that reach
     // the fio engine's replay dedup, resend and retry paths.
@@ -468,6 +468,28 @@ fn headline_configurations_keep_their_pinned_digests() {
     };
     kv.lsm.memtable_bytes = 256 * 1024;
     let kv = KvTestbed::new(kv).run();
+    // Parda YCSB-B with backend 0's flash failing mid-run: the Parda
+    // window gate and the error-completion failover path.
+    let kv_fail = KvTestbed::new(KvTestbedConfig {
+        scheme: Scheme::Parda,
+        mix: YcsbMix::B,
+        instances: 3,
+        records_per_instance: 10_000,
+        duration: ms(400),
+        warmup: ms(100),
+        seed: 42,
+        fail_backend_at: Some((0, ms(200))),
+        ..KvTestbedConfig::default()
+    })
+    .run();
+    // The node-death rack under 2 % command and completion loss:
+    // retransmission and suspect-and-reroute under loss.
+    let mut lossy = rack_cfg.clone();
+    if let Some(f) = lossy.faults.as_mut() {
+        f.plan.cmd_loss_prob = 0.02;
+        f.plan.cpl_loss_prob = 0.02;
+    }
+    let lossy = RackTestbed::new(lossy).run();
     let f = &chaos.faults;
     assert!(
         f.retries > 0 && f.completions_resent > 0 && f.duplicate_cmds_ignored > 0,
@@ -476,6 +498,18 @@ fn headline_configurations_keep_their_pinned_digests() {
     assert!(
         kv.instances.iter().any(|i| i.lsm.flushes > 0),
         "kv row never flushed"
+    );
+    assert!(
+        kv_fail
+            .instances
+            .iter()
+            .any(|i| i.lsm.failed_read_retries > 0),
+        "kv failure row never failed over"
+    );
+    let (p, r) = (&lossy.physical, &lossy.rack);
+    assert!(
+        p.retries > 0 && p.cmd_capsules_dropped > 0 && r.reroutes > 0,
+        "lossy rack row misses retransmit or reroute: {p:?} {r:?}"
     );
     let (strict, strict_workers) = broker_bench(BrokerMode::Strict);
     let (borrow, borrow_workers) = broker_bench(BrokerMode::Borrow);
@@ -547,6 +581,21 @@ fn headline_configurations_keep_their_pinned_digests() {
             fault_digest(&chaos.faults),
         ),
         ("kv ycsb-a", 0x631c_bec6_004a_b53a, kv_digest(&kv)),
+        (
+            "kv parda ycsb-b, backend 0 fails",
+            0x7395_b670_97cd_d008,
+            kv_digest(&kv_fail),
+        ),
+        (
+            "rack node-death + 2% loss",
+            0xf567_841a_b42b_3748,
+            lossy.stats_digest(),
+        ),
+        (
+            "rack node-death + 2% loss: fault counters",
+            0xb11d_9919_a7ea_3a6b,
+            fault_digest(&lossy.physical),
+        ),
     ];
     let moved: Vec<String> = rows
         .iter()
