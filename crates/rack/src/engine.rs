@@ -23,9 +23,9 @@
 //! (attempt < `suspect_after`) → mark the node *suspect* and reroute the
 //! read to a surviving replica → terminal typed error only when no live
 //! replica holds the span. Writes never reroute (a write side that dies is
-//! a degraded ack, §4.3); they retransmit until exhaustion. All of it runs
-//! through [`RetryConfig::escalate`], so the ladder's order is unit-tested
-//! where it lives.
+//! a degraded ack, §4.3); they retransmit until exhaustion. The ladder is
+//! the shared [`Initiator`]'s; this engine only answers whether a read can
+//! reroute and carries out the reroute.
 //!
 //! ## Determinism
 //!
@@ -42,38 +42,20 @@ use gimbal_blobstore::{
 };
 use gimbal_broker::BrokerHandle;
 use gimbal_fabric::{
-    CmdId, EscalationAction, IoType, NvmeCmd, NvmeCompletion, Port, Priority, RdmaDelays,
-    RetryConfig, SsdId, TenantId, TorSwitch, CMD_CAPSULE_BYTES, RSP_CAPSULE_BYTES,
+    NvmeCmd, NvmeCompletion, Port, Priority, RdmaDelays, SsdId, TenantId, TorSwitch,
+    CMD_CAPSULE_BYTES, RSP_CAPSULE_BYTES,
 };
 use gimbal_sim::collections::DetMap;
 use gimbal_sim::journal::JournalHandle;
-use gimbal_sim::{
-    EventQueue, FaultInjector, FaultPlan, Histogram, SimDuration, SimRng, SimTime, SsdFaultSpec,
-};
+use gimbal_sim::{EventQueue, FaultPlan, Histogram, SimDuration, SimRng, SimTime, SsdFaultSpec};
 use gimbal_ssd::FlashSsd;
-use gimbal_switch::{ClientPolicy, PipelineOut};
+use gimbal_switch::PipelineOut;
 use gimbal_telemetry::{CapsuleKind, EventKind, TraceHandle};
-use gimbal_testbed::{recorders, FaultCounters, InFlight, Node, NodeHost, NodeSpec, Tracing};
-use std::collections::VecDeque;
+use gimbal_testbed::initiator::{Expiry, Initiator, Timer};
+use gimbal_testbed::{recorders, Node, NodeHost, NodeSpec, Tracing, Tracked};
 
-/// One physical IO waiting behind a client's per-backend submission gate.
-struct PendIo {
-    logical: u64,
-    backend: usize,
-    lba: u64,
-    blocks: u64,
-    op: IoType,
-}
-
-/// One closed-loop client.
+/// One closed-loop client. Its gates, queues and port are the initiator's.
 struct Client {
-    /// Per-backend submission gates (credits for Gimbal, windows for Parda).
-    gates: Vec<Box<dyn ClientPolicy>>,
-    /// Outstanding physical commands per backend.
-    outstanding: Vec<u32>,
-    /// Gated per-backend submission queues.
-    pending: Vec<VecDeque<PendIo>>,
-    tx_port: Port,
     file: FileId,
     rng: SimRng,
     /// Open logical IOs (the closed loop's fill level).
@@ -120,15 +102,31 @@ impl Tried {
     }
 }
 
+/// The replicas of read `lg`'s span it may still be routed to: live, not
+/// yet tried, and without duplicates.
+fn untried(
+    lg: &Logical,
+    file: FileId,
+    bs: &Blobstore,
+    router: &RateLimiter,
+) -> ([BackendId; 2], usize) {
+    let pair = bs.replicas_at(file, lg.offset);
+    let (mut cands, mut n) = (pair, 0);
+    for b in pair {
+        if !cands[..n].contains(&b) && !lg.tried.contains(b.0) && !router.is_dead(b) {
+            cands[n] = b;
+            n += 1;
+        }
+    }
+    (cands, n)
+}
+
 enum Ev {
     ClientStart(usize),
     DeliverCmd(NvmeCmd),
     PipelineWake(usize),
     DeliverCpl(NvmeCompletion),
-    Timeout {
-        cmd: u64,
-        attempt: u32,
-    },
+    Timeout(Timer),
     NodeDeath(usize),
     /// Broker settlement boundary (only scheduled when the broker is on):
     /// repays debts and forgives accounts on dead nodes' backends.
@@ -140,26 +138,23 @@ enum Ev {
 }
 
 /// What the nodes call back into: the event queue, the ToR path back to
-/// the clients, the physical in-flight table, and the fault state every
-/// crossing consults.
+/// the clients, the clients' initiator, and the fault state every crossing
+/// consults.
 struct Net {
     queue: EventQueue<Ev>,
     delays: RdmaDelays,
     tor: TorSwitch,
     node_ports: Vec<Port>,
     ssds_per_node: usize,
-    /// Live physical commands by id, each tagged with the logical IO it
-    /// serves. Removed exactly once — at completion delivery, final
-    /// timeout, or abandonment for a reroute — which is what makes the
-    /// physical conservation audit exact.
-    phys: DetMap<u64, InFlight<u64>>,
-    counters: FaultCounters,
+    /// One client per rack client, one lane per backend. Physical IOs wait
+    /// as (logical IO, plan), and each command is tagged with the logical
+    /// IO it serves.
+    init: Initiator<u64, (u64, IoPlan)>,
     rack: RackCounters,
     /// `Some` only when the plan actually targets this rack: a plan whose
     /// every fault is aimed at absent nodes/SSDs runs exactly like
     /// `faults: None`, timers and all.
     active_plan: Option<FaultPlan>,
-    injector: Option<FaultInjector>,
     node_dead: Vec<bool>,
     trace: TraceHandle,
 }
@@ -204,26 +199,16 @@ impl Net {
     }
 
     /// Transmit (or retransmit) a command capsule: client port → ToR →
-    /// node, subject to injected capsule loss.
-    fn send_command(&mut self, port: &mut Port, cmd: NvmeCmd, now: SimTime) {
-        if let Some(inj) = self.injector.as_mut() {
-            if inj.drop_command(now) {
-                self.counters.cmd_capsules_dropped += 1;
-                self.trace.record(
-                    now,
-                    cmd.ssd,
-                    Some(cmd.tenant),
-                    EventKind::FaultInjected {
-                        capsule: CapsuleKind::Command,
-                    },
-                );
-                return;
-            }
+    /// node, subject to injected capsule loss, after arming its timer when
+    /// one comes.
+    fn send_command(&mut self, cmd: NvmeCmd, timer: Option<Timer>, now: SimTime) {
+        if let Some(t) = timer {
+            self.queue.push(t.at, Ev::Timeout(t));
         }
-        let mut at_tor = self.delays.command_arrival(port, now, &cmd);
-        if cmd.opcode.is_write() {
-            at_tor = self.delays.write_payload_fetched(port, at_tor, &cmd);
+        if self.init.lose(CapsuleKind::Command, &cmd, now) {
+            return;
         }
+        let at_tor = self.init.wire(&self.delays, &cmd, now);
         let node = self.node_of(cmd.ssd.index());
         let extra = self.link_extra(node, at_tor, cmd.ssd, cmd.tenant);
         let bytes = CMD_CAPSULE_BYTES
@@ -234,6 +219,14 @@ impl Net {
             };
         let arrive = self.tor.to_node(node, at_tor, bytes, extra);
         self.queue.push(arrive, Ev::DeliverCmd(cmd));
+    }
+
+    /// Queue the physical IO `plan` of logical IO `logical` behind client
+    /// `i`'s gate for its backend.
+    fn enqueue(&mut self, i: usize, logical: u64, plan: IoPlan) {
+        let backend = plan.backend.index();
+        self.init
+            .enqueue(i, backend, Priority::NORMAL, (logical, plan));
     }
 }
 
@@ -254,19 +247,8 @@ impl NodeHost for Net {
             self.rack.tor_cpl_drops += 1;
             return;
         }
-        if let Some(inj) = self.injector.as_mut() {
-            if inj.drop_completion(at) {
-                self.counters.cpl_capsules_dropped += 1;
-                self.trace.record(
-                    at,
-                    cmd.ssd,
-                    Some(cmd.tenant),
-                    EventKind::FaultInjected {
-                        capsule: CapsuleKind::Completion,
-                    },
-                );
-                return;
-            }
+        if self.init.lose(CapsuleKind::Completion, cmd, at) {
+            return;
         }
         let at_tor = self
             .delays
@@ -282,8 +264,8 @@ impl NodeHost for Net {
         self.queue.push(arrive, Ev::DeliverCpl(cpl));
     }
 
-    fn in_flight(&mut self) -> Option<(&mut DetMap<u64, InFlight<u64>>, &mut FaultCounters)> {
-        Some((&mut self.phys, &mut self.counters))
+    fn in_flight(&mut self) -> Option<Tracked<'_, u64>> {
+        self.init.in_flight()
     }
 }
 
@@ -295,7 +277,7 @@ pub struct RackTestbed {
     nodes: Vec<Node>,
     net: Net,
     /// Shared routing view: per-backend credit/outstanding/dead/suspect.
-    /// Gating is per-client (`Client::gates`), so this limiter is disabled.
+    /// Gating is the initiator's, so this limiter is disabled.
     router: RateLimiter,
     bs: Blobstore,
     clients: Vec<Client>,
@@ -303,8 +285,6 @@ pub struct RackTestbed {
     /// Recycled blobstore plan buffer; empty between logical IOs.
     plans: Vec<IoPlan>,
     next_logical: u64,
-    next_cmd: u64,
-    retry: RetryConfig,
     tracer: Tracing,
     sanitizer: JournalHandle,
     /// Shared borrow ledger (`None` = broker off).
@@ -333,16 +313,15 @@ impl RackTestbed {
         // node faults aimed past `nodes` (or SSD faults past `backends`) are
         // inert, so such a plan must not even arm timers — that keeps the
         // run bit-identical to a fault-free one.
-        let active_plan = cfg.faults.as_ref().map(|fc| &fc.plan).filter(|p| {
+        let faults = cfg.faults.as_ref().filter(|fc| {
+            let p = &fc.plan;
             p.cmd_loss_prob > 0.0
                 || p.cpl_loss_prob > 0.0
                 || !p.burst_windows.is_empty()
                 || (0..backends).any(|i| p.ssd_spec(i).is_some())
                 || (0..nodes).any(|n| p.node_spec(n).is_some())
         });
-        let injector = active_plan.map(|p| FaultInjector::new(p.clone(), cfg.seed));
-        let active_plan = active_plan.cloned();
-        let retry = cfg.faults.as_ref().map(|fc| fc.retry).unwrap_or_default();
+        let active_plan = faults.map(|fc| fc.plan.clone());
 
         let (tracer, trace, sanitizer) = recorders(cfg.trace.as_ref(), cfg.sanitize);
         let broker = cfg
@@ -411,10 +390,6 @@ impl RackTestbed {
                     )
                     .expect("rack out of blobstore capacity — shrink file_blocks");
                 Client {
-                    gates: (0..backends).map(|_| cfg.scheme.make_client()).collect(),
-                    outstanding: vec![0; backends],
-                    pending: (0..backends).map(|_| VecDeque::new()).collect(),
-                    tx_port: Port::new(cfg.fabric.port_bandwidth),
                     file,
                     rng: root_rng.fork(i as u64),
                     inflight: 0,
@@ -453,11 +428,17 @@ impl RackTestbed {
                     .map(|_| Port::new(cfg.fabric.port_bandwidth))
                     .collect(),
                 ssds_per_node: spn,
-                phys: DetMap::new(),
-                counters: FaultCounters::default(),
+                init: Initiator::new(
+                    clients.len(),
+                    backends,
+                    cfg.fabric.port_bandwidth,
+                    faults,
+                    cfg.seed,
+                    trace.clone(),
+                    || cfg.scheme.client_gate(cfg.gimbal_params, true),
+                ),
                 rack: RackCounters::default(),
                 active_plan,
-                injector,
                 node_dead: vec![false; nodes],
                 trace,
             },
@@ -467,8 +448,6 @@ impl RackTestbed {
             logical: DetMap::new(),
             plans: Vec::new(),
             next_logical: 0,
-            next_cmd: 0,
-            retry,
             tracer,
             sanitizer,
             broker,
@@ -593,13 +572,7 @@ impl RackTestbed {
                         tried: Tried([Some(b.0), None]),
                     },
                 );
-                self.clients[i].pending[plan.backend.index()].push_back(PendIo {
-                    logical: id,
-                    backend: plan.backend.index(),
-                    lba: plan.lba,
-                    blocks: plan.blocks,
-                    op: IoType::Read,
-                });
+                self.net.enqueue(i, id, plan);
             } else {
                 let router = &self.router;
                 match self.bs.plan_write_degraded_into(
@@ -631,13 +604,7 @@ impl RackTestbed {
                             },
                         );
                         for p in self.plans.drain(..) {
-                            self.clients[i].pending[p.backend.index()].push_back(PendIo {
-                                logical: id,
-                                backend: p.backend.index(),
-                                lba: p.lba,
-                                blocks: p.blocks,
-                                op: IoType::Write,
-                            });
+                            self.net.enqueue(i, id, p);
                         }
                     }
                 }
@@ -648,54 +615,25 @@ impl RackTestbed {
     /// Drain client `i`'s per-backend pending queues through its gates onto
     /// the fabric.
     fn dispatch(&mut self, i: usize, now: SimTime) {
-        for b in 0..self.clients[i].pending.len() {
-            loop {
-                if self.clients[i].pending[b].is_empty() {
-                    break;
-                }
-                let outstanding = self.clients[i].outstanding[b];
-                if !self.clients[i].gates[b].can_submit(outstanding, now) {
-                    break;
-                }
-                let io = self.clients[i].pending[b].pop_front().expect("non-empty");
-                self.submit_phys(i, io, now);
+        for b in 0..self.cfg.backends() as usize {
+            while let Some((logical, plan)) = self.net.init.next_pending(i, b, now) {
+                let (cmd, timer) = self.net.init.submit(logical, now, |id| NvmeCmd {
+                    id,
+                    tenant: TenantId(i as u32),
+                    ssd: SsdId(plan.backend.0),
+                    opcode: plan.op,
+                    lba: plan.lba,
+                    len: (plan.blocks * 4096) as u32,
+                    priority: Priority::NORMAL,
+                    issued_at: now,
+                    wal: None,
+                });
+                self.router.on_submit(plan.backend);
+                self.sanitizer
+                    .record(now.as_nanos(), "rack.issue", "submit", cmd.id.0);
+                self.net.send_command(cmd, timer, now);
             }
         }
-    }
-
-    fn submit_phys(&mut self, i: usize, io: PendIo, now: SimTime) {
-        let cmd = NvmeCmd {
-            id: CmdId(self.next_cmd),
-            tenant: TenantId(i as u32),
-            ssd: SsdId(io.backend as u32),
-            opcode: io.op,
-            lba: io.lba,
-            len: (io.blocks * 4096) as u32,
-            priority: Priority::NORMAL,
-            issued_at: now,
-            wal: None,
-        };
-        self.next_cmd += 1;
-        self.net.counters.submitted += 1;
-        self.clients[i].outstanding[io.backend] += 1;
-        self.clients[i].gates[io.backend].on_submit(now);
-        self.router.on_submit(BackendId(io.backend as u32));
-        self.sanitizer
-            .record(now.as_nanos(), "rack.issue", "submit", cmd.id.0);
-        self.net
-            .phys
-            .insert(cmd.id.0, InFlight::new(cmd, io.logical));
-        if self.net.active_plan.is_some() {
-            self.net.queue.push(
-                now + self.retry.timeout_for(0),
-                Ev::Timeout {
-                    cmd: cmd.id.0,
-                    attempt: 0,
-                },
-            );
-        }
-        self.net
-            .send_command(&mut self.clients[i].tx_port, cmd, now);
     }
 
     /// Mark a node suspect (idempotent while suspicion lasts).
@@ -731,31 +669,6 @@ impl RackTestbed {
         }
     }
 
-    /// Remove a physical command that timed out terminally or is being
-    /// abandoned for a reroute, settling its client/gate/router state; the
-    /// caller then settles its side with [`Self::side_done`].
-    fn abandon_phys(&mut self, cmd: u64, attempt: u32, now: SimTime) {
-        let p = self
-            .net
-            .phys
-            .remove(&cmd)
-            .expect("abandoning a tracked cmd");
-        self.net.counters.timed_out += 1;
-        self.net.trace.record(
-            now,
-            p.cmd.ssd,
-            Some(p.cmd.tenant),
-            EventKind::TimedOut {
-                cmd,
-                attempts: attempt + 1,
-            },
-        );
-        let (i, b) = (p.cmd.tenant.index(), p.cmd.ssd.index());
-        self.clients[i].outstanding[b] -= 1;
-        self.clients[i].gates[b].on_timeout(now);
-        self.router.on_completion(BackendId(b as u32), None);
-    }
-
     /// One physical side of logical IO `lg_id` on backend `b` resolved,
     /// `ok` or not (`cmd` names it in reroute events): finish the logical
     /// IO or reroute a failed read, then refill the client's loop.
@@ -786,21 +699,10 @@ impl RackTestbed {
     /// Route an in-error read to an untried live replica. Returns false
     /// when none exists (the caller then finalizes the typed error).
     fn reroute_read(&mut self, lg_id: u64, from: usize, old_cmd: u64, now: SimTime) -> bool {
-        let (client, offset, blocks) = {
-            let lg = self.logical.get(&lg_id).expect("live logical");
-            (lg.client, lg.offset, lg.blocks)
-        };
+        let lg = self.logical.get(&lg_id).expect("live logical");
+        let (client, offset, blocks) = (lg.client, lg.offset, lg.blocks);
         let file = self.clients[client].file;
-        let pair = self.bs.replicas_at(file, offset);
-        let tried = self.logical.get(&lg_id).expect("live logical").tried;
-        let mut cands = pair;
-        let mut n = 0;
-        for b in pair {
-            if !cands[..n].contains(&b) && !tried.contains(b.0) && !self.router.is_dead(b) {
-                cands[n] = b;
-                n += 1;
-            }
-        }
+        let (cands, n) = untried(lg, file, &self.bs, &self.router);
         if n == 0 {
             return false;
         }
@@ -824,15 +726,32 @@ impl RackTestbed {
             lg.pending += 1;
         }
         let plan = self.plan_read(file, offset, blocks, b);
-        self.clients[client].pending[plan.backend.index()].push_back(PendIo {
-            logical: lg_id,
-            backend: plan.backend.index(),
-            lba: plan.lba,
-            blocks: plan.blocks,
-            op: IoType::Read,
-        });
+        self.net.enqueue(client, lg_id, plan);
         self.dispatch(client, now);
         true
+    }
+
+    /// A retransmission timer fired. A read may reroute while an untried
+    /// live replica holds its span; an abandoned side settles the router
+    /// and the logical IO.
+    fn timeout(&mut self, t: Timer, now: SimTime) {
+        let (logical, bs, clients, router) = (&self.logical, &self.bs, &self.clients, &self.router);
+        let can_reroute = |lg_id: &u64| {
+            let lg = logical.get(lg_id).expect("live logical");
+            lg.is_read && untried(lg, clients[lg.client].file, bs, router).1 > 0
+        };
+        match self.net.init.on_timer(t, now, can_reroute) {
+            Some(Expiry::Retransmit { cmd, timer }) => self.net.send_command(cmd, Some(timer), now),
+            Some(Expiry::Abandoned { entry, reroute }) => {
+                let b = entry.cmd.ssd.index();
+                self.router.on_completion(BackendId(b as u32), None);
+                if reroute {
+                    self.suspect_node(self.cfg.node_of(b), now);
+                }
+                self.side_done(entry.tag, false, b, t.cmd, now);
+            }
+            None => {}
+        }
     }
 
     /// One broker settlement boundary. Backends on dead or partitioned
@@ -920,7 +839,7 @@ impl RackTestbed {
                     Ev::DeliverCmd(cmd) => ("rack.fabric", "deliver_cmd", cmd.id.0),
                     Ev::PipelineWake(b) => ("rack.wake", "wake", *b as u64),
                     Ev::DeliverCpl(cpl) => ("rack.fabric", "deliver_cpl", cpl.id.0),
-                    Ev::Timeout { cmd, .. } => ("rack.fault", "timeout", *cmd),
+                    Ev::Timeout(t) => ("rack.fault", "timeout", t.cmd),
                     Ev::NodeDeath(n) => ("rack.node", "death", *n as u64),
                     Ev::BrokerEpoch => ("engine.broker", "epoch", 0),
                     Ev::CoresRebalance => ("engine.cores", "rebalance", 0),
@@ -976,91 +895,29 @@ impl RackTestbed {
                     }
                 }
                 Ev::DeliverCpl(cpl) => {
-                    let Some(p) = self.net.phys.remove(&cpl.id.0) else {
-                        self.net.counters.stale_completions_ignored += 1;
+                    let Some(lg_id) = self.net.init.complete(&cpl, now) else {
                         continue;
                     };
-                    let i = cpl.tenant.index();
-                    let b = p.cmd.ssd.index();
-                    self.clients[i].outstanding[b] -= 1;
-                    self.clients[i].gates[b].on_completion(&cpl, now);
+                    let b = cpl.ssd.index();
                     self.router.on_completion(BackendId(b as u32), cpl.credit);
                     let ok = cpl.status.is_success();
                     if ok {
-                        self.net.counters.completed_ok += 1;
                         self.clear_suspect_node(self.cfg.node_of(b));
                     } else {
-                        self.net.counters.completed_err += 1;
                         // The error completion is the client's first sight
                         // of a flash failure: hard-exclude the backend and
                         // recover via its replica (§4.3).
                         self.router.mark_dead(BackendId(b as u32));
                     }
-                    self.side_done(p.tag, ok, b, cpl.id.0, now);
+                    self.side_done(lg_id, ok, b, cpl.id.0, now);
                 }
-                Ev::Timeout { cmd, attempt } => {
-                    let Some(p) = self.net.phys.get_mut(&cmd) else {
-                        continue; // resolved before the timer fired
-                    };
-                    if p.attempt != attempt {
-                        continue; // superseded by a retransmission's timer
-                    }
-                    let (lg_id, pcmd) = (p.tag, p.cmd);
-                    let (i, b) = (pcmd.tenant.index(), pcmd.ssd.index());
-                    let can_reroute = {
-                        let lg = self.logical.get(&lg_id).expect("live logical");
-                        lg.is_read && {
-                            let pair = self.bs.replicas_at(self.clients[i].file, lg.offset);
-                            pair.iter()
-                                .any(|r| !lg.tried.contains(r.0) && !self.router.is_dead(*r))
-                        }
-                    };
-                    match self.retry.escalate(attempt, can_reroute) {
-                        EscalationAction::Retransmit => {
-                            let next = attempt + 1;
-                            p.attempt = next;
-                            self.net.counters.retries += 1;
-                            let t = self.retry.timeout_for(next);
-                            self.net.trace.record(
-                                now,
-                                pcmd.ssd,
-                                Some(pcmd.tenant),
-                                EventKind::RetryScheduled {
-                                    cmd,
-                                    attempt: next,
-                                    timeout_ns: t.as_nanos(),
-                                },
-                            );
-                            self.net
-                                .queue
-                                .push(now + t, Ev::Timeout { cmd, attempt: next });
-                            self.net
-                                .send_command(&mut self.clients[i].tx_port, pcmd, now);
-                        }
-                        EscalationAction::SuspectAndReroute => {
-                            self.abandon_phys(cmd, attempt, now);
-                            self.suspect_node(self.cfg.node_of(b), now);
-                            self.side_done(lg_id, false, b, cmd, now);
-                        }
-                        EscalationAction::Terminal => {
-                            // No untried live replica: the side fails
-                            // without a reroute.
-                            self.abandon_phys(cmd, attempt, now);
-                            self.side_done(lg_id, false, b, cmd, now);
-                        }
-                    }
-                }
+                Ev::Timeout(t) => self.timeout(t, now),
             }
         }
 
-        let mut physical = self.net.counters;
-        physical.in_flight_at_end = self.net.phys.len() as u64;
+        let physical = self.net.init.finish();
         let mut rack = self.net.rack;
         rack.in_flight_at_end = self.logical.len() as u64;
-        debug_assert!(
-            physical.conservation_holds(),
-            "physical conservation violated: {physical:?}"
-        );
         debug_assert!(
             rack.logical_conservation_holds(),
             "logical conservation violated: {rack:?}"
@@ -1104,6 +961,7 @@ impl RackTestbed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gimbal_fabric::RetryConfig;
     use gimbal_sim::journal::first_divergence;
     use gimbal_sim::FaultWindow;
     use gimbal_testbed::{FaultConfig, Scheme};

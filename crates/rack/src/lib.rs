@@ -25,7 +25,8 @@
 //! * **Escalation ladder** — per-command timeout → retransmit (existing
 //!   fabric retry) → mark-node-suspect → reroute to a surviving replica →
 //!   terminal typed error only when no live replica holds the span
-//!   ([`gimbal_fabric::RetryConfig::escalate`]).
+//!   ([`gimbal_fabric::RetryConfig::escalate`], climbed by the initiator
+//!   runtime every engine shares, [`gimbal_testbed::initiator`]).
 //! * [`results`] — physical (per-capsule) *and* logical (per-application-IO)
 //!   conservation counters; the rack audit holds when both balance: no
 //!   acknowledged IO lost, no IO double-served.

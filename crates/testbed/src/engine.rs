@@ -1,25 +1,20 @@
 //! The fio engine: closed-loop fio workers driving one [`Node`] over the
-//! fabric. The node runs the target side; this engine keeps what is its
-//! own — the workers, the initiator's timeout → retransmit protocol,
-//! same-instant batching, and per-SSD device histograms.
+//! fabric through one [`Initiator`]. The node runs the target side and the
+//! initiator the client side; this engine keeps what is its own — the
+//! workers, the capsule path with its loss injection, same-instant
+//! batching, and per-SSD device histograms.
 
 use crate::config::{TestbedConfig, WorkerSpec};
-use crate::node::{recorders, InFlight, Node, NodeHost, NodeSpec, Tracing};
-use crate::results::{
-    DeviceSeries, FaultCounters, GimbalTrace, RunResult, SubmissionRecord, WorkerResult,
-};
+use crate::initiator::{Expiry, Initiator, Timer};
+use crate::node::{recorders, Node, NodeHost, NodeSpec, Tracing, Tracked};
+use crate::results::{DeviceSeries, GimbalTrace, RunResult, SubmissionRecord, WorkerResult};
 use gimbal_broker::{BrokerHandle, SsdTelemetry};
 use gimbal_core::GimbalPolicy;
-use gimbal_fabric::{
-    CmdId, IoType, NvmeCmd, NvmeCompletion, Port, RdmaDelays, RetryConfig, SsdId, TenantId,
-};
+use gimbal_fabric::{IoType, NvmeCmd, NvmeCompletion, Port, RdmaDelays, SsdId, TenantId};
 use gimbal_sim::journal::JournalHandle;
-use gimbal_sim::{
-    DetMap, EventQueue, Ewma, FaultInjector, Histogram, Meter, SimDuration, SimRng, SimTime,
-    TimeSeries,
-};
-use gimbal_switch::{ClientPolicy, PipelineOut};
-use gimbal_telemetry::{CapsuleKind, EventKind, TraceHandle};
+use gimbal_sim::{EventQueue, Ewma, Histogram, Meter, SimDuration, SimRng, SimTime, TimeSeries};
+use gimbal_switch::PipelineOut;
+use gimbal_telemetry::{CapsuleKind, TraceHandle};
 
 enum Ev {
     WorkerStart(usize),
@@ -27,12 +22,9 @@ enum Ev {
     DeliverCmd(NvmeCmd),
     PipelineWake(usize),
     DeliverCpl(NvmeCompletion),
-    /// Retransmission timer for command `cmd`, armed for transmission
-    /// `attempt`. Only pushed when fault injection is configured.
-    Timeout {
-        cmd: u64,
-        attempt: u32,
-    },
+    /// A retransmission timer. Only pushed when fault injection is
+    /// configured.
+    Timeout(Timer),
     /// Simulated NIC power loss ([`gimbal_sim::FaultPlan::power_loss_at`]):
     /// every pipeline's NIC-DRAM cache is cleared cold and
     /// acked-but-unflushed write-back lines surface as
@@ -50,24 +42,9 @@ enum Ev {
     Sample,
 }
 
-/// Fault-handling runtime, present only when [`TestbedConfig::faults`] is
-/// set. Fault-off runs never touch this state, so they stay bit-identical
-/// to builds without fault support.
-struct FaultRt {
-    injector: FaultInjector,
-    retry: RetryConfig,
-    /// Live (non-terminal) commands by id. The entry is removed exactly
-    /// once — at completion delivery or at final timeout — which is what
-    /// makes the conservation audit exact.
-    tracked: DetMap<u64, InFlight<()>>,
-}
-
 struct Worker {
     spec: WorkerSpec,
     stream: gimbal_workload::FioStream,
-    client: Box<dyn ClientPolicy>,
-    tx_port: Port,
-    outstanding: u32,
     started: bool,
     retry_pending: bool,
     read_hist: Histogram,
@@ -79,18 +56,14 @@ struct Worker {
 }
 
 /// What the node calls back into: the event queue, the completion path
-/// back to the workers, the in-flight table, and per-SSD device accounting.
+/// back to the workers, the initiator, and per-SSD device accounting.
 struct Host {
     queue: EventQueue<Ev>,
     delays: RdmaDelays,
     target_ports: Vec<Port>,
-    /// Fault injection state (`None` = fault-free run).
-    faults: Option<FaultRt>,
-    /// Always-on command accounting; all zeros except `submitted` /
-    /// `completed_ok` / `in_flight_at_end` when faults are off.
-    counters: FaultCounters,
-    /// The engine's handle for fabric-path events (fault injections,
-    /// retransmissions, timeouts, credit flow).
+    /// The workers' side: one client and one lane per worker.
+    init: Initiator<()>,
+    /// The engine's handle for device-latency observations and port gauges.
     trace: TraceHandle,
     device_hist: Vec<[Histogram; 2]>,
     /// Smoothed raw device latency per SSD and op type.
@@ -99,29 +72,16 @@ struct Host {
 }
 
 impl Host {
-    /// Send a command capsule from a worker's port — capsule, then payload
-    /// fetch for non-inlined writes — subject to command-loss injection.
-    fn transmit(&mut self, port: &mut Port, cmd: NvmeCmd, now: SimTime) {
-        let mut arrive = self.delays.command_arrival(port, now, &cmd);
-        if cmd.opcode.is_write() {
-            arrive = self.delays.write_payload_fetched(port, arrive, &cmd);
+    /// Send a command capsule from its worker's port, subject to
+    /// command-loss injection, after arming its timer when one comes.
+    fn transmit(&mut self, cmd: NvmeCmd, timer: Option<Timer>, now: SimTime) {
+        if let Some(t) = timer {
+            self.queue.push(t.at, Ev::Timeout(t));
         }
-        if let Some(f) = self.faults.as_mut() {
-            if f.injector.drop_command(now) {
-                // Lost in the fabric: the timer retransmits.
-                self.counters.cmd_capsules_dropped += 1;
-                self.trace.record(
-                    now,
-                    cmd.ssd,
-                    Some(cmd.tenant),
-                    EventKind::FaultInjected {
-                        capsule: CapsuleKind::Command,
-                    },
-                );
-                return;
-            }
+        let arrive = self.init.wire(&self.delays, &cmd, now);
+        if !self.init.lose(CapsuleKind::Command, &cmd, now) {
+            self.queue.push(arrive, Ev::DeliverCmd(cmd));
         }
-        self.queue.push(arrive, Ev::DeliverCmd(cmd));
     }
 }
 
@@ -137,7 +97,7 @@ impl NodeHost for Host {
             // The SSD never saw this read: its DRAM-copy latency must not
             // pollute the device-latency signals (histograms, the EWMA
             // Gimbal-style monitors sample, the device meter).
-            self.counters.cache_served += 1;
+            self.init.served_from_cache();
             return;
         }
         let lat_ns = out.device_latency.as_nanos();
@@ -155,26 +115,13 @@ impl NodeHost for Host {
         let arrive = self
             .delays
             .completion_arrival(&mut self.target_ports[ssd], at, cmd);
-        if let Some(f) = self.faults.as_mut() {
-            if f.injector.drop_completion(at) {
-                self.counters.cpl_capsules_dropped += 1;
-                self.trace.record(
-                    at,
-                    cmd.ssd,
-                    Some(cmd.tenant),
-                    EventKind::FaultInjected {
-                        capsule: CapsuleKind::Completion,
-                    },
-                );
-                return;
-            }
+        if !self.init.lose(CapsuleKind::Completion, cmd, at) {
+            self.queue.push(arrive, Ev::DeliverCpl(cpl));
         }
-        self.queue.push(arrive, Ev::DeliverCpl(cpl));
     }
 
-    fn in_flight(&mut self) -> Option<(&mut DetMap<u64, InFlight<()>>, &mut FaultCounters)> {
-        let counters = &mut self.counters;
-        self.faults.as_mut().map(|f| (&mut f.tracked, counters))
+    fn in_flight(&mut self) -> Option<Tracked<'_, ()>> {
+        self.init.in_flight()
     }
 }
 
@@ -184,7 +131,6 @@ pub struct Testbed {
     node: Node,
     host: Host,
     workers: Vec<Worker>,
-    next_cmd: u64,
     traces: Vec<GimbalTrace>,
     device_series: Vec<DeviceSeries>,
     /// Submission trace, populated when `cfg.record_submissions` is set.
@@ -259,9 +205,6 @@ impl Testbed {
             .enumerate()
             .map(|(i, spec)| Worker {
                 stream: gimbal_workload::FioStream::new(spec.fio, root_rng.fork(i as u64)),
-                client: cfg.scheme.make_client(),
-                tx_port: Port::new(cfg.fabric.port_bandwidth),
-                outstanding: 0,
                 started: false,
                 retry_pending: false,
                 read_hist: Histogram::new(),
@@ -281,12 +224,15 @@ impl Testbed {
             target_ports: (0..n)
                 .map(|_| Port::new(cfg.fabric.port_bandwidth))
                 .collect(),
-            faults: cfg.faults.as_ref().map(|fc| FaultRt {
-                injector: FaultInjector::new(fc.plan.clone(), cfg.seed),
-                retry: fc.retry,
-                tracked: DetMap::new(),
-            }),
-            counters: FaultCounters::default(),
+            init: Initiator::new(
+                workers.len(),
+                1,
+                cfg.fabric.port_bandwidth,
+                cfg.faults.as_ref(),
+                cfg.seed,
+                trace.clone(),
+                || cfg.scheme.client_gate(cfg.gimbal_params, true),
+            ),
             trace,
             device_hist: (0..n)
                 .map(|_| [Histogram::new(), Histogram::new()])
@@ -300,7 +246,6 @@ impl Testbed {
         Testbed {
             node,
             host,
-            next_cmd: 0,
             workers,
             traces: (0..n).map(|_| GimbalTrace::default()).collect(),
             device_series: (0..n).map(|_| DeviceSeries::default()).collect(),
@@ -331,10 +276,8 @@ impl Testbed {
         }
         loop {
             let w = &mut self.workers[wi];
-            if w.outstanding >= w.spec.fio.queue_depth {
-                break;
-            }
-            if !w.client.can_submit(w.outstanding, now) {
+            let init = &mut self.host.init;
+            if !init.admits(wi, 0, w.spec.fio.queue_depth, now) {
                 break; // resumed by the next completion
             }
             match w.stream.rate_gate(now) {
@@ -348,8 +291,8 @@ impl Testbed {
                 }
             }
             let io = w.stream.next_io(now);
-            let cmd = NvmeCmd {
-                id: CmdId(self.next_cmd),
+            let (cmd, timer) = init.submit((), now, |id| NvmeCmd {
+                id,
                 tenant: TenantId(wi as u32),
                 ssd: SsdId(w.spec.ssd),
                 opcode: io.op,
@@ -358,8 +301,7 @@ impl Testbed {
                 priority: w.spec.priority,
                 issued_at: now,
                 wal: None,
-            };
-            self.next_cmd += 1;
+            });
             self.sanitizer
                 .record(now.as_nanos(), "engine.issue", "submit", cmd.id.0);
             if self.cfg.record_submissions {
@@ -372,55 +314,23 @@ impl Testbed {
                     len: cmd.len,
                 });
             }
-            w.outstanding += 1;
-            w.client.on_submit(now);
-            let host = &mut self.host;
-            host.counters.submitted += 1;
-            if let Some(f) = host.faults.as_mut() {
-                f.tracked.insert(cmd.id.0, InFlight::new(cmd, ()));
-                host.queue.push(
-                    now + f.retry.timeout_for(0),
-                    Ev::Timeout {
-                        cmd: cmd.id.0,
-                        attempt: 0,
-                    },
-                );
-            }
-            host.transmit(&mut w.tx_port, cmd, now);
+            self.host.transmit(cmd, timer, now);
         }
     }
 
     /// A completion capsule reached its worker.
     fn complete(&mut self, cpl: NvmeCompletion, now: SimTime) {
+        if self.host.init.complete(&cpl, now).is_none() {
+            return; // already abandoned: its slot is gone
+        }
         let worker = cpl.tenant.index();
         let (lo, hi) = self.window(worker);
-        let in_window = now >= lo && now < hi;
-        let host = &mut self.host;
-        if let Some(f) = host.faults.as_mut() {
-            if f.tracked.remove(&cpl.id.0).is_none() {
-                // The command was already abandoned (final timeout): its
-                // outstanding slot is gone.
-                host.counters.stale_completions_ignored += 1;
-                return;
-            }
-        }
         let w = &mut self.workers[worker];
-        w.outstanding -= 1;
-        // Even error completions reach the client: they carry the credit
-        // grant that re-syncs §3.6 flow control after losses.
-        w.client.on_completion(&cpl, now);
-        if let Some(credit) = cpl.credit {
-            host.trace.record(
-                now,
-                cpl.ssd,
-                Some(cpl.tenant),
-                EventKind::CreditGranted { credit },
-            );
-        }
+        // Failed IOs move no payload: they are accounted, not measured as
+        // throughput.
         if cpl.status.is_success() {
-            host.counters.completed_ok += 1;
             w.meter.record(now, u64::from(cpl.len));
-            if in_window {
+            if now >= lo && now < hi {
                 w.ops += 1;
                 w.bytes += u64::from(cpl.len);
                 let e2e = now.since(cpl.issued_at);
@@ -429,84 +339,8 @@ impl Testbed {
                     IoType::Write => w.write_hist.record_duration(e2e),
                 }
             }
-        } else {
-            // Failed IOs move no payload: they are accounted, not measured
-            // as throughput.
-            host.counters.completed_err += 1;
         }
         self.try_issue(worker, now);
-    }
-
-    /// The retransmission timer of command `id`, armed for transmission
-    /// `attempt`, fired: retransmit, or error the command out client-side
-    /// once retries are exhausted. The target dedups replays and resends
-    /// cached completions.
-    fn timeout(&mut self, id: u64, attempt: u32, now: SimTime) {
-        let host = &mut self.host;
-        let Some(f) = host.faults.as_mut() else {
-            return;
-        };
-        let Some(t) = f.tracked.get_mut(&id) else {
-            return; // already terminal
-        };
-        if t.attempt != attempt {
-            return; // superseded timer
-        }
-        let cmd = t.cmd;
-        let wi = cmd.tenant.index();
-        if f.retry.exhausted(attempt) {
-            // Out of retries: the command errors out client-side. Its grant
-            // is presumed lost, so the client shrinks its window (re-synced
-            // by the next surviving completion).
-            f.tracked.remove(&id);
-            host.counters.timed_out += 1;
-            host.trace.record(
-                now,
-                cmd.ssd,
-                Some(cmd.tenant),
-                EventKind::TimedOut {
-                    cmd: id,
-                    attempts: attempt + 1,
-                },
-            );
-            let w = &mut self.workers[wi];
-            w.outstanding -= 1;
-            let before = w.client.allowance();
-            w.client.on_timeout(now);
-            let after = w.client.allowance();
-            if after != before {
-                host.trace.record(
-                    now,
-                    cmd.ssd,
-                    Some(cmd.tenant),
-                    EventKind::CreditHalved { before, after },
-                );
-            }
-            self.try_issue(wi, now);
-            return;
-        }
-        let next = attempt + 1;
-        t.attempt = next;
-        host.counters.retries += 1;
-        let deadline = now + f.retry.timeout_for(next);
-        host.trace.record(
-            now,
-            cmd.ssd,
-            Some(cmd.tenant),
-            EventKind::RetryScheduled {
-                cmd: id,
-                attempt: next,
-                timeout_ns: deadline.since(now).as_nanos(),
-            },
-        );
-        host.queue.push(
-            deadline,
-            Ev::Timeout {
-                cmd: id,
-                attempt: next,
-            },
-        );
-        host.transmit(&mut self.workers[wi].tx_port, cmd, now);
     }
 
     fn sample(&mut self, now: SimTime) {
@@ -635,7 +469,7 @@ impl Testbed {
                     Ev::DeliverCmd(cmd) => ("engine.fabric", "deliver_cmd", cmd.id.0),
                     Ev::PipelineWake(ssd) => ("engine.wake", "wake", *ssd as u64),
                     Ev::DeliverCpl(cpl) => ("engine.fabric", "deliver_cpl", cpl.id.0),
-                    Ev::Timeout { cmd, .. } => ("engine.fault", "timeout", *cmd),
+                    Ev::Timeout(t) => ("engine.fault", "timeout", t.cmd),
                     Ev::PowerLoss => ("engine.fault", "power_loss", 0),
                     Ev::BrokerEpoch => ("engine.broker", "epoch", 0),
                     Ev::CoresRebalance => ("engine.cores", "rebalance", 0),
@@ -673,7 +507,18 @@ impl Testbed {
                 }
                 Ev::PipelineWake(ssd) => self.node.wake(ssd, now, &mut self.host),
                 Ev::DeliverCpl(cpl) => self.complete(cpl, now),
-                Ev::Timeout { cmd, attempt } => self.timeout(cmd, attempt, now),
+                // Retransmit, or once retries are exhausted the command
+                // errors out client-side and its worker refills. The target
+                // dedups replays and resends cached completions.
+                Ev::Timeout(t) => match self.host.init.on_timer(t, now, |_| false) {
+                    Some(Expiry::Retransmit { cmd, timer }) => {
+                        self.host.transmit(cmd, Some(timer), now)
+                    }
+                    Some(Expiry::Abandoned { entry, .. }) => {
+                        self.try_issue(entry.cmd.tenant.index(), now)
+                    }
+                    None => {}
+                },
                 Ev::PowerLoss => self.node.power_loss(now, &mut self.host),
                 Ev::BrokerEpoch => self.broker_epoch(now),
                 Ev::CoresRebalance => {
@@ -691,27 +536,17 @@ impl Testbed {
             }
         }
 
-        // Commands still on the wire or in a device when the clock ran out.
-        let mut counters = self.host.counters;
-        counters.in_flight_at_end = self.workers.iter().map(|w| u64::from(w.outstanding)).sum();
-        debug_assert!(
-            counters.conservation_holds(),
-            "command conservation violated: {counters:?}"
-        );
+        let counters = self.host.init.finish();
 
         // Export fabric-port utilization counters as whole-run gauges.
         let trace = &self.host.trace;
         if trace.is_enabled() {
-            let (mut ib, mut im) = (0u64, 0u64);
-            for w in &self.workers {
-                ib += w.tx_port.bytes_sent();
-                im += w.tx_port.messages_sent();
-            }
-            let (mut tb, mut tm) = (0u64, 0u64);
-            for p in &self.host.target_ports {
-                tb += p.bytes_sent();
-                tm += p.messages_sent();
-            }
+            let sent = |ports: &[Port]| {
+                let bytes: u64 = ports.iter().map(Port::bytes_sent).sum();
+                (bytes, ports.iter().map(Port::messages_sent).sum::<u64>())
+            };
+            let (ib, im) = sent(self.host.init.ports());
+            let (tb, tm) = sent(&self.host.target_ports);
             trace.set_gauge("initiator_bytes_sent", ib as f64);
             trace.set_gauge("initiator_messages_sent", im as f64);
             trace.set_gauge("target_bytes_sent", tb as f64);
@@ -775,8 +610,10 @@ mod tests {
     use crate::config::{FaultConfig, Precondition};
     use crate::scheme::Scheme;
     use gimbal_cores::StealConfig;
+    use gimbal_fabric::RetryConfig;
     use gimbal_sim::journal::first_divergence;
     use gimbal_sim::FaultPlan;
+    use gimbal_telemetry::{EventKind, TraceConfig};
     use gimbal_workload::FioSpec;
 
     fn region(i: u32, n: u32, cap_blocks: u64) -> (u64, u64) {
@@ -922,6 +759,47 @@ mod tests {
             res.device_latency[0][1].count > 0,
             "write latencies observed"
         );
+    }
+
+    /// The credit gate starts from `gimbal_params.initial_credit_ios`: with
+    /// one initial credit, a QD-4 worker sends one command and waits for
+    /// its completion's grant before sending more.
+    #[test]
+    fn initial_credit_bounds_submissions_before_the_first_grant() {
+        let cfg = TestbedConfig {
+            duration: SimDuration::from_millis(50),
+            warmup: SimDuration::from_millis(10),
+            record_submissions: true,
+            trace: Some(TraceConfig::default()),
+            gimbal_params: gimbal_core::Params {
+                initial_credit_ios: 1,
+                ..gimbal_core::Params::default()
+            },
+            ..base_cfg(Scheme::Gimbal, Precondition::Clean)
+        };
+        let res = Testbed::new(cfg, workers(3, 1.0, 4096, CAP_BLOCKS)).run();
+        let trace = res.trace.as_ref().expect("tracing was on");
+        for w in 0..3u32 {
+            let first_grant = trace
+                .events
+                .iter()
+                .find(|e| {
+                    e.tenant == Some(TenantId(w))
+                        && matches!(e.kind, EventKind::CreditGranted { .. })
+                })
+                .expect("every worker completes a command")
+                .at
+                .as_nanos();
+            let early = res
+                .submissions
+                .iter()
+                .filter(|s| s.tenant == w && s.at_ns < first_grant)
+                .count();
+            assert_eq!(
+                early, 1,
+                "worker {w}: {early} submissions before its first grant"
+            );
+        }
     }
 
     #[test]

@@ -3,30 +3,27 @@
 //!
 //! Multiple DB instances share a pool of JBOF nodes. Each instance runs a
 //! closed loop of YCSB operations against its own [`gimbal_lsm_kv::LsmKv`];
-//! the store's IO plans flow through per-backend submission queues gated by
-//! the client-side flow control (credits for Gimbal, windows for Parda),
+//! the store's IO plans flow through the [`Initiator`]'s per-backend
+//! priority queues and gates (credits for Gimbal, windows for Parda),
 //! across the fabric, into the per-SSD switch pipelines.
 
 use crate::config::Precondition;
-use crate::node::{InFlight, Node, NodeHost, NodeSpec};
+use crate::initiator::Initiator;
+use crate::node::{Node, NodeHost, NodeSpec, Tracked};
 use crate::results::{FaultCounters, GimbalTrace};
 use crate::scheme::Scheme;
-use gimbal_baselines::PardaClient;
 use gimbal_blobstore::{BackendId, Blobstore, HbaConfig, HierarchicalAllocator, RateLimiter};
 use gimbal_core::Params;
-use gimbal_fabric::{
-    CmdId, FabricConfig, NvmeCmd, NvmeCompletion, Port, RdmaDelays, SsdId, TenantId,
-};
+use gimbal_fabric::{FabricConfig, NvmeCmd, NvmeCompletion, Port, RdmaDelays, SsdId, TenantId};
 use gimbal_lsm_kv::{IoCtx, LsmConfig, LsmKv, LsmStats, StepOutput, TaggedIo};
 use gimbal_sim::collections::DetMap;
 use gimbal_sim::journal::JournalHandle;
 use gimbal_sim::stats::LatencySummary;
 use gimbal_sim::{EventQueue, Histogram, SimDuration, SimRng, SimTime, SsdFaultSpec};
 use gimbal_ssd::{SsdConfig, SsdStats};
-use gimbal_switch::{ClientPolicy, PipelineOut};
+use gimbal_switch::PipelineOut;
 use gimbal_telemetry::TraceHandle;
 use gimbal_workload::{KvOp, YcsbMix, YcsbWorkload};
-use std::collections::VecDeque;
 
 /// Configuration of a KV-store experiment.
 #[derive(Clone, Debug)]
@@ -155,6 +152,8 @@ pub struct KvRunResult {
     /// Per-backend durability journals (same gating as `write_back`): the
     /// streams the crash-consistency oracle replays.
     pub journals: Vec<Vec<gimbal_cache::DurabilityEvent>>,
+    /// The initiator's command ledger across instances.
+    pub faults: FaultCounters,
     /// Measured window length.
     pub window: SimDuration,
 }
@@ -211,17 +210,20 @@ enum Ev {
     DeliverCpl(NvmeCompletion),
 }
 
-/// What the node calls back into: the event queue and the completion path
-/// back to the instances. The KV engine injects no capsule loss, so it
-/// tracks nothing at the node and every arrival executes.
+/// What the node calls back into: the event queue, the completion path
+/// back to the instances, and the instances' initiator (one client per
+/// instance, one lane per backend, tagged with the store's IO tag). The KV
+/// engine injects no capsule loss and arms no timers, so the node sees no
+/// in-flight table and every arrival executes.
 struct Host {
     queue: EventQueue<Ev>,
     delays: RdmaDelays,
     target_ports: Vec<Port>,
+    init: Initiator<u64, TaggedIo>,
 }
 
 impl NodeHost for Host {
-    type Tag = ();
+    type Tag = u64;
 
     fn arm_wake(&mut self, backend: usize, at: SimTime) {
         self.queue.push(at, Ev::PipelineWake(backend));
@@ -236,8 +238,8 @@ impl NodeHost for Host {
         self.queue.push(arrive, Ev::DeliverCpl(cpl));
     }
 
-    fn in_flight(&mut self) -> Option<(&mut DetMap<u64, InFlight<()>>, &mut FaultCounters)> {
-        None
+    fn in_flight(&mut self) -> Option<Tracked<'_, u64>> {
+        self.init.in_flight()
     }
 }
 
@@ -249,32 +251,13 @@ struct OpTicket {
 struct Instance {
     kv: LsmKv,
     workload: YcsbWorkload,
+    /// The routing view the store reads through [`IoCtx`]: per-backend
+    /// credit, outstanding and failure state. Gating is the initiator's.
     lim: RateLimiter,
-    parda: Option<Vec<PardaClient>>,
-    tx_port: Port,
-    /// Per-backend pending queues, one per priority level so bulk
-    /// flush/compaction bursts never head-of-line-block point reads at the
-    /// client (the §4.3 "application-specific IO scheduler" the virtual
-    /// view enables).
-    pending: Vec<[VecDeque<TaggedIo>; 3]>,
-    /// Outstanding LOW-priority (bulk background) IOs per backend; capped so
-    /// a flush/compaction burst trickles out instead of monopolizing the
-    /// tenant's virtual slots and credits (§4.3's IO rate limiter).
-    low_outstanding: Vec<u32>,
     ops_inflight: DetMap<u64, OpTicket>,
     read_hist: Histogram,
     write_hist: Histogram,
     ops_done: u64,
-}
-
-impl Instance {
-    fn gate_allows(&mut self, backend: usize, now: SimTime) -> bool {
-        if let Some(parda) = &mut self.parda {
-            parda[backend].can_submit(self.lim.outstanding(BackendId(backend as u32)), now)
-        } else {
-            self.lim.can_submit(BackendId(backend as u32))
-        }
-    }
 }
 
 /// The KV experiment engine.
@@ -284,10 +267,6 @@ pub struct KvTestbed {
     host: Host,
     bs: Blobstore,
     instances: Vec<Instance>,
-    next_cmd: u64,
-    /// cmd id → (kv io tag, is-low-priority); the instance is the command's
-    /// tenant.
-    cmd_map: DetMap<u64, (u64, bool)>,
     /// Recycled output of one store step; [`Self::absorb`] drains it.
     step: StepOutput,
     traces: Vec<GimbalTrace>,
@@ -362,14 +341,6 @@ impl KvTestbed {
                         root_rng.fork(i as u64),
                     ),
                     lim,
-                    parda: if cfg.scheme == Scheme::Parda {
-                        Some((0..backends).map(|_| PardaClient::default()).collect())
-                    } else {
-                        None
-                    },
-                    tx_port: Port::new(cfg.fabric.port_bandwidth),
-                    pending: (0..backends).map(|_| Default::default()).collect(),
-                    low_outstanding: vec![0; backends],
                     ops_inflight: DetMap::new(),
                     read_hist: Histogram::new(),
                     write_hist: Histogram::new(),
@@ -386,11 +357,18 @@ impl KvTestbed {
                 target_ports: (0..backends)
                     .map(|_| Port::new(cfg.fabric.port_bandwidth))
                     .collect(),
+                init: Initiator::new(
+                    instances.len(),
+                    backends,
+                    cfg.fabric.port_bandwidth,
+                    None,
+                    cfg.seed,
+                    TraceHandle::disabled(),
+                    || cfg.scheme.client_gate(cfg.gimbal_params, cfg.flow_control),
+                ),
             },
             bs,
             instances,
-            next_cmd: 0,
-            cmd_map: DetMap::new(),
             step: StepOutput::default(),
             traces: (0..backends).map(|_| GimbalTrace::default()).collect(),
             cfg,
@@ -474,29 +452,25 @@ impl KvTestbed {
             cache_losses: device.cache_losses,
             write_back: device.write_back,
             journals: device.journals,
+            faults: self.host.init.finish(),
             window: self.cfg.duration - self.cfg.warmup,
         }
     }
 
     /// A completion capsule reached instance `cpl.tenant`.
     fn complete(&mut self, cpl: NvmeCompletion, now: SimTime) {
+        let Some(kv_tag) = self.host.init.complete(&cpl, now) else {
+            return;
+        };
         let i = cpl.tenant.index();
-        let (kv_tag, was_low) = self.cmd_map.remove(&cpl.id.0).expect("known cmd");
-        let backend = cpl.ssd.index();
+        let backend = BackendId(cpl.ssd.0);
         let inst = &mut self.instances[i];
-        if was_low {
-            inst.low_outstanding[backend] = inst.low_outstanding[backend].saturating_sub(1);
-        }
-        inst.lim
-            .on_completion(BackendId(backend as u32), cpl.credit);
-        if let Some(parda) = &mut inst.parda {
-            parda[backend].on_completion(&cpl, now);
-        }
+        inst.lim.on_completion(backend, cpl.credit);
         if !cpl.status.is_success() {
             // The client learns about the flash failure from the error
             // completion: avoid the backend from now on and recover the IO
             // via its replica.
-            inst.lim.mark_dead(BackendId(backend as u32));
+            inst.lim.mark_dead(backend);
         }
         let mut ctx = IoCtx {
             bs: &mut self.bs,
@@ -533,8 +507,9 @@ impl KvTestbed {
             }
         }
         for io in self.step.ios.drain(..) {
-            let lvl = usize::from(io.priority.0).min(2);
-            inst.pending[io.plan.backend.index()][lvl].push_back(io);
+            self.host
+                .init
+                .enqueue(i, io.plan.backend.index(), io.priority, io);
         }
     }
 
@@ -561,22 +536,11 @@ impl KvTestbed {
             );
             self.absorb(i, now);
         }
-        let inst = &mut self.instances[i];
-        for backend in 0..inst.pending.len() {
-            const MAX_LOW_OUTSTANDING: u32 = 2;
-            while let Some(lvl) = (0..3).find(|&l| {
-                !inst.pending[backend][l].is_empty()
-                    && (l < 2 || inst.low_outstanding[backend] < MAX_LOW_OUTSTANDING)
-            }) {
-                if !inst.gate_allows(backend, now) {
-                    break;
-                }
-                let io = inst.pending[backend][lvl].pop_front().unwrap();
-                if lvl == 2 {
-                    inst.low_outstanding[backend] += 1;
-                }
-                let cmd = NvmeCmd {
-                    id: CmdId(self.next_cmd),
+        let (host, lim) = (&mut self.host, &mut self.instances[i].lim);
+        for backend in 0..self.cfg.backends() as usize {
+            while let Some(io) = host.init.next_pending(i, backend, now) {
+                let (cmd, _) = host.init.submit(io.tag, now, |id| NvmeCmd {
+                    id,
                     tenant: TenantId(i as u32),
                     ssd: SsdId(backend as u32),
                     opcode: io.plan.op,
@@ -585,16 +549,10 @@ impl KvTestbed {
                     priority: io.priority,
                     issued_at: now,
                     wal: io.wal_seq,
-                };
-                self.next_cmd += 1;
-                self.cmd_map.insert(cmd.id.0, (io.tag, lvl == 2));
-                inst.lim.on_submit(BackendId(backend as u32));
-                let delays = &self.host.delays;
-                let mut arrive = delays.command_arrival(&mut inst.tx_port, now, &cmd);
-                if cmd.opcode.is_write() {
-                    arrive = delays.write_payload_fetched(&mut inst.tx_port, arrive, &cmd);
-                }
-                self.host.queue.push(arrive, Ev::DeliverCmd(cmd));
+                });
+                lim.on_submit(io.plan.backend);
+                let arrive = host.init.wire(&host.delays, &cmd, now);
+                host.queue.push(arrive, Ev::DeliverCmd(cmd));
             }
         }
     }
@@ -685,6 +643,16 @@ mod tests {
         // Sanity: the failed backend stopped doing useful work while the
         // survivor kept serving.
         assert!(res.ssd_stats[1].reads > 0);
+    }
+
+    #[test]
+    fn a_failed_backend_keeps_the_command_ledger_balanced() {
+        let mut cfg = quick_cfg(Scheme::Parda, YcsbMix::B);
+        cfg.fail_backend_at = Some((0, SimDuration::from_millis(300)));
+        let f = KvTestbed::new(cfg).run().faults;
+        assert!(f.completed_err > 0, "no error completions: {f:?}");
+        assert!(f.conservation_holds(), "{f:?}");
+        assert_eq!(f.timed_out, 0, "the KV engine arms no timers");
     }
 
     #[test]

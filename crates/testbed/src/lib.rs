@@ -12,6 +12,9 @@
 //! * [`config`] — testbed and worker specifications;
 //! * [`node`] — one JBOF node: its pipelines and reactor cores, driven by
 //!   every engine (the fio engine, the KV engine, and the rack's N nodes);
+//! * [`initiator`] — the client side every engine submits through: gates,
+//!   priority queues, ports, the in-flight table, the retry ladder and the
+//!   command ledger;
 //! * [`engine`] — the fio event loop;
 //! * [`kv`] — the YCSB-over-LSM event loop;
 //! * [`results`] — per-worker and per-SSD measurements, f-Util computation
@@ -19,6 +22,7 @@
 
 pub mod config;
 pub mod engine;
+pub mod initiator;
 pub mod kv;
 pub mod node;
 pub mod oracle;
@@ -33,7 +37,7 @@ pub use gimbal_cache::{
     WriteBackStats, WritePolicy, FLUSH_ID_BASE, LOSS_EVENT_CMD,
 };
 pub use kv::{KvInstanceResult, KvRunResult, KvTestbed, KvTestbedConfig};
-pub use node::{recorders, InFlight, Node, NodeHost, NodeSpec, Tracing};
+pub use node::{recorders, InFlight, Node, NodeHost, NodeSpec, Tracing, Tracked};
 pub use oracle::{check_journal, check_kv_run, check_run, OracleReport};
 pub use results::{
     f_util, jain_index, utilization_deviation, FaultCounters, GimbalTrace, RunResult,

@@ -73,13 +73,15 @@ pub trait NodeHost {
     fn served(&mut self, ssd: usize, out: &PipelineOut, now: SimTime);
     /// Transmit the completion capsule of `cmd`, leaving the target at `at`.
     fn send(&mut self, ssd: usize, cmd: &NvmeCmd, cpl: NvmeCompletion, at: SimTime);
-    /// The in-flight table by command id, and the counters its dedup
-    /// decisions land in; `None` when the engine tracks nothing, so every
-    /// arrival executes. An arriving copy of a command missing from the
-    /// table is a late replay.
-    #[allow(clippy::type_complexity)]
-    fn in_flight(&mut self) -> Option<(&mut DetMap<u64, InFlight<Self::Tag>>, &mut FaultCounters)>;
+    /// The initiator's in-flight table; `None` while it arms no timers, so
+    /// every arrival executes. An arriving copy of a command missing from
+    /// the table is a late replay.
+    fn in_flight(&mut self) -> Option<Tracked<'_, Self::Tag>>;
 }
+
+/// An in-flight table by command id, with the counters its replay-dedup
+/// decisions land in.
+pub type Tracked<'a, T> = (&'a mut DetMap<u64, InFlight<T>>, &'a mut FaultCounters);
 
 /// The run-wide recorders an engine shares with its nodes: the telemetry
 /// recorder with its handle (disabled unless `trace` is set), and the

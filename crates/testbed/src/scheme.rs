@@ -26,6 +26,25 @@ pub fn cache_tier_wb(mb: u64, policy: AdmissionPolicy, write: WritePolicy) -> Op
     })
 }
 
+/// A lane's submission gate: one of the schemes' client policies, held
+/// inline so that gating a lane allocates nothing.
+pub enum Gate {
+    Open(UnlimitedClient),
+    Credit(CreditClient),
+    Parda(PardaClient),
+}
+
+impl Gate {
+    /// The policy behind the gate.
+    pub(crate) fn policy(&mut self) -> &mut dyn ClientPolicy {
+        match self {
+            Gate::Open(c) => c,
+            Gate::Credit(c) => c,
+            Gate::Parda(c) => c,
+        }
+    }
+}
+
 /// Which multi-tenancy mechanism the JBOF runs (§5.1's comparison set plus
 /// the plain vanilla target used for the characterization experiments).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -72,12 +91,26 @@ impl Scheme {
         }
     }
 
-    /// Build the client-side submission gate for one worker.
-    pub fn make_client(self) -> Box<dyn ClientPolicy> {
+    /// Build the client-side submission gate for one (client, lane):
+    /// Parda's latency window, Gimbal's credit gate (Alg. 3) seeded with
+    /// `params.initial_credit_ios` when `flow_control` is on, and no gate
+    /// otherwise. Every engine's initiator gates through this.
+    pub fn client_gate(self, params: Params, flow_control: bool) -> Gate {
         match self {
-            Scheme::Vanilla | Scheme::Reflex | Scheme::FlashFq => Box::new(UnlimitedClient),
-            Scheme::Parda => Box::new(PardaClient::default()),
-            Scheme::Gimbal => Box::new(CreditClient::default()),
+            Scheme::Parda => Gate::Parda(PardaClient::default()),
+            Scheme::Gimbal if flow_control => {
+                Gate::Credit(CreditClient::new(params.initial_credit_ios))
+            }
+            _ => Gate::Open(UnlimitedClient),
+        }
+    }
+
+    /// The flow-controlled gate under default parameters, boxed.
+    pub fn make_client(self) -> Box<dyn ClientPolicy> {
+        match self.client_gate(Params::default(), true) {
+            Gate::Open(c) => Box::new(c),
+            Gate::Credit(c) => Box::new(c),
+            Gate::Parda(c) => Box::new(c),
         }
     }
 
@@ -130,6 +163,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_gate_factory_honours_initial_credit_and_flow_control() {
+        let params = Params {
+            initial_credit_ios: 3,
+            ..Params::default()
+        };
+        let gate = |s: Scheme, flow_control| {
+            let mut g = s.client_gate(params, flow_control);
+            (g.policy().name(), g.policy().allowance())
+        };
+        assert_eq!(gate(Scheme::Gimbal, true), ("gimbal-credit", 3));
+        assert_eq!(gate(Scheme::Gimbal, false).0, "unlimited");
+        assert_eq!(gate(Scheme::Parda, false).0, "parda");
+        assert_eq!(gate(Scheme::Reflex, true).0, "unlimited");
+        assert_eq!(
+            Scheme::Gimbal.make_client().allowance(),
+            Params::default().initial_credit_ios
+        );
     }
 
     #[test]

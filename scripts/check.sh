@@ -31,10 +31,13 @@ cargo run --release --offline -q --bin jbofsim -- \
     --scheme gimbal --duration-ms 100 --warmup-ms 20 --seed 42 \
     --sanitize --workers 2x4k-read,1x4k-write > /dev/null
 
-echo "==> rack chaos smoke (2-node replicated rack, node death, sanitized double run)"
-cargo run --release --offline -q --bin jbofsim -- \
-    --rack-nodes 2 --rack-ssds-per-node 2 --rack-fault node-death \
-    --duration-ms 100 --warmup-ms 20 --seed 42 --sanitize > /dev/null
+# A partition drives suspect → clear through the shared escalation ladder.
+for fault in node-death partition; do
+    echo "==> rack chaos smoke (2-node replicated rack, $fault, sanitized double run)"
+    cargo run --release --offline -q --bin jbofsim -- \
+        --rack-nodes 2 --rack-ssds-per-node 2 --rack-fault "$fault" \
+        --duration-ms 100 --warmup-ms 20 --seed 42 --sanitize > /dev/null
+done
 
 echo "==> broker chaos smoke (bursty borrowing mix through node death, sanitized double run)"
 cargo test --release --offline -p gimbal-rack -q \
