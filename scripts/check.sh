@@ -47,6 +47,9 @@ echo "==> steal-flip localization smoke (perturbed steal ring diverges under com
 cargo test --release --offline -p gimbal-testbed -q \
     sanitizer_localizes_injected_steal_order_flip
 
+echo "==> KV cadence smoke (spurious pumps at seeded instants leave every KV result bit-identical)"
+cargo test --release --offline -p gimbal-testbed -q extra_kv_pumps_change_nothing
+
 echo "==> figures smoke (registry listing, argument handling on the static Table 2)"
 cargo run --release --offline -q -p gimbal-bench --bin figures -- list > /dev/null
 cargo run --release --offline -q -p gimbal-bench --bin figures -- --quick tab2_comparison > /dev/null
