@@ -580,10 +580,10 @@ fn headline_configurations_keep_their_pinned_digests() {
             0xa8c3_4885_7f07_c756,
             fault_digest(&chaos.faults),
         ),
-        ("kv ycsb-a", 0x631c_bec6_004a_b53a, kv_digest(&kv)),
+        ("kv ycsb-a", 0x360c_ef44_9887_a03d, kv_digest(&kv)),
         (
             "kv parda ycsb-b, backend 0 fails",
-            0x7395_b670_97cd_d008,
+            0xc838_5c13_2ac5_5a82,
             kv_digest(&kv_fail),
         ),
         (
