@@ -40,18 +40,19 @@ pub struct ReplicaHealth {
     pub gc_busy: bool,
 }
 
-/// Per-backend credit tracking and submission gating.
+/// Per-backend credit and outstanding tracking: the routing view the read
+/// load balancer and the allocator consult. Submission gating belongs to
+/// the initiator's per-lane gates, not to this view.
 #[derive(Clone, Debug)]
 pub struct RateLimiter {
     states: Vec<BackendState>,
-    /// When disabled (the "vanilla" client of Fig 13), every submission is
-    /// allowed, but credits are still tracked for reporting.
-    enabled: bool,
 }
 
 impl RateLimiter {
-    /// Create a limiter over `backends` backends with an initial grant.
-    pub fn new(backends: usize, initial_credit: u32, enabled: bool) -> Self {
+    /// Create a limiter over `backends` backends with an initial grant. The
+    /// last argument is ignored: it once switched gating on, and gating now
+    /// lives in the initiator.
+    pub fn new(backends: usize, initial_credit: u32, _gated: bool) -> Self {
         RateLimiter {
             states: vec![
                 BackendState {
@@ -62,19 +63,7 @@ impl RateLimiter {
                 };
                 backends
             ],
-            enabled,
         }
-    }
-
-    /// Whether flow control is active.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Whether one more IO may be issued to `b`.
-    pub fn can_submit(&self, b: BackendId) -> bool {
-        let s = &self.states[b.index()];
-        !self.enabled || s.outstanding < s.credit
     }
 
     /// Record a submission to `b`.
@@ -200,12 +189,18 @@ mod tests {
     fn gates_by_credit() {
         let mut l = RateLimiter::new(2, 2, true);
         let b = BackendId(0);
-        assert!(l.can_submit(b));
+        assert_eq!(l.headroom(b), 2);
         l.on_submit(b);
         l.on_submit(b);
-        assert!(!l.can_submit(b));
+        assert_eq!((l.outstanding(b), l.headroom(b)), (2, 0));
         l.on_completion(b, None);
-        assert!(l.can_submit(b));
+        assert_eq!((l.outstanding(b), l.headroom(b)), (1, 1));
+        assert_eq!(
+            l.credit(b),
+            2,
+            "a completion without a grant keeps the credit"
+        );
+        assert_eq!(l.headroom(BackendId(1)), 2, "backends are independent");
     }
 
     #[test]
@@ -223,10 +218,15 @@ mod tests {
         let mut l = RateLimiter::new(1, 1, false);
         let b = BackendId(0);
         for _ in 0..100 {
-            assert!(l.can_submit(b));
             l.on_submit(b);
         }
         assert_eq!(l.outstanding(b), 100);
+        assert_eq!(l.headroom(b), 0, "headroom saturates at zero");
+        for _ in 0..100 {
+            l.on_completion(b, Some(0));
+        }
+        assert_eq!(l.outstanding(b), 0);
+        assert_eq!(l.credit(b), 1, "a zero grant is clamped to one");
     }
 
     #[test]
