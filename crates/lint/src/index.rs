@@ -47,9 +47,9 @@ pub struct RootSpec {
 }
 
 /// The reactor roots for hot-path reachability: every event in a run is
-/// dispatched by one of the three engine loops (fio, KV, rack), every
-/// target-side quantum by the node runtime's pump, and every device-side
-/// state transition by `Pipeline::poll`.
+/// dispatched by the one engine loop the fio, KV and rack engines share,
+/// every target-side quantum by the node runtime's pump, and every
+/// device-side state transition by `Pipeline::poll`.
 pub const REACTOR_ROOTS: &[RootSpec] = &[
     RootSpec {
         crate_name: "switch",
@@ -61,15 +61,7 @@ pub const REACTOR_ROOTS: &[RootSpec] = &[
     },
     RootSpec {
         crate_name: "testbed",
-        qualified: "Testbed::run",
-    },
-    RootSpec {
-        crate_name: "testbed",
-        qualified: "KvTestbed::run",
-    },
-    RootSpec {
-        crate_name: "rack",
-        qualified: "RackTestbed::run",
+        qualified: "Reactor::run",
     },
 ];
 

@@ -166,11 +166,14 @@ pub fn current_date() -> Date {
     (y as u16, m, d)
 }
 
-/// Scan the workspace rooted at `root` and return every finding, using
-/// `today` for waiver expiry.
-pub fn run_workspace_at(root: &Path, today: Date) -> io::Result<Report> {
-    // Pass 1: read everything and build the call-graph index.
-    let mut files: Vec<(String, String, String)> = Vec::new(); // (crate, rel, source)
+/// One scanned source file: its crate, its path relative to the workspace
+/// root, and its text.
+pub type SourceFile = (String, String, String);
+
+/// Read every source file of the workspace rooted at `root` and build its
+/// call-graph index.
+pub fn index_workspace(root: &Path) -> io::Result<(WorkspaceIndex, Vec<SourceFile>)> {
+    let mut files = Vec::new();
     let mut ix = WorkspaceIndex::new();
     for (crate_name, src_dir) in source_roots(root)? {
         let mut paths = Vec::new();
@@ -187,6 +190,14 @@ pub fn run_workspace_at(root: &Path, today: Date) -> io::Result<Report> {
         }
     }
     ix.finish();
+    Ok((ix, files))
+}
+
+/// Scan the workspace rooted at `root` and return every finding, using
+/// `today` for waiver expiry.
+pub fn run_workspace_at(root: &Path, today: Date) -> io::Result<Report> {
+    // Pass 1: read everything and build the call-graph index.
+    let (ix, files) = index_workspace(root)?;
     let reach = ix.reachable(REACTOR_ROOTS);
     let hot = ix.hot_ranges(&reach);
 
@@ -331,6 +342,39 @@ pub fn format_waiver_human(w: &WaiverRecord) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::RootSpec;
+
+    /// Generic dispatch from the shared reactor loop must not drop an
+    /// engine's handlers out of the hot set that D4 and D8 scope to:
+    /// `unresolved_roots` only notices a renamed root, not a handler the
+    /// call graph no longer reaches.
+    #[test]
+    fn engine_handlers_stay_reachable_from_the_reactor_roots() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let (ix, _) = index_workspace(&root).expect("the workspace is readable");
+        let reach = ix.reachable(REACTOR_ROOTS);
+        let handlers = [
+            ("testbed", "Testbed::complete"),
+            ("testbed", "Testbed::try_issue"),
+            ("testbed", "KvTestbed::settle"),
+            ("testbed", "KvTestbed::refill"),
+            ("rack", "RackTestbed::side_done"),
+            ("rack", "RackTestbed::timeout"),
+            ("testbed", "Node::deliver"),
+            ("testbed", "Node::wake"),
+        ];
+        for (crate_name, qualified) in handlers {
+            let spec = RootSpec {
+                crate_name,
+                qualified,
+            };
+            assert!(ix.resolves(&spec), "{qualified} names no indexed fn");
+            let hot = ix.fns.iter().zip(&reach).any(|(f, &r)| {
+                r && f.crate_name == crate_name && f.qualified == qualified && !f.in_test
+            });
+            assert!(hot, "{qualified} is not reachable from the reactor roots");
+        }
+    }
 
     #[test]
     fn json_escaping() {

@@ -1,17 +1,19 @@
-//! The rack-scale event loop.
+//! The rack engine, in the shared [`Reactor`].
 //!
-//! N JBOF nodes ([`Node`]), each `ssds_per_node` switch pipelines, behind
-//! one deterministic ToR switch. Closed-loop clients issue logical IOs
-//! against zone-replicated blobstore files; every logical read maps to one
-//! physical NVMe command (plus reroutes), every logical write fans out to
-//! one command per live replica.
+//! N JBOF nodes ([`gimbal_testbed::Node`]), each `ssds_per_node` switch
+//! pipelines, behind one deterministic ToR switch ([`Tor`], the rack's
+//! [`Topology`]). Closed-loop clients issue logical IOs against
+//! zone-replicated blobstore files; every logical read maps to one physical
+//! NVMe command (plus reroutes), every logical write fans out to one
+//! command per live replica.
 //!
 //! ## Capsule path
 //!
 //! Command: client port serialization + fabric propagation
-//! ([`RdmaDelays::command_arrival`]) → ToR downlink serialization + link
-//! latency ([`TorSwitch::to_node`]) → node. Completion: node port +
-//! propagation ([`RdmaDelays::completion_arrival`]) → ToR uplink →
+//! ([`gimbal_fabric::RdmaDelays::command_arrival`]) → ToR downlink
+//! serialization + link latency ([`TorSwitch::to_node`]) → node.
+//! Completion: node port + propagation
+//! ([`gimbal_fabric::RdmaDelays::completion_arrival`]) → ToR uplink →
 //! client. Node faults act at the crossings: a dead or partitioned node
 //! swallows capsules in both directions (`tor_cmd_drops` / `tor_cpl_drops`),
 //! a degraded link adds latency per crossing and is journaled as a
@@ -29,10 +31,10 @@
 //!
 //! ## Determinism
 //!
-//! Single event queue, FIFO within a timestamp; all randomness from forked
-//! [`SimRng`] streams; every cross-node routing decision is journaled under
-//! the `rack.route` component so the divergence sanitizer can localize a
-//! nondeterministic route to its tick.
+//! The reactor's single event queue, FIFO within a timestamp; all
+//! randomness from forked [`SimRng`] streams; every cross-node routing
+//! decision is journaled under the `rack.route` component so the
+//! divergence sanitizer can localize a nondeterministic route to its tick.
 
 use crate::config::RackConfig;
 use crate::results::{RackClientResult, RackCounters, RackResult};
@@ -40,19 +42,21 @@ use gimbal_blobstore::{
     BackendId, Blobstore, FileId, HbaConfig, HierarchicalAllocator, IoPlan, RateLimiter,
     ReplicaHealth,
 };
-use gimbal_broker::BrokerHandle;
 use gimbal_fabric::{
-    NvmeCmd, NvmeCompletion, Port, Priority, RdmaDelays, SsdId, TenantId, TorSwitch,
-    CMD_CAPSULE_BYTES, RSP_CAPSULE_BYTES,
+    NvmeCmd, NvmeCompletion, Priority, SsdId, TenantId, TorSwitch, CMD_CAPSULE_BYTES,
+    RSP_CAPSULE_BYTES,
 };
 use gimbal_sim::collections::DetMap;
-use gimbal_sim::journal::JournalHandle;
-use gimbal_sim::{EventQueue, FaultPlan, Histogram, SimDuration, SimRng, SimTime, SsdFaultSpec};
-use gimbal_ssd::FlashSsd;
-use gimbal_switch::PipelineOut;
+use gimbal_sim::{FaultPlan, Histogram, SimDuration, SimRng, SimTime};
 use gimbal_telemetry::{CapsuleKind, EventKind, TraceHandle};
 use gimbal_testbed::initiator::{Expiry, Initiator, Timer};
-use gimbal_testbed::{recorders, Node, NodeHost, NodeSpec, Tracing, Tracked};
+use gimbal_testbed::reactor::{Engine, Reactor, Rig, Topology};
+
+/// Queue the physical IO `plan` of logical IO `logical` behind client `i`'s
+/// gate for its backend.
+fn enqueue(init: &mut Initiator<u64, (u64, IoPlan)>, i: usize, logical: u64, plan: IoPlan) {
+    init.enqueue(i, plan.backend.index(), Priority::NORMAL, (logical, plan));
+}
 
 /// One closed-loop client. Its gates, queues and port are the initiator's.
 struct Client {
@@ -121,163 +125,97 @@ fn untried(
     (cands, n)
 }
 
-enum Ev {
+/// The rack engine's own events.
+pub enum Ev {
     ClientStart(usize),
-    DeliverCmd(NvmeCmd),
-    PipelineWake(usize),
-    DeliverCpl(NvmeCompletion),
-    Timeout(Timer),
     NodeDeath(usize),
-    /// Broker settlement boundary (only scheduled when the broker is on):
-    /// repays debts and forgives accounts on dead nodes' backends.
-    BrokerEpoch,
-    /// Core-scheduler rebalance boundary (only scheduled when stealing is
-    /// on with a non-zero rebalance period): every node's scheduler
-    /// re-derives home assignments from last epoch's per-pipeline load.
-    CoresRebalance,
 }
 
-/// What the nodes call back into: the event queue, the ToR path back to
-/// the clients, the clients' initiator, and the fault state every crossing
-/// consults.
-struct Net {
-    queue: EventQueue<Ev>,
-    delays: RdmaDelays,
+/// The ToR between the clients' ports and the nodes' ports, with the
+/// fault state every crossing consults.
+pub struct Tor {
     tor: TorSwitch,
-    node_ports: Vec<Port>,
     ssds_per_node: usize,
-    /// One client per rack client, one lane per backend. Physical IOs wait
-    /// as (logical IO, plan), and each command is tagged with the logical
-    /// IO it serves.
-    init: Initiator<u64, (u64, IoPlan)>,
-    rack: RackCounters,
     /// `Some` only when the plan actually targets this rack: a plan whose
     /// every fault is aimed at absent nodes/SSDs runs exactly like
     /// `faults: None`, timers and all.
     active_plan: Option<FaultPlan>,
     node_dead: Vec<bool>,
+    /// The crossings' counters: ToR drops and degraded-link crossings.
+    rack: RackCounters,
     trace: TraceHandle,
 }
 
-impl Net {
-    fn node_of(&self, backend: usize) -> usize {
-        backend / self.ssds_per_node
-    }
-
-    /// Whether `node`'s ToR link swallows capsules at `t` (death is
-    /// permanent, partitions are windowed; both act in both directions).
-    fn node_down(&self, node: usize, t: SimTime) -> bool {
-        self.node_dead[node]
-            || self
-                .active_plan
-                .as_ref()
-                .and_then(|p| p.node_spec(node))
-                .is_some_and(|s| s.dead(t) || s.partitioned(t))
-    }
-
-    /// Degraded-link penalty for a crossing of `node`'s link at `t`, with
-    /// the counter and telemetry event it implies.
-    fn link_extra(&mut self, node: usize, t: SimTime, ssd: SsdId, tenant: TenantId) -> SimDuration {
-        let extra = self
-            .active_plan
-            .as_ref()
-            .and_then(|p| p.node_spec(node))
-            .and_then(|s| s.link_extra(t));
-        match extra {
-            Some(x) => {
-                self.rack.link_degraded_crossings += 1;
-                self.trace.record(
-                    t,
-                    ssd,
-                    Some(tenant),
-                    EventKind::LinkDegraded { node: node as u32 },
-                );
-                x
-            }
-            None => SimDuration::ZERO,
-        }
-    }
-
-    /// Transmit (or retransmit) a command capsule: client port → ToR →
-    /// node, subject to injected capsule loss, after arming its timer when
-    /// one comes.
-    fn send_command(&mut self, cmd: NvmeCmd, timer: Option<Timer>, now: SimTime) {
-        if let Some(t) = timer {
-            self.queue.push(t.at, Ev::Timeout(t));
-        }
-        if self.init.lose(CapsuleKind::Command, &cmd, now) {
-            return;
-        }
-        let at_tor = self.init.wire(&self.delays, &cmd, now);
-        let node = self.node_of(cmd.ssd.index());
-        let extra = self.link_extra(node, at_tor, cmd.ssd, cmd.tenant);
-        let bytes = CMD_CAPSULE_BYTES
-            + if cmd.opcode.is_write() {
-                u64::from(cmd.len)
-            } else {
-                0
-            };
-        let arrive = self.tor.to_node(node, at_tor, bytes, extra);
-        self.queue.push(arrive, Ev::DeliverCmd(cmd));
-    }
-
-    /// Queue the physical IO `plan` of logical IO `logical` behind client
-    /// `i`'s gate for its backend.
-    fn enqueue(&mut self, i: usize, logical: u64, plan: IoPlan) {
-        let backend = plan.backend.index();
-        self.init
-            .enqueue(i, backend, Priority::NORMAL, (logical, plan));
+impl Tor {
+    /// `cmd`'s node, and the degraded-link penalty for its crossing of the
+    /// node's link at `t`, with the counter and telemetry event it implies.
+    fn link(&mut self, cmd: &NvmeCmd, t: SimTime) -> (usize, SimDuration) {
+        let node = cmd.ssd.index() / self.ssds_per_node;
+        let spec = self.active_plan.as_ref().and_then(|p| p.node_spec(node));
+        let Some(extra) = spec.and_then(|s| s.link_extra(t)) else {
+            return (node, SimDuration::ZERO);
+        };
+        self.rack.link_degraded_crossings += 1;
+        let kind = EventKind::LinkDegraded { node: node as u32 };
+        self.trace.record(t, cmd.ssd, Some(cmd.tenant), kind);
+        (node, extra)
     }
 }
 
-impl NodeHost for Net {
-    type Tag = u64;
+impl Topology for Tor {
+    const LOSS_AFTER_PORT: bool = false;
 
-    fn arm_wake(&mut self, backend: usize, at: SimTime) {
-        self.queue.push(at, Ev::PipelineWake(backend));
+    /// ToR downlink serialization (the capsule, plus a write's payload) and
+    /// link latency.
+    fn downlink(&mut self, cmd: &NvmeCmd, at: SimTime) -> SimTime {
+        let (node, extra) = self.link(cmd, at);
+        let payload = if cmd.opcode.is_write() { cmd.len } else { 0 };
+        let bytes = CMD_CAPSULE_BYTES + u64::from(payload);
+        self.tor.to_node(node, at, bytes, extra)
     }
 
-    fn served(&mut self, _: usize, _: &PipelineOut, _: SimTime) {}
-
-    /// Completion capsules go node port → ToR → client. A dead or
-    /// partitioned node emits nothing.
-    fn send(&mut self, backend: usize, cmd: &NvmeCmd, cpl: NvmeCompletion, at: SimTime) {
-        let node = self.node_of(backend);
-        if self.node_down(node, at) {
-            self.rack.tor_cpl_drops += 1;
-            return;
-        }
-        if self.init.lose(CapsuleKind::Completion, cmd, at) {
-            return;
-        }
-        let at_tor = self
-            .delays
-            .completion_arrival(&mut self.node_ports[backend], at, cmd);
-        let extra = self.link_extra(node, at_tor, cmd.ssd, cmd.tenant);
-        let bytes = RSP_CAPSULE_BYTES
-            + if cmd.opcode.is_write() {
-                0
-            } else {
-                u64::from(cmd.len)
-            };
-        let arrive = self.tor.from_node(node, at_tor, bytes, extra);
-        self.queue.push(arrive, Ev::DeliverCpl(cpl));
+    /// ToR uplink serialization (the capsule, plus a read's payload) and
+    /// link latency.
+    fn uplink(&mut self, cmd: &NvmeCmd, at: SimTime) -> SimTime {
+        let (node, extra) = self.link(cmd, at);
+        let payload = if cmd.opcode.is_write() { 0 } else { cmd.len };
+        let bytes = RSP_CAPSULE_BYTES + u64::from(payload);
+        self.tor.from_node(node, at, bytes, extra)
     }
 
-    fn in_flight(&mut self) -> Option<Tracked<'_, u64>> {
-        self.init.in_flight()
+    /// A dead or partitioned node swallows capsules both ways.
+    fn passes(&mut self, node: usize, t: SimTime, capsule: CapsuleKind) -> bool {
+        let down = !self.reachable(node, t);
+        let drops = match capsule {
+            CapsuleKind::Command => &mut self.rack.tor_cmd_drops,
+            CapsuleKind::Completion => &mut self.rack.tor_cpl_drops,
+        };
+        *drops += u64::from(down);
+        !down
+    }
+
+    /// Death is permanent, partitions are windowed.
+    fn reachable(&self, node: usize, t: SimTime) -> bool {
+        let spec = self.active_plan.as_ref().and_then(|p| p.node_spec(node));
+        !self.node_dead[node] && !spec.is_some_and(|s| s.dead(t) || s.partitioned(t))
+    }
+
+    fn alive(&self, node: usize) -> bool {
+        !self.node_dead[node]
     }
 }
 
 /// The rack experiment.
 pub struct RackTestbed {
     cfg: RackConfig,
-    /// The JBOF nodes, in node order. Stealing never crosses the ToR: each
-    /// node schedules only its own cores.
-    nodes: Vec<Node>,
-    net: Net,
+    /// The JBOF nodes (in node order; stealing never crosses the ToR: each
+    /// node schedules only its own cores), the clients' initiator (one
+    /// client per rack client, one lane per backend; physical IOs wait as
+    /// (logical IO, plan), and each command is tagged with the logical IO
+    /// it serves), and the ToR.
+    rt: Reactor<RackTestbed>,
     /// Shared routing view: per-backend credit/outstanding/dead/suspect.
-    /// Gating is the initiator's, so this limiter is disabled.
+    /// Gating is the initiator's.
     router: RateLimiter,
     bs: Blobstore,
     clients: Vec<Client>,
@@ -285,10 +223,8 @@ pub struct RackTestbed {
     /// Recycled blobstore plan buffer; empty between logical IOs.
     plans: Vec<IoPlan>,
     next_logical: u64,
-    tracer: Tracing,
-    sanitizer: JournalHandle,
-    /// Shared borrow ledger (`None` = broker off).
-    broker: Option<BrokerHandle>,
+    /// Logical and rack-level counters (the ToR keeps its own).
+    rack: RackCounters,
     end: SimTime,
     warm: SimTime,
     /// Test-only nondeterminism injector: flip the first read-routing
@@ -321,52 +257,44 @@ impl RackTestbed {
                 || (0..backends).any(|i| p.ssd_spec(i).is_some())
                 || (0..nodes).any(|n| p.node_spec(n).is_some())
         });
-        let active_plan = faults.map(|fc| fc.plan.clone());
-
-        let (tracer, trace, sanitizer) = recorders(cfg.trace.as_ref(), cfg.sanitize);
-        let broker = cfg
-            .broker
-            .as_ref()
-            .map(|bc| BrokerHandle::new(bc.clone(), trace.clone()));
         let spn = cfg.ssds_per_node as usize;
-        let rack_nodes: Vec<Node> = (0..nodes)
-            .map(|n| {
-                Node::build(
-                    NodeSpec {
-                        first_ssd: n * spn,
-                        ssds: spn,
-                        cores: spn,
-                        scheme: cfg.scheme,
-                        gimbal_params: cfg.gimbal_params,
-                        ssd: &cfg.ssd,
-                        precondition: cfg.precondition,
-                        cpu_cost: cfg.scheme.cpu_cost(false),
-                        cache: None,
-                        broker: broker.clone(),
-                        steal: cfg.steal.clone(),
-                        seed: cfg.seed,
-                        trace: &trace,
-                        sanitizer: &sanitizer,
-                    },
-                    &mut root_rng,
-                    |i| {
-                        let Some(p) = &active_plan else {
-                            return SsdFaultSpec::default();
-                        };
-                        // Node-scoped GC storms are *correlated* device
-                        // storms: fold them into every member SSD's stall
-                        // windows so the device model both stalls and
-                        // advertises `gc_busy`.
-                        let mut spec = p.ssd_spec(i).cloned().unwrap_or_default();
-                        if let Some(ns) = p.node_spec(n) {
-                            spec.stall_windows
-                                .extend(ns.gc_storm_windows.iter().copied());
-                        }
-                        spec
-                    },
-                )
-            })
-            .collect();
+        let mut rt = Reactor::new(
+            Rig {
+                nodes,
+                ssds_per_node: spn,
+                cores_per_node: spn,
+                scheme: cfg.scheme,
+                gimbal_params: cfg.gimbal_params,
+                ssd: &cfg.ssd,
+                precondition: cfg.precondition,
+                cpu_cost: cfg.scheme.cpu_cost(false),
+                cache: None,
+                broker: cfg.broker.as_ref(),
+                steal: cfg.steal.clone(),
+                trace: cfg.trace.as_ref(),
+                sanitize: cfg.sanitize,
+                seed: cfg.seed,
+                clients: cfg.clients as usize,
+                lanes: backends,
+                fabric: cfg.fabric,
+                flow_control: true,
+                faults,
+                meter_devices: false,
+                batch: 1,
+                sample_interval: None,
+                power_loss_at: None,
+                duration: cfg.duration,
+            },
+            &mut root_rng,
+            |trace| Tor {
+                tor: TorSwitch::new(cfg.tor, nodes),
+                ssds_per_node: spn,
+                active_plan: faults.map(|fc| fc.plan.clone()),
+                node_dead: vec![false; nodes],
+                rack: RackCounters::default(),
+                trace: trace.clone(),
+            },
+        );
 
         let router = RateLimiter::new(backends, cfg.gimbal_params.initial_credit_ios, false);
 
@@ -400,57 +328,26 @@ impl RackTestbed {
             })
             .collect();
 
-        let mut queue = EventQueue::new();
         for i in 0..clients.len() {
-            queue.push(SimTime::from_micros(i as u64 * 10), Ev::ClientStart(i));
+            rt.host
+                .push(SimTime::from_micros(i as u64 * 10), Ev::ClientStart(i));
         }
-        if let Some(p) = &active_plan {
-            for node in 0..nodes {
-                if let Some(at) = p.node_spec(node).and_then(|s| s.die_at) {
-                    queue.push(at, Ev::NodeDeath(node));
-                }
+        for node in 0..nodes {
+            let spec = faults.and_then(|fc| fc.plan.node_spec(node));
+            if let Some(at) = spec.and_then(|s| s.die_at) {
+                rt.host.push(at, Ev::NodeDeath(node));
             }
-        }
-        if let Some(bc) = &cfg.broker {
-            queue.push(SimTime::ZERO + bc.epoch, Ev::BrokerEpoch);
-        }
-        if let Some(e) = rack_nodes.first().and_then(Node::rebalance_epoch) {
-            queue.push(SimTime::ZERO + e, Ev::CoresRebalance);
         }
 
         RackTestbed {
-            nodes: rack_nodes,
-            net: Net {
-                queue,
-                delays: RdmaDelays::new(cfg.fabric),
-                tor: TorSwitch::new(cfg.tor, nodes),
-                node_ports: (0..backends)
-                    .map(|_| Port::new(cfg.fabric.port_bandwidth))
-                    .collect(),
-                ssds_per_node: spn,
-                init: Initiator::new(
-                    clients.len(),
-                    backends,
-                    cfg.fabric.port_bandwidth,
-                    faults,
-                    cfg.seed,
-                    trace.clone(),
-                    || cfg.scheme.client_gate(cfg.gimbal_params, true),
-                ),
-                rack: RackCounters::default(),
-                active_plan,
-                node_dead: vec![false; nodes],
-                trace,
-            },
+            rt,
             router,
             bs,
             clients,
             logical: DetMap::new(),
             plans: Vec::new(),
             next_logical: 0,
-            tracer,
-            sanitizer,
-            broker,
+            rack: RackCounters::default(),
             end: SimTime::ZERO + cfg.duration,
             warm: SimTime::ZERO + cfg.warmup,
             cfg,
@@ -461,29 +358,18 @@ impl RackTestbed {
         }
     }
 
-    /// The device behind backend `b`.
-    fn device(&self, b: usize) -> &FlashSsd {
-        let spn = self.net.ssds_per_node;
-        self.nodes[b / spn].pipelines()[b % spn].device()
-    }
-
     /// Environment-sourced health of one backend, as the router sees it.
     fn backend_health(&self, b: BackendId, now: SimTime) -> ReplicaHealth {
         let node = self.cfg.node_of(b.index());
-        let spec = self
-            .net
-            .active_plan
-            .as_ref()
-            .and_then(|p| p.node_spec(node));
+        let spec = (self.rt.host.topo.active_plan.as_ref()).and_then(|p| p.node_spec(node));
         ReplicaHealth {
             partitioned: spec.is_some_and(|s| s.dead(now) || s.partitioned(now)),
             // The GC signal is read straight off the device model, so
             // organic die-level collections steer exactly like injected
             // storms. The blind baseline reports "never busy".
-            gc_busy: self.cfg.gc_aware_routing && self.device(b.index()).gc_busy(now),
+            gc_busy: self.cfg.gc_aware_routing && self.rt.device(b.index()).gc_busy(now),
         }
     }
-
     /// Pick a replica among `cands` (at most the two copies of one span)
     /// via the GC/failure-aware chooser, and journal the decision (`op` is
     /// "choose" or "reroute").
@@ -510,7 +396,8 @@ impl RackTestbed {
             }
         }
         let b = cands[chosen];
-        self.sanitizer
+        self.rt
+            .sanitizer
             .record(now.as_nanos(), "rack.route", op, b.index() as u64);
         Some(b)
     }
@@ -544,7 +431,7 @@ impl RackTestbed {
             let file = self.clients[i].file;
             let id = self.next_logical;
             self.next_logical += 1;
-            self.net.rack.issued += 1;
+            self.rack.issued += 1;
             self.clients[i].inflight += 1;
             if is_read {
                 let pair = self.bs.replicas_at(file, offset);
@@ -552,7 +439,7 @@ impl RackTestbed {
                 let Some(b) = self.route(&pair[..n], now, "choose") else {
                     // Every replica of this span is dead: typed error at
                     // issue, never a panic.
-                    self.net.rack.failed_typed += 1;
+                    self.rack.failed_typed += 1;
                     self.clients[i].inflight -= 1;
                     continue;
                 };
@@ -572,7 +459,7 @@ impl RackTestbed {
                         tried: Tried([Some(b.0), None]),
                     },
                 );
-                self.net.enqueue(i, id, plan);
+                enqueue(&mut self.rt.host.init, i, id, plan);
             } else {
                 let router = &self.router;
                 match self.bs.plan_write_degraded_into(
@@ -584,7 +471,7 @@ impl RackTestbed {
                 ) {
                     Err(_) => {
                         // No live replica can take the write.
-                        self.net.rack.failed_typed += 1;
+                        self.rack.failed_typed += 1;
                         self.clients[i].inflight -= 1;
                     }
                     Ok(degraded) => {
@@ -604,7 +491,7 @@ impl RackTestbed {
                             },
                         );
                         for p in self.plans.drain(..) {
-                            self.net.enqueue(i, id, p);
+                            enqueue(&mut self.rt.host.init, i, id, p);
                         }
                     }
                 }
@@ -616,8 +503,8 @@ impl RackTestbed {
     /// the fabric.
     fn dispatch(&mut self, i: usize, now: SimTime) {
         for b in 0..self.cfg.backends() as usize {
-            while let Some((logical, plan)) = self.net.init.next_pending(i, b, now) {
-                let (cmd, timer) = self.net.init.submit(logical, now, |id| NvmeCmd {
+            while let Some((logical, plan)) = self.rt.host.init.next_pending(i, b, now) {
+                let (cmd, timer) = self.rt.host.init.submit(logical, now, |id| NvmeCmd {
                     id,
                     tenant: TenantId(i as u32),
                     ssd: SsdId(plan.backend.0),
@@ -629,9 +516,10 @@ impl RackTestbed {
                     wal: None,
                 });
                 self.router.on_submit(plan.backend);
-                self.sanitizer
+                self.rt
+                    .sanitizer
                     .record(now.as_nanos(), "rack.issue", "submit", cmd.id.0);
-                self.net.send_command(cmd, timer, now);
+                self.rt.host.transmit(cmd, timer, now);
             }
         }
     }
@@ -646,14 +534,15 @@ impl RackTestbed {
             self.router
                 .mark_suspect(BackendId(node as u32 * self.cfg.ssds_per_node + s));
         }
-        self.net.rack.nodes_suspected += 1;
-        self.net.trace.record(
+        self.rack.nodes_suspected += 1;
+        self.rt.trace.record(
             now,
             SsdId(first.0),
             None,
             EventKind::NodeSuspected { node: node as u32 },
         );
-        self.sanitizer
+        self.rt
+            .sanitizer
             .record(now.as_nanos(), "rack.route", "suspect", node as u64);
     }
 
@@ -709,8 +598,8 @@ impl RackTestbed {
         let Some(b) = self.route(&cands[..n], now, "reroute") else {
             return false;
         };
-        self.net.rack.reroutes += 1;
-        self.net.trace.record(
+        self.rack.reroutes += 1;
+        self.rt.trace.record(
             now,
             SsdId(b.0),
             Some(TenantId(client as u32)),
@@ -726,64 +615,9 @@ impl RackTestbed {
             lg.pending += 1;
         }
         let plan = self.plan_read(file, offset, blocks, b);
-        self.net.enqueue(client, lg_id, plan);
+        enqueue(&mut self.rt.host.init, client, lg_id, plan);
         self.dispatch(client, now);
         true
-    }
-
-    /// A retransmission timer fired. A read may reroute while an untried
-    /// live replica holds its span; an abandoned side settles the router
-    /// and the logical IO.
-    fn timeout(&mut self, t: Timer, now: SimTime) {
-        let (logical, bs, clients, router) = (&self.logical, &self.bs, &self.clients, &self.router);
-        let can_reroute = |lg_id: &u64| {
-            let lg = logical.get(lg_id).expect("live logical");
-            lg.is_read && untried(lg, clients[lg.client].file, bs, router).1 > 0
-        };
-        match self.net.init.on_timer(t, now, can_reroute) {
-            Some(Expiry::Retransmit { cmd, timer }) => self.net.send_command(cmd, Some(timer), now),
-            Some(Expiry::Abandoned { entry, reroute }) => {
-                let b = entry.cmd.ssd.index();
-                self.router.on_completion(BackendId(b as u32), None);
-                if reroute {
-                    self.suspect_node(self.cfg.node_of(b), now);
-                }
-                self.side_done(entry.tag, false, b, t.cmd, now);
-            }
-            None => {}
-        }
-    }
-
-    /// One broker settlement boundary. Backends on dead or partitioned
-    /// nodes drop out of the active set, so every account and debt touching
-    /// them is forgiven — clients can't repay through a link that swallows
-    /// capsules. Clients never stop at rack scale, so each live backend's
-    /// active tenant set is all clients.
-    fn broker_epoch(&mut self, now: SimTime) {
-        let Some(broker) = self.broker.clone() else {
-            return;
-        };
-        let mut active: Vec<(SsdId, Vec<TenantId>)> = Vec::new();
-        for b in 0..self.cfg.backends() as usize {
-            if self.net.node_down(self.cfg.node_of(b), now) || self.device(b).is_failed() {
-                continue;
-            }
-            let tenants = (0..self.clients.len() as u32).map(TenantId).collect();
-            active.push((SsdId(b as u32), tenants));
-        }
-        broker.settle_epoch(now, &active);
-        broker.end_epoch();
-        broker
-            .drain_journal_with(|op, key| self.sanitizer.record(now.as_nanos(), "broker", op, key));
-        // Settlement restores lender balances; parked requests may now
-        // clear the gate. Dead nodes stay frozen.
-        for (n, node) in self.nodes.iter_mut().enumerate() {
-            if !self.net.node_dead[n] {
-                node.pump_all(now, &mut self.net);
-            }
-        }
-        let epoch = self.cfg.broker.as_ref().expect("broker cfg").epoch;
-        self.net.queue.push(now + epoch, Ev::BrokerEpoch);
     }
 
     fn record_ack(&mut self, lg: &Logical, now: SimTime) {
@@ -802,13 +636,13 @@ impl RackTestbed {
 
     fn finish_read_ok(&mut self, lg_id: u64, now: SimTime) {
         let lg = self.logical.remove(&lg_id).expect("live logical");
-        self.net.rack.acked_ok += 1;
+        self.rack.acked_ok += 1;
         self.record_ack(&lg, now);
     }
 
     fn finish_failed(&mut self, lg_id: u64, _now: SimTime) {
         let lg = self.logical.remove(&lg_id).expect("live logical");
-        self.net.rack.failed_typed += 1;
+        self.rack.failed_typed += 1;
         self.clients[lg.client].inflight -= 1;
     }
 
@@ -816,120 +650,39 @@ impl RackTestbed {
         let lg = self.logical.remove(&lg_id).expect("live logical");
         if lg.ok_sides > 0 {
             if lg.err_sides > 0 || lg.degraded {
-                self.net.rack.acked_degraded += 1;
+                self.rack.acked_degraded += 1;
             } else {
-                self.net.rack.acked_ok += 1;
+                self.rack.acked_ok += 1;
             }
             self.record_ack(&lg, now);
         } else {
-            self.net.rack.failed_typed += 1;
+            self.rack.failed_typed += 1;
             self.clients[lg.client].inflight -= 1;
         }
     }
 
     /// Run it.
     pub fn run(mut self) -> RackResult {
-        while let Some((now, ev)) = self.net.queue.pop() {
-            if now > self.end {
-                break;
-            }
-            if self.sanitizer.is_enabled() {
-                let (component, op, key) = match &ev {
-                    Ev::ClientStart(i) => ("rack.client", "start", *i as u64),
-                    Ev::DeliverCmd(cmd) => ("rack.fabric", "deliver_cmd", cmd.id.0),
-                    Ev::PipelineWake(b) => ("rack.wake", "wake", *b as u64),
-                    Ev::DeliverCpl(cpl) => ("rack.fabric", "deliver_cpl", cpl.id.0),
-                    Ev::Timeout(t) => ("rack.fault", "timeout", t.cmd),
-                    Ev::NodeDeath(n) => ("rack.node", "death", *n as u64),
-                    Ev::BrokerEpoch => ("engine.broker", "epoch", 0),
-                    Ev::CoresRebalance => ("engine.cores", "rebalance", 0),
-                };
-                self.sanitizer.record(now.as_nanos(), component, op, key);
-            }
-            match ev {
-                Ev::ClientStart(i) => {
-                    self.issue_logical(i, now);
-                    self.dispatch(i, now);
-                }
-                Ev::BrokerEpoch => self.broker_epoch(now),
-                Ev::CoresRebalance => {
-                    for node in &mut self.nodes {
-                        node.rebalance(now);
-                    }
-                    if let Some(e) = self.nodes.first().and_then(Node::rebalance_epoch) {
-                        self.net.queue.push(now + e, Ev::CoresRebalance);
-                    }
-                }
-                Ev::NodeDeath(node) => {
-                    if self.net.node_dead[node] {
-                        continue;
-                    }
-                    // The node is frozen from here on: its pipelines never
-                    // pump again, and whatever was in flight inside them is
-                    // recovered initiator-side by the ladder.
-                    self.net.node_dead[node] = true;
-                    for s in 0..self.cfg.ssds_per_node {
-                        self.router
-                            .mark_dead(BackendId(node as u32 * self.cfg.ssds_per_node + s));
-                    }
-                    self.net.trace.record(
-                        now,
-                        SsdId(node as u32 * self.cfg.ssds_per_node),
-                        None,
-                        EventKind::NodeDead { node: node as u32 },
-                    );
-                }
-                Ev::DeliverCmd(cmd) => {
-                    let backend = cmd.ssd.index();
-                    let node = self.cfg.node_of(backend);
-                    if self.net.node_down(node, now) {
-                        self.net.rack.tor_cmd_drops += 1;
-                        continue;
-                    }
-                    self.nodes[node].deliver(backend, cmd, now, &mut self.net, 1, |_| None);
-                }
-                Ev::PipelineWake(backend) => {
-                    let node = self.cfg.node_of(backend);
-                    if !self.net.node_dead[node] {
-                        self.nodes[node].wake(backend, now, &mut self.net);
-                    }
-                }
-                Ev::DeliverCpl(cpl) => {
-                    let Some(lg_id) = self.net.init.complete(&cpl, now) else {
-                        continue;
-                    };
-                    let b = cpl.ssd.index();
-                    self.router.on_completion(BackendId(b as u32), cpl.credit);
-                    let ok = cpl.status.is_success();
-                    if ok {
-                        self.clear_suspect_node(self.cfg.node_of(b));
-                    } else {
-                        // The error completion is the client's first sight
-                        // of a flash failure: hard-exclude the backend and
-                        // recover via its replica (§4.3).
-                        self.router.mark_dead(BackendId(b as u32));
-                    }
-                    self.side_done(lg_id, ok, b, cpl.id.0, now);
-                }
-                Ev::Timeout(t) => self.timeout(t, now),
-            }
-        }
-
-        let physical = self.net.init.finish();
-        let mut rack = self.net.rack;
-        rack.in_flight_at_end = self.logical.len() as u64;
+        Reactor::run(&mut self);
+        let tor = &self.rt.host.topo;
+        let nodes = self.cfg.nodes as usize;
+        let (tor_bytes_down, tor_bytes_up) = (0..nodes)
+            .map(|n| (tor.tor.bytes_down(n), tor.tor.bytes_up(n)))
+            .unzip();
+        let rack = RackCounters {
+            tor_cmd_drops: tor.rack.tor_cmd_drops,
+            tor_cpl_drops: tor.rack.tor_cpl_drops,
+            link_degraded_crossings: tor.rack.link_degraded_crossings,
+            in_flight_at_end: self.logical.len() as u64,
+            ..self.rack
+        };
         debug_assert!(
             rack.logical_conservation_holds(),
             "logical conservation violated: {rack:?}"
         );
-
-        // Broker conservation must hold at every exit, including chaos
-        // runs where debts were forgiven on node death.
-        if let Some(b) = &self.broker {
-            b.audit();
-        }
-
-        let nodes = self.cfg.nodes as usize;
+        // The broker audit in `finish` also covers chaos runs where debts
+        // were forgiven on node death.
+        let out = self.rt.finish();
         RackResult {
             clients: self
                 .clients
@@ -940,20 +693,104 @@ impl RackTestbed {
                     write_latency: c.write_hist.summary(),
                 })
                 .collect(),
-            ssd_stats: self
-                .nodes
-                .iter()
-                .flat_map(|n| n.device_results().ssd_stats)
-                .collect(),
-            physical,
+            ssd_stats: out.ssd_stats,
+            physical: out.faults,
             rack,
-            tor_bytes_down: (0..nodes).map(|n| self.net.tor.bytes_down(n)).collect(),
-            tor_bytes_up: (0..nodes).map(|n| self.net.tor.bytes_up(n)).collect(),
+            tor_bytes_down,
+            tor_bytes_up,
             window: self.cfg.duration - self.cfg.warmup,
-            trace: self.tracer.finish(),
-            access_journal: self.sanitizer.snapshot(),
-            broker: self.broker.as_ref().map(|b| b.stats()),
-            cores: self.nodes.iter().filter_map(Node::cores_stats).collect(),
+            trace: out.trace,
+            access_journal: out.access_journal,
+            broker: out.broker,
+            cores: out.cores,
+            events_processed: out.events_processed,
+        }
+    }
+}
+
+impl Engine for RackTestbed {
+    type Ev = Ev;
+    type Tag = u64;
+    type Queued = (u64, IoPlan);
+    type Topo = Tor;
+    const FABRIC: &'static str = "rack.fabric";
+    const WAKE: &'static str = "rack.wake";
+    const FAULT: &'static str = "rack.fault";
+
+    fn rt(&mut self) -> &mut Reactor<Self> {
+        &mut self.rt
+    }
+
+    fn label(ev: &Ev) -> (&'static str, &'static str, u64) {
+        match *ev {
+            Ev::ClientStart(i) => ("rack.client", "start", i as u64),
+            Ev::NodeDeath(n) => ("rack.node", "death", n as u64),
+        }
+    }
+
+    fn on_event(&mut self, ev: Ev, now: SimTime) {
+        match ev {
+            Ev::ClientStart(i) => {
+                self.issue_logical(i, now);
+                self.dispatch(i, now);
+            }
+            Ev::NodeDeath(node) => {
+                let tor = &mut self.rt.host.topo;
+                if tor.node_dead[node] {
+                    return;
+                }
+                // The node is frozen from here on: its pipelines never
+                // pump again, and whatever was in flight inside them is
+                // recovered initiator-side by the ladder.
+                tor.node_dead[node] = true;
+                let first = node as u32 * self.cfg.ssds_per_node;
+                for b in first..first + self.cfg.ssds_per_node {
+                    self.router.mark_dead(BackendId(b));
+                }
+                let kind = EventKind::NodeDead { node: node as u32 };
+                self.rt.trace.record(now, SsdId(first), None, kind);
+            }
+        }
+    }
+
+    fn complete(&mut self, cpl: NvmeCompletion, now: SimTime) {
+        let Some(lg_id) = self.rt.host.init.complete(&cpl, now) else {
+            return;
+        };
+        let b = cpl.ssd.index();
+        self.router.on_completion(BackendId(b as u32), cpl.credit);
+        let ok = cpl.status.is_success();
+        if ok {
+            self.clear_suspect_node(self.cfg.node_of(b));
+        } else {
+            // The error completion is the client's first sight of a flash
+            // failure: hard-exclude the backend and recover via its replica
+            // (§4.3).
+            self.router.mark_dead(BackendId(b as u32));
+        }
+        self.side_done(lg_id, ok, b, cpl.id.0, now);
+    }
+
+    /// A retransmission timer fired. A read may reroute while an untried
+    /// live replica holds its span; an abandoned side settles the router
+    /// and the logical IO.
+    fn timeout(&mut self, t: Timer, now: SimTime) {
+        let (logical, bs, clients, router) = (&self.logical, &self.bs, &self.clients, &self.router);
+        let can_reroute = |lg_id: &u64| {
+            let lg = logical.get(lg_id).expect("live logical");
+            lg.is_read && untried(lg, clients[lg.client].file, bs, router).1 > 0
+        };
+        match self.rt.host.init.on_timer(t, now, can_reroute) {
+            Some(Expiry::Retransmit { cmd, timer }) => self.rt.host.transmit(cmd, Some(timer), now),
+            Some(Expiry::Abandoned { entry, reroute }) => {
+                let b = entry.cmd.ssd.index();
+                self.router.on_completion(BackendId(b as u32), None);
+                if reroute {
+                    self.suspect_node(self.cfg.node_of(b), now);
+                }
+                self.side_done(entry.tag, false, b, t.cmd, now);
+            }
+            None => {}
         }
     }
 }

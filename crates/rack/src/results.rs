@@ -112,6 +112,10 @@ pub struct RackResult {
     /// [`crate::RackConfig::steal`] enabled work stealing — the digest then
     /// folds them in, so steal-off runs keep their pre-scheduler digests).
     pub cores: Vec<CoresStats>,
+    /// Total events the reactor popped, counted as for
+    /// [`gimbal_testbed::RunResult::events_processed`]. Perf instrumentation
+    /// only: never folded into any digest.
+    pub events_processed: u64,
 }
 
 impl RackResult {

@@ -1,45 +1,22 @@
-//! The fio engine: closed-loop fio workers driving one [`Node`] over the
-//! fabric through one [`Initiator`]. The node runs the target side and the
-//! initiator the client side; this engine keeps what is its own — the
-//! workers, the capsule path with its loss injection, same-instant
-//! batching, and per-SSD device histograms.
+//! The fio engine: closed-loop fio workers driving one [`crate::Node`] over
+//! the direct fabric, in the shared [`Reactor`]. The reactor runs the node,
+//! the initiator and every shared event; this engine keeps what is its own
+//! — the workers and their issue path, worker and device series, and the
+//! broker's placement planner.
 
 use crate::config::{TestbedConfig, WorkerSpec};
-use crate::initiator::{Expiry, Initiator, Timer};
-use crate::node::{recorders, Node, NodeHost, NodeSpec, Tracing, Tracked};
-use crate::results::{DeviceSeries, GimbalTrace, RunResult, SubmissionRecord, WorkerResult};
+use crate::initiator::{Expiry, Timer};
+use crate::reactor::{Direct, Engine, Reactor, Rig};
+use crate::results::{DeviceSeries, RunResult, SubmissionRecord, WorkerResult};
 use gimbal_broker::{BrokerHandle, SsdTelemetry};
 use gimbal_core::GimbalPolicy;
-use gimbal_fabric::{IoType, NvmeCmd, NvmeCompletion, Port, RdmaDelays, SsdId, TenantId};
-use gimbal_sim::journal::JournalHandle;
-use gimbal_sim::{EventQueue, Ewma, Histogram, Meter, SimDuration, SimRng, SimTime, TimeSeries};
-use gimbal_switch::PipelineOut;
-use gimbal_telemetry::{CapsuleKind, TraceHandle};
+use gimbal_fabric::{IoType, NvmeCmd, NvmeCompletion, Port, SsdId, TenantId};
+use gimbal_sim::{Histogram, Meter, SimDuration, SimRng, SimTime, TimeSeries};
 
-enum Ev {
+/// The fio engine's own events.
+pub enum Ev {
     WorkerStart(usize),
     TryIssue(usize),
-    DeliverCmd(NvmeCmd),
-    PipelineWake(usize),
-    DeliverCpl(NvmeCompletion),
-    /// A retransmission timer. Only pushed when fault injection is
-    /// configured.
-    Timeout(Timer),
-    /// Simulated NIC power loss ([`gimbal_sim::FaultPlan::power_loss_at`]):
-    /// every pipeline's NIC-DRAM cache is cleared cold and
-    /// acked-but-unflushed write-back lines surface as
-    /// [`gimbal_cache::StagedWriteLoss`].
-    PowerLoss,
-    /// Broker settlement boundary: debts repay, departures forgive, and the
-    /// placement layer (when enabled) migrates tenants. Only scheduled when
-    /// [`TestbedConfig::broker`] is set, so broker-off runs see no event.
-    BrokerEpoch,
-    /// Core-scheduler rebalance boundary: home assignments move per the
-    /// epoch's per-pipeline cycle consumption. Only scheduled when
-    /// [`TestbedConfig::steal`] is set with a non-zero rebalance period, so
-    /// steal-off runs see no event.
-    CoresRebalance,
-    Sample,
 }
 
 struct Worker {
@@ -55,97 +32,16 @@ struct Worker {
     series: TimeSeries,
 }
 
-/// What the node calls back into: the event queue, the completion path
-/// back to the workers, the initiator, and per-SSD device accounting.
-struct Host {
-    queue: EventQueue<Ev>,
-    delays: RdmaDelays,
-    target_ports: Vec<Port>,
-    /// The workers' side: one client and one lane per worker.
-    init: Initiator<()>,
-    /// The engine's handle for device-latency observations and port gauges.
-    trace: TraceHandle,
-    device_hist: Vec<[Histogram; 2]>,
-    /// Smoothed raw device latency per SSD and op type.
-    dev_lat_ewma: Vec<[Ewma; 2]>,
-    dev_meter: Vec<Meter>,
-}
-
-impl Host {
-    /// Send a command capsule from its worker's port, subject to
-    /// command-loss injection, after arming its timer when one comes.
-    fn transmit(&mut self, cmd: NvmeCmd, timer: Option<Timer>, now: SimTime) {
-        if let Some(t) = timer {
-            self.queue.push(t.at, Ev::Timeout(t));
-        }
-        let arrive = self.init.wire(&self.delays, &cmd, now);
-        if !self.init.lose(CapsuleKind::Command, &cmd, now) {
-            self.queue.push(arrive, Ev::DeliverCmd(cmd));
-        }
-    }
-}
-
-impl NodeHost for Host {
-    type Tag = ();
-
-    fn arm_wake(&mut self, ssd: usize, at: SimTime) {
-        self.queue.push(at, Ev::PipelineWake(ssd));
-    }
-
-    fn served(&mut self, ssd: usize, out: &PipelineOut, now: SimTime) {
-        if out.served_from_cache {
-            // The SSD never saw this read: its DRAM-copy latency must not
-            // pollute the device-latency signals (histograms, the EWMA
-            // Gimbal-style monitors sample, the device meter).
-            self.init.served_from_cache();
-            return;
-        }
-        let lat_ns = out.device_latency.as_nanos();
-        let op = out.cmd.opcode.index();
-        self.device_hist[ssd][op].record(lat_ns);
-        self.trace
-            .observe("device_latency_ns", out.cmd.tenant, lat_ns);
-        self.dev_lat_ewma[ssd][op].update(lat_ns as f64 / 1e3);
-        self.dev_meter[ssd].record(now, out.cmd.len_bytes());
-    }
-
-    /// Completion capsules leave the target's port, subject to
-    /// completion-loss injection.
-    fn send(&mut self, ssd: usize, cmd: &NvmeCmd, cpl: NvmeCompletion, at: SimTime) {
-        let arrive = self
-            .delays
-            .completion_arrival(&mut self.target_ports[ssd], at, cmd);
-        if !self.init.lose(CapsuleKind::Completion, cmd, at) {
-            self.queue.push(arrive, Ev::DeliverCpl(cpl));
-        }
-    }
-
-    fn in_flight(&mut self) -> Option<Tracked<'_, ()>> {
-        self.init.in_flight()
-    }
-}
-
 /// A configured experiment, ready to run.
 pub struct Testbed {
     cfg: TestbedConfig,
-    node: Node,
-    host: Host,
+    /// The node, the initiator (one client and one lane per worker) and
+    /// the shared events.
+    rt: Reactor<Testbed>,
     workers: Vec<Worker>,
-    traces: Vec<GimbalTrace>,
     device_series: Vec<DeviceSeries>,
     /// Submission trace, populated when `cfg.record_submissions` is set.
     submissions: Vec<SubmissionRecord>,
-    tracer: Tracing,
-    /// Divergence sanitizer handle ([`TestbedConfig::sanitize`]); disabled
-    /// by default, so record sites cost one `None` branch.
-    sanitizer: JournalHandle,
-    /// Shared broker ledger (`None` = broker off; pipelines then carry no
-    /// gate and no epoch events are scheduled).
-    broker: Option<BrokerHandle>,
-    /// Total events popped from the event queue, including batch-coalesced
-    /// command deliveries. Pure perf instrumentation; never folded into
-    /// digests.
-    events_processed: u64,
 }
 
 impl Testbed {
@@ -168,39 +64,38 @@ impl Testbed {
         let mut root_rng = SimRng::new(cfg.seed);
         let mut cpu_cost = cfg.scheme.cpu_cost(cfg.xeon);
         cpu_cost.submit += cfg.added_per_io_us * gimbal_nic::CYCLES_PER_US;
-
-        let (tracer, trace, sanitizer) = recorders(cfg.trace.as_ref(), cfg.sanitize);
-        let broker = cfg
-            .broker
-            .as_ref()
-            .map(|bc| BrokerHandle::new(bc.clone(), trace.clone()));
-        let plan = cfg.faults.as_ref().map(|fc| &fc.plan);
-        let node = Node::build(
-            NodeSpec {
-                first_ssd: 0,
-                ssds: cfg.num_ssds as usize,
-                cores: cfg.cores as usize,
+        let n = cfg.num_ssds as usize;
+        let rt = Reactor::new(
+            Rig {
+                nodes: 1,
+                ssds_per_node: n,
+                cores_per_node: cfg.cores as usize,
                 scheme: cfg.scheme,
                 gimbal_params: cfg.gimbal_params,
                 ssd: &cfg.ssd,
                 precondition: cfg.precondition,
                 cpu_cost,
                 cache: cfg.cache.clone(),
-                broker: broker.clone(),
+                broker: cfg.broker.as_ref(),
                 steal: cfg.steal.clone(),
+                trace: cfg.trace.as_ref(),
+                sanitize: cfg.sanitize,
                 seed: cfg.seed,
-                trace: &trace,
-                sanitizer: &sanitizer,
+                clients: specs.len(),
+                lanes: 1,
+                fabric: cfg.fabric,
+                flow_control: true,
+                faults: cfg.faults.as_ref(),
+                meter_devices: true,
+                batch: cfg.batch,
+                sample_interval: cfg.sample_interval,
+                power_loss_at: cfg.faults.as_ref().and_then(|f| f.plan.power_loss_at),
+                duration: cfg.duration,
             },
             &mut root_rng,
-            |i| {
-                plan.and_then(|p| p.ssd_spec(i))
-                    .cloned()
-                    .unwrap_or_default()
-            },
+            |_| Direct,
         );
-
-        let workers: Vec<Worker> = specs
+        let workers = specs
             .into_iter()
             .enumerate()
             .map(|(i, spec)| Worker {
@@ -216,44 +111,11 @@ impl Testbed {
                 spec,
             })
             .collect();
-
-        let n = cfg.num_ssds as usize;
-        let host = Host {
-            queue: EventQueue::new(),
-            delays: RdmaDelays::new(cfg.fabric),
-            target_ports: (0..n)
-                .map(|_| Port::new(cfg.fabric.port_bandwidth))
-                .collect(),
-            init: Initiator::new(
-                workers.len(),
-                1,
-                cfg.fabric.port_bandwidth,
-                cfg.faults.as_ref(),
-                cfg.seed,
-                trace.clone(),
-                || cfg.scheme.client_gate(cfg.gimbal_params, true),
-            ),
-            trace,
-            device_hist: (0..n)
-                .map(|_| [Histogram::new(), Histogram::new()])
-                .collect(),
-            dev_lat_ewma: (0..n).map(|_| [Ewma::new(0.2), Ewma::new(0.2)]).collect(),
-            dev_meter: (0..n)
-                .map(|_| Meter::new(SimDuration::from_millis(10), 10))
-                .collect(),
-        };
-
         Testbed {
-            node,
-            host,
+            rt,
             workers,
-            traces: (0..n).map(|_| GimbalTrace::default()).collect(),
             device_series: (0..n).map(|_| DeviceSeries::default()).collect(),
             submissions: Vec::new(),
-            events_processed: 0,
-            tracer,
-            sanitizer,
-            broker,
             cfg,
         }
     }
@@ -276,8 +138,8 @@ impl Testbed {
         }
         loop {
             let w = &mut self.workers[wi];
-            let init = &mut self.host.init;
-            if !init.admits(wi, 0, w.spec.fio.queue_depth, now) {
+            let host = &mut self.rt.host;
+            if !host.init.admits(wi, 0, w.spec.fio.queue_depth, now) {
                 break; // resumed by the next completion
             }
             match w.stream.rate_gate(now) {
@@ -285,13 +147,13 @@ impl Testbed {
                 Err(at) => {
                     if !w.retry_pending {
                         w.retry_pending = true;
-                        self.host.queue.push(at, Ev::TryIssue(wi));
+                        host.push(at, Ev::TryIssue(wi));
                     }
                     break;
                 }
             }
             let io = w.stream.next_io(now);
-            let (cmd, timer) = init.submit((), now, |id| NvmeCmd {
+            let (cmd, timer) = host.init.submit((), now, |id| NvmeCmd {
                 id,
                 tenant: TenantId(wi as u32),
                 ssd: SsdId(w.spec.ssd),
@@ -302,7 +164,8 @@ impl Testbed {
                 issued_at: now,
                 wal: None,
             });
-            self.sanitizer
+            self.rt
+                .sanitizer
                 .record(now.as_nanos(), "engine.issue", "submit", cmd.id.0);
             if self.cfg.record_submissions {
                 self.submissions.push(SubmissionRecord {
@@ -314,93 +177,8 @@ impl Testbed {
                     len: cmd.len,
                 });
             }
-            self.host.transmit(cmd, timer, now);
+            self.rt.host.transmit(cmd, timer, now);
         }
-    }
-
-    /// A completion capsule reached its worker.
-    fn complete(&mut self, cpl: NvmeCompletion, now: SimTime) {
-        if self.host.init.complete(&cpl, now).is_none() {
-            return; // already abandoned: its slot is gone
-        }
-        let worker = cpl.tenant.index();
-        let (lo, hi) = self.window(worker);
-        let w = &mut self.workers[worker];
-        // Failed IOs move no payload: they are accounted, not measured as
-        // throughput.
-        if cpl.status.is_success() {
-            w.meter.record(now, u64::from(cpl.len));
-            if now >= lo && now < hi {
-                w.ops += 1;
-                w.bytes += u64::from(cpl.len);
-                let e2e = now.since(cpl.issued_at);
-                match cpl.opcode {
-                    IoType::Read => w.read_hist.record_duration(e2e),
-                    IoType::Write => w.write_hist.record_duration(e2e),
-                }
-            }
-        }
-        self.try_issue(worker, now);
-    }
-
-    fn sample(&mut self, now: SimTime) {
-        for w in &mut self.workers {
-            let bps = w.meter.rate_bytes_per_sec(now);
-            w.series.push(now, bps);
-        }
-        for (i, ds) in self.device_series.iter_mut().enumerate() {
-            let [r, w] = &self.host.dev_lat_ewma[i];
-            if let Some(r) = r.get() {
-                ds.read_lat_us.push(now, r);
-            }
-            if let Some(w) = w.get() {
-                ds.write_lat_us.push(now, w);
-            }
-            ds.bandwidth_bps
-                .push(now, self.host.dev_meter[i].rate_bytes_per_sec(now));
-        }
-        self.node.sample_gimbal(now, &mut self.traces);
-    }
-
-    /// One broker settlement boundary: repay all debts, forgive departures
-    /// (stopped workers, failed SSDs), optionally migrate tenants per the
-    /// placement planner, then pump every pipeline — settlement restores
-    /// lender balances, so parked requests may now clear the gate.
-    fn broker_epoch(&mut self, now: SimTime) {
-        let Some(broker) = self.broker.clone() else {
-            return;
-        };
-        // Active tenant sets per live SSD. A failed SSD drops out entirely,
-        // so every account and debt touching it is forgiven at settlement.
-        let mut active: Vec<(SsdId, Vec<TenantId>)> = Vec::new();
-        for (ssd, p) in self.node.pipelines().iter().enumerate() {
-            if p.device().is_failed() {
-                continue;
-            }
-            let mut tenants: Vec<TenantId> = Vec::new();
-            for (wi, w) in self.workers.iter().enumerate() {
-                if w.spec.ssd as usize == ssd && w.spec.stop.is_none_or(|s| now < s) {
-                    tenants.push(TenantId(wi as u32));
-                }
-            }
-            active.push((SsdId(ssd as u32), tenants));
-        }
-        broker.settle_epoch(now, &active);
-        if self.cfg.broker.as_ref().is_some_and(|b| b.placement) {
-            let telem = self.ssd_telemetry(now);
-            for m in broker.plan_migrations(&telem) {
-                broker.apply_migration(&m, now);
-                // The worker's future commands target the new SSD; the
-                // in-flight tail drains at the old one.
-                self.workers[m.tenant.index()].spec.ssd = m.to.0;
-            }
-        }
-        broker.end_epoch();
-        broker
-            .drain_journal_with(|op, key| self.sanitizer.record(now.as_nanos(), "broker", op, key));
-        self.node.pump_all(now, &mut self.host);
-        let epoch = self.cfg.broker.as_ref().expect("broker cfg").epoch;
-        self.host.queue.push(now + epoch, Ev::BrokerEpoch);
     }
 
     /// Interference telemetry per SSD for the placement planner: liveness
@@ -408,7 +186,7 @@ impl Testbed {
     /// Gimbal latency monitors when that policy runs (neutral defaults for
     /// the baseline schemes).
     fn ssd_telemetry(&self, now: SimTime) -> Vec<SsdTelemetry> {
-        self.node
+        self.rt.nodes[0]
             .pipelines()
             .iter()
             .enumerate()
@@ -440,113 +218,19 @@ impl Testbed {
     pub fn run(mut self) -> RunResult {
         for i in 0..self.workers.len() {
             let at = self.workers[i].spec.start;
-            self.host.queue.push(at, Ev::WorkerStart(i));
+            self.rt.host.push(at, Ev::WorkerStart(i));
         }
-        if let Some(step) = self.cfg.sample_interval {
-            self.host.queue.push(SimTime::ZERO + step, Ev::Sample);
-        }
-        if let Some(at) = self.cfg.faults.as_ref().and_then(|f| f.plan.power_loss_at) {
-            self.host.queue.push(at, Ev::PowerLoss);
-        }
-        if let Some(bc) = &self.cfg.broker {
-            self.host
-                .queue
-                .push(SimTime::ZERO + bc.epoch, Ev::BrokerEpoch);
-        }
-        if let Some(e) = self.node.rebalance_epoch() {
-            self.host.queue.push(SimTime::ZERO + e, Ev::CoresRebalance);
-        }
-        let end = self.duration();
-        while let Some((now, ev)) = self.host.queue.pop() {
-            if now > end {
-                break;
-            }
-            self.events_processed += 1;
-            if self.sanitizer.is_enabled() {
-                let (component, op, key) = match &ev {
-                    Ev::WorkerStart(i) => ("engine.worker", "start", *i as u64),
-                    Ev::TryIssue(i) => ("engine.worker", "try_issue", *i as u64),
-                    Ev::DeliverCmd(cmd) => ("engine.fabric", "deliver_cmd", cmd.id.0),
-                    Ev::PipelineWake(ssd) => ("engine.wake", "wake", *ssd as u64),
-                    Ev::DeliverCpl(cpl) => ("engine.fabric", "deliver_cpl", cpl.id.0),
-                    Ev::Timeout(t) => ("engine.fault", "timeout", t.cmd),
-                    Ev::PowerLoss => ("engine.fault", "power_loss", 0),
-                    Ev::BrokerEpoch => ("engine.broker", "epoch", 0),
-                    Ev::CoresRebalance => ("engine.cores", "rebalance", 0),
-                    Ev::Sample => ("engine.sample", "sample", 0),
-                };
-                self.sanitizer.record(now.as_nanos(), component, op, key);
-            }
-            match ev {
-                Ev::WorkerStart(i) => {
-                    self.workers[i].started = true;
-                    self.try_issue(i, now);
-                }
-                Ev::TryIssue(i) => {
-                    self.workers[i].retry_pending = false;
-                    self.try_issue(i, now);
-                }
-                Ev::DeliverCmd(cmd) => {
-                    // Batched submission: coalesce the immediately following
-                    // same-instant arrivals for this SSD into one quantum.
-                    let ssd = cmd.ssd.index();
-                    let (sanitizer, events) = (&self.sanitizer, &mut self.events_processed);
-                    let more = |host: &mut Host| {
-                        let same_ssd =
-                            |e: &Ev| matches!(e, Ev::DeliverCmd(c) if c.ssd.index() == ssd);
-                        let Ev::DeliverCmd(cmd) = host.queue.pop_if_at(now, same_ssd)? else {
-                            unreachable!("pop_if_at matched DeliverCmd")
-                        };
-                        *events += 1;
-                        sanitizer.record(now.as_nanos(), "engine.fabric", "deliver_cmd", cmd.id.0);
-                        Some(cmd)
-                    };
-                    let batch = self.cfg.batch;
-                    self.node
-                        .deliver(ssd, cmd, now, &mut self.host, batch, more);
-                }
-                Ev::PipelineWake(ssd) => self.node.wake(ssd, now, &mut self.host),
-                Ev::DeliverCpl(cpl) => self.complete(cpl, now),
-                // Retransmit, or once retries are exhausted the command
-                // errors out client-side and its worker refills. The target
-                // dedups replays and resends cached completions.
-                Ev::Timeout(t) => match self.host.init.on_timer(t, now, |_| false) {
-                    Some(Expiry::Retransmit { cmd, timer }) => {
-                        self.host.transmit(cmd, Some(timer), now)
-                    }
-                    Some(Expiry::Abandoned { entry, .. }) => {
-                        self.try_issue(entry.cmd.tenant.index(), now)
-                    }
-                    None => {}
-                },
-                Ev::PowerLoss => self.node.power_loss(now, &mut self.host),
-                Ev::BrokerEpoch => self.broker_epoch(now),
-                Ev::CoresRebalance => {
-                    self.node.rebalance(now);
-                    if let Some(e) = self.node.rebalance_epoch() {
-                        self.host.queue.push(now + e, Ev::CoresRebalance);
-                    }
-                }
-                Ev::Sample => {
-                    self.sample(now);
-                    if let Some(step) = self.cfg.sample_interval {
-                        self.host.queue.push(now + step, Ev::Sample);
-                    }
-                }
-            }
-        }
-
-        let counters = self.host.init.finish();
+        Reactor::run(&mut self);
 
         // Export fabric-port utilization counters as whole-run gauges.
-        let trace = &self.host.trace;
+        let (host, trace) = (&self.rt.host, &self.rt.trace);
         if trace.is_enabled() {
             let sent = |ports: &[Port]| {
                 let bytes: u64 = ports.iter().map(Port::bytes_sent).sum();
                 (bytes, ports.iter().map(Port::messages_sent).sum::<u64>())
             };
-            let (ib, im) = sent(self.host.init.ports());
-            let (tb, tm) = sent(&self.host.target_ports);
+            let (ib, im) = sent(host.init.ports());
+            let (tb, tm) = sent(&host.ports);
             trace.set_gauge("initiator_bytes_sent", ib as f64);
             trace.set_gauge("initiator_messages_sent", im as f64);
             trace.set_gauge("target_bytes_sent", tb as f64);
@@ -558,7 +242,13 @@ impl Testbed {
                 _ => SimDuration::ZERO,
             })
             .collect();
-        let trace = self.tracer.finish();
+        let device_latency = host
+            .meters
+            .iter()
+            .flat_map(|m| &m.hist)
+            .map(|h| [h[0].summary(), h[1].summary()])
+            .collect();
+        let out = self.rt.finish();
         let workers = self
             .workers
             .into_iter()
@@ -573,33 +263,134 @@ impl Testbed {
                 series: w.series,
             })
             .collect();
-        let device = self.node.device_results();
-        // Broker conservation must hold at every exit, not only in tests.
-        if let Some(b) = &self.broker {
-            b.audit();
-        }
         RunResult {
             workers,
-            ssd_stats: device.ssd_stats,
-            device_latency: self
-                .host
-                .device_hist
-                .iter()
-                .map(|h| [h[0].summary(), h[1].summary()])
-                .collect(),
-            gimbal_traces: self.traces,
+            ssd_stats: out.ssd_stats,
+            device_latency,
+            gimbal_traces: out.gimbal_traces,
             device_series: self.device_series,
             submissions: self.submissions,
-            faults: counters,
-            trace,
-            cache: device.cache,
-            cache_losses: device.cache_losses,
-            write_back: device.write_back,
-            journals: device.journals,
-            access_journal: self.sanitizer.snapshot(),
-            broker: self.broker.as_ref().map(|b| b.stats()),
-            cores: self.node.cores_stats(),
-            events_processed: self.events_processed,
+            faults: out.faults,
+            trace: out.trace,
+            cache: out.cache,
+            cache_losses: out.cache_losses,
+            write_back: out.write_back,
+            journals: out.journals,
+            access_journal: out.access_journal,
+            broker: out.broker,
+            cores: out.cores.into_iter().next(),
+            events_processed: out.events_processed,
+        }
+    }
+}
+
+impl Engine for Testbed {
+    type Ev = Ev;
+    type Tag = ();
+    type Queued = ();
+    type Topo = Direct;
+
+    fn rt(&mut self) -> &mut Reactor<Self> {
+        &mut self.rt
+    }
+
+    fn label(ev: &Ev) -> (&'static str, &'static str, u64) {
+        match *ev {
+            Ev::WorkerStart(i) => ("engine.worker", "start", i as u64),
+            Ev::TryIssue(i) => ("engine.worker", "try_issue", i as u64),
+        }
+    }
+
+    fn on_event(&mut self, ev: Ev, now: SimTime) {
+        let i = match ev {
+            Ev::WorkerStart(i) => {
+                self.workers[i].started = true;
+                i
+            }
+            Ev::TryIssue(i) => {
+                self.workers[i].retry_pending = false;
+                i
+            }
+        };
+        self.try_issue(i, now);
+    }
+
+    /// A completion capsule reached its worker.
+    fn complete(&mut self, cpl: NvmeCompletion, now: SimTime) {
+        if self.rt.host.init.complete(&cpl, now).is_none() {
+            return; // already abandoned: its slot is gone
+        }
+        let worker = cpl.tenant.index();
+        let (lo, hi) = self.window(worker);
+        let w = &mut self.workers[worker];
+        // Failed IOs move no payload: they are accounted, not measured as
+        // throughput.
+        if cpl.status.is_success() {
+            w.meter.record(now, u64::from(cpl.len));
+            if now >= lo && now < hi {
+                w.ops += 1;
+                w.bytes += u64::from(cpl.len);
+                let e2e = now.since(cpl.issued_at);
+                match cpl.opcode {
+                    IoType::Read => w.read_hist.record_duration(e2e),
+                    IoType::Write => w.write_hist.record_duration(e2e),
+                }
+            }
+        }
+        self.try_issue(worker, now);
+    }
+
+    /// Retransmit, or once retries are exhausted the command errors out
+    /// client-side and its worker refills. The target dedups replays and
+    /// resends cached completions.
+    fn timeout(&mut self, t: Timer, now: SimTime) {
+        let host = &mut self.rt.host;
+        match host.init.on_timer(t, now, |_| false) {
+            Some(Expiry::Retransmit { cmd, timer }) => host.transmit(cmd, Some(timer), now),
+            Some(Expiry::Abandoned { entry, .. }) => self.try_issue(entry.cmd.tenant.index(), now),
+            None => {}
+        }
+    }
+
+    /// Workers homed on `ssd` that have not stopped.
+    fn tenants(&mut self, ssd: usize, now: SimTime) -> Vec<TenantId> {
+        (self.workers.iter().enumerate())
+            .filter(|(_, w)| w.spec.ssd as usize == ssd && w.spec.stop.is_none_or(|s| now < s))
+            .map(|(wi, _)| TenantId(wi as u32))
+            .collect()
+    }
+
+    /// Migrate tenants per the placement planner, when it runs.
+    fn settled(&mut self, broker: &BrokerHandle, now: SimTime) {
+        if !self.cfg.broker.as_ref().is_some_and(|b| b.placement) {
+            return;
+        }
+        for m in broker.plan_migrations(&self.ssd_telemetry(now)) {
+            broker.apply_migration(&m, now);
+            // The worker's future commands target the new SSD; the
+            // in-flight tail drains at the old one.
+            self.workers[m.tenant.index()].spec.ssd = m.to.0;
+        }
+    }
+
+    fn sample(&mut self, now: SimTime) {
+        for w in &mut self.workers {
+            let bps = w.meter.rate_bytes_per_sec(now);
+            w.series.push(now, bps);
+        }
+        let Some(m) = &mut self.rt.host.meters else {
+            return;
+        };
+        for (i, ds) in self.device_series.iter_mut().enumerate() {
+            let [r, w] = &m.lat_ewma[i];
+            if let Some(r) = r.get() {
+                ds.read_lat_us.push(now, r);
+            }
+            if let Some(w) = w.get() {
+                ds.write_lat_us.push(now, w);
+            }
+            ds.bandwidth_bps
+                .push(now, m.meter[i].rate_bytes_per_sec(now));
         }
     }
 }
@@ -837,7 +628,7 @@ mod tests {
             let mut specs = workers(2, 0.5, 4096, CAP_BLOCKS);
             specs[1].ssd = 1;
             let mut e = Testbed::new(cfg.clone(), specs);
-            e.node.perturb_powerloss_pump = perturb;
+            e.rt.nodes[0].perturb_powerloss_pump = perturb;
             e.run()
         };
 

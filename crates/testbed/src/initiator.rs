@@ -3,7 +3,8 @@
 //! command ledger.
 //!
 //! The fio, KV and rack engines all submit through an [`Initiator`], the way
-//! they all drive their targets through [`crate::Node`]. It assigns command
+//! they all drive their targets through [`crate::Node`] in the shared
+//! [`crate::reactor::Reactor`]. It assigns command
 //! ids and owns each client's tx [`Port`], the fabric's loss injection, a
 //! gate and three priority queues per (client, lane), the in-flight table,
 //! the [`FaultCounters`] ledger and the timers. A lane is the worker itself
@@ -124,6 +125,11 @@ impl<T, P> Initiator<T, P> {
     /// while there is a tag to hand back.
     fn tracks(&self) -> bool {
         self.retry.is_some() || std::mem::size_of::<T>() > 0
+    }
+
+    /// Number of clients.
+    pub fn clients(&self) -> usize {
+        self.ports.len()
     }
 
     /// Every client's tx port, in client order.

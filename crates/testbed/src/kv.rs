@@ -3,7 +3,7 @@
 //!
 //! Multiple DB instances share a pool of JBOF nodes. Each instance runs a
 //! closed loop of YCSB operations against its own [`gimbal_lsm_kv::LsmKv`];
-//! the store's IO plans flow through the [`Initiator`]'s per-backend
+//! the store's IO plans flow through the initiator's per-backend
 //! priority queues and gates (credits for Gimbal, windows for Parda),
 //! across the fabric, into the per-SSD switch pipelines. Each store is
 //! pumped after every step on its instance and at its next WAL-batch
@@ -11,21 +11,18 @@
 //! §21.7).
 
 use crate::config::Precondition;
-use crate::initiator::Initiator;
-use crate::node::{Node, NodeHost, NodeSpec, Tracked};
+use crate::initiator::Timer;
+use crate::reactor::{Direct, Engine, Reactor, Rig};
 use crate::results::{FaultCounters, GimbalTrace};
 use crate::scheme::Scheme;
 use gimbal_blobstore::{BackendId, Blobstore, HbaConfig, HierarchicalAllocator, RateLimiter};
 use gimbal_core::Params;
-use gimbal_fabric::{FabricConfig, NvmeCmd, NvmeCompletion, Port, RdmaDelays, SsdId, TenantId};
+use gimbal_fabric::{FabricConfig, NvmeCmd, NvmeCompletion, SsdId, TenantId};
 use gimbal_lsm_kv::{IoCtx, LsmConfig, LsmKv, LsmStats, StepOutput, TaggedIo};
 use gimbal_sim::collections::DetMap;
-use gimbal_sim::journal::JournalHandle;
 use gimbal_sim::stats::LatencySummary;
-use gimbal_sim::{EventQueue, Histogram, SimDuration, SimRng, SimTime, SsdFaultSpec};
+use gimbal_sim::{Histogram, SimDuration, SimRng, SimTime};
 use gimbal_ssd::{SsdConfig, SsdStats};
-use gimbal_switch::PipelineOut;
-use gimbal_telemetry::TraceHandle;
 use gimbal_workload::{KvOp, YcsbMix, YcsbWorkload};
 
 /// Configuration of a KV-store experiment.
@@ -207,48 +204,11 @@ impl KvRunResult {
     }
 }
 
-enum Ev {
-    Sample,
-    FailBackend(usize),
-    PowerLoss,
+/// The KV engine's own events.
+pub enum Ev {
     InstanceStart(usize),
     KvPump(usize),
-    DeliverCmd(NvmeCmd),
-    PipelineWake(usize),
-    DeliverCpl(NvmeCompletion),
-}
-
-/// What the node calls back into: the event queue, the completion path
-/// back to the instances, and the instances' initiator (one client per
-/// instance, one lane per backend, tagged with the store's IO tag). The KV
-/// engine injects no capsule loss and arms no timers, so the node sees no
-/// in-flight table and every arrival executes.
-struct Host {
-    queue: EventQueue<Ev>,
-    delays: RdmaDelays,
-    target_ports: Vec<Port>,
-    init: Initiator<u64, TaggedIo>,
-}
-
-impl NodeHost for Host {
-    type Tag = u64;
-
-    fn arm_wake(&mut self, backend: usize, at: SimTime) {
-        self.queue.push(at, Ev::PipelineWake(backend));
-    }
-
-    fn served(&mut self, _: usize, _: &PipelineOut, _: SimTime) {}
-
-    fn send(&mut self, backend: usize, cmd: &NvmeCmd, cpl: NvmeCompletion, at: SimTime) {
-        let arrive = self
-            .delays
-            .completion_arrival(&mut self.target_ports[backend], at, cmd);
-        self.queue.push(arrive, Ev::DeliverCpl(cpl));
-    }
-
-    fn in_flight(&mut self) -> Option<Tracked<'_, u64>> {
-        self.init.in_flight()
-    }
+    FailBackend(usize),
 }
 
 struct OpTicket {
@@ -274,13 +234,16 @@ struct Instance {
 /// The KV experiment engine.
 pub struct KvTestbed {
     cfg: KvTestbedConfig,
-    node: Node,
-    host: Host,
+    /// The backends as one node with a core per pipeline (§4.1), and the
+    /// instances' initiator: one client per instance, one lane per backend,
+    /// tagged with the store's IO tag. The KV engine injects no capsule
+    /// loss and arms no timers, so the node sees no in-flight table and
+    /// every arrival executes.
+    rt: Reactor<KvTestbed>,
     bs: Blobstore,
     instances: Vec<Instance>,
     /// Recycled output of one store step; [`Self::absorb`] drains it.
     step: StepOutput,
-    traces: Vec<GimbalTrace>,
 }
 
 impl KvTestbed {
@@ -291,14 +254,11 @@ impl KvTestbed {
         assert!(!cfg.replicate || cfg.backends() >= 2);
         let mut root_rng = SimRng::new(cfg.seed);
         let backends = cfg.backends() as usize;
-
-        // The JBOF backends as one node with a core per pipeline (§4.1):
-        // with stealing off its scheduler only ever picks the home core.
-        let node = Node::build(
-            NodeSpec {
-                first_ssd: 0,
-                ssds: backends,
-                cores: backends,
+        let rt = Reactor::new(
+            Rig {
+                nodes: 1,
+                ssds_per_node: backends,
+                cores_per_node: backends,
                 scheme: cfg.scheme,
                 gimbal_params: cfg.gimbal_params,
                 ssd: &cfg.ssd,
@@ -307,19 +267,29 @@ impl KvTestbed {
                 cache: cfg.cache.clone(),
                 broker: None,
                 steal: None,
+                trace: None,
+                sanitize: false,
                 seed: cfg.seed,
-                trace: &TraceHandle::disabled(),
-                sanitizer: &JournalHandle::disabled(),
+                clients: cfg.instances as usize,
+                lanes: backends,
+                fabric: cfg.fabric,
+                flow_control: cfg.flow_control,
+                faults: None,
+                meter_devices: false,
+                batch: 1,
+                sample_interval: cfg.sample_interval,
+                power_loss_at: cfg.power_loss_at.map(|at| SimTime::ZERO + at),
+                duration: cfg.duration,
             },
             &mut root_rng,
-            |_| SsdFaultSpec::default(),
+            |_| Direct,
         );
 
         // Shared blobstore over all backends.
         let caps: Vec<u64> = (0..backends)
             .map(|_| cfg.ssd.logical_capacity / cfg.ssd.logical_page_bytes)
             .collect();
-        // Backend count was validated in `KvTestbed::new`.
+        // Backend count was validated above.
         let mut bs = Blobstore::new(
             HierarchicalAllocator::new(HbaConfig::default(), &caps),
             cfg.replicate,
@@ -331,11 +301,7 @@ impl KvTestbed {
         let instances: Vec<Instance> = (0..cfg.instances as usize)
             .map(|i| {
                 let mut kv = LsmKv::new(cfg.lsm, root_rng.next_u64());
-                let lim = RateLimiter::new(
-                    backends,
-                    initial_credit,
-                    cfg.flow_control && cfg.scheme == Scheme::Gimbal,
-                );
+                let lim = RateLimiter::new(backends, initial_credit, false);
                 {
                     let mut ctx = IoCtx {
                         bs: &mut bs,
@@ -362,94 +328,30 @@ impl KvTestbed {
             .collect();
 
         KvTestbed {
-            node,
-            host: Host {
-                queue: EventQueue::new(),
-                delays: RdmaDelays::new(cfg.fabric),
-                target_ports: (0..backends)
-                    .map(|_| Port::new(cfg.fabric.port_bandwidth))
-                    .collect(),
-                init: Initiator::new(
-                    instances.len(),
-                    backends,
-                    cfg.fabric.port_bandwidth,
-                    None,
-                    cfg.seed,
-                    TraceHandle::disabled(),
-                    || cfg.scheme.client_gate(cfg.gimbal_params, cfg.flow_control),
-                ),
-            },
+            rt,
             bs,
             instances,
             step: StepOutput::default(),
-            traces: (0..backends).map(|_| GimbalTrace::default()).collect(),
             cfg,
         }
     }
 
     /// Run it.
     pub fn run(mut self) -> KvRunResult {
-        let cfg = &self.cfg;
-        let queue = &mut self.host.queue;
         for i in 0..self.instances.len() {
             let start = (i as u64).saturating_mul(10);
-            queue.push(SimTime::from_micros(start), Ev::InstanceStart(i));
+            self.rt
+                .host
+                .push(SimTime::from_micros(start), Ev::InstanceStart(i));
         }
-        if let Some(step) = cfg.sample_interval {
-            queue.push(SimTime::ZERO + step, Ev::Sample);
+        if let Some((b, at)) = self.cfg.fail_backend_at {
+            assert!(b < self.cfg.backends(), "failing a missing backend");
+            self.rt
+                .host
+                .push(SimTime::ZERO + at, Ev::FailBackend(b as usize));
         }
-        if let Some((b, at)) = cfg.fail_backend_at {
-            assert!(b < cfg.backends(), "failing a missing backend");
-            queue.push(SimTime::ZERO + at, Ev::FailBackend(b as usize));
-        }
-        if let Some(at) = cfg.power_loss_at {
-            queue.push(SimTime::ZERO + at, Ev::PowerLoss);
-        }
-
-        let end = SimTime::ZERO + self.cfg.duration;
-        let mut events_processed = 0;
-        while let Some((now, ev)) = self.host.queue.pop() {
-            if now > end {
-                break;
-            }
-            events_processed += 1;
-            match ev {
-                Ev::FailBackend(b) => self.node.fail_device(b),
-                Ev::PowerLoss => self.node.power_loss(now, &mut self.host),
-                Ev::Sample => {
-                    self.node.sample_gimbal(now, &mut self.traces);
-                    if let Some(step) = self.cfg.sample_interval {
-                        self.host.queue.push(now + step, Ev::Sample);
-                    }
-                }
-                // A freshly loaded store has nothing to pump.
-                Ev::InstanceStart(i) => self.settle(i, now),
-                Ev::KvPump(i) => {
-                    // The armed pump clears its slot; an early or spurious
-                    // one runs the same body, which does nothing that is
-                    // not due.
-                    let inst = &mut self.instances[i];
-                    if inst.pump_at == now {
-                        inst.pump_at = SimTime::MAX;
-                    }
-                    let mut ctx = IoCtx {
-                        bs: &mut self.bs,
-                        lim: &inst.lim,
-                        load_balance: self.cfg.load_balance,
-                    };
-                    inst.kv.pump_into(now, &mut ctx, &mut self.step);
-                    self.settle(i, now);
-                }
-                Ev::DeliverCmd(cmd) => {
-                    self.node
-                        .deliver(cmd.ssd.index(), cmd, now, &mut self.host, 1, |_| None)
-                }
-                Ev::PipelineWake(backend) => self.node.wake(backend, now, &mut self.host),
-                Ev::DeliverCpl(cpl) => self.complete(cpl, now),
-            }
-        }
-
-        let device = self.node.device_results();
+        Reactor::run(&mut self);
+        let out = self.rt.finish();
         KvRunResult {
             instances: self
                 .instances
@@ -461,47 +363,16 @@ impl KvTestbed {
                     lsm: inst.kv.stats(),
                 })
                 .collect(),
-            ssd_stats: device.ssd_stats,
-            gimbal_traces: self.traces,
-            cache: device.cache,
-            cache_losses: device.cache_losses,
-            write_back: device.write_back,
-            journals: device.journals,
-            faults: self.host.init.finish(),
+            ssd_stats: out.ssd_stats,
+            gimbal_traces: out.gimbal_traces,
+            cache: out.cache,
+            cache_losses: out.cache_losses,
+            write_back: out.write_back,
+            journals: out.journals,
+            faults: out.faults,
             window: self.cfg.duration - self.cfg.warmup,
-            events_processed,
+            events_processed: out.events_processed,
         }
-    }
-
-    /// A completion capsule reached instance `cpl.tenant`.
-    fn complete(&mut self, cpl: NvmeCompletion, now: SimTime) {
-        let Some(kv_tag) = self.host.init.complete(&cpl, now) else {
-            return;
-        };
-        let i = cpl.tenant.index();
-        let backend = BackendId(cpl.ssd.0);
-        let inst = &mut self.instances[i];
-        inst.lim.on_completion(backend, cpl.credit);
-        if !cpl.status.is_success() {
-            // The client learns about the flash failure from the error
-            // completion: avoid the backend from now on and recover the IO
-            // via its replica.
-            inst.lim.mark_dead(backend);
-        }
-        let mut ctx = IoCtx {
-            bs: &mut self.bs,
-            lim: &inst.lim,
-            load_balance: self.cfg.load_balance,
-        };
-        if cpl.status.is_success() {
-            inst.kv.io_done_into(kv_tag, now, &mut ctx, &mut self.step);
-        } else {
-            inst.kv
-                .io_failed_into(kv_tag, now, &mut ctx, &mut self.step);
-        }
-        // Both steps end in a pump, except a failed probe's re-plan, which
-        // changes nothing a pump reads.
-        self.settle(i, now);
     }
 
     /// After a step of instance `i` that left its store pumped: record
@@ -515,7 +386,7 @@ impl KvTestbed {
         if let Some(at) = inst.kv.next_deadline() {
             if at < inst.pump_at {
                 inst.pump_at = at;
-                self.host.queue.push(at, Ev::KvPump(i));
+                self.rt.host.push(at, Ev::KvPump(i));
             }
         }
     }
@@ -540,7 +411,8 @@ impl KvTestbed {
             }
         }
         for io in self.step.ios.drain(..) {
-            self.host
+            self.rt
+                .host
                 .init
                 .enqueue(i, io.plan.backend.index(), io.priority, io);
         }
@@ -570,10 +442,10 @@ impl KvTestbed {
             );
             self.absorb(i, now);
         }
-        let (host, lim) = (&mut self.host, &mut self.instances[i].lim);
+        let (host, lim) = (&mut self.rt.host, &mut self.instances[i].lim);
         for backend in 0..self.cfg.backends() as usize {
             while let Some(io) = host.init.next_pending(i, backend, now) {
-                let (cmd, _) = host.init.submit(io.tag, now, |id| NvmeCmd {
+                let (cmd, timer) = host.init.submit(io.tag, now, |id| NvmeCmd {
                     id,
                     tenant: TenantId(i as u32),
                     ssd: SsdId(backend as u32),
@@ -585,11 +457,86 @@ impl KvTestbed {
                     wal: io.wal_seq,
                 });
                 lim.on_submit(io.plan.backend);
-                let arrive = host.init.wire(&host.delays, &cmd, now);
-                host.queue.push(arrive, Ev::DeliverCmd(cmd));
+                host.transmit(cmd, timer, now);
             }
         }
     }
+}
+
+impl Engine for KvTestbed {
+    type Ev = Ev;
+    type Tag = u64;
+    type Queued = TaggedIo;
+    type Topo = Direct;
+
+    fn rt(&mut self) -> &mut Reactor<Self> {
+        &mut self.rt
+    }
+
+    fn label(ev: &Ev) -> (&'static str, &'static str, u64) {
+        match *ev {
+            Ev::InstanceStart(i) => ("kv.instance", "start", i as u64),
+            Ev::KvPump(i) => ("kv.instance", "pump", i as u64),
+            Ev::FailBackend(b) => ("kv.fault", "fail_backend", b as u64),
+        }
+    }
+
+    fn on_event(&mut self, ev: Ev, now: SimTime) {
+        match ev {
+            Ev::FailBackend(b) => self.rt.nodes[0].fail_device(b),
+            // A freshly loaded store has nothing to pump.
+            Ev::InstanceStart(i) => self.settle(i, now),
+            Ev::KvPump(i) => {
+                // The armed pump clears its slot; an early or spurious one
+                // runs the same body, which does nothing that is not due.
+                let inst = &mut self.instances[i];
+                if inst.pump_at == now {
+                    inst.pump_at = SimTime::MAX;
+                }
+                let mut ctx = IoCtx {
+                    bs: &mut self.bs,
+                    lim: &inst.lim,
+                    load_balance: self.cfg.load_balance,
+                };
+                inst.kv.pump_into(now, &mut ctx, &mut self.step);
+                self.settle(i, now);
+            }
+        }
+    }
+
+    /// A completion capsule reached instance `cpl.tenant`.
+    fn complete(&mut self, cpl: NvmeCompletion, now: SimTime) {
+        let Some(kv_tag) = self.rt.host.init.complete(&cpl, now) else {
+            return;
+        };
+        let i = cpl.tenant.index();
+        let backend = BackendId(cpl.ssd.0);
+        let inst = &mut self.instances[i];
+        inst.lim.on_completion(backend, cpl.credit);
+        if !cpl.status.is_success() {
+            // The client learns about the flash failure from the error
+            // completion: avoid the backend from now on and recover the IO
+            // via its replica.
+            inst.lim.mark_dead(backend);
+        }
+        let mut ctx = IoCtx {
+            bs: &mut self.bs,
+            lim: &inst.lim,
+            load_balance: self.cfg.load_balance,
+        };
+        if cpl.status.is_success() {
+            inst.kv.io_done_into(kv_tag, now, &mut ctx, &mut self.step);
+        } else {
+            inst.kv
+                .io_failed_into(kv_tag, now, &mut ctx, &mut self.step);
+        }
+        // Both steps end in a pump, except a failed probe's re-plan, which
+        // changes nothing a pump reads.
+        self.settle(i, now);
+    }
+
+    /// The KV engine arms no timers.
+    fn timeout(&mut self, _: Timer, _: SimTime) {}
 }
 
 #[cfg(test)]
@@ -704,7 +651,7 @@ mod tests {
             let i = rng.gen_below(instances) as usize;
             let copies = if pushed % 4 == 0 { 2 } else { 1 };
             for _ in 0..copies.min(extra - pushed) {
-                tb.host.queue.push(at, Ev::KvPump(i));
+                tb.rt.host.push(at, Ev::KvPump(i));
                 pushed += 1;
             }
         }

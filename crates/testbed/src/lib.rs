@@ -10,13 +10,20 @@
 //!
 //! * [`scheme`] — the scheme selector and its policy/client/CPU factories;
 //! * [`config`] — testbed and worker specifications;
+//! * [`reactor`] — the one event loop every engine runs: the queue, the
+//!   nodes, the shared events (capsules both ways, wakes, timers, power
+//!   loss, broker epochs, core rebalances, samples) and their sanitizer
+//!   records, generic over an [`reactor::Engine`] and a
+//!   [`reactor::Topology`];
 //! * [`node`] — one JBOF node: its pipelines and reactor cores, driven by
 //!   every engine (the fio engine, the KV engine, and the rack's N nodes);
 //! * [`initiator`] — the client side every engine submits through: gates,
 //!   priority queues, ports, the in-flight table, the retry ladder and the
 //!   command ledger;
-//! * [`engine`] — the fio event loop;
-//! * [`kv`] — the YCSB-over-LSM event loop;
+//! * [`engine`] — the fio engine's own part: workers, their issue path,
+//!   sampling and placement;
+//! * [`kv`] — the YCSB-over-LSM engine's own part: instances, their stores
+//!   and deadline pumps;
 //! * [`results`] — per-worker and per-SSD measurements, f-Util computation
 //!   (§5.1's fairness metric) and reporting helpers.
 
@@ -26,6 +33,7 @@ pub mod initiator;
 pub mod kv;
 pub mod node;
 pub mod oracle;
+pub mod reactor;
 pub mod results;
 pub mod scheme;
 
@@ -37,7 +45,7 @@ pub use gimbal_cache::{
     WriteBackStats, WritePolicy, FLUSH_ID_BASE, LOSS_EVENT_CMD,
 };
 pub use kv::{KvInstanceResult, KvRunResult, KvTestbed, KvTestbedConfig};
-pub use node::{recorders, InFlight, Node, NodeHost, NodeSpec, Tracing, Tracked};
+pub use node::{InFlight, Node, NodeHost, Tracked};
 pub use oracle::{check_journal, check_kv_run, check_run, OracleReport};
 pub use results::{
     f_util, jain_index, utilization_deviation, FaultCounters, GimbalTrace, RunResult,

@@ -3,30 +3,28 @@
 //!
 //! The fio engine ([`crate::engine`]), the KV engine ([`crate::kv`]) and the
 //! rack (`gimbal-rack`, N nodes behind a ToR) all drive their targets
-//! through [`Node`]. It builds the pipelines, brackets every poll quantum
-//! on the core the scheduler picks, polls, turns pipeline outputs into
-//! completion capsules, arms wakes and drops superseded ones, dedups
-//! replayed commands, and journals all of it. What differs per engine sits
-//! behind [`NodeHost`]: the queue a wake lands in, the wire a completion
-//! leaves on, and the in-flight table dedup reads.
+//! through [`Node`], inside the shared [`crate::reactor::Reactor`]. It
+//! builds the pipelines, brackets every poll quantum on the core the
+//! scheduler picks, polls, turns pipeline outputs into completion capsules,
+//! arms wakes and drops superseded ones, dedups replayed commands, and
+//! journals all of it. What the node calls back into sits behind
+//! [`NodeHost`]: the queue a wake lands in, the wire a completion leaves
+//! on, and the in-flight table dedup reads.
 //!
-//! SSD ids are global: a rack's node `n` serves SSDs `n × ssds_per_node ..`,
-//! and its journal keys carry the same offset.
+//! SSD ids are global: node `n` serves SSDs `n × ssds_per_node ..`, and its
+//! journal keys carry the same offset.
 
 use crate::config::Precondition;
+use crate::reactor::{Outcome, Rig};
 use crate::results::{FaultCounters, GimbalTrace};
-use crate::scheme::Scheme;
 use gimbal_broker::BrokerHandle;
-use gimbal_cache::{
-    CacheConfig, CacheStats, DurabilityEvent, StagedWriteLoss, WriteBackStats, WritePolicy,
-};
-use gimbal_core::{GimbalPolicy, Params};
-use gimbal_cores::{CoreScheduler, CoresStats, Quantum, StealConfig};
+use gimbal_cache::WritePolicy;
+use gimbal_core::GimbalPolicy;
+use gimbal_cores::{CoreScheduler, CoresStats, Quantum};
 use gimbal_fabric::{IoType, NvmeCmd, NvmeCompletion, SsdId};
-use gimbal_nic::CpuCost;
 use gimbal_sim::journal::JournalHandle;
-use gimbal_sim::{DetMap, FaultPlan, SimDuration, SimRng, SimTime, SsdFaultSpec};
-use gimbal_ssd::{FlashSsd, SsdConfig, SsdStats};
+use gimbal_sim::{DetMap, FaultPlan, SimDuration, SimRng, SimTime};
+use gimbal_ssd::FlashSsd;
 use gimbal_switch::{Pipeline, PipelineConfig, PipelineOut};
 use gimbal_telemetry::{RecordedTrace, TraceConfig, TraceHandle, Tracer};
 use std::cell::RefCell;
@@ -83,10 +81,10 @@ pub trait NodeHost {
 /// decisions land in.
 pub type Tracked<'a, T> = (&'a mut DetMap<u64, InFlight<T>>, &'a mut FaultCounters);
 
-/// The run-wide recorders an engine shares with its nodes: the telemetry
-/// recorder with its handle (disabled unless `trace` is set), and the
-/// divergence journal (disabled unless `sanitize`).
-pub fn recorders(
+/// The run-wide recorders the reactor shares with its nodes: the
+/// telemetry recorder with its handle (disabled unless `trace` is set), and
+/// the divergence journal (disabled unless `sanitize`).
+pub(crate) fn recorders(
     trace: Option<&TraceConfig>,
     sanitize: bool,
 ) -> (Tracing, TraceHandle, JournalHandle) {
@@ -104,46 +102,13 @@ pub fn recorders(
 
 /// The event recorder behind a run's [`TraceHandle`]s (empty when tracing
 /// is off, so the handles record nothing).
-pub struct Tracing(Option<Rc<RefCell<Tracer>>>);
+pub(crate) struct Tracing(Option<Rc<RefCell<Tracer>>>);
 
 impl Tracing {
     /// Close the recording; `None` when tracing was off.
-    pub fn finish(self) -> Option<RecordedTrace> {
+    pub(crate) fn finish(self) -> Option<RecordedTrace> {
         self.0.map(|t| t.borrow_mut().finish())
     }
-}
-
-/// How to build a [`Node`]: its SSDs (global ids `first_ssd ..`), its
-/// cores (homes round-robin, one per SSD when cores ≥ SSDs), and what every
-/// pipeline runs.
-pub struct NodeSpec<'a> {
-    pub first_ssd: usize,
-    pub ssds: usize,
-    pub cores: usize,
-    pub scheme: Scheme,
-    pub gimbal_params: Params,
-    pub ssd: &'a SsdConfig,
-    pub precondition: Precondition,
-    pub cpu_cost: CpuCost,
-    pub cache: Option<CacheConfig>,
-    pub broker: Option<BrokerHandle>,
-    pub steal: Option<StealConfig>,
-    /// Run seed; device fault streams derive from it.
-    pub seed: u64,
-    pub trace: &'a TraceHandle,
-    pub sanitizer: &'a JournalHandle,
-}
-
-/// What a node's devices and cache tiers report at the end of a run, in
-/// pipeline order. Cache entries stay empty on cache-off runs and
-/// write-back entries on write-through runs, so digests that fold them are
-/// untouched by tiers that never ran.
-pub struct DeviceResults {
-    pub ssd_stats: Vec<SsdStats>,
-    pub cache: Vec<CacheStats>,
-    pub cache_losses: Vec<StagedWriteLoss>,
-    pub write_back: Vec<WriteBackStats>,
-    pub journals: Vec<Vec<DurabilityEvent>>,
 }
 
 /// One JBOF node. See the module docs.
@@ -167,56 +132,70 @@ pub struct Node {
 }
 
 impl Node {
-    /// Build the node. SSDs draw their seeds from `rng` in id order;
-    /// `faults` gives each SSD's device fault spec by global id (no-op
-    /// specs stay unarmed).
-    pub fn build(
-        spec: NodeSpec<'_>,
+    /// Build node `n` of `rig`. SSDs draw their seeds from `rng` in id
+    /// order; a plan's device faults arm on their SSD, and node-scoped GC
+    /// storms are correlated device storms, folded into every member SSD's
+    /// stall windows so the device both stalls and advertises `gc_busy`.
+    pub(crate) fn build(
+        rig: &Rig<'_>,
+        n: usize,
+        trace: &TraceHandle,
+        sanitizer: &JournalHandle,
+        broker: Option<&BrokerHandle>,
         rng: &mut SimRng,
-        faults: impl Fn(usize) -> SsdFaultSpec,
     ) -> Node {
-        let sched = CoreScheduler::new(spec.cores, spec.ssds, spec.steal, spec.trace.clone());
+        let (first, ssds) = (n * rig.ssds_per_node, rig.ssds_per_node);
+        let sched = CoreScheduler::new(rig.cores_per_node, ssds, rig.steal.clone(), trace.clone());
         let cfg = PipelineConfig {
-            cpu_cost: spec.cpu_cost,
+            cpu_cost: rig.cpu_cost,
             null_device: false,
-            cache: spec.cache,
-            broker: spec.broker.clone(),
+            cache: rig.cache.clone(),
+            broker: broker.cloned(),
         };
-        let pipelines = (0..spec.ssds)
+        let plan = rig.faults.map(|f| &f.plan);
+        let pipelines = (0..ssds)
             .map(|l| {
-                let i = spec.first_ssd + l;
-                let mut ssd = FlashSsd::new(spec.ssd.clone(), rng.next_u64());
-                match spec.precondition {
+                let i = first + l;
+                let mut ssd = FlashSsd::new(rig.ssd.clone(), rng.next_u64());
+                match rig.precondition {
                     Precondition::Clean => ssd.precondition_clean(),
                     Precondition::Fragmented => ssd.precondition_fragmented(),
                     Precondition::None => {}
                 }
-                let fault = faults(i);
+                let mut fault = plan
+                    .and_then(|p| p.ssd_spec(i))
+                    .cloned()
+                    .unwrap_or_default();
+                if let Some(ns) = plan.and_then(|p| p.node_spec(n)) {
+                    fault
+                        .stall_windows
+                        .extend(ns.gc_storm_windows.iter().copied());
+                }
                 if !fault.is_noop() {
-                    ssd.arm_faults(fault, FaultPlan::device_rng(spec.seed, i));
+                    ssd.arm_faults(fault, FaultPlan::device_rng(rig.seed, i));
                 }
                 let id = SsdId(i as u32);
                 let mut p = Pipeline::with_core(
                     id,
                     ssd,
-                    spec.scheme.make_policy(id, spec.gimbal_params),
+                    rig.scheme.make_policy(id, rig.gimbal_params),
                     cfg.clone(),
                     sched.core_rc(sched.home(l)),
                 );
-                if spec.trace.is_enabled() {
-                    p.attach_trace(spec.trace.clone());
+                if trace.is_enabled() {
+                    p.attach_trace(trace.clone());
                 }
                 p
             })
             .collect();
         Node {
-            first: spec.first_ssd,
+            first,
             pipelines,
             sched,
-            wake_at: vec![SimTime::MAX; spec.ssds],
+            wake_at: vec![SimTime::MAX; ssds],
             out_buf: Vec::new(),
-            broker: spec.broker,
-            sanitizer: spec.sanitizer.clone(),
+            broker: broker.cloned(),
+            sanitizer: sanitizer.clone(),
             #[cfg(test)]
             perturb_powerloss_pump: false,
         }
@@ -353,37 +332,22 @@ impl Node {
         }
     }
 
-    /// Device, cache and write-back results. Cache entries stay empty on
-    /// cache-off runs and write-back entries on write-through runs, so
-    /// digests that fold them are untouched by tiers that never ran.
-    pub fn device_results(&self) -> DeviceResults {
-        let mut write_back = Vec::new();
-        let mut journals = Vec::new();
-        for c in self.pipelines.iter().filter_map(|p| p.cache()) {
-            if c.write_policy() == WritePolicy::Back {
-                let wb = c.write_back_stats();
-                debug_assert!(
-                    wb.conservation_holds(),
-                    "write-back line conservation violated: {wb:?}"
-                );
-                write_back.push(wb);
-                journals.push(c.journal().to_vec());
-            }
-        }
-        DeviceResults {
-            ssd_stats: self.pipelines.iter().map(|p| p.device().stats()).collect(),
-            cache: self
-                .pipelines
-                .iter()
-                .filter_map(|p| p.cache_stats())
-                .collect(),
-            cache_losses: self
-                .pipelines
-                .iter()
-                .flat_map(|p| p.cache_losses().iter().copied())
-                .collect(),
-            write_back,
-            journals,
+    /// Append the node's device, cache and write-back results to `out`.
+    pub(crate) fn device_results_into(&self, out: &mut Outcome) {
+        for p in &self.pipelines {
+            out.ssd_stats.push(p.device().stats());
+            out.cache.extend(p.cache_stats());
+            out.cache_losses.extend(p.cache_losses().iter().copied());
+            let Some(c) = p.cache().filter(|c| c.write_policy() == WritePolicy::Back) else {
+                continue;
+            };
+            let wb = c.write_back_stats();
+            debug_assert!(
+                wb.conservation_holds(),
+                "write-back line conservation violated: {wb:?}"
+            );
+            out.write_back.push(wb);
+            out.journals.push(c.journal().to_vec());
         }
     }
 

@@ -288,6 +288,11 @@ fn run_rack(
         r.issued, r.acked_ok, r.acked_degraded, r.failed_typed, r.in_flight_at_end
     );
     println!(
+        "events: {} processed, {:.2} per logical op",
+        res.events_processed,
+        res.events_processed as f64 / r.issued.max(1) as f64
+    );
+    println!(
         "ladder: {} timeouts, {} retries, {} suspicions, {} reroutes, {} cmd / {} cpl drops at ToR",
         res.physical.timed_out,
         res.physical.retries,
