@@ -135,7 +135,6 @@ pub enum Ev {
 /// fault state every crossing consults.
 pub struct Tor {
     tor: TorSwitch,
-    ssds_per_node: usize,
     /// `Some` only when the plan actually targets this rack: a plan whose
     /// every fault is aimed at absent nodes/SSDs runs exactly like
     /// `faults: None`, timers and all.
@@ -147,18 +146,17 @@ pub struct Tor {
 }
 
 impl Tor {
-    /// `cmd`'s node, and the degraded-link penalty for its crossing of the
-    /// node's link at `t`, with the counter and telemetry event it implies.
-    fn link(&mut self, cmd: &NvmeCmd, t: SimTime) -> (usize, SimDuration) {
-        let node = cmd.ssd.index() / self.ssds_per_node;
+    /// The degraded-link penalty for `cmd`'s crossing of `node`'s link at
+    /// `t`, with the counter and telemetry event it implies.
+    fn link_extra(&mut self, node: usize, cmd: &NvmeCmd, t: SimTime) -> SimDuration {
         let spec = self.active_plan.as_ref().and_then(|p| p.node_spec(node));
         let Some(extra) = spec.and_then(|s| s.link_extra(t)) else {
-            return (node, SimDuration::ZERO);
+            return SimDuration::ZERO;
         };
         self.rack.link_degraded_crossings += 1;
         let kind = EventKind::LinkDegraded { node: node as u32 };
         self.trace.record(t, cmd.ssd, Some(cmd.tenant), kind);
-        (node, extra)
+        extra
     }
 }
 
@@ -167,8 +165,8 @@ impl Topology for Tor {
 
     /// ToR downlink serialization (the capsule, plus a write's payload) and
     /// link latency.
-    fn downlink(&mut self, cmd: &NvmeCmd, at: SimTime) -> SimTime {
-        let (node, extra) = self.link(cmd, at);
+    fn downlink(&mut self, node: usize, cmd: &NvmeCmd, at: SimTime) -> SimTime {
+        let extra = self.link_extra(node, cmd, at);
         let payload = if cmd.opcode.is_write() { cmd.len } else { 0 };
         let bytes = CMD_CAPSULE_BYTES + u64::from(payload);
         self.tor.to_node(node, at, bytes, extra)
@@ -176,8 +174,8 @@ impl Topology for Tor {
 
     /// ToR uplink serialization (the capsule, plus a read's payload) and
     /// link latency.
-    fn uplink(&mut self, cmd: &NvmeCmd, at: SimTime) -> SimTime {
-        let (node, extra) = self.link(cmd, at);
+    fn uplink(&mut self, node: usize, cmd: &NvmeCmd, at: SimTime) -> SimTime {
+        let extra = self.link_extra(node, cmd, at);
         let payload = if cmd.opcode.is_write() { 0 } else { cmd.len };
         let bytes = RSP_CAPSULE_BYTES + u64::from(payload);
         self.tor.from_node(node, at, bytes, extra)
@@ -208,11 +206,9 @@ impl Topology for Tor {
 /// The rack experiment.
 pub struct RackTestbed {
     cfg: RackConfig,
-    /// The JBOF nodes (in node order; stealing never crosses the ToR: each
-    /// node schedules only its own cores), the clients' initiator (one
-    /// client per rack client, one lane per backend; physical IOs wait as
-    /// (logical IO, plan), and each command is tagged with the logical IO
-    /// it serves), and the ToR.
+    /// The nodes (stealing never crosses the ToR) and the ToR; one
+    /// initiator client per rack client and lane per backend, each command
+    /// tagged with the logical IO it serves.
     rt: Reactor<RackTestbed>,
     /// Shared routing view: per-backend credit/outstanding/dead/suspect.
     /// Gating is the initiator's.
@@ -225,8 +221,6 @@ pub struct RackTestbed {
     next_logical: u64,
     /// Logical and rack-level counters (the ToR keeps its own).
     rack: RackCounters,
-    end: SimTime,
-    warm: SimTime,
     /// Test-only nondeterminism injector: flip the first read-routing
     /// decision to a different live replica. Exists to prove the sanitizer
     /// localizes cross-node routing nondeterminism to its tick and the
@@ -288,7 +282,6 @@ impl RackTestbed {
             &mut root_rng,
             |trace| Tor {
                 tor: TorSwitch::new(cfg.tor, nodes),
-                ssds_per_node: spn,
                 active_plan: faults.map(|fc| fc.plan.clone()),
                 node_dead: vec![false; nodes],
                 rack: RackCounters::default(),
@@ -348,8 +341,6 @@ impl RackTestbed {
             plans: Vec::new(),
             next_logical: 0,
             rack: RackCounters::default(),
-            end: SimTime::ZERO + cfg.duration,
-            warm: SimTime::ZERO + cfg.warmup,
             cfg,
             #[cfg(test)]
             perturb_first_route: false,
@@ -360,10 +351,13 @@ impl RackTestbed {
 
     /// Environment-sourced health of one backend, as the router sees it.
     fn backend_health(&self, b: BackendId, now: SimTime) -> ReplicaHealth {
-        let node = self.cfg.node_of(b.index());
-        let spec = (self.rt.host.topo.active_plan.as_ref()).and_then(|p| p.node_spec(node));
         ReplicaHealth {
-            partitioned: spec.is_some_and(|s| s.dead(now) || s.partitioned(now)),
+            // A dead node's backends are already excluded as dead.
+            partitioned: !self
+                .rt
+                .host
+                .topo
+                .reachable(self.cfg.node_of(b.index()), now),
             // The GC signal is read straight off the device model, so
             // organic die-level collections steer exactly like injected
             // storms. The blind baseline reports "never busy".
@@ -623,7 +617,8 @@ impl RackTestbed {
     fn record_ack(&mut self, lg: &Logical, now: SimTime) {
         let c = &mut self.clients[lg.client];
         c.inflight -= 1;
-        if now >= self.warm && now < self.end {
+        let (warm, end) = (self.cfg.warmup, self.cfg.duration);
+        if now >= SimTime::ZERO + warm && now < SimTime::ZERO + end {
             c.ops_done += 1;
             let lat = now.since(lg.started);
             if lg.is_read {
@@ -680,8 +675,6 @@ impl RackTestbed {
             rack.logical_conservation_holds(),
             "logical conservation violated: {rack:?}"
         );
-        // The broker audit in `finish` also covers chaos runs where debts
-        // were forgiven on node death.
         let out = self.rt.finish();
         RackResult {
             clients: self

@@ -14,6 +14,7 @@ use gimbal_fabric::{IoType, NvmeCmd, NvmeCompletion, Port, SsdId, TenantId};
 use gimbal_sim::{Histogram, Meter, SimDuration, SimRng, SimTime, TimeSeries};
 
 /// The fio engine's own events.
+#[derive(Clone, Copy)]
 pub enum Ev {
     WorkerStart(usize),
     TryIssue(usize),
@@ -35,8 +36,7 @@ struct Worker {
 /// A configured experiment, ready to run.
 pub struct Testbed {
     cfg: TestbedConfig,
-    /// The node, the initiator (one client and one lane per worker) and
-    /// the shared events.
+    /// One node; one initiator client and lane per worker.
     rt: Reactor<Testbed>,
     workers: Vec<Worker>,
     device_series: Vec<DeviceSeries>,
@@ -302,16 +302,11 @@ impl Engine for Testbed {
     }
 
     fn on_event(&mut self, ev: Ev, now: SimTime) {
-        let i = match ev {
-            Ev::WorkerStart(i) => {
-                self.workers[i].started = true;
-                i
-            }
-            Ev::TryIssue(i) => {
-                self.workers[i].retry_pending = false;
-                i
-            }
-        };
+        match ev {
+            Ev::WorkerStart(i) => self.workers[i].started = true,
+            Ev::TryIssue(i) => self.workers[i].retry_pending = false,
+        }
+        let (Ev::WorkerStart(i) | Ev::TryIssue(i)) = ev;
         self.try_issue(i, now);
     }
 

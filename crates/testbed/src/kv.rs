@@ -234,11 +234,8 @@ struct Instance {
 /// The KV experiment engine.
 pub struct KvTestbed {
     cfg: KvTestbedConfig,
-    /// The backends as one node with a core per pipeline (§4.1), and the
-    /// instances' initiator: one client per instance, one lane per backend,
-    /// tagged with the store's IO tag. The KV engine injects no capsule
-    /// loss and arms no timers, so the node sees no in-flight table and
-    /// every arrival executes.
+    /// The backends as one node, a core per pipeline (§4.1); one initiator
+    /// client per instance and lane per backend. No loss, no timers.
     rt: Reactor<KvTestbed>,
     bs: Blobstore,
     instances: Vec<Instance>,
@@ -339,10 +336,8 @@ impl KvTestbed {
     /// Run it.
     pub fn run(mut self) -> KvRunResult {
         for i in 0..self.instances.len() {
-            let start = (i as u64).saturating_mul(10);
-            self.rt
-                .host
-                .push(SimTime::from_micros(start), Ev::InstanceStart(i));
+            let at = SimTime::from_micros((i as u64).saturating_mul(10));
+            self.rt.host.push(at, Ev::InstanceStart(i));
         }
         if let Some((b, at)) = self.cfg.fail_backend_at {
             assert!(b < self.cfg.backends(), "failing a missing backend");

@@ -4,9 +4,9 @@
 //! This crate reproduces the paper's evaluation rig (§5.1): client servers
 //! running fio-like workers, a 100 Gbps RDMA fabric, and a Stingray-style
 //! JBOF whose per-SSD pipelines run one of the five schemes (vanilla FIFO,
-//! ReFlex, Parda, FlashFQ, Gimbal). The engine is a deterministic
-//! discrete-event loop; every figure binary in `gimbal-bench` is a thin
-//! wrapper over [`Testbed::run`].
+//! ReFlex, Parda, FlashFQ, Gimbal). The fio, KV and rack engines share one
+//! deterministic discrete-event loop ([`reactor`]); every figure binary in
+//! `gimbal-bench` is a thin wrapper over an engine's `run`.
 //!
 //! * [`scheme`] — the scheme selector and its policy/client/CPU factories;
 //! * [`config`] — testbed and worker specifications;
@@ -45,7 +45,7 @@ pub use gimbal_cache::{
     WriteBackStats, WritePolicy, FLUSH_ID_BASE, LOSS_EVENT_CMD,
 };
 pub use kv::{KvInstanceResult, KvRunResult, KvTestbed, KvTestbedConfig};
-pub use node::{InFlight, Node, NodeHost, Tracked};
+pub use node::{InFlight, Node, Tracked};
 pub use oracle::{check_journal, check_kv_run, check_run, OracleReport};
 pub use results::{
     f_util, jain_index, utilization_deviation, FaultCounters, GimbalTrace, RunResult,

@@ -7,7 +7,7 @@
 //! builds the pipelines, brackets every poll quantum on the core the
 //! scheduler picks, polls, turns pipeline outputs into completion capsules,
 //! arms wakes and drops superseded ones, dedups replayed commands, and
-//! journals all of it. What the node calls back into sits behind
+//! journals all of it. What the node calls back into is the reactor's
 //! [`NodeHost`]: the queue a wake lands in, the wire a completion leaves
 //! on, and the in-flight table dedup reads.
 //!
@@ -15,7 +15,7 @@
 //! journal keys carry the same offset.
 
 use crate::config::Precondition;
-use crate::reactor::{Outcome, Rig};
+use crate::reactor::{Engine, NodeHost, Outcome, Rig};
 use crate::results::{FaultCounters, GimbalTrace};
 use gimbal_broker::BrokerHandle;
 use gimbal_cache::WritePolicy;
@@ -58,23 +58,6 @@ impl<T> InFlight<T> {
             done: None,
         }
     }
-}
-
-/// The engine around a node. SSD ids are global.
-pub trait NodeHost {
-    /// The engine's per-command bookkeeping in its in-flight table.
-    type Tag;
-    /// Schedule a wake of pipeline `ssd` at `at`; [`Node::wake`] handles it.
-    fn arm_wake(&mut self, ssd: usize, at: SimTime);
-    /// Pipeline `ssd` finished `out` during the pump at `now`, before its
-    /// capsule is sent: the device-side accounting hook.
-    fn served(&mut self, ssd: usize, out: &PipelineOut, now: SimTime);
-    /// Transmit the completion capsule of `cmd`, leaving the target at `at`.
-    fn send(&mut self, ssd: usize, cmd: &NvmeCmd, cpl: NvmeCompletion, at: SimTime);
-    /// The initiator's in-flight table; `None` while it arms no timers, so
-    /// every arrival executes. An arriving copy of a command missing from
-    /// the table is a late replay.
-    fn in_flight(&mut self) -> Option<Tracked<'_, Self::Tag>>;
 }
 
 /// An in-flight table by command id, with the counters its replay-dedup
@@ -223,14 +206,14 @@ impl Node {
     /// `now`, so an intermediate completion interleaves exactly as unbatched
     /// arrivals would. A tracking engine never batches: replay dedup could
     /// turn an arrival into a resend mid-batch.
-    pub fn deliver<H: NodeHost>(
+    pub fn deliver<E: Engine>(
         &mut self,
         ssd: usize,
         cmd: NvmeCmd,
         now: SimTime,
-        host: &mut H,
+        host: &mut NodeHost<E>,
         batch: u32,
-        mut more: impl FnMut(&mut H) -> Option<NvmeCmd>,
+        mut more: impl FnMut(&mut NodeHost<E>) -> Option<NvmeCmd>,
     ) {
         let tracked = match host.in_flight() {
             None => false,
@@ -274,7 +257,7 @@ impl Node {
     /// A wake for SSD `ssd` fired at `now`. Only the armed wake pumps;
     /// superseded ones die here, or they would respawn forever and flood
     /// the queue.
-    pub fn wake<H: NodeHost>(&mut self, ssd: usize, now: SimTime, host: &mut H) {
+    pub fn wake<E: Engine>(&mut self, ssd: usize, now: SimTime, host: &mut NodeHost<E>) {
         let l = ssd - self.first;
         if self.wake_at[l] == now {
             self.wake_at[l] = SimTime::MAX;
@@ -283,7 +266,7 @@ impl Node {
     }
 
     /// Pump every pipeline, in SSD order.
-    pub fn pump_all<H: NodeHost>(&mut self, now: SimTime, host: &mut H) {
+    pub fn pump_all<E: Engine>(&mut self, now: SimTime, host: &mut NodeHost<E>) {
         for l in 0..self.pipelines.len() {
             self.pump(l, now, host);
         }
@@ -291,7 +274,7 @@ impl Node {
 
     /// Simulated NIC power loss: each pipeline's cache goes cold (dirty
     /// lines surface as typed losses), then the pipeline pumps.
-    pub(crate) fn power_loss<H: NodeHost>(&mut self, now: SimTime, host: &mut H) {
+    pub(crate) fn power_loss<E: Engine>(&mut self, now: SimTime, host: &mut NodeHost<E>) {
         #[allow(unused_mut)]
         let mut order: Vec<usize> = (0..self.pipelines.len()).collect();
         #[cfg(test)]
@@ -379,7 +362,7 @@ impl Node {
 
     /// Poll local pipeline `l`, send its completion capsules, arm its next
     /// wake.
-    fn pump<H: NodeHost>(&mut self, l: usize, now: SimTime, host: &mut H) {
+    fn pump<E: Engine>(&mut self, l: usize, now: SimTime, host: &mut NodeHost<E>) {
         let ssd = self.first + l;
         let q = self.begin(l, now);
         self.sanitizer

@@ -3,7 +3,7 @@
 //!
 //! The fio engine ([`crate::engine`]), the KV engine ([`crate::kv`]) and the
 //! rack (`gimbal-rack`) each run in a [`Reactor`]. It owns the event queue,
-//! the [`Node`]s, the one [`NodeHost`] ([`Host`]), the recorders, the broker
+//! the [`Node`]s, the one [`NodeHost`], the recorders, the broker
 //! ledger, `events_processed`, the end-of-run cut-off, and the eight events
 //! every engine shares, each with its sanitizer record. An [`Engine`] keeps
 //! its own events and answers the loop's hooks. A [`Topology`] says where
@@ -13,7 +13,7 @@
 
 use crate::config::{FaultConfig, Precondition};
 use crate::initiator::{Initiator, Timer};
-use crate::node::{recorders, Node, NodeHost, Tracing, Tracked};
+use crate::node::{recorders, Node, Tracing, Tracked};
 use crate::results::{FaultCounters, GimbalTrace};
 use crate::scheme::Scheme;
 use gimbal_broker::{BrokerConfig, BrokerHandle, BrokerStats};
@@ -90,14 +90,14 @@ pub trait Topology {
     /// The direct fabric loses capsules in flight; the ToR loses them
     /// before they leave (DESIGN §21.6's fork).
     const LOSS_AFTER_PORT: bool;
-    /// A command cleared its client's port at `at`: when it reaches its
-    /// node.
-    fn downlink(&mut self, _cmd: &NvmeCmd, at: SimTime) -> SimTime {
+    /// A command cleared its client's port at `at`: when it reaches
+    /// `node`.
+    fn downlink(&mut self, _node: usize, _cmd: &NvmeCmd, at: SimTime) -> SimTime {
         at
     }
-    /// A completion cleared its node's port at `at`: when it reaches the
+    /// A completion cleared `node`'s port at `at`: when it reaches the
     /// client.
-    fn uplink(&mut self, _cmd: &NvmeCmd, at: SimTime) -> SimTime {
+    fn uplink(&mut self, _node: usize, _cmd: &NvmeCmd, at: SimTime) -> SimTime {
         at
     }
     /// Whether `node`'s link passes a `capsule` at `t`; a swallowed one is
@@ -122,29 +122,29 @@ impl Topology for Direct {
     const LOSS_AFTER_PORT: bool = true;
 }
 
-/// Per-SSD accounting of what the devices served: latency histograms and
-/// smoothed latency by op type, and a completion-bandwidth meter.
-pub struct DeviceMeters {
-    pub hist: Vec<[Histogram; 2]>,
-    pub lat_ewma: Vec<[Ewma; 2]>,
-    pub meter: Vec<Meter>,
+/// Per-SSD device latency and completion bandwidth, as the fio engine
+/// reports them.
+pub(crate) struct DeviceMeters {
+    pub(crate) hist: Vec<[Histogram; 2]>,
+    pub(crate) lat_ewma: Vec<[Ewma; 2]>,
+    pub(crate) meter: Vec<Meter>,
     trace: TraceHandle,
 }
 
 /// What the nodes call back into: the queue, the initiator, the fabric
 /// with its per-SSD target ports, the topology, and the device meters when
-/// the engine reports them.
-pub struct Host<E: Engine> {
-    pub queue: EventQueue<Event<E::Ev>>,
+/// the engine reports them. SSD ids are global.
+pub struct NodeHost<E: Engine> {
+    pub(crate) queue: EventQueue<Event<E::Ev>>,
     pub init: Initiator<E::Tag, E::Queued>,
     pub topo: E::Topo,
-    pub ports: Vec<Port>,
-    pub meters: Option<DeviceMeters>,
+    pub(crate) ports: Vec<Port>,
+    pub(crate) meters: Option<DeviceMeters>,
     delays: RdmaDelays,
     ssds_per_node: usize,
 }
 
-impl<E: Engine> Host<E> {
+impl<E: Engine> NodeHost<E> {
     /// Schedule one of the engine's own events.
     pub fn push(&mut self, at: SimTime, ev: E::Ev) {
         self.queue.push(at, Event::Own(ev));
@@ -157,7 +157,8 @@ impl<E: Engine> Host<E> {
         }
         let port = |h: &mut Self| h.init.wire(&h.delays, &cmd, now);
         if let Some(at) = self.cross(CapsuleKind::Command, &cmd, now, port) {
-            let at = self.topo.downlink(&cmd, at);
+            let node = cmd.ssd.index() / self.ssds_per_node;
+            let at = self.topo.downlink(node, &cmd, at);
             self.queue.push(at, Event::DeliverCmd(cmd));
         }
     }
@@ -178,16 +179,15 @@ impl<E: Engine> Host<E> {
         let cleared = port(self);
         (!(after && self.init.lose(capsule, cmd, at))).then_some(cleared)
     }
-}
 
-impl<E: Engine> NodeHost for Host<E> {
-    type Tag = E::Tag;
-
-    fn arm_wake(&mut self, ssd: usize, at: SimTime) {
+    /// Schedule a wake of pipeline `ssd` at `at`; [`Node::wake`] handles it.
+    pub(crate) fn arm_wake(&mut self, ssd: usize, at: SimTime) {
         self.queue.push(at, Event::PipelineWake(ssd));
     }
 
-    fn served(&mut self, ssd: usize, out: &PipelineOut, now: SimTime) {
+    /// Pipeline `ssd` finished `out` during the pump at `now`, before its
+    /// capsule is sent: the device-side accounting hook.
+    pub(crate) fn served(&mut self, ssd: usize, out: &PipelineOut, now: SimTime) {
         let Some(m) = &mut self.meters else {
             return;
         };
@@ -205,21 +205,23 @@ impl<E: Engine> NodeHost for Host<E> {
         m.meter[ssd].record(now, out.cmd.len_bytes());
     }
 
-    fn send(&mut self, ssd: usize, cmd: &NvmeCmd, cpl: NvmeCompletion, at: SimTime) {
-        if !self
-            .topo
-            .passes(ssd / self.ssds_per_node, at, CapsuleKind::Completion)
-        {
+    /// Transmit the completion capsule of `cmd`, leaving SSD `ssd` at `at`.
+    pub(crate) fn send(&mut self, ssd: usize, cmd: &NvmeCmd, cpl: NvmeCompletion, at: SimTime) {
+        let node = ssd / self.ssds_per_node;
+        if !self.topo.passes(node, at, CapsuleKind::Completion) {
             return;
         }
         let port = |h: &mut Self| h.delays.completion_arrival(&mut h.ports[ssd], at, cmd);
         if let Some(cleared) = self.cross(CapsuleKind::Completion, cmd, at, port) {
-            let arrive = self.topo.uplink(cmd, cleared);
+            let arrive = self.topo.uplink(node, cmd, cleared);
             self.queue.push(arrive, Event::DeliverCpl(cpl));
         }
     }
 
-    fn in_flight(&mut self) -> Option<Tracked<'_, E::Tag>> {
+    /// The initiator's in-flight table; `None` while it arms no timers, so
+    /// every arrival executes. An arriving copy of a command missing from
+    /// the table is a late replay.
+    pub(crate) fn in_flight(&mut self) -> Option<Tracked<'_, E::Tag>> {
         self.init.in_flight()
     }
 }
@@ -233,7 +235,6 @@ fn per_ssd<T>(ssds: usize, f: impl Fn() -> T) -> Vec<T> {
 pub struct Rig<'a> {
     pub nodes: usize,
     pub ssds_per_node: usize,
-    /// Reactor cores per node (homes round-robin over them).
     pub cores_per_node: usize,
     pub scheme: Scheme,
     pub gimbal_params: Params,
@@ -263,13 +264,11 @@ pub struct Rig<'a> {
     pub duration: SimDuration,
 }
 
-/// What every engine reports from its reactor at the end of a run. Device
-/// results are in SSD order; cache entries stay empty on cache-off runs and
-/// write-back entries on write-through runs, so digests that fold them are
-/// untouched by tiers that never ran.
+/// What every engine reports from its reactor at the end of a run, device
+/// results in SSD order. Cache entries stay empty on cache-off runs and
+/// write-back entries on write-through runs.
 #[derive(Default)]
 pub struct Outcome {
-    /// The initiator's audited command ledger.
     pub faults: FaultCounters,
     pub ssd_stats: Vec<SsdStats>,
     pub cache: Vec<CacheStats>,
@@ -280,7 +279,7 @@ pub struct Outcome {
     pub trace: Option<RecordedTrace>,
     pub access_journal: Option<AccessJournal>,
     pub broker: Option<BrokerStats>,
-    /// Per-node scheduler counters (empty with stealing off).
+    /// Per node, only with stealing on.
     pub cores: Vec<CoresStats>,
     /// Events popped, batch-coalesced deliveries included. Perf
     /// instrumentation only: never folded into a digest.
@@ -290,7 +289,7 @@ pub struct Outcome {
 /// The shared half of a run. See the module docs.
 pub struct Reactor<E: Engine> {
     pub nodes: Vec<Node>,
-    pub host: Host<E>,
+    pub host: NodeHost<E>,
     pub trace: TraceHandle,
     pub sanitizer: JournalHandle,
     /// The shared borrow ledger with its epoch (`None` = broker off).
@@ -327,10 +326,9 @@ impl<E: Engine> Reactor<E> {
         });
         let gate = || rig.scheme.client_gate(rig.gimbal_params, rig.flow_control);
         let bandwidth = rig.fabric.port_bandwidth;
-        let (clients, lanes) = (rig.clients, rig.lanes);
         let init = Initiator::new(
-            clients,
-            lanes,
+            rig.clients,
+            rig.lanes,
             bandwidth,
             rig.faults,
             rig.seed,
@@ -339,7 +337,7 @@ impl<E: Engine> Reactor<E> {
         );
         Reactor {
             nodes,
-            host: Host {
+            host: NodeHost {
                 queue: EventQueue::new(),
                 init,
                 topo: topo(&trace),
@@ -368,8 +366,7 @@ impl<E: Engine> Reactor<E> {
     }
 
     /// Run `e`, whose own start events are queued, until its queue drains
-    /// or the clock passes the end: arm the shared schedules, then pop,
-    /// journal and dispatch one event at a time.
+    /// or the clock passes the end.
     pub fn run(e: &mut E) {
         let rt = e.rt();
         let q = &mut rt.host.queue;
@@ -421,15 +418,14 @@ impl<E: Engine> Reactor<E> {
                     }
                 }
                 Event::Sample => {
+                    if let Some(step) = rt.sample_interval {
+                        host.queue.push(now + step, Event::Sample);
+                    }
                     let spn = host.ssds_per_node;
                     for (n, node) in rt.nodes.iter().enumerate() {
                         node.sample_gimbal(now, &mut rt.gimbal_traces[n * spn..]);
                     }
                     e.sample(now);
-                    let rt = e.rt();
-                    if let Some(step) = rt.sample_interval {
-                        rt.host.queue.push(now + step, Event::Sample);
-                    }
                 }
             }
         }
@@ -461,7 +457,7 @@ impl<E: Engine> Reactor<E> {
             return;
         }
         let (sanitizer, events) = (&self.sanitizer, &mut self.events_processed);
-        let more = |host: &mut Host<E>| {
+        let more = |host: &mut NodeHost<E>| {
             let same_ssd =
                 |e: &Event<E::Ev>| matches!(e, Event::DeliverCmd(c) if c.ssd.index() == ssd);
             let Event::DeliverCmd(cmd) = host.queue.pop_if_at(now, same_ssd)? else {
