@@ -64,6 +64,9 @@ for w in burst_skew kv_ycsb_a rack_failover; do
         --bin jbof-bench -- run "$w" --quick > /dev/null
 done
 
+echo "==> line counts (informational, never gates)"
+scripts/loc.sh || true
+
 echo "==> gimbal-lint (determinism policy)"
 cargo run --offline -q -p gimbal-lint
 
