@@ -232,14 +232,12 @@ pub const ACCOUNTING_PATHS: &[&str] = &[
 
 /// The only modules allowed to hold interior-mutability cells (D8). These
 /// are the explicit owners of cross-component shared state: the pipeline's
-/// core slots, the node runtime's tracer sink and per-quantum core
-/// repointing, the tracer itself, the access
+/// core slots, the tracer itself (a run's recorder included), the access
 /// journal, the broker ledger, the core scheduler's shared reactor cores,
 /// and the IO-state arena (recycled records shared across engine ticks,
 /// guarded by incarnation-tagged handles).
 pub const SHARED_STATE_OWNERS: &[&str] = &[
     "crates/switch/src/pipeline.rs",
-    "crates/testbed/src/node.rs",
     "crates/telemetry/src/tracer.rs",
     "crates/sim/src/journal.rs",
     "crates/broker/src/ledger.rs",
@@ -1161,7 +1159,11 @@ fn record(
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, RuleId::SharedState);
         // Owner modules may hold cells.
-        let (f, _) = check("crates/testbed/src/node.rs", src, ruleset_for("testbed"));
+        let (f, _) = check(
+            "crates/telemetry/src/tracer.rs",
+            src,
+            ruleset_for("telemetry"),
+        );
         assert!(f.is_empty(), "{f:?}");
     }
 

@@ -300,14 +300,13 @@ impl RackTestbed {
         )
         .expect("validated in RackConfig::validate");
 
-        let ssds_per_node = cfg.ssds_per_node;
         let clients: Vec<Client> = (0..cfg.clients as usize)
             .map(|i| {
                 let file = bs
                     .create_file_zoned(
                         cfg.file_blocks,
                         |b| router.headroom(b) as f64,
-                        |b| b.0 / ssds_per_node,
+                        |b| b.0 / cfg.ssds_per_node,
                     )
                     .expect("rack out of blobstore capacity — shrink file_blocks");
                 Client {

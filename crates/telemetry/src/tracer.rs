@@ -201,6 +201,17 @@ impl TraceHandle {
         }
     }
 
+    /// A handle feeding a fresh tracer for `config`: a run's recorder.
+    pub fn new(config: &TraceConfig) -> Self {
+        TraceHandle::attached(&Rc::new(RefCell::new(Tracer::new(config.clone()))))
+    }
+
+    /// Close the recording every clone of this handle feeds; `None` when
+    /// disabled. The run's owner calls it once, at the end.
+    pub fn finish(&self) -> Option<RecordedTrace> {
+        self.inner.as_ref().map(|t| t.borrow_mut().finish())
+    }
+
     /// Whether records reach a tracer.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()

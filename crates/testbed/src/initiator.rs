@@ -350,7 +350,6 @@ impl<T, P> Initiator<T, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::recorders;
     use gimbal_core::CreditClient;
     use gimbal_fabric::{CmdStatus, IoType};
     use gimbal_sim::FaultPlan;
@@ -366,16 +365,13 @@ mod tests {
     }
 
     /// One client, one lane, the given gate and timers, tracing on.
-    fn single(
-        retry: Option<RetryConfig>,
-        gate: fn() -> Gate,
-    ) -> (Initiator<()>, crate::node::Tracing) {
-        let (tracing, trace, _) = recorders(Some(&TraceConfig::default()), false);
+    fn single(retry: Option<RetryConfig>, gate: fn() -> Gate) -> (Initiator<()>, TraceHandle) {
+        let tracing = TraceHandle::new(&TraceConfig::default());
         let faults = retry.map(|retry| FaultConfig {
             plan: FaultPlan::default(),
             retry,
         });
-        let init = Initiator::new(1, 1, 1 << 30, faults.as_ref(), 0, trace, gate);
+        let init = Initiator::new(1, 1, 1 << 30, faults.as_ref(), 0, tracing.clone(), gate);
         (init, tracing)
     }
 
@@ -415,7 +411,7 @@ mod tests {
         }
     }
 
-    fn events(tracing: crate::node::Tracing) -> RecordedTrace {
+    fn events(tracing: TraceHandle) -> RecordedTrace {
         tracing.finish().expect("tracing was on")
     }
 

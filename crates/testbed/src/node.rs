@@ -26,9 +26,7 @@ use gimbal_sim::journal::JournalHandle;
 use gimbal_sim::{DetMap, FaultPlan, SimDuration, SimRng, SimTime};
 use gimbal_ssd::FlashSsd;
 use gimbal_switch::{Pipeline, PipelineConfig, PipelineOut};
-use gimbal_telemetry::{RecordedTrace, TraceConfig, TraceHandle, Tracer};
-use std::cell::RefCell;
-use std::rc::Rc;
+use gimbal_telemetry::TraceHandle;
 
 /// One live command in an engine's in-flight table, from submission until
 /// it is terminal at the initiator.
@@ -64,36 +62,6 @@ impl<T> InFlight<T> {
 /// decisions land in.
 pub type Tracked<'a, T> = (&'a mut DetMap<u64, InFlight<T>>, &'a mut FaultCounters);
 
-/// The run-wide recorders the reactor shares with its nodes: the
-/// telemetry recorder with its handle (disabled unless `trace` is set), and
-/// the divergence journal (disabled unless `sanitize`).
-pub(crate) fn recorders(
-    trace: Option<&TraceConfig>,
-    sanitize: bool,
-) -> (Tracing, TraceHandle, JournalHandle) {
-    let tracer = trace.map(|tc| Rc::new(RefCell::new(Tracer::new(tc.clone()))));
-    let handle = tracer
-        .as_ref()
-        .map_or_else(TraceHandle::disabled, TraceHandle::attached);
-    let journal = if sanitize {
-        JournalHandle::enabled()
-    } else {
-        JournalHandle::disabled()
-    };
-    (Tracing(tracer), handle, journal)
-}
-
-/// The event recorder behind a run's [`TraceHandle`]s (empty when tracing
-/// is off, so the handles record nothing).
-pub(crate) struct Tracing(Option<Rc<RefCell<Tracer>>>);
-
-impl Tracing {
-    /// Close the recording; `None` when tracing was off.
-    pub(crate) fn finish(self) -> Option<RecordedTrace> {
-        self.0.map(|t| t.borrow_mut().finish())
-    }
-}
-
 /// One JBOF node. See the module docs.
 pub struct Node {
     first: usize,
@@ -115,10 +83,9 @@ pub struct Node {
 }
 
 impl Node {
-    /// Build node `n` of `rig`. SSDs draw their seeds from `rng` in id
-    /// order; a plan's device faults arm on their SSD, and node-scoped GC
-    /// storms are correlated device storms, folded into every member SSD's
-    /// stall windows so the device both stalls and advertises `gc_busy`.
+    /// Build node `n` of `rig`, SSD seeds drawn from `rng` in id order. A
+    /// node-scoped GC storm is a correlated device storm: it folds into
+    /// every member SSD's stall windows, so each stalls and is `gc_busy`.
     pub(crate) fn build(
         rig: &Rig<'_>,
         n: usize,

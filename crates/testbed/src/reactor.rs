@@ -13,7 +13,7 @@
 
 use crate::config::{FaultConfig, Precondition};
 use crate::initiator::{Initiator, Timer};
-use crate::node::{recorders, Node, Tracing, Tracked};
+use crate::node::{Node, Tracked};
 use crate::results::{FaultCounters, GimbalTrace};
 use crate::scheme::Scheme;
 use gimbal_broker::{BrokerConfig, BrokerHandle, BrokerStats};
@@ -265,8 +265,7 @@ pub struct Rig<'a> {
 }
 
 /// What every engine reports from its reactor at the end of a run, device
-/// results in SSD order. Cache entries stay empty on cache-off runs and
-/// write-back entries on write-through runs.
+/// results in SSD order (cache and write-back entries only where they ran).
 #[derive(Default)]
 pub struct Outcome {
     pub faults: FaultCounters,
@@ -294,7 +293,6 @@ pub struct Reactor<E: Engine> {
     pub sanitizer: JournalHandle,
     /// The shared borrow ledger with its epoch (`None` = broker off).
     broker: Option<(BrokerHandle, SimDuration)>,
-    tracer: Tracing,
     gimbal_traces: Vec<GimbalTrace>,
     batch: u32,
     sample_interval: Option<SimDuration>,
@@ -307,7 +305,14 @@ impl<E: Engine> Reactor<E> {
     /// Build the recorders, the broker ledger, the nodes (drawing SSD seeds
     /// from `rng` in id order) and the initiator.
     pub fn new(rig: Rig<'_>, rng: &mut SimRng, topo: impl FnOnce(&TraceHandle) -> E::Topo) -> Self {
-        let (tracer, trace, sanitizer) = recorders(rig.trace, rig.sanitize);
+        let trace = rig
+            .trace
+            .map_or_else(TraceHandle::disabled, TraceHandle::new);
+        let sanitizer = if rig.sanitize {
+            JournalHandle::enabled()
+        } else {
+            JournalHandle::disabled()
+        };
         let broker = rig
             .broker
             .map(|bc| (BrokerHandle::new(bc.clone(), trace.clone()), bc.epoch));
@@ -349,7 +354,6 @@ impl<E: Engine> Reactor<E> {
             trace,
             sanitizer,
             broker,
-            tracer,
             gimbal_traces: per_ssd(ssds, GimbalTrace::default),
             batch: rig.batch,
             sample_interval: rig.sample_interval,
@@ -431,7 +435,6 @@ impl<E: Engine> Reactor<E> {
         }
     }
 
-    /// Record `ev` in the divergence journal.
     fn journal(&self, ev: &Event<E::Ev>, now: SimTime) {
         let (component, op, key) = match ev {
             Event::Own(ev) => E::label(ev),
@@ -447,9 +450,8 @@ impl<E: Engine> Reactor<E> {
         self.sanitizer.record(now.as_nanos(), component, op, key);
     }
 
-    /// A command capsule reached its node's link at `now`. Up to `batch -
-    /// 1` immediately following same-instant arrivals for the same SSD join
-    /// its quantum.
+    /// A command capsule reached its node's link at `now`; up to `batch - 1`
+    /// following same-instant arrivals for its SSD join its quantum.
     fn deliver(&mut self, cmd: NvmeCmd, now: SimTime) {
         let ssd = cmd.ssd.index();
         let n = ssd / self.host.ssds_per_node;
@@ -470,11 +472,9 @@ impl<E: Engine> Reactor<E> {
         self.nodes[n].deliver(ssd, cmd, now, &mut self.host, self.batch, more);
     }
 
-    /// One broker settlement boundary: settle every reachable live SSD's
-    /// active tenants (an SSD left out has every account and debt touching
-    /// it forgiven), let the engine migrate tenants, close the epoch, then
-    /// pump every live node — settlement restores lender balances, so
-    /// parked requests may now clear the gate.
+    /// One broker settlement: settle each reachable live SSD's active
+    /// tenants (the others are forgiven), let the engine migrate, close the
+    /// epoch, and pump live nodes so parked requests see the refill.
     fn broker_epoch(e: &mut E, now: SimTime) {
         let Some((broker, epoch)) = e.rt().broker.clone() else {
             return;
@@ -508,7 +508,7 @@ impl<E: Engine> Reactor<E> {
         let mut out = Outcome {
             faults: self.host.init.finish(),
             gimbal_traces: self.gimbal_traces,
-            trace: self.tracer.finish(),
+            trace: self.trace.finish(),
             access_journal: self.sanitizer.snapshot(),
             cores: self.nodes.iter().filter_map(Node::cores_stats).collect(),
             events_processed: self.events_processed,
