@@ -9,7 +9,9 @@
 //! JBOF"; this crate answers "does the *rack* keep serving when a whole
 //! node dies". The moving parts:
 //!
-//! * [`engine`] — the multi-node event loop. Every capsule crosses the ToR
+//! * [`engine`] — the rack engine: its clients, logical IOs and routing,
+//!   and the ToR topology, run in the event loop every engine shares
+//!   ([`gimbal_testbed::reactor`]). Every capsule crosses the ToR
 //!   ([`gimbal_fabric::TorSwitch`]) twice: initiator port → ToR downlink →
 //!   node, and node uplink → ToR → initiator. Node-scoped faults
 //!   ([`gimbal_sim::NodeFaultSpec`]) act at those crossings: a dead or
