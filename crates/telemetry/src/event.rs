@@ -488,54 +488,13 @@ impl EventKind {
         }
     }
 
-    /// Interned event name (snake_case, stable across runs).
-    pub const fn name(&self) -> &'static str {
-        match self {
-            EventKind::CongestionTransition { .. } => "congestion_transition",
-            EventKind::RateUpdate { .. } => "rate_update",
-            EventKind::BucketRefill { .. } => "bucket_refill",
-            EventKind::OverflowTransfer { .. } => "overflow_transfer",
-            EventKind::WriteCostStep { .. } => "write_cost_step",
-            EventKind::SlotOpened { .. } => "slot_opened",
-            EventKind::SlotClosed { .. } => "slot_closed",
-            EventKind::SlotFreed { .. } => "slot_freed",
-            EventKind::TenantDeferred { .. } => "tenant_deferred",
-            EventKind::TenantResumed => "tenant_resumed",
-            EventKind::CreditGranted { .. } => "credit_granted",
-            EventKind::CreditHalved { .. } => "credit_halved",
-            EventKind::SsdGc { .. } => "ssd_gc",
-            EventKind::SsdStall { .. } => "ssd_stall",
-            EventKind::FaultInjected { .. } => "fault_injected",
-            EventKind::RetryScheduled { .. } => "retry_scheduled",
-            EventKind::TimedOut { .. } => "timed_out",
-            EventKind::CacheHit { .. } => "cache_hit",
-            EventKind::CacheMiss { .. } => "cache_miss",
-            EventKind::CacheFill { .. } => "cache_fill",
-            EventKind::CacheEvict { .. } => "cache_evict",
-            EventKind::CacheAdmitToggle { .. } => "cache_admit_toggle",
-            EventKind::CacheStagedLoss { .. } => "cache_staged_loss",
-            EventKind::CacheWriteBackAck { .. } => "cache_wb_ack",
-            EventKind::CacheFlushIssued { .. } => "cache_flush_issued",
-            EventKind::CacheFlushDone { .. } => "cache_flush_done",
-            EventKind::CachePowerLoss { .. } => "cache_power_loss",
-            EventKind::CacheDeviceDeath { .. } => "cache_device_death",
-            EventKind::NodeSuspected { .. } => "node_suspected",
-            EventKind::Rerouted { .. } => "rerouted",
-            EventKind::NodeDead { .. } => "node_dead",
-            EventKind::LinkDegraded { .. } => "link_degraded",
-            EventKind::TokenBorrowed { .. } => "token_borrowed",
-            EventKind::DebtRepaid { .. } => "debt_repaid",
-            EventKind::DebtForgiven { .. } => "debt_forgiven",
-            EventKind::TenantMigrated { .. } => "tenant_migrated",
-            EventKind::QuantumStolen { .. } => "quantum_stolen",
-            EventKind::HomeRebalanced { .. } => "home_rebalanced",
-        }
-    }
-
-    /// Fold every payload field into `d`, field order fixed.
-    pub fn fold_into(&self, d: &mut Digest) {
-        d.update(self.name().as_bytes());
-        match *self {
+    /// The one payload schema: hands `f` the interned event name
+    /// (snake_case, stable across runs) and the ordered `(json_key, value)`
+    /// payload. The trace digest and both exporters read this list, so an
+    /// event is one variant plus one arm here.
+    pub(crate) fn schema<R>(&self, f: impl FnOnce(&'static str, &Fields) -> R) -> R {
+        use Field::{Bool, Io, Label, State, F64, U32, U64};
+        let (name, fields): (&'static str, &Fields) = match *self {
             EventKind::CongestionTransition {
                 io,
                 from,
@@ -543,180 +502,241 @@ impl EventKind {
                 ewma_ns,
                 thresh_before_ns,
                 thresh_after_ns,
-            } => {
-                d.update_u64(io.index() as u64);
-                d.update_u64(u64::from(from.rank()));
-                d.update_u64(u64::from(to.rank()));
-                d.update_f64(ewma_ns);
-                d.update_f64(thresh_before_ns);
-                d.update_f64(thresh_after_ns);
-            }
+            } => (
+                "congestion_transition",
+                &[
+                    ("io", Io(io)),
+                    ("from", State(from)),
+                    ("to", State(to)),
+                    ("ewma_ns", F64(ewma_ns)),
+                    ("thresh_before_ns", F64(thresh_before_ns)),
+                    ("thresh_after_ns", F64(thresh_after_ns)),
+                ],
+            ),
             EventKind::RateUpdate {
                 io,
                 state,
                 old_bps,
                 new_bps,
-            } => {
-                d.update_u64(io.index() as u64);
-                d.update_u64(u64::from(state.rank()));
-                d.update_f64(old_bps);
-                d.update_f64(new_bps);
-            }
+            } => (
+                "rate_update",
+                &[
+                    ("io", Io(io)),
+                    ("state", State(state)),
+                    ("old_bps", F64(old_bps)),
+                    ("bps", F64(new_bps)),
+                ],
+            ),
             EventKind::BucketRefill {
                 read_tokens,
                 write_tokens,
-            } => {
-                d.update_f64(read_tokens);
-                d.update_f64(write_tokens);
-            }
+            } => (
+                "bucket_refill",
+                &[("read", F64(read_tokens)), ("write", F64(write_tokens))],
+            ),
             EventKind::OverflowTransfer {
                 direction,
                 amount,
                 src_tokens,
-            } => {
-                d.update(direction.name().as_bytes());
-                d.update_f64(amount);
-                d.update_f64(src_tokens);
-            }
+            } => (
+                "overflow_transfer",
+                &[
+                    ("direction", Label(direction.name())),
+                    ("amount", F64(amount)),
+                    ("src_tokens", F64(src_tokens)),
+                ],
+            ),
             EventKind::WriteCostStep {
                 old_cost,
                 new_cost,
                 below_min,
-            } => {
-                d.update_f64(old_cost);
-                d.update_f64(new_cost);
-                d.update_u64(u64::from(below_min));
-            }
-            EventKind::SlotOpened { slot } => {
-                d.update_u64(u64::from(slot));
-            }
-            EventKind::SlotClosed { slot, submits } => {
-                d.update_u64(u64::from(slot));
-                d.update_u64(u64::from(submits));
-            }
-            EventKind::SlotFreed { slot, credit_ios } => {
-                d.update_u64(u64::from(slot));
-                d.update_u64(u64::from(credit_ios));
-            }
-            EventKind::TenantDeferred { queued } => {
-                d.update_u64(u64::from(queued));
-            }
-            EventKind::TenantResumed => {}
-            EventKind::CreditGranted { credit } => {
-                d.update_u64(u64::from(credit));
-            }
-            EventKind::CreditHalved { before, after } => {
-                d.update_u64(u64::from(before));
-                d.update_u64(u64::from(after));
-            }
-            EventKind::SsdGc { die } => {
-                d.update_u64(u64::from(die));
-            }
-            EventKind::SsdStall { release_ns } => {
-                d.update_u64(release_ns);
-            }
+            } => (
+                "write_cost_step",
+                &[
+                    ("old_cost", F64(old_cost)),
+                    ("new_cost", F64(new_cost)),
+                    ("below_min", Bool(below_min)),
+                ],
+            ),
+            EventKind::SlotOpened { slot } => ("slot_opened", &[("slot", U32(slot))]),
+            EventKind::SlotClosed { slot, submits } => (
+                "slot_closed",
+                &[("slot", U32(slot)), ("submits", U32(submits))],
+            ),
+            EventKind::SlotFreed { slot, credit_ios } => (
+                "slot_freed",
+                &[("slot", U32(slot)), ("credit_ios", U32(credit_ios))],
+            ),
+            EventKind::TenantDeferred { queued } => ("tenant_deferred", &[("queued", U32(queued))]),
+            EventKind::TenantResumed => ("tenant_resumed", &[]),
+            EventKind::CreditGranted { credit } => ("credit_granted", &[("credit", U32(credit))]),
+            EventKind::CreditHalved { before, after } => (
+                "credit_halved",
+                &[("before", U32(before)), ("after", U32(after))],
+            ),
+            EventKind::SsdGc { die } => ("ssd_gc", &[("die", U32(die))]),
+            EventKind::SsdStall { release_ns } => ("ssd_stall", &[("release_ns", U64(release_ns))]),
             EventKind::FaultInjected { capsule } => {
-                d.update(capsule.name().as_bytes());
+                ("fault_injected", &[("capsule", Label(capsule.name()))])
             }
             EventKind::RetryScheduled {
                 cmd,
                 attempt,
                 timeout_ns,
-            } => {
-                d.update_u64(cmd);
-                d.update_u64(u64::from(attempt));
-                d.update_u64(timeout_ns);
-            }
-            EventKind::TimedOut { cmd, attempts } => {
-                d.update_u64(cmd);
-                d.update_u64(u64::from(attempts));
-            }
-            EventKind::CacheHit { lines } => {
-                d.update_u64(u64::from(lines));
-            }
+            } => (
+                "retry_scheduled",
+                &[
+                    ("cmd", U64(cmd)),
+                    ("attempt", U32(attempt)),
+                    ("timeout_ns", U64(timeout_ns)),
+                ],
+            ),
+            EventKind::TimedOut { cmd, attempts } => (
+                "timed_out",
+                &[("cmd", U64(cmd)), ("attempts", U32(attempts))],
+            ),
+            EventKind::CacheHit { lines } => ("cache_hit", &[("lines", U32(lines))]),
             EventKind::CacheMiss { lines_missing } => {
-                d.update_u64(u64::from(lines_missing));
+                ("cache_miss", &[("lines_missing", U32(lines_missing))])
             }
-            EventKind::CacheFill { lines, ghost_hits } => {
-                d.update_u64(u64::from(lines));
-                d.update_u64(u64::from(ghost_hits));
-            }
-            EventKind::CacheEvict { line, to_ghost } => {
-                d.update_u64(line);
-                d.update_u64(u64::from(to_ghost));
-            }
-            EventKind::CacheAdmitToggle { from, to } => {
-                d.update_u64(u64::from(from.rank()));
-                d.update_u64(u64::from(to.rank()));
-            }
-            EventKind::CacheStagedLoss { cmd, lines } => {
-                d.update_u64(cmd);
-                d.update_u64(u64::from(lines));
-            }
+            EventKind::CacheFill { lines, ghost_hits } => (
+                "cache_fill",
+                &[("lines", U32(lines)), ("ghost_hits", U32(ghost_hits))],
+            ),
+            EventKind::CacheEvict { line, to_ghost } => (
+                "cache_evict",
+                &[("line", U64(line)), ("to_ghost", Bool(to_ghost))],
+            ),
+            EventKind::CacheAdmitToggle { from, to } => (
+                "cache_admit_toggle",
+                &[("from", State(from)), ("to", State(to))],
+            ),
+            EventKind::CacheStagedLoss { cmd, lines } => (
+                "cache_staged_loss",
+                &[("cmd", U64(cmd)), ("lines", U32(lines))],
+            ),
             EventKind::CacheWriteBackAck { cmd, lines } => {
-                d.update_u64(cmd);
-                d.update_u64(u64::from(lines));
+                ("cache_wb_ack", &[("cmd", U64(cmd)), ("lines", U32(lines))])
             }
-            EventKind::CacheFlushIssued { id, line } => {
-                d.update_u64(id);
-                d.update_u64(line);
-            }
-            EventKind::CacheFlushDone { id, line, requeued } => {
-                d.update_u64(id);
-                d.update_u64(line);
-                d.update_u64(u64::from(requeued));
-            }
+            EventKind::CacheFlushIssued { id, line } => (
+                "cache_flush_issued",
+                &[("id", U64(id)), ("line", U64(line))],
+            ),
+            EventKind::CacheFlushDone { id, line, requeued } => (
+                "cache_flush_done",
+                &[
+                    ("id", U64(id)),
+                    ("line", U64(line)),
+                    ("requeued", Bool(requeued)),
+                ],
+            ),
             EventKind::CachePowerLoss { lines_lost } => {
-                d.update_u64(u64::from(lines_lost));
+                ("cache_power_loss", &[("lines_lost", U32(lines_lost))])
             }
             EventKind::CacheDeviceDeath { lines_lost } => {
-                d.update_u64(u64::from(lines_lost));
+                ("cache_device_death", &[("lines_lost", U32(lines_lost))])
             }
-            EventKind::NodeSuspected { node } => {
-                d.update_u64(u64::from(node));
-            }
+            EventKind::NodeSuspected { node } => ("node_suspected", &[("node", U32(node))]),
             EventKind::Rerouted {
                 cmd,
                 from_node,
                 to_node,
-            } => {
-                d.update_u64(cmd);
-                d.update_u64(u64::from(from_node));
-                d.update_u64(u64::from(to_node));
-            }
-            EventKind::NodeDead { node } => {
-                d.update_u64(u64::from(node));
-            }
-            EventKind::LinkDegraded { node } => {
-                d.update_u64(u64::from(node));
-            }
-            EventKind::TokenBorrowed { lender, bytes } => {
-                d.update_u64(u64::from(lender));
-                d.update_u64(bytes);
-            }
+            } => (
+                "rerouted",
+                &[
+                    ("cmd", U64(cmd)),
+                    ("from_node", U32(from_node)),
+                    ("to_node", U32(to_node)),
+                ],
+            ),
+            EventKind::NodeDead { node } => ("node_dead", &[("node", U32(node))]),
+            EventKind::LinkDegraded { node } => ("link_degraded", &[("node", U32(node))]),
+            EventKind::TokenBorrowed { lender, bytes } => (
+                "token_borrowed",
+                &[("lender", U32(lender)), ("bytes", U64(bytes))],
+            ),
             EventKind::DebtRepaid {
                 lender,
                 principal,
                 interest,
-            } => {
-                d.update_u64(u64::from(lender));
-                d.update_u64(principal);
-                d.update_u64(interest);
+            } => (
+                "debt_repaid",
+                &[
+                    ("lender", U32(lender)),
+                    ("principal", U64(principal)),
+                    ("interest", U64(interest)),
+                ],
+            ),
+            EventKind::DebtForgiven { lender, bytes } => (
+                "debt_forgiven",
+                &[("lender", U32(lender)), ("bytes", U64(bytes))],
+            ),
+            EventKind::TenantMigrated { from_ssd, to_ssd } => (
+                "tenant_migrated",
+                &[("from_ssd", U32(from_ssd)), ("to_ssd", U32(to_ssd))],
+            ),
+            EventKind::QuantumStolen { from_core, to_core } => (
+                "quantum_stolen",
+                &[("from_core", U32(from_core)), ("to_core", U32(to_core))],
+            ),
+            EventKind::HomeRebalanced { from_core, to_core } => (
+                "home_rebalanced",
+                &[("from_core", U32(from_core)), ("to_core", U32(to_core))],
+            ),
+        };
+        f(name, fields)
+    }
+
+    /// Interned event name (snake_case, stable across runs).
+    pub fn name(&self) -> &'static str {
+        self.schema(|name, _| name)
+    }
+
+    /// Fold the name and every payload field into `d`, in schema order.
+    pub fn fold_into(&self, d: &mut Digest) {
+        self.schema(|name, fields| {
+            d.update(name.as_bytes());
+            for &(_, value) in fields {
+                value.fold_into(d);
             }
-            EventKind::DebtForgiven { lender, bytes } => {
-                d.update_u64(u64::from(lender));
-                d.update_u64(bytes);
-            }
-            EventKind::TenantMigrated { from_ssd, to_ssd } => {
-                d.update_u64(u64::from(from_ssd));
-                d.update_u64(u64::from(to_ssd));
-            }
-            EventKind::QuantumStolen { from_core, to_core }
-            | EventKind::HomeRebalanced { from_core, to_core } => {
-                d.update_u64(u64::from(from_core));
-                d.update_u64(u64::from(to_core));
-            }
-        }
+        });
+    }
+}
+
+/// An event's ordered payload: `(json_key, value)` pairs.
+pub(crate) type Fields = [(&'static str, Field)];
+
+/// One payload value of an [`EventKind`]: what the trace digest folds and
+/// the exporters render.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Field {
+    /// An integer.
+    U64(u64),
+    /// A narrow integer; folded widened to a `u64`.
+    U32(u32),
+    /// A float; folded by bit pattern, exported as a number or `null`.
+    F64(f64),
+    /// A flag; folded as 0/1, exported as `true`/`false`.
+    Bool(bool),
+    /// An interned label; folded as its bytes, exported as a string.
+    Label(&'static str),
+    /// An IO type; folded as its index, exported as `"read"`/`"write"`.
+    Io(IoType),
+    /// A congestion state; folded as its rank, exported as its name.
+    State(CongState),
+}
+
+impl Field {
+    fn fold_into(self, d: &mut Digest) {
+        match self {
+            Field::U64(v) => d.update_u64(v),
+            Field::U32(v) => d.update_u64(u64::from(v)),
+            Field::F64(v) => d.update_f64(v),
+            Field::Bool(v) => d.update_u64(u64::from(v)),
+            Field::Label(s) => d.update(s.as_bytes()),
+            Field::Io(io) => d.update_u64(io.index() as u64),
+            Field::State(s) => d.update_u64(u64::from(s.rank())),
+        };
     }
 }
 
@@ -742,7 +762,7 @@ impl Event {
     }
 
     /// The event name label (delegates to the kind).
-    pub const fn name(&self) -> &'static str {
+    pub fn name(&self) -> &'static str {
         self.kind.name()
     }
 
@@ -751,14 +771,7 @@ impl Event {
         d.update_u64(self.seq);
         d.update_u64(self.at.as_nanos());
         d.update_u64(u64::from(self.ssd.index() as u32));
-        match self.tenant {
-            Some(t) => {
-                d.update_u64(1 + t.index() as u64);
-            }
-            None => {
-                d.update_u64(0);
-            }
-        }
+        d.update_u64(self.tenant.map_or(0, |t| 1 + t.index() as u64));
         self.kind.fold_into(d);
     }
 }
