@@ -631,6 +631,24 @@ mod tests {
         assert_eq!(f.timed_out, 0, "the KV engine arms no timers");
     }
 
+    /// Reads served from NIC DRAM are counted as cache-served completions,
+    /// as they are in fio runs: every pumped cache hit is one, so the count
+    /// is positive and bounded by the hits.
+    #[test]
+    fn cache_hits_count_as_cache_served_completions() {
+        let mut cfg = quick_cfg(Scheme::Gimbal, YcsbMix::C);
+        cfg.cache = crate::scheme::cache_tier(32, gimbal_cache::AdmissionPolicy::Always);
+        let res = KvTestbed::new(cfg).run();
+        let hits: u64 = res.cache.iter().map(|c| c.hits).sum();
+        let f = &res.faults;
+        assert!(
+            0 < f.cache_served && f.cache_served <= hits,
+            "{} cache-served completions for {hits} hits: {f:?}",
+            f.cache_served
+        );
+        assert!(f.conservation_holds(), "{f:?}");
+    }
+
     /// Run `cfg` with `extra` spurious pumps pushed at seeded instants
     /// after every instance has started, half of them in same-instant
     /// pairs.

@@ -188,15 +188,15 @@ impl<E: Engine> NodeHost<E> {
     /// Pipeline `ssd` finished `out` during the pump at `now`, before its
     /// capsule is sent: the device-side accounting hook.
     pub(crate) fn served(&mut self, ssd: usize, out: &PipelineOut, now: SimTime) {
-        let Some(m) = &mut self.meters else {
-            return;
-        };
         if out.served_from_cache {
             // The SSD never saw this read: its DRAM-copy latency must not
             // pollute the device-latency signals.
             self.init.served_from_cache();
             return;
         }
+        let Some(m) = &mut self.meters else {
+            return;
+        };
         let lat_ns = out.device_latency.as_nanos();
         let op = out.cmd.opcode.index();
         m.hist[ssd][op].record(lat_ns);

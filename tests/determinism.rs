@@ -1162,7 +1162,7 @@ fn engine_matrix_keeps_its_pinned_digests() {
         ),
         (
             "kv write-back, power loss, sampled: faults",
-            0x0bce_fbd8_7644_d005,
+            0x6207_f9c5_5436_a98c,
         ),
         (
             "kv write-back, power loss, sampled: series",
