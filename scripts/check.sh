@@ -39,6 +39,17 @@ for fault in node-death partition; do
         --duration-ms 100 --warmup-ms 20 --seed 42 --sanitize > /dev/null
 done
 
+echo "==> trace-export smoke (one traced run per format: cache, broker and stealing events)"
+trace_dir=$(mktemp -d)
+for fmt in chrome jsonl; do
+    cargo run --release --offline -q --bin jbofsim -- \
+        --ssds 2 --cores 1 --cache-mb 4 --cache-write-policy back --borrow --steal \
+        --duration-ms 100 --warmup-ms 20 --seed 42 --workers 2x4k-read,1x4k-write \
+        --trace-out "$trace_dir/t.$fmt" --trace-format "$fmt" > /dev/null
+    test -s "$trace_dir/t.$fmt" || { echo "empty $fmt trace"; exit 1; }
+done
+rm -rf "$trace_dir"
+
 echo "==> broker chaos smoke (bursty borrowing mix through node death, sanitized double run)"
 cargo test --release --offline -p gimbal-rack -q \
     broker_chaos_node_death_forgives_and_conserves
