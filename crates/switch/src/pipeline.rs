@@ -18,7 +18,7 @@ use gimbal_broker::{BrokerHandle, Charge};
 use gimbal_cache::{is_flush_id, CacheConfig, CacheStats, SsdCache, StagedWriteLoss};
 use gimbal_fabric::{CmdId, CmdStatus, IoType, NvmeCmd, Priority, SsdId, TenantId};
 use gimbal_nic::{Core, CpuCost};
-use gimbal_sim::collections::{DetMap, DetSet};
+use gimbal_sim::collections::DetMap;
 use gimbal_sim::{EventQueue, SimDuration, SimTime};
 use gimbal_ssd::{SsdCompletion, StorageDevice};
 use std::cell::RefCell;
@@ -86,12 +86,6 @@ pub struct Pipeline<D: StorageDevice> {
     cfg: PipelineConfig,
     events: EventQueue<PipeEv>,
     inflight: DetMap<u64, NvmeCmd>,
-    /// Ids of every command currently inside the pipeline (CPU, policy
-    /// queue, or device); retransmitted capsules for these are duplicates.
-    resident: DetSet<u64>,
-    /// Duplicate command capsules ignored (fabric-level retransmissions that
-    /// raced the original, §3.6 fault handling).
-    duplicates_ignored: u64,
     outputs: Vec<PipelineOut>,
     policy_wake: Option<SimTime>,
     /// NIC-DRAM cache tier ahead of the policy; absent when disabled.
@@ -252,8 +246,6 @@ impl<D: StorageDevice> Pipeline<D> {
             cpl_buf: Vec::new(),
             events: EventQueue::new(),
             inflight: DetMap::new(),
-            resident: DetSet::new(),
-            duplicates_ignored: 0,
             outputs: Vec::new(),
             policy_wake: None,
             cache,
@@ -321,23 +313,9 @@ impl<D: StorageDevice> Pipeline<D> {
         self.core = core;
     }
 
-    /// Duplicate command capsules dropped so far (see [`Self::on_command`]).
-    pub fn duplicates_ignored(&self) -> u64 {
-        self.duplicates_ignored
-    }
-
     /// A command capsule arrived (write payload already fetched). Charges
     /// submit-path CPU; the request becomes schedulable when that finishes.
-    ///
-    /// A capsule whose id is already inside the pipeline is a fabric-level
-    /// retransmission that raced the original; processing it again would
-    /// double-submit the device, so it is dropped here. The in-flight copy
-    /// completes normally and the initiator recovers via that completion.
     pub fn on_command(&mut self, cmd: NvmeCmd, now: SimTime) {
-        if !self.resident.insert(cmd.id.0) {
-            self.duplicates_ignored += 1;
-            return;
-        }
         let cycles = self
             .cfg
             .cpu_cost
@@ -386,7 +364,6 @@ impl<D: StorageDevice> Pipeline<D> {
             .cpu_cost
             .complete_cycles(cmd.len_bytes(), self.cfg.null_device);
         let done = self.core.borrow_mut().process(ready, cycles);
-        self.resident.remove(&cmd.id.0);
         let credit = self.policy.credit_for(cmd.tenant);
         self.events.push(
             done,
@@ -462,7 +439,6 @@ impl<D: StorageDevice> Pipeline<D> {
                 }
                 continue;
             }
-            self.resident.remove(&c.tag);
             let info = CompletionInfo {
                 cmd,
                 device_latency: c.latency(),
