@@ -74,11 +74,6 @@ impl PardaClient {
     pub fn window(&self) -> f64 {
         self.window
     }
-
-    /// Smoothed observed latency in microseconds.
-    pub fn latency_us(&self) -> f64 {
-        self.latency.get_or(0.0)
-    }
 }
 
 impl Default for PardaClient {

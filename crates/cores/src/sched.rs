@@ -21,9 +21,11 @@ pub struct StealConfig {
     /// [`SimDuration::ZERO`] disables rebalancing; quanta still steal.
     pub rebalance_epoch: SimDuration,
     /// Test-only injected nondeterminism: reverse the steal ring so the
-    /// thief pick diverges. Exists (as a plain field, not `cfg(test)`, so
-    /// the CLI sanitizer smoke can reach it) to prove the divergence
-    /// sanitizer localizes a steal-order bug to component `cores`.
+    /// thief pick diverges. It is a plain field, not `cfg(test)`, because
+    /// the proof that the divergence sanitizer localizes a steal-order bug
+    /// to component `cores` lives in another crate's tests
+    /// (`gimbal-testbed`'s `sanitizer_localizes_injected_steal_order_flip`);
+    /// no CLI flag sets it.
     #[doc(hidden)]
     pub perturb_steal_order: bool,
 }
@@ -142,11 +144,6 @@ impl CoreScheduler {
             moved_homes: 0,
             journal_pending: Vec::new(),
         }
-    }
-
-    /// Number of cores owned.
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
     }
 
     /// The current home core of a pipeline.

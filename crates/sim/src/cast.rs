@@ -29,16 +29,6 @@ pub fn u64_to_u32(v: u64) -> u32 {
     u32::try_from(v).unwrap_or(u32::MAX)
 }
 
-/// Narrow a `u64` to `u16` (e.g. compact wire/log encodings).
-///
-/// Debug builds panic on truncation; release builds saturate at
-/// `u16::MAX`.
-#[inline]
-pub fn u64_to_u16(v: u64) -> u16 {
-    debug_assert!(v <= u64::from(u16::MAX), "u64->u16 truncation: {v}");
-    u16::try_from(v).unwrap_or(u16::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -48,7 +38,6 @@ mod tests {
         assert_eq!(usize_to_u32(0), 0);
         assert_eq!(usize_to_u32(4_000_000_000), 4_000_000_000);
         assert_eq!(u64_to_u32(u64::from(u32::MAX)), u32::MAX);
-        assert_eq!(u64_to_u16(65_535), u16::MAX);
     }
 
     #[test]

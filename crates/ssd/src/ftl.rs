@@ -211,11 +211,6 @@ impl Ftl {
         self.free[die as usize].len() as u32
     }
 
-    /// Total free blocks across all dies.
-    pub fn total_free_blocks(&self) -> u32 {
-        self.free.iter().map(|f| f.len() as u32).sum()
-    }
-
     fn take_free_block(&mut self, die: u32) -> u32 {
         let local = self.free[die as usize]
             .pop()
