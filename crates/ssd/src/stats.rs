@@ -1,6 +1,7 @@
 //! Device-level statistics exposed by the SSD model.
 
 use crate::ftl::FtlCounters;
+use gimbal_sim::Digest;
 
 /// Counters accumulated by a [`crate::FlashSsd`] since creation (or since the
 /// last preconditioning, which resets them).
@@ -46,6 +47,23 @@ impl SsdStats {
         } else {
             self.buffer_read_hits as f64 / total as f64
         }
+    }
+
+    /// Fold the traffic, buffer and FTL counters into a run digest, in
+    /// declaration order. The fault counters (`failed_cmds`,
+    /// `injected_transient_errors`, `stalled_cmds`) are not folded.
+    pub fn fold_into(&self, d: &mut Digest) {
+        d.update_u64(self.reads)
+            .update_u64(self.writes)
+            .update_u64(self.read_bytes)
+            .update_u64(self.write_bytes)
+            .update_u64(self.buffer_read_hits)
+            .update_u64(self.nand_read_chunks)
+            .update_u64(self.buffer_stalls)
+            .update_u64(self.ftl.host_slot_writes)
+            .update_u64(self.ftl.gc_slot_writes)
+            .update_u64(self.ftl.erases)
+            .update_u64(self.ftl.collections);
     }
 }
 

@@ -260,27 +260,11 @@ impl RunResult {
                 .update_u64(w.ops)
                 .update_u64(w.bytes)
                 .update_u64(w.window.as_nanos());
-            for s in [&w.read_latency, &w.write_latency] {
-                d.update_u64(s.count)
-                    .update_f64(s.mean_ns)
-                    .update_u64(s.p50_ns)
-                    .update_u64(s.p99_ns)
-                    .update_u64(s.p999_ns)
-                    .update_u64(s.max_ns);
-            }
+            w.read_latency.fold_into(&mut d);
+            w.write_latency.fold_into(&mut d);
         }
         for s in &self.ssd_stats {
-            d.update_u64(s.reads)
-                .update_u64(s.writes)
-                .update_u64(s.read_bytes)
-                .update_u64(s.write_bytes)
-                .update_u64(s.buffer_read_hits)
-                .update_u64(s.nand_read_chunks)
-                .update_u64(s.buffer_stalls)
-                .update_u64(s.ftl.host_slot_writes)
-                .update_u64(s.ftl.gc_slot_writes)
-                .update_u64(s.ftl.erases)
-                .update_u64(s.ftl.collections);
+            s.fold_into(&mut d);
         }
         // Folded only when a cache ran, so cache-off digests are
         // bit-identical to pre-cache builds.
