@@ -131,24 +131,11 @@ impl RackResult {
         let mut d = Digest::new();
         for c in &self.clients {
             d.update_u64(c.ops);
-            for s in [&c.read_latency, &c.write_latency] {
-                d.update_u64(s.count)
-                    .update_f64(s.mean_ns)
-                    .update_u64(s.p50_ns)
-                    .update_u64(s.p99_ns)
-                    .update_u64(s.p999_ns)
-                    .update_u64(s.max_ns);
-            }
+            c.read_latency.fold_into(&mut d);
+            c.write_latency.fold_into(&mut d);
         }
         for s in &self.ssd_stats {
-            d.update_u64(s.reads)
-                .update_u64(s.writes)
-                .update_u64(s.read_bytes)
-                .update_u64(s.write_bytes)
-                .update_u64(s.ftl.host_slot_writes)
-                .update_u64(s.ftl.gc_slot_writes)
-                .update_u64(s.ftl.erases)
-                .update_u64(s.ftl.collections);
+            s.fold_into(&mut d);
         }
         let p = &self.physical;
         for v in [
