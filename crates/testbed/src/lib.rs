@@ -37,7 +37,7 @@ pub mod reactor;
 pub mod results;
 pub mod scheme;
 
-pub use config::{FaultConfig, Precondition, TestbedConfig, WorkerSpec};
+pub use config::{parse_workers, FaultConfig, Precondition, TestbedConfig, WorkerSpec};
 pub use engine::Testbed;
 pub use gimbal_broker::{BrokerConfig, BrokerMode, BrokerStats};
 pub use gimbal_cache::{
