@@ -50,6 +50,18 @@ for fmt in chrome jsonl; do
 done
 rm -rf "$trace_dir"
 
+echo "==> CLI-contract smoke (a rack run writes its trace; a flag the run does not read exits 2)"
+trace_dir=$(mktemp -d)
+cargo run --release --offline -q --bin jbofsim -- \
+    --rack-nodes 2 --duration-ms 50 --warmup-ms 10 --seed 42 \
+    --trace-out "$trace_dir/rack.json" > /dev/null
+test -s "$trace_dir/rack.json" || { echo "empty rack trace"; exit 1; }
+rm -rf "$trace_dir"
+status=0
+cargo run --release --offline -q --bin jbofsim -- --rack-nodes 2 --cache-mb 4 \
+    > /dev/null 2>&1 || status=$?
+test "$status" -eq 2 || { echo "--cache-mb on a rack run exited $status, not 2"; exit 1; }
+
 echo "==> broker chaos smoke (bursty borrowing mix through node death, sanitized double run)"
 cargo test --release --offline -p gimbal-rack -q \
     broker_chaos_node_death_forgives_and_conserves
