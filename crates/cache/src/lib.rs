@@ -844,6 +844,12 @@ impl SsdCache {
         &self.journal
     }
 
+    /// Hand the durability journal over, leaving it empty: how a finished
+    /// run moves it into its result without copying it.
+    pub fn take_journal(&mut self) -> Vec<DurabilityEvent> {
+        std::mem::take(&mut self.journal)
+    }
+
     /// The configured write policy.
     pub fn write_policy(&self) -> WritePolicy {
         self.cfg.write_policy
@@ -1203,8 +1209,16 @@ impl SsdCache {
     /// no dirty line is eligible (see [`Self::pop_flushable`]).
     pub fn take_flushes(&mut self, now: SimTime) -> Vec<FlushIo> {
         let mut out = Vec::new();
+        self.take_flushes_into(now, &mut out);
+        out
+    }
+
+    /// [`Self::take_flushes`] without the allocation: append the flush
+    /// writes to `out`. A caller that drains `out` and passes it back every
+    /// poll allocates nothing in steady state.
+    pub fn take_flushes_into(&mut self, now: SimTime, out: &mut Vec<FlushIo>) {
         if self.cfg.write_policy != WritePolicy::Back || self.dead {
-            return out;
+            return;
         }
         let opportunistic = self.state == CongState::Underutilized;
         while self.flights.len() < self.cfg.flush_batch as usize {
@@ -1255,7 +1269,6 @@ impl SsdCache {
                 wal,
             });
         }
-        out
     }
 
     /// Earliest virtual time at which [`Self::take_flushes`] would produce

@@ -19,6 +19,14 @@
 //! reproduces the exact `(time, seq)` pop order of the binary heap it
 //! replaced. That heap survives in `tests/properties.rs` as the equivalence
 //! oracle the wheel is tested against.
+//!
+//! Storage is one slab per queue: every wheel entry sits in a `Link` cell
+//! of a single `Vec`, and each slot holds only the head and tail index of its
+//! cell list. A push takes a cell from the free list (or grows the slab), a
+//! cascade re-links cells into lower slots without moving them, and a level-0
+//! drain moves the entries out into the staged batch and returns the cells to
+//! the free list. The slab's length is therefore the peak number of entries
+//! the wheel held at once, and a queue in steady state stops allocating.
 
 use crate::time::SimTime;
 use std::collections::VecDeque;
@@ -31,11 +39,33 @@ const SLOTS_PER_LEVEL: usize = 64;
 const LEVELS: usize = 11;
 /// Mask of one level's digit.
 const SLOT_MASK: u64 = (SLOTS_PER_LEVEL as u64) - 1;
+/// End of a slot list or of the free list.
+const NIL: u32 = u32::MAX;
+/// Most cells one slab may hold: indices stay below `u32::MAX - 1`, so they
+/// never reach [`NIL`].
+const MAX_LINKS: usize = (u32::MAX - 1) as usize;
 
 struct Entry<E> {
     at: SimTime,
     seq: u64,
     event: E,
+}
+
+/// One slab cell: a pending wheel entry threaded onto its slot's list by
+/// `next`, or a free cell (`event: None`) threaded onto the free list.
+struct Link<E> {
+    at: SimTime,
+    seq: u64,
+    next: u32,
+    event: Option<E>,
+}
+
+/// First and last cell of one slot's list. Meaningful only while the slot's
+/// occupancy bit is set.
+#[derive(Clone, Copy)]
+struct Slot {
+    head: u32,
+    tail: u32,
 }
 
 /// The wheel level of timestamp `at` relative to the wheel origin: the index
@@ -49,6 +79,17 @@ fn level_of(at: u64, origin: u64) -> usize {
     } else {
         (63 - diff.leading_zeros() as usize) / BITS
     }
+}
+
+/// The index a new cell gets in a slab that holds `len` cells. Panics rather
+/// than let an index wrap into [`NIL`].
+#[inline]
+fn next_link_index(len: usize) -> u32 {
+    assert!(
+        len < MAX_LINKS,
+        "EventQueue slab is full: more than {MAX_LINKS} events pending in the wheel"
+    );
+    len as u32
 }
 
 /// A deterministic min-priority queue of timestamped events.
@@ -67,9 +108,14 @@ fn level_of(at: u64, origin: u64) -> usize {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    /// `LEVELS * SLOTS_PER_LEVEL` buckets, level-major. Empty `Vec`s do not
-    /// allocate, so the idle wheel costs 704 pointers-worth of metadata.
-    slots: Vec<Vec<Entry<E>>>,
+    /// The slab: every entry filed in the wheel lives in one of these cells.
+    /// It never shrinks, so its length is the peak wheel population.
+    links: Vec<Link<E>>,
+    /// Head of the free-cell list, [`NIL`] when every cell is in use.
+    free: u32,
+    /// `LEVELS * SLOTS_PER_LEVEL` slot lists, level-major: two `u32`s of
+    /// metadata per slot, whatever the slot has ever held.
+    slots: Vec<Slot>,
     /// One bit per slot and level; the lowest set bit of the lowest non-zero
     /// level is the next slot to drain.
     occupancy: [u64; LEVELS],
@@ -98,7 +144,15 @@ impl<E> EventQueue<E> {
     /// Create an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            slots: (0..LEVELS * SLOTS_PER_LEVEL).map(|_| Vec::new()).collect(),
+            links: Vec::new(),
+            free: NIL,
+            slots: vec![
+                Slot {
+                    head: NIL,
+                    tail: NIL
+                };
+                LEVELS * SLOTS_PER_LEVEL
+            ],
             occupancy: [0; LEVELS],
             current: VecDeque::new(),
             elapsed: 0,
@@ -145,7 +199,24 @@ impl<E> EventQueue<E> {
                 return;
             }
         }
-        self.insert_wheel(entry);
+        let link = Link {
+            at,
+            seq,
+            next: NIL,
+            event: Some(entry.event),
+        };
+        let idx = if self.free == NIL {
+            let idx = next_link_index(self.links.len());
+            self.links.push(link);
+            idx
+        } else {
+            let idx = self.free;
+            let cell = &mut self.links[idx as usize];
+            self.free = cell.next;
+            *cell = link;
+            idx
+        };
+        self.file(idx);
     }
 
     /// Remove and return the earliest event, advancing the causality watermark.
@@ -198,16 +269,19 @@ impl<E> EventQueue<E> {
         let (level, slot) = self.lowest_occupied()?;
         if level == 0 {
             // A level-0 slot holds exactly one absolute instant.
-            Some(SimTime::from_nanos(
+            return Some(SimTime::from_nanos(
                 (self.elapsed & !SLOT_MASK) | slot as u64,
-            ))
-        } else {
-            // The global minimum lives in this slot; scan it.
-            self.slots[level * SLOTS_PER_LEVEL + slot]
-                .iter()
-                .map(|e| e.at)
-                .min()
+            ));
         }
+        // The global minimum lives in this slot; scan its list.
+        let mut cur = self.slots[level * SLOTS_PER_LEVEL + slot].head;
+        let mut min = None;
+        while cur != NIL {
+            let link = &self.links[cur as usize];
+            min = Some(min.map_or(link.at, |m: SimTime| m.min(link.at)));
+            cur = link.next;
+        }
+        min
     }
 
     /// Number of pending events.
@@ -227,9 +301,8 @@ impl<E> EventQueue<E> {
 
     /// Drop all pending events without firing them.
     pub fn clear(&mut self) {
-        for v in &mut self.slots {
-            v.clear();
-        }
+        self.links.clear();
+        self.free = NIL;
         self.occupancy = [0; LEVELS];
         self.current.clear();
         self.len = 0;
@@ -247,47 +320,72 @@ impl<E> EventQueue<E> {
             .map(|(level, &occ)| (level, occ.trailing_zeros() as usize))
     }
 
-    /// File an entry into the wheel relative to the current origin.
-    fn insert_wheel(&mut self, entry: Entry<E>) {
-        let at = entry.at.as_nanos();
+    /// Link cell `idx` at the tail of its slot relative to the current origin.
+    fn file(&mut self, idx: u32) {
+        let at = self.links[idx as usize].at.as_nanos();
         let level = level_of(at, self.elapsed);
         let slot = ((at >> (level * BITS)) & SLOT_MASK) as usize;
-        self.occupancy[level] |= 1 << slot;
-        self.slots[level * SLOTS_PER_LEVEL + slot].push(entry);
+        self.links[idx as usize].next = NIL;
+        let list = &mut self.slots[level * SLOTS_PER_LEVEL + slot];
+        if self.occupancy[level] & (1 << slot) == 0 {
+            self.occupancy[level] |= 1 << slot;
+            *list = Slot {
+                head: idx,
+                tail: idx,
+            };
+        } else {
+            let tail = std::mem::replace(&mut list.tail, idx);
+            self.links[tail as usize].next = idx;
+        }
     }
 
     /// Stage the earliest pending instant's entries into `current`, in seq
     /// order, cascading upper levels down as needed. Returns `false` when
     /// the wheel is empty. On success the origin sits exactly at the staged
-    /// instant.
+    /// instant. Only called with `current` empty.
     fn load_next_batch(&mut self) -> bool {
         loop {
             let Some((level, slot)) = self.lowest_occupied() else {
                 return false;
             };
-            let idx = level * SLOTS_PER_LEVEL + slot;
-            let mut drained = std::mem::take(&mut self.slots[idx]);
+            let mut cur = self.slots[level * SLOTS_PER_LEVEL + slot].head;
             self.occupancy[level] &= !(1u64 << slot);
             if level == 0 {
-                // This slot is a single instant: sort by seq to undo any
-                // interleaving that cascades introduced, and stage it.
+                // This slot is a single instant: move its entries out, free
+                // their cells, and sort by seq to undo any interleaving that
+                // cascades introduced.
                 self.elapsed = (self.elapsed & !SLOT_MASK) | slot as u64;
-                drained.sort_unstable_by_key(|e| e.seq);
-                self.current.extend(drained.drain(..));
-                self.slots[idx] = drained; // keep the allocation
+                while cur != NIL {
+                    let link = &mut self.links[cur as usize];
+                    let next = link.next;
+                    if let Some(event) = link.event.take() {
+                        self.current.push_back(Entry {
+                            at: link.at,
+                            seq: link.seq,
+                            event,
+                        });
+                    }
+                    link.next = self.free;
+                    self.free = cur;
+                    cur = next;
+                }
+                self.current
+                    .make_contiguous()
+                    .sort_unstable_by_key(|e| e.seq);
                 return true;
             }
             // Cascade: the global minimum lives in this slot, so the origin
             // may jump to the slot's first instant (digit `level` := slot,
-            // lower digits zeroed). Every drained entry re-files strictly
-            // below `level` relative to the new origin.
+            // lower digits zeroed). Every cell re-links strictly below
+            // `level` relative to the new origin, in list order.
             let shift = level * BITS;
             let keep_above = u64::MAX.checked_shl((shift + BITS) as u32).unwrap_or(0);
             self.elapsed = (self.elapsed & keep_above) | ((slot as u64) << shift);
-            for entry in drained.drain(..) {
-                self.insert_wheel(entry);
+            while cur != NIL {
+                let next = self.links[cur as usize].next;
+                self.file(cur);
+                cur = next;
             }
-            self.slots[idx] = drained;
         }
     }
 }
@@ -419,5 +517,59 @@ mod tests {
         assert_eq!(q.pop_if_at(t, |_| true), None);
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some((SimTime::from_micros(3), 3)));
+    }
+
+    #[test]
+    fn slab_holds_no_more_cells_than_the_peak_pending_set() {
+        // Bursts spread over levels 0-4 (ns to ~0.5 s ahead), each
+        // drained halfway before the next lands: cells freed by level-0
+        // drains must be reused, and cascades must not copy cells.
+        let mut q = EventQueue::new();
+        let mut rng = crate::SimRng::new(0x51AB);
+        let mut peak = 0;
+        let mut capacity_after_first_round = 0;
+        for round in 0..6 {
+            for burst in 0..8 {
+                let now = q.now();
+                for i in 0..500u64 {
+                    let horizon = 1u64 << (6 * (i % 5) + rng.gen_below(6));
+                    q.push(now + SimDuration::from_nanos(rng.gen_below(horizon)), i);
+                    peak = peak.max(q.len());
+                }
+                let keep = if burst == 7 { 0 } else { q.len() / 2 };
+                while q.len() > keep {
+                    q.pop();
+                }
+                assert!(
+                    q.links.len() <= peak,
+                    "round {round} burst {burst}: {} cells for a peak of {peak} pending",
+                    q.links.len()
+                );
+            }
+            assert!(q.is_empty());
+            if round == 0 {
+                capacity_after_first_round = q.links.capacity();
+            }
+        }
+        assert!(peak > 500, "bursts must overlap (peak {peak})");
+        assert_eq!(
+            q.links.capacity(),
+            capacity_after_first_round,
+            "rounds of the same shape must not grow the slab"
+        );
+    }
+
+    #[test]
+    fn slab_index_stops_short_of_the_list_terminator() {
+        assert_eq!(next_link_index(0), 0);
+        assert_eq!(next_link_index(MAX_LINKS - 1), u32::MAX - 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "EventQueue slab is full")]
+    fn slab_growth_past_the_index_space_panics() {
+        // Checked on the index computation: filling a real slab to 2^32
+        // cells would take hundreds of GB.
+        next_link_index(MAX_LINKS);
     }
 }

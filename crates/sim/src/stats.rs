@@ -4,7 +4,11 @@
 //! The histogram is an HDR-style log-linear histogram: values are bucketed by
 //! power-of-two magnitude with 64 linear sub-buckets per magnitude, giving a
 //! worst-case relative error below ~1.6% across the full `u64` range — plenty
-//! for latency percentiles spanning microseconds to seconds.
+//! for latency percentiles spanning microseconds to seconds. Its counts cover
+//! only the magnitudes between the lowest and highest sample recorded, so a
+//! histogram costs memory in proportion to the spread of its samples (a
+//! tenant's latencies span about ten of the 59 magnitudes), not to the
+//! `u64` range.
 
 use crate::digest::Digest;
 use crate::time::{SimDuration, SimTime};
@@ -14,11 +18,17 @@ use std::fmt;
 /// of two). 64 sub-buckets ⇒ ≤1/64 relative quantization error.
 const SUB_BUCKETS: u64 = 64;
 const SUB_BITS: u32 = SUB_BUCKETS.trailing_zeros();
+/// Sub-buckets per magnitude as an index stride.
+const MAGNITUDE: usize = SUB_BUCKETS as usize;
 
 /// An HDR-style log-linear histogram of `u64` samples.
 #[derive(Clone)]
 pub struct Histogram {
+    /// Counts of buckets `base..base + counts.len()`: whole magnitudes, from
+    /// the lowest to the highest recorded. Empty until the first sample.
     counts: Vec<u64>,
+    /// Bucket index of `counts[0]`, a multiple of [`MAGNITUDE`].
+    base: usize,
     total: u64,
     sum: u128,
     min: u64,
@@ -32,11 +42,12 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Create an empty histogram.
+    /// Create an empty histogram. Allocates nothing: the counts grow in
+    /// whole magnitudes (64 buckets each) to the range recorded.
     pub fn new() -> Self {
-        // 64 magnitudes × SUB_BUCKETS sub-buckets covers all of u64.
         Histogram {
-            counts: vec![0; (64 - SUB_BITS as usize + 1) * SUB_BUCKETS as usize],
+            counts: Vec::new(),
+            base: 0,
             total: 0,
             sum: 0,
             min: u64::MAX,
@@ -67,10 +78,38 @@ impl Histogram {
         }
     }
 
+    /// Widen `counts` to cover buckets `lo..=hi`, rounded out to whole
+    /// magnitudes. Existing counts keep their bucket indices.
+    #[cold]
+    fn cover(&mut self, lo: usize, hi: usize) {
+        let lo = lo - lo % MAGNITUDE;
+        let end = hi - hi % MAGNITUDE + MAGNITUDE;
+        if self.counts.is_empty() {
+            self.base = lo;
+            self.counts.resize(end - lo, 0);
+            return;
+        }
+        if end > self.base + self.counts.len() {
+            self.counts.resize(end - self.base, 0);
+        }
+        if lo < self.base {
+            self.counts
+                .splice(0..0, std::iter::repeat_n(0, self.base - lo));
+            self.base = lo;
+        }
+    }
+
     /// Record one sample.
     #[inline]
     pub fn record(&mut self, value: u64) {
-        self.counts[Self::index_of(value)] += 1;
+        let idx = Self::index_of(value);
+        // Below `base` the subtraction wraps past the end: one range check.
+        if let Some(c) = self.counts.get_mut(idx.wrapping_sub(self.base)) {
+            *c += 1;
+        } else {
+            self.cover(idx, idx);
+            self.counts[idx - self.base] += 1;
+        }
         self.total += 1;
         self.sum += u128::from(value);
         self.min = self.min.min(value);
@@ -127,10 +166,10 @@ impl Histogram {
         let q = q.clamp(0.0, 1.0);
         let rank = ((q * self.total as f64).ceil() as u64).max(1);
         let mut seen = 0;
-        for (idx, &c) in self.counts.iter().enumerate() {
+        for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return Self::value_of(idx).min(self.max).max(self.min);
+                return Self::value_of(self.base + i).min(self.max).max(self.min);
             }
         }
         self.max
@@ -138,8 +177,12 @@ impl Histogram {
 
     /// Merge another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        if let Some(last) = other.counts.len().checked_sub(1) {
+            self.cover(other.base, other.base + last);
+            let from = other.base - self.base;
+            for (a, b) in self.counts[from..].iter_mut().zip(&other.counts) {
+                *a += b;
+            }
         }
         self.total += other.total;
         self.sum += other.sum;
@@ -147,7 +190,7 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Reset to empty without deallocating.
+    /// Reset to empty without deallocating; the covered range is kept.
     pub fn clear(&mut self) {
         self.counts.iter_mut().for_each(|c| *c = 0);
         self.total = 0;

@@ -174,6 +174,8 @@ pub struct FlashSsd {
     /// Recycled scratch for one read's NAND chunks, `(die, bytes)`; empty
     /// between submissions.
     read_chunks: Vec<(u32, u64)>,
+    /// Recycled scratch for one GC victim's valid logical pages.
+    gc_lpns: Vec<u32>,
     /// Round-robin die cursor for drain batches.
     next_die: u32,
     inflight: usize,
@@ -210,6 +212,7 @@ impl FlashSsd {
             drain_accum: Vec::new(),
             spare_batches: Vec::new(),
             read_chunks: Vec::new(),
+            gc_lpns: Vec::new(),
             next_die: 0,
             inflight: 0,
             failed: false,
@@ -621,7 +624,7 @@ impl FlashSsd {
         let Some(victim) = self.ftl.pick_victim(die) else {
             return false;
         };
-        let work = self.ftl.gc_work(victim);
+        let work = self.ftl.gc_work_into(victim, &mut self.gc_lpns);
         // Copy reads: batches of 4 tRs per chunk.
         let mut reads_left = work.nand_reads;
         while reads_left > 0 {
@@ -636,13 +639,13 @@ impl FlashSsd {
             );
         }
         // Copy programs: one chunk per program unit.
-        if !work.valid_lpns.is_empty() {
+        if !self.gc_lpns.is_empty() {
             let unit = self.cfg.slots_per_program() as u64;
-            let programs = (work.valid_lpns.len() as u64).div_ceil(unit);
+            let programs = (self.gc_lpns.len() as u64).div_ceil(unit);
             for _ in 0..programs {
                 self.enqueue_bg(die, DieOp::GcChunk, now, self.cfg.t_program, now);
             }
-            for &lpn in &work.valid_lpns {
+            for &lpn in &self.gc_lpns {
                 self.ftl.write_to_die(u64::from(lpn), die, true);
             }
         }

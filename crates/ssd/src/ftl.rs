@@ -40,8 +40,9 @@ pub struct SlotAddr {
     pub slot: u32,
 }
 
-/// Copy work implied by collecting a victim block.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Copy work implied by collecting a victim block; its valid logical pages
+/// go to the buffer passed to [`Ftl::gc_work_into`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GcWork {
     /// The victim block (global index).
     pub block: u32,
@@ -49,8 +50,6 @@ pub struct GcWork {
     pub die: u32,
     /// NAND pages that must be read (pages containing ≥1 valid slot).
     pub nand_reads: u32,
-    /// Logical pages that must be rewritten.
-    pub valid_lpns: Vec<u32>,
 }
 
 /// Running FTL counters (WA numerator/denominator etc.).
@@ -298,15 +297,16 @@ impl Ftl {
         }
     }
 
-    /// Describe the copy work for collecting `block` (which must be Full).
+    /// Describe the copy work for collecting `block` (which must be Full),
+    /// replacing `valid_lpns` with the logical pages that must be rewritten.
     /// Does not modify state; the device calls [`Ftl::write_to_die`] for each
     /// valid page and then [`Ftl::erase`].
-    pub fn gc_work(&self, block: u32) -> GcWork {
+    pub fn gc_work_into(&self, block: u32, valid_lpns: &mut Vec<u32>) -> GcWork {
         debug_assert_eq!(self.state[block as usize], BlockState::Full);
         let die = block / self.blocks_per_die;
         let local = block % self.blocks_per_die;
         let base = self.slot_index(die, local, 0);
-        let mut valid_lpns = Vec::with_capacity(self.valid[block as usize] as usize);
+        valid_lpns.clear();
         let mut nand_reads = 0u32;
         let mut page_has_valid = false;
         for s in 0..self.slots_per_block {
@@ -329,7 +329,6 @@ impl Ftl {
             block,
             die,
             nand_reads,
-            valid_lpns,
         }
     }
 
@@ -539,8 +538,9 @@ mod tests {
                 ftl.invalidate(lpn);
             }
         }
-        let work = ftl.gc_work(victim);
-        assert_eq!(work.valid_lpns.len(), 2);
+        let mut lpns = Vec::new();
+        let work = ftl.gc_work_into(victim, &mut lpns);
+        assert_eq!(lpns, vec![0, 5]);
         // slot 0 → NAND page 0, slot 5 → NAND page 1 (4 slots/page).
         assert_eq!(work.nand_reads, 2);
         assert_eq!(work.die, 0);

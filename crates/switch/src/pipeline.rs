@@ -15,7 +15,7 @@
 
 use crate::policy::{CompletionInfo, PolicyPoll, Request, SwitchPolicy};
 use gimbal_broker::{BrokerHandle, Charge};
-use gimbal_cache::{is_flush_id, CacheConfig, CacheStats, SsdCache, StagedWriteLoss};
+use gimbal_cache::{is_flush_id, CacheConfig, CacheStats, FlushIo, SsdCache, StagedWriteLoss};
 use gimbal_fabric::{CmdId, CmdStatus, IoType, NvmeCmd, Priority, SsdId, TenantId};
 use gimbal_nic::{Core, CpuCost};
 use gimbal_sim::collections::DetMap;
@@ -95,6 +95,8 @@ pub struct Pipeline<D: StorageDevice> {
     /// Recycled device-completion buffer: drained every poll, so the steady
     /// state allocates nothing on the completion path.
     cpl_buf: Vec<SsdCompletion>,
+    /// Recycled flush-write buffer, drained every flusher pump.
+    flush_buf: Vec<FlushIo>,
 }
 
 /// Outcome of metering one submission through the broker gate.
@@ -244,6 +246,7 @@ impl<D: StorageDevice> Pipeline<D> {
             cfg,
             gate,
             cpl_buf: Vec::new(),
+            flush_buf: Vec::new(),
             events: EventQueue::new(),
             inflight: DetMap::new(),
             outputs: Vec::new(),
@@ -296,6 +299,12 @@ impl<D: StorageDevice> Pipeline<D> {
     /// The cache tier itself, for digest folding and inspection.
     pub fn cache(&self) -> Option<&SsdCache> {
         self.cache.as_ref()
+    }
+
+    /// Mutable access to the cache tier, e.g. to take its journal at the end
+    /// of a run.
+    pub fn cache_mut(&mut self) -> Option<&mut SsdCache> {
+        self.cache.as_mut()
     }
 
     /// The core this pipeline runs on.
@@ -385,7 +394,8 @@ impl<D: StorageDevice> Pipeline<D> {
     /// DRR queues and Alg. 1 accounting like any other device write.
     fn pump_flusher(&mut self, now: SimTime) {
         let Some(cache) = &mut self.cache else { return };
-        for f in cache.take_flushes(now) {
+        cache.take_flushes_into(now, &mut self.flush_buf);
+        for f in self.flush_buf.drain(..) {
             let cmd = NvmeCmd {
                 id: CmdId(f.id),
                 tenant: f.tenant,

@@ -282,13 +282,18 @@ impl Node {
         }
     }
 
-    /// Append the node's device, cache and write-back results to `out`.
-    pub(crate) fn device_results_into(&self, out: &mut Outcome) {
-        for p in &self.pipelines {
+    /// Append the node's device, cache and write-back results to `out`,
+    /// moving each write-back journal out of its cache rather than copying
+    /// it.
+    pub(crate) fn device_results_into(&mut self, out: &mut Outcome) {
+        for p in &mut self.pipelines {
             out.ssd_stats.push(p.device().stats());
             out.cache.extend(p.cache_stats());
             out.cache_losses.extend(p.cache_losses().iter().copied());
-            let Some(c) = p.cache().filter(|c| c.write_policy() == WritePolicy::Back) else {
+            let Some(c) = p
+                .cache_mut()
+                .filter(|c| c.write_policy() == WritePolicy::Back)
+            else {
                 continue;
             };
             let wb = c.write_back_stats();
@@ -297,7 +302,7 @@ impl Node {
                 "write-back line conservation violated: {wb:?}"
             );
             out.write_back.push(wb);
-            out.journals.push(c.journal().to_vec());
+            out.journals.push(c.take_journal());
         }
     }
 

@@ -504,7 +504,7 @@ impl<E: Engine> Reactor<E> {
 
     /// End the run: audit the command ledger and the broker, close the
     /// recorders, and collect what every engine reports.
-    pub fn finish(self) -> Outcome {
+    pub fn finish(mut self) -> Outcome {
         let mut out = Outcome {
             faults: self.host.init.finish(),
             gimbal_traces: self.gimbal_traces,
@@ -514,7 +514,7 @@ impl<E: Engine> Reactor<E> {
             events_processed: self.events_processed,
             ..Outcome::default()
         };
-        for node in &self.nodes {
+        for node in &mut self.nodes {
             node.device_results_into(&mut out);
         }
         // Broker conservation must hold at every exit, not only in tests.

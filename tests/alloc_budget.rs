@@ -9,6 +9,11 @@
 //! one short-lived `Vec` per op, which is what per-call plan lists, step
 //! outputs and steal rings cost (2.4, 4.2 and 4.6 per op on these runs).
 //!
+//! A fourth row, 256 batched readers over 4 SSDs, has its own budget of
+//! 0.016, twice what it measures: it holds thousands of events pending in
+//! the timer wheels, so storage that grows with slot high-water marks
+//! instead of the live entry count (0.0233 per op) fails it.
+//!
 //! This file holds exactly one `#[test]`: the counter is process-wide, so a
 //! second test running on another thread would pollute it.
 
@@ -56,6 +61,10 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
 #[test]
 fn per_op_paths_stay_within_the_allocation_budget() {
     const BUDGET: f64 = 0.25;
+    // The fan-out row measures 0.0081 allocs/op; a wheel whose slots keep
+    // their own high-water buffers measured 0.0233 on the same run.
+    const FANOUT_MS: u64 = 500;
+    const FANOUT_BUDGET: f64 = 0.016;
     let ms = SimDuration::from_millis;
 
     // YCSB-A over replicated blobstore files: LSM steps and blobstore plans.
@@ -120,16 +129,48 @@ fn per_op_paths_stay_within_the_allocation_budget() {
     let steals = res.cores.as_ref().map_or(0, |c| c.steals);
     assert!(steals > 0, "the fio row never stole a quantum");
 
+    // 256 readers over 4 clean SSDs with batching: thousands of commands
+    // in flight, so the event wheels hold thousands of pending entries.
+    let (tenants, ssds) = (256u32, 4u32);
+    let region = cap / u64::from(tenants / ssds);
+    let fanout = Testbed::new(
+        TestbedConfig {
+            precondition: Precondition::Clean,
+            num_ssds: ssds,
+            cores: ssds,
+            batch: 32,
+            duration: ms(FANOUT_MS),
+            warmup: SimDuration::ZERO,
+            seed: 42,
+            ..TestbedConfig::default()
+        },
+        (0..tenants)
+            .map(|i| {
+                let start = u64::from(i / ssds) * region;
+                WorkerSpec::new("fanout", FioSpec::paper_default(1.0, 4096, start, region))
+                    .on_ssd(i % ssds)
+            })
+            .collect(),
+    );
+    let (res, fanout_allocs) = counted(|| fanout.run());
+    let fanout_ops: u64 = res.workers.iter().map(|w| w.ops).sum();
+
     let rows = [
-        ("kv ycsb-a", kv_allocs, kv_ops),
-        ("rack node-death", rack_allocs, rack_ops),
-        ("fio 2-core steal", fio_allocs, fio_ops),
+        ("kv ycsb-a", kv_allocs, kv_ops, BUDGET),
+        ("rack node-death", rack_allocs, rack_ops, BUDGET),
+        ("fio 2-core steal", fio_allocs, fio_ops, BUDGET),
+        (
+            "fio 256-tenant fan-out",
+            fanout_allocs,
+            fanout_ops,
+            FANOUT_BUDGET,
+        ),
     ];
     let report: Vec<String> = rows
         .iter()
-        .map(|(name, allocs, ops)| {
+        .map(|(name, allocs, ops, budget)| {
             format!(
-                "{name}: {allocs} allocs / {ops} ops = {:.3}",
+                "{name}: {allocs} allocs / {ops} ops = {:.4} (budget {budget})",
                 *allocs as f64 / *ops as f64
             )
         })
@@ -137,8 +178,8 @@ fn per_op_paths_stay_within_the_allocation_budget() {
     println!("{}", report.join("\n"));
     assert!(
         rows.iter()
-            .all(|&(_, allocs, ops)| ops > 1_000 && allocs as f64 <= BUDGET * ops as f64),
-        "over {BUDGET} allocs per op (or too few ops):\n{}",
+            .all(|&(_, allocs, ops, budget)| ops > 1_000 && allocs as f64 <= budget * ops as f64),
+        "over budget in allocs per op (or too few ops):\n{}",
         report.join("\n")
     );
 }

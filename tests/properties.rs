@@ -14,6 +14,7 @@ use gimbal_repro::fabric::{CmdId, IoType, NvmeCmd, Priority, SsdId, TenantId};
 use gimbal_repro::gimbal::scheduler::SchedPoll;
 use gimbal_repro::gimbal::{Params, VirtualSlotScheduler};
 use gimbal_repro::nic::CpuCost;
+use gimbal_repro::sim::stats::LatencySummary;
 use gimbal_repro::sim::{
     ArenaError, EventQueue, Histogram, IoArena, SimDuration, SimRng, SimTime, TokenBucket,
 };
@@ -71,6 +72,252 @@ fn histogram_quantiles_are_monotone() {
         assert!(h.quantile(0.0) >= h.min());
         assert!(h.quantile(1.0) <= h.max());
         assert_eq!(h.count(), values.len() as u64);
+    }
+}
+
+/// The dense histogram the range-sized [`Histogram`] replaced, kept as the
+/// **equivalence oracle**: one count per bucket over all of `u64` (59
+/// magnitudes × 64 sub-buckets), allocated up front. The range-sized
+/// histogram must report exactly what this one reports.
+struct DenseHistogram {
+    counts: Vec<u64>,
+    total: u64,
+    sum: u128,
+    min: u64,
+    max: u64,
+}
+
+impl DenseHistogram {
+    fn new() -> Self {
+        DenseHistogram {
+            counts: vec![0; 59 * 64],
+            total: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+
+    fn index_of(value: u64) -> usize {
+        if value < 64 {
+            return value as usize;
+        }
+        let magnitude = 63 - value.leading_zeros();
+        let sub = (value >> (magnitude - 6)) - 64;
+        (u64::from(magnitude - 5) * 64 + sub) as usize
+    }
+
+    fn value_of(idx: usize) -> u64 {
+        let (bucket, sub) = (idx as u64 >> 6, idx as u64 & 63);
+        if bucket == 0 {
+            sub
+        } else {
+            (sub + 64) << (bucket - 1)
+        }
+    }
+
+    fn record(&mut self, value: u64) {
+        self.counts[Self::index_of(value)] += 1;
+        self.total += 1;
+        self.sum += u128::from(value);
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+
+    fn mean(&self) -> f64 {
+        if self.total == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.total as f64
+        }
+    }
+
+    fn min(&self) -> u64 {
+        if self.total == 0 {
+            0
+        } else {
+            self.min
+        }
+    }
+
+    fn quantile(&self, q: f64) -> u64 {
+        if self.total == 0 {
+            return 0;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64).max(1);
+        let mut seen = 0;
+        for (idx, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return Self::value_of(idx).min(self.max).max(self.min);
+            }
+        }
+        self.max
+    }
+
+    fn merge(&mut self, other: &DenseHistogram) {
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
+        }
+        self.total += other.total;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
+    fn clear(&mut self) {
+        self.counts.iter_mut().for_each(|c| *c = 0);
+        self.total = 0;
+        self.sum = 0;
+        self.min = u64::MAX;
+        self.max = 0;
+    }
+
+    fn summary(&self) -> LatencySummary {
+        LatencySummary {
+            count: self.total,
+            mean_ns: self.mean(),
+            p50_ns: self.quantile(0.50),
+            p99_ns: self.quantile(0.99),
+            p999_ns: self.quantile(0.999),
+            max_ns: self.max,
+        }
+    }
+}
+
+/// A histogram and its dense oracle fed the same samples.
+struct HistPair {
+    range: Histogram,
+    dense: DenseHistogram,
+}
+
+impl HistPair {
+    fn new() -> Self {
+        HistPair {
+            range: Histogram::new(),
+            dense: DenseHistogram::new(),
+        }
+    }
+
+    fn record(&mut self, v: u64) {
+        self.range.record(v);
+        self.dense.record(v);
+    }
+
+    fn merge(&mut self, other: &HistPair) {
+        self.range.merge(&other.range);
+        self.dense.merge(&other.dense);
+    }
+
+    fn clear(&mut self) {
+        self.range.clear();
+        self.dense.clear();
+    }
+
+    fn assert_same(&self, ctx: &str) {
+        let (h, d) = (&self.range, &self.dense);
+        assert_eq!(h.count(), d.total, "{ctx}: count");
+        assert_eq!(h.mean().to_bits(), d.mean().to_bits(), "{ctx}: mean");
+        assert_eq!(h.min(), d.min(), "{ctx}: min");
+        assert_eq!(h.max(), d.max, "{ctx}: max");
+        for q in [0.5, 0.99, 0.999, 0.0, 1.0] {
+            assert_eq!(h.quantile(q), d.quantile(q), "{ctx}: quantile({q})");
+        }
+        assert_eq!(h.summary(), d.summary(), "{ctx}: summary");
+    }
+}
+
+/// A sample whose highest set bit is `magnitude` (0 for magnitude 0 draws
+/// 0 or 1), with random lower bits.
+fn sample_at(rng: &mut SimRng, magnitude: u32) -> u64 {
+    if magnitude == 0 {
+        return rng.gen_below(2);
+    }
+    (1u64 << magnitude) | (rng.next_u64() & ((1u64 << magnitude) - 1))
+}
+
+/// A sample with a magnitude drawn from `lo..=hi`.
+fn sample_in(rng: &mut SimRng, lo: u32, hi: u32) -> u64 {
+    let magnitude = lo + rng.gen_below(u64::from(hi - lo) + 1) as u32;
+    sample_at(rng, magnitude)
+}
+
+/// The range-sized histogram reports exactly what the dense histogram it
+/// replaced reports — count, mean, min, max, p50/p99/p99.9/0/1 and the
+/// summary — on seeded streams that hit both ends of `u64`, widen the range
+/// upward then downward, merge disjoint and overlapping ranges (and empty
+/// histograms) in both directions, and record again after `clear`.
+#[test]
+fn range_histogram_matches_dense_oracle() {
+    let empty = HistPair::new();
+    empty.assert_same("empty");
+    let mut meta = SimRng::new(0x9157_000D);
+    for case in 0..40 {
+        let mut rng = SimRng::new(meta.next_u64());
+
+        // Both ends of u64, around a random middle.
+        let mut ends = HistPair::new();
+        ends.record(sample_in(&mut rng, 10, 40));
+        ends.record(u64::MAX);
+        ends.assert_same(&format!("case {case}: u64::MAX"));
+        ends.record(0);
+        ends.assert_same(&format!("case {case}: 0 and u64::MAX"));
+
+        // Growth upward one magnitude at a time, then downward.
+        let start = 8 + rng.gen_below(40) as u32;
+        let mut grow = HistPair::new();
+        for m in start..64 {
+            for _ in 0..1 + rng.gen_below(20) {
+                grow.record(sample_at(&mut rng, m));
+            }
+            grow.assert_same(&format!("case {case}: up to magnitude {m}"));
+        }
+        for m in (0..start).rev() {
+            for _ in 0..1 + rng.gen_below(20) {
+                grow.record(sample_at(&mut rng, m));
+            }
+            grow.assert_same(&format!("case {case}: down to magnitude {m}"));
+        }
+
+        // Merges: disjoint ranges either way round, overlapping ranges,
+        // and empty histograms on either side.
+        let lo = rng.gen_below(20) as u32;
+        let ranges = [
+            ((lo, lo + 4), (lo + 20, lo + 30)),
+            ((lo + 20, lo + 30), (lo, lo + 4)),
+            ((lo, lo + 15), (lo + 10, lo + 25)),
+            ((lo + 10, lo + 25), (lo, lo + 15)),
+        ];
+        for (i, ((alo, ahi), (blo, bhi))) in ranges.into_iter().enumerate() {
+            let (mut a, mut b) = (HistPair::new(), HistPair::new());
+            for _ in 0..1 + rng.gen_below(300) {
+                a.record(sample_in(&mut rng, alo, ahi));
+            }
+            for _ in 0..1 + rng.gen_below(300) {
+                b.record(sample_in(&mut rng, blo, bhi));
+            }
+            a.merge(&b);
+            a.assert_same(&format!("case {case}: merge {i}"));
+            a.merge(&HistPair::new());
+            a.assert_same(&format!("case {case}: merge {i} with empty"));
+            let mut into_empty = HistPair::new();
+            into_empty.merge(&b);
+            into_empty.assert_same(&format!("case {case}: merge {i} into empty"));
+        }
+
+        // Clear, then samples below, inside and above the old range.
+        let mut cleared = HistPair::new();
+        for _ in 0..1 + rng.gen_below(200) {
+            cleared.record(sample_in(&mut rng, 20, 30));
+        }
+        cleared.clear();
+        cleared.assert_same(&format!("case {case}: cleared"));
+        for band in [(0, 10), (20, 30), (40, 63)] {
+            for _ in 0..1 + rng.gen_below(100) {
+                cleared.record(sample_in(&mut rng, band.0, band.1));
+            }
+            cleared.assert_same(&format!("case {case}: after clear, band {band:?}"));
+        }
     }
 }
 
@@ -183,6 +430,7 @@ fn ftl_mapping_consistency() {
             ..SsdConfig::default()
         };
         let mut ftl = Ftl::new(&cfg);
+        let mut lpns = Vec::new();
         let dies = cfg.dies();
         let mut die = 0u32;
         let steps = 1 + rng.gen_below(399);
@@ -194,8 +442,8 @@ fn ftl_mapping_consistency() {
                     // Keep a couple of free blocks via opportunistic GC.
                     if ftl.free_blocks(die) <= cfg.gc_low_watermark {
                         if let Some(victim) = ftl.pick_victim(die) {
-                            let work = ftl.gc_work(victim);
-                            for k in work.valid_lpns {
+                            ftl.gc_work_into(victim, &mut lpns);
+                            for &k in &lpns {
                                 ftl.write_to_die(u64::from(k), die, true);
                             }
                             ftl.erase(victim);
