@@ -125,37 +125,66 @@ impl RackConfig {
         self.io_bytes / 4096
     }
 
-    /// Panic on inconsistent configuration.
-    pub fn validate(&self) {
-        self.ssd.validate();
-        self.tor.validate();
-        assert!(self.nodes >= 1, "need at least one node");
-        assert!(self.ssds_per_node >= 1, "need at least one SSD per node");
-        assert!(self.clients >= 1 && self.queue_depth >= 1);
-        assert!(
-            (0.0..=1.0).contains(&self.read_ratio),
-            "read_ratio out of [0,1]"
-        );
-        assert!(
-            self.io_bytes >= 4096 && self.io_bytes.is_multiple_of(4096),
-            "io_bytes must be a positive multiple of 4 KiB"
-        );
+    /// Check this config's own top-level conditions (not those of its
+    /// nested configs); the error names the offending value.
+    pub fn check(&self) -> Result<(), String> {
+        if self.nodes == 0 {
+            return Err("need at least one node".into());
+        }
+        if self.ssds_per_node == 0 {
+            return Err("need at least one SSD per node".into());
+        }
+        if self.clients == 0 || self.queue_depth == 0 {
+            return Err(format!(
+                "clients ({}) and queue_depth ({}) must be at least 1",
+                self.clients, self.queue_depth
+            ));
+        }
+        if !(0.0..=1.0).contains(&self.read_ratio) {
+            return Err(format!("read_ratio {} out of [0, 1]", self.read_ratio));
+        }
+        if self.io_bytes < 4096 || !self.io_bytes.is_multiple_of(4096) {
+            return Err(format!(
+                "io_bytes {} must be a positive multiple of 4 KiB",
+                self.io_bytes
+            ));
+        }
         // One logical IO must map to exactly one physical IO per replica
         // (micro blobs are the replication unit), so it may not straddle a
         // micro-blob boundary.
-        assert!(
-            64u64.is_multiple_of(self.io_blocks()),
-            "io_bytes must divide the 256 KiB micro blob"
-        );
-        assert!(
-            self.file_blocks >= self.io_blocks(),
-            "file smaller than one IO"
-        );
-        assert!(
-            !self.replicate || self.backends() >= 2,
-            "replication needs at least two backends"
-        );
-        assert!(self.warmup <= self.duration, "warmup past the end");
+        if !64u64.is_multiple_of(self.io_blocks()) {
+            return Err(format!(
+                "io_bytes {} must divide the 256 KiB micro blob",
+                self.io_bytes
+            ));
+        }
+        if self.file_blocks < self.io_blocks() {
+            return Err(format!(
+                "file of {} blocks is smaller than one IO",
+                self.file_blocks
+            ));
+        }
+        if self.replicate && self.backends() < 2 {
+            return Err(format!(
+                "replication needs at least two backends, not {}",
+                self.backends()
+            ));
+        }
+        if self.warmup > self.duration {
+            return Err(format!(
+                "warmup {} past the end of duration {}",
+                self.warmup, self.duration
+            ));
+        }
+        Ok(())
+    }
+
+    /// Panic on inconsistent configuration, with [`Self::check`]'s message
+    /// for the top-level conditions.
+    pub fn validate(&self) {
+        self.ssd.validate();
+        self.tor.validate();
+        assert_eq!(self.check(), Ok(()), "invalid rack config");
         if let Some(fc) = &self.faults {
             fc.validate();
         }

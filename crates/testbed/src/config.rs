@@ -286,12 +286,30 @@ impl Default for TestbedConfig {
 }
 
 impl TestbedConfig {
-    /// Validate basic consistency.
+    /// Check this config's own top-level conditions (not those of its
+    /// nested configs); the error names the offending value.
+    pub fn check(&self) -> Result<(), String> {
+        if self.num_ssds == 0 {
+            return Err("num_ssds must be at least 1".into());
+        }
+        if self.cores == 0 {
+            return Err("cores must be at least 1".into());
+        }
+        if self.batch == 0 {
+            return Err("batch of 0 would coalesce nothing".into());
+        }
+        if self.warmup >= self.duration {
+            return Err(format!(
+                "duration {} must be longer than warmup {}",
+                self.duration, self.warmup
+            ));
+        }
+        Ok(())
+    }
+
+    /// Validate basic consistency; panics with [`Self::check`]'s message.
     pub fn validate(&self) {
-        assert!(self.num_ssds >= 1);
-        assert!(self.cores >= 1);
-        assert!(self.batch >= 1, "batch of 0 would coalesce nothing");
-        assert!(self.warmup < self.duration);
+        assert_eq!(self.check(), Ok(()), "invalid testbed config");
         self.ssd.validate();
         self.gimbal_params.validate();
         if let Some(f) = &self.faults {

@@ -315,6 +315,7 @@ fn parse(args: &[String]) -> Result<Run, String> {
             steal: stealing.then_some(steal),
             ..rack
         };
+        cfg.check()?;
         return Ok(Run::Rack(cfg, fault.to_string(), trace));
     }
 
@@ -325,13 +326,13 @@ fn parse(args: &[String]) -> Result<Run, String> {
     if cfg.cores == 0 {
         cfg.cores = cfg.num_ssds;
     }
+    cfg.batch = batch.unwrap_or(if mode == Mode::Scale { 32 } else { 1 });
+    cfg.check()?;
     if mode == Mode::Scale {
-        cfg.batch = batch.unwrap_or(32);
         cfg.steal = stealing.then_some(steal);
         let workers = scale_workers(scale_tenants, cfg.num_ssds);
         return Ok(Run::Scale(cfg, workers));
     }
-    cfg.batch = batch.unwrap_or(1);
     if workers.is_empty() {
         return Err("no --workers given".into());
     }
@@ -981,5 +982,23 @@ mod tests {
         ] {
             assert_eq!(parse_line(line).err().as_deref(), Some(msg), "`{line}`");
         }
+    }
+
+    /// Out-of-range values that pass flag parsing fail the config's
+    /// `check` and become usage errors instead of panics in `validate`.
+    #[test]
+    fn zero_duration_is_a_usage_error() {
+        assert_eq!(
+            parse_line("--workers 1x4k-read --duration-ms 0").err(),
+            Some("duration 0ns must be longer than warmup 0ns".into())
+        );
+    }
+
+    #[test]
+    fn rack_read_ratio_above_one_is_a_usage_error() {
+        assert_eq!(
+            parse_line("--rack-nodes 2 --rack-read-ratio 1.5").err(),
+            Some("read_ratio 1.5 out of [0, 1]".into())
+        );
     }
 }
