@@ -24,7 +24,7 @@ cargo test --release --offline --test scale -q
 
 echo "==> scale smoke (1k tenants, batched wheel hot path, 5 min wall budget)"
 timeout 300 cargo run --release --offline -q --bin jbofsim -- \
-    --scale 1000 --ssds 8 --duration-ms 200 --warmup-ms 50 --seed 42
+    --workers 1000x4k-read --ssds 8 --batch 32 --duration-ms 200 --warmup-ms 50 --seed 42
 
 echo "==> divergence sanitizer smoke (double run, journal comparison)"
 cargo run --release --offline -q --bin jbofsim -- \
@@ -76,9 +76,6 @@ cargo test --release --offline -p gimbal-testbed -q extra_kv_pumps_change_nothin
 echo "==> figures smoke (registry listing, argument handling on the static Table 2)"
 cargo run --release --offline -q -p gimbal-bench --bin figures -- list > /dev/null
 cargo run --release --offline -q -p gimbal-bench --bin figures -- --quick tab2_comparison > /dev/null
-
-echo "==> zero-alloc gates (disabled telemetry; all-denied broker poll + engine drains)"
-cargo bench --offline -q -p gimbal-bench --bench micro -- zero_alloc
 
 echo "==> jbof_bench (the standalone benchmark crate still builds against the core crates: its tests, then quick burst_skew, kv_ycsb_a and rack_failover runs through every gate)"
 cargo test --offline -q --manifest-path jbof_bench/Cargo.toml

@@ -25,7 +25,6 @@ use gimbal_repro::testbed::{
     cache_tier_wb, parse_workers, AdmissionPolicy, BrokerConfig, BrokerMode, FaultConfig,
     Precondition, Scheme, Testbed, TestbedConfig, WorkerSpec, WritePolicy,
 };
-use gimbal_repro::workload::FioSpec;
 use std::process::exit;
 
 fn usage() -> ! {
@@ -39,8 +38,7 @@ fn usage() -> ! {
          \x20              [--borrow] [--borrow-strict] [--borrow-mbps N]\n\
          \x20              [--borrow-epoch-ms N] [--placement]\n\
          \x20              [--steal] [--steal-rebalance-ms N] [--cores-sweep K[,K…]]\n\
-         \x20              [--batch N] [--scale TENANTS]\n\
-         \x20              [--sanitize] --workers SPEC[,SPEC…]\n\
+         \x20              [--batch N] [--sanitize] --workers SPEC[,SPEC…]\n\
          \x20      rack mode: --rack-nodes N [--rack-ssds-per-node N]\n\
          \x20              [--rack-clients N] [--rack-qd N] [--rack-read-ratio F]\n\
          \x20              [--rack-fault none|node-death|gc-storm|partition]\n\
@@ -51,8 +49,6 @@ fn usage() -> ! {
          \x20      --cores-sweep: the fio flags except --cores, --steal, --sanitize,\n\
          \x20          --trace-out and --trace-format (the sweep sets cores and\n\
          \x20          stealing itself)\n\
-         \x20      --scale: the fio flags except --workers, --cores-sweep,\n\
-         \x20          --sanitize, --trace-out and --trace-format\n\
          \x20      --rack-nodes: --rack-*, --scheme, --precondition, --duration-ms,\n\
          \x20          --warmup-ms, --seed, --sanitize, --steal, --steal-rebalance-ms,\n\
          \x20          --trace-out, --trace-format, --borrow, --borrow-strict,\n\
@@ -88,9 +84,6 @@ fn usage() -> ! {
          --batch coalesces up to N same-instant command arrivals per SSD into\n\
          \x20      one pipeline quantum (default 1 = off; digests are stable\n\
          \x20      across batch sizes — see tests/trace_conformance.rs)\n\
-         --scale runs the hot-path bench: TENANTS synthesized 4 KiB readers\n\
-         \x20      spread round-robin over the SSDs, batching on (default 32),\n\
-         \x20      wall-clock events/sec reported\n\
          --rack-nodes switches to the rack testbed: N JBOF nodes behind a\n\
          \x20      deterministic ToR with GC/failure-aware routing; --rack-fault\n\
          \x20      injects a canonical mid-run fault (node-death kills node 1,\n\
@@ -104,13 +97,12 @@ fn usage() -> ! {
     exit(2);
 }
 
-/// Which run a command line selects: `--rack-nodes`, else `--scale`, else
-/// `--cores-sweep`, else a fio run.
+/// Which run a command line selects: `--rack-nodes`, else `--cores-sweep`,
+/// else a fio run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Mode {
     Fio,
     CoresSweep,
-    Scale,
     Rack,
 }
 
@@ -119,14 +111,12 @@ impl Mode {
         match self {
             Mode::Fio => "fio",
             Mode::CoresSweep => "--cores-sweep",
-            Mode::Scale => "--scale",
             Mode::Rack => "rack",
         }
     }
 
     /// Whether a run of this mode reads `flag`. The sweep sets cores and
-    /// stealing itself; `--scale` is a wall-clock bench that neither
-    /// double-runs nor traces; the rack engine has no migration hook
+    /// stealing itself; the rack engine has no migration hook
     /// (`--placement`), cache, batching or fio workers.
     fn reads(self, flag: &str) -> bool {
         const RACK_READS: &str = "--scheme --precondition --duration-ms --warmup-ms --seed \
@@ -136,7 +126,6 @@ impl Mode {
         match self {
             Mode::Fio => !rack,
             Mode::CoresSweep => !rack && !observed && !matches!(flag, "--steal" | "--cores"),
-            Mode::Scale => !rack && !observed && !matches!(flag, "--workers" | "--cores-sweep"),
             Mode::Rack => rack || observed || RACK_READS.split_whitespace().any(|f| f == flag),
         }
     }
@@ -155,7 +144,6 @@ enum Run {
     Fio(TestbedConfig, Vec<WorkerSpec>, Option<TraceOut>),
     /// The config's `steal` is the sweep's steal-on setting.
     CoresSweep(TestbedConfig, Vec<WorkerSpec>, Vec<u32>),
-    Scale(TestbedConfig, Vec<WorkerSpec>),
     /// The config, the `--rack-fault` kind and the trace output.
     Rack(RackConfig, String, Option<TraceOut>),
 }
@@ -181,11 +169,8 @@ fn parse(args: &[String]) -> Result<Run, String> {
     let (mut broker, mut brokered) = (BrokerConfig::default(), false);
     let (mut steal, mut stealing) = (StealConfig::default(), false);
     let (mut trace_out, mut trace_chrome) = (None, true);
-    // `None` = default: 1 (off) for normal runs, 32 for `--scale`.
-    let mut batch = None;
     let mut workers: Vec<&str> = Vec::new();
     let mut sweep = Vec::new();
-    let mut scale_tenants = 0u32;
     let mut fault = "none";
     let mut seen = Vec::new();
     let mut args = args.iter();
@@ -249,11 +234,7 @@ fn parse(args: &[String]) -> Result<Run, String> {
             }
             "--batch" => match num(value()?)? {
                 0 => return Err("--batch must be >= 1".into()),
-                n => batch = Some(n),
-            },
-            "--scale" => match num(value()?)? {
-                0 => return Err("--scale needs at least one tenant".into()),
-                n => scale_tenants = n,
+                n => cfg.batch = n,
             },
             "--cores-sweep" => {
                 for k in value()?.split(',') {
@@ -283,8 +264,6 @@ fn parse(args: &[String]) -> Result<Run, String> {
     let given = |f: &str| seen.contains(&f);
     let mode = if given("--rack-nodes") {
         Mode::Rack
-    } else if given("--scale") {
-        Mode::Scale
     } else if given("--cores-sweep") {
         Mode::CoresSweep
     } else {
@@ -326,13 +305,7 @@ fn parse(args: &[String]) -> Result<Run, String> {
     if cfg.cores == 0 {
         cfg.cores = cfg.num_ssds;
     }
-    cfg.batch = batch.unwrap_or(if mode == Mode::Scale { 32 } else { 1 });
     cfg.check()?;
-    if mode == Mode::Scale {
-        cfg.steal = stealing.then_some(steal);
-        let workers = scale_workers(scale_tenants, cfg.num_ssds);
-        return Ok(Run::Scale(cfg, workers));
-    }
     if workers.is_empty() {
         return Err("no --workers given".into());
     }
@@ -369,20 +342,6 @@ fn rack_fault_config(kind: &str, duration_ms: u64) -> Result<Option<FaultConfig>
         suspect_after: 2,
     };
     Ok(Some(FaultConfig { plan, retry }))
-}
-
-/// The `--scale` workload: `tenants` 4 KiB readers over disjoint LBA
-/// regions, round-robin across the SSDs.
-fn scale_workers(tenants: u32, ssds: u32) -> Vec<WorkerSpec> {
-    let cap_blocks = 512 * 1024 * 1024 / 4096u64;
-    let per_region = (cap_blocks / u64::from(tenants).max(1)).max(1);
-    (0..tenants)
-        .map(|i| {
-            let start = u64::from(i) * per_region % cap_blocks;
-            let fio = FioSpec::paper_default(1.0, 4096, start, per_region);
-            WorkerSpec::new("scale", fio).on_ssd(i % ssds)
-        })
-        .collect()
 }
 
 /// Whole milliseconds of a duration, as the banners print them.
@@ -570,34 +529,6 @@ fn run_cores_sweep(template: &TestbedConfig, workers: &[WorkerSpec], sweep: &[u3
     println!("best steal win across the sweep: {headline:.1}%");
 }
 
-/// The `--scale` hot-path bench: reports wall-clock events/sec for the
-/// whole simulation.
-fn run_scale(cfg: TestbedConfig, workers: Vec<WorkerSpec>) {
-    eprintln!(
-        "jbofsim scale: {} tenants over {} SSDs x {} cores, scheme {}, batch {}, {} ms",
-        workers.len(),
-        cfg.num_ssds,
-        cfg.cores,
-        cfg.scheme.name(),
-        cfg.batch,
-        ms(cfg.duration)
-    );
-    let t0 = std::time::Instant::now();
-    let res = Testbed::new(cfg, workers).run();
-    let wall = t0.elapsed();
-    let wall_ms = wall.as_secs_f64() * 1e3;
-    let events_per_sec = res.events_processed as f64 / wall.as_secs_f64().max(1e-9);
-    let total_ios: u64 = res.ssd_stats.iter().map(|s| s.reads + s.writes).sum();
-    let total_mbps = res.aggregate_bps(|_| true) / 1e6;
-
-    println!(
-        "scale: {} events in {wall_ms:.0} ms = {:.2} M events/s, {} device IOs, {total_mbps:.0} MB/s",
-        res.events_processed,
-        events_per_sec / 1e6,
-        total_ios
-    );
-}
-
 fn run_fio(cfg: TestbedConfig, workers: Vec<WorkerSpec>, trace: Option<TraceOut>) {
     eprintln!(
         "jbofsim: {} workers, scheme {}, {:?} SSD ×{}, {} ms ({} ms warmup)",
@@ -680,7 +611,6 @@ fn main() {
         }
         Ok(Run::Fio(cfg, workers, trace)) => run_fio(cfg, workers, trace),
         Ok(Run::CoresSweep(cfg, workers, sweep)) => run_cores_sweep(&cfg, &workers, &sweep),
-        Ok(Run::Scale(cfg, workers)) => run_scale(cfg, workers),
         Ok(Run::Rack(cfg, fault, trace)) => run_rack(cfg, &fault, trace),
     }
 }
@@ -720,10 +650,10 @@ mod tests {
 
     #[test]
     fn check_script_commands_parse_to_their_configs() {
-        let Run::Scale(cfg, workers) =
-            parsed("--scale 1000 --ssds 8 --duration-ms 200 --warmup-ms 50 --seed 42")
-        else {
-            panic!("not a scale run")
+        let line = "--workers 1000x4k-read --ssds 8 --batch 32 --duration-ms 200 \
+                    --warmup-ms 50 --seed 42";
+        let Run::Fio(cfg, workers, None) = parsed(line) else {
+            panic!("not an untraced fio run")
         };
         let want = TestbedConfig {
             num_ssds: 8,
@@ -829,7 +759,7 @@ mod tests {
     }
 
     /// One valid value per flag (`None` for a switch).
-    const FLAGS: [(&str, Option<&str>); 32] = [
+    const FLAGS: [(&str, Option<&str>); 31] = [
         ("--scheme", Some("parda")),
         ("--precondition", Some("fragmented")),
         ("--duration-ms", Some("100")),
@@ -851,7 +781,6 @@ mod tests {
         ("--steal-rebalance-ms", Some("5")),
         ("--cores-sweep", Some("1,2")),
         ("--batch", Some("4")),
-        ("--scale", Some("8")),
         ("--sanitize", None),
         ("--workers", Some("1x4k-read")),
         ("--rack-nodes", Some("3")),
@@ -880,26 +809,19 @@ mod tests {
             "--batch",
             "--workers",
             "--cores-sweep",
-            "--scale",
         ];
         let observed = ["--sanitize", "--trace-out", "--trace-format"];
-        let table: [(&str, &str, Vec<&str>, &[&str]); 4] = [
+        let table: [(&str, &str, Vec<&str>, &[&str]); 3] = [
             (
                 "--workers 1x4k-read",
                 "fio",
                 vec![],
-                &["--cores-sweep", "--scale", "--rack-nodes"],
+                &["--cores-sweep", "--rack-nodes"],
             ),
             (
                 "--cores-sweep 1 --workers 1x4k-read",
                 "--cores-sweep",
                 [&observed[..], &["--steal", "--cores"]].concat(),
-                &["--scale", "--rack-nodes"],
-            ),
-            (
-                "--scale 4",
-                "--scale",
-                [&observed[..], &["--workers", "--cores-sweep"]].concat(),
                 &["--rack-nodes"],
             ),
             ("--rack-nodes 2", "rack", vec![], &[]),
@@ -964,6 +886,7 @@ mod tests {
     fn usage_errors_carry_their_message() {
         for (line, msg) in [
             ("--frob", "unknown flag --frob"),
+            ("--scale 1000", "unknown flag --scale"),
             ("--batch 0 --workers 1x4k-read", "--batch must be >= 1"),
             ("--duration-ms 100", "no --workers given"),
             ("--workers 4x4k-foo", "bad worker spec: 4x4k-foo"),

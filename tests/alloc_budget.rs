@@ -1,5 +1,11 @@
 //! Allocation budget: the per-op paths of the KV, rack and fio engines do
-//! not allocate in steady state.
+//! not allocate in steady state, and two hot paths never allocate at all.
+//!
+//! Two zero-allocation gates run first: a disabled `TraceHandle` doing
+//! record, observe and gauge (the off-by-default telemetry policy), and the
+//! broker-gated `Pipeline` poll with every tenant denied, plus the engines'
+//! drains (broker journal visited in place, outputs swapped into a recycled
+//! buffer).
 //!
 //! A counting global allocator tallies every allocation made while `run()`
 //! executes (construction and preload are excluded), and the test divides
@@ -17,15 +23,21 @@
 //! This file holds exactly one `#[test]`: the counter is process-wide, so a
 //! second test running on another thread would pollute it.
 
+use gimbal_repro::broker::{BrokerConfig, BrokerHandle};
 use gimbal_repro::cores::StealConfig;
-use gimbal_repro::fabric::RetryConfig;
+use gimbal_repro::fabric::{CmdId, IoType, NvmeCmd, Priority, RetryConfig, SsdId, TenantId};
+use gimbal_repro::nic::CpuCost;
 use gimbal_repro::rack::{RackConfig, RackTestbed};
 use gimbal_repro::sim::{FaultPlan, SimDuration, SimTime};
+use gimbal_repro::ssd::NullDevice;
+use gimbal_repro::switch::{FifoPolicy, Pipeline, PipelineConfig, PipelineOut};
+use gimbal_repro::telemetry::{EventKind, TraceHandle};
 use gimbal_repro::testbed::{
     FaultConfig, KvTestbed, KvTestbedConfig, Precondition, Testbed, TestbedConfig, WorkerSpec,
 };
 use gimbal_repro::workload::FioSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
@@ -58,8 +70,118 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (r, ALLOCS.load(Ordering::Relaxed) - before)
 }
 
+fn write_cmd(id: u64, tenant: u32) -> NvmeCmd {
+    NvmeCmd {
+        id: CmdId(id),
+        tenant: TenantId(tenant),
+        ssd: SsdId(0),
+        opcode: IoType::Write,
+        lba: 0,
+        len: 128 * 1024,
+        priority: Priority::NORMAL,
+        issued_at: SimTime::ZERO,
+        wal: None,
+    }
+}
+
+/// With tracing disabled, the record/observe/gauge paths must not allocate.
+fn disabled_telemetry_is_zero_alloc() {
+    let handle = TraceHandle::disabled();
+    let mut t = 0u64;
+    let ((), allocs) = counted(|| {
+        for _ in 0..200_000u64 {
+            t += 1;
+            handle.record(
+                SimTime::from_nanos(t),
+                SsdId(0),
+                Some(TenantId(0)),
+                EventKind::CreditGranted { credit: 1 },
+            );
+            handle.observe("device_latency_ns", TenantId(0), t);
+            handle.set_gauge("target_bytes_sent", t as f64);
+        }
+    });
+    assert_eq!(allocs, 0, "disabled telemetry hot path allocated {allocs}x");
+}
+
+/// The broker-gated submit path at its worst: every tenant parked behind a
+/// denial, every poll re-asking the ledger for each of them. With warm
+/// buffers, the poll plus the engines' drains must not allocate.
+fn all_denied_broker_poll_is_zero_alloc() {
+    const TENANTS: u32 = 4;
+    let broker = BrokerHandle::new(
+        BrokerConfig {
+            capacity_bps: 1_000_000,
+            burst_bytes: 128 * 1024,
+            ..BrokerConfig::default()
+        },
+        TraceHandle::disabled(),
+    );
+    let mut p = Pipeline::new(
+        SsdId(0),
+        NullDevice::new(),
+        Box::new(FifoPolicy::new()),
+        PipelineConfig {
+            cpu_cost: CpuCost::arm_vanilla(),
+            null_device: true,
+            cache: None,
+            broker: Some(broker.clone()),
+        },
+    );
+    let mut outs: Vec<PipelineOut> = Vec::new();
+    let mut pump = |p: &mut Pipeline<NullDevice>, now: SimTime| {
+        p.poll(now);
+        broker.drain_journal_with(|op, key| {
+            black_box((op, key));
+        });
+        p.take_outputs_into(&mut outs);
+        for out in outs.drain(..) {
+            black_box(out);
+        }
+        black_box(p.next_event_at());
+    };
+    // Warm-up: each tenant spends its burst (borrowing on the way, so the
+    // journal buffer grows) and leaves seven 128 KiB writes parked. At
+    // 250 KB/s per tenant the next grant is half a second away.
+    let mut id = 0u64;
+    for _ in 0..8 {
+        for t in 0..TENANTS {
+            p.on_command(write_cmd(id, t), SimTime::ZERO);
+            id += 1;
+        }
+    }
+    let mut t = 0u64;
+    for _ in 0..1_000 {
+        t += 1_000;
+        pump(&mut p, SimTime::from_nanos(t));
+    }
+    assert_eq!(
+        p.in_progress(),
+        7 * TENANTS as usize,
+        "all but the bursts parked"
+    );
+    let denials = broker.stats().denials;
+    let ((), allocs) = counted(|| {
+        for _ in 0..100_000u64 {
+            t += 1;
+            pump(&mut p, SimTime::from_nanos(t));
+        }
+    });
+    assert_eq!(
+        broker.stats().denials - denials,
+        100_000 * u64::from(TENANTS),
+        "every tenant must be denied on every poll"
+    );
+    assert_eq!(allocs, 0, "all-denied broker poll allocated {allocs}x");
+}
+
 #[test]
 fn per_op_paths_stay_within_the_allocation_budget() {
+    // First: these gates allow no allocation at all, and the harness's
+    // slow-test warning (after 60 s) allocates on another thread.
+    disabled_telemetry_is_zero_alloc();
+    all_denied_broker_poll_is_zero_alloc();
+
     const BUDGET: f64 = 0.25;
     // The fan-out row measures 0.0081 allocs/op; a wheel whose slots keep
     // their own high-water buffers measured 0.0233 on the same run.

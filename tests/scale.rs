@@ -14,28 +14,10 @@
 
 use gimbal_repro::sim::SimDuration;
 use gimbal_repro::telemetry::TraceConfig;
-use gimbal_repro::testbed::{RunResult, Scheme, Testbed, TestbedConfig, WorkerSpec};
-use gimbal_repro::workload::FioSpec;
+use gimbal_repro::testbed::{parse_workers, RunResult, Scheme, Testbed, TestbedConfig};
 
-const CAP_BLOCKS: u64 = 512 * 1024 * 1024 / 4096;
-
-/// The jbofsim `--scale` tenant population: 4 KiB closed-loop readers over
-/// disjoint LBA regions, round-robin across the SSDs.
-fn scale_workers(tenants: u32, ssds: u32) -> Vec<WorkerSpec> {
-    let per_region = (CAP_BLOCKS / u64::from(tenants).max(1)).max(1);
-    (0..tenants)
-        .map(|i| {
-            let fio = FioSpec::paper_default(
-                1.0,
-                4096,
-                u64::from(i) * per_region % CAP_BLOCKS,
-                per_region,
-            );
-            WorkerSpec::new("scale", fio).on_ssd(i % ssds)
-        })
-        .collect()
-}
-
+/// `tenants` 4 KiB closed-loop readers over disjoint LBA regions,
+/// round-robin across the SSDs (`jbofsim --workers {tenants}x4k-read`).
 fn run(scheme: Scheme, tenants: u32, ssds: u32, ms: u64, sanitize: bool) -> RunResult {
     let cfg = TestbedConfig {
         scheme,
@@ -48,7 +30,8 @@ fn run(scheme: Scheme, tenants: u32, ssds: u32, ms: u64, sanitize: bool) -> RunR
         trace: (!sanitize).then(TraceConfig::default),
         ..TestbedConfig::default()
     };
-    Testbed::new(cfg, scale_workers(tenants, ssds)).run()
+    let workers = parse_workers(&format!("{tenants}x4k-read"), ssds).unwrap();
+    Testbed::new(cfg, workers).run()
 }
 
 const SCHEMES: [Scheme; 4] = [
@@ -117,8 +100,8 @@ fn thousand_tenant_double_run_is_bit_identical() {
 }
 
 /// The batch knob at scale is still inert at 1: a batch-1 run and a
-/// default-config run are the same simulation, digest for digest, so the
-/// scale mode's batching default cannot leak into unbatched experiments.
+/// default-config run are the same simulation, digest for digest, so
+/// batching stays opt-in and cannot leak into unbatched experiments.
 #[test]
 fn batch_one_at_scale_matches_default_config() {
     let (tenants, ssds, ms) = if cfg!(debug_assertions) {
@@ -136,7 +119,8 @@ fn batch_one_at_scale_matches_default_config() {
             sanitize: true,
             ..TestbedConfig::default()
         };
-        Testbed::new(cfg, scale_workers(tenants, ssds)).run()
+        let workers = parse_workers(&format!("{tenants}x4k-read"), ssds).unwrap();
+        Testbed::new(cfg, workers).run()
     };
     let batched = mk(1);
     let default = mk(TestbedConfig::default().batch);
