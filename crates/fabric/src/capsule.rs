@@ -106,14 +106,6 @@ pub struct NvmeCompletion {
     pub completed_at: SimTime,
 }
 
-impl NvmeCompletion {
-    /// Target-side service latency (issue-to-completion at the target,
-    /// excluding the return trip to the client).
-    pub fn target_latency(&self) -> gimbal_sim::SimDuration {
-        self.completed_at.since(self.issued_at)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,7 +145,6 @@ mod tests {
             issued_at: SimTime::from_micros(10),
             completed_at: SimTime::from_micros(95),
         };
-        assert_eq!(c.target_latency().as_micros(), 85);
         assert!(c.status.is_success());
     }
 }

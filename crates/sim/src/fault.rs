@@ -228,12 +228,6 @@ impl FaultPlan {
         &mut self.nodes[node]
     }
 
-    /// Builder: add a fabric burst-loss window.
-    pub fn with_burst_window(mut self, w: FaultWindow) -> Self {
-        self.burst_windows.push(w);
-        self
-    }
-
     /// Builder: kill node `node` at `at` (intermediate entries pad fault-free).
     pub fn with_node_death(mut self, node: usize, at: SimTime) -> Self {
         self.node_mut(node).die_at = Some(at);
@@ -412,9 +406,13 @@ mod tests {
     fn overlapping_burst_windows_drop_each_capsule_once() {
         // Two windows covering the same instant must not double-count a drop
         // or consume extra randomness: `in_burst` is a pure any() predicate.
-        let plan = FaultPlan::default()
-            .with_burst_window(FaultWindow::new(t(100), t(300)))
-            .with_burst_window(FaultWindow::new(t(200), t(400)));
+        let plan = FaultPlan {
+            burst_windows: vec![
+                FaultWindow::new(t(100), t(300)),
+                FaultWindow::new(t(200), t(400)),
+            ],
+            ..FaultPlan::default()
+        };
         let mut inj = FaultInjector::new(plan, 1);
         assert!(inj.drop_command(t(250)), "inside both windows");
         assert_eq!(inj.cmd_drops, 1, "one capsule, one drop");

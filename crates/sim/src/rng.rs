@@ -96,15 +96,6 @@ impl SimRng {
         self.gen_f64() < p
     }
 
-    /// Exponentially distributed value with the given mean (for Poisson
-    /// arrival processes in open-loop workloads).
-    #[inline]
-    pub fn gen_exp(&mut self, mean: f64) -> f64 {
-        debug_assert!(mean > 0.0);
-        // Avoid ln(0); gen_f64 is in [0,1) so 1-u is in (0,1].
-        -mean * (1.0 - self.gen_f64()).ln()
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -159,14 +150,6 @@ mod tests {
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| rng.gen_f64()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean} too far from 0.5");
-    }
-
-    #[test]
-    fn gen_exp_has_requested_mean() {
-        let mut rng = SimRng::new(5);
-        let n = 200_000;
-        let mean: f64 = (0..n).map(|_| rng.gen_exp(3.0)).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.05, "mean {mean} too far from 3.0");
     }
 
     #[test]

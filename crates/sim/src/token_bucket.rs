@@ -60,13 +60,6 @@ impl TokenBucket {
         self.last_refill = self.last_refill.max(now);
     }
 
-    /// Change the refill rate of a self-refilling bucket (tokens accrued so
-    /// far are kept).
-    pub fn set_rate(&mut self, now: SimTime, bytes_per_sec: f64) {
-        self.refill(now);
-        self.rate = bytes_per_sec.max(0.0);
-    }
-
     /// Deposit `amount` tokens, returning the overflow that did not fit.
     pub fn deposit(&mut self, amount: f64) -> f64 {
         let space = self.capacity - self.tokens;
@@ -184,16 +177,5 @@ mod tests {
         assert!(b.time_until_available(now, 200_000).is_none(), "over cap");
         b.refill(at);
         assert!(b.time_until_available(at, 50_000).is_none());
-    }
-
-    #[test]
-    fn set_rate_preserves_accrued_tokens() {
-        let mut b = TokenBucket::with_rate(1_000_000.0, 1_000_000);
-        b.discard();
-        b.refill(SimTime::ZERO);
-        b.set_rate(SimTime::from_millis(100), 2_000_000.0); // accrued 100 KB first
-        assert!((b.tokens() - 100_000.0).abs() < 1.0);
-        b.refill(SimTime::from_millis(200)); // +200 KB at the new rate
-        assert!((b.tokens() - 300_000.0).abs() < 1.0);
     }
 }

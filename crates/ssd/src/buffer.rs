@@ -72,11 +72,6 @@ impl WriteBuffer {
     pub fn capacity(&self) -> u64 {
         self.capacity_pages
     }
-
-    /// Occupancy as a fraction of capacity.
-    pub fn fill_ratio(&self) -> f64 {
-        self.occupied_pages as f64 / self.capacity_pages as f64
-    }
 }
 
 #[cfg(test)]
@@ -103,7 +98,6 @@ mod tests {
         b.admit(0);
         b.admit(1);
         assert!(!b.has_space(1));
-        assert_eq!(b.fill_ratio(), 1.0);
         b.release(0);
         assert!(b.has_space(1));
     }

@@ -134,11 +134,6 @@ impl SsdConfig {
         self.pages_per_block * self.slots_per_nand_page()
     }
 
-    /// Bytes per erase block.
-    pub fn block_bytes(&self) -> u64 {
-        u64::from(self.pages_per_block) * self.nand_page_bytes
-    }
-
     /// Erase blocks per die needed to hold the logical capacity exactly.
     pub fn data_blocks_per_die(&self) -> u32 {
         self.logical_pages()
@@ -207,7 +202,6 @@ mod tests {
         assert_eq!(c.dies(), 32);
         assert_eq!(c.slots_per_nand_page(), 4);
         assert_eq!(c.slots_per_block(), 64);
-        assert_eq!(c.block_bytes(), 256 * 1024);
         assert_eq!(c.slots_per_program(), 8);
     }
 

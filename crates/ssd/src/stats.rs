@@ -39,16 +39,6 @@ impl SsdStats {
         self.ftl.write_amplification()
     }
 
-    /// Fraction of read chunks served from the write buffer.
-    pub fn buffer_hit_ratio(&self) -> f64 {
-        let total = self.buffer_read_hits + self.nand_read_chunks;
-        if total == 0 {
-            0.0
-        } else {
-            self.buffer_read_hits as f64 / total as f64
-        }
-    }
-
     /// Fold the traffic, buffer and FTL counters into a run digest, in
     /// declaration order. The fault counters (`failed_cmds`,
     /// `injected_transient_errors`, `stalled_cmds`) are not folded.
@@ -74,10 +64,6 @@ mod tests {
     #[test]
     fn derived_ratios() {
         let mut s = SsdStats::default();
-        assert_eq!(s.buffer_hit_ratio(), 0.0);
-        s.buffer_read_hits = 1;
-        s.nand_read_chunks = 3;
-        assert_eq!(s.buffer_hit_ratio(), 0.25);
         s.ftl.host_slot_writes = 10;
         s.ftl.gc_slot_writes = 30;
         assert_eq!(s.write_amplification(), 4.0);

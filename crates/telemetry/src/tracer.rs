@@ -234,22 +234,6 @@ impl TraceHandle {
         }
     }
 
-    /// Batched [`Self::observe`]: record a poll's worth of samples into the
-    /// per-tenant histograms of `name` under **one** tracer borrow instead of
-    /// one per IO — the engines' per-batch telemetry flush. Samples land in
-    /// slice order, so the digest is identical to per-sample `observe` calls
-    /// in the same order; no-op when disabled.
-    #[inline]
-    pub fn observe_many(&self, name: &'static str, samples: &[(TenantId, u64)]) {
-        if let Some(t) = &self.inner {
-            let mut t = t.borrow_mut();
-            let metrics = t.metrics_mut();
-            for &(tenant, value) in samples {
-                metrics.observe(name, tenant, value);
-            }
-        }
-    }
-
     /// Set a gauge; no-op when disabled.
     #[inline]
     pub fn set_gauge(&self, name: &'static str, value: f64) {
@@ -335,29 +319,6 @@ mod tests {
         );
         assert_eq!(snap.metrics.counter("c"), 2);
         assert!(snap.metrics.tenant_histogram("lat", TenantId(3)).is_some());
-    }
-
-    #[test]
-    fn observe_many_is_digest_identical_to_per_sample_observe() {
-        let samples = [(TenantId(0), 10), (TenantId(1), 20), (TenantId(0), 30)];
-        let batched = {
-            let tracer = Rc::new(RefCell::new(Tracer::new(TraceConfig::default())));
-            let h = TraceHandle::attached(&tracer);
-            h.observe_many("lat", &samples);
-            let snap = tracer.borrow_mut().finish();
-            snap.digest()
-        };
-        let unbatched = {
-            let tracer = Rc::new(RefCell::new(Tracer::new(TraceConfig::default())));
-            let h = TraceHandle::attached(&tracer);
-            for &(tenant, value) in &samples {
-                h.observe("lat", tenant, value);
-            }
-            let snap = tracer.borrow_mut().finish();
-            snap.digest()
-        };
-        assert_eq!(batched, unbatched);
-        TraceHandle::disabled().observe_many("lat", &samples); // must not panic
     }
 
     #[test]
