@@ -89,18 +89,6 @@ impl FlashFqPolicy {
             queued: 0,
         }
     }
-
-    /// Set a tenant's weight (default 1.0).
-    pub fn set_weight(&mut self, tenant: TenantId, weight: f64) {
-        assert!(weight > 0.0);
-        self.tenants
-            .get_or_insert_with(tenant, || Tenant {
-                queue: VecDeque::new(),
-                last_finish: 0.0,
-                weight: 1.0,
-            })
-            .weight = weight;
-    }
 }
 
 impl Default for FlashFqPolicy {
@@ -281,23 +269,5 @@ mod tests {
             (reads as i64 - writes as i64).abs() <= 2,
             "{reads} vs {writes}"
         );
-    }
-
-    #[test]
-    fn weights_shift_share() {
-        let mut p = FlashFqPolicy::default();
-        p.set_weight(TenantId(0), 2.0);
-        let mut id = 0;
-        for _ in 0..90 {
-            p.on_arrival(req(id, 0, IoType::Read, 4096), SimTime::ZERO);
-            id += 1;
-            p.on_arrival(req(id, 1, IoType::Read, 4096), SimTime::ZERO);
-            id += 1;
-        }
-        let subs = drain(&mut p, 0, 60);
-        let heavy = subs.iter().filter(|r| r.cmd.tenant.0 == 0).count() as f64;
-        let light = subs.iter().filter(|r| r.cmd.tenant.0 == 1).count() as f64;
-        let ratio = heavy / light.max(1.0);
-        assert!((1.5..2.6).contains(&ratio), "weighted ratio {ratio}");
     }
 }

@@ -7,6 +7,11 @@
 //! Figure rows go to stdout, per-figure wall time to stderr.
 //!
 //! [`figs::ALL`]: gimbal_bench::figs::ALL
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "a CLI: it reads its arguments and times each figure on the host clock; no simulation sees either"
+)]
 
 use gimbal_bench::figs::{ALL, SCOREBOARD};
 use std::process::ExitCode;

@@ -266,7 +266,7 @@ mod tests {
     #[test]
     fn distinct_lbas_across_all_allocations() {
         let mut a = hba(2);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..200 {
             let m = a.alloc_micro(|_| 1.0, None).unwrap();
             assert!(seen.insert((m.backend, m.lba)), "duplicate {m:?}");

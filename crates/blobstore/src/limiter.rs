@@ -8,6 +8,8 @@
 //! backend choice ("we simply rely on the number of allocated credits to
 //! decide the loading status on the target").
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::allocator::BackendId;
 use crate::error::BlobError;
 use gimbal_fabric::HealthScore;

@@ -35,6 +35,11 @@
 //!
 //! [`Component::Broker`]: gimbal_telemetry::Component::Broker
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "D8 owner: the pipelines of a node charge one broker through a BrokerHandle"
+)]
+
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;

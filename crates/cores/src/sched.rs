@@ -5,6 +5,11 @@
 //! for the determinism argument (quantum granularity, fixed steal ring,
 //! epoch rebalance).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "D8 owner: the scheduler lends its cores to the pipelines it places on them"
+)]
+
 use gimbal_fabric::SsdId;
 use gimbal_nic::Core;
 use gimbal_sim::{Digest, SimDuration, SimTime};

@@ -15,6 +15,8 @@
 //! * EWMA beyond `Thresh_max` means *overloaded*, below `Thresh_min` means
 //!   *under-utilized*.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::params::Params;
 use gimbal_sim::{Ewma, SimDuration};
 

@@ -8,6 +8,8 @@
 //! queues locally ("busy device"), which is what keeps queue buildup off the
 //! switch ingress and bounds end-to-end latency (§5.4).
 
+#![deny(clippy::cast_possible_truncation)]
+
 use gimbal_fabric::NvmeCompletion;
 use gimbal_sim::SimTime;
 use gimbal_switch::ClientPolicy;

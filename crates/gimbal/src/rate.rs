@@ -16,6 +16,8 @@
 //! buckets in write-cost proportion (`wc/(1+wc)` to reads, `1/(1+wc)` to
 //! writes); a full bucket's overflow spills to its sibling (Algorithm 4).
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::congestion::{CongestionState, LatencyMonitor};
 use crate::params::Params;
 use gimbal_fabric::{IoType, SsdId};

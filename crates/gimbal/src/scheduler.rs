@@ -18,6 +18,8 @@
 //! drawn from three client-tagged priority queues by weighted round-robin,
 //! letting latency-sensitive IOs overtake bulk traffic without starving it.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::params::Params;
 use gimbal_fabric::{CmdId, IoType, Priority, SsdId, TenantId};
 use gimbal_sim::cast;
@@ -218,6 +220,10 @@ impl VirtualSlotScheduler {
         // Deficits grow by one quantum per rotation and the costliest
         // request is `write_cost_worst` quanta, so this many visits
         // guarantees progress or emptiness.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "write_cost_worst is validated ≥ 1 and small; the budget only bounds the visits"
+        )]
         let mut budget = (self.params.write_cost_worst as usize + 2) * (self.active.len() + 1);
         while budget > 0 {
             budget -= 1;
@@ -660,6 +666,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "every draw is below a small bound"
+    )]
     fn contending_counter_equals_scan_on_seeded_streams() {
         use gimbal_sim::SimRng;
         for case in 0..48u64 {

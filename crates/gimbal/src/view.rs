@@ -41,13 +41,6 @@ impl SsdVirtualView {
             write_cost,
         }
     }
-
-    /// A load score for balancing decisions: higher credit = more headroom.
-    /// Credits are normalized units (§4.3: "since credit is normalized in
-    /// our case, the one with more credits is able to absorb more requests").
-    pub fn load_score(&self) -> u32 {
-        self.credit
-    }
 }
 
 #[cfg(test)]
@@ -59,7 +52,7 @@ mod tests {
         let v = SsdVirtualView::from_control(SsdId(0), 32, 1000.0, 3.0);
         assert!((v.read_headroom_bps - 750.0).abs() < 1e-9);
         assert!((v.write_headroom_bps - 250.0).abs() < 1e-9);
-        assert_eq!(v.load_score(), 32);
+        assert_eq!(v.credit, 32);
     }
 
     #[test]

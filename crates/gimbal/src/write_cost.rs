@@ -12,6 +12,8 @@
 //!   current value and `write_cost_worst`, converging to the worst case in a
 //!   few periods.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::params::Params;
 use gimbal_fabric::SsdId;
 use gimbal_sim::{SimDuration, SimTime};

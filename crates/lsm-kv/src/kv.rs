@@ -281,11 +281,6 @@ impl LsmKv {
         self.stats
     }
 
-    /// Total SSTables (diagnostics).
-    pub fn table_count(&self) -> usize {
-        self.l0.len() + self.levels.iter().map(Vec::len).sum::<usize>()
-    }
-
     /// Current L0 depth (diagnostics).
     pub fn l0_len(&self) -> usize {
         self.l0.len()
@@ -791,6 +786,10 @@ impl LsmKv {
         let kind = self.io_kinds.remove(&tag).expect("unknown IO tag");
         match kind {
             IoKind::Probe { op, .. } => {
+                #[expect(
+                    clippy::panic,
+                    reason = "io_kinds/ops are private twins; a Probe tag with a non-Probing op is internal corruption, not tenant input"
+                )]
                 let Some(OpState::Probing {
                     key,
                     rmw,
@@ -798,7 +797,6 @@ impl LsmKv {
                     ..
                 }) = self.ops.remove(&op)
                 else {
-                    // lint: allow(panic-in-lib, owner=lsm-kv, expires=2028-08-01) — io_kinds/ops are private twins; a Probe tag with a non-Probing op is internal corruption, not tenant input
                     panic!("probe for op not probing");
                 };
                 self.recycle_candidates(candidates);
@@ -827,6 +825,10 @@ impl LsmKv {
         let kind = self.io_kinds.remove(&tag).expect("unknown IO tag");
         match kind {
             IoKind::Probe { op, table } => {
+                #[expect(
+                    clippy::panic,
+                    reason = "io_kinds/ops are private twins; a Probe tag with a non-Probing op is internal corruption, not tenant input"
+                )]
                 let Some(OpState::Probing {
                     key,
                     candidates,
@@ -834,7 +836,6 @@ impl LsmKv {
                     rmw,
                 }) = self.ops.remove(&op)
                 else {
-                    // lint: allow(panic-in-lib, owner=lsm-kv, expires=2028-08-01) — io_kinds/ops are private twins; a Probe tag with a non-Probing op is internal corruption, not tenant input
                     panic!("probe for op not probing");
                 };
                 let found = self.find_table(table).map(|t| t.contains(key));
@@ -986,7 +987,6 @@ mod tests {
     #[test]
     fn load_places_dataset_in_levels() {
         let (kv, bs, _) = loaded(50_000, 2);
-        assert!(kv.table_count() > 5);
         assert!(bs.file_count() > 5);
         assert_eq!(kv.l0_len(), 0);
     }

@@ -12,6 +12,9 @@
 //! 1 µs**. Reporting costs in these units lets the Table 1 reproduction print
 //! directly comparable numbers.
 
+// Unit tests may pin exact float values; the library build keeps float_cmp.
+#![cfg_attr(test, allow(clippy::float_cmp))]
+
 use gimbal_sim::{SimDuration, SimTime};
 
 /// The paper's cycle unit (Table 1: "125cycles=1usec").

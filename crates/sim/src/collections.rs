@@ -26,7 +26,11 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Key → slab position. The one place a std hash map is allowed in the
 /// simulation crates: never iterated, so its layout decides speed, never order.
-type Index<K> = std::collections::HashMap<K, usize, BuildHasherDefault<IndexHasher>>; // lint: allow(unordered-map, owner=sim, expires=2028-08-01) — index only, never iterated; order comes from the slab
+#[expect(
+    clippy::disallowed_types,
+    reason = "index only, never iterated; order comes from the slab"
+)]
+type Index<K> = std::collections::HashMap<K, usize, BuildHasherDefault<IndexHasher>>;
 
 /// Odd multiplier (2^64 / golden ratio) that folds each input word in.
 const FOLD: u64 = 0x9e37_79b9_7f4a_7c15;

@@ -4,7 +4,7 @@
 //! stable across releases, so it cannot certify that two runs produced
 //! byte-identical state. [`Digest`] is FNV-1a over 64 bits: tiny, fully
 //! specified, and stable forever — exactly what the double-run determinism
-//! tests and the `gimbal-lint` machine output need.
+//! tests need.
 
 /// An incremental FNV-1a (64-bit) digest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -63,7 +63,6 @@ pub struct SsdFaultSpec {
 impl SsdFaultSpec {
     /// Whether this spec injects nothing.
     pub fn is_noop(&self) -> bool {
-        // lint: allow(float-eq, owner=sim, expires=2028-08-01) — exact zero is the configured "off" sentinel, not a computed value
         self.transient_error_prob == 0.0 && self.stall_windows.is_empty() && self.fail_at.is_none()
     }
 
@@ -149,11 +148,6 @@ impl NodeFaultSpec {
             && self.degrade_windows.iter().any(|w| w.contains(t)))
         .then_some(self.degrade_extra)
     }
-
-    /// Whether a correlated GC storm covers `t`.
-    pub fn gc_storm(&self, t: SimTime) -> bool {
-        self.gc_storm_windows.iter().any(|w| w.contains(t))
-    }
 }
 
 /// The full fault plan for a run. `Default` is the empty (fault-free) plan.
@@ -183,9 +177,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// Whether the plan injects nothing at all.
     pub fn is_noop(&self) -> bool {
-        // lint: allow(float-eq, owner=sim, expires=2028-08-01) — exact zero is the configured "off" sentinel, not a computed value
         self.cmd_loss_prob == 0.0
-            // lint: allow(float-eq, owner=sim, expires=2028-08-01) — exact zero is the configured "off" sentinel, not a computed value
             && self.cpl_loss_prob == 0.0
             && self.burst_windows.is_empty()
             && self.ssd.iter().all(SsdFaultSpec::is_noop)
@@ -457,7 +449,6 @@ mod tests {
             );
         let spec = plan.node_spec(0).unwrap();
         assert!(spec.partitioned(t(10)) && !spec.partitioned(t(20)));
-        assert!(spec.gc_storm(t(35)) && !spec.gc_storm(t(29)));
         assert_eq!(spec.link_extra(t(55)), Some(SimDuration::from_micros(7)));
         assert_eq!(spec.link_extra(t(45)), None);
         assert!(!spec.dead(t(1_000_000)));

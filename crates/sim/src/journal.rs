@@ -17,6 +17,11 @@
 //! branch, so runs with the sanitizer off are bit-identical to runs built
 //! before it existed.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "D8 owner: every component records into one access journal through a JournalHandle"
+)]
+
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -226,7 +231,7 @@ pub fn first_divergence(a: &AccessJournal, b: &AccessJournal) -> Option<Divergen
     let tb = b.ticks();
     let mut ticks: Vec<u64> = Vec::with_capacity(ta.len() + tb.len());
     let (mut i, mut j) = (0, 0);
-    while i < ta.len() || j < tb.len() {
+    loop {
         match (ta.get(i), tb.get(j)) {
             (Some(&x), Some(&y)) if x == y => {
                 ticks.push(x);
@@ -249,7 +254,7 @@ pub fn first_divergence(a: &AccessJournal, b: &AccessJournal) -> Option<Divergen
                 ticks.push(y);
                 j += 1;
             }
-            (None, None) => unreachable!(),
+            (None, None) => break,
         }
     }
 

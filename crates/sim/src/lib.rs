@@ -23,6 +23,9 @@
 //! what lets the benchmark harness regenerate each figure of the paper
 //! reproducibly.
 
+// Unit tests may pin exact float values; the library build keeps float_cmp.
+#![cfg_attr(test, allow(clippy::float_cmp))]
+
 pub mod arena;
 pub mod cast;
 pub mod collections;

@@ -12,6 +12,8 @@
 //!   generated from the target rate, split between the read and write buckets
 //!   in cost proportion, and overflow transfers to the sibling bucket.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::time::{SimDuration, SimTime};
 
 /// A byte-denominated token bucket.

@@ -211,9 +211,12 @@ impl Ftl {
     }
 
     fn take_free_block(&mut self, die: u32) -> u32 {
+        #[expect(
+            clippy::panic,
+            reason = "GC watermark maintenance guarantees a free block; exhaustion means the FTL model itself is broken"
+        )]
         let local = self.free[die as usize]
             .pop()
-            // lint: allow(panic-in-lib, owner=ssd, expires=2028-08-01) — GC watermark maintenance guarantees a free block; exhaustion means the FTL model itself is broken
             .unwrap_or_else(|| panic!("die {die} out of free blocks: GC watermark too low"));
         let global = die * self.blocks_per_die + local;
         debug_assert_eq!(self.state[global as usize], BlockState::Free);

@@ -30,6 +30,9 @@
 //! non-preemptive FIFO hardware while staying fast enough to simulate minutes
 //! of device time in seconds.
 
+// Unit tests may pin exact float values; the library build keeps float_cmp.
+#![cfg_attr(test, allow(clippy::float_cmp))]
+
 pub mod buffer;
 pub mod config;
 pub mod device;

@@ -13,6 +13,11 @@
 //!    cycles, and emits a completion capsule carrying the policy's credit
 //!    grant.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "D8 owner: the reactor core a pipeline runs on is shared with the pipelines co-located on it"
+)]
+
 use crate::policy::{CompletionInfo, PolicyPoll, Request, SwitchPolicy};
 use gimbal_broker::{BrokerHandle, Charge};
 use gimbal_cache::{is_flush_id, CacheConfig, CacheStats, FlushIo, SsdCache, StagedWriteLoss};

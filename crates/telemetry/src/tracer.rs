@@ -9,6 +9,11 @@
 //! reduces every record call to one branch on `None`, so instrumentation
 //! left in place costs nothing when tracing is off.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "D8 owner: every component records into one tracer through a TraceHandle"
+)]
+
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;

@@ -462,7 +462,12 @@ impl<E: Engine> Reactor<E> {
         let more = |host: &mut NodeHost<E>| {
             let same_ssd =
                 |e: &Event<E::Ev>| matches!(e, Event::DeliverCmd(c) if c.ssd.index() == ssd);
-            let Event::DeliverCmd(cmd) = host.queue.pop_if_at(now, same_ssd)? else {
+            #[expect(
+                clippy::unreachable,
+                reason = "pop_if_at returns only events that `same_ssd` matched"
+            )]
+            let Event::DeliverCmd(cmd) = host.queue.pop_if_at(now, same_ssd)?
+            else {
                 unreachable!("pop_if_at matched DeliverCmd")
             };
             *events += 1;

@@ -601,6 +601,10 @@ fn run_fio(cfg: TestbedConfig, workers: Vec<WorkerSpec>, trace: Option<TraceOut>
 }
 
 fn main() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a CLI reads its arguments once; the run sees only the parsed configuration"
+    )]
     let args: Vec<String> = std::env::args().skip(1).collect();
     match parse(&args) {
         Err(msg) => {

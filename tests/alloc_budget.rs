@@ -22,6 +22,10 @@
 //!
 //! This file holds exactly one `#[test]`: the counter is process-wide, so a
 //! second test running on another thread would pollute it.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the counting allocator's counter is process-global by nature"
+)]
 
 use gimbal_repro::broker::{BrokerConfig, BrokerHandle};
 use gimbal_repro::cores::StealConfig;

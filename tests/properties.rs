@@ -5,6 +5,10 @@
 //! with fixed seeds instead. Coverage is the same shape — randomized inputs,
 //! many cases per property — but fully deterministic, which also means a
 //! failure here reproduces identically on every machine.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the gate and feed probes share their logs with the harness through Rc<RefCell<..>>"
+)]
 
 use gimbal_repro::broker::{Broker, BrokerConfig, BrokerHandle, BrokerMode, BrokerStats, Charge};
 use gimbal_repro::cache::{

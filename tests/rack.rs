@@ -280,6 +280,11 @@ fn fleet_width_double_run(nodes: u32) {
         steal: Some(StealConfig::default()),
         ..RackConfig::default()
     };
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "the wall-time budget is the property under test"
+    )]
     let started = std::time::Instant::now();
     let a = RackTestbed::new(cfg.clone()).run();
     let b = RackTestbed::new(cfg).run();

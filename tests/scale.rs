@@ -54,6 +54,11 @@ fn thousand_tenant_double_run_is_bit_identical() {
     } else {
         (1000, 8, 700, 100)
     };
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "the wall-time budget is the property under test"
+    )]
     let started = std::time::Instant::now();
     for scheme in SCHEMES {
         let a = run(scheme, tenants, ssds, full_ms, false);

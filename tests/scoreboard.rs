@@ -7,6 +7,7 @@
 
 use gimbal_bench::claims::{self, Claim, EXPERIMENTS_MD};
 
+#[expect(clippy::panic, reason = "a failed claim fails its test")]
 fn verify(claim: &Claim) {
     if let Err(why) = claim.verify(EXPERIMENTS_MD) {
         panic!("{}: {why}", claim.name);

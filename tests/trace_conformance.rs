@@ -21,6 +21,12 @@
 //! * **Exporter round-trip** — the Chrome trace-event JSON parses with an
 //!   in-test recursive-descent JSON parser and maps back onto the recorded
 //!   events one-to-one.
+#![expect(
+    clippy::disallowed_types,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "the harness owns the tracer it attaches, and its helpers fail the test on an unexpected event"
+)]
 
 mod common;
 
