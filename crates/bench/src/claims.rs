@@ -244,7 +244,7 @@ pub const S58: Claim = Claim {
 };
 
 /// Every claim, in figure order.
-pub const CLAIMS: [Claim; 7] = [FIG04, FIG06, FIG07, FIG08, FIG09, FIG10, S58];
+pub(crate) const CLAIMS: [Claim; 7] = [FIG04, FIG06, FIG07, FIG08, FIG09, FIG10, S58];
 
 #[cfg(test)]
 mod tests {

@@ -9,7 +9,7 @@ use gimbal_workload::FioSpec;
 pub const CAP_BLOCKS: u64 = 512 * 1024 * 1024 / 4096;
 
 /// The default experiment SSD configuration (scaled-down DCT983).
-pub fn default_ssd() -> SsdConfig {
+pub(crate) fn default_ssd() -> SsdConfig {
     SsdConfig {
         logical_capacity: 512 * 1024 * 1024,
         ..SsdConfig::default()
@@ -19,7 +19,7 @@ pub fn default_ssd() -> SsdConfig {
 /// Disjoint worker regions: worker `i` of `n` gets an equal slice of the
 /// LBA space (fio's per-job files).
 #[derive(Clone, Copy, Debug)]
-pub struct Region {
+pub(crate) struct Region {
     /// First LBA.
     pub start: u64,
     /// Length in blocks.
@@ -28,7 +28,7 @@ pub struct Region {
 
 impl Region {
     /// Slice `i` of `n` over `cap` blocks.
-    pub fn slice(i: u32, n: u32, cap: u64) -> Region {
+    pub(crate) fn slice(i: u32, n: u32, cap: u64) -> Region {
         let per = cap / u64::from(n);
         Region {
             start: u64::from(i) * per,
@@ -47,7 +47,7 @@ pub fn standalone_bw(fio: FioSpec, pre: Precondition, quick: bool) -> f64 {
 }
 
 /// [`standalone_bw`] on an arbitrary SSD configuration.
-pub fn standalone_bw_on(ssd: SsdConfig, mut fio: FioSpec, pre: Precondition) -> f64 {
+pub(crate) fn standalone_bw_on(ssd: SsdConfig, mut fio: FioSpec, pre: Precondition) -> f64 {
     // Boost the queue depth a little so a single worker can actually reach
     // the device maximum (fio's standalone runs do the same).
     fio.queue_depth = fio.queue_depth.max(32);
@@ -68,7 +68,7 @@ pub fn standalone_bw_on(ssd: SsdConfig, mut fio: FioSpec, pre: Precondition) -> 
 
 /// The standard fio experiment: `scheme` on the default SSD in condition
 /// `pre`, for [`durations`]`(quick)`. Figures override the rest with `..`.
-pub fn testbed_config(scheme: Scheme, pre: Precondition, quick: bool) -> TestbedConfig {
+pub(crate) fn testbed_config(scheme: Scheme, pre: Precondition, quick: bool) -> TestbedConfig {
     let (duration, warmup) = durations(quick);
     TestbedConfig {
         scheme,
@@ -81,7 +81,7 @@ pub fn testbed_config(scheme: Scheme, pre: Precondition, quick: bool) -> Testbed
 
 /// Standard (duration, warmup) pair; quick mode shortens both but keeps the
 /// warmup long enough for Gimbal's rate ramp (~0.4 s).
-pub fn durations(quick: bool) -> (SimDuration, SimDuration) {
+pub(crate) fn durations(quick: bool) -> (SimDuration, SimDuration) {
     if quick {
         (
             SimDuration::from_millis(1400),
@@ -93,7 +93,7 @@ pub fn durations(quick: bool) -> (SimDuration, SimDuration) {
 }
 
 /// Print a figure header.
-pub fn println_header(title: &str) {
+pub(crate) fn println_header(title: &str) {
     println!();
     println!("==== {title} ====");
 }

@@ -95,7 +95,7 @@ fn write_burst(params: Params, quick: bool) -> Row {
 }
 
 /// Run both ablations.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     // Appendix C.1's pathology is a *burst*: the DRR "does not reorder read
     // and write I/Os so … only a single kind of IO operations may be
     // dequeued in a series", and with one shared bucket that series of

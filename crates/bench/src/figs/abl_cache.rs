@@ -75,7 +75,7 @@ fn run_wb_variant(write: WritePolicy, quick: bool) -> (f64, f64, f64, u64, u64) 
 }
 
 /// Run the ablation: cache off and three admission policies.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     println_header("Ablation: NIC-DRAM cache tier (Gimbal, 8 Zipf readers, 4KB)");
     println!(
         "{:>18} {:>12} {:>12} {:>14} {:>10}",

@@ -38,7 +38,7 @@ fn run_with_slots(slots: u32, tenants: u32, quick: bool) -> (f64, f64) {
 }
 
 /// Run the sweep.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     println_header("Ablation: virtual-slot threshold sweep (clean 128KB reads)");
     println!(
         "{:>7} {:>18} {:>18} {:>14}",

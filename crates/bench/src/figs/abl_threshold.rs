@@ -45,7 +45,7 @@ fn run_variant(
 }
 
 /// Run the ablation and print both workload panels.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     println_header("Ablation: dynamic vs fixed latency threshold (Gimbal, 16 readers)");
     // "fixed 2ms" reproduces the paper's first attempt (§3.2): with the
     // congestion signal parked at 2 ms the controller only reacts once the

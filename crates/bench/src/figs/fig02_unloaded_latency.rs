@@ -40,7 +40,7 @@ fn one_latency_us(io_kb: u64, read: bool, xeon: bool, quick: bool) -> f64 {
 }
 
 /// Run the experiment and print the figure's series.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     println_header("Figure 2: unloaded latency vs IO size (QD1, clean SSD)");
     println!(
         "{:>8} {:>14} {:>16} {:>14} {:>16}",

@@ -43,7 +43,7 @@ fn kiops(cores: u32, read: bool, xeon: bool, quick: bool) -> f64 {
 }
 
 /// Run the experiment and print the figure's series.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     println_header("Figure 3: throughput vs cores (4 SSDs, 4KB)");
     println!(
         "{:>6} {:>14} {:>16} {:>14} {:>16}",

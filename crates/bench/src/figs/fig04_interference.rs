@@ -10,7 +10,7 @@ use gimbal_testbed::{Precondition, RunResult, Scheme, Testbed, WorkerSpec};
 use gimbal_workload::FioSpec;
 
 /// The six neighbor types in bar order: (label, IO KiB, op, queue depth).
-pub const NEIGHBORS: [(&str, u64, IoType, u32); 6] = [
+pub(crate) const NEIGHBORS: [(&str, u64, IoType, u32); 6] = [
     ("4KB-RD QD32", 4, IoType::Read, 32),
     ("4KB-RD QD128", 4, IoType::Read, 128),
     ("128KB-RD QD1", 128, IoType::Read, 1),
@@ -21,7 +21,7 @@ pub const NEIGHBORS: [(&str, u64, IoType, u32); 6] = [
 
 /// Run the victim against one neighbor shape; `workers[0]` is the victim,
 /// `workers[1]` the neighbor.
-pub fn run_neighbor(io_kb: u64, op: IoType, qd: u32, quick: bool) -> RunResult {
+pub(crate) fn run_neighbor(io_kb: u64, op: IoType, qd: u32, quick: bool) -> RunResult {
     let vr = Region::slice(0, 2, CAP_BLOCKS);
     let victim = WorkerSpec::new(
         "victim",
@@ -44,7 +44,7 @@ pub fn run_neighbor(io_kb: u64, op: IoType, qd: u32, quick: bool) -> RunResult {
 }
 
 /// Run the experiment and print the figure's bars.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     println_header("Figure 4: victim (4KB-RD QD32) vs neighbor types (vanilla target)");
     println!(
         "{:>14} {:>14} {:>14}",

@@ -15,7 +15,7 @@ use gimbal_workload::FioSpec;
 
 /// The four condition × type cases of Fig 6 (C-R, C-W, F-R, F-W): clean
 /// uses 128 KB IOs, fragmented 4 KB (§5.2).
-pub fn cases() -> [(&'static str, Precondition, IoType, u64); 4] {
+pub(crate) fn cases() -> [(&'static str, Precondition, IoType, u64); 4] {
     [
         ("C-R", Precondition::Clean, IoType::Read, 128 * 1024),
         ("C-W", Precondition::Clean, IoType::Write, 128 * 1024),
@@ -25,7 +25,7 @@ pub fn cases() -> [(&'static str, Precondition, IoType, u64); 4] {
 }
 
 /// Run 16 identical workers of the given shape under a scheme.
-pub fn run_case(
+pub(crate) fn run_case(
     scheme: Scheme,
     pre: Precondition,
     op: IoType,
@@ -56,7 +56,7 @@ fn lat_of(res: &RunResult, op: IoType) -> LatencySummary {
 }
 
 /// Run the experiment and print both panels.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     println_header("Figure 6: utilization — 16 identical workers per case");
     println!(
         "{:>6} {:>9} {:>12} {:>14}",

@@ -19,7 +19,7 @@ use gimbal_workload::{AccessPattern, FioSpec};
 
 /// One worker group within a mix.
 #[derive(Clone, Debug)]
-pub struct Group {
+pub(crate) struct Group {
     /// Group label ("4KB", "Read", ...).
     pub label: &'static str,
     /// Workers in the group.
@@ -29,7 +29,7 @@ pub struct Group {
 }
 
 /// A fairness mix: two groups sharing one SSD.
-pub struct Mix {
+pub(crate) struct Mix {
     /// Panel name.
     pub name: &'static str,
     /// SSD condition.
@@ -47,7 +47,7 @@ fn spec(read_ratio: f64, io: u64, seq_read: bool) -> FioSpec {
 }
 
 /// The three mixes of Fig 7.
-pub fn mixes() -> [Mix; 3] {
+pub(crate) fn mixes() -> [Mix; 3] {
     [
         Mix {
             name: "(a/d) Clean: 4KB vs 128KB read",
@@ -106,7 +106,7 @@ pub fn mixes() -> [Mix; 3] {
 
 /// Result of one (mix, scheme) run: per-group mean worker bandwidth,
 /// f-Util, and latency summaries `[read, write]` for Fig 8.
-pub struct MixResult {
+pub(crate) struct MixResult {
     /// Per-group (bandwidth bytes/s per worker, f-Util).
     pub groups: [(f64, f64); 2],
     /// Group latency summaries of the whole run `[read, write]`.
@@ -114,7 +114,7 @@ pub struct MixResult {
 }
 
 /// Run one mix under a scheme.
-pub fn run_mix(mix: &Mix, scheme: Scheme, quick: bool) -> MixResult {
+pub(crate) fn run_mix(mix: &Mix, scheme: Scheme, quick: bool) -> MixResult {
     let total: u32 = mix.groups.iter().map(|g| g.count).sum();
     let mut workers = Vec::new();
     let mut idx = 0u32;
@@ -143,7 +143,7 @@ pub fn run_mix(mix: &Mix, scheme: Scheme, quick: bool) -> MixResult {
 }
 
 /// Run the experiment and print bandwidth + f-Util panels.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     println_header("Figure 7: fairness in mixed workloads");
     for mix in mixes() {
         println!("\n-- {} --", mix.name);

@@ -10,7 +10,7 @@ use crate::figs::fig07_fairness::{mixes, run_mix};
 use gimbal_testbed::Scheme;
 
 /// Run the experiment and print both panels.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     println_header("Figure 8: read/write latency, 16 read + 16 write workers");
     let all = mixes();
     for mix in &all[1..] {

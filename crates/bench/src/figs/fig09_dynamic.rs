@@ -22,7 +22,7 @@ const INTERVALS: u32 = READERS + WRITERS + 1;
 
 /// One interval of the timeline: per-active-worker bandwidth (bytes/s),
 /// device latencies (µs) and Gimbal's write cost, each averaged over it.
-pub struct Interval {
+pub(crate) struct Interval {
     /// End of the interval (s).
     pub t_s: f64,
     /// Mean bandwidth of the readers active in the interval.
@@ -39,7 +39,7 @@ pub struct Interval {
 
 /// Run the first `intervals` intervals of the dynamic workload and average
 /// each one. Paper interval: 5 s; quick mode compresses it to 1 s.
-pub fn timeline(quick: bool, intervals: u32) -> (RunResult, Vec<Interval>) {
+pub(crate) fn timeline(quick: bool, intervals: u32) -> (RunResult, Vec<Interval>) {
     let step = if quick {
         SimDuration::from_secs(1)
     } else {
@@ -116,7 +116,7 @@ pub fn timeline(quick: bool, intervals: u32) -> (RunResult, Vec<Interval>) {
 }
 
 /// Run the experiment and print the timeline.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     println_header("Figure 9: dynamic workload (Gimbal), write-cost adaptation");
     let (_, rows) = timeline(quick, INTERVALS);
     println!(

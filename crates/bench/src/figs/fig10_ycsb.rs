@@ -13,7 +13,12 @@ use gimbal_testbed::{KvRunResult, KvTestbed, KvTestbedConfig, Precondition, Sche
 use gimbal_workload::YcsbMix;
 
 /// The standard experiment configuration for the KV study.
-pub fn kv_config(scheme: Scheme, mix: YcsbMix, instances: u32, quick: bool) -> KvTestbedConfig {
+pub(crate) fn kv_config(
+    scheme: Scheme,
+    mix: YcsbMix,
+    instances: u32,
+    quick: bool,
+) -> KvTestbedConfig {
     KvTestbedConfig {
         scheme,
         mix,
@@ -42,12 +47,12 @@ pub fn kv_config(scheme: Scheme, mix: YcsbMix, instances: u32, quick: bool) -> K
 }
 
 /// Run one (scheme, mix) cell.
-pub fn run_cell(scheme: Scheme, mix: YcsbMix, instances: u32, quick: bool) -> KvRunResult {
+pub(crate) fn run_cell(scheme: Scheme, mix: YcsbMix, instances: u32, quick: bool) -> KvRunResult {
     KvTestbed::new(kv_config(scheme, mix, instances, quick)).run()
 }
 
 /// DB instances of the study (the paper runs 24).
-pub fn instances(quick: bool) -> u32 {
+pub(crate) fn instances(quick: bool) -> u32 {
     if quick {
         12
     } else {
@@ -56,7 +61,7 @@ pub fn instances(quick: bool) -> u32 {
 }
 
 /// Run the experiment and print all three panels.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     println_header("Figure 10: YCSB over the KV store, 4 schemes (fragmented SSDs)");
     let instances = instances(quick);
     println!(

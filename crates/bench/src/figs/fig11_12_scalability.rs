@@ -11,7 +11,7 @@ use gimbal_testbed::Scheme;
 use gimbal_workload::YcsbMix;
 
 /// Run the experiment and print both figures' series.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     println_header("Figures 11/12: scalability with DB instances (Gimbal)");
     let counts: &[u32] = if quick {
         &[2, 6, 10]

@@ -11,7 +11,7 @@ use gimbal_testbed::{KvTestbed, Scheme};
 use gimbal_workload::YcsbMix;
 
 /// Run the experiment and print the three bars per mix.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     println_header("Figure 13: virtual-view optimizations (Gimbal, 1 JBOF, 8 instances)");
     println!("{:>8} {:>18} {:>16}", "Mix", "Variant", "p99.9 RD (us)");
     for mix in YcsbMix::ALL {

@@ -38,7 +38,7 @@ fn split_bw(pre: Precondition, read_ratio: f64, quick: bool) -> (f64, f64) {
 }
 
 /// Run the experiment and print both condition curves.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     println_header("Figure 14: 4KB bandwidth vs read ratio (clean vs fragmented)");
     println!(
         "{:>10} {:>12} {:>12} {:>12} {:>12}",

@@ -34,7 +34,7 @@ fn read_lat_us(io_kb: u64, pre: Precondition, read_ratio: f64, qd: u32, quick: b
 }
 
 /// Run the experiment and print the four curves.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     println_header("Figure 15: random-read latency vs IO size, four scenarios");
     println!(
         "{:>8} {:>10} {:>12} {:>12} {:>10}",

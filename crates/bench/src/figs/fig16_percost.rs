@@ -43,7 +43,7 @@ fn agg_gbps(io_kb: u64, op: IoType, added_us: f64, quick: bool) -> f64 {
 }
 
 /// Run the experiment and print the four curves.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     println_header("Figure 16: bandwidth vs added per-IO processing cost (8 cores, 4 SSDs)");
     println!(
         "{:>10} {:>10} {:>12} {:>10} {:>12}",

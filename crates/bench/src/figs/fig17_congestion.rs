@@ -12,7 +12,7 @@ use gimbal_testbed::{Precondition, Scheme, Testbed, TestbedConfig, WorkerSpec};
 use gimbal_workload::FioSpec;
 
 /// Run the experiment and print the time series.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     println_header("Figure 17: latency impulse under rising 4KB/128KB read load (vanilla)");
     let step = if quick {
         SimDuration::from_millis(400)

@@ -36,7 +36,7 @@ fn pair_bw(io_kb: u64, op: IoType, quick: bool) -> (f64, f64) {
 }
 
 /// Run the experiment and print both panels.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     println_header("Figure 19: 2:1 queue-depth competition vs IO size (vanilla)");
     println!(
         "{:>8} {:>12} {:>12} {:>12} {:>12}",

@@ -36,7 +36,7 @@ fn stream1_bw(read: bool, seq: bool, s2_kb: u64, quick: bool) -> (f64, f64) {
 }
 
 /// Run the experiment and print the four curves (stream 1's bandwidth).
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     println_header("Figure 20: 4KB stream-1 bandwidth vs stream-2 IO size (vanilla)");
     println!(
         "{:>10} {:>10} {:>10} {:>10} {:>10}",

@@ -36,7 +36,7 @@ fn read_bw(io_kb: u64, seq: bool, with_writes: bool, quick: bool) -> f64 {
 }
 
 /// Run the experiment and print the four curves.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     println_header("Figure 21: read bandwidth, standalone vs mixed with writes (vanilla)");
     println!(
         "{:>8} {:>13} {:>16} {:>13} {:>16}",

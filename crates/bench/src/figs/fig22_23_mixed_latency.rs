@@ -61,7 +61,7 @@ fn foreground_lat(
 }
 
 /// Run both figures.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     let sizes: &[u64] = if quick {
         &[0, 16, 128]
     } else {

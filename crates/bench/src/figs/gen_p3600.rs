@@ -23,7 +23,7 @@ fn p3600_ssd() -> SsdConfig {
 
 /// Standalone 128 KB clean-read bandwidth (bytes/s) of the DCT983 and the
 /// P3600 — the device sanity row (paper: −33.5 %).
-pub fn clean_read_bw(quick: bool) -> (f64, f64) {
+pub(crate) fn clean_read_bw(quick: bool) -> (f64, f64) {
     let fio = FioSpec::paper_default(1.0, 128 * 1024, 0, CAP_BLOCKS);
     (
         standalone_bw(fio, Precondition::Clean, quick),
@@ -33,7 +33,7 @@ pub fn clean_read_bw(quick: bool) -> (f64, f64) {
 
 /// Read and write f-Utils of 16 readers + 16 writers under Gimbal on the
 /// P3600 (clean runs use 128 KB sequential reads / random writes).
-pub fn rw_futils(pre: Precondition, io: u64, quick: bool) -> (f64, f64) {
+pub(crate) fn rw_futils(pre: Precondition, io: u64, quick: bool) -> (f64, f64) {
     let n = 32u32;
     let mut workers = Vec::new();
     let mut specs = Vec::new();
@@ -66,7 +66,7 @@ pub fn rw_futils(pre: Precondition, io: u64, quick: bool) -> (f64, f64) {
 }
 
 /// Run the generalization study.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     println_header("§5.8 generalization: Gimbal on the Intel P3600 profile (Thresh_max = 3ms)");
     // Device sanity vs the DCT983 (paper: −33.5 % 128K read, +35 % 4K write).
     let (d, p) = clean_read_bw(quick);

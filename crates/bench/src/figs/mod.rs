@@ -2,41 +2,41 @@
 //! `run(quick: bool)`, printing the same rows/series the paper reports;
 //! [`ALL`] names them for the `figures` binary.
 
-pub mod abl_bucket_cost;
-pub mod abl_cache;
-pub mod abl_slots;
-pub mod abl_threshold;
-pub mod fig02_unloaded_latency;
-pub mod fig03_cores_throughput;
-pub mod fig04_interference;
-pub mod fig06_utilization;
-pub mod fig07_fairness;
-pub mod fig08_latency;
-pub mod fig09_dynamic;
-pub mod fig10_ycsb;
-pub mod fig11_12_scalability;
-pub mod fig13_virtual_view;
-pub mod fig14_bathtub;
-pub mod fig15_read_latency;
-pub mod fig16_percost;
-pub mod fig17_congestion;
-pub mod fig18_threshold;
-pub mod fig19_intensity;
-pub mod fig20_iosize;
-pub mod fig21_pattern;
-pub mod fig22_23_mixed_latency;
-pub mod gen_p3600;
-pub mod scoreboard;
-pub mod tab1_overheads;
-pub mod tab2_comparison;
+mod abl_bucket_cost;
+mod abl_cache;
+mod abl_slots;
+mod abl_threshold;
+mod fig02_unloaded_latency;
+mod fig03_cores_throughput;
+pub(crate) mod fig04_interference;
+pub(crate) mod fig06_utilization;
+pub(crate) mod fig07_fairness;
+mod fig08_latency;
+pub(crate) mod fig09_dynamic;
+pub(crate) mod fig10_ycsb;
+mod fig11_12_scalability;
+mod fig13_virtual_view;
+mod fig14_bathtub;
+mod fig15_read_latency;
+mod fig16_percost;
+mod fig17_congestion;
+mod fig18_threshold;
+mod fig19_intensity;
+mod fig20_iosize;
+mod fig21_pattern;
+mod fig22_23_mixed_latency;
+pub(crate) mod gen_p3600;
+mod scoreboard;
+mod tab1_overheads;
+mod tab2_comparison;
 
 /// The registry's name for the claim table, which is not a paper figure.
 pub const SCOREBOARD: &str = "scoreboard";
 
 /// A figure harness: takes `quick` and prints the paper's rows.
-pub type FigRun = fn(bool);
+pub(crate) type FigRun = fn(bool);
 
-/// Every figure and table, in run order, then the claim [`scoreboard`].
+/// Every figure and table, in run order, then the claim `scoreboard`.
 pub const ALL: &[(&str, FigRun)] = &[
     ("fig02_unloaded_latency", fig02_unloaded_latency::run),
     ("fig03_cores_throughput", fig03_cores_throughput::run),
@@ -83,7 +83,7 @@ mod tests {
     fn every_figure_module_is_registered() {
         let modules = include_str!("mod.rs")
             .lines()
-            .filter(|l| l.starts_with("pub mod "))
+            .filter(|l| l.trim_start_matches("pub(crate) ").starts_with("mod ") && l.ends_with(';'))
             .count();
         assert_eq!(ALL.len(), modules, "a figs module is missing from ALL");
     }

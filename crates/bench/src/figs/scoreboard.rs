@@ -7,7 +7,7 @@ use crate::common::println_header;
 
 /// Run every claim and print the table. Claims are pinned at quick
 /// settings, so `quick` does not change what runs.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     let _ = quick;
     println_header("Scoreboard: paper claims on the figures' own experiments (quick settings)");
     println!(

@@ -80,7 +80,7 @@ fn null_kiops(cost: CpuCost, cores: u32, quick: bool) -> f64 {
 }
 
 /// Run the table.
-pub fn run(quick: bool) {
+pub(crate) fn run(quick: bool) {
     println_header("Table 1a: per-IO CPU cycles (125 cycles = 1us)");
     println!("{:<28} {:>10} {:>10}", "", "Vanilla", "Gimbal");
     let rows = [

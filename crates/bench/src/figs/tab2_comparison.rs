@@ -5,7 +5,7 @@
 use crate::common::println_header;
 
 /// Print the comparison table (no simulation required).
-pub fn run(_quick: bool) {
+pub(crate) fn run(_quick: bool) {
     println_header("Table 2: comparison of four multi-tenancy mechanisms");
     println!(
         "{:<18} {:>10} {:>10} {:>10} {:>10}",

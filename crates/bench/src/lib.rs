@@ -20,4 +20,4 @@ pub mod claims;
 pub mod common;
 pub mod figs;
 
-pub use common::{println_header, standalone_bw, Region};
+pub use common::standalone_bw;

@@ -87,12 +87,12 @@ impl HierarchicalAllocator {
     }
 
     /// Number of backends.
-    pub fn backend_count(&self) -> usize {
+    pub(crate) fn backend_count(&self) -> usize {
         self.backends.len()
     }
 
     /// Micro blob size in blocks.
-    pub fn micro_blocks(&self) -> u64 {
+    pub(crate) fn micro_blocks(&self) -> u64 {
         self.cfg.micro_blocks
     }
 
@@ -104,7 +104,7 @@ impl HierarchicalAllocator {
     }
 
     /// Whether a backend can serve one more micro allocation.
-    pub fn can_alloc(&self, b: BackendId) -> bool {
+    pub(crate) fn can_alloc(&self, b: BackendId) -> bool {
         let be = &self.backends[b.index()];
         !be.local_free.is_empty() || be.mega_used.iter().any(|&u| !u)
     }
@@ -129,7 +129,7 @@ impl HierarchicalAllocator {
     }
 
     /// Allocate one micro blob on a specific backend.
-    pub fn alloc_micro_on(&mut self, b: BackendId) -> Option<BlobAddr> {
+    pub(crate) fn alloc_micro_on(&mut self, b: BackendId) -> Option<BlobAddr> {
         if self.backends[b.index()].local_free.is_empty() && !self.alloc_mega(b) {
             return None;
         }
@@ -139,7 +139,7 @@ impl HierarchicalAllocator {
     /// Allocate one micro blob on the highest-scoring backend (load-aware
     /// policy: "selecting the one with the maximum credit (i.e., the least
     /// load)"). `exclude` skips a backend (used for the shadow replica).
-    pub fn alloc_micro<F: Fn(BackendId) -> f64>(
+    pub(crate) fn alloc_micro<F: Fn(BackendId) -> f64>(
         &mut self,
         score: F,
         exclude: Option<BackendId>,
@@ -151,7 +151,7 @@ impl HierarchicalAllocator {
     /// rack-scale shadow placement excludes the primary's entire *node*
     /// (fault-domain anti-affinity), not just its backend, so node death
     /// never takes both replicas of a micro with it.
-    pub fn alloc_micro_where<F, P>(&mut self, score: F, eligible: P) -> Option<BlobAddr>
+    pub(crate) fn alloc_micro_where<F, P>(&mut self, score: F, eligible: P) -> Option<BlobAddr>
     where
         F: Fn(BackendId) -> f64,
         P: Fn(BackendId) -> bool,
@@ -173,7 +173,7 @@ impl HierarchicalAllocator {
     }
 
     /// Return a micro blob to its backend's local pool.
-    pub fn free_micro(&mut self, addr: BlobAddr) {
+    pub(crate) fn free_micro(&mut self, addr: BlobAddr) {
         assert_eq!(addr.blocks, self.cfg.micro_blocks);
         assert!(addr.lba + addr.blocks <= self.backends[addr.backend.index()].capacity_blocks);
         self.backends[addr.backend.index()]

@@ -83,12 +83,6 @@ impl RateLimiter {
         }
     }
 
-    /// The latest credit grant for `b` (the load-balancing score; higher =
-    /// more headroom).
-    pub fn credit(&self, b: BackendId) -> u32 {
-        self.states[b.index()].credit
-    }
-
     /// Remaining submission headroom for `b` (credit − outstanding). A
     /// backend observed failing reports zero headroom, steering the load
     /// balancer and the allocator away from it.
@@ -127,11 +121,6 @@ impl RateLimiter {
     /// Whether the backend is currently suspect.
     pub fn is_suspect(&self, b: BackendId) -> bool {
         self.states[b.index()].suspect
-    }
-
-    /// Outstanding IOs to `b`.
-    pub fn outstanding(&self, b: BackendId) -> u32 {
-        self.states[b.index()].outstanding
     }
 
     /// Pick the replica with the most headroom (the §4.3 read load
@@ -180,6 +169,20 @@ impl RateLimiter {
             }
         }
         best.ok_or(BlobError::AllReplicasDead)
+    }
+}
+
+#[cfg(test)]
+impl RateLimiter {
+    /// The latest credit grant for `b` (the load-balancing score; higher =
+    /// more headroom).
+    pub(crate) fn credit(&self, b: BackendId) -> u32 {
+        self.states[b.index()].credit
+    }
+
+    /// Outstanding IOs to `b`.
+    pub(crate) fn outstanding(&self, b: BackendId) -> u32 {
+        self.states[b.index()].outstanding
     }
 }
 

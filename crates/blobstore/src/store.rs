@@ -61,11 +61,6 @@ impl Blobstore {
         })
     }
 
-    /// Whether replication is on.
-    pub fn replicated(&self) -> bool {
-        self.replicate
-    }
-
     /// Access the allocator (for capacity inspection).
     pub fn allocator(&self) -> &HierarchicalAllocator {
         &self.alloc
@@ -138,11 +133,6 @@ impl Blobstore {
                 self.alloc.free_micro(s);
             }
         }
-    }
-
-    /// File size in blocks.
-    pub fn file_blocks(&self, id: FileId) -> u64 {
-        self.files.get(&id).expect("live file").size_blocks
     }
 
     /// Number of live files.
@@ -289,6 +279,14 @@ impl Blobstore {
             return Err(BlobError::DataUnavailable);
         }
         Ok(degraded)
+    }
+}
+
+#[cfg(test)]
+impl Blobstore {
+    /// File size in blocks.
+    pub(crate) fn file_blocks(&self, id: FileId) -> u64 {
+        self.files.get(&id).expect("live file").size_blocks
     }
 }
 

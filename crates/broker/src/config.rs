@@ -78,24 +78,15 @@ impl Default for BrokerConfig {
 }
 
 impl BrokerConfig {
-    /// Strict-entitlement preset (the bench baseline): identical accrual,
-    /// no borrowing, no placement.
-    pub fn strict(&self) -> Self {
-        let mut c = self.clone();
-        c.mode = BrokerMode::Strict;
-        c.placement = false;
-        c
-    }
-
     /// The isolation floor in bytes: lending never drains a lender below it.
-    pub fn floor_bytes(&self) -> u64 {
+    pub(crate) fn floor_bytes(&self) -> u64 {
         self.burst_bytes / self.floor_den * self.floor_num
             + self.burst_bytes % self.floor_den * self.floor_num / self.floor_den
     }
 
     /// Interest owed on `principal` bytes, rounded up (so non-zero principal
     /// with non-zero interest rate always costs at least one byte).
-    pub fn interest_on(&self, principal: u64) -> u64 {
+    pub(crate) fn interest_on(&self, principal: u64) -> u64 {
         if self.interest_num == 0 || principal == 0 {
             return 0;
         }
@@ -132,6 +123,18 @@ impl BrokerConfig {
                 "broker: placement enabled with max_moves_per_epoch = 0"
             );
         }
+    }
+}
+
+#[cfg(test)]
+impl BrokerConfig {
+    /// Strict-entitlement preset (the bench baseline): identical accrual,
+    /// no borrowing, no placement.
+    pub(crate) fn strict(&self) -> Self {
+        let mut c = self.clone();
+        c.mode = BrokerMode::Strict;
+        c.placement = false;
+        c
     }
 }
 

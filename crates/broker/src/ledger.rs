@@ -67,7 +67,7 @@ pub enum Charge {
 /// A pending sanitizer-journal record: `(op, key)`. The embedding engine
 /// drains these and stamps them with its own event tick, so journal ticks
 /// stay monotone across components.
-pub type JournalRecord = (&'static str, u64);
+pub(crate) type JournalRecord = (&'static str, u64);
 
 /// Counters the ledger exposes to results and digests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -208,11 +208,6 @@ impl Broker {
             trace,
             journal_pending: Vec::new(),
         }
-    }
-
-    /// The configuration the ledger runs under.
-    pub fn config(&self) -> &BrokerConfig {
-        &self.cfg
     }
 
     /// Current counters, with `outstanding` freshly snapshotted.
@@ -611,7 +606,7 @@ impl Broker {
     /// Plan up to `max_moves_per_epoch` migrations from the demand observed
     /// this epoch and the interference telemetry supplied by the engine.
     /// Pure: applies nothing. Tenants with outstanding debt never move.
-    pub fn plan_migrations(&self, telem: &[SsdTelemetry]) -> Vec<Migration> {
+    pub(crate) fn plan_migrations(&self, telem: &[SsdTelemetry]) -> Vec<Migration> {
         if !self.cfg.placement {
             return Vec::new();
         }
@@ -643,7 +638,7 @@ impl Broker {
 
     /// Apply one migration: the tenant's account (balance, remainder) moves
     /// with it to the destination SSD.
-    pub fn apply_migration(&mut self, m: &Migration, now: SimTime) {
+    pub(crate) fn apply_migration(&mut self, m: &Migration, now: SimTime) {
         let from = (m.from.0, m.tenant.0);
         let Some(acc) = self.accounts.remove(&from) else {
             return;
@@ -692,7 +687,7 @@ impl Broker {
     /// [`Self::drain_journal`] without the allocation: visit the pending
     /// records in place (in decision order) and clear them, keeping the
     /// buffer for the next decisions.
-    pub fn drain_journal_with(&mut self, mut visit: impl FnMut(&'static str, u64)) {
+    pub(crate) fn drain_journal_with(&mut self, mut visit: impl FnMut(&'static str, u64)) {
         for (op, key) in self.journal_pending.drain(..) {
             visit(op, key);
         }
@@ -701,14 +696,6 @@ impl Broker {
     /// A tenant's current balance, for tests and results.
     pub fn balance(&self, ssd: SsdId, tenant: TenantId) -> Option<i64> {
         self.accounts.get(&(ssd.0, tenant.0)).map(|a| a.balance)
-    }
-
-    /// Outstanding debt from `borrower` to `lender` on `ssd`.
-    pub fn debt(&self, ssd: SsdId, borrower: TenantId, lender: TenantId) -> u64 {
-        self.debts
-            .get(&(ssd.0, borrower.0, lender.0))
-            .copied()
-            .unwrap_or(0)
     }
 }
 
@@ -747,12 +734,12 @@ impl BrokerHandle {
         self.inner.borrow_mut().settle_epoch(now, active);
     }
 
-    /// Plan migrations. See [`Broker::plan_migrations`].
+    /// Plan migrations. See `Broker::plan_migrations`.
     pub fn plan_migrations(&self, telem: &[SsdTelemetry]) -> Vec<Migration> {
         self.inner.borrow().plan_migrations(telem)
     }
 
-    /// Apply a migration. See [`Broker::apply_migration`].
+    /// Apply a migration. See `Broker::apply_migration`.
     pub fn apply_migration(&self, m: &Migration, now: SimTime) {
         self.inner.borrow_mut().apply_migration(m, now);
     }
@@ -768,7 +755,7 @@ impl BrokerHandle {
     }
 
     /// Visit and clear pending sanitizer-journal records in place. See
-    /// [`Broker::drain_journal_with`]; `visit` must not call back into
+    /// `Broker::drain_journal_with`; `visit` must not call back into
     /// this handle.
     pub fn drain_journal_with(&self, visit: impl FnMut(&'static str, u64)) {
         self.inner.borrow_mut().drain_journal_with(visit);
@@ -788,16 +775,22 @@ impl BrokerHandle {
     pub fn balance(&self, ssd: SsdId, tenant: TenantId) -> Option<i64> {
         self.inner.borrow().balance(ssd, tenant)
     }
-
-    /// Outstanding debt between a pair, for tests.
-    pub fn debt(&self, ssd: SsdId, borrower: TenantId, lender: TenantId) -> u64 {
-        self.inner.borrow().debt(ssd, borrower, lender)
-    }
 }
 
 impl fmt::Debug for BrokerHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BrokerHandle").finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+impl Broker {
+    /// Outstanding debt from `borrower` to `lender` on `ssd`.
+    pub(crate) fn debt(&self, ssd: SsdId, borrower: TenantId, lender: TenantId) -> u64 {
+        self.debts
+            .get(&(ssd.0, borrower.0, lender.0))
+            .copied()
+            .unwrap_or(0)
     }
 }
 

@@ -8,13 +8,13 @@
 //! while a co-located tenant in an on-phase sits throttled at its own
 //! entitlement. This crate adds two layers on top of the entitlement:
 //!
-//! * [`ledger`] — the borrow ledger. An empty bucket may borrow headroom
+//! * `ledger` — the borrow ledger. An empty bucket may borrow headroom
 //!   from tenants running below their rate, with a fixed lexicographic
 //!   lender order, a per-pair debt cap, an isolation floor, and epoch-based
 //!   repayment with round-up interest so lenders are never worse off at
 //!   steady state. Conservation (`granted == repaid + forgiven +
 //!   outstanding`) is audited on every settlement.
-//! * [`placement`] — the Serifos-style consolidation planner. It scores
+//! * `placement` — the Serifos-style consolidation planner. It scores
 //!   (tenant, SSD) assignments from telemetry-observed interference
 //!   (congestion residency, GC overlap, write-cost EWMA) via the shared
 //!   [`HealthScore`] key and emits deterministic migration plans applied at
@@ -25,10 +25,10 @@
 //!
 //! [`HealthScore`]: gimbal_fabric::HealthScore
 
-pub mod config;
-pub mod ledger;
-pub mod placement;
+mod config;
+mod ledger;
+mod placement;
 
 pub use config::{BrokerConfig, BrokerMode};
-pub use ledger::{Broker, BrokerHandle, BrokerStats, Charge, JournalRecord};
-pub use placement::{Migration, SsdTelemetry, TenantDemand};
+pub use ledger::{Broker, BrokerHandle, BrokerStats, Charge};
+pub use placement::{Migration, SsdTelemetry};

@@ -45,7 +45,7 @@ pub struct SsdTelemetry {
 
 /// One tenant's demand observed this epoch, as the broker ledger saw it.
 #[derive(Clone, Copy, Debug)]
-pub struct TenantDemand {
+pub(crate) struct TenantDemand {
     /// Where the tenant currently runs.
     pub ssd: SsdId,
     /// The tenant.
@@ -80,7 +80,7 @@ fn score(t: &SsdTelemetry, load: u64, cap_epoch: u64) -> HealthScore {
 
 /// Plan up to `max_moves` migrations. Pure and deterministic; see the
 /// module docs for the policy.
-pub fn plan(
+pub(crate) fn plan(
     telem: &[SsdTelemetry],
     demand: &[TenantDemand],
     cap_epoch: u64,

@@ -80,15 +80,6 @@ impl AdmissionPolicy {
             _ => None,
         }
     }
-
-    /// Stable rank for digest folding.
-    const fn rank(self) -> u64 {
-        match self {
-            AdmissionPolicy::Always => 0,
-            AdmissionPolicy::CongestionAware => 1,
-            AdmissionPolicy::Never => 2,
-        }
-    }
 }
 
 /// How writes interact with the cache tier.
@@ -119,14 +110,6 @@ impl WritePolicy {
             "through" | "write-through" => Some(WritePolicy::Through),
             "back" | "write-back" => Some(WritePolicy::Back),
             _ => None,
-        }
-    }
-
-    /// Stable rank for digest folding.
-    const fn rank(self) -> u64 {
-        match self {
-            WritePolicy::Through => 0,
-            WritePolicy::Back => 1,
         }
     }
 }
@@ -257,7 +240,7 @@ impl CacheConfig {
     }
 
     /// Total line slots this configuration provides.
-    pub fn capacity_lines(&self) -> u64 {
+    pub(crate) fn capacity_lines(&self) -> u64 {
         self.capacity_bytes / u64::from(self.line_bytes)
     }
 }
@@ -631,15 +614,6 @@ impl CacheStats {
         self.hits + self.misses
     }
 
-    /// Fraction of read lookups served from DRAM (0 when idle).
-    pub fn hit_ratio(&self) -> f64 {
-        if self.lookups() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups() as f64
-        }
-    }
-
     /// Fold every counter into `d`, field order fixed.
     pub fn fold_into(&self, d: &mut Digest) {
         for v in [
@@ -733,10 +707,13 @@ impl TenantPart {
 #[derive(Clone, Copy, Debug)]
 struct Flight {
     line: u64,
-    tenant: TenantId,
     /// Dirty epoch snapshotted at issue; a mismatch on completion means the
     /// line was re-dirtied (or superseded) while the flush was in flight.
     epoch: u64,
+    /// Owner and WAL tag at issue; only the state digest reads them.
+    #[cfg(test)]
+    tenant: TenantId,
+    #[cfg(test)]
     wal: Option<u64>,
 }
 
@@ -811,11 +788,6 @@ impl SsdCache {
     /// The DRAM-copy latency the pipeline charges on a hit.
     pub fn hit_latency(&self) -> SimDuration {
         self.cfg.hit_latency
-    }
-
-    /// Current congestion regime of the admission classifier.
-    pub fn congestion_state(&self) -> CongState {
-        self.state
     }
 
     /// Snapshot of the counters, with `resident_lines` filled in.
@@ -1206,7 +1178,7 @@ impl SsdCache {
 
     /// Take the flush writes the pipeline should submit now, bounded by the
     /// in-flight cap. Empty under write-through, after device death, or when
-    /// no dirty line is eligible (see [`Self::pop_flushable`]).
+    /// no dirty line is eligible (see `Self::pop_flushable`).
     pub fn take_flushes(&mut self, now: SimTime) -> Vec<FlushIo> {
         let mut out = Vec::new();
         self.take_flushes_into(now, &mut out);
@@ -1234,8 +1206,10 @@ impl SsdCache {
                 id,
                 Flight {
                     line: l,
-                    tenant,
                     epoch,
+                    #[cfg(test)]
+                    tenant,
+                    #[cfg(test)]
                     wal,
                 },
             );
@@ -1941,10 +1915,18 @@ impl SsdCache {
             },
         );
     }
+}
+
+#[cfg(test)]
+impl SsdCache {
+    /// Current congestion regime of the admission classifier.
+    pub(crate) fn congestion_state(&self) -> CongState {
+        self.state
+    }
 
     /// Fold the full cache state — line table, partitions, classifier,
     /// counters, losses — into `d`. Joins the double-run identity checks.
-    pub fn fold_into(&self, d: &mut Digest) {
+    pub(crate) fn fold_into(&self, d: &mut Digest) {
         // Write-back state folds only when the policy is `Back`, keeping a
         // `Through` cache's digest stream bit-identical to the tier before
         // write-back existed ("off ≡ absent").
@@ -2036,6 +2018,29 @@ impl SsdCache {
             for e in &self.journal {
                 e.fold_into(d);
             }
+        }
+    }
+}
+
+#[cfg(test)]
+impl WritePolicy {
+    /// Stable rank for digest folding.
+    const fn rank(self) -> u64 {
+        match self {
+            WritePolicy::Through => 0,
+            WritePolicy::Back => 1,
+        }
+    }
+}
+
+#[cfg(test)]
+impl AdmissionPolicy {
+    /// Stable rank for digest folding.
+    const fn rank(self) -> u64 {
+        match self {
+            AdmissionPolicy::Always => 0,
+            AdmissionPolicy::CongestionAware => 1,
+            AdmissionPolicy::Never => 2,
         }
     }
 }

@@ -36,6 +36,6 @@
 //! used before this crate existed), nothing is journaled or traced, and no
 //! digest folds anything — runs are bit-identical to pre-scheduler builds.
 
-pub mod sched;
+mod sched;
 
 pub use sched::{CoreScheduler, CoresStats, Quantum, StealConfig};

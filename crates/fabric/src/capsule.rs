@@ -44,7 +44,7 @@ pub struct NvmeCmd {
 impl NvmeCmd {
     /// Number of logical blocks spanned.
     #[inline]
-    pub fn blocks(&self) -> u64 {
+    pub(crate) fn blocks(&self) -> u64 {
         debug_assert!(self.len > 0 && u64::from(self.len) % BLOCK_SIZE == 0);
         u64::from(self.len) / BLOCK_SIZE
     }

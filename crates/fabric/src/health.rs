@@ -42,9 +42,12 @@ impl HealthScore {
             headroom,
         }
     }
+}
 
+#[cfg(test)]
+impl HealthScore {
     /// The best possible score at a given headroom (fully healthy).
-    pub fn healthy(headroom: u64) -> Self {
+    pub(crate) fn healthy(headroom: u64) -> Self {
         HealthScore::new(true, true, true, headroom)
     }
 }

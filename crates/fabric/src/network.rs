@@ -72,7 +72,7 @@ impl Port {
     /// Serialize `bytes` starting no earlier than `now`; returns the instant
     /// the last byte leaves the port. `now` must be monotone across calls —
     /// a message cannot be handed to the port in the caller's past.
-    pub fn transmit(&mut self, now: SimTime, bytes: u64) -> SimTime {
+    pub(crate) fn transmit(&mut self, now: SimTime, bytes: u64) -> SimTime {
         debug_assert!(
             now >= self.last_now,
             "Port::transmit time went backwards: {now} < {}",
@@ -87,7 +87,7 @@ impl Port {
     /// payload serializes when the read request reaches the initiator, one
     /// propagation delay later). Skips the monotonic-`now` watermark, since
     /// present-time and future-time sends legitimately interleave.
-    pub fn transmit_at(&mut self, earliest: SimTime, bytes: u64) -> SimTime {
+    pub(crate) fn transmit_at(&mut self, earliest: SimTime, bytes: u64) -> SimTime {
         self.enqueue(earliest, bytes)
     }
 
@@ -104,11 +104,6 @@ impl Port {
         self.bytes_sent += bytes;
         self.messages_sent += 1;
         done
-    }
-
-    /// The instant the port becomes idle.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
     }
 
     /// Total bytes serialized since creation (telemetry gauge feed).
@@ -141,7 +136,7 @@ impl RdmaDelays {
     }
 
     /// Whether a command's write payload rides inline in the capsule.
-    pub fn is_inlined(&self, cmd: &NvmeCmd) -> bool {
+    pub(crate) fn is_inlined(&self, cmd: &NvmeCmd) -> bool {
         cmd.opcode == IoType::Write && cmd.len_bytes() <= self.cfg.inline_threshold
     }
 

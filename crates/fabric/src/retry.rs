@@ -80,7 +80,7 @@ impl RetryConfig {
 
     /// Whether attempt `n` exhausted the retry budget: a timer firing on
     /// attempt `max_retries` (0-based original + retries) fails the command.
-    pub fn exhausted(&self, attempt: u32) -> bool {
+    pub(crate) fn exhausted(&self, attempt: u32) -> bool {
         attempt >= self.max_retries
     }
 

@@ -62,16 +62,6 @@ impl TorSwitch {
         }
     }
 
-    /// Number of node links.
-    pub fn nodes(&self) -> usize {
-        self.down.len()
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &TorConfig {
-        &self.cfg
-    }
-
     /// Forward a message that reached the ToR at `at_tor` down to `node`;
     /// returns when it arrives at the node. `extra` is fault-injected link
     /// degradation (zero when the link is healthy).

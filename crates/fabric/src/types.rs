@@ -77,9 +77,6 @@ pub enum IoType {
 }
 
 impl IoType {
-    /// Iterate over both opcodes (handy for per-type state arrays).
-    pub const BOTH: [IoType; 2] = [IoType::Read, IoType::Write];
-
     /// Dense index for per-type state arrays.
     #[inline]
     pub fn index(self) -> usize {
@@ -132,6 +129,12 @@ impl Default for Priority {
     fn default() -> Self {
         Priority::NORMAL
     }
+}
+
+#[cfg(test)]
+impl IoType {
+    /// Iterate over both opcodes (handy for per-type state arrays).
+    pub(crate) const BOTH: [IoType; 2] = [IoType::Read, IoType::Write];
 }
 
 #[cfg(test)]

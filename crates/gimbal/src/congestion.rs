@@ -37,7 +37,7 @@ impl CongestionState {
     /// The telemetry mirror of this state. `gimbal-telemetry` sits below
     /// this crate in the dependency DAG, so it carries its own copy of the
     /// state enum; this is the single conversion point.
-    pub fn trace_state(self) -> gimbal_telemetry::CongState {
+    pub(crate) fn trace_state(self) -> gimbal_telemetry::CongState {
         match self {
             CongestionState::Overloaded => gimbal_telemetry::CongState::Overloaded,
             CongestionState::Congested => gimbal_telemetry::CongState::Congested,
@@ -65,7 +65,7 @@ impl LatencyMonitor {
     /// Create a monitor from the switch parameters. The dynamic threshold
     /// starts at `Thresh_max` (maximally permissive; it decays toward the
     /// observed latency within a few completions).
-    pub fn new(params: &Params) -> Self {
+    pub(crate) fn new(params: &Params) -> Self {
         let (thresh, fixed) = match params.fixed_threshold {
             Some(t) => (t.as_nanos() as f64, true),
             None => (params.thresh_max.as_nanos() as f64, false),
@@ -81,7 +81,7 @@ impl LatencyMonitor {
     }
 
     /// Feed one completion latency; returns the resulting congestion state.
-    pub fn update(&mut self, latency: SimDuration) -> CongestionState {
+    pub(crate) fn update(&mut self, latency: SimDuration) -> CongestionState {
         let ewma = self.ewma.update(latency.as_nanos() as f64);
         if self.fixed {
             // Ablation baseline: a static threshold with no adaptation.

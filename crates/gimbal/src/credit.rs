@@ -28,11 +28,6 @@ impl CreditClient {
             credit_total: initial_credit.max(1),
         }
     }
-
-    /// The latest credit grant.
-    pub fn credit(&self) -> u32 {
-        self.credit_total
-    }
 }
 
 impl Default for CreditClient {

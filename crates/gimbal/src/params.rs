@@ -98,7 +98,7 @@ impl Params {
     }
 
     /// DRR quantum: one virtual slot per round.
-    pub fn quantum(&self) -> f64 {
+    pub(crate) fn quantum(&self) -> f64 {
         self.slot_bytes as f64
     }
 

@@ -11,7 +11,6 @@ use crate::congestion::LatencyMonitor;
 use crate::params::Params;
 use crate::rate::RateController;
 use crate::scheduler::{SchedPoll, VirtualSlotScheduler};
-use crate::view::SsdVirtualView;
 use crate::write_cost::WriteCostEstimator;
 use gimbal_fabric::{IoType, SsdId, TenantId};
 use gimbal_sim::SimTime;
@@ -20,6 +19,8 @@ use gimbal_telemetry::TraceHandle;
 
 /// The Gimbal storage switch policy for one SSD.
 pub struct GimbalPolicy {
+    /// Only the virtual view (§3.7), which no run path reads, needs it.
+    #[cfg(test)]
     ssd: SsdId,
     scheduler: VirtualSlotScheduler,
     rate: RateController,
@@ -37,18 +38,16 @@ impl GimbalPolicy {
     /// Build a Gimbal stage for `ssd` with the given parameters.
     pub fn new(ssd: SsdId, params: Params) -> Self {
         params.validate();
+        // Only the test-only virtual view reads the SSD id.
+        let _ = ssd;
         GimbalPolicy {
+            #[cfg(test)]
             ssd,
             scheduler: VirtualSlotScheduler::new(params),
             rate: RateController::new(params),
             write_cost: WriteCostEstimator::new(&params),
             blocked: None,
         }
-    }
-
-    /// With the paper's default parameters.
-    pub fn with_defaults(ssd: SsdId) -> Self {
-        Self::new(ssd, Params::default())
     }
 
     /// Current estimated device capacity (target rate), bytes/second.
@@ -65,16 +64,6 @@ impl GimbalPolicy {
     /// trace).
     pub fn monitor(&self, io_type: IoType) -> &LatencyMonitor {
         self.rate.monitor(io_type)
-    }
-
-    /// The virtual view this switch would expose to `tenant` (§3.7).
-    pub fn view_for(&self, tenant: TenantId) -> SsdVirtualView {
-        SsdVirtualView::from_control(
-            self.ssd,
-            self.scheduler.credit_for(tenant),
-            self.rate.target_rate(),
-            self.write_cost.cost(),
-        )
     }
 }
 
@@ -145,6 +134,24 @@ impl SwitchPolicy for GimbalPolicy {
         self.scheduler.attach_trace(trace.clone(), ssd);
         self.rate.attach_trace(trace.clone(), ssd);
         self.write_cost.attach_trace(trace, ssd);
+    }
+}
+
+#[cfg(test)]
+impl GimbalPolicy {
+    /// With the paper's default parameters.
+    pub(crate) fn with_defaults(ssd: SsdId) -> Self {
+        Self::new(ssd, Params::default())
+    }
+
+    /// The virtual view this switch would expose to `tenant` (§3.7).
+    pub(crate) fn view_for(&self, tenant: TenantId) -> crate::view::SsdVirtualView {
+        crate::view::SsdVirtualView::from_control(
+            self.ssd,
+            self.scheduler.credit_for(tenant),
+            self.rate.target_rate(),
+            self.write_cost.cost(),
+        )
     }
 }
 

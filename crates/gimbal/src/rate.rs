@@ -147,13 +147,13 @@ impl RateController {
     }
 
     /// Try to consume tokens for a submission of `size` bytes.
-    pub fn try_consume(&mut self, io_type: IoType, size: u64) -> bool {
+    pub(crate) fn try_consume(&mut self, io_type: IoType, size: u64) -> bool {
         self.bucket(io_type).try_consume(size)
     }
 
     /// Whether [`Self::try_consume`] would succeed right now (consumes
     /// nothing).
-    pub fn can_consume(&self, io_type: IoType, size: u64) -> bool {
+    pub(crate) fn can_consume(&self, io_type: IoType, size: u64) -> bool {
         let bucket = match io_type {
             IoType::Write if !self.params.single_bucket => &self.write_bucket,
             _ => &self.read_bucket,
@@ -163,7 +163,13 @@ impl RateController {
 
     /// Estimate when enough tokens for (`io_type`, `size`) will exist.
     /// Conservative hint: the caller re-polls and re-checks.
-    pub fn wait_hint(&self, now: SimTime, io_type: IoType, size: u64, write_cost: f64) -> SimTime {
+    pub(crate) fn wait_hint(
+        &self,
+        now: SimTime,
+        io_type: IoType,
+        size: u64,
+        write_cost: f64,
+    ) -> SimTime {
         let bucket = match io_type {
             IoType::Read => &self.read_bucket,
             IoType::Write => &self.write_bucket,
@@ -246,13 +252,8 @@ impl RateController {
     }
 
     /// Current target submission rate, bytes/second.
-    pub fn target_rate(&self) -> f64 {
+    pub(crate) fn target_rate(&self) -> f64 {
         self.target_rate
-    }
-
-    /// Most recent congestion state.
-    pub fn state(&self) -> CongestionState {
-        self.last_state
     }
 
     /// The latency monitor for an IO type (the write monitor feeds the
@@ -260,14 +261,22 @@ impl RateController {
     pub fn monitor(&self, io_type: IoType) -> &LatencyMonitor {
         &self.monitors[io_type.index()]
     }
+}
+
+#[cfg(test)]
+impl RateController {
+    /// Most recent congestion state.
+    pub(crate) fn state(&self) -> CongestionState {
+        self.last_state
+    }
 
     /// Tokens currently in the read bucket (for tests/inspection).
-    pub fn read_tokens(&self) -> f64 {
+    pub(crate) fn read_tokens(&self) -> f64 {
         self.read_bucket.tokens()
     }
 
     /// Tokens currently in the write bucket.
-    pub fn write_tokens(&self) -> f64 {
+    pub(crate) fn write_tokens(&self) -> f64 {
         self.write_bucket.tokens()
     }
 }

@@ -149,7 +149,7 @@ impl VirtualSlotScheduler {
     }
 
     /// Attach a telemetry handle; events carry `ssd` as their origin.
-    pub fn attach_trace(&mut self, trace: TraceHandle, ssd: SsdId) {
+    pub(crate) fn attach_trace(&mut self, trace: TraceHandle, ssd: SsdId) {
         self.trace = trace;
         self.trace_ssd = ssd;
     }
@@ -163,7 +163,7 @@ impl VirtualSlotScheduler {
     /// Per-tenant slot allotment: equal split of the threshold among the
     /// contending tenants (queued or in-flight IO), minimum one (so the
     /// total may exceed the threshold under high consolidation).
-    pub fn slot_limit(&self) -> u32 {
+    pub(crate) fn slot_limit(&self) -> u32 {
         (self.params.slots_per_tenant / self.contending.max(1)).max(1)
     }
 
@@ -353,7 +353,7 @@ impl VirtualSlotScheduler {
 
     /// The credit grant for a tenant (§3.6): allotted slots × IO count of
     /// the latest completed slot.
-    pub fn credit_for(&self, tenant: TenantId) -> u32 {
+    pub(crate) fn credit_for(&self, tenant: TenantId) -> u32 {
         let limit = self.slot_limit();
         match self.tenants.get(&tenant) {
             Some(t) => limit.saturating_mul(t.last_completed_slot_ios).max(1),
@@ -365,9 +365,12 @@ impl VirtualSlotScheduler {
     pub fn queued(&self) -> usize {
         self.tenants.values().map(|t| t.queued).sum()
     }
+}
 
+#[cfg(test)]
+impl VirtualSlotScheduler {
     /// Whether a tenant currently sits on the deferred list (tests).
-    pub fn is_deferred(&self, tenant: TenantId) -> bool {
+    pub(crate) fn is_deferred(&self, tenant: TenantId) -> bool {
         self.tenants
             .get(&tenant)
             .is_some_and(|t| t.state == ListState::Deferred)

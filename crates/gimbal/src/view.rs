@@ -6,12 +6,16 @@
 //! balancers, and IO schedulers on top — §4.3's RocksDB integration steers
 //! reads to the replica whose SSD shows the most credit, and the blobstore
 //! allocator picks the least-loaded backend the same way.
+//!
+//! No run path here reads the view (the blobstore and KV store read
+//! headroom from their own limiters), so the module builds for its unit
+//! tests only.
 
 use gimbal_fabric::SsdId;
 
 /// A snapshot of one SSD's virtual view as seen by one tenant.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SsdVirtualView {
+pub(crate) struct SsdVirtualView {
     /// The SSD this view describes.
     pub ssd: SsdId,
     /// Latest credit grant (outstanding-IO allowance) for this tenant.
@@ -31,7 +35,7 @@ impl SsdVirtualView {
     /// bucket splits it `wc/(1+wc)` : `1/(1+wc)` between reads and writes,
     /// so those shares are the per-direction headroom the client can plan
     /// against.
-    pub fn from_control(ssd: SsdId, credit: u32, target_rate: f64, write_cost: f64) -> Self {
+    pub(crate) fn from_control(ssd: SsdId, credit: u32, target_rate: f64, write_cost: f64) -> Self {
         let read_share = write_cost / (1.0 + write_cost);
         SsdVirtualView {
             ssd,

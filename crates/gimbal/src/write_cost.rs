@@ -58,7 +58,7 @@ impl WriteCostEstimator {
     }
 
     /// Current write cost, in `[1, write_cost_worst]`.
-    pub fn cost(&self) -> f64 {
+    pub(crate) fn cost(&self) -> f64 {
         self.cost
     }
 
@@ -96,11 +96,6 @@ impl WriteCostEstimator {
                 below_min: write_ewma_below_min,
             },
         );
-    }
-
-    /// The worst-case cost baseline.
-    pub fn worst(&self) -> f64 {
-        self.worst
     }
 }
 

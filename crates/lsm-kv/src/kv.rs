@@ -185,11 +185,6 @@ impl IoCtx<'_> {
             0
         }
     }
-
-    /// Load-aware allocation score (credit headroom, §4.3).
-    pub fn score(&self, b: BackendId) -> f64 {
-        f64::from(self.lim.headroom(b))
-    }
 }
 
 /// One LSM key-value store instance.
@@ -279,11 +274,6 @@ impl LsmKv {
     /// Statistics snapshot.
     pub fn stats(&self) -> LsmStats {
         self.stats
-    }
-
-    /// Current L0 depth (diagnostics).
-    pub fn l0_len(&self) -> usize {
-        self.l0.len()
     }
 
     fn blocks_for_entries(&self, n: u64) -> u64 {
@@ -923,6 +913,14 @@ impl LsmKv {
         let mut out = StepOutput::default();
         self.io_done_into(tag, now, ctx, &mut out);
         out
+    }
+}
+
+#[cfg(test)]
+impl LsmKv {
+    /// Current L0 depth (diagnostics).
+    pub(crate) fn l0_len(&self) -> usize {
+        self.l0.len()
     }
 }
 

@@ -16,8 +16,7 @@
 //! feeds completions back via [`LsmKv::io_done`]. This keeps the store's
 //! logic exhaustively unit-testable with an instant-completion stub.
 
-pub mod kv;
-pub mod sstable;
+mod kv;
+mod sstable;
 
 pub use kv::{IoCtx, LsmConfig, LsmKv, LsmStats, StepOutput, TaggedIo};
-pub use sstable::{SsTable, TableId};

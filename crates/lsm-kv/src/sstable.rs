@@ -7,13 +7,13 @@ use gimbal_sim::SimRng;
 
 /// Identifies an SSTable within one store instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TableId(pub u64);
+pub(crate) struct TableId(pub u64);
 
 /// An SSTable: a sorted, immutable run of key-value pairs in one blobstore
 /// file. Key *membership* is tracked exactly (the simulation's ground
 /// truth); the Bloom filter is modeled by its false-positive rate.
 #[derive(Clone, Debug)]
-pub struct SsTable {
+pub(crate) struct SsTable {
     /// Table identity.
     pub id: TableId,
     /// Backing blobstore file.
@@ -30,7 +30,7 @@ pub struct SsTable {
 
 impl SsTable {
     /// Build a table over a sorted, deduplicated key set.
-    pub fn new(id: TableId, file: FileId, keys: DetSet<u64>, size_blocks: u64) -> Self {
+    pub(crate) fn new(id: TableId, file: FileId, keys: DetSet<u64>, size_blocks: u64) -> Self {
         assert!(!keys.is_empty(), "empty SSTable");
         let key_min = *keys.iter().min().unwrap();
         let key_max = *keys.iter().max().unwrap();
@@ -45,24 +45,24 @@ impl SsTable {
     }
 
     /// Number of entries.
-    pub fn entries(&self) -> usize {
+    pub(crate) fn entries(&self) -> usize {
         self.keys.len()
     }
 
     /// Whether `key` falls in this table's range.
-    pub fn covers(&self, key: u64) -> bool {
+    pub(crate) fn covers(&self, key: u64) -> bool {
         (self.key_min..=self.key_max).contains(&key)
     }
 
     /// Exact membership (ground truth).
-    pub fn contains(&self, key: u64) -> bool {
+    pub(crate) fn contains(&self, key: u64) -> bool {
         self.keys.contains(&key)
     }
 
     /// Bloom filter verdict: always true for members; false positives at
     /// `fp_rate` for covered non-members. A `false` verdict skips the probe
     /// IO entirely, as in RocksDB.
-    pub fn bloom_maybe(&self, key: u64, fp_rate: f64, rng: &mut SimRng) -> bool {
+    pub(crate) fn bloom_maybe(&self, key: u64, fp_rate: f64, rng: &mut SimRng) -> bool {
         if !self.covers(key) {
             return false;
         }
@@ -70,19 +70,19 @@ impl SsTable {
     }
 
     /// Whether this table's range overlaps `[lo, hi]`.
-    pub fn overlaps(&self, lo: u64, hi: u64) -> bool {
+    pub(crate) fn overlaps(&self, lo: u64, hi: u64) -> bool {
         self.key_min <= hi && lo <= self.key_max
     }
 
     /// Iterate the key set (for compaction merging).
-    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn keys(&self) -> impl Iterator<Item = u64> + '_ {
         self.keys.iter().copied()
     }
 
     /// The block offset within the file that a point lookup of `key` reads
     /// (deterministic hash placement — which block doesn't matter to the
     /// simulation, only that it's one 4 KiB block).
-    pub fn block_of(&self, key: u64) -> u64 {
+    pub(crate) fn block_of(&self, key: u64) -> u64 {
         if self.size_blocks == 0 {
             0
         } else {

@@ -21,7 +21,7 @@ use gimbal_sim::{SimDuration, SimTime};
 pub const CYCLES_PER_US: f64 = 125.0;
 
 /// Convert cycles to a duration.
-pub fn cycles_to_duration(cycles: f64) -> SimDuration {
+pub(crate) fn cycles_to_duration(cycles: f64) -> SimDuration {
     let ns = (cycles / CYCLES_PER_US * 1000.0).round() as u64;
     SimDuration::from_nanos(ns)
 }
@@ -61,15 +61,6 @@ impl Core {
     /// Total busy time accumulated (for utilization reporting).
     pub fn busy_time(&self) -> SimDuration {
         self.busy_accum
-    }
-
-    /// Core utilization over `[0, now]`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if now == SimTime::ZERO {
-            0.0
-        } else {
-            (self.busy_accum.as_secs_f64() / now.as_secs_f64()).min(1.0)
-        }
     }
 }
 
@@ -190,11 +181,26 @@ impl CpuCost {
     pub fn total_cycles(&self, bytes: u64, null_device: bool) -> f64 {
         self.submit_cycles(bytes, null_device) + self.complete_cycles(bytes, null_device)
     }
+}
 
+#[cfg(test)]
+impl CpuCost {
     /// Theoretical per-core IOPS ceiling for `bytes`-sized IOs.
-    pub fn core_iops_limit(&self, bytes: u64, null_device: bool) -> f64 {
+    pub(crate) fn core_iops_limit(&self, bytes: u64, null_device: bool) -> f64 {
         let us_per_io = self.total_cycles(bytes, null_device) / CYCLES_PER_US;
         1e6 / us_per_io
+    }
+}
+
+#[cfg(test)]
+impl Core {
+    /// Core utilization over `[0, now]`.
+    pub(crate) fn utilization(&self, now: SimTime) -> f64 {
+        if now == SimTime::ZERO {
+            0.0
+        } else {
+            (self.busy_accum.as_secs_f64() / now.as_secs_f64()).min(1.0)
+        }
     }
 }
 

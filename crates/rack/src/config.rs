@@ -116,7 +116,7 @@ impl RackConfig {
     }
 
     /// The node owning backend `b` (backends are numbered node-major).
-    pub fn node_of(&self, b: usize) -> usize {
+    pub(crate) fn node_of(&self, b: usize) -> usize {
         b / self.ssds_per_node as usize
     }
 
@@ -181,7 +181,7 @@ impl RackConfig {
 
     /// Panic on inconsistent configuration, with [`Self::check`]'s message
     /// for the top-level conditions.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         self.ssd.validate();
         self.tor.validate();
         assert_eq!(self.check(), Ok(()), "invalid rack config");

@@ -9,7 +9,7 @@
 //! JBOF"; this crate answers "does the *rack* keep serving when a whole
 //! node dies". The moving parts:
 //!
-//! * [`engine`] — the rack engine: its clients, logical IOs and routing,
+//! * `engine` — the rack engine: its clients, logical IOs and routing,
 //!   and the ToR topology, run in the event loop every engine shares
 //!   ([`gimbal_testbed::reactor`]). Every capsule crosses the ToR
 //!   ([`gimbal_fabric::TorSwitch`]) twice: initiator port → ToR downlink →
@@ -29,7 +29,7 @@
 //!   terminal typed error only when no live replica holds the span
 //!   ([`gimbal_fabric::RetryConfig::escalate`], climbed by the initiator
 //!   runtime every engine shares, [`gimbal_testbed::initiator`]).
-//! * [`results`] — physical (per-capsule) *and* logical (per-application-IO)
+//! * `results` — physical (per-capsule) *and* logical (per-application-IO)
 //!   conservation counters; the rack audit holds when both balance: no
 //!   acknowledged IO lost, no IO double-served.
 //!
@@ -38,9 +38,9 @@
 //! sanitizer journals every cross-node routing decision (`rack.route`) so a
 //! double-run mismatch names the tick and decision that diverged.
 
-pub mod config;
-pub mod engine;
-pub mod results;
+mod config;
+mod engine;
+mod results;
 
 pub use config::RackConfig;
 pub use engine::RackTestbed;

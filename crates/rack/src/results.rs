@@ -60,13 +60,13 @@ pub struct RackCounters {
 impl RackCounters {
     /// The logical conservation law: every issued IO lands in exactly one
     /// terminal bucket.
-    pub fn logical_conservation_holds(&self) -> bool {
+    pub(crate) fn logical_conservation_holds(&self) -> bool {
         self.issued
             == self.acked_ok + self.acked_degraded + self.failed_typed + self.in_flight_at_end
     }
 
     /// Fold every counter into a digest, field order fixed.
-    pub fn fold_into(&self, d: &mut Digest) {
+    pub(crate) fn fold_into(&self, d: &mut Digest) {
         for v in [
             self.issued,
             self.acked_ok,

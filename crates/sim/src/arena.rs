@@ -29,11 +29,6 @@ impl IoHandle {
     pub fn index(self) -> u32 {
         self.index
     }
-
-    /// The slot incarnation this handle was issued under.
-    pub fn incarnation(self) -> u32 {
-        self.incarnation
-    }
 }
 
 /// Typed access failure: the handle no longer names a live record.
@@ -148,11 +143,6 @@ impl<T> IoArena<T> {
         self.live == 0
     }
 
-    /// Total slots ever allocated (live + recyclable).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     fn check(&mut self, h: IoHandle) -> Result<&mut Slot<T>, ArenaError> {
         let slot = self
             .slots
@@ -162,6 +152,14 @@ impl<T> IoArena<T> {
             return Err(ArenaError::Stale);
         }
         Ok(slot)
+    }
+}
+
+#[cfg(test)]
+impl<T> IoArena<T> {
+    /// Total slots ever allocated (live + recyclable).
+    pub(crate) fn capacity(&self) -> usize {
+        self.slots.len()
     }
 }
 

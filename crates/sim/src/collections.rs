@@ -122,14 +122,6 @@ impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
         Self::default()
     }
 
-    /// Create with capacity for `n` entries.
-    pub fn with_capacity(n: usize) -> Self {
-        DetMap {
-            slab: Vec::with_capacity(n),
-            index: Index::with_capacity_and_hasher(n, Default::default()),
-        }
-    }
-
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.index.len()

@@ -40,7 +40,7 @@ impl FaultWindow {
     }
 
     /// Whether `t` falls inside the window.
-    pub fn contains(&self, t: SimTime) -> bool {
+    pub(crate) fn contains(&self, t: SimTime) -> bool {
         t >= self.start && t < self.end
     }
 }
@@ -114,7 +114,7 @@ pub struct NodeFaultSpec {
 
 impl NodeFaultSpec {
     /// Whether this spec injects nothing.
-    pub fn is_noop(&self) -> bool {
+    pub(crate) fn is_noop(&self) -> bool {
         self.die_at.is_none()
             && self.partition_windows.is_empty()
             && self.gc_storm_windows.is_empty()
@@ -122,7 +122,7 @@ impl NodeFaultSpec {
     }
 
     /// Panic on a degenerate spec.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if !self.degrade_windows.is_empty() {
             assert!(
                 self.degrade_extra > SimDuration::ZERO,
@@ -175,16 +175,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Whether the plan injects nothing at all.
-    pub fn is_noop(&self) -> bool {
-        self.cmd_loss_prob == 0.0
-            && self.cpl_loss_prob == 0.0
-            && self.burst_windows.is_empty()
-            && self.ssd.iter().all(SsdFaultSpec::is_noop)
-            && self.nodes.iter().all(NodeFaultSpec::is_noop)
-            && self.power_loss_at.is_none()
-    }
-
     /// Panic on out-of-range probabilities.
     pub fn validate(&self) {
         assert!(
@@ -278,11 +268,6 @@ impl FaultInjector {
         }
     }
 
-    /// The plan in effect.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     fn in_burst(&self, now: SimTime) -> bool {
         self.plan.burst_windows.iter().any(|w| w.contains(now))
     }
@@ -305,6 +290,27 @@ impl FaultInjector {
             self.cpl_drops += 1;
         }
         dropped
+    }
+}
+
+#[cfg(test)]
+impl FaultInjector {
+    /// The plan in effect.
+    pub(crate) fn plan(&self) -> &FaultPlan {
+        &self.plan
+    }
+}
+
+#[cfg(test)]
+impl FaultPlan {
+    /// Whether the plan injects nothing at all.
+    pub(crate) fn is_noop(&self) -> bool {
+        self.cmd_loss_prob == 0.0
+            && self.cpl_loss_prob == 0.0
+            && self.burst_windows.is_empty()
+            && self.ssd.iter().all(SsdFaultSpec::is_noop)
+            && self.nodes.iter().all(NodeFaultSpec::is_noop)
+            && self.power_loss_at.is_none()
     }
 }
 

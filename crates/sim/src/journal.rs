@@ -69,13 +69,19 @@ pub struct AccessJournal {
 }
 
 impl AccessJournal {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record one access. `tick` values must be non-decreasing — the journal
     /// is fed from a monotone poll loop.
-    pub fn record(&mut self, tick: u64, component: &'static str, op: &'static str, key: u64) {
+    pub(crate) fn record(
+        &mut self,
+        tick: u64,
+        component: &'static str,
+        op: &'static str,
+        key: u64,
+    ) {
         debug_assert!(
             self.entries.last().is_none_or(|e| e.tick <= tick),
             "journal ticks must be non-decreasing"
@@ -179,11 +185,6 @@ impl DivergenceReport {
     /// The component implicated by the first mismatching entry.
     pub fn component(&self) -> &'static str {
         self.a.or(self.b).map_or("<none>", |e| e.component)
-    }
-
-    /// The key implicated by the first mismatching entry (run A wins ties).
-    pub fn key(&self) -> Option<u64> {
-        self.a.or(self.b).map(|e| e.key)
     }
 }
 
@@ -315,13 +316,6 @@ impl JournalHandle {
         }
     }
 
-    /// A handle feeding the shared journal.
-    pub fn attached(journal: &Rc<RefCell<AccessJournal>>) -> Self {
-        JournalHandle {
-            inner: Some(Rc::clone(journal)),
-        }
-    }
-
     /// Whether records reach a journal.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
@@ -335,14 +329,25 @@ impl JournalHandle {
         }
     }
 
-    /// Digest of the underlying journal, or `None` when disabled.
-    pub fn digest(&self) -> Option<u64> {
-        self.inner.as_ref().map(|j| j.borrow().digest())
-    }
-
     /// Snapshot the underlying journal, or `None` when disabled.
     pub fn snapshot(&self) -> Option<AccessJournal> {
         self.inner.as_ref().map(|j| j.borrow().clone())
+    }
+}
+
+#[cfg(test)]
+impl JournalHandle {
+    /// Digest of the underlying journal, or `None` when disabled.
+    pub(crate) fn digest(&self) -> Option<u64> {
+        self.inner.as_ref().map(|j| j.borrow().digest())
+    }
+}
+
+#[cfg(test)]
+impl DivergenceReport {
+    /// The key implicated by the first mismatching entry (run A wins ties).
+    pub(crate) fn key(&self) -> Option<u64> {
+        self.a.or(self.b).map(|e| e.key)
     }
 }
 

@@ -8,14 +8,14 @@
 //!
 //! The kernel provides:
 //!
-//! * [`time`] — the [`SimTime`] instant and [`SimDuration`] span newtypes;
-//! * [`queue`] — a stable (FIFO-within-timestamp) event queue;
-//! * [`rng`] — a small, fast, fully deterministic PRNG ([`rng::SimRng`]);
-//! * [`fault`] — seeded fault-injection plans (capsule loss, SSD errors,
+//! * `time` — the [`SimTime`] instant and [`SimDuration`] span newtypes;
+//! * `queue` — a stable (FIFO-within-timestamp) event queue;
+//! * `rng` — a small, fast, fully deterministic PRNG ([`rng::SimRng`]);
+//! * `fault` — seeded fault-injection plans (capsule loss, SSD errors,
 //!   stalls, device death) on dedicated RNG streams;
 //! * [`stats`] — latency histograms, EWMA filters, throughput meters and time
 //!   series used by every experiment;
-//! * [`token_bucket`] — the token-bucket primitive underlying Gimbal's rate
+//! * `token_bucket` — the token-bucket primitive underlying Gimbal's rate
 //!   pacing engine (§3.3 of the paper).
 //!
 //! Determinism is a hard invariant: given the same seed and configuration,
@@ -26,17 +26,17 @@
 // Unit tests may pin exact float values; the library build keeps float_cmp.
 #![cfg_attr(test, allow(clippy::float_cmp))]
 
-pub mod arena;
+mod arena;
 pub mod cast;
 pub mod collections;
-pub mod digest;
-pub mod fault;
+mod digest;
+mod fault;
 pub mod journal;
-pub mod queue;
-pub mod rng;
+mod queue;
+mod rng;
 pub mod stats;
-pub mod time;
-pub mod token_bucket;
+mod time;
+mod token_bucket;
 
 pub use arena::{ArenaError, IoArena, IoHandle};
 pub use collections::{DetMap, DetSet};

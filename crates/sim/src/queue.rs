@@ -299,18 +299,6 @@ impl<E> EventQueue<E> {
         self.watermark
     }
 
-    /// Drop all pending events without firing them.
-    pub fn clear(&mut self) {
-        self.links.clear();
-        self.free = NIL;
-        self.occupancy = [0; LEVELS];
-        self.current.clear();
-        self.len = 0;
-        // The origin may have run ahead of the watermark while a batch was
-        // staged; rewind so post-clear pushes (>= watermark) place correctly.
-        self.elapsed = self.watermark.as_nanos();
-    }
-
     /// Lowest non-empty (level, slot), i.e. where the next batch drains from.
     fn lowest_occupied(&self) -> Option<(usize, usize)> {
         self.occupancy
@@ -387,6 +375,21 @@ impl<E> EventQueue<E> {
                 cur = next;
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl<E> EventQueue<E> {
+    /// Drop all pending events without firing them.
+    pub(crate) fn clear(&mut self) {
+        self.links.clear();
+        self.free = NIL;
+        self.occupancy = [0; LEVELS];
+        self.current.clear();
+        self.len = 0;
+        // The origin may have run ahead of the watermark while a batch was
+        // staged; rewind so post-clear pushes (>= watermark) place correctly.
+        self.elapsed = self.watermark.as_nanos();
     }
 }
 

@@ -48,7 +48,7 @@ impl SimRng {
 
     /// Next 32 uniformly distributed bits.
     #[inline]
-    pub fn next_u32(&mut self) -> u32 {
+    pub(crate) fn next_u32(&mut self) -> u32 {
         let old = self.state;
         self.state = old.wrapping_mul(PCG_MULT).wrapping_add(self.inc);
         let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
@@ -102,12 +102,6 @@ impl SimRng {
             let j = self.gen_below(i as u64 + 1) as usize;
             slice.swap(i, j);
         }
-    }
-
-    /// Pick a uniformly random element.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> &'a T {
-        assert!(!slice.is_empty(), "choose from empty slice");
-        &slice[self.gen_below(slice.len() as u64) as usize]
     }
 }
 

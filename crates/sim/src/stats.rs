@@ -127,11 +127,6 @@ impl Histogram {
         self.total
     }
 
-    /// Whether no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
     /// Arithmetic mean of all samples (0 if empty).
     pub fn mean(&self) -> f64 {
         if self.total == 0 {
@@ -301,11 +296,6 @@ impl Ewma {
     pub fn get(&self) -> Option<f64> {
         self.value
     }
-
-    /// Forget all history.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
 }
 
 /// A windowed throughput meter: counts bytes/ops in a ring of time buckets so
@@ -321,7 +311,6 @@ pub struct Meter {
     /// Absolute index of the bucket currently being filled.
     cur_bucket: u64,
     total_bytes: u64,
-    total_ops: u64,
 }
 
 impl Meter {
@@ -333,7 +322,6 @@ impl Meter {
             buckets_bytes: vec![0; buckets],
             cur_bucket: 0,
             total_bytes: 0,
-            total_ops: 0,
         }
     }
 
@@ -362,7 +350,6 @@ impl Meter {
         let idx = (self.cur_bucket % self.buckets_bytes.len() as u64) as usize;
         self.buckets_bytes[idx] += bytes;
         self.total_bytes += bytes;
-        self.total_ops += 1;
     }
 
     /// Bytes/second over the sliding window ending at `now`.
@@ -371,16 +358,6 @@ impl Meter {
         let window = self.bucket_width * self.buckets_bytes.len() as u64;
         let bytes: u64 = self.buckets_bytes.iter().sum();
         bytes as f64 / window.as_secs_f64()
-    }
-
-    /// Total bytes recorded since creation.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
-    /// Total operations recorded since creation.
-    pub fn total_ops(&self) -> u64 {
-        self.total_ops
     }
 }
 
@@ -434,6 +411,22 @@ impl TimeSeries {
         } else {
             Some(vals.iter().sum::<f64>() / vals.len() as f64)
         }
+    }
+}
+
+#[cfg(test)]
+impl Meter {
+    /// Total bytes recorded since creation.
+    pub(crate) fn total_bytes(&self) -> u64 {
+        self.total_bytes
+    }
+}
+
+#[cfg(test)]
+impl Histogram {
+    /// Whether no samples have been recorded.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.total == 0
     }
 }
 

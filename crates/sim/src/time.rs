@@ -79,7 +79,7 @@ impl SimTime {
 
     /// The later of two instants.
     #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {
             self
         } else {
@@ -89,7 +89,7 @@ impl SimTime {
 
     /// The earlier of two instants.
     #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
+    pub(crate) fn min(self, other: SimTime) -> SimTime {
         if self.0 <= other.0 {
             self
         } else {
@@ -101,8 +101,6 @@ impl SimTime {
 impl SimDuration {
     /// Zero-length span.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The greatest representable span.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Construct from raw nanoseconds.
     #[inline]
@@ -291,6 +289,12 @@ fn fmt_ns(ns: u64) -> String {
     } else {
         format!("{ns}ns")
     }
+}
+
+#[cfg(test)]
+impl SimDuration {
+    /// The greatest representable span.
+    pub(crate) const MAX: SimDuration = SimDuration(u64::MAX);
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use gimbal_sim::collections::DetMap;
 
 /// DRAM write buffer occupancy tracker.
 #[derive(Debug)]
-pub struct WriteBuffer {
+pub(crate) struct WriteBuffer {
     capacity_pages: u64,
     occupied_pages: u64,
     resident: DetMap<u64, u32>,
@@ -22,7 +22,7 @@ pub struct WriteBuffer {
 
 impl WriteBuffer {
     /// Create a buffer holding `capacity_pages` logical pages.
-    pub fn new(capacity_pages: u64) -> Self {
+    pub(crate) fn new(capacity_pages: u64) -> Self {
         assert!(capacity_pages > 0);
         WriteBuffer {
             capacity_pages,
@@ -32,24 +32,24 @@ impl WriteBuffer {
     }
 
     /// Whether `pages` more pages fit right now.
-    pub fn has_space(&self, pages: u64) -> bool {
+    pub(crate) fn has_space(&self, pages: u64) -> bool {
         self.occupied_pages + pages <= self.capacity_pages
     }
 
     /// Admit one logical page. Caller must have checked [`Self::has_space`].
-    pub fn admit(&mut self, lpn: u64) {
+    pub(crate) fn admit(&mut self, lpn: u64) {
         debug_assert!(self.has_space(1), "admitting into a full buffer");
         self.occupied_pages += 1;
         *self.resident.get_or_insert_with(lpn, || 0) += 1;
     }
 
     /// Whether a logical page is resident (read hit).
-    pub fn contains(&self, lpn: u64) -> bool {
+    pub(crate) fn contains(&self, lpn: u64) -> bool {
         self.resident.contains_key(&lpn)
     }
 
     /// Release one unit of a logical page after its program completes.
-    pub fn release(&mut self, lpn: u64) {
+    pub(crate) fn release(&mut self, lpn: u64) {
         #[expect(
             clippy::panic,
             reason = "acquire/release pairing is a device-internal invariant; no tenant command reaches here unpaired"
@@ -65,15 +65,13 @@ impl WriteBuffer {
         debug_assert!(self.occupied_pages > 0);
         self.occupied_pages -= 1;
     }
+}
 
+#[cfg(test)]
+impl WriteBuffer {
     /// Pages currently occupied.
-    pub fn occupied(&self) -> u64 {
+    pub(crate) fn occupied(&self) -> u64 {
         self.occupied_pages
-    }
-
-    /// Capacity in pages.
-    pub fn capacity(&self) -> u64 {
-        self.capacity_pages
     }
 }
 

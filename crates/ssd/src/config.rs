@@ -120,22 +120,22 @@ impl SsdConfig {
     }
 
     /// Logical pages exported by the namespace.
-    pub fn logical_pages(&self) -> u64 {
+    pub(crate) fn logical_pages(&self) -> u64 {
         self.logical_capacity / self.logical_page_bytes
     }
 
     /// Logical-page slots per NAND page.
-    pub fn slots_per_nand_page(&self) -> u32 {
+    pub(crate) fn slots_per_nand_page(&self) -> u32 {
         (self.nand_page_bytes / self.logical_page_bytes) as u32
     }
 
     /// Logical-page slots per erase block.
-    pub fn slots_per_block(&self) -> u32 {
+    pub(crate) fn slots_per_block(&self) -> u32 {
         self.pages_per_block * self.slots_per_nand_page()
     }
 
     /// Erase blocks per die needed to hold the logical capacity exactly.
-    pub fn data_blocks_per_die(&self) -> u32 {
+    pub(crate) fn data_blocks_per_die(&self) -> u32 {
         self.logical_pages()
             .div_ceil(u64::from(self.dies()))
             .div_ceil(u64::from(self.slots_per_block())) as u32
@@ -152,21 +152,8 @@ impl SsdConfig {
     }
 
     /// Logical pages a single program operation persists.
-    pub fn slots_per_program(&self) -> u32 {
+    pub(crate) fn slots_per_program(&self) -> u32 {
         self.pages_per_program * self.slots_per_nand_page()
-    }
-
-    /// Theoretical clean sequential write bandwidth (all dies programming
-    /// continuously), bytes/second. Used by calibration tests.
-    pub fn peak_program_bandwidth(&self) -> f64 {
-        let per_die = (u64::from(self.pages_per_program) * self.nand_page_bytes) as f64
-            / self.t_program.as_secs_f64();
-        per_die * f64::from(self.dies())
-    }
-
-    /// Theoretical 4 KiB random read IOPS (die-limited), ops/second.
-    pub fn peak_small_read_iops(&self) -> f64 {
-        f64::from(self.dies()) / self.t_read.as_secs_f64()
     }
 
     /// Validate internal consistency; panics with a description on error.
@@ -188,6 +175,22 @@ impl SsdConfig {
         assert!(self.blocks_per_die() > self.gc_high_watermark);
         assert!(self.pages_per_program >= 1);
         assert!(self.write_buffer_bytes >= self.logical_page_bytes * 64);
+    }
+}
+
+#[cfg(test)]
+impl SsdConfig {
+    /// Theoretical clean sequential write bandwidth (all dies programming
+    /// continuously), bytes/second. Used by calibration tests.
+    pub(crate) fn peak_program_bandwidth(&self) -> f64 {
+        let per_die = (u64::from(self.pages_per_program) * self.nand_page_bytes) as f64
+            / self.t_program.as_secs_f64();
+        per_die * f64::from(self.dies())
+    }
+
+    /// Theoretical 4 KiB random read IOPS (die-limited), ops/second.
+    pub(crate) fn peak_small_read_iops(&self) -> f64 {
+        f64::from(self.dies()) / self.t_read.as_secs_f64()
     }
 }
 

@@ -225,11 +225,6 @@ impl FlashSsd {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &SsdConfig {
-        &self.cfg
-    }
-
     /// Device statistics.
     pub fn stats(&self) -> SsdStats {
         let mut s = self.stats;
@@ -250,11 +245,6 @@ impl FlashSsd {
         let free = self.cfg.gc_low_watermark;
         self.ftl.precondition_fragmented(free, &mut self.rng);
         self.stats = SsdStats::default();
-    }
-
-    /// Total number of logical blocks (LBAs) exported.
-    pub fn capacity_blocks(&self) -> u64 {
-        self.cfg.logical_pages()
     }
 
     /// Inject a permanent flash failure: from now on every command errors
@@ -750,6 +740,19 @@ impl StorageDevice for FlashSsd {
 
     fn is_failed(&self) -> bool {
         self.failed
+    }
+}
+
+#[cfg(test)]
+impl FlashSsd {
+    /// The configuration in use.
+    pub(crate) fn config(&self) -> &SsdConfig {
+        &self.cfg
+    }
+
+    /// Total number of logical blocks (LBAs) exported.
+    pub(crate) fn capacity_blocks(&self) -> u64 {
+        self.cfg.logical_pages()
     }
 }
 

@@ -3,7 +3,7 @@
 //! The FTL is purely *logical*: it maps logical pages to physical slots,
 //! tracks per-block validity, selects GC victims greedily, and reports how
 //! much copy work a collection implies. All *timing* (tR/tPROG/tBERS, die
-//! occupancy) lives in [`crate::device`]; this separation keeps the FTL
+//! occupancy) lives in `crate::device`; this separation keeps the FTL
 //! exhaustively unit-testable.
 //!
 //! Physical layout: `die → block → NAND page → slot`, where a slot holds one
@@ -18,7 +18,7 @@ const UNMAPPED: u32 = u32::MAX;
 
 /// State of an erase block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BlockState {
+pub(crate) enum BlockState {
     /// Erased and available.
     Free,
     /// Currently accepting appends (host or GC writes).
@@ -68,7 +68,7 @@ pub struct FtlCounters {
 impl FtlCounters {
     /// Write amplification factor observed so far (≥ 1.0 once the host has
     /// written anything).
-    pub fn write_amplification(&self) -> f64 {
+    pub(crate) fn write_amplification(&self) -> f64 {
         if self.host_slot_writes == 0 {
             1.0
         } else {
@@ -139,18 +139,8 @@ impl Ftl {
         }
     }
 
-    /// Number of dies.
-    pub fn dies(&self) -> u32 {
-        self.dies
-    }
-
-    /// Logical pages exported.
-    pub fn logical_pages(&self) -> u64 {
-        self.logical_pages
-    }
-
     /// Running counters.
-    pub fn counters(&self) -> FtlCounters {
+    pub(crate) fn counters(&self) -> FtlCounters {
         self.counters
     }
 
@@ -165,7 +155,7 @@ impl Ftl {
     }
 
     /// Decompose a global slot index into an address.
-    pub fn addr_of(&self, slot_idx: u32) -> SlotAddr {
+    pub(crate) fn addr_of(&self, slot_idx: u32) -> SlotAddr {
         let die = slot_idx / self.slots_per_die();
         let rem = slot_idx % self.slots_per_die();
         let local_block = rem / self.slots_per_block;
@@ -189,7 +179,7 @@ impl Ftl {
     }
 
     /// Whether a logical page is mapped.
-    pub fn is_mapped(&self, lpn: u64) -> bool {
+    pub(crate) fn is_mapped(&self, lpn: u64) -> bool {
         self.map[lpn as usize] != UNMAPPED
     }
 
@@ -293,7 +283,7 @@ impl Ftl {
 
     /// Slots still appendable on `die` without taking a new free block
     /// (space left in the host open block).
-    pub fn host_open_space(&self, die: u32) -> u32 {
+    pub(crate) fn host_open_space(&self, die: u32) -> u32 {
         match &self.open_host[die as usize] {
             Some(ob) => self.slots_per_block - ob.next_slot,
             None => 0,
@@ -355,18 +345,8 @@ impl Ftl {
     }
 
     /// Record a completed collection (for WA accounting).
-    pub fn note_collection(&mut self) {
+    pub(crate) fn note_collection(&mut self) {
         self.counters.collections += 1;
-    }
-
-    /// Valid-slot count of a block (test/inspection helper).
-    pub fn block_valid(&self, block: u32) -> u16 {
-        self.valid[block as usize]
-    }
-
-    /// State of a block (test/inspection helper).
-    pub fn block_state(&self, block: u32) -> BlockState {
-        self.state[block as usize]
     }
 
     // ------------------------------------------------------------------
@@ -383,7 +363,7 @@ impl Ftl {
     /// `stripe_slots` is the number of consecutive logical pages placed on
     /// one die before moving to the next (the device passes its program
     /// batch size).
-    pub fn precondition_clean(&mut self, stripe_slots: u32) {
+    pub(crate) fn precondition_clean(&mut self, stripe_slots: u32) {
         assert!(stripe_slots >= 1);
         self.reset_unmapped();
         for lpn in 0..self.logical_pages {
@@ -399,7 +379,7 @@ impl Ftl {
     /// interspersed so blocks sit at a valid ratio of roughly
     /// `logical / physical-in-use`, and only `free_per_die` blocks left free.
     /// This is the steady state hours of 4 KiB random overwrites converge to.
-    pub fn precondition_fragmented(&mut self, free_per_die: u32, rng: &mut SimRng) {
+    pub(crate) fn precondition_fragmented(&mut self, free_per_die: u32, rng: &mut SimRng) {
         assert!(free_per_die >= 1 && free_per_die < self.blocks_per_die);
         self.reset_unmapped();
         let usable_blocks_per_die = self.blocks_per_die - free_per_die;
@@ -453,6 +433,19 @@ impl Ftl {
         }
         self.open_host.iter_mut().for_each(|o| *o = None);
         self.open_gc.iter_mut().for_each(|o| *o = None);
+    }
+}
+
+#[cfg(test)]
+impl Ftl {
+    /// Valid-slot count of a block (test/inspection helper).
+    pub(crate) fn block_valid(&self, block: u32) -> u16 {
+        self.valid[block as usize]
+    }
+
+    /// State of a block (test/inspection helper).
+    pub(crate) fn block_state(&self, block: u32) -> BlockState {
+        self.state[block as usize]
     }
 }
 

@@ -33,12 +33,12 @@
 // Unit tests may pin exact float values; the library build keeps float_cmp.
 #![cfg_attr(test, allow(clippy::float_cmp))]
 
-pub mod buffer;
-pub mod config;
-pub mod device;
+mod buffer;
+mod config;
+mod device;
 pub mod ftl;
-pub mod null;
-pub mod stats;
+mod null;
+mod stats;
 
 pub use config::{SsdConfig, SsdProfile};
 pub use device::{FlashSsd, SsdCompletion, StorageDevice};

@@ -17,9 +17,9 @@
 //!   cycles for both paths on its dedicated core, drives the device, and
 //!   emits completion capsules with optional piggybacked credits.
 
-pub mod client;
-pub mod pipeline;
-pub mod policy;
+mod client;
+mod pipeline;
+mod policy;
 
 pub use client::{ClientPolicy, UnlimitedClient};
 pub use pipeline::{Pipeline, PipelineConfig, PipelineOut};

@@ -260,11 +260,6 @@ impl<D: StorageDevice> Pipeline<D> {
         }
     }
 
-    /// The SSD this pipeline serves.
-    pub fn ssd(&self) -> SsdId {
-        self.ssd
-    }
-
     /// Access the underlying device (for preconditioning and stats).
     pub fn device(&self) -> &D {
         &self.device
@@ -310,11 +305,6 @@ impl<D: StorageDevice> Pipeline<D> {
     /// of a run.
     pub fn cache_mut(&mut self) -> Option<&mut SsdCache> {
         self.cache.as_mut()
-    }
-
-    /// The core this pipeline runs on.
-    pub fn core(&self) -> Rc<RefCell<Core>> {
-        Rc::clone(&self.core)
     }
 
     /// Repoint the pipeline at a different reactor core for its next poll

@@ -103,7 +103,7 @@ impl FifoPolicy {
     }
 
     /// FIFO that keeps at most `depth` commands outstanding at the device.
-    pub fn with_depth(depth: usize) -> Self {
+    pub(crate) fn with_depth(depth: usize) -> Self {
         FifoPolicy {
             queue: VecDeque::new(),
             max_inflight: depth.max(1),

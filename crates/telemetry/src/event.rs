@@ -108,18 +108,13 @@ impl CongState {
     }
 
     /// Interned label.
-    pub const fn name(self) -> &'static str {
+    pub(crate) const fn name(self) -> &'static str {
         match self {
             CongState::Underutilized => "underutilized",
             CongState::CongestionAvoidance => "congestion_avoidance",
             CongState::Congested => "congested",
             CongState::Overloaded => "overloaded",
         }
-    }
-
-    /// Whether `a → b` moves at most one rung on the pressure ladder.
-    pub fn adjacent(a: CongState, b: CongState) -> bool {
-        a.rank().abs_diff(b.rank()) <= 1
     }
 }
 
@@ -140,7 +135,7 @@ pub enum CapsuleKind {
 
 impl CapsuleKind {
     /// Interned label.
-    pub const fn name(self) -> &'static str {
+    pub(crate) const fn name(self) -> &'static str {
         match self {
             CapsuleKind::Command => "command",
             CapsuleKind::Completion => "completion",
@@ -160,7 +155,7 @@ pub enum OverflowDirection {
 
 impl OverflowDirection {
     /// Interned label.
-    pub const fn name(self) -> &'static str {
+    pub(crate) const fn name(self) -> &'static str {
         match self {
             OverflowDirection::ReadToWrite => "read_to_write",
             OverflowDirection::WriteToRead => "write_to_read",
@@ -767,12 +762,20 @@ impl Event {
     }
 
     /// Fold the full event — stamp and payload — into `d`.
-    pub fn fold_into(&self, d: &mut Digest) {
+    pub(crate) fn fold_into(&self, d: &mut Digest) {
         d.update_u64(self.seq);
         d.update_u64(self.at.as_nanos());
         d.update_u64(u64::from(self.ssd.index() as u32));
         d.update_u64(self.tenant.map_or(0, |t| 1 + t.index() as u64));
         self.kind.fold_into(d);
+    }
+}
+
+#[cfg(test)]
+impl CongState {
+    /// Whether `a → b` moves at most one rung on the pressure ladder.
+    pub(crate) fn adjacent(a: CongState, b: CongState) -> bool {
+        a.rank().abs_diff(b.rank()) <= 1
     }
 }
 

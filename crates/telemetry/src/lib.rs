@@ -26,11 +26,11 @@
 //! reads no ambient clocks — every event is stamped with a caller-supplied
 //! [`gimbal_sim::SimTime`].
 
-pub mod event;
+mod event;
 pub mod export;
-pub mod metrics;
-pub mod tracer;
-pub mod view;
+mod metrics;
+mod tracer;
+mod view;
 
 pub use event::{CapsuleKind, Component, CongState, Event, EventKind, OverflowDirection};
 pub use metrics::MetricsRegistry;

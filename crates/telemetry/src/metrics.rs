@@ -23,7 +23,7 @@ impl MetricsRegistry {
     /// An empty registry with one pre-registered event counter per
     /// [`Component`], so the tracer's record path never inserts (and thus
     /// never allocates) while counting events.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let mut r = MetricsRegistry::default();
         for c in Component::ALL {
             r.counters.insert(c.name(), 0);
@@ -34,7 +34,7 @@ impl MetricsRegistry {
     /// Bump the event counter for `component` by one. Pre-registered in
     /// [`MetricsRegistry::new`]; allocation-free.
     #[inline]
-    pub fn count_event(&mut self, component: Component) {
+    pub(crate) fn count_event(&mut self, component: Component) {
         if let Some(c) = self.counters.get_mut(&component.name()) {
             *c += 1;
         }
@@ -43,11 +43,6 @@ impl MetricsRegistry {
     /// Add `delta` to the named counter, creating it at zero first.
     pub fn add(&mut self, name: &'static str, delta: u64) {
         *self.counters.get_or_insert_with(name, || 0) += delta;
-    }
-
-    /// Add one to the named counter.
-    pub fn inc(&mut self, name: &'static str) {
-        self.add(name, 1);
     }
 
     /// Read a counter (zero when never touched).
@@ -65,11 +60,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Read a gauge.
-    pub fn gauge(&self, name: &'static str) -> Option<f64> {
-        self.gauges.get(&name).copied()
-    }
-
     /// Record `value` into the per-tenant histogram `name`.
     pub fn observe(&mut self, name: &'static str, tenant: TenantId, value: u64) {
         self.per_tenant
@@ -77,28 +67,25 @@ impl MetricsRegistry {
             .record(value);
     }
 
-    /// The per-tenant histogram for `name`, if any sample ever landed.
-    pub fn tenant_histogram(&self, name: &'static str, tenant: TenantId) -> Option<&Histogram> {
-        self.per_tenant.get(&(name, tenant.index() as u32))
-    }
-
     /// Iterate counters in insertion order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+    pub(crate) fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counters.iter().map(|(k, v)| (*k, *v))
     }
 
     /// Iterate gauges in insertion order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
+    pub(crate) fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
         self.gauges.iter().map(|(k, v)| (*k, *v))
     }
 
     /// Iterate per-tenant histograms in insertion order.
-    pub fn tenant_histograms(&self) -> impl Iterator<Item = (&'static str, u32, &Histogram)> + '_ {
+    pub(crate) fn tenant_histograms(
+        &self,
+    ) -> impl Iterator<Item = (&'static str, u32, &Histogram)> + '_ {
         self.per_tenant.iter().map(|((n, t), h)| (*n, *t, h))
     }
 
     /// Fold every metric into `d` in insertion order.
-    pub fn fold_into(&self, d: &mut Digest) {
+    pub(crate) fn fold_into(&self, d: &mut Digest) {
         for (name, v) in self.counters.iter() {
             d.update(name.as_bytes());
             d.update_u64(*v);
@@ -117,6 +104,28 @@ impl MetricsRegistry {
             d.update_u64(s.p99_ns);
             d.update_u64(s.max_ns);
         }
+    }
+}
+
+#[cfg(test)]
+impl MetricsRegistry {
+    /// Add one to the named counter.
+    pub(crate) fn inc(&mut self, name: &'static str) {
+        self.add(name, 1);
+    }
+
+    /// Read a gauge.
+    pub(crate) fn gauge(&self, name: &'static str) -> Option<f64> {
+        self.gauges.get(&name).copied()
+    }
+
+    /// The per-tenant histogram for `name`, if any sample ever landed.
+    pub(crate) fn tenant_histogram(
+        &self,
+        name: &'static str,
+        tenant: TenantId,
+    ) -> Option<&Histogram> {
+        self.per_tenant.get(&(name, tenant.index() as u32))
     }
 }
 

@@ -108,16 +108,6 @@ impl Tracer {
         self.events.is_empty()
     }
 
-    /// Total events ever recorded (retained + evicted).
-    pub fn total_recorded(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Events evicted from the ring so far.
-    pub fn dropped_oldest(&self) -> u64 {
-        self.dropped_oldest
-    }
-
     /// Drain the tracer into an immutable, exportable snapshot. The tracer
     /// is left empty but keeps its sequence counter, so a later drain never
     /// reuses sequence numbers.
@@ -146,16 +136,6 @@ pub struct RecordedTrace {
 }
 
 impl RecordedTrace {
-    /// Retained event count.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events survived.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// A query view over the retained events.
     pub fn view(&self) -> TraceView<'_> {
         TraceView::new(&self.events)
@@ -246,13 +226,37 @@ impl TraceHandle {
             t.borrow_mut().metrics_mut().set_gauge(name, value);
         }
     }
+}
 
+#[cfg(test)]
+impl TraceHandle {
     /// Add `delta` to a named counter; no-op when disabled.
     #[inline]
-    pub fn add(&self, name: &'static str, delta: u64) {
+    pub(crate) fn add(&self, name: &'static str, delta: u64) {
         if let Some(t) = &self.inner {
             t.borrow_mut().metrics_mut().add(name, delta);
         }
+    }
+}
+
+#[cfg(test)]
+impl RecordedTrace {
+    /// Retained event count.
+    pub(crate) fn len(&self) -> usize {
+        self.events.len()
+    }
+}
+
+#[cfg(test)]
+impl Tracer {
+    /// Total events ever recorded (retained + evicted).
+    pub(crate) fn total_recorded(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Events evicted from the ring so far.
+    pub(crate) fn dropped_oldest(&self) -> u64 {
+        self.dropped_oldest
     }
 }
 

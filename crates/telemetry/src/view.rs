@@ -6,9 +6,6 @@
 //! invariants — "every consecutive pair satisfies P" — without hand-rolled
 //! index loops.
 
-use gimbal_fabric::{SsdId, TenantId};
-use gimbal_sim::SimTime;
-
 use crate::event::{Component, Event};
 
 /// An ordered, filterable view over borrowed events.
@@ -19,7 +16,7 @@ pub struct TraceView<'a> {
 
 impl<'a> TraceView<'a> {
     /// View over a whole event slice, in stream order.
-    pub fn new(events: &'a [Event]) -> Self {
+    pub(crate) fn new(events: &'a [Event]) -> Self {
         TraceView {
             events: events.iter().collect(),
         }
@@ -32,16 +29,6 @@ impl<'a> TraceView<'a> {
         }
     }
 
-    /// Keep events stamped with tenant `t`.
-    pub fn tenant(&self, t: TenantId) -> TraceView<'a> {
-        self.filter(|e| e.tenant == Some(t))
-    }
-
-    /// Keep events stamped with SSD `s`.
-    pub fn ssd(&self, s: SsdId) -> TraceView<'a> {
-        self.filter(|e| e.ssd == s)
-    }
-
     /// Keep events from one component.
     pub fn component(&self, c: Component) -> TraceView<'a> {
         self.filter(|e| e.component() == c)
@@ -50,11 +37,6 @@ impl<'a> TraceView<'a> {
     /// Keep events whose interned name equals `name`.
     pub fn named(&self, name: &str) -> TraceView<'a> {
         self.filter(|e| e.name() == name)
-    }
-
-    /// Keep events in the half-open virtual-time window `[from, to)`.
-    pub fn window(&self, from: SimTime, to: SimTime) -> TraceView<'a> {
-        self.filter(|e| e.at >= from && e.at < to)
     }
 
     /// Events in the view.
@@ -72,19 +54,9 @@ impl<'a> TraceView<'a> {
         self.events.iter().copied()
     }
 
-    /// The event at position `i`, if any.
-    pub fn get(&self, i: usize) -> Option<&'a Event> {
-        self.events.get(i).copied()
-    }
-
     /// First event in the view.
     pub fn first(&self) -> Option<&'a Event> {
         self.events.first().copied()
-    }
-
-    /// Last event in the view.
-    pub fn last(&self) -> Option<&'a Event> {
-        self.events.last().copied()
     }
 
     /// Count events satisfying `pred`.
@@ -93,7 +65,7 @@ impl<'a> TraceView<'a> {
     }
 
     /// Iterate consecutive pairs `(events[i], events[i+1])` in order.
-    pub fn adjacent_pairs(&self) -> impl Iterator<Item = (&'a Event, &'a Event)> + '_ {
+    pub(crate) fn adjacent_pairs(&self) -> impl Iterator<Item = (&'a Event, &'a Event)> + '_ {
         self.events.windows(2).map(|w| (w[0], w[1]))
     }
 
@@ -110,9 +82,43 @@ impl<'a> TraceView<'a> {
 }
 
 #[cfg(test)]
+impl<'a> TraceView<'a> {
+    /// Keep events stamped with tenant `t`.
+    pub(crate) fn tenant(&self, t: gimbal_fabric::TenantId) -> TraceView<'a> {
+        self.filter(|e| e.tenant == Some(t))
+    }
+
+    /// Keep events stamped with SSD `s`.
+    pub(crate) fn ssd(&self, s: gimbal_fabric::SsdId) -> TraceView<'a> {
+        self.filter(|e| e.ssd == s)
+    }
+
+    /// Keep events in the half-open virtual-time window `[from, to)`.
+    pub(crate) fn window(
+        &self,
+        from: gimbal_sim::SimTime,
+        to: gimbal_sim::SimTime,
+    ) -> TraceView<'a> {
+        self.filter(|e| e.at >= from && e.at < to)
+    }
+
+    /// The event at position `i`, if any.
+    pub(crate) fn get(&self, i: usize) -> Option<&'a Event> {
+        self.events.get(i).copied()
+    }
+
+    /// Last event in the view.
+    pub(crate) fn last(&self) -> Option<&'a Event> {
+        self.events.last().copied()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::EventKind;
+    use gimbal_fabric::{SsdId, TenantId};
+    use gimbal_sim::SimTime;
 
     fn mk(seq: u64, us: u64, ssd: u32, tenant: Option<u32>, kind: EventKind) -> Event {
         Event {

@@ -308,7 +308,7 @@ impl TestbedConfig {
     }
 
     /// Validate basic consistency; panics with [`Self::check`]'s message.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert_eq!(self.check(), Ok(()), "invalid testbed config");
         self.ssd.validate();
         self.gimbal_params.validate();

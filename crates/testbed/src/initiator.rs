@@ -82,7 +82,7 @@ fn arm(retry: &RetryConfig, cmd: u64, attempt: u32, now: SimTime) -> Timer {
 impl<T, P> Initiator<T, P> {
     /// `clients` clients with `lanes` lanes each, gated by `gate()` per lane.
     /// With `faults`, capsules may be lost and every command arms a timer.
-    pub fn new(
+    pub(crate) fn new(
         clients: usize,
         lanes: usize,
         port_bandwidth: u64,
@@ -128,7 +128,7 @@ impl<T, P> Initiator<T, P> {
     }
 
     /// Number of clients.
-    pub fn clients(&self) -> usize {
+    pub(crate) fn clients(&self) -> usize {
         self.ports.len()
     }
 
@@ -139,7 +139,7 @@ impl<T, P> Initiator<T, P> {
 
     /// Serialize `cmd` on its client's port — capsule, then payload fetch
     /// for non-inlined writes — and return when it clears the fabric.
-    pub fn wire(&mut self, delays: &RdmaDelays, cmd: &NvmeCmd, now: SimTime) -> SimTime {
+    pub(crate) fn wire(&mut self, delays: &RdmaDelays, cmd: &NvmeCmd, now: SimTime) -> SimTime {
         let port = &mut self.ports[cmd.tenant.index()];
         let at = delays.command_arrival(port, now, cmd);
         if cmd.opcode.is_write() {
@@ -151,7 +151,7 @@ impl<T, P> Initiator<T, P> {
 
     /// Whether the fabric loses `cmd`'s `capsule` sent at `at`; a lost one
     /// is counted and traced, and the command's timer recovers it.
-    pub fn lose(&mut self, capsule: CapsuleKind, cmd: &NvmeCmd, at: SimTime) -> bool {
+    pub(crate) fn lose(&mut self, capsule: CapsuleKind, cmd: &NvmeCmd, at: SimTime) -> bool {
         let c = &mut self.counters;
         let (lost, count) = match (capsule, self.injector.as_mut()) {
             (_, None) => return false,
@@ -320,7 +320,7 @@ impl<T, P> Initiator<T, P> {
     /// The in-flight table and the counters the node's replay dedup lands
     /// in, while timers are armed; `None` otherwise, so every arrival
     /// executes and same-instant batching stays on.
-    pub fn in_flight(&mut self) -> Option<Tracked<'_, T>> {
+    pub(crate) fn in_flight(&mut self) -> Option<Tracked<'_, T>> {
         self.retry?;
         Some((&mut self.table, &mut self.counters))
     }
@@ -332,7 +332,7 @@ impl<T, P> Initiator<T, P> {
 
     /// The end-of-run ledger, audited: every submission sits in exactly one
     /// terminal bucket or is still on the wire.
-    pub fn finish(&self) -> FaultCounters {
+    pub(crate) fn finish(&self) -> FaultCounters {
         let on_wire = self.lanes.iter().map(|l| u64::from(l.outstanding)).sum();
         debug_assert!(!self.tracks() || self.table.len() as u64 == on_wire);
         let counters = FaultCounters {

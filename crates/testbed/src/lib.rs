@@ -8,37 +8,37 @@
 //! deterministic discrete-event loop ([`reactor`]); every figure binary in
 //! `gimbal-bench` is a thin wrapper over an engine's `run`.
 //!
-//! * [`scheme`] — the scheme selector and its policy/client/CPU factories;
-//! * [`config`] — testbed and worker specifications;
+//! * `scheme` — the scheme selector and its policy/client/CPU factories;
+//! * `config` — testbed and worker specifications;
 //! * [`reactor`] — the one event loop every engine runs: the queue, the
 //!   nodes, the shared events (capsules both ways, wakes, timers, power
 //!   loss, broker epochs, core rebalances, samples) and their sanitizer
 //!   records, generic over an [`reactor::Engine`] and a
 //!   [`reactor::Topology`];
-//! * [`node`] — one JBOF node: its pipelines and reactor cores, driven by
+//! * `node` — one JBOF node: its pipelines and reactor cores, driven by
 //!   every engine (the fio engine, the KV engine, and the rack's N nodes);
 //! * [`initiator`] — the client side every engine submits through: gates,
 //!   priority queues, ports, the in-flight table, the retry ladder and the
 //!   command ledger;
-//! * [`engine`] — the fio engine's own part: workers, their issue path,
+//! * `engine` — the fio engine's own part: workers, their issue path,
 //!   sampling and placement;
-//! * [`kv`] — the YCSB-over-LSM engine's own part: instances, their stores
+//! * `kv` — the YCSB-over-LSM engine's own part: instances, their stores
 //!   and deadline pumps;
-//! * [`results`] — per-worker and per-SSD measurements, f-Util computation
+//! * `results` — per-worker and per-SSD measurements, f-Util computation
 //!   (§5.1's fairness metric) and reporting helpers.
 
 // Unit tests may pin exact float values; the library build keeps float_cmp.
 #![cfg_attr(test, allow(clippy::float_cmp))]
 
-pub mod config;
-pub mod engine;
+mod config;
+mod engine;
 pub mod initiator;
-pub mod kv;
-pub mod node;
-pub mod oracle;
+mod kv;
+mod node;
+mod oracle;
 pub mod reactor;
-pub mod results;
-pub mod scheme;
+mod results;
+mod scheme;
 
 pub use config::{parse_workers, FaultConfig, Precondition, TestbedConfig, WorkerSpec};
 pub use engine::Testbed;
@@ -51,7 +51,6 @@ pub use kv::{KvInstanceResult, KvRunResult, KvTestbed, KvTestbedConfig};
 pub use node::{InFlight, Node, Tracked};
 pub use oracle::{check_journal, check_kv_run, check_run, OracleReport};
 pub use results::{
-    f_util, jain_index, utilization_deviation, FaultCounters, GimbalTrace, RunResult,
-    SubmissionRecord, WorkerResult,
+    f_util, jain_index, FaultCounters, GimbalTrace, RunResult, SubmissionRecord, WorkerResult,
 };
 pub use scheme::{cache_tier, cache_tier_wb, Scheme};

@@ -47,7 +47,7 @@ pub struct InFlight<T> {
 
 impl<T> InFlight<T> {
     /// A freshly submitted command.
-    pub fn new(cmd: NvmeCmd, tag: T) -> Self {
+    pub(crate) fn new(cmd: NvmeCmd, tag: T) -> Self {
         InFlight {
             cmd,
             attempt: 0,
@@ -152,7 +152,7 @@ impl Node {
     }
 
     /// The node's pipelines, in SSD order.
-    pub fn pipelines(&self) -> &[Pipeline<FlashSsd>] {
+    pub(crate) fn pipelines(&self) -> &[Pipeline<FlashSsd>] {
         &self.pipelines
     }
 
@@ -173,7 +173,7 @@ impl Node {
     /// `now`, so an intermediate completion interleaves exactly as unbatched
     /// arrivals would. A tracking engine never batches: replay dedup could
     /// turn an arrival into a resend mid-batch.
-    pub fn deliver<E: Engine>(
+    pub(crate) fn deliver<E: Engine>(
         &mut self,
         ssd: usize,
         cmd: NvmeCmd,
@@ -224,7 +224,7 @@ impl Node {
     /// A wake for SSD `ssd` fired at `now`. Only the armed wake pumps;
     /// superseded ones die here, or they would respawn forever and flood
     /// the queue.
-    pub fn wake<E: Engine>(&mut self, ssd: usize, now: SimTime, host: &mut NodeHost<E>) {
+    pub(crate) fn wake<E: Engine>(&mut self, ssd: usize, now: SimTime, host: &mut NodeHost<E>) {
         let l = ssd - self.first;
         if self.wake_at[l] == now {
             self.wake_at[l] = SimTime::MAX;
@@ -233,7 +233,7 @@ impl Node {
     }
 
     /// Pump every pipeline, in SSD order.
-    pub fn pump_all<E: Engine>(&mut self, now: SimTime, host: &mut NodeHost<E>) {
+    pub(crate) fn pump_all<E: Engine>(&mut self, now: SimTime, host: &mut NodeHost<E>) {
         for l in 0..self.pipelines.len() {
             self.pump(l, now, host);
         }
@@ -255,12 +255,12 @@ impl Node {
     }
 
     /// The core scheduler's rebalance period, when stealing rebalances.
-    pub fn rebalance_epoch(&self) -> Option<SimDuration> {
+    pub(crate) fn rebalance_epoch(&self) -> Option<SimDuration> {
         self.sched.rebalance_epoch()
     }
 
     /// Move home cores per the epoch's per-pipeline cycle consumption.
-    pub fn rebalance(&mut self, now: SimTime) {
+    pub(crate) fn rebalance(&mut self, now: SimTime) {
         self.sched.rebalance(now);
         self.drain_cores_journal(now);
     }
@@ -308,7 +308,7 @@ impl Node {
 
     /// Scheduler counters, only when stealing was configured, so steal-off
     /// digests stay bit-identical to pre-scheduler builds.
-    pub fn cores_stats(&self) -> Option<CoresStats> {
+    pub(crate) fn cores_stats(&self) -> Option<CoresStats> {
         self.sched.stealing().then(|| self.sched.stats())
     }
 

@@ -1,7 +1,7 @@
 //! The one event loop every engine runs: §4.1's reactor structure at the
 //! scale of a whole run.
 //!
-//! The fio engine ([`crate::engine`]), the KV engine ([`crate::kv`]) and the
+//! The fio engine (`crate::engine`), the KV engine (`crate::kv`) and the
 //! rack (`gimbal-rack`) each run in a [`Reactor`]. It owns the event queue,
 //! the [`Node`]s, the one [`NodeHost`], the recorders, the broker
 //! ledger, `events_processed`, the end-of-run cut-off, and the eight events
@@ -33,7 +33,7 @@ pub enum Event<E> {
     /// One of the engine's own events.
     Own(E),
     DeliverCmd(NvmeCmd),
-    /// A pipeline's wake; only the armed one pumps ([`Node::wake`]).
+    /// A pipeline's wake; only the armed one pumps (`Node::wake`).
     PipelineWake(usize),
     DeliverCpl(NvmeCompletion),
     /// A retransmission timer (only with fault injection).

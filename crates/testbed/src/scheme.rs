@@ -28,7 +28,7 @@ pub fn cache_tier_wb(mb: u64, policy: AdmissionPolicy, write: WritePolicy) -> Op
 
 /// A lane's submission gate: one of the schemes' client policies, held
 /// inline so that gating a lane allocates nothing.
-pub enum Gate {
+pub(crate) enum Gate {
     Open(UnlimitedClient),
     Credit(CreditClient),
     Parda(PardaClient),
@@ -95,7 +95,7 @@ impl Scheme {
     /// Parda's latency window, Gimbal's credit gate (Alg. 3) seeded with
     /// `params.initial_credit_ios` when `flow_control` is on, and no gate
     /// otherwise. Every engine's initiator gates through this.
-    pub fn client_gate(self, params: Params, flow_control: bool) -> Gate {
+    pub(crate) fn client_gate(self, params: Params, flow_control: bool) -> Gate {
         match self {
             Scheme::Parda => Gate::Parda(PardaClient::default()),
             Scheme::Gimbal if flow_control => {

@@ -42,13 +42,13 @@ pub struct BurstSpec {
 
 impl BurstSpec {
     /// Full cycle length.
-    pub fn period(&self) -> SimDuration {
+    pub(crate) fn period(&self) -> SimDuration {
         self.on + self.off
     }
 
     /// Whether the stream may issue at `now`; `Err` carries the next ON
     /// instant.
-    pub fn gate(&self, now: SimTime) -> Result<(), SimTime> {
+    pub(crate) fn gate(&self, now: SimTime) -> Result<(), SimTime> {
         let period = self.period().as_nanos();
         let pos = (now.as_nanos() + self.phase.as_nanos()) % period;
         if pos < self.on.as_nanos() {
@@ -60,7 +60,7 @@ impl BurstSpec {
     }
 
     /// Panic on a degenerate cycle.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             self.on > SimDuration::ZERO,
             "burst on-phase must be positive"
@@ -131,7 +131,7 @@ impl FioSpec {
     }
 
     /// Blocks per IO.
-    pub fn io_blocks(&self) -> u64 {
+    pub(crate) fn io_blocks(&self) -> u64 {
         self.io_bytes / BLOCK_SIZE
     }
 

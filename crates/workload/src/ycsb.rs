@@ -15,7 +15,6 @@ pub struct Zipfian {
     items: u64,
     theta: f64,
     zetan: f64,
-    zeta2: f64,
     alpha: f64,
     eta: f64,
 }
@@ -33,7 +32,6 @@ impl Zipfian {
             items,
             theta,
             zetan,
-            zeta2,
             alpha,
             eta,
         }
@@ -57,21 +55,6 @@ impl Zipfian {
         ((self.items as f64) * spread) as u64 % self.items
         // modulo guards the rare fp edge at u → 1.
     }
-
-    /// Number of items.
-    pub fn items(&self) -> u64 {
-        self.items
-    }
-
-    /// Skew parameter.
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
-
-    /// `zeta(2, θ)` (exposed for tests of the YCSB constants).
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2
-    }
 }
 
 /// A key-value operation.
@@ -85,20 +68,6 @@ pub enum KvOp {
     Insert(u64),
     /// Read-modify-write of a key (workload F).
     ReadModifyWrite(u64),
-}
-
-impl KvOp {
-    /// The key the operation touches.
-    pub fn key(&self) -> u64 {
-        match *self {
-            KvOp::Read(k) | KvOp::Update(k) | KvOp::Insert(k) | KvOp::ReadModifyWrite(k) => k,
-        }
-    }
-
-    /// Whether the op involves a write to the store.
-    pub fn writes(&self) -> bool {
-        !matches!(self, KvOp::Read(_))
-    }
 }
 
 /// The standard YCSB core workload mixes.
@@ -154,16 +123,6 @@ impl YcsbWorkload {
         }
     }
 
-    /// The mix.
-    pub fn mix(&self) -> YcsbMix {
-        self.mix
-    }
-
-    /// Current record count (grows with inserts).
-    pub fn record_count(&self) -> u64 {
-        self.record_count
-    }
-
     fn zipf_key(&mut self) -> u64 {
         self.zipf.next(&mut self.rng) % self.record_count
     }
@@ -211,6 +170,22 @@ impl YcsbWorkload {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl YcsbWorkload {
+    /// Current record count (grows with inserts).
+    pub(crate) fn record_count(&self) -> u64 {
+        self.record_count
+    }
+}
+
+#[cfg(test)]
+impl KvOp {
+    /// Whether the op involves a write to the store.
+    pub(crate) fn writes(&self) -> bool {
+        !matches!(self, KvOp::Read(_))
     }
 }
 

@@ -19,7 +19,7 @@ fn ms(v: u64) -> SimTime {
 
 /// `readers` 4 KiB readers then `writers` 4 KiB writers on SSD 0, each over
 /// its own equal LBA region.
-pub fn mixed_workers(readers: u32, writers: u32) -> Vec<WorkerSpec> {
+pub(crate) fn mixed_workers(readers: u32, writers: u32) -> Vec<WorkerSpec> {
     let n = readers + writers;
     let per = CAP / u64::from(n);
     (0..n)
@@ -36,7 +36,7 @@ pub fn mixed_workers(readers: u32, writers: u32) -> Vec<WorkerSpec> {
 
 /// The chaos suite's combined plan: capsule loss, a burst brown-out, a
 /// stall, transient device errors, and device death at 320 ms.
-pub fn combined() -> FaultPlan {
+pub(crate) fn combined() -> FaultPlan {
     FaultPlan {
         cmd_loss_prob: 0.01,
         cpl_loss_prob: 0.01,
@@ -53,7 +53,7 @@ pub fn combined() -> FaultPlan {
 /// Every [`FaultCounters`] field, in declaration order. `stats_digest`
 /// leaves these out, so this is what pins the dedup, resend and retry
 /// paths.
-pub fn fault_digest(f: &FaultCounters) -> u64 {
+pub(crate) fn fault_digest(f: &FaultCounters) -> u64 {
     let mut d = Digest::new();
     for v in [
         f.submitted,
@@ -77,7 +77,7 @@ pub fn fault_digest(f: &FaultCounters) -> u64 {
 /// The KV engine publishes no digest of its own: fold per-instance ops,
 /// latency summaries and LSM counters plus per-backend device counters —
 /// the fields `jbof_bench` folds for its `kv_ycsb_a` workload.
-pub fn kv_digest(r: &KvRunResult) -> u64 {
+pub(crate) fn kv_digest(r: &KvRunResult) -> u64 {
     let mut d = Digest::new();
     for i in &r.instances {
         d.update_u64(i.ops);
@@ -105,7 +105,7 @@ pub fn kv_digest(r: &KvRunResult) -> u64 {
 /// every off-phase tenant's refill; borrowing recovers it. The 17 ms epoch
 /// is co-prime with the 100 ms burst period, so settlement never
 /// phase-locks to one tenant's window.
-pub fn broker_bench(mode: BrokerMode) -> (TestbedConfig, Vec<WorkerSpec>) {
+pub(crate) fn broker_bench(mode: BrokerMode) -> (TestbedConfig, Vec<WorkerSpec>) {
     let cfg = TestbedConfig {
         duration: SimDuration::from_millis(500),
         warmup: SimDuration::from_millis(100),
