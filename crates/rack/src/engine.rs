@@ -321,8 +321,10 @@ impl RackTestbed {
             .collect();
 
         for i in 0..clients.len() {
-            rt.host
-                .push(SimTime::from_micros(i as u64 * 10), Ev::ClientStart(i));
+            rt.host.push(
+                SimTime::from_micros((i as u64).saturating_mul(10)),
+                Ev::ClientStart(i),
+            );
         }
         for node in 0..nodes {
             let spec = faults.and_then(|fc| fc.plan.node_spec(node));
