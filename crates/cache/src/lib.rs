@@ -27,9 +27,11 @@
 //!   switch pipeline — opportunistically while the congestion classifier
 //!   says the device is clean, under watermark/age pressure otherwise, with
 //!   WAL-tagged lines drained in log order ahead of data lines. Every
-//!   dirty-line transition is recorded in a [`DurabilityEvent`] journal so
-//!   the testbed's crash-consistency oracle can replay a shadow model and
-//!   prove exact loss accounting on injected device death or power loss.
+//!   dirty-line transition is recorded as a [`DurabilityEvent`] in a
+//!   [`DurabilityJournal`] — a delta-varint byte stream of about 6 B per
+//!   event that decodes back to the same events — so the testbed's
+//!   crash-consistency oracle can replay a shadow model and prove exact
+//!   loss accounting on injected device death or power loss.
 //!
 //! Capacity is partitioned per tenant with cost-weighted shares mirroring
 //! the §3.5 DRR weights, so one tenant's working set cannot evict everyone
@@ -477,16 +479,33 @@ pub enum DurabilityEvent {
 }
 
 impl DurabilityEvent {
-    /// Fold into a digest, variant rank then fields, order fixed.
+    /// Fold into a digest: the variant rank, then the variant's fields in
+    /// [`EVENT_FIELDS`] order (a WAL tag as a presence flag, then its value).
     pub fn fold_into(&self, d: &mut Digest) {
-        let fold_wal = |d: &mut Digest, wal: Option<u64>| match wal {
-            Some(w) => {
-                d.update_u64(1);
-                d.update_u64(w);
+        let f = self.fields();
+        d.update_u64(u64::from(f.rank));
+        for &field in f.layout() {
+            if field != Field::Wal {
+                d.update_u64(f.get(field));
+            } else {
+                d.update_u64(u64::from(f.has_wal));
+                if f.has_wal {
+                    d.update_u64(f.get(field));
+                }
             }
-            None => {
-                d.update_u64(0);
-            }
+        }
+    }
+
+    /// The instant the event happened.
+    pub fn at(&self) -> SimTime {
+        SimTime::from_nanos(self.fields().get(Field::At))
+    }
+
+    /// Flatten to the variant rank and its field values.
+    fn fields(&self) -> EventFields {
+        use Field::*;
+        let base = |rank: u8, tenant: TenantId, at: SimTime| {
+            EventFields::new(rank, at).with(Tenant, u64::from(tenant.0))
         };
         match *self {
             DurabilityEvent::Acked {
@@ -494,91 +513,340 @@ impl DurabilityEvent {
                 tenant,
                 lines,
                 at,
-            } => {
-                d.update_u64(0);
-                d.update_u64(cmd);
-                d.update_u64(tenant.index() as u64);
-                d.update_u64(u64::from(lines));
-                d.update_u64(at.as_nanos());
-            }
+            } => base(0, tenant, at)
+                .with(Cmd, cmd)
+                .with(Lines, u64::from(lines)),
             DurabilityEvent::Dirtied {
                 line,
                 tenant,
                 wal,
                 at,
-            } => {
-                d.update_u64(1);
-                d.update_u64(line);
-                d.update_u64(tenant.index() as u64);
-                fold_wal(d, wal);
-                d.update_u64(at.as_nanos());
-            }
+            } => base(1, tenant, at).with(Line, line).with_wal(wal),
             DurabilityEvent::FlushIssued {
                 id,
                 line,
                 tenant,
                 wal,
                 at,
-            } => {
-                d.update_u64(2);
-                d.update_u64(id);
-                d.update_u64(line);
-                d.update_u64(tenant.index() as u64);
-                fold_wal(d, wal);
-                d.update_u64(at.as_nanos());
-            }
-            DurabilityEvent::Cleaned { line, tenant, at } => {
-                d.update_u64(3);
-                d.update_u64(line);
-                d.update_u64(tenant.index() as u64);
-                d.update_u64(at.as_nanos());
-            }
+            } => base(2, tenant, at)
+                .with(Id, id)
+                .with(Line, line)
+                .with_wal(wal),
+            DurabilityEvent::Cleaned { line, tenant, at } => base(3, tenant, at).with(Line, line),
             DurabilityEvent::Requeued {
                 line,
                 tenant,
                 wal,
                 at,
-            } => {
-                d.update_u64(4);
-                d.update_u64(line);
-                d.update_u64(tenant.index() as u64);
-                fold_wal(d, wal);
-                d.update_u64(at.as_nanos());
-            }
+            } => base(4, tenant, at).with(Line, line).with_wal(wal),
             DurabilityEvent::Superseded { line, tenant, at } => {
-                d.update_u64(5);
-                d.update_u64(line);
-                d.update_u64(tenant.index() as u64);
-                d.update_u64(at.as_nanos());
+                base(5, tenant, at).with(Line, line)
             }
             DurabilityEvent::Lost {
                 line,
                 tenant,
                 wal,
                 at,
-            } => {
-                d.update_u64(6);
-                d.update_u64(line);
-                d.update_u64(tenant.index() as u64);
-                fold_wal(d, wal);
-                d.update_u64(at.as_nanos());
-            }
-            DurabilityEvent::PassThrough { cmd, tenant, at } => {
-                d.update_u64(7);
-                d.update_u64(cmd);
-                d.update_u64(tenant.index() as u64);
-                d.update_u64(at.as_nanos());
-            }
-            DurabilityEvent::PowerLoss { at } => {
-                d.update_u64(8);
-                d.update_u64(at.as_nanos());
-            }
-            DurabilityEvent::DeviceDeath { at } => {
-                d.update_u64(9);
-                d.update_u64(at.as_nanos());
-            }
+            } => base(6, tenant, at).with(Line, line).with_wal(wal),
+            DurabilityEvent::PassThrough { cmd, tenant, at } => base(7, tenant, at).with(Cmd, cmd),
+            DurabilityEvent::PowerLoss { at } => EventFields::new(8, at),
+            DurabilityEvent::DeviceDeath { at } => EventFields::new(9, at),
         }
     }
+}
+
+/// One field of a [`DurabilityEvent`], as the digest fold, the journal
+/// encoder and its decoder visit it. The first [`DELTA_FIELDS`] are stored
+/// as zigzag varints of the wrapping delta from the previous value of the
+/// same field; the rest as plain varints, a WAL tag behind a presence byte.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Field {
+    Cmd,
+    Id,
+    Line,
+    At,
+    Tenant,
+    Lines,
+    Wal,
+}
+
+/// `Field as usize` below this is delta-coded.
+const DELTA_FIELDS: usize = 4;
+
+/// Each variant's fields in digest order, indexed by variant rank. The one
+/// per-variant table that `fold_into`, `push` and the decoder share.
+const EVENT_FIELDS: [&[Field]; 10] = {
+    use Field::*;
+    [
+        &[Cmd, Tenant, Lines, At],    // Acked
+        &[Line, Tenant, Wal, At],     // Dirtied
+        &[Id, Line, Tenant, Wal, At], // FlushIssued
+        &[Line, Tenant, At],          // Cleaned
+        &[Line, Tenant, Wal, At],     // Requeued
+        &[Line, Tenant, At],          // Superseded
+        &[Line, Tenant, Wal, At],     // Lost
+        &[Cmd, Tenant, At],           // PassThrough
+        &[At],                        // PowerLoss
+        &[At],                        // DeviceDeath
+    ]
+};
+
+/// A [`DurabilityEvent`] flattened to its variant rank and field values,
+/// indexed by `Field as usize`; fields the variant lacks stay zero.
+#[derive(Clone, Copy, Default)]
+struct EventFields {
+    rank: u8,
+    vals: [u64; 7],
+    has_wal: bool,
+}
+
+impl EventFields {
+    fn new(rank: u8, at: SimTime) -> Self {
+        EventFields {
+            rank,
+            ..EventFields::default()
+        }
+        .with(Field::At, at.as_nanos())
+    }
+
+    fn with(mut self, field: Field, v: u64) -> Self {
+        self.vals[field as usize] = v;
+        self
+    }
+
+    fn with_wal(mut self, wal: Option<u64>) -> Self {
+        self.has_wal = wal.is_some();
+        self.with(Field::Wal, wal.unwrap_or(0))
+    }
+
+    fn get(&self, field: Field) -> u64 {
+        self.vals[field as usize]
+    }
+
+    fn layout(&self) -> &'static [Field] {
+        EVENT_FIELDS[usize::from(self.rank)]
+    }
+
+    /// Rebuild the event. Tenant and line counts were `u32` when flattened.
+    fn event(&self) -> DurabilityEvent {
+        use Field::*;
+        let (line, tenant) = (self.get(Line), TenantId(self.get(Tenant) as u32));
+        let wal = self.has_wal.then(|| self.get(Wal));
+        let at = SimTime::from_nanos(self.get(At));
+        match self.rank {
+            0 => DurabilityEvent::Acked {
+                cmd: self.get(Cmd),
+                tenant,
+                lines: self.get(Lines) as u32,
+                at,
+            },
+            1 => DurabilityEvent::Dirtied {
+                line,
+                tenant,
+                wal,
+                at,
+            },
+            2 => DurabilityEvent::FlushIssued {
+                id: self.get(Id),
+                line,
+                tenant,
+                wal,
+                at,
+            },
+            3 => DurabilityEvent::Cleaned { line, tenant, at },
+            4 => DurabilityEvent::Requeued {
+                line,
+                tenant,
+                wal,
+                at,
+            },
+            5 => DurabilityEvent::Superseded { line, tenant, at },
+            6 => DurabilityEvent::Lost {
+                line,
+                tenant,
+                wal,
+                at,
+            },
+            7 => DurabilityEvent::PassThrough {
+                cmd: self.get(Cmd),
+                tenant,
+                at,
+            },
+            8 => DurabilityEvent::PowerLoss { at },
+            // Rank 9: `layout` has already rejected anything above it.
+            _ => DurabilityEvent::DeviceDeath { at },
+        }
+    }
+}
+
+/// The write-back durability journal: every [`DurabilityEvent`] a cache
+/// appended, in order, stored as a compact byte stream.
+///
+/// Each event is its variant rank in one byte, then its fields in
+/// [`DurabilityEvent::fold_into`] order as LEB128 varints. `cmd`, the flush
+/// `id`, `line` and `at` are zigzag-coded wrapping deltas from the previous
+/// value of the same field, so the mostly increasing ids and timestamps take
+/// one to three bytes instead of eight and any `u64` round-trips, including
+/// one that goes backwards. The encoding is deterministic and [`Self::iter`]
+/// inverts it, so two journals have equal bytes exactly when they hold
+/// equal events: the derived `PartialEq` is event equality.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct DurabilityJournal {
+    bytes: Vec<u8>,
+    len: usize,
+    /// Last value of each delta-coded field (encoder state).
+    prev: [u64; DELTA_FIELDS],
+}
+
+impl DurabilityJournal {
+    /// Append one event.
+    pub fn push(&mut self, ev: DurabilityEvent) {
+        let f = ev.fields();
+        self.bytes.push(f.rank);
+        for &field in f.layout() {
+            let v = f.get(field);
+            let i = field as usize;
+            if i < DELTA_FIELDS {
+                put_varint(&mut self.bytes, zigzag(v.wrapping_sub(self.prev[i])));
+                self.prev[i] = v;
+            } else if field != Field::Wal {
+                put_varint(&mut self.bytes, v);
+            } else {
+                self.bytes.push(u8::from(f.has_wal));
+                if f.has_wal {
+                    put_varint(&mut self.bytes, v);
+                }
+            }
+        }
+        self.len += 1;
+    }
+
+    /// The events in append order, decoded.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = DurabilityEvent> + '_ {
+        Decoder {
+            bytes: &self.bytes,
+            pos: 0,
+            prev: [0; DELTA_FIELDS],
+            left: self.len,
+        }
+    }
+
+    /// Events journaled.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no event was journaled.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Size of the encoded stream in bytes.
+    pub fn encoded_bytes(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Fold the event count, then every event, into `d`.
+    pub fn fold_into(&self, d: &mut Digest) {
+        d.update_u64(self.len as u64);
+        for e in self.iter() {
+            e.fold_into(d);
+        }
+    }
+}
+
+impl FromIterator<DurabilityEvent> for DurabilityJournal {
+    fn from_iter<I: IntoIterator<Item = DurabilityEvent>>(events: I) -> Self {
+        let mut j = DurabilityJournal::default();
+        for e in events {
+            j.push(e);
+        }
+        j
+    }
+}
+
+/// Decoding cursor over a [`DurabilityJournal`]'s bytes.
+struct Decoder<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    prev: [u64; DELTA_FIELDS],
+    left: usize,
+}
+
+impl Decoder<'_> {
+    fn byte(&mut self) -> u8 {
+        let b = self.bytes[self.pos];
+        self.pos += 1;
+        b
+    }
+
+    fn varint(&mut self) -> u64 {
+        let mut v = 0;
+        let mut shift = 0;
+        loop {
+            let b = self.byte();
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+}
+
+impl Iterator for Decoder<'_> {
+    type Item = DurabilityEvent;
+
+    fn next(&mut self) -> Option<DurabilityEvent> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let mut f = EventFields {
+            rank: self.byte(),
+            ..EventFields::default()
+        };
+        for &field in f.layout() {
+            let i = field as usize;
+            if i < DELTA_FIELDS {
+                self.prev[i] = self.prev[i].wrapping_add(unzigzag(self.varint()));
+                f.vals[i] = self.prev[i];
+            } else if field != Field::Wal {
+                f.vals[i] = self.varint();
+            } else {
+                f.has_wal = self.byte() != 0;
+                if f.has_wal {
+                    f.vals[i] = self.varint();
+                }
+            }
+        }
+        Some(f.event())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Decoder<'_> {}
+
+/// Append `v` as an unsigned LEB128 varint (7 bits per byte, low first).
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Map a wrapping delta to an unsigned value small for small |delta|.
+fn zigzag(d: u64) -> u64 {
+    (d << 1) ^ ((d as i64 >> 63) as u64)
+}
+
+/// Inverse of [`zigzag`].
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
 }
 
 /// Counters describing one SSD cache's activity.
@@ -740,7 +1008,7 @@ pub struct SsdCache {
     wb: WriteBackStats,
     flights: DetMap<u64, Flight>,
     next_flush: u64,
-    journal: Vec<DurabilityEvent>,
+    journal: DurabilityJournal,
     /// The device died: stop acking and flushing; pass every write through.
     dead: bool,
     trace: TraceHandle,
@@ -774,7 +1042,7 @@ impl SsdCache {
             wb: WriteBackStats::default(),
             flights: DetMap::new(),
             next_flush: 0,
-            journal: Vec::new(),
+            journal: DurabilityJournal::default(),
             dead: false,
             trace: TraceHandle::disabled(),
         }
@@ -812,13 +1080,13 @@ impl SsdCache {
 
     /// The write-back durability journal so far (empty under
     /// `WritePolicy::Through`). The crash-consistency oracle replays this.
-    pub fn journal(&self) -> &[DurabilityEvent] {
+    pub fn journal(&self) -> &DurabilityJournal {
         &self.journal
     }
 
     /// Hand the durability journal over, leaving it empty: how a finished
     /// run moves it into its result without copying it.
-    pub fn take_journal(&mut self) -> Vec<DurabilityEvent> {
+    pub fn take_journal(&mut self) -> DurabilityJournal {
         std::mem::take(&mut self.journal)
     }
 
@@ -2014,10 +2282,7 @@ impl SsdCache {
                     }
                 }
             }
-            d.update_u64(self.journal.len() as u64);
-            for e in &self.journal {
-                e.fold_into(d);
-            }
+            self.journal.fold_into(d);
         }
     }
 }

@@ -34,6 +34,8 @@ pub struct RateController {
     last_token_update: SimTime,
     monitors: [LatencyMonitor; 2],
     completion_meter: Meter,
+    /// Most recent congestion state; only the unit tests read it.
+    #[cfg(test)]
     last_state: CongestionState,
     /// Last observed state per IO type; transitions are emitted on change.
     io_states: [CongestionState; 2],
@@ -52,6 +54,7 @@ impl RateController {
             last_token_update: SimTime::ZERO,
             monitors: [LatencyMonitor::new(&params), LatencyMonitor::new(&params)],
             completion_meter: Meter::default_rate_meter(),
+            #[cfg(test)]
             last_state: CongestionState::Underutilized,
             io_states: [CongestionState::Underutilized; 2],
             trace: TraceHandle::disabled(),
@@ -247,7 +250,10 @@ impl RateController {
                 new_bps: self.target_rate,
             },
         );
-        self.last_state = state;
+        #[cfg(test)]
+        {
+            self.last_state = state;
+        }
         state
     }
 

@@ -310,6 +310,8 @@ pub struct Meter {
     buckets_bytes: Vec<u64>,
     /// Absolute index of the bucket currently being filled.
     cur_bucket: u64,
+    /// Bytes recorded since creation; only the unit tests read it.
+    #[cfg(test)]
     total_bytes: u64,
 }
 
@@ -321,6 +323,7 @@ impl Meter {
             bucket_width,
             buckets_bytes: vec![0; buckets],
             cur_bucket: 0,
+            #[cfg(test)]
             total_bytes: 0,
         }
     }
@@ -349,7 +352,10 @@ impl Meter {
         self.advance_to(now);
         let idx = (self.cur_bucket % self.buckets_bytes.len() as u64) as usize;
         self.buckets_bytes[idx] += bytes;
-        self.total_bytes += bytes;
+        #[cfg(test)]
+        {
+            self.total_bytes += bytes;
+        }
     }
 
     /// Bytes/second over the sliding window ending at `now`.

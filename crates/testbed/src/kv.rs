@@ -151,7 +151,7 @@ pub struct KvRunResult {
     pub write_back: Vec<gimbal_cache::WriteBackStats>,
     /// Per-backend durability journals (same gating as `write_back`): the
     /// streams the crash-consistency oracle replays.
-    pub journals: Vec<Vec<gimbal_cache::DurabilityEvent>>,
+    pub journals: Vec<gimbal_cache::DurabilityJournal>,
     /// The initiator's command ledger across instances.
     pub faults: FaultCounters,
     /// Measured window length.

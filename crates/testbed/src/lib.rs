@@ -44,8 +44,8 @@ pub use config::{parse_workers, FaultConfig, Precondition, TestbedConfig, Worker
 pub use engine::Testbed;
 pub use gimbal_broker::{BrokerConfig, BrokerMode, BrokerStats};
 pub use gimbal_cache::{
-    AdmissionPolicy, CacheConfig, CacheStats, DurabilityEvent, FlushIo, StagedWriteLoss,
-    WriteBackStats, WritePolicy, FLUSH_ID_BASE, LOSS_EVENT_CMD,
+    AdmissionPolicy, CacheConfig, CacheStats, DurabilityEvent, DurabilityJournal, FlushIo,
+    StagedWriteLoss, WriteBackStats, WritePolicy, FLUSH_ID_BASE, LOSS_EVENT_CMD,
 };
 pub use kv::{KvInstanceResult, KvRunResult, KvTestbed, KvTestbedConfig};
 pub use node::{InFlight, Node, Tracked};

@@ -16,16 +16,20 @@
 //!   flush writes carry non-decreasing WAL tags (retries after a transient
 //!   `Requeued` are exempt — they legitimately re-issue an older tag), and
 //! * end-of-run line conservation holds and matches [`WriteBackStats`]:
-//!   `dirtied == cleaned + superseded + lost + residual_dirty`.
+//!   `dirtied == cleaned + superseded + lost + residual_dirty`, and
+//! * the journal really is in virtual-time order: `at` never decreases.
 //!
 //! Violations panic with a diagnostic; the durability and chaos suites run
 //! the oracle over every fault plan.
 
 use crate::kv::KvRunResult;
 use crate::results::RunResult;
-use gimbal_cache::{DurabilityEvent, StagedWriteLoss, WriteBackStats, LOSS_EVENT_CMD};
+use gimbal_cache::{
+    DurabilityEvent, DurabilityJournal, StagedWriteLoss, WriteBackStats, LOSS_EVENT_CMD,
+};
 use gimbal_fabric::TenantId;
 use gimbal_sim::collections::{DetMap, DetSet};
+use gimbal_sim::SimTime;
 
 /// What the oracle verified over one SSD cache's journal. All checks have
 /// already passed when a report is returned; the counts let tests assert
@@ -58,7 +62,7 @@ pub struct OracleReport {
 /// dirty-tagged records); `stats` is the same cache's counter snapshot.
 pub fn check_journal(
     ssd: usize,
-    journal: &[DurabilityEvent],
+    journal: &DurabilityJournal,
     losses: &[StagedWriteLoss],
     stats: &WriteBackStats,
 ) -> OracleReport {
@@ -76,6 +80,7 @@ pub fn check_journal(
     // Set between a PowerLoss/DeviceDeath marker and the end of its `Lost`
     // run; the shadow must be empty when the run closes.
     let mut draining = false;
+    let mut last_at = SimTime::ZERO;
 
     let mut rep = OracleReport {
         events: journal.len(),
@@ -83,6 +88,13 @@ pub fn check_journal(
     };
 
     for (i, ev) in journal.iter().enumerate() {
+        let at = ev.at();
+        assert!(
+            at >= last_at,
+            "oracle[ssd {ssd}]: journal out of virtual-time order — event at \
+             {at:?} after {last_at:?} (journal index {i})"
+        );
+        last_at = at;
         // A marker's `Lost` run ends at the first event of any other kind;
         // at that boundary every shadow-dirty line must have surfaced.
         if draining && !matches!(ev, DurabilityEvent::Lost { .. }) {
@@ -94,7 +106,7 @@ pub fn check_journal(
             );
             draining = false;
         }
-        match *ev {
+        match ev {
             DurabilityEvent::Acked { .. } => rep.acked_cmds += 1,
             DurabilityEvent::Dirtied { line, tenant, .. } => {
                 assert!(
@@ -270,7 +282,6 @@ pub fn check_kv_run(res: &KvRunResult) -> Vec<OracleReport> {
 mod tests {
     use super::*;
     use gimbal_fabric::SsdId;
-    use gimbal_sim::SimTime;
 
     fn t0() -> SimTime {
         SimTime::ZERO
@@ -335,14 +346,16 @@ mod tests {
 
     #[test]
     fn clean_journal_passes() {
-        let j = vec![
+        let j: DurabilityJournal = [
             dirtied(1, None),
             dirtied(2, Some(7)),
             issued(2, Some(7)),
             cleaned(2),
             issued(1, None),
             cleaned(1),
-        ];
+        ]
+        .into_iter()
+        .collect();
         let rep = check_journal(0, &j, &[], &stats(2, 2, 0, 0));
         assert_eq!(rep.dirtied, 2);
         assert_eq!(rep.cleaned, 2);
@@ -351,13 +364,15 @@ mod tests {
 
     #[test]
     fn exact_loss_accounting_passes() {
-        let j = vec![
+        let j: DurabilityJournal = [
             dirtied(1, None),
             dirtied(2, None),
             DurabilityEvent::PowerLoss { at: t0() },
             lost(1),
             lost(2),
-        ];
+        ]
+        .into_iter()
+        .collect();
         let rep = check_journal(0, &j, &[loss_record(2)], &stats(2, 0, 2, 0));
         assert_eq!(rep.lost, 2);
         assert_eq!(rep.loss_markers, 1);
@@ -367,12 +382,14 @@ mod tests {
     #[should_panic(expected = "silent loss")]
     fn silent_loss_is_caught() {
         // Two dirty lines, only one surfaced after the marker.
-        let j = vec![
+        let j: DurabilityJournal = [
             dirtied(1, None),
             dirtied(2, None),
             DurabilityEvent::PowerLoss { at: t0() },
             lost(1),
-        ];
+        ]
+        .into_iter()
+        .collect();
         check_journal(0, &j, &[loss_record(1)], &stats(2, 0, 1, 1));
     }
 
@@ -380,29 +397,33 @@ mod tests {
     #[should_panic(expected = "phantom loss")]
     fn phantom_loss_is_caught() {
         // Line 3 was never dirtied but is reported lost.
-        let j = vec![
+        let j: DurabilityJournal = [
             dirtied(1, None),
             DurabilityEvent::PowerLoss { at: t0() },
             lost(3),
-        ];
+        ]
+        .into_iter()
+        .collect();
         check_journal(0, &j, &[loss_record(1)], &stats(1, 0, 1, 0));
     }
 
     #[test]
     #[should_panic(expected = "WAL order violated")]
     fn wal_reorder_is_caught() {
-        let j = vec![
+        let j: DurabilityJournal = [
             dirtied(1, Some(9)),
             dirtied(2, Some(4)),
             issued(1, Some(9)),
             issued(2, Some(4)),
-        ];
+        ]
+        .into_iter()
+        .collect();
         check_journal(0, &j, &[], &stats(2, 0, 0, 2));
     }
 
     #[test]
     fn requeued_retry_may_reissue_an_older_tag() {
-        let j = vec![
+        let j: DurabilityJournal = [
             dirtied(1, Some(4)),
             dirtied(2, Some(9)),
             issued(1, Some(4)),
@@ -416,7 +437,9 @@ mod tests {
             issued(1, Some(4)), // retry: tag 4 after tag 9 is legitimate
             cleaned(1),
             cleaned(2),
-        ];
+        ]
+        .into_iter()
+        .collect();
         let rep = check_journal(0, &j, &[], &stats(2, 2, 0, 0));
         assert_eq!(rep.cleaned, 2);
     }
@@ -424,11 +447,32 @@ mod tests {
     #[test]
     #[should_panic(expected = "records disagree")]
     fn missing_surfaced_record_is_caught() {
-        let j = vec![
+        let j: DurabilityJournal = [
             dirtied(1, None),
             DurabilityEvent::DeviceDeath { at: t0() },
             lost(1),
-        ];
+        ]
+        .into_iter()
+        .collect();
         check_journal(0, &j, &[], &stats(1, 0, 1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "virtual-time order")]
+    fn time_going_backwards_is_caught() {
+        let j: DurabilityJournal = [
+            dirtied(1, None),
+            DurabilityEvent::Cleaned {
+                line: 1,
+                tenant: TenantId(0),
+                at: SimTime::from_nanos(5),
+            },
+            DurabilityEvent::PowerLoss {
+                at: SimTime::from_nanos(4),
+            },
+        ]
+        .into_iter()
+        .collect();
+        check_journal(0, &j, &[], &stats(1, 1, 0, 0));
     }
 }

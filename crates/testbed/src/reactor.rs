@@ -17,7 +17,7 @@ use crate::node::{Node, Tracked};
 use crate::results::{FaultCounters, GimbalTrace};
 use crate::scheme::Scheme;
 use gimbal_broker::{BrokerConfig, BrokerHandle, BrokerStats};
-use gimbal_cache::{CacheConfig, CacheStats, DurabilityEvent, StagedWriteLoss, WriteBackStats};
+use gimbal_cache::{CacheConfig, CacheStats, DurabilityJournal, StagedWriteLoss, WriteBackStats};
 use gimbal_core::Params;
 use gimbal_cores::{CoresStats, StealConfig};
 use gimbal_fabric::{FabricConfig, NvmeCmd, NvmeCompletion, Port, RdmaDelays, SsdId, TenantId};
@@ -273,7 +273,7 @@ pub struct Outcome {
     pub cache: Vec<CacheStats>,
     pub cache_losses: Vec<StagedWriteLoss>,
     pub write_back: Vec<WriteBackStats>,
-    pub journals: Vec<Vec<DurabilityEvent>>,
+    pub journals: Vec<DurabilityJournal>,
     pub gimbal_traces: Vec<GimbalTrace>,
     pub trace: Option<RecordedTrace>,
     pub access_journal: Option<AccessJournal>,

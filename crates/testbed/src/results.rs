@@ -1,7 +1,7 @@
 //! Experiment measurements and the paper's evaluation metrics.
 
 use gimbal_broker::BrokerStats;
-use gimbal_cache::{CacheStats, DurabilityEvent, StagedWriteLoss, WriteBackStats};
+use gimbal_cache::{CacheStats, DurabilityJournal, StagedWriteLoss, WriteBackStats};
 use gimbal_cores::CoresStats;
 use gimbal_sim::stats::LatencySummary;
 use gimbal_sim::{Digest, SimDuration, TimeSeries};
@@ -201,7 +201,7 @@ pub struct RunResult {
     pub write_back: Vec<WriteBackStats>,
     /// Per-SSD durability journals (same gating as `write_back`): the
     /// event streams the crash-consistency oracle replays.
-    pub journals: Vec<Vec<DurabilityEvent>>,
+    pub journals: Vec<DurabilityJournal>,
     /// The state-access journal recorded by the divergence sanitizer
     /// (`None` unless [`crate::TestbedConfig::sanitize`] was set). Feed two
     /// of these to [`gimbal_sim::journal::first_divergence`] to localize a
@@ -285,10 +285,7 @@ impl RunResult {
                 wb.fold_into(&mut d);
             }
             for j in &self.journals {
-                d.update_u64(j.len() as u64);
-                for e in j {
-                    e.fold_into(&mut d);
-                }
+                j.fold_into(&mut d);
             }
         }
         // Folded only when a broker ran, so broker-off digests are

@@ -38,6 +38,12 @@ for fault in node-death partition; do
         --duration-ms 100 --warmup-ms 20 --seed 42 --sanitize > /dev/null
 done
 
+echo "==> write-back smoke (fragmented SSD under a 16 MiB write-back cache; jbofsim runs the crash-consistency oracle)"
+cargo run --release --offline -q --bin jbofsim -- \
+    --precondition fragmented --cache-mb 16 --cache-policy always --cache-write-policy back \
+    --duration-ms 100 --warmup-ms 20 --seed 42 --workers 2x4k-read-zipf,4x4k-write-zipf \
+    | grep '^oracle: '
+
 echo "==> trace-export smoke (one traced run per format: cache, broker and stealing events)"
 trace_dir=$(mktemp -d)
 for fmt in chrome jsonl; do

@@ -22,8 +22,8 @@ use gimbal_repro::rack::{RackConfig, RackTestbed};
 use gimbal_repro::sim::{AccessJournal, FaultPlan, FaultWindow, SimDuration, SimTime};
 use gimbal_repro::telemetry::{export, RecordedTrace, TraceConfig};
 use gimbal_repro::testbed::{
-    cache_tier_wb, parse_workers, AdmissionPolicy, BrokerConfig, BrokerMode, FaultConfig,
-    Precondition, Scheme, Testbed, TestbedConfig, WorkerSpec, WritePolicy,
+    cache_tier_wb, check_run, parse_workers, AdmissionPolicy, BrokerConfig, BrokerMode,
+    FaultConfig, Precondition, Scheme, Testbed, TestbedConfig, WorkerSpec, WritePolicy,
 };
 use std::process::exit;
 
@@ -593,6 +593,15 @@ fn run_fio(cfg: TestbedConfig, workers: Vec<WorkerSpec>, trace: Option<TraceOut>
         println!(
             "write-back: {acked} acks from DRAM, {flushed} lines flushed, {dirty} dirty at end, {lost} lost"
         );
+        // The crash-consistency oracle replays every journal; it panics on
+        // a violation.
+        let reports = check_run(&res);
+        let events: usize = reports.iter().map(|r| r.events).sum();
+        let bytes: usize = res.journals.iter().map(|j| j.encoded_bytes()).sum();
+        let markers: u32 = reports.iter().map(|r| r.loss_markers).sum();
+        println!(
+            "oracle: {events} journal events replayed ({bytes} bytes encoded), {markers} loss markers"
+        );
     }
     println!("stats digest {:#018x}", res.stats_digest());
     if let Some(out) = &trace {
@@ -746,6 +755,26 @@ mod tests {
             let path = format!("t.{format}");
             same(&trace, &Some(TraceOut { path, chrome }));
         }
+
+        let line = "--precondition fragmented --cache-mb 16 --cache-policy always \
+                    --cache-write-policy back --duration-ms 100 --warmup-ms 20 --seed 42 \
+                    --workers 2x4k-read-zipf,4x4k-write-zipf";
+        let Run::Fio(cfg, workers, None) = parsed(line) else {
+            panic!("not an untraced fio run")
+        };
+        let want = TestbedConfig {
+            precondition: Precondition::Fragmented,
+            duration: ms(100),
+            warmup: ms(20),
+            seed: 42,
+            cache: cache_tier_wb(16, AdmissionPolicy::Always, WritePolicy::Back),
+            ..TestbedConfig::default()
+        };
+        same(&cfg, &want);
+        same(
+            &workers,
+            &parse_workers("2x4k-read-zipf,4x4k-write-zipf", 1).unwrap(),
+        );
 
         let line = "--rack-nodes 2 --duration-ms 50 --warmup-ms 10 --seed 42 --trace-out r.json";
         let Run::Rack(cfg, _, trace) = parsed(line) else {

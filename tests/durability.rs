@@ -19,8 +19,9 @@
 use gimbal_repro::fabric::RetryConfig;
 use gimbal_repro::sim::{FaultPlan, SimDuration, SimTime};
 use gimbal_repro::testbed::{
-    check_kv_run, check_run, AdmissionPolicy, CacheConfig, FaultConfig, KvTestbed, KvTestbedConfig,
-    Precondition, Scheme, Testbed, TestbedConfig, WorkerSpec, WritePolicy, LOSS_EVENT_CMD,
+    cache_tier_wb, check_kv_run, check_run, parse_workers, AdmissionPolicy, CacheConfig,
+    FaultConfig, KvTestbed, KvTestbedConfig, Precondition, Scheme, Testbed, TestbedConfig,
+    WorkerSpec, WritePolicy, LOSS_EVENT_CMD,
 };
 use gimbal_repro::workload::{AccessPattern, FioSpec, YcsbMix};
 
@@ -176,6 +177,37 @@ fn fio_power_loss_mid_run_keeps_oracle_green() {
         through.cache_losses.iter().all(|l| !l.dirty),
         "write-through surfaced dirty-tagged losses: {:?}",
         through.cache_losses
+    );
+}
+
+/// The journal's storage cost, gated on a machine-independent number: the
+/// write-back smoke row of `tests/determinism.rs` (a fragmented SSD under a
+/// 16 MiB write-back cache) journals at most 8 encoded bytes per event, a
+/// sixth of the 48 B an in-memory `DurabilityEvent` takes, and the oracle
+/// replays a non-empty journal.
+#[test]
+fn durability_journal_stays_under_eight_bytes_per_event() {
+    let ms = SimDuration::from_millis;
+    let res = Testbed::new(
+        TestbedConfig {
+            precondition: Precondition::Fragmented,
+            duration: ms(500),
+            warmup: ms(100),
+            seed: 42,
+            cache: cache_tier_wb(16, AdmissionPolicy::Always, WritePolicy::Back),
+            ..TestbedConfig::default()
+        },
+        parse_workers("2x4k-read-zipf,4x4k-write-zipf", 1).unwrap(),
+    )
+    .run();
+    let reports = check_run(&res);
+    let events: usize = reports.iter().map(|r| r.events).sum();
+    assert!(events > 0, "the oracle replayed an empty journal");
+    let bytes: usize = res.journals.iter().map(|j| j.encoded_bytes()).sum();
+    assert!(
+        bytes <= 8 * events,
+        "{bytes} journal bytes for {events} events: {:.2} B/event",
+        bytes as f64 / events as f64
     );
 }
 

@@ -12,7 +12,8 @@
 
 use gimbal_repro::broker::{Broker, BrokerConfig, BrokerHandle, BrokerMode, BrokerStats, Charge};
 use gimbal_repro::cache::{
-    is_flush_id, AdmissionPolicy, CacheConfig, SsdCache, WritePolicy, FLUSH_ID_BASE,
+    is_flush_id, AdmissionPolicy, CacheConfig, DurabilityEvent, DurabilityJournal, SsdCache,
+    WritePolicy, FLUSH_ID_BASE,
 };
 use gimbal_repro::fabric::{CmdId, IoType, NvmeCmd, Priority, SsdId, TenantId};
 use gimbal_repro::gimbal::scheduler::SchedPoll;
@@ -695,6 +696,113 @@ fn write_back_flush_order_respects_wal_tags() {
         }
         check_journal(0, c.journal(), c.losses(), &c.write_back_stats());
     }
+}
+
+/// A journal field value: mostly the extremes and small steps either side
+/// of the previous value, so deltas go up, down and wrap.
+fn journal_u64(rng: &mut SimRng, prev: u64) -> u64 {
+    match rng.gen_below(6) {
+        0 => 0,
+        1 => u64::MAX,
+        2 => prev.wrapping_add(rng.gen_below(100)),
+        3 => prev.wrapping_sub(rng.gen_below(100)),
+        _ => rng.next_u64(),
+    }
+}
+
+fn journal_event(rng: &mut SimRng, prev: &mut u64) -> DurabilityEvent {
+    let mut next = |rng: &mut SimRng| {
+        *prev = journal_u64(rng, *prev);
+        *prev
+    };
+    let small = |rng: &mut SimRng| match rng.gen_below(3) {
+        0 => 0,
+        1 => u32::MAX,
+        _ => rng.gen_below(64) as u32,
+    };
+    let (cmd, line, tenant, lines) = (next(rng), next(rng), TenantId(small(rng)), small(rng));
+    let wal = match rng.gen_below(4) {
+        0 => None,
+        1 => Some(0),
+        2 => Some(u64::MAX),
+        _ => Some(next(rng)),
+    };
+    let at = SimTime::from_nanos(next(rng));
+    match rng.gen_below(10) {
+        0 => DurabilityEvent::Acked {
+            cmd,
+            tenant,
+            lines,
+            at,
+        },
+        1 => DurabilityEvent::Dirtied {
+            line,
+            tenant,
+            wal,
+            at,
+        },
+        2 => DurabilityEvent::FlushIssued {
+            id: next(rng),
+            line,
+            tenant,
+            wal,
+            at,
+        },
+        3 => DurabilityEvent::Cleaned { line, tenant, at },
+        4 => DurabilityEvent::Requeued {
+            line,
+            tenant,
+            wal,
+            at,
+        },
+        5 => DurabilityEvent::Superseded { line, tenant, at },
+        6 => DurabilityEvent::Lost {
+            line,
+            tenant,
+            wal,
+            at,
+        },
+        7 => DurabilityEvent::PassThrough { cmd, tenant, at },
+        8 => DurabilityEvent::PowerLoss { at },
+        _ => DurabilityEvent::DeviceDeath { at },
+    }
+}
+
+/// The durability journal's byte stream round-trips every event exactly:
+/// all ten variants, ids, lines and instants at 0 and `u64::MAX` and going
+/// backwards, WAL tags absent, 0 and `u64::MAX`, tenants and line counts at
+/// `u32::MAX`. Distinct streams never encode to equal journals — a stream
+/// with one event replaced, or one event fewer, always differs — so the
+/// journal's byte equality is event equality.
+#[test]
+fn durability_journal_round_trips_every_event() {
+    let mut rng = SimRng::new(0x9157_000a);
+    let mut prev = 0;
+    let mut variants = std::collections::BTreeSet::new();
+    for case in 0..300 {
+        let n = 1 + rng.gen_below(40) as usize;
+        let events: Vec<DurabilityEvent> =
+            (0..n).map(|_| journal_event(&mut rng, &mut prev)).collect();
+        for e in &events {
+            let name = format!("{e:?}");
+            variants.insert(name.split([' ', '{']).next().unwrap_or_default().to_owned());
+        }
+        let j: DurabilityJournal = events.iter().copied().collect();
+        assert_eq!(j.len(), events.len(), "case {case}");
+        assert!(!j.is_empty(), "case {case}");
+        assert_eq!(j.iter().collect::<Vec<_>>(), events, "case {case}");
+        assert_eq!(j, events.iter().copied().collect(), "case {case}");
+
+        let mut other = events.clone();
+        let k = rng.gen_below(n as u64) as usize;
+        other[k] = journal_event(&mut rng, &mut prev);
+        let jo: DurabilityJournal = other.iter().copied().collect();
+        assert_eq!(jo == j, other == events, "case {case}: replaced event {k}");
+        let shorter: DurabilityJournal = events[..n - 1].iter().copied().collect();
+        assert_ne!(shorter, j, "case {case}: a prefix encoded equal");
+    }
+    assert_eq!(variants.len(), 10, "variants covered: {variants:?}");
+    assert!(DurabilityJournal::default().is_empty());
 }
 
 /// PCG is deterministic per seed and uniform-ish over small ranges.
