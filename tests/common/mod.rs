@@ -5,6 +5,7 @@
 //! come from the library's own `parse_workers`.
 #![allow(dead_code)]
 
+use gimbal_repro::lsm_kv::LsmStats;
 use gimbal_repro::sim::{Digest, FaultPlan, FaultWindow, SimDuration, SimTime, SsdFaultSpec};
 use gimbal_repro::testbed::{
     parse_workers, BrokerConfig, BrokerMode, FaultCounters, KvRunResult, TestbedConfig, WorkerSpec,
@@ -75,26 +76,65 @@ pub(crate) fn fault_digest(f: &FaultCounters) -> u64 {
 }
 
 /// The KV engine publishes no digest of its own: fold per-instance ops,
-/// latency summaries and LSM counters plus per-backend device counters —
-/// the fields `jbof_bench` folds for its `kv_ycsb_a` workload.
+/// latency summaries and every LSM counter, every per-backend device
+/// counter, and — with the same gating as `RunResult::stats_digest` — the
+/// cache tier's counters, staged-write losses, write-back counters and
+/// durability journals.
 pub(crate) fn kv_digest(r: &KvRunResult) -> u64 {
     let mut d = Digest::new();
     for i in &r.instances {
         d.update_u64(i.ops);
         i.read_latency.fold_into(&mut d);
         i.write_latency.fold_into(&mut d);
-        d.update_u64(i.lsm.probe_reads)
-            .update_u64(i.lsm.wal_writes)
-            .update_u64(i.lsm.flushes)
-            .update_u64(i.lsm.compactions)
-            .update_u64(i.lsm.background_write_bytes);
+        // Destructured so a new counter cannot be left out silently.
+        let LsmStats {
+            mem_hits,
+            probe_reads,
+            probe_misses,
+            wal_writes,
+            flushes,
+            compactions,
+            write_stalls,
+            failed_read_retries,
+            degraded_writes,
+            background_write_bytes,
+            background_read_bytes,
+        } = i.lsm;
+        for v in [
+            mem_hits,
+            probe_reads,
+            probe_misses,
+            wal_writes,
+            flushes,
+            compactions,
+            write_stalls,
+            failed_read_retries,
+            degraded_writes,
+            background_write_bytes,
+            background_read_bytes,
+        ] {
+            d.update_u64(v);
+        }
     }
     for s in &r.ssd_stats {
-        d.update_u64(s.reads)
-            .update_u64(s.writes)
-            .update_u64(s.read_bytes)
-            .update_u64(s.write_bytes)
-            .update_u64(s.ftl.gc_slot_writes);
+        s.fold_into(&mut d);
+    }
+    if !r.cache.is_empty() {
+        for c in &r.cache {
+            c.fold_into(&mut d);
+        }
+        d.update_u64(r.cache_losses.len() as u64);
+        for l in &r.cache_losses {
+            l.fold_into(&mut d);
+        }
+    }
+    if !r.write_back.is_empty() {
+        for wb in &r.write_back {
+            wb.fold_into(&mut d);
+        }
+        for j in &r.journals {
+            j.fold_into(&mut d);
+        }
     }
     d.value()
 }

@@ -581,10 +581,10 @@ fn headline_configurations_keep_their_pinned_digests() {
             0xa8c3_4885_7f07_c756,
             fault_digest(&chaos.faults),
         ),
-        ("kv ycsb-a", 0x360c_ef44_9887_a03d, kv_digest(&kv)),
+        ("kv ycsb-a", 0xe435_79d1_eb53_c0a6, kv_digest(&kv)),
         (
             "kv parda ycsb-b, backend 0 fails",
-            0xc838_5c13_2ac5_5a82,
+            0x0b3f_c5c6_ca91_27c4,
             kv_digest(&kv_fail),
         ),
         (
@@ -1144,19 +1144,19 @@ fn engine_matrix_keeps_its_pinned_digests() {
         ),
         ("fio Gimbal 2% loss, traced: trace", 0x9433_8c77_c48f_4021),
         ("fio Gimbal 2% loss, traced: faults", 0x50e9_b10f_fc69_5df0),
-        ("kv ReFlex A: stats", 0xb2df_5767_e04b_57bd),
-        ("kv ReFlex B: stats", 0x6235_e9ed_1384_3d10),
-        ("kv FlashFQ A: stats", 0x74ce_e903_becc_68f6),
-        ("kv FlashFQ B: stats", 0x6235_e9ed_1384_3d10),
-        ("kv Parda A: stats", 0xb33f_87f3_2073_dfe9),
-        ("kv Parda B: stats", 0xb47a_2212_eaa1_1977),
-        ("kv Gimbal A: stats", 0xcc71_054e_6c16_ef7c),
-        ("kv Gimbal B: stats", 0xd08a_29a6_8b93_7dae),
-        ("kv parda B, backend 0 fails: stats", 0x0e45_d0ab_0a25_bb56),
+        ("kv ReFlex A: stats", 0x1032_f74f_8a8e_6ac0),
+        ("kv ReFlex B: stats", 0x8420_6788_ecab_fd49),
+        ("kv FlashFQ A: stats", 0x7fc5_b669_3331_326b),
+        ("kv FlashFQ B: stats", 0x8420_6788_ecab_fd49),
+        ("kv Parda A: stats", 0xaf65_2b6e_5b6e_9677),
+        ("kv Parda B: stats", 0xee4a_69c4_c924_322c),
+        ("kv Gimbal A: stats", 0xc703_7677_421c_0e4b),
+        ("kv Gimbal B: stats", 0x82af_ad14_9dce_f6f9),
+        ("kv parda B, backend 0 fails: stats", 0xf18c_6c4a_df00_4ed3),
         ("kv parda B, backend 0 fails: faults", 0xba0d_43fd_5c47_3c2c),
         (
             "kv write-back, power loss, sampled: stats",
-            0xf54e_163e_ec1e_d384,
+            0x87f5_8f36_01c5_0cd3,
         ),
         (
             "kv write-back, power loss, sampled: faults",
