@@ -141,7 +141,8 @@ struct WalGroup {
 }
 
 struct FlushJob {
-    keys: DetSet<u64>,
+    /// The immutable memtable's keys, sorted.
+    keys: Vec<u64>,
     file: FileId,
     size_blocks: u64,
     pending: usize,
@@ -159,8 +160,8 @@ struct CompactionJob {
     input_tables: Vec<(usize, TableId)>,
     input_files: Vec<FileId>,
     merged_keys: Vec<u64>,
-    /// Output files created during the write phase.
-    outputs: Vec<(FileId, DetSet<u64>, u64)>,
+    /// Output files created during the write phase, with their key runs.
+    outputs: Vec<(FileId, Vec<u64>, u64)>,
     target_level: usize,
 }
 
@@ -299,7 +300,7 @@ impl LsmKv {
         t
     }
 
-    fn make_table(&mut self, file: FileId, keys: DetSet<u64>, size_blocks: u64) -> SsTable {
+    fn make_table(&mut self, file: FileId, keys: Vec<u64>, size_blocks: u64) -> SsTable {
         let id = TableId(self.next_table);
         self.next_table += 1;
         SsTable::new(id, file, keys, size_blocks)
@@ -326,7 +327,7 @@ impl LsmKv {
         let mut k = 0;
         while k < records {
             let hi = (k + per).min(records);
-            let keys: DetSet<u64> = (k..hi).collect();
+            let keys: Vec<u64> = (k..hi).collect();
             let blocks = self.blocks_for_entries(hi - k);
             let file = ctx
                 .bs
@@ -585,7 +586,12 @@ impl LsmKv {
         self.emit_pending_wal(ctx, out);
         // Start a memtable flush.
         if !self.imm && self.memtable_full() {
-            let keys = std::mem::take(&mut self.mem);
+            // Exact capacity, so the table's `Box<[u64]>` takes the buffer
+            // as is; the memtable keeps its capacity for the next fill.
+            let mut keys = Vec::with_capacity(self.mem.len());
+            keys.extend(self.mem.iter().copied());
+            keys.sort_unstable();
+            self.mem.clear();
             self.mem_bytes = 0;
             self.imm = true;
             let blocks = self.blocks_for_entries(keys.len() as u64);
@@ -676,11 +682,11 @@ impl LsmKv {
         };
         // Read phase: sequential reads of every input file.
         let mut pending = 0;
-        let mut merged: DetSet<u64> = DetSet::new();
+        let mut merged: Vec<u64> = Vec::new();
         let mut input_files = Vec::new();
         for &(_, tid) in &input_tables {
             let t = self.find_table(tid).expect("input exists");
-            merged.extend(t.keys());
+            merged.extend_from_slice(t.keys());
             input_files.push(t.file);
             let blocks = t.size_blocks;
             let file = t.file;
@@ -694,8 +700,8 @@ impl LsmKv {
                 off += len;
             }
         }
-        let mut merged: Vec<u64> = merged.into_iter().collect();
         merged.sort_unstable();
+        merged.dedup();
         self.compaction = Some(CompactionJob {
             phase: CompactionPhase::Reading,
             pending,
@@ -722,7 +728,6 @@ impl LsmKv {
                 .bs
                 .create_file(blocks, score)
                 .expect("compaction output allocation");
-            let keyset: DetSet<u64> = chunk.iter().copied().collect();
             let mut off = 0;
             while off < blocks {
                 let len = 64.min(blocks - off);
@@ -731,7 +736,7 @@ impl LsmKv {
                 pending += self.push_planned(IoKind::CompactionWrite, Priority::LOW, None, out);
                 off += len;
             }
-            outputs.push((file, keyset, blocks));
+            outputs.push((file, chunk.to_vec(), blocks));
         }
         let job = self.compaction.as_mut().expect("job");
         job.outputs = outputs;

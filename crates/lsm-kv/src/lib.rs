@@ -10,6 +10,13 @@
 //! with per-table Bloom filters skipping most absent probes. Writes append
 //! to a group-committed WAL.
 //!
+//! Membership is the simulation's ground truth. The memtable is a
+//! `DetSet` that keeps its capacity across fills. Each SSTable holds its
+//! keys as a sorted, deduplicated `Box<[u64]>` (8 B per key, looked up by
+//! binary search): a flush sorts the memtable's keys into it, and a
+//! compaction sorts and dedups its inputs' keys into one run and cuts it
+//! into output tables.
+//!
 //! The store is *IO-plan driven*: it never performs IO itself. Operations
 //! and background jobs (flush, compaction) emit [`TaggedIo`]s for the
 //! driving engine to execute against the simulated fabric/JBOF; the engine

@@ -106,8 +106,9 @@ enum DieOp {
     /// tR for one NAND page feeding read IO `tag`; `bytes` continue over the
     /// channel + link afterwards.
     ReadChunk { tag: u64, bytes: u64 },
-    /// A drain program persisting these buffered pages.
-    Program { lpns: Vec<u64> },
+    /// A drain program persisting the buffered pages of this batch of the
+    /// program-batch arena.
+    Program { batch: u32 },
     /// Chunked GC occupancy (copy reads, copy programs, erase slices).
     GcChunk,
 }
@@ -169,8 +170,13 @@ pub struct FlashSsd {
     pending_writes: VecDeque<PendingWrite>,
     /// Pages admitted to the buffer but not yet batched into a program.
     drain_accum: Vec<u64>,
-    /// Emptied program batches, reused by the next drain program.
-    spare_batches: Vec<Vec<u64>>,
+    /// Program-batch arena: batch `i` is the `slots_per_program` lpns at
+    /// `batches[i * unit..][..unit]`. Every batch is exactly one program
+    /// unit, so the arena grows by doubling to the buffer's in-flight
+    /// high-water mark and never shrinks.
+    batches: Vec<u64>,
+    /// Indices of arena batches no program holds.
+    free_batches: Vec<u32>,
     /// Recycled scratch for one read's NAND chunks, `(die, bytes)`; empty
     /// between submissions.
     read_chunks: Vec<(u32, u64)>,
@@ -210,7 +216,8 @@ impl FlashSsd {
             reads: DetMap::new(),
             pending_writes: VecDeque::new(),
             drain_accum: Vec::new(),
-            spare_batches: Vec::new(),
+            batches: Vec::new(),
+            free_batches: Vec::new(),
             read_chunks: Vec::new(),
             gc_lpns: Vec::new(),
             next_die: 0,
@@ -412,7 +419,7 @@ impl FlashSsd {
                     );
                 }
             }
-            DieOp::Program { lpns } => self.on_program_done(lpns, now),
+            DieOp::Program { batch } => self.on_program_done(batch, now),
             DieOp::GcChunk => {}
         }
         self.kick_die(die, now);
@@ -545,13 +552,24 @@ impl FlashSsd {
     fn schedule_full_batches(&mut self, now: SimTime) {
         let unit = self.cfg.slots_per_program() as usize;
         while self.drain_accum.len() >= unit {
-            let mut batch = self.spare_batches.pop().unwrap_or_default();
-            batch.extend(self.drain_accum.drain(..unit));
+            let batch = match self.free_batches.pop() {
+                Some(b) => {
+                    let at = b as usize * unit;
+                    self.batches[at..at + unit].copy_from_slice(&self.drain_accum[..unit]);
+                    b
+                }
+                None => {
+                    let b = u32::try_from(self.batches.len() / unit).expect("batch index fits u32");
+                    self.batches.extend_from_slice(&self.drain_accum[..unit]);
+                    b
+                }
+            };
+            self.drain_accum.drain(..unit);
             self.schedule_program(batch, now);
         }
     }
 
-    fn schedule_program(&mut self, lpns: Vec<u64>, now: SimTime) {
+    fn schedule_program(&mut self, batch: u32, now: SimTime) {
         // Round-robin die choice with a safety invariant: every die keeps at
         // least one free block in reserve for GC's copy destination. A batch
         // may land on a die only if it fits the open block or the die can
@@ -559,7 +577,7 @@ impl FlashSsd {
         // steers to the next die (a die's reclaimable space can transiently
         // live elsewhere under striped overwrites).
         let dies = self.cfg.dies();
-        let batch_slots = lpns.len() as u32;
+        let batch_slots = self.cfg.slots_per_program();
         let mut chosen = None;
         for _ in 0..dies {
             let candidate = self.next_die % dies;
@@ -579,14 +597,15 @@ impl FlashSsd {
                 .max_by_key(|&d| self.ftl.free_blocks(d))
                 .expect("at least one die")
         });
-        for &lpn in &lpns {
+        let at = batch as usize * batch_slots as usize;
+        for &lpn in &self.batches[at..at + batch_slots as usize] {
             self.ftl.write_to_die(lpn, die, false);
         }
         // The data transfer to the die rides inside the program op (channel
         // contention from writes is second-order; reads still pay it).
-        let bytes = lpns.len() as u64 * self.cfg.logical_page_bytes;
+        let bytes = u64::from(batch_slots) * self.cfg.logical_page_bytes;
         let dur = self.cfg.t_program + SimDuration::for_bytes(bytes, self.cfg.channel_bandwidth);
-        self.enqueue_bg(die, DieOp::Program { lpns }, now, dur, now);
+        self.enqueue_bg(die, DieOp::Program { batch }, now, dur, now);
     }
 
     /// If `die` is at the GC watermark, queue greedy collection work on its
@@ -656,11 +675,13 @@ impl FlashSsd {
         true
     }
 
-    fn on_program_done(&mut self, mut lpns: Vec<u64>, now: SimTime) {
-        for lpn in lpns.drain(..) {
+    fn on_program_done(&mut self, batch: u32, now: SimTime) {
+        let unit = self.cfg.slots_per_program() as usize;
+        let at = batch as usize * unit;
+        for &lpn in &self.batches[at..at + unit] {
             self.buffer.release(lpn);
         }
-        self.spare_batches.push(lpns);
+        self.free_batches.push(batch);
         // Admit pending writes FIFO while space allows.
         while let Some(front) = self.pending_writes.front() {
             let pages = front.len / self.cfg.logical_page_bytes;

@@ -20,6 +20,11 @@
 //! the timer wheels, so storage that grows with slot high-water marks
 //! instead of the live entry count (0.0233 per op) fails it.
 //!
+//! A fifth row, four 128 KiB writers at QD8 on a fragmented SSD, has its
+//! own budget of 0.16, twice what it measures: its write buffer holds
+//! about 1,500 program batches in flight at its peak, so a drain path that
+//! takes one `Vec` per in-flight batch (0.41 per op) fails it.
+//!
 //! This file holds exactly one `#[test]`: the counter is process-wide, so a
 //! second test running on another thread would pollute it.
 #![expect(
@@ -191,6 +196,10 @@ fn per_op_paths_stay_within_the_allocation_budget() {
     // their own high-water buffers measured 0.0233 on the same run.
     const FANOUT_MS: u64 = 500;
     const FANOUT_BUDGET: f64 = 0.016;
+    // The fragmented-write row measures 0.083 allocs/op; one `Vec` per
+    // in-flight program batch measured 0.41 on the same run.
+    const FRAG_MS: u64 = 2000;
+    const FRAG_BUDGET: f64 = 0.16;
     let ms = SimDuration::from_millis;
 
     // YCSB-A over replicated blobstore files: LSM steps and blobstore plans.
@@ -281,6 +290,28 @@ fn per_op_paths_stay_within_the_allocation_budget() {
     let (res, fanout_allocs) = counted(|| fanout.run());
     let fanout_ops: u64 = res.workers.iter().map(|w| w.ops).sum();
 
+    // Four 128 KiB writers at QD8 on a fragmented SSD: the write buffer
+    // fills, so every program batch the buffer can hold is in flight at
+    // once and GC runs behind them.
+    let frag = Testbed::new(
+        TestbedConfig {
+            precondition: Precondition::Fragmented,
+            duration: ms(FRAG_MS),
+            warmup: SimDuration::ZERO,
+            seed: 42,
+            ..TestbedConfig::default()
+        },
+        (0..4u64)
+            .map(|i| {
+                let mut f = FioSpec::paper_default(0.0, 128 * 1024, i * cap / 4, cap / 4);
+                f.queue_depth = 8;
+                WorkerSpec::new("128k-write", f)
+            })
+            .collect(),
+    );
+    let (res, frag_allocs) = counted(|| frag.run());
+    let frag_ops: u64 = res.workers.iter().map(|w| w.ops).sum();
+
     let rows = [
         ("kv ycsb-a", kv_allocs, kv_ops, BUDGET),
         ("rack node-death", rack_allocs, rack_ops, BUDGET),
@@ -290,6 +321,12 @@ fn per_op_paths_stay_within_the_allocation_budget() {
             fanout_allocs,
             fanout_ops,
             FANOUT_BUDGET,
+        ),
+        (
+            "fio 128k writes, fragmented",
+            frag_allocs,
+            frag_ops,
+            FRAG_BUDGET,
         ),
     ];
     let report: Vec<String> = rows
