@@ -173,15 +173,15 @@ impl RateController {
         size: u64,
         write_cost: f64,
     ) -> SimTime {
-        let bucket = match io_type {
-            IoType::Read => &self.read_bucket,
-            IoType::Write => &self.write_bucket,
+        // The bucket the request consumes and its share of the target rate
+        // (overflow from the sibling bucket ignored). In single-bucket mode
+        // every request consumes the read bucket, which gets the whole rate.
+        let (bucket, share) = match io_type {
+            _ if self.params.single_bucket => (&self.read_bucket, 1.0),
+            IoType::Read => (&self.read_bucket, write_cost / (1.0 + write_cost)),
+            IoType::Write => (&self.write_bucket, 1.0 / (1.0 + write_cost)),
         };
         let deficit = (size as f64 - bucket.tokens()).max(0.0);
-        let share = match io_type {
-            IoType::Read => write_cost / (1.0 + write_cost),
-            IoType::Write => 1.0 / (1.0 + write_cost),
-        };
         let rate = (self.target_rate * share).max(self.params.min_rate * 0.25);
         let secs = deficit / rate;
         // Clamp so a stalled estimate still re-polls promptly.
@@ -424,6 +424,60 @@ mod tests {
         let hint = c.wait_hint(now, IoType::Read, 128 * 1024, 9.0);
         assert!(hint > now);
         assert!(hint <= now + SimDuration::from_millis(5));
+    }
+
+    /// The first instant at which `c`, refilled once from its current
+    /// state, can consume the request (binary search over nanoseconds).
+    fn first_covering_instant(c: &RateController, io: IoType, size: u64, wc: f64) -> SimTime {
+        let covers = |ns: u64| {
+            let mut probe = c.clone();
+            probe.update_buckets(SimTime::from_nanos(ns), wc);
+            probe.can_consume(io, size)
+        };
+        let (mut lo, mut hi) = (0u64, 10_000_000u64);
+        assert!(covers(hi), "not covered within 10 ms");
+        while lo + 1 < hi {
+            let mid = lo + (hi - lo) / 2;
+            if covers(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        SimTime::from_nanos(hi)
+    }
+
+    #[test]
+    fn wait_hint_lands_when_the_consumed_bucket_first_covers_the_request() {
+        let size = 128 * 1024;
+        // Write costs low enough that no bucket overflows into its sibling
+        // before the request is covered, and waits under the 5 ms clamp.
+        for (single_bucket, io, wc) in [
+            (false, IoType::Read, 1.0),
+            (false, IoType::Write, 1.0),
+            (false, IoType::Read, 9.0),
+            (true, IoType::Read, 1.0),
+            (true, IoType::Write, 1.0),
+            (true, IoType::Read, 9.0),
+            (true, IoType::Write, 9.0),
+        ] {
+            let mut c = RateController::new(Params {
+                single_bucket,
+                ..Params::default()
+            });
+            // Empty every bucket a request can consume.
+            assert!(c.try_consume(IoType::Read, 256 * 1024));
+            if !single_bucket {
+                assert!(c.try_consume(IoType::Write, 256 * 1024));
+            }
+            let hint = c.wait_hint(SimTime::ZERO, io, size, wc);
+            let truth = first_covering_instant(&c, io, size, wc);
+            let gap = hint.as_nanos().abs_diff(truth.as_nanos());
+            assert!(
+                gap <= 1_000,
+                "single {single_bucket} {io:?} wc {wc}: hint {hint:?}, covered at {truth:?}"
+            );
+        }
     }
 
     #[test]
