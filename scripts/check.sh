@@ -82,9 +82,9 @@ echo "==> figures smoke (registry listing, argument handling on the static Table
 cargo run --release --offline -q -p gimbal-bench --bin figures -- list > /dev/null
 cargo run --release --offline -q -p gimbal-bench --bin figures -- --quick tab2_comparison > /dev/null
 
-echo "==> jbof_bench (the standalone benchmark crate still builds against the core crates: its tests, then quick burst_skew, kv_ycsb_a and rack_failover runs through every gate)"
+echo "==> jbof_bench (the standalone benchmark crate still builds against the core crates: its tests, then quick mixed_frag, cache_wb_zipf, burst_skew, kv_ycsb_a and rack_failover runs through every gate)"
 cargo test --offline -q --manifest-path jbof_bench/Cargo.toml
-for w in burst_skew kv_ycsb_a rack_failover; do
+for w in mixed_frag cache_wb_zipf burst_skew kv_ycsb_a rack_failover; do
     cargo run --release --offline -q --manifest-path jbof_bench/Cargo.toml \
         --bin jbof-bench -- run "$w" --quick > /dev/null
 done
