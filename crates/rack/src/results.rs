@@ -137,22 +137,7 @@ impl RackResult {
         for s in &self.ssd_stats {
             s.fold_into(&mut d);
         }
-        let p = &self.physical;
-        for v in [
-            p.submitted,
-            p.completed_ok,
-            p.completed_err,
-            p.timed_out,
-            p.in_flight_at_end,
-            p.cmd_capsules_dropped,
-            p.cpl_capsules_dropped,
-            p.retries,
-            p.completions_resent,
-            p.duplicate_cmds_ignored,
-            p.stale_completions_ignored,
-        ] {
-            d.update_u64(v);
-        }
+        self.physical.fold_into(&mut d);
         self.rack.fold_into(&mut d);
         for v in self.tor_bytes_down.iter().chain(&self.tor_bytes_up) {
             d.update_u64(*v);

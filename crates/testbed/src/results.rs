@@ -163,6 +163,41 @@ impl FaultCounters {
         self.submitted
             == self.completed_ok + self.completed_err + self.timed_out + self.in_flight_at_end
     }
+
+    /// Fold every counter into a digest, in declaration order. The
+    /// destructuring names all fields, so a new counter cannot be left out.
+    pub fn fold_into(&self, d: &mut Digest) {
+        let FaultCounters {
+            submitted,
+            completed_ok,
+            completed_err,
+            timed_out,
+            in_flight_at_end,
+            cmd_capsules_dropped,
+            cpl_capsules_dropped,
+            retries,
+            completions_resent,
+            duplicate_cmds_ignored,
+            stale_completions_ignored,
+            cache_served,
+        } = *self;
+        for v in [
+            submitted,
+            completed_ok,
+            completed_err,
+            timed_out,
+            in_flight_at_end,
+            cmd_capsules_dropped,
+            cpl_capsules_dropped,
+            retries,
+            completions_resent,
+            duplicate_cmds_ignored,
+            stale_completions_ignored,
+            cache_served,
+        ] {
+            d.update_u64(v);
+        }
+    }
 }
 
 /// The complete output of one testbed run.

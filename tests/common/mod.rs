@@ -51,27 +51,12 @@ pub(crate) fn combined() -> FaultPlan {
     }
 }
 
-/// Every [`FaultCounters`] field, in declaration order. `stats_digest`
-/// leaves these out, so this is what pins the dedup, resend and retry
-/// paths.
+/// Every [`FaultCounters`] field, in declaration order. The fio
+/// `stats_digest` leaves these out, so this is what pins the dedup, resend
+/// and retry paths.
 pub(crate) fn fault_digest(f: &FaultCounters) -> u64 {
     let mut d = Digest::new();
-    for v in [
-        f.submitted,
-        f.completed_ok,
-        f.completed_err,
-        f.timed_out,
-        f.in_flight_at_end,
-        f.cmd_capsules_dropped,
-        f.cpl_capsules_dropped,
-        f.retries,
-        f.completions_resent,
-        f.duplicate_cmds_ignored,
-        f.stale_completions_ignored,
-        f.cache_served,
-    ] {
-        d.update_u64(v);
-    }
+    f.fold_into(&mut d);
     d.value()
 }
 

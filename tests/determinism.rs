@@ -558,7 +558,7 @@ fn headline_configurations_keep_their_pinned_digests() {
         ),
         (
             "rack node-death",
-            0x7878_edf9_9d09_8399,
+            0xface_271e_b46e_6a39,
             rack.stats_digest(),
         ),
         (
@@ -589,7 +589,7 @@ fn headline_configurations_keep_their_pinned_digests() {
         ),
         (
             "rack node-death + 2% loss",
-            0x6ddc_d8c6_6bc4_6d68,
+            0x3682_4d4a_3df0_ad28,
             lossy.stats_digest(),
         ),
         (
@@ -1166,48 +1166,48 @@ fn engine_matrix_keeps_its_pinned_digests() {
             "kv write-back, power loss, sampled: series",
             0x648d_0340_7698_7e89,
         ),
-        ("rack Gimbal no fault: stats", 0x74f8_86de_7ed5_4780),
+        ("rack Gimbal no fault: stats", 0xcb3d_931a_f814_e380),
         (
             "rack Gimbal no fault: access journal",
             0x12c2_f74f_ea2a_b6c6,
         ),
         ("rack Gimbal no fault: faults", 0x098e_020e_4827_d225),
-        ("rack Gimbal node death: stats", 0x1332_7319_0863_0007),
+        ("rack Gimbal node death: stats", 0x176a_bf99_16f5_4087),
         (
             "rack Gimbal node death: access journal",
             0x6027_01c1_3f62_95ad,
         ),
         ("rack Gimbal node death: faults", 0x77d6_ee73_abdd_5760),
-        ("rack Gimbal partition: stats", 0x0d3b_d230_7321_8f3c),
+        ("rack Gimbal partition: stats", 0xfe2e_84d0_9930_a4bc),
         (
             "rack Gimbal partition: access journal",
             0xbe5b_1fea_e858_93f4,
         ),
         ("rack Gimbal partition: faults", 0x3ef3_f2d3_c8e1_8249),
-        ("rack Gimbal 2% loss: stats", 0xa0ed_c85e_c06b_38c7),
+        ("rack Gimbal 2% loss: stats", 0x2bf8_054d_748c_18e7),
         ("rack Gimbal 2% loss: access journal", 0x8c8d_f360_01cb_2f77),
         ("rack Gimbal 2% loss: faults", 0x57ff_3029_5a24_8850),
-        ("rack Parda no fault: stats", 0x7831_76f0_5093_cbc5),
+        ("rack Parda no fault: stats", 0x7305_bf59_96a2_bf85),
         ("rack Parda no fault: access journal", 0x1108_455f_0f7c_4d54),
         ("rack Parda no fault: faults", 0x46af_b0fc_3f40_1415),
-        ("rack Parda node death: stats", 0xf1be_89e9_9a6b_c385),
+        ("rack Parda node death: stats", 0x77c8_ffce_6c68_5145),
         (
             "rack Parda node death: access journal",
             0xbb80_e944_90e8_fb23,
         ),
         ("rack Parda node death: faults", 0x861b_6461_0d39_b7eb),
-        ("rack Parda partition: stats", 0xbc41_ab95_41bf_9cc3),
+        ("rack Parda partition: stats", 0xbbb4_7a26_1444_a083),
         (
             "rack Parda partition: access journal",
             0x5c11_fdc5_b389_bbec,
         ),
         ("rack Parda partition: faults", 0xb756_6e15_36f8_73fd),
-        ("rack Parda 2% loss: stats", 0x4c54_b7bc_7e27_3403),
+        ("rack Parda 2% loss: stats", 0xfe86_c3eb_3a6f_19e3),
         ("rack Parda 2% loss: access journal", 0x74bb_edec_a068_ded2),
         ("rack Parda 2% loss: faults", 0x0cb9_7205_b7be_eca9),
         (
             "rack broker chaos with stealing: stats",
-            0x8e9a_1553_3a2d_58c9,
+            0x185a_601c_8b60_be29,
         ),
         (
             "rack broker chaos with stealing: access journal",
@@ -1219,7 +1219,7 @@ fn engine_matrix_keeps_its_pinned_digests() {
         ),
         (
             "rack Gimbal node death, traced: stats",
-            0x1332_7319_0863_0007,
+            0x176a_bf99_16f5_4087,
         ),
         (
             "rack Gimbal node death, traced: access journal",
