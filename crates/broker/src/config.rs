@@ -1,4 +1,4 @@
-//! Broker configuration: the borrowing economy's knobs.
+//! Broker configuration: the borrowing economy's knobs and its fixed terms.
 //!
 //! All quantities are integers (bytes, nanoseconds, or exact rationals as
 //! numerator/denominator pairs) so that the ledger arithmetic is exact and
@@ -21,6 +21,25 @@ pub enum BrokerMode {
     Borrow,
 }
 
+/// Interest numerator: a borrower repays
+/// `principal + ceil(principal * INTEREST_NUM / INTEREST_DEN)` (1/64).
+const INTEREST_NUM: u64 = 1;
+/// Interest denominator (see [`INTEREST_NUM`]).
+const INTEREST_DEN: u64 = 64;
+/// Cap on outstanding debt per (borrower, lender) pair, in bytes.
+pub(crate) const MAX_DEBT_BYTES: u64 = 8 * 1024 * 1024;
+/// Isolation-floor numerator: lending never drains a lender below
+/// `burst_bytes * FLOOR_NUM / FLOOR_DEN` (1/8).
+const FLOOR_NUM: u64 = 1;
+/// Isolation-floor denominator (see [`FLOOR_NUM`]).
+const FLOOR_DEN: u64 = 8;
+/// Upper bound on migrations the placement layer emits per epoch.
+pub(crate) const MAX_MOVES_PER_EPOCH: u32 = 1;
+
+const _: () = assert!(INTEREST_DEN > 0);
+const _: () = assert!(FLOOR_DEN > 0 && FLOOR_NUM <= FLOOR_DEN);
+const _: () = assert!(MAX_MOVES_PER_EPOCH > 0);
+
 /// Configuration for the inter-tenant token broker.
 #[derive(Clone, Debug)]
 pub struct BrokerConfig {
@@ -35,22 +54,8 @@ pub struct BrokerConfig {
     /// Settlement cadence: debts are repaid (and migrations applied) at
     /// every epoch boundary.
     pub epoch: SimDuration,
-    /// Interest numerator: a borrower repays
-    /// `principal + ceil(principal * interest_num / interest_den)`.
-    pub interest_num: u64,
-    /// Interest denominator (see [`BrokerConfig::interest_num`]).
-    pub interest_den: u64,
-    /// Cap on outstanding debt per (borrower, lender) pair, in bytes.
-    pub max_debt_bytes: u64,
-    /// Isolation-floor numerator: lending never drains a lender below
-    /// `burst_bytes * floor_num / floor_den`.
-    pub floor_num: u64,
-    /// Isolation-floor denominator (see [`BrokerConfig::floor_num`]).
-    pub floor_den: u64,
     /// Enable the Serifos-style placement layer (epoch-boundary migrations).
     pub placement: bool,
-    /// Upper bound on migrations emitted per epoch.
-    pub max_moves_per_epoch: u32,
     /// Test hook: reverse the deterministic lender scan order. Exists so the
     /// divergence sanitizer suite can inject a lender-order flip from outside
     /// this crate and prove it is localized to the `broker` component.
@@ -65,13 +70,7 @@ impl Default for BrokerConfig {
             capacity_bps: 512 * 1024 * 1024,
             burst_bytes: 2 * 1024 * 1024,
             epoch: SimDuration::from_millis(20),
-            interest_num: 1,
-            interest_den: 64,
-            max_debt_bytes: 8 * 1024 * 1024,
-            floor_num: 1,
-            floor_den: 8,
             placement: false,
-            max_moves_per_epoch: 1,
             perturb_lender_order: false,
         }
     }
@@ -80,19 +79,8 @@ impl Default for BrokerConfig {
 impl BrokerConfig {
     /// The isolation floor in bytes: lending never drains a lender below it.
     pub(crate) fn floor_bytes(&self) -> u64 {
-        self.burst_bytes / self.floor_den * self.floor_num
-            + self.burst_bytes % self.floor_den * self.floor_num / self.floor_den
-    }
-
-    /// Interest owed on `principal` bytes, rounded up (so non-zero principal
-    /// with non-zero interest rate always costs at least one byte).
-    pub(crate) fn interest_on(&self, principal: u64) -> u64 {
-        if self.interest_num == 0 || principal == 0 {
-            return 0;
-        }
-        let num = principal as u128 * self.interest_num as u128;
-        let den = self.interest_den as u128;
-        (num.div_ceil(den)).min(u64::MAX as u128) as u64
+        self.burst_bytes / FLOOR_DEN * FLOOR_NUM
+            + self.burst_bytes % FLOOR_DEN * FLOOR_NUM / FLOOR_DEN
     }
 
     /// Panic on nonsensical configurations.
@@ -109,21 +97,14 @@ impl BrokerConfig {
             self.epoch > SimDuration::ZERO,
             "broker: epoch must be positive"
         );
-        assert!(self.interest_den > 0, "broker: interest_den must be > 0");
-        assert!(self.floor_den > 0, "broker: floor_den must be > 0");
-        assert!(
-            self.floor_num <= self.floor_den,
-            "broker: isolation floor {}/{} exceeds the full burst",
-            self.floor_num,
-            self.floor_den
-        );
-        if self.placement {
-            assert!(
-                self.max_moves_per_epoch > 0,
-                "broker: placement enabled with max_moves_per_epoch = 0"
-            );
-        }
     }
+}
+
+/// Interest owed on `principal` bytes, rounded up (so non-zero principal
+/// always costs at least one byte).
+pub(crate) fn interest_on(principal: u64) -> u64 {
+    let num = principal as u128 * INTEREST_NUM as u128;
+    (num.div_ceil(INTEREST_DEN as u128)).min(u64::MAX as u128) as u64
 }
 
 #[cfg(test)]
@@ -152,26 +133,24 @@ mod tests {
     fn floor_is_exact_fraction() {
         let mut c = BrokerConfig {
             burst_bytes: 1024,
-            floor_num: 1,
-            floor_den: 8,
             ..BrokerConfig::default()
         };
         assert_eq!(c.floor_bytes(), 128);
         // Non-divisible burst still lands on floor(burst * num / den).
-        c.burst_bytes = 1000;
-        c.floor_num = 1;
-        c.floor_den = 3;
-        assert_eq!(c.floor_bytes(), 333);
+        c.burst_bytes = 1001;
+        assert_eq!(c.floor_bytes(), 125);
+        c.burst_bytes = 1023;
+        assert_eq!(c.floor_bytes(), 127);
     }
 
     #[test]
     fn interest_rounds_up() {
-        let c = BrokerConfig::default(); // 1/64
-        assert_eq!(c.interest_on(0), 0);
-        assert_eq!(c.interest_on(1), 1);
-        assert_eq!(c.interest_on(64), 1);
-        assert_eq!(c.interest_on(65), 2);
-        assert_eq!(c.interest_on(128), 2);
+        // 1/64
+        assert_eq!(interest_on(0), 0);
+        assert_eq!(interest_on(1), 1);
+        assert_eq!(interest_on(64), 1);
+        assert_eq!(interest_on(65), 2);
+        assert_eq!(interest_on(128), 2);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   borrower entering the ring just past its own id so drain spreads evenly
 //!   — never a hash order),
 //! * an isolation floor (lending never drains a lender below
-//!   `burst * floor_num / floor_den`),
+//!   `burst * FLOOR_NUM / FLOOR_DEN`, 1/8),
 //! * a per-(borrower, lender) outstanding-debt cap.
 //!
 //! Debts settle at every epoch boundary with **absorption-bounded
@@ -48,7 +48,7 @@ use gimbal_fabric::{SsdId, TenantId};
 use gimbal_sim::{DetMap, Digest, SimDuration, SimTime};
 use gimbal_telemetry::{EventKind, TraceHandle};
 
-use crate::config::{BrokerConfig, BrokerMode};
+use crate::config::{interest_on, BrokerConfig, BrokerMode, MAX_DEBT_BYTES, MAX_MOVES_PER_EPOCH};
 use crate::placement::{self, Migration, SsdTelemetry, TenantDemand};
 
 /// Outcome of charging an IO against the ledger.
@@ -322,7 +322,7 @@ impl Broker {
             .get(&(ssd, borrower, lender))
             .copied()
             .unwrap_or(0);
-        headroom.min(self.cfg.max_debt_bytes.saturating_sub(owed))
+        headroom.min(MAX_DEBT_BYTES.saturating_sub(owed))
     }
 
     /// When the account's own refill will have produced `deficit` bytes.
@@ -535,7 +535,7 @@ impl Broker {
                 .unwrap_or(0);
             let paid = principal.min(headroom);
             let written_off = principal - paid;
-            let interest = self.cfg.interest_on(paid);
+            let interest = interest_on(paid);
             let payment = (paid + interest) as i64;
             if let Some(acc) = self.accounts.get_mut(&(s, b)) {
                 acc.balance -= payment;
@@ -603,7 +603,7 @@ impl Broker {
         );
     }
 
-    /// Plan up to `max_moves_per_epoch` migrations from the demand observed
+    /// Plan up to `MAX_MOVES_PER_EPOCH` migrations from the demand observed
     /// this epoch and the interference telemetry supplied by the engine.
     /// Pure: applies nothing. Tenants with outstanding debt never move.
     pub(crate) fn plan_migrations(&self, telem: &[SsdTelemetry]) -> Vec<Migration> {
@@ -627,7 +627,7 @@ impl Broker {
             });
         }
         let cap_epoch = self.epoch_capacity_bytes();
-        placement::plan(telem, &demand, cap_epoch, self.cfg.max_moves_per_epoch)
+        placement::plan(telem, &demand, cap_epoch, MAX_MOVES_PER_EPOCH)
     }
 
     /// Bytes one SSD's full capacity accrues over one epoch.
@@ -805,7 +805,6 @@ mod tests {
             capacity_bps: 1_000_000,
             burst_bytes: 1024 * 1024,
             epoch: SimDuration::from_millis(10),
-            max_debt_bytes: 4 * 1024 * 1024,
             ..BrokerConfig::default()
         }
     }
@@ -896,24 +895,26 @@ mod tests {
 
     #[test]
     fn per_pair_debt_cap_limits_borrowing() {
+        // A 32 MiB burst puts the floor at 4 MiB, so a lender has 28 MiB of
+        // headroom and the 8 MiB pair cap binds before the floor does.
         let mut c = cfg();
-        c.max_debt_bytes = 128 * 1024;
-        c.floor_num = 0; // floor out of the way: the debt cap should bind
+        c.burst_bytes = 32 * 1024 * 1024;
+        let (burst, floor) = (c.burst_bytes, c.floor_bytes());
+        assert!(burst - floor > MAX_DEBT_BYTES);
         let mut br = Broker::new(c, TraceHandle::disabled());
-        let burst = cfg().burst_bytes;
         assert_eq!(br.try_charge(S, B, 0, false, t(0)), Charge::Granted);
         assert_eq!(br.try_charge(S, A, burst, false, t(0)), Charge::Granted);
         assert_eq!(
-            br.try_charge(S, A, 128 * 1024, false, t(0)),
+            br.try_charge(S, A, MAX_DEBT_BYTES, false, t(0)),
             Charge::Granted
         );
         // Pair cap reached: next borrow must be denied even though B still
-        // has balance.
+        // has balance above its floor.
         assert!(matches!(
             br.try_charge(S, A, 4096, false, t(0)),
             Charge::Denied { .. }
         ));
-        assert!(br.balance(S, B).unwrap() > 0);
+        assert!(br.balance(S, B).unwrap() > floor as i64);
     }
 
     #[test]
@@ -934,13 +935,13 @@ mod tests {
         let st = br.stats();
         assert_eq!(st.repaid, paid);
         assert_eq!(st.forgiven, 5000);
-        assert_eq!(st.interest_paid, cfg().interest_on(paid));
+        assert_eq!(st.interest_paid, interest_on(paid));
         assert_eq!(st.outstanding, 0);
         assert!(st.conservation_holds());
         // Borrower paid out of future refill: A's own 5000-byte refill
         // covers part of the collected principal + interest.
         let a_bal = br.balance(S, A).unwrap();
-        let owed = (paid + cfg().interest_on(paid)) as i64;
+        let owed = (paid + interest_on(paid)) as i64;
         assert_eq!(a_bal, 5000 - owed);
         // A negative borrower may not borrow again until whole.
         assert!(matches!(

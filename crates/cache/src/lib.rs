@@ -18,29 +18,30 @@
 //!   device is clean so the hit path costs nothing.
 //! * **Writes** follow the configured [`WritePolicy`]. Under
 //!   `WritePolicy::Through` (the default, bit-identical to the original
-//!   tier): covered lines are updated in place and marked dirty until the
-//!   device write completes; partially covered lines are invalidated. A
-//!   failed device write with staged lines surfaces a typed
-//!   [`StagedWriteLoss`] — never silent loss. Under `WritePolicy::Back`:
-//!   writes that fit the tenant's partition ack at DRAM cost, their lines
-//!   stay dirty until a deterministic flusher writes them back through the
-//!   switch pipeline — opportunistically while the congestion classifier
-//!   says the device is clean, under watermark/age pressure otherwise, with
-//!   WAL-tagged lines drained in log order ahead of data lines. Every
-//!   dirty-line transition is recorded as a [`DurabilityEvent`] in a
-//!   [`DurabilityJournal`] — a delta-varint byte stream of about 6 B per
-//!   event that decodes back to the same events — so the testbed's
-//!   crash-consistency oracle can replay a shadow model and prove exact
-//!   loss accounting on injected device death or power loss.
+//!   tier): resident lines are updated in place and marked dirty until the
+//!   device write completes. A failed device write with staged lines
+//!   surfaces a typed [`StagedWriteLoss`] — never silent loss. Under
+//!   `WritePolicy::Back`: writes that fit the tenant's partition ack at
+//!   DRAM cost, their lines stay dirty until a deterministic flusher writes
+//!   them back through the switch pipeline — opportunistically while the
+//!   congestion classifier says the device is clean, under watermark/age
+//!   pressure otherwise, with WAL-tagged lines drained in log order ahead
+//!   of data lines. Every dirty-line transition is recorded as a
+//!   [`DurabilityEvent`] in a [`DurabilityJournal`] — a delta-varint byte
+//!   stream of about 6 B per event that decodes back to the same events —
+//!   so the testbed's crash-consistency oracle can replay a shadow model
+//!   and prove exact loss accounting on injected device death or power
+//!   loss.
 //!
-//! Capacity is partitioned per tenant with cost-weighted shares mirroring
-//! the §3.5 DRR weights, so one tenant's working set cannot evict everyone
-//! else's. Eviction is a deterministic segmented FIFO (small probation
-//! segment + main segment with second chance) plus a per-tenant ghost queue
-//! remembering recently evicted line ids. All state lives in
-//! [`DetMap`]/[`DetSet`]/`VecDeque` — iteration order is insertion order,
-//! so a run is a pure function of the submitted command sequence and the
-//! cache folds into [`Digest`] for the double-run determinism checks.
+//! A cache line is one 4 KiB block, so a command always covers every line
+//! it touches. Capacity is partitioned per tenant with cost-weighted shares
+//! ([`Priority::WEIGHTS`], the §3.5 WRR weights), so one tenant's working
+//! set cannot evict everyone else's. Eviction is a deterministic segmented
+//! FIFO (small probation segment + main segment with second chance) plus a
+//! per-tenant ghost queue remembering recently evicted line ids. All state
+//! lives in [`DetMap`]/[`DetSet`]/`VecDeque` — iteration order is insertion
+//! order, so a run is a pure function of the submitted command sequence and
+//! the cache folds into [`Digest`] for the double-run determinism checks.
 
 use std::collections::VecDeque;
 
@@ -127,6 +128,42 @@ pub const fn is_flush_id(id: u64) -> bool {
     id & FLUSH_ID_BASE != 0
 }
 
+/// DRAM-copy latency charged on a hit before completion CPU cycles.
+pub const HIT_LATENCY: SimDuration = SimDuration::from_micros(2);
+/// Target share of a tenant's partition held by the small (probation)
+/// segment, in percent.
+const SMALL_PERCENT: u64 = 10;
+/// Ghost-queue capacity as a percentage of the tenant's line budget.
+const GHOST_PERCENT: u64 = 100;
+/// EWMA smoothing factor for the congestion classifier.
+const EWMA_ALPHA: f64 = 0.125;
+/// Classifier floor: EWMA device read latency below this is
+/// `Underutilized`.
+const THRESH_MIN: SimDuration = SimDuration::from_micros(250);
+/// Classifier ceiling: EWMA at or above this is `Overloaded`.
+const THRESH_MAX: SimDuration = SimDuration::from_micros(1500);
+/// Write-back watermark: a tenant whose dirty lines reach this percent of
+/// its partition budget is flushed under pressure regardless of the
+/// congestion classifier.
+const DIRTY_HIGH_PERCENT: u64 = 50;
+/// Write-back age bound: a dirty line older than this is flushed under
+/// pressure regardless of the congestion classifier.
+const FLUSH_MAX_AGE: SimDuration = SimDuration::from_millis(2);
+/// Maximum flush writes in flight at the device per SSD cache.
+const FLUSH_BATCH: usize = 4;
+
+const _: () = assert!(HIT_LATENCY.as_nanos() > 0);
+const _: () = assert!(SMALL_PERCENT >= 1 && SMALL_PERCENT <= 90);
+const _: () = assert!(
+    GHOST_PERCENT <= 400,
+    "ghost queue beyond 4x the partition is pointless"
+);
+const _: () = assert!(EWMA_ALPHA > 0.0 && EWMA_ALPHA <= 1.0);
+const _: () = assert!(THRESH_MIN.as_nanos() < THRESH_MAX.as_nanos());
+const _: () = assert!(DIRTY_HIGH_PERCENT >= 1 && DIRTY_HIGH_PERCENT <= 100);
+const _: () = assert!(FLUSH_MAX_AGE.as_nanos() > 0);
+const _: () = assert!(FLUSH_BATCH >= 1, "flusher needs at least one slot");
+
 /// Cache configuration, carried by `PipelineConfig`/`TestbedConfig`.
 #[derive(Clone, Debug)]
 pub struct CacheConfig {
@@ -134,58 +171,18 @@ pub struct CacheConfig {
     /// Zero means the pipeline constructs no cache at all, which is
     /// bit-identical to running without one.
     pub capacity_bytes: u64,
-    /// Cache-line size in bytes; a positive multiple of [`BLOCK_SIZE`].
-    pub line_bytes: u32,
-    /// DRAM-copy latency charged on a hit before completion CPU cycles.
-    pub hit_latency: SimDuration,
     /// Miss-fill admission policy.
     pub policy: AdmissionPolicy,
-    /// Per-priority capacity weights, mirroring the §3.5 DRR weights:
-    /// index 0 = `Priority::HIGH`. A tenant's share of lines is
-    /// `weight / sum(weights of registered tenants)`.
-    pub priority_weights: [u32; Priority::LEVELS],
-    /// Target share of a tenant's partition held by the small (probation)
-    /// segment, in percent.
-    pub small_percent: u32,
-    /// Ghost-queue capacity as a percentage of the tenant's line budget.
-    pub ghost_percent: u32,
-    /// EWMA smoothing factor for the congestion classifier.
-    pub ewma_alpha: f64,
-    /// Classifier floor: EWMA device read latency below this is
-    /// `Underutilized`.
-    pub thresh_min: SimDuration,
-    /// Classifier ceiling: EWMA at or above this is `Overloaded`.
-    pub thresh_max: SimDuration,
     /// Write handling mode. `Through` is bit-identical to the original tier.
     pub write_policy: WritePolicy,
-    /// Write-back watermark: a tenant whose dirty lines reach this percent
-    /// of its partition budget is flushed under pressure regardless of the
-    /// congestion classifier.
-    pub dirty_high_percent: u32,
-    /// Write-back age bound: a dirty line older than this is flushed under
-    /// pressure regardless of the congestion classifier.
-    pub flush_max_age: SimDuration,
-    /// Maximum flush writes in flight at the device per SSD cache.
-    pub flush_batch: u32,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
             capacity_bytes: 64 * 1024 * 1024,
-            line_bytes: BLOCK_SIZE as u32,
-            hit_latency: SimDuration::from_micros(2),
             policy: AdmissionPolicy::CongestionAware,
-            priority_weights: [4, 2, 1],
-            small_percent: 10,
-            ghost_percent: 100,
-            ewma_alpha: 0.125,
-            thresh_min: SimDuration::from_micros(250),
-            thresh_max: SimDuration::from_micros(1500),
             write_policy: WritePolicy::Through,
-            dirty_high_percent: 50,
-            flush_max_age: SimDuration::from_millis(2),
-            flush_batch: 4,
         }
     }
 }
@@ -204,46 +201,9 @@ impl CacheConfig {
         self.capacity_bytes > 0
     }
 
-    /// Panic on a degenerate configuration.
-    pub fn validate(&self) {
-        assert!(
-            self.line_bytes > 0 && u64::from(self.line_bytes) % BLOCK_SIZE == 0,
-            "cache line must be a positive multiple of the 4 KiB block"
-        );
-        assert!(
-            self.hit_latency > SimDuration::ZERO,
-            "hit latency must be positive"
-        );
-        assert!(
-            (1..=90).contains(&self.small_percent),
-            "small segment share must be in 1..=90 percent"
-        );
-        assert!(
-            self.ghost_percent <= 400,
-            "ghost queue beyond 4x the partition is pointless"
-        );
-        assert!(
-            self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0,
-            "EWMA alpha must be in (0, 1]"
-        );
-        assert!(
-            self.thresh_min < self.thresh_max,
-            "classifier floor must sit below the ceiling"
-        );
-        assert!(
-            (1..=100).contains(&self.dirty_high_percent),
-            "dirty watermark must be in 1..=100 percent"
-        );
-        assert!(
-            self.flush_max_age > SimDuration::ZERO,
-            "flush age bound must be positive"
-        );
-        assert!(self.flush_batch >= 1, "flusher needs at least one slot");
-    }
-
     /// Total line slots this configuration provides.
     pub(crate) fn capacity_lines(&self) -> u64 {
-        self.capacity_bytes / u64::from(self.line_bytes)
+        self.capacity_bytes / BLOCK_SIZE
     }
 }
 
@@ -860,9 +820,10 @@ pub struct CacheStats {
     pub fills: u64,
     /// Lines evicted for capacity (small-segment and main-segment).
     pub evictions: u64,
-    /// Lines invalidated by partially covering writes.
+    /// Lines invalidated: a failed write-through write drops its staged
+    /// lines.
     pub invalidations: u64,
-    /// Lines updated in place by fully covering writes (write staging).
+    /// Lines updated in place by writes (write staging).
     pub staged: u64,
     /// Dirty lines dropped because the device write failed.
     pub staged_losses: u64,
@@ -966,8 +927,8 @@ impl TenantPart {
     }
 
     /// Whether the dirty population crossed the pressure watermark.
-    fn over_watermark(&self, dirty_high_percent: u32) -> bool {
-        self.dirty * 100 >= self.budget_lines * u64::from(dirty_high_percent)
+    fn over_watermark(&self) -> bool {
+        self.dirty * 100 >= self.budget_lines * DIRTY_HIGH_PERCENT
     }
 }
 
@@ -992,7 +953,6 @@ pub struct SsdCache {
     cfg: CacheConfig,
     ssd: SsdId,
     cap_lines: u64,
-    line_blocks: u64,
     lines: DetMap<u64, Line>,
     tenants: DetMap<TenantId, TenantPart>,
     total_weight: u64,
@@ -1019,16 +979,13 @@ impl SsdCache {
     /// (`capacity_bytes > 0`); the pipeline skips construction otherwise so
     /// a zero-capacity config is bit-identical to no cache at all.
     pub fn new(ssd: SsdId, cfg: CacheConfig) -> Self {
-        cfg.validate();
         assert!(cfg.enabled(), "construct no cache for zero capacity");
         let cap_lines = cfg.capacity_lines().max(1);
-        let line_blocks = u64::from(cfg.line_bytes) / BLOCK_SIZE;
-        let thresh_us = cfg.thresh_max.as_micros_f64();
+        let thresh_us = THRESH_MAX.as_micros_f64();
         SsdCache {
             cfg,
             ssd,
             cap_lines,
-            line_blocks,
             lines: DetMap::new(),
             tenants: DetMap::new(),
             total_weight: 0,
@@ -1051,11 +1008,6 @@ impl SsdCache {
     /// Attach a telemetry handle; cache events are stamped with the SSD id.
     pub fn attach_trace(&mut self, trace: TraceHandle) {
         self.trace = trace;
-    }
-
-    /// The DRAM-copy latency the pipeline charges on a hit.
-    pub fn hit_latency(&self) -> SimDuration {
-        self.cfg.hit_latency
     }
 
     /// Snapshot of the counters, with `resident_lines` filled in.
@@ -1106,11 +1058,10 @@ impl SsdCache {
             .collect()
     }
 
-    /// The line-id range `[start, end)` a command touches.
+    /// The line-id range `[start, end)` a command touches: a line is one
+    /// block, so its id is the block's LBA.
     fn line_range(&self, cmd: &NvmeCmd) -> (u64, u64) {
-        let start = cmd.lba / self.line_blocks;
-        let end = cmd.lba_end().div_ceil(self.line_blocks);
-        (start, end)
+        (cmd.lba, cmd.lba_end())
     }
 
     /// Lazily register a tenant and re-split capacity cost-weighted across
@@ -1121,7 +1072,7 @@ impl SsdCache {
             return;
         }
         let idx = (prio.0 as usize).min(Priority::LEVELS - 1);
-        let w = self.cfg.priority_weights[idx].max(1);
+        let w = Priority::WEIGHTS[idx];
         self.total_weight += u64::from(w);
         self.tenants.insert(
             tenant,
@@ -1183,13 +1134,12 @@ impl SsdCache {
         }
     }
 
-    /// A write is going to the device. Write-through: fully covered resident
-    /// lines are updated in place and marked dirty until
-    /// [`Self::on_write_completion`]; partially covered resident lines are
-    /// invalidated (their DRAM copy would be stale). Writes never allocate
-    /// lines. Write-back: this is the pass-through path (the write did not
-    /// fit the partition, or the device is dead) — nothing is staged at
-    /// submit time; resident lines are reconciled at completion.
+    /// A write is going to the device. Write-through: resident lines are
+    /// updated in place and marked dirty until
+    /// [`Self::on_write_completion`]. Writes never allocate lines.
+    /// Write-back: this is the pass-through path (the write did not fit the
+    /// partition, or the device is dead) — nothing is staged at submit
+    /// time; resident lines are reconciled at completion.
     pub fn stage_write(&mut self, cmd: &NvmeCmd, now: SimTime) {
         self.register_tenant(cmd.tenant, cmd.priority);
         if self.cfg.write_policy == WritePolicy::Back {
@@ -1203,26 +1153,19 @@ impl SsdCache {
         }
         let (s, e) = self.line_range(cmd);
         for l in s..e {
-            let covered =
-                l * self.line_blocks >= cmd.lba && (l + 1) * self.line_blocks <= cmd.lba_end();
-            if covered {
-                if let Some(line) = self.lines.get_mut(&l) {
-                    line.dirty = true;
-                    line.accessed = true;
-                    self.stats.staged += 1;
-                }
-            } else if self.lines.contains_key(&l) {
-                self.invalidate_line(l, now);
+            if let Some(line) = self.lines.get_mut(&l) {
+                line.dirty = true;
+                line.accessed = true;
+                self.stats.staged += 1;
             }
         }
     }
 
     /// Try to absorb a write at DRAM cost (write-back only). Every touched
-    /// line becomes dirty — a partially covering write is modeled as a
-    /// read-modify-write merge into the line — and the command can complete
-    /// at hit latency. Returns false (the caller must send the write to the
-    /// device) when the policy is write-through, the device is dead, or the
-    /// tenant's partition cannot pin the span: dirty lines are unevictable,
+    /// line becomes dirty and the command can complete at hit latency.
+    /// Returns false (the caller must send the write to the device) when
+    /// the policy is write-through, the device is dead, or the tenant's
+    /// partition cannot pin the span: dirty lines are unevictable,
     /// so admission requires `dirty + newly_dirty <= budget`, where
     /// `newly_dirty` counts every span line that is not already dirty —
     /// absent lines allocate and pin, resident *clean* lines re-dirty and
@@ -1389,8 +1332,6 @@ impl SsdCache {
                 p.data_q.pop_front();
             }
         }
-        let max_age = self.cfg.flush_max_age;
-        let whp = self.cfg.dirty_high_percent;
         // (wal tag, tenant, pressure) / (enqueued_at, tenant, pressure);
         // strict < keeps ties on the earlier-registered tenant.
         let mut best_wal: Option<(u64, TenantId, bool)> = None;
@@ -1415,7 +1356,7 @@ impl SsdCache {
                         oldest = Some(at);
                     }
                 }
-                let due = p.over_watermark(whp) || oldest.is_some_and(|o| o + max_age <= now);
+                let due = p.over_watermark() || oldest.is_some_and(|o| o + FLUSH_MAX_AGE <= now);
                 (due, true)
             };
             if !eligible {
@@ -1461,7 +1402,7 @@ impl SsdCache {
             return;
         }
         let opportunistic = self.state == CongState::Underutilized;
-        while self.flights.len() < self.cfg.flush_batch as usize {
+        while self.flights.len() < FLUSH_BATCH {
             let Some((l, tenant, wal, pressure)) = self.pop_flushable(now, opportunistic) else {
                 break;
             };
@@ -1506,8 +1447,8 @@ impl SsdCache {
             out.push(FlushIo {
                 id,
                 tenant,
-                lba: l * self.line_blocks,
-                len: self.cfg.line_bytes,
+                lba: l,
+                len: BLOCK_SIZE as u32,
                 wal,
             });
         }
@@ -1523,12 +1464,10 @@ impl SsdCache {
         if self.cfg.write_policy != WritePolicy::Back || self.dead {
             return None;
         }
-        if self.flights.len() >= self.cfg.flush_batch as usize {
+        if self.flights.len() >= FLUSH_BATCH {
             return None;
         }
         let opportunistic = self.state == CongState::Underutilized;
-        let max_age = self.cfg.flush_max_age;
-        let whp = self.cfg.dirty_high_percent;
         let mut due: Option<SimTime> = None;
         for (t, p) in self.tenants.iter() {
             let mut oldest: Option<SimTime> = None;
@@ -1547,10 +1486,10 @@ impl SsdCache {
                 }
             }
             let Some(oldest) = oldest else { continue };
-            let t_due = if opportunistic || p.over_watermark(whp) {
+            let t_due = if opportunistic || p.over_watermark() {
                 oldest
             } else {
-                oldest + max_age
+                oldest + FLUSH_MAX_AGE
             };
             if due.is_none_or(|d| t_due < d) {
                 due = Some(t_due);
@@ -1742,11 +1681,9 @@ impl SsdCache {
     /// A device write completed. Success commits staged lines (clears
     /// dirty); failure drops them and surfaces a typed [`StagedWriteLoss`].
     /// Under write-back this is a pass-through completion and reconciles
-    /// resident lines instead: a successful fully-covering write supersedes
-    /// a dirty line (flash now holds newer data — nothing left to flush), a
-    /// partial write over a dirty line merges into DRAM and stays dirty, a
-    /// partial write over a clean line invalidates the stale copy, and a
-    /// failed write changes nothing.
+    /// resident lines instead: a successful write supersedes a dirty line
+    /// (flash now holds newer data — nothing left to flush), a clean line
+    /// absorbs it in place, and a failed write changes nothing.
     pub fn on_write_completion(&mut self, cmd: &NvmeCmd, failed: bool, now: SimTime) {
         if self.cfg.write_policy == WritePolicy::Back {
             self.reconcile_passthrough(cmd, failed, now);
@@ -1800,39 +1737,29 @@ impl SsdCache {
         }
         let (s, e) = self.line_range(cmd);
         for l in s..e {
-            let covered =
-                l * self.line_blocks >= cmd.lba && (l + 1) * self.line_blocks <= cmd.lba_end();
             let Some(line) = self.lines.get_mut(&l) else {
                 continue;
             };
             line.accessed = true;
-            if covered {
-                if line.dirty {
-                    // Flash now holds newer data than the acked DRAM copy:
-                    // the dirty line is superseded, nothing left to flush.
-                    line.dirty = false;
-                    line.dirty_epoch = line.dirty_epoch.saturating_add(1);
-                    line.wal = None;
-                    let owner = line.tenant;
-                    self.tenants
-                        .get_mut(&owner)
-                        .expect("owner registered")
-                        .dirty -= 1;
-                    self.wb.superseded_lines += 1;
-                    self.journal.push(DurabilityEvent::Superseded {
-                        line: l,
-                        tenant: owner,
-                        at: now,
-                    });
-                }
-                // A clean covered line absorbs the write in place.
-            } else if !line.dirty {
-                // Partial write over a clean line: the DRAM copy is stale.
-                self.invalidate_line(l, now);
+            if line.dirty {
+                // Flash now holds newer data than the acked DRAM copy: the
+                // dirty line is superseded, nothing left to flush.
+                line.dirty = false;
+                line.dirty_epoch = line.dirty_epoch.saturating_add(1);
+                line.wal = None;
+                let owner = line.tenant;
+                self.tenants
+                    .get_mut(&owner)
+                    .expect("owner registered")
+                    .dirty -= 1;
+                self.wb.superseded_lines += 1;
+                self.journal.push(DurabilityEvent::Superseded {
+                    line: l,
+                    tenant: owner,
+                    at: now,
+                });
             }
-            // Partial write over a dirty line: the DRAM line merges the
-            // written bytes (read-modify-write fiction) and stays dirty —
-            // it is still ahead of flash and must flush.
+            // A clean line absorbs the write in place.
         }
     }
 
@@ -1917,14 +1844,13 @@ impl SsdCache {
     fn observe_device_latency(&mut self, lat: SimDuration, tenant: TenantId, now: SimTime) {
         let us = lat.as_micros_f64();
         if self.seen_sample {
-            let a = self.cfg.ewma_alpha;
-            self.ewma_us = a * us + (1.0 - a) * self.ewma_us;
+            self.ewma_us = EWMA_ALPHA * us + (1.0 - EWMA_ALPHA) * self.ewma_us;
         } else {
             self.ewma_us = us;
             self.seen_sample = true;
         }
-        let min = self.cfg.thresh_min.as_micros_f64();
-        let max = self.cfg.thresh_max.as_micros_f64();
+        let min = THRESH_MIN.as_micros_f64();
+        let max = THRESH_MAX.as_micros_f64();
         let next = if self.ewma_us >= max {
             CongState::Overloaded
         } else if self.ewma_us >= self.thresh_us {
@@ -2011,7 +1937,7 @@ impl SsdCache {
     /// first. Returns false when nothing evictable remains.
     fn evict_one(&mut self, tenant: TenantId, now: SimTime) -> bool {
         let prefer_small = self.tenants.get(&tenant).is_some_and(|p| {
-            let small_share = (p.budget_lines * u64::from(self.cfg.small_percent) / 100).max(1);
+            let small_share = (p.budget_lines * SMALL_PERCENT / 100).max(1);
             p.resident_small >= small_share || p.resident_main == 0
         });
         // Order matters: eviction mutates the segments, so the fallback is a
@@ -2036,9 +1962,10 @@ impl SsdCache {
     /// line is evicted and remembered in the ghost queue.
     fn evict_from_small(&mut self, tenant: TenantId, now: SimTime) -> bool {
         let pinned_dirty = self.cfg.write_policy == WritePolicy::Back;
-        let ghost_cap = self.tenants.get(&tenant).map_or(1, |p| {
-            (p.budget_lines * u64::from(self.cfg.ghost_percent) / 100).max(1)
-        });
+        let ghost_cap = self
+            .tenants
+            .get(&tenant)
+            .map_or(1, |p| (p.budget_lines * GHOST_PERCENT / 100).max(1));
         // Dirty lines rotate to the tail rather than evict. A full lap of
         // *consecutive* dirty rotations means every live entry is pinned —
         // only then is giving up correct (a fixed rotation budget can be
@@ -2155,7 +2082,7 @@ impl SsdCache {
         }
     }
 
-    /// Drop a resident line (write invalidation / staged loss). Never
+    /// Drop a resident line (staged loss of a failed write). Never
     /// reached for a write-back dirty line: those are pinned and only leave
     /// via flush, supersede, or surfaced loss.
     fn invalidate_line(&mut self, l: u64, now: SimTime) {
@@ -2419,35 +2346,22 @@ mod tests {
     }
 
     #[test]
-    fn covering_write_stages_and_partial_write_invalidates() {
-        let mut c = SsdCache::new(
-            SsdId(0),
-            CacheConfig {
-                capacity_bytes: 16 * 8192,
-                line_bytes: 8192,
-                policy: AdmissionPolicy::Always,
-                ..CacheConfig::default()
-            },
-        );
-        // Fill line 0 (blocks 0..2) via a miss completion.
+    fn covering_write_stages_in_place() {
+        let mut c = small_cache(16, AdmissionPolicy::Always);
+        // Fill lines 0 and 1 via a miss completion.
         let r = cmd(0, 0, IoType::Read, 0, 8192);
         assert!(!c.try_read_hit(&r, t(0)));
         c.on_read_completion(&r, SimDuration::from_micros(80), false, t(0));
         assert!(c.try_read_hit(&r, t(1)));
 
-        // A fully covering write stages in place: still a hit, marked dirty.
-        let w_full = cmd(1, 0, IoType::Write, 0, 8192);
-        c.stage_write(&w_full, t(2));
-        assert_eq!(c.stats().staged, 1);
+        // A write stages in place: still a hit, marked dirty.
+        let w = cmd(1, 0, IoType::Write, 0, 8192);
+        c.stage_write(&w, t(2));
+        assert_eq!(c.stats().staged, 2);
         assert!(c.try_read_hit(&r, t(3)));
-        c.on_write_completion(&w_full, false, t(4));
+        c.on_write_completion(&w, false, t(4));
         assert!(c.losses().is_empty());
-
-        // A half-line write invalidates: the DRAM copy would be stale.
-        let w_half = cmd(2, 0, IoType::Write, 0, 4096);
-        c.stage_write(&w_half, t(5));
-        assert_eq!(c.stats().invalidations, 1);
-        assert!(!c.try_read_hit(&r, t(6)));
+        assert_eq!(c.stats().invalidations, 0);
     }
 
     #[test]
@@ -2525,16 +2439,6 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    #[test]
-    #[should_panic(expected = "multiple of the 4 KiB block")]
-    fn misaligned_line_size_is_rejected() {
-        CacheConfig {
-            line_bytes: 1000,
-            ..CacheConfig::default()
-        }
-        .validate();
-    }
-
     fn wb_cache(lines: u64) -> SsdCache {
         SsdCache::new(
             SsdId(0),
@@ -2542,7 +2446,6 @@ mod tests {
                 capacity_bytes: lines * 4096,
                 policy: AdmissionPolicy::Always,
                 write_policy: WritePolicy::Back,
-                ..CacheConfig::default()
             },
         )
     }

@@ -123,7 +123,14 @@ impl Priority {
     pub const LOW: Priority = Priority(2);
     /// Number of distinct priority levels.
     pub const LEVELS: usize = 3;
+    /// Weight of each level, indexed by its value (HIGH, NORMAL, LOW): the
+    /// weighted round-robin across a tenant's priority queues (§3.5), and
+    /// the cost-weighted shares of the NIC-DRAM cache partitions.
+    pub const WEIGHTS: [u32; Priority::LEVELS] = [4, 2, 1];
 }
+
+const _: () =
+    assert!(Priority::WEIGHTS[0] > 0 && Priority::WEIGHTS[1] > 0 && Priority::WEIGHTS[2] > 0);
 
 impl Default for Priority {
     fn default() -> Self {

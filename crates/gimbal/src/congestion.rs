@@ -17,7 +17,7 @@
 
 #![deny(clippy::cast_possible_truncation)]
 
-use crate::params::Params;
+use crate::params::{Params, ALPHA_D, ALPHA_T, THRESH_MIN};
 use gimbal_sim::{Ewma, SimDuration};
 
 /// The four congestion states of §3.3.
@@ -49,14 +49,15 @@ impl CongestionState {
     }
 }
 
+/// [`THRESH_MIN`] in nanoseconds, the unit the monitor works in.
+const THRESH_MIN_NS: f64 = THRESH_MIN.as_nanos() as f64;
+
 /// Per-IO-type latency monitor implementing Algorithm 1's `update_latency`.
 #[derive(Clone, Debug)]
 pub struct LatencyMonitor {
     ewma: Ewma,
     thresh: f64,
-    thresh_min: f64,
     thresh_max: f64,
-    alpha_t: f64,
     /// Ablation: when set, the threshold never adapts.
     fixed: bool,
 }
@@ -71,11 +72,9 @@ impl LatencyMonitor {
             None => (params.thresh_max.as_nanos() as f64, false),
         };
         LatencyMonitor {
-            ewma: Ewma::new(params.alpha_d),
+            ewma: Ewma::new(ALPHA_D),
             thresh,
-            thresh_min: params.thresh_min.as_nanos() as f64,
             thresh_max: params.thresh_max.as_nanos() as f64,
-            alpha_t: params.alpha_t,
             fixed,
         }
     }
@@ -89,7 +88,7 @@ impl LatencyMonitor {
                 CongestionState::Overloaded
             } else if ewma >= self.thresh {
                 CongestionState::Congested
-            } else if ewma >= self.thresh_min {
+            } else if ewma >= THRESH_MIN_NS {
                 CongestionState::CongestionAvoidance
             } else {
                 CongestionState::Underutilized
@@ -104,15 +103,15 @@ impl LatencyMonitor {
             // congestion fires signals more frequently.
             self.thresh = (self.thresh + self.thresh_max) / 2.0;
             CongestionState::Congested
-        } else if ewma >= self.thresh_min {
-            self.thresh -= self.alpha_t * (self.thresh - ewma);
+        } else if ewma >= THRESH_MIN_NS {
+            self.thresh -= ALPHA_T * (self.thresh - ewma);
             CongestionState::CongestionAvoidance
         } else {
-            self.thresh -= self.alpha_t * (self.thresh - ewma);
+            self.thresh -= ALPHA_T * (self.thresh - ewma);
             CongestionState::Underutilized
         };
         // The threshold never drops below the congestion-free bound.
-        self.thresh = self.thresh.max(self.thresh_min);
+        self.thresh = self.thresh.max(THRESH_MIN_NS);
         state
     }
 
@@ -129,7 +128,7 @@ impl LatencyMonitor {
     /// Whether the EWMA is below `Thresh_min` (used by the write-cost
     /// estimator, §3.4).
     pub fn below_min(&self) -> bool {
-        self.ewma.get().is_none_or(|e| e < self.thresh_min)
+        self.ewma.get().is_none_or(|e| e < THRESH_MIN_NS)
     }
 }
 

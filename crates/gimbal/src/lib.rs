@@ -3,7 +3,8 @@
 //! This crate is the primary contribution of the reproduced paper, organised
 //! one module per technique:
 //!
-//! * `params` — the tuning parameters of §4.2;
+//! * `params` — the tuning parameters of §4.2: the paper's fixed values
+//!   as constants, and [`Params`] for what callers vary;
 //! * `congestion` — delay-based SSD congestion control (§3.2): per-IO-type
 //!   EWMA latency against a dynamically scaled threshold, yielding one of
 //!   four congestion states;
@@ -17,7 +18,6 @@
 //!   active/deferred lists and per-tenant priority queues;
 //! * `credit` — end-to-end credit-based flow control (§3.6, Algorithm 3)
 //!   including the client side;
-//! * `view` — the per-SSD virtual view exposed to applications (§3.7);
 //! * `policy` — [`GimbalPolicy`], the `SwitchPolicy` implementation that
 //!   composes all of the above into one per-SSD pipeline stage.
 
@@ -30,13 +30,11 @@ mod params;
 mod policy;
 mod rate;
 pub mod scheduler;
-#[cfg(test)]
-mod view;
 mod write_cost;
 
 pub use congestion::{CongestionState, LatencyMonitor};
 pub use credit::CreditClient;
-pub use params::Params;
+pub use params::{Params, ALPHA_T, BUCKET_BYTES, DELTA, THRESH_MIN, WRITE_COST_WORST};
 pub use policy::GimbalPolicy;
 pub use rate::RateController;
 pub use scheduler::VirtualSlotScheduler;

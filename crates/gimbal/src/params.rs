@@ -1,49 +1,62 @@
 //! Gimbal's tuning parameters (§4.2 of the paper).
+//!
+//! The paper fixes every §4.2 value at the Samsung DCT983 setting; those
+//! are the constants below. [`Params`] keeps only what a caller varies:
+//! `Thresh_max` (§5.8 retunes it for the Intel P3600), the per-tenant slot
+//! count, the initial credit, and the ablation switches.
 
 use gimbal_sim::SimDuration;
 
-/// All knobs of the Gimbal switch, with the paper's defaults for the Samsung
-/// DCT983 (§4.2). §5.8 tunes only `thresh_max` (to 3 ms) for the Intel P3600.
+/// Upper bound of "congestion-free" latency (`Thresh_min`, 250 µs): larger
+/// than the worst single-outstanding-IO latency (~230 µs).
+pub const THRESH_MIN: SimDuration = SimDuration::from_micros(250);
+/// Threshold adaptation gain `α_T` (2⁻¹): how fast the dynamic threshold
+/// tracks the EWMA latency downward.
+pub const ALPHA_T: f64 = 0.5;
+/// Latency EWMA weight `α_D` (2⁻¹).
+pub(crate) const ALPHA_D: f64 = 0.5;
+/// Rate probe multiplier `β` (8) used in the under-utilized state.
+pub(crate) const BETA: f64 = 8.0;
+/// Virtual-slot size (128 KiB, the de-facto maximum NVMe-oF IO size); one
+/// slot is also the DRR quantum.
+pub(crate) const SLOT_BYTES: u64 = 128 * 1024;
+/// `write_cost_worst` (9 for the DCT983, from the datasheet's read/write
+/// IOPS ratio).
+pub const WRITE_COST_WORST: f64 = 9.0;
+/// Additive decrement `δ` (0.5) of the write cost.
+pub const DELTA: f64 = 0.5;
+/// Token bucket capacity (256 KiB, Appendix C.1).
+pub const BUCKET_BYTES: u64 = 256 * 1024;
+/// Interval between write-cost recalibrations.
+pub(crate) const WRITE_COST_PERIOD: SimDuration = SimDuration::from_millis(10);
+/// Floor for the target rate so probing can always restart.
+pub(crate) const MIN_RATE: f64 = 4.0e6;
+/// Ceiling for the target rate (above any device's capability).
+pub(crate) const MAX_RATE: f64 = 6.0e9;
+/// Initial target rate before any congestion feedback.
+pub(crate) const INITIAL_RATE: f64 = 64.0e6;
+
+const _: () = assert!(ALPHA_T > 0.0 && ALPHA_T <= 1.0);
+const _: () = assert!(ALPHA_D > 0.0 && ALPHA_D <= 1.0);
+const _: () = assert!(BETA >= 1.0);
+const _: () = assert!(WRITE_COST_WORST >= 1.0);
+const _: () = assert!(DELTA > 0.0);
+const _: () = assert!(BUCKET_BYTES >= SLOT_BYTES);
+const _: () = assert!(MIN_RATE > 0.0 && MIN_RATE < MAX_RATE);
+
+/// The knobs of the Gimbal switch that callers set, with the paper's
+/// defaults for the Samsung DCT983 (§4.2). §5.8 tunes only `thresh_max` (to
+/// 3 ms) for the Intel P3600.
 #[derive(Clone, Copy, Debug)]
 pub struct Params {
-    /// Upper bound of "congestion-free" latency (`Thresh_min`, 250 µs):
-    /// larger than the worst single-outstanding-IO latency (~230 µs).
-    pub thresh_min: SimDuration,
     /// Threshold above which the device counts as overloaded
     /// (`Thresh_max`, 1500 µs).
     pub thresh_max: SimDuration,
-    /// Threshold adaptation gain `α_T` (2⁻¹): how fast the dynamic threshold
-    /// tracks the EWMA latency downward.
-    pub alpha_t: f64,
-    /// Latency EWMA weight `α_D` (2⁻¹).
-    pub alpha_d: f64,
-    /// Rate probe multiplier `β` (8) used in the under-utilized state.
-    pub beta: f64,
-    /// Virtual-slot size (128 KiB, the de-facto maximum NVMe-oF IO size).
-    pub slot_bytes: u64,
     /// Threshold on the number of virtual slots for a single tenant (8 —
     /// the minimum outstanding 128 KiB reads that saturate the device).
     pub slots_per_tenant: u32,
-    /// `write_cost_worst` (9 for the DCT983, from the datasheet's read/write
-    /// IOPS ratio).
-    pub write_cost_worst: f64,
-    /// Additive decrement `δ` (0.5) of the write cost.
-    pub delta: f64,
-    /// Token bucket capacity (256 KiB, Appendix C.1).
-    pub bucket_bytes: u64,
-    /// Interval between write-cost recalibrations.
-    pub write_cost_period: SimDuration,
-    /// Floor for the target rate so probing can always restart.
-    pub min_rate: f64,
-    /// Ceiling for the target rate (above any device's capability).
-    pub max_rate: f64,
-    /// Initial target rate before any congestion feedback.
-    pub initial_rate: f64,
     /// Initial per-tenant credit grant before the first completed slot.
     pub initial_credit_ios: u32,
-    /// Weighted-round-robin weights across the three priority levels
-    /// (HIGH, NORMAL, LOW).
-    pub priority_weights: [u32; 3],
 
     // ------------------------------------------------------------------
     // Ablation switches (all default to the paper's design; the ablation
@@ -57,29 +70,16 @@ pub struct Params {
     /// buckets of Appendix C.1.
     pub single_bucket: bool,
     /// Disable the ADMI write-cost estimator: the cost stays pinned at
-    /// `write_cost_worst` (a ReFlex-style static tax).
+    /// [`WRITE_COST_WORST`] (a ReFlex-style static tax).
     pub static_write_cost: bool,
 }
 
 impl Default for Params {
     fn default() -> Self {
         Params {
-            thresh_min: SimDuration::from_micros(250),
             thresh_max: SimDuration::from_micros(1500),
-            alpha_t: 0.5,
-            alpha_d: 0.5,
-            beta: 8.0,
-            slot_bytes: 128 * 1024,
             slots_per_tenant: 8,
-            write_cost_worst: 9.0,
-            delta: 0.5,
-            bucket_bytes: 256 * 1024,
-            write_cost_period: SimDuration::from_millis(10),
-            min_rate: 4.0e6,
-            max_rate: 6.0e9,
-            initial_rate: 64.0e6,
             initial_credit_ios: 16,
-            priority_weights: [4, 2, 1],
             fixed_threshold: None,
             single_bucket: false,
             static_write_cost: false,
@@ -97,23 +97,10 @@ impl Params {
         }
     }
 
-    /// DRR quantum: one virtual slot per round.
-    pub(crate) fn quantum(&self) -> f64 {
-        self.slot_bytes as f64
-    }
-
     /// Sanity-check parameter relationships.
     pub fn validate(&self) {
-        assert!(self.thresh_min < self.thresh_max);
-        assert!(self.alpha_t > 0.0 && self.alpha_t <= 1.0);
-        assert!(self.alpha_d > 0.0 && self.alpha_d <= 1.0);
-        assert!(self.beta >= 1.0);
-        assert!(self.write_cost_worst >= 1.0);
-        assert!(self.delta > 0.0);
+        assert!(THRESH_MIN < self.thresh_max);
         assert!(self.slots_per_tenant >= 1);
-        assert!(self.bucket_bytes >= self.slot_bytes);
-        assert!(self.min_rate > 0.0 && self.min_rate < self.max_rate);
-        assert!(self.priority_weights.iter().all(|&w| w > 0));
     }
 }
 
@@ -125,16 +112,16 @@ mod tests {
     fn defaults_match_the_paper() {
         let p = Params::default();
         p.validate();
-        assert_eq!(p.thresh_min, SimDuration::from_micros(250));
+        assert_eq!(THRESH_MIN, SimDuration::from_micros(250));
         assert_eq!(p.thresh_max, SimDuration::from_micros(1500));
-        assert_eq!(p.alpha_t, 0.5);
-        assert_eq!(p.alpha_d, 0.5);
-        assert_eq!(p.beta, 8.0);
-        assert_eq!(p.slot_bytes, 128 * 1024);
+        assert_eq!(ALPHA_T, 0.5);
+        assert_eq!(ALPHA_D, 0.5);
+        assert_eq!(BETA, 8.0);
+        assert_eq!(SLOT_BYTES, 128 * 1024);
         assert_eq!(p.slots_per_tenant, 8);
-        assert_eq!(p.write_cost_worst, 9.0);
-        assert_eq!(p.delta, 0.5);
-        assert_eq!(p.bucket_bytes, 256 * 1024);
+        assert_eq!(WRITE_COST_WORST, 9.0);
+        assert_eq!(DELTA, 0.5);
+        assert_eq!(BUCKET_BYTES, 256 * 1024);
     }
 
     #[test]
@@ -143,7 +130,7 @@ mod tests {
         let p = Params::p3600();
         p.validate();
         assert_eq!(p.thresh_max, SimDuration::from_millis(3));
-        assert_eq!(p.thresh_min, d.thresh_min);
-        assert_eq!(p.write_cost_worst, d.write_cost_worst);
+        assert_eq!(p.slots_per_tenant, d.slots_per_tenant);
+        assert_eq!(p.initial_credit_ios, d.initial_credit_ios);
     }
 }

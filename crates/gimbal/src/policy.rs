@@ -19,9 +19,6 @@ use gimbal_telemetry::TraceHandle;
 
 /// The Gimbal storage switch policy for one SSD.
 pub struct GimbalPolicy {
-    /// Only the virtual view (§3.7), which no run path reads, needs it.
-    #[cfg(test)]
-    ssd: SsdId,
     scheduler: VirtualSlotScheduler,
     rate: RateController,
     write_cost: WriteCostEstimator,
@@ -35,14 +32,10 @@ pub struct GimbalPolicy {
 }
 
 impl GimbalPolicy {
-    /// Build a Gimbal stage for `ssd` with the given parameters.
-    pub fn new(ssd: SsdId, params: Params) -> Self {
+    /// Build a Gimbal stage with the given parameters.
+    pub fn new(params: Params) -> Self {
         params.validate();
-        // Only the test-only virtual view reads the SSD id.
-        let _ = ssd;
         GimbalPolicy {
-            #[cfg(test)]
-            ssd,
             scheduler: VirtualSlotScheduler::new(params),
             rate: RateController::new(params),
             write_cost: WriteCostEstimator::new(&params),
@@ -138,24 +131,6 @@ impl SwitchPolicy for GimbalPolicy {
 }
 
 #[cfg(test)]
-impl GimbalPolicy {
-    /// With the paper's default parameters.
-    pub(crate) fn with_defaults(ssd: SsdId) -> Self {
-        Self::new(ssd, Params::default())
-    }
-
-    /// The virtual view this switch would expose to `tenant` (§3.7).
-    pub(crate) fn view_for(&self, tenant: TenantId) -> crate::view::SsdVirtualView {
-        crate::view::SsdVirtualView::from_control(
-            self.ssd,
-            self.scheduler.credit_for(tenant),
-            self.rate.target_rate(),
-            self.write_cost.cost(),
-        )
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use gimbal_fabric::{CmdId, NvmeCmd, Priority};
@@ -192,7 +167,7 @@ mod tests {
         Pipeline::new(
             SsdId(0),
             ssd,
-            Box::new(GimbalPolicy::with_defaults(SsdId(0))),
+            Box::new(GimbalPolicy::new(Params::default())),
             PipelineConfig {
                 cpu_cost: CpuCost::arm_gimbal(),
                 null_device: false,
@@ -247,7 +222,7 @@ mod tests {
 
     #[test]
     fn write_cost_drops_for_buffered_writes_and_recovers() {
-        let mut policy = GimbalPolicy::with_defaults(SsdId(0));
+        let mut policy = GimbalPolicy::new(Params::default());
         // Simulate many fast (buffered) write completions over time.
         for i in 1..=2000u64 {
             let now = SimTime::from_micros(i * 100); // 200 ms total
@@ -283,17 +258,8 @@ mod tests {
     }
 
     #[test]
-    fn view_reflects_control_state() {
-        let policy = GimbalPolicy::with_defaults(SsdId(3));
-        let v = policy.view_for(TenantId(0));
-        assert_eq!(v.ssd, SsdId(3));
-        assert!(v.credit > 0);
-        assert!(v.read_headroom_bps > v.write_headroom_bps, "wc starts at 9");
-    }
-
-    #[test]
     fn rate_pacing_emits_wait_hints_under_token_shortage() {
-        let mut policy = GimbalPolicy::with_defaults(SsdId(0));
+        let mut policy = GimbalPolicy::new(Params::default());
         let now = SimTime::from_micros(10);
         // Fill the queue with large writes; the write bucket (256 KB,
         // initial) drains after two 128 KB writes at cost 9.
@@ -383,15 +349,13 @@ mod tests {
         let (mut sticky_hits, mut overloads, mut costs_seen) = (0u32, 0u32, Vec::new());
         for case in 0..64u64 {
             let single_bucket = case % 2 == 1;
-            // A short write-cost period so completions move the cost often.
             let params = Params {
                 single_bucket,
-                write_cost_period: SimDuration::from_micros(500),
                 ..Params::default()
             };
             let mut rng = SimRng::new(0x5EED_0000 + case);
             let tenants = 1 + rng.gen_below(3) as u32;
-            let mut policy = GimbalPolicy::new(SsdId(0), params);
+            let mut policy = GimbalPolicy::new(params);
             let mut reference = WalkEveryPoll::new(params);
             let mut now = SimTime::from_micros(1);
             let mut inflight: Vec<NvmeCmd> = Vec::new();
@@ -438,8 +402,10 @@ mod tests {
                             overloads += 1;
                         }
                     }
-                    // Advance time; the next poll sees a refill.
-                    5 => now += SimDuration::from_micros(rng.gen_below(1_000)),
+                    // Advance time; the next poll sees a refill. Steps of up
+                    // to twice the 10 ms write-cost period let completions
+                    // move the cost often.
+                    5 => now += SimDuration::from_micros(rng.gen_below(20_000)),
                     // Polls at the current instant, repeated or drained.
                     _ => {
                         let drain = rng.gen_below(2) == 0;

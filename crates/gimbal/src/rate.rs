@@ -19,7 +19,7 @@
 #![deny(clippy::cast_possible_truncation)]
 
 use crate::congestion::{CongestionState, LatencyMonitor};
-use crate::params::Params;
+use crate::params::{Params, BETA, BUCKET_BYTES, INITIAL_RATE, MAX_RATE, MIN_RATE};
 use gimbal_fabric::{IoType, SsdId};
 use gimbal_sim::{Meter, SimDuration, SimTime, TokenBucket};
 use gimbal_telemetry::{EventKind, OverflowDirection, TraceHandle};
@@ -27,7 +27,8 @@ use gimbal_telemetry::{EventKind, OverflowDirection, TraceHandle};
 /// The per-SSD rate controller.
 #[derive(Clone, Debug)]
 pub struct RateController {
-    params: Params,
+    /// Ablation: one shared bucket (see [`Params::single_bucket`]).
+    single_bucket: bool,
     target_rate: f64,
     read_bucket: TokenBucket,
     write_bucket: TokenBucket,
@@ -44,13 +45,13 @@ pub struct RateController {
 }
 
 impl RateController {
-    /// Create a controller with the initial target rate from `params`.
+    /// Create a controller at `INITIAL_RATE` with full buckets.
     pub fn new(params: Params) -> Self {
         params.validate();
         RateController {
-            target_rate: params.initial_rate,
-            read_bucket: TokenBucket::external(params.bucket_bytes),
-            write_bucket: TokenBucket::external(params.bucket_bytes),
+            target_rate: INITIAL_RATE,
+            read_bucket: TokenBucket::external(BUCKET_BYTES),
+            write_bucket: TokenBucket::external(BUCKET_BYTES),
             last_token_update: SimTime::ZERO,
             monitors: [LatencyMonitor::new(&params), LatencyMonitor::new(&params)],
             completion_meter: Meter::default_rate_meter(),
@@ -59,7 +60,7 @@ impl RateController {
             io_states: [CongestionState::Underutilized; 2],
             trace: TraceHandle::disabled(),
             trace_ssd: SsdId(0),
-            params,
+            single_bucket: params.single_bucket,
         }
     }
 
@@ -78,7 +79,7 @@ impl RateController {
         let dt = now.since(self.last_token_update).as_secs_f64();
         self.last_token_update = now;
         let avail = self.target_rate * dt;
-        if self.params.single_bucket {
+        if self.single_bucket {
             // Ablation: one bucket for everything (Appendix C.1 explains
             // why this submits writes at the wrong rate).
             self.read_bucket.deposit(avail);
@@ -140,7 +141,7 @@ impl RateController {
     }
 
     fn bucket(&mut self, io_type: IoType) -> &mut TokenBucket {
-        if self.params.single_bucket {
+        if self.single_bucket {
             return &mut self.read_bucket;
         }
         match io_type {
@@ -158,7 +159,7 @@ impl RateController {
     /// nothing).
     pub(crate) fn can_consume(&self, io_type: IoType, size: u64) -> bool {
         let bucket = match io_type {
-            IoType::Write if !self.params.single_bucket => &self.write_bucket,
+            IoType::Write if !self.single_bucket => &self.write_bucket,
             _ => &self.read_bucket,
         };
         bucket.can_consume(size)
@@ -177,12 +178,12 @@ impl RateController {
         // (overflow from the sibling bucket ignored). In single-bucket mode
         // every request consumes the read bucket, which gets the whole rate.
         let (bucket, share) = match io_type {
-            _ if self.params.single_bucket => (&self.read_bucket, 1.0),
+            _ if self.single_bucket => (&self.read_bucket, 1.0),
             IoType::Read => (&self.read_bucket, write_cost / (1.0 + write_cost)),
             IoType::Write => (&self.write_bucket, 1.0 / (1.0 + write_cost)),
         };
         let deficit = (size as f64 - bucket.tokens()).max(0.0);
-        let rate = (self.target_rate * share).max(self.params.min_rate * 0.25);
+        let rate = (self.target_rate * share).max(MIN_RATE * 0.25);
         let secs = deficit / rate;
         // Clamp so a stalled estimate still re-polls promptly.
         let wait = SimDuration::from_secs_f64(secs.clamp(1e-6, 5e-3));
@@ -234,11 +235,9 @@ impl RateController {
             }
             CongestionState::Congested => self.target_rate -= size,
             CongestionState::CongestionAvoidance => self.target_rate += size,
-            CongestionState::Underutilized => self.target_rate += self.params.beta * size,
+            CongestionState::Underutilized => self.target_rate += BETA * size,
         }
-        self.target_rate = self
-            .target_rate
-            .clamp(self.params.min_rate, self.params.max_rate);
+        self.target_rate = self.target_rate.clamp(MIN_RATE, MAX_RATE);
         self.trace.record(
             now,
             self.trace_ssd,
@@ -404,7 +403,7 @@ mod tests {
                 SimDuration::from_micros(50),
             );
         }
-        assert!(c.target_rate() <= Params::default().max_rate);
+        assert!(c.target_rate() <= MAX_RATE);
         for i in 1..=10_000u64 {
             c.on_completion(
                 SimTime::from_micros(100_000_000 + i * 10),
@@ -413,7 +412,7 @@ mod tests {
                 SimDuration::from_millis(10),
             );
         }
-        assert!(c.target_rate() >= Params::default().min_rate);
+        assert!(c.target_rate() >= MIN_RATE);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 #![deny(clippy::cast_possible_truncation)]
 
-use crate::params::Params;
+use crate::params::{Params, SLOT_BYTES, WRITE_COST_WORST};
 use gimbal_fabric::{CmdId, IoType, Priority, SsdId, TenantId};
 use gimbal_sim::cast;
 use gimbal_sim::collections::DetMap;
@@ -78,7 +78,7 @@ impl Tenant {
     fn new(params: &Params) -> Self {
         Tenant {
             queues: Default::default(),
-            wrr_remaining: params.priority_weights,
+            wrr_remaining: Priority::WEIGHTS,
             deficit: 0.0,
             slots: vec![VSlot::default(); params.slots_per_tenant as usize],
             open_slot: None,
@@ -94,7 +94,7 @@ impl Tenant {
     }
 
     /// Weighted round-robin pick of the next non-empty priority level.
-    fn current_level(&mut self, weights: [u32; Priority::LEVELS]) -> Option<usize> {
+    fn current_level(&mut self) -> Option<usize> {
         let nonempty = |qs: &[VecDeque<Request>]| qs.iter().any(|q| !q.is_empty());
         if !nonempty(&self.queues) {
             return None;
@@ -105,7 +105,7 @@ impl Tenant {
             }
         }
         // Exhausted the round: start a new one.
-        self.wrr_remaining = weights;
+        self.wrr_remaining = Priority::WEIGHTS;
         (0..Priority::LEVELS).find(|&lvl| !self.queues[lvl].is_empty())
     }
 }
@@ -222,9 +222,9 @@ impl VirtualSlotScheduler {
         // guarantees progress or emptiness.
         #[expect(
             clippy::cast_possible_truncation,
-            reason = "write_cost_worst is validated ≥ 1 and small; the budget only bounds the visits"
+            reason = "WRITE_COST_WORST is asserted ≥ 1 and small; the budget only bounds the visits"
         )]
-        let mut budget = (self.params.write_cost_worst as usize + 2) * (self.active.len() + 1);
+        let mut budget = (WRITE_COST_WORST as usize + 2) * (self.active.len() + 1);
         while budget > 0 {
             budget -= 1;
             let Some(&tid) = self.active.front() else {
@@ -260,11 +260,9 @@ impl VirtualSlotScheduler {
                 );
                 continue;
             }
-            let weights = self.params.priority_weights;
-            let slot_bytes = self.params.slot_bytes as f64;
-            let quantum = self.params.quantum();
+            let quantum = SLOT_BYTES as f64;
             let t = self.tenants.get_mut(&tid).unwrap();
-            let lvl = t.current_level(weights).expect("queued > 0");
+            let lvl = t.current_level().expect("queued > 0");
             let req = *t.queues[lvl].front().expect("level chosen non-empty");
             let w = weighted_size(&req, write_cost);
             if t.deficit >= w {
@@ -285,7 +283,7 @@ impl VirtualSlotScheduler {
                 let slot = &mut t.slots[slot_idx];
                 slot.submits += 1;
                 slot.weighted_bytes += w;
-                if slot.weighted_bytes >= slot_bytes {
+                if slot.weighted_bytes >= quantum {
                     slot.full = true;
                     let submits = slot.submits;
                     t.open_slot = None; // next dequeue opens/defers as needed

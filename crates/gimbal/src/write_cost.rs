@@ -14,18 +14,15 @@
 
 #![deny(clippy::cast_possible_truncation)]
 
-use crate::params::Params;
+use crate::params::{Params, DELTA, WRITE_COST_PERIOD, WRITE_COST_WORST};
 use gimbal_fabric::SsdId;
-use gimbal_sim::{SimDuration, SimTime};
+use gimbal_sim::SimTime;
 use gimbal_telemetry::{EventKind, TraceHandle};
 
 /// Periodic ADMI estimator of the SSD write cost.
 #[derive(Clone, Debug)]
 pub struct WriteCostEstimator {
     cost: f64,
-    worst: f64,
-    delta: f64,
-    period: SimDuration,
     next_update: SimTime,
     writes_in_period: u64,
     /// Ablation: never recalibrate (ReFlex-style static worst-case tax).
@@ -39,11 +36,8 @@ impl WriteCostEstimator {
     /// datasheet read:write IOPS ratio as the baseline).
     pub fn new(params: &Params) -> Self {
         WriteCostEstimator {
-            cost: params.write_cost_worst,
-            worst: params.write_cost_worst,
-            delta: params.delta,
-            period: params.write_cost_period,
-            next_update: SimTime::ZERO + params.write_cost_period,
+            cost: WRITE_COST_WORST,
+            next_update: SimTime::ZERO + WRITE_COST_PERIOD,
             writes_in_period: 0,
             frozen: params.static_write_cost,
             trace: TraceHandle::disabled(),
@@ -57,7 +51,7 @@ impl WriteCostEstimator {
         self.trace_ssd = ssd;
     }
 
-    /// Current write cost, in `[1, write_cost_worst]`.
+    /// Current write cost, in `[1, WRITE_COST_WORST]`.
     pub(crate) fn cost(&self) -> f64 {
         self.cost
     }
@@ -72,7 +66,7 @@ impl WriteCostEstimator {
         if now < self.next_update {
             return;
         }
-        self.next_update = now + self.period;
+        self.next_update = now + WRITE_COST_PERIOD;
         if self.writes_in_period == 0 {
             return;
         }
@@ -81,10 +75,10 @@ impl WriteCostEstimator {
         if write_ewma_below_min {
             // Writes are served from the buffer: credit them down to parity
             // with reads.
-            self.cost = (self.cost - self.delta).max(1.0);
+            self.cost = (self.cost - DELTA).max(1.0);
         } else {
             // Latency is up: converge quickly toward the worst case.
-            self.cost = (self.cost + self.worst) / 2.0;
+            self.cost = (self.cost + WRITE_COST_WORST) / 2.0;
         }
         self.trace.record(
             now,

@@ -15,31 +15,33 @@ use gimbal_sim::{SimDuration, SimRng, SimTime};
 use gimbal_workload::KvOp;
 use std::collections::VecDeque;
 
-/// Store configuration (scaled-down RocksDB defaults).
+/// Target SSTable size.
+const SSTABLE_TARGET_BYTES: u64 = 4 * 1024 * 1024;
+/// L0 table count that triggers compaction.
+const L0_LIMIT: usize = 4;
+/// L1 capacity; level `n` holds `LEVEL_BASE_BYTES × LEVEL_MULTIPLIER^(n-1)`.
+const LEVEL_BASE_BYTES: u64 = 16 * 1024 * 1024;
+/// Per-level size multiplier.
+const LEVEL_MULTIPLIER: u64 = 10;
+/// Bloom filter false-positive rate.
+const BLOOM_FP: f64 = 0.01;
+/// WAL group-commit batch size.
+const WAL_BATCH_BYTES: u64 = 16 * 1024;
+/// WAL batch age that forces a flush: a batch that has not filled by size
+/// closes exactly this long after its first update
+/// ([`LsmKv::next_deadline`]).
+const WAL_MAX_BATCH_AGE: SimDuration = SimDuration::from_micros(200);
+/// WAL file size in blocks (appends wrap circularly).
+const WAL_FILE_BLOCKS: u64 = 1024;
+
+/// Store configuration (scaled-down RocksDB defaults; the fixed ones are
+/// the constants above).
 #[derive(Clone, Copy, Debug)]
 pub struct LsmConfig {
     /// Value size (the paper uses 1 KB pairs).
     pub value_bytes: u64,
     /// Memtable flush threshold.
     pub memtable_bytes: u64,
-    /// Target SSTable size.
-    pub sstable_target_bytes: u64,
-    /// L0 table count that triggers compaction.
-    pub l0_limit: usize,
-    /// L1 capacity; level `n` holds `base × multiplier^(n-1)`.
-    pub level_base_bytes: u64,
-    /// Per-level size multiplier.
-    pub level_multiplier: u64,
-    /// Bloom filter false-positive rate.
-    pub bloom_fp: f64,
-    /// WAL group-commit batch size.
-    pub wal_batch_bytes: u64,
-    /// WAL batch age that forces a flush: a batch that has not filled by
-    /// size closes exactly this long after its first update
-    /// ([`LsmKv::next_deadline`]).
-    pub wal_max_batch_age: SimDuration,
-    /// WAL file size in blocks (appends wrap circularly).
-    pub wal_file_blocks: u64,
 }
 
 impl Default for LsmConfig {
@@ -47,16 +49,13 @@ impl Default for LsmConfig {
         LsmConfig {
             value_bytes: 1024,
             memtable_bytes: 4 * 1024 * 1024,
-            sstable_target_bytes: 4 * 1024 * 1024,
-            l0_limit: 4,
-            level_base_bytes: 16 * 1024 * 1024,
-            level_multiplier: 10,
-            bloom_fp: 0.01,
-            wal_batch_bytes: 16 * 1024,
-            wal_max_batch_age: SimDuration::from_micros(200),
-            wal_file_blocks: 1024,
         }
     }
+}
+
+/// Capacity of level `level1_based` (L1 is 1).
+fn level_cap_bytes(level1_based: usize) -> u64 {
+    LEVEL_BASE_BYTES * LEVEL_MULTIPLIER.pow(level1_based.saturating_sub(1) as u32)
 }
 
 /// A block IO the engine must execute, correlated by `tag`.
@@ -282,15 +281,7 @@ impl LsmKv {
     }
 
     fn entries_per_table(&self) -> u64 {
-        (self.cfg.sstable_target_bytes / self.cfg.value_bytes).max(1)
-    }
-
-    fn level_cap_bytes(&self, level1_based: usize) -> u64 {
-        self.cfg.level_base_bytes
-            * self
-                .cfg
-                .level_multiplier
-                .pow(level1_based.saturating_sub(1) as u32)
+        (SSTABLE_TARGET_BYTES / self.cfg.value_bytes).max(1)
     }
 
     fn alloc_tag(&mut self, kind: IoKind) -> u64 {
@@ -314,13 +305,13 @@ impl LsmKv {
         let score = |b: BackendId| ctx.lim.headroom(b) as f64;
         self.wal_file = Some(
             ctx.bs
-                .create_file(self.cfg.wal_file_blocks, score)
+                .create_file(WAL_FILE_BLOCKS, score)
                 .expect("wal allocation"),
         );
         // Choose the shallowest level whose capacity holds the dataset.
         let total_bytes = records * self.cfg.value_bytes;
         let mut level = 1usize;
-        while self.level_cap_bytes(level) < total_bytes && level < self.levels.len() {
+        while level_cap_bytes(level) < total_bytes && level < self.levels.len() {
             level += 1;
         }
         let per = self.entries_per_table();
@@ -350,19 +341,18 @@ impl LsmKv {
     /// Build the newest-to-oldest probe candidate list for `key`, applying
     /// Bloom filters, in a recycled list.
     fn candidates(&mut self, key: u64) -> Vec<TableId> {
-        let fp = self.cfg.bloom_fp;
         let mut out = self.spare_candidates.pop().unwrap_or_default();
         // Work around split borrows: collect decisions with a local RNG ref.
         let rng = &mut self.rng;
         for t in &self.l0 {
-            if t.bloom_maybe(key, fp, rng) {
+            if t.bloom_maybe(key, BLOOM_FP, rng) {
                 out.push(t.id);
             }
         }
         for level in &self.levels {
             // Disjoint ranges: at most one candidate per level.
             if let Some(t) = level.iter().find(|t| t.covers(key)) {
-                if t.bloom_maybe(key, fp, rng) {
+                if t.bloom_maybe(key, BLOOM_FP, rng) {
                     out.push(t.id);
                 }
             }
@@ -465,7 +455,7 @@ impl LsmKv {
         self.batch_bytes += self.cfg.value_bytes + 32; // WAL record header
         self.batch_started.get_or_insert(now);
         self.ops.insert(op, OpState::WaitingWal);
-        if self.batch_bytes >= self.cfg.wal_batch_bytes {
+        if self.batch_bytes >= WAL_BATCH_BYTES {
             self.flush_wal();
         }
     }
@@ -479,7 +469,7 @@ impl LsmKv {
         }
         let wal = self.wal_file.expect("loaded");
         let blocks = self.batch_bytes.div_ceil(4096).max(1);
-        if self.wal_cursor + blocks > self.cfg.wal_file_blocks {
+        if self.wal_cursor + blocks > WAL_FILE_BLOCKS {
             self.wal_cursor = 0; // circular log
         }
         let spare = self.spare_ops.pop().unwrap_or_default();
@@ -562,12 +552,12 @@ impl LsmKv {
 
     /// The next instant at which [`Self::pump_into`] has time-driven work:
     /// the open WAL batch's deadline (its first update's instant plus
-    /// [`LsmConfig::wal_max_batch_age`]), or `None` with no open batch.
+    /// `WAL_MAX_BATCH_AGE`), or `None` with no open batch.
     /// Everything else the pump starts — memtable flushes, compactions,
     /// stall relief — follows from a state change, so an engine that pumps
     /// after every step and at this instant misses nothing.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.batch_started.map(|t| t + self.cfg.wal_max_batch_age)
+        self.batch_started.map(|t| t + WAL_MAX_BATCH_AGE)
     }
 
     /// Advance background work: close a WAL batch whose deadline has come
@@ -579,7 +569,7 @@ impl LsmKv {
     pub fn pump_into(&mut self, now: SimTime, ctx: &mut IoCtx<'_>, out: &mut StepOutput) {
         // Stale WAL batch.
         if let Some(started) = self.batch_started {
-            if now.since(started) >= self.cfg.wal_max_batch_age {
+            if now.since(started) >= WAL_MAX_BATCH_AGE {
                 self.flush_wal();
             }
         }
@@ -646,7 +636,7 @@ impl LsmKv {
     /// level needs one.
     fn pick_compaction(&self) -> Option<(Vec<(usize, TableId)>, usize)> {
         // L0 → L1 when L0 is deep.
-        if self.l0.len() > self.cfg.l0_limit {
+        if self.l0.len() > L0_LIMIT {
             let lo = self.l0.iter().map(|t| t.key_min).min().unwrap();
             let hi = self.l0.iter().map(|t| t.key_max).max().unwrap();
             let mut inputs: Vec<(usize, TableId)> = self.l0.iter().map(|t| (0, t.id)).collect();
@@ -660,7 +650,7 @@ impl LsmKv {
         }
         // Size-triggered compaction of the first over-cap level.
         for l in 1..self.levels.len() {
-            if self.level_bytes(l) > self.level_cap_bytes(l) && !self.levels[l - 1].is_empty() {
+            if self.level_bytes(l) > level_cap_bytes(l) && !self.levels[l - 1].is_empty() {
                 let victim = &self.levels[l - 1][0];
                 let (lo, hi) = (victim.key_min, victim.key_max);
                 let mut inputs = vec![(l, victim.id)];
@@ -1109,7 +1099,7 @@ mod tests {
             load_balance: true,
         };
         let first = SimTime::from_micros(5);
-        let age = LsmConfig::default().wal_max_batch_age;
+        let age = WAL_MAX_BATCH_AGE;
         kv.begin_op(KvOp::Update(1), first, &mut ctx);
         assert_eq!(kv.next_deadline(), Some(first + age));
         // Joining an open batch does not move its deadline.

@@ -20,7 +20,9 @@
 
 use crate::policy::{CompletionInfo, PolicyPoll, Request, SwitchPolicy};
 use gimbal_broker::{BrokerHandle, Charge};
-use gimbal_cache::{is_flush_id, CacheConfig, CacheStats, FlushIo, SsdCache, StagedWriteLoss};
+use gimbal_cache::{
+    is_flush_id, CacheConfig, CacheStats, FlushIo, SsdCache, StagedWriteLoss, HIT_LATENCY,
+};
 use gimbal_fabric::{CmdId, CmdStatus, IoType, NvmeCmd, Priority, SsdId, TenantId};
 use gimbal_nic::{Core, CpuCost};
 use gimbal_sim::collections::DetMap;
@@ -361,8 +363,8 @@ impl<D: StorageDevice> Pipeline<D> {
     /// DRAM-copy latency plus completion-path CPU and emit the capsule. The
     /// policy — and the device — never see the command.
     fn emit_from_dram(&mut self, cmd: NvmeCmd, at: SimTime) {
-        let cache = self.cache.as_ref().expect("DRAM completion needs a cache");
-        let ready = at + cache.hit_latency();
+        assert!(self.cache.is_some(), "DRAM completion needs a cache");
+        let ready = at + HIT_LATENCY;
         let cycles = self
             .cfg
             .cpu_cost
@@ -375,7 +377,7 @@ impl<D: StorageDevice> Pipeline<D> {
                 cmd,
                 status: CmdStatus::Success,
                 credit,
-                device_latency: cache.hit_latency(),
+                device_latency: HIT_LATENCY,
                 at: done,
                 served_from_cache: true,
             }),

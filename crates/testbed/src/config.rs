@@ -318,9 +318,6 @@ impl TestbedConfig {
         if let Some(t) = &self.trace {
             t.validate();
         }
-        if let Some(c) = &self.cache {
-            c.validate();
-        }
         if let Some(b) = &self.broker {
             b.validate();
         }

@@ -116,6 +116,36 @@ impl KvTestbedConfig {
     pub fn backends(&self) -> u32 {
         self.num_nodes * self.ssds_per_node
     }
+
+    /// Check this config's own top-level conditions (not those of its
+    /// nested configs); the error names the offending value.
+    pub fn check(&self) -> Result<(), String> {
+        if self.instances == 0 {
+            return Err("instances must be at least 1".into());
+        }
+        if self.backends() == 0 {
+            return Err(format!(
+                "need at least one backend, not {} nodes of {} SSDs",
+                self.num_nodes, self.ssds_per_node
+            ));
+        }
+        if self.replicate && self.backends() < 2 {
+            return Err(format!(
+                "replication needs at least two backends, not {}",
+                self.backends()
+            ));
+        }
+        if self.ops_concurrency == 0 {
+            return Err("ops_concurrency must be at least 1".into());
+        }
+        if self.warmup >= self.duration {
+            return Err(format!(
+                "duration {} must be longer than warmup {}",
+                self.duration, self.warmup
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Per-instance measurements.
@@ -164,8 +194,11 @@ pub struct KvRunResult {
 }
 
 impl KvRunResult {
-    /// Aggregate operation throughput, KIOPS.
+    /// Aggregate operation throughput, KIOPS (0 over an empty window).
     pub fn total_kiops(&self) -> f64 {
+        if self.window == SimDuration::ZERO {
+            return 0.0;
+        }
         let ops: u64 = self.instances.iter().map(|i| i.ops).sum();
         ops as f64 / self.window.as_secs_f64() / 1e3
     }
@@ -246,9 +279,9 @@ pub struct KvTestbed {
 impl KvTestbed {
     /// Create the experiment.
     pub fn new(cfg: KvTestbedConfig) -> Self {
+        assert_eq!(cfg.check(), Ok(()), "invalid KV testbed config");
         cfg.ssd.validate();
-        assert!(cfg.instances >= 1 && cfg.backends() >= 1);
-        assert!(!cfg.replicate || cfg.backends() >= 2);
+        cfg.gimbal_params.validate();
         let mut root_rng = SimRng::new(cfg.seed);
         let backends = cfg.backends() as usize;
         let rt = Reactor::new(
@@ -552,6 +585,64 @@ mod tests {
         }
     }
 
+    /// `check`'s error for the default config after `edit`.
+    fn rejected(edit: impl FnOnce(&mut KvTestbedConfig)) -> String {
+        let mut cfg = KvTestbedConfig::default();
+        assert_eq!(cfg.check(), Ok(()));
+        edit(&mut cfg);
+        cfg.check().expect_err("config must be rejected")
+    }
+
+    #[test]
+    fn check_rejects_zero_instances() {
+        assert!(rejected(|c| c.instances = 0).contains("instances"));
+    }
+
+    #[test]
+    fn check_rejects_zero_backends() {
+        assert!(rejected(|c| c.ssds_per_node = 0).contains("0 SSDs"));
+    }
+
+    #[test]
+    fn check_rejects_replication_on_one_backend() {
+        let err = rejected(|c| {
+            c.ssds_per_node = 1;
+            c.replicate = true;
+        });
+        assert!(err.contains("not 1"), "{err}");
+    }
+
+    #[test]
+    fn check_rejects_zero_ops_concurrency() {
+        assert!(rejected(|c| c.ops_concurrency = 0).contains("ops_concurrency"));
+    }
+
+    #[test]
+    fn check_rejects_warmup_past_duration() {
+        let err = rejected(|c| {
+            c.duration = SimDuration::from_millis(50);
+            c.warmup = SimDuration::from_millis(60);
+        });
+        assert!(err.contains("50") && err.contains("60"), "{err}");
+    }
+
+    #[test]
+    fn total_kiops_is_zero_over_an_empty_window() {
+        let res = KvRunResult {
+            instances: Vec::new(),
+            ssd_stats: Vec::new(),
+            gimbal_traces: Vec::new(),
+            cache: Vec::new(),
+            cache_losses: Vec::new(),
+            write_back: Vec::new(),
+            journals: Vec::new(),
+            faults: FaultCounters::default(),
+            window: SimDuration::ZERO,
+            events_processed: 0,
+        };
+        assert_eq!(res.total_kiops().to_bits(), 0.0f64.to_bits());
+    }
+
     #[test]
     fn ycsb_c_reads_flow_end_to_end() {
         let res = KvTestbed::new(quick_cfg(Scheme::Gimbal, YcsbMix::C)).run();
@@ -574,7 +665,6 @@ mod tests {
         cfg.duration = SimDuration::from_millis(1500);
         // Small memtable so flushes happen within the short run.
         cfg.lsm.memtable_bytes = 256 * 1024;
-        cfg.lsm.level_base_bytes = 1024 * 1024;
         let res = KvTestbed::new(cfg).run();
         let flushes: u64 = res.instances.iter().map(|i| i.lsm.flushes).sum();
         assert!(flushes > 0, "flushes {flushes}");

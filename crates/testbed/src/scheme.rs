@@ -81,13 +81,15 @@ impl Scheme {
         }
     }
 
-    /// Build the target-side policy for one SSD pipeline.
-    pub fn make_policy(self, ssd: SsdId, gimbal_params: Params) -> Box<dyn SwitchPolicy> {
+    /// Build the target-side policy for one SSD pipeline. No policy reads
+    /// the SSD id: `_ssd` stays only because the `jbof_bench` crate passes
+    /// one.
+    pub fn make_policy(self, _ssd: SsdId, gimbal_params: Params) -> Box<dyn SwitchPolicy> {
         match self {
             Scheme::Vanilla | Scheme::Parda => Box::new(FifoPolicy::new()),
             Scheme::Reflex => Box::new(ReflexPolicy::default()),
             Scheme::FlashFq => Box::new(FlashFqPolicy::default()),
-            Scheme::Gimbal => Box::new(GimbalPolicy::new(ssd, gimbal_params)),
+            Scheme::Gimbal => Box::new(GimbalPolicy::new(gimbal_params)),
         }
     }
 
@@ -191,7 +193,6 @@ mod tests {
         let c = cache_tier(16, AdmissionPolicy::Never).expect("nonzero capacity");
         assert_eq!(c.capacity_bytes, 16 * 1024 * 1024);
         assert_eq!(c.policy, AdmissionPolicy::Never);
-        c.validate();
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * [`cache`] — the congestion-aware multi-tenant NIC-DRAM cache tier;
 //! * [`gimbal`] — the paper's contribution: delay-based congestion control,
 //!   dual token bucket, write-cost estimation, virtual-slot DRR scheduling,
-//!   credit-based flow control, per-SSD virtual view;
+//!   credit-based flow control;
 //! * [`baselines`] — ReFlex, Parda, FlashFQ ports;
 //! * [`workload`] — fio-like streams and YCSB;
 //! * [`broker`] — inter-tenant token borrowing with deterministic

@@ -170,7 +170,7 @@ fn device_death_forgives_debts_and_conserves() {
 
 /// Adversarial borrowers: three always-on 128 KiB tenants all over their
 /// entitlement, one modest 4 KiB tenant. However hard the adversaries
-/// borrow, the floor (each lender keeps `floor_num/floor_den` of its
+/// borrow, the floor (each lender keeps an eighth of its
 /// entitled refill) is never pierced and the modest tenant still completes
 /// IO every epoch.
 #[test]
@@ -250,7 +250,6 @@ fn placement_migrations_fire_and_are_deterministic() {
             precondition: Precondition::Fragmented,
             broker: Some(BrokerConfig {
                 placement: true,
-                max_moves_per_epoch: 1,
                 ..tight_broker()
             }),
             ..base_cfg(Scheme::Gimbal)

@@ -328,24 +328,18 @@ fn write_back_double_run_is_deterministic_for_every_engine() {
 
 /// Write-back satellite, the bit-identity half: with write-back *off*
 /// (`WritePolicy::Through`, the default) a run is byte-identical to one on
-/// a config that never heard of write-back — the flusher knobs
-/// (`dirty_high_percent`, `flush_max_age`, `flush_batch`) must be inert, no
-/// write-back stats or journals may be collected, and the stats digest
-/// matches the plain write-through digest exactly, for every engine.
+/// a config that names write-through explicitly — no write-back stats or
+/// journals may be collected, and the stats digest matches the plain
+/// write-through digest exactly, for every engine.
 #[test]
 fn write_back_off_is_bit_identical_for_every_engine() {
     let plain = Some(CacheConfig {
         policy: AdmissionPolicy::Always,
         ..CacheConfig::for_mb(16)
     });
-    // Same cache, write-back explicitly off, flusher knobs set to junk
-    // values: none of it may leak into a write-through run.
-    let knobs = Some(CacheConfig {
+    let explicit = Some(CacheConfig {
         policy: AdmissionPolicy::Always,
         write_policy: WritePolicy::Through,
-        dirty_high_percent: 3,
-        flush_max_age: SimDuration::from_millis(123),
-        flush_batch: 17,
         ..CacheConfig::for_mb(16)
     });
     for scheme in [
@@ -355,7 +349,7 @@ fn write_back_off_is_bit_identical_for_every_engine() {
         Scheme::FlashFq,
     ] {
         let a = run_cache_cfg(scheme, 7, None, plain.clone());
-        let b = run_cache_cfg(scheme, 7, None, knobs.clone());
+        let b = run_cache_cfg(scheme, 7, None, explicit.clone());
         assert!(
             a.write_back.is_empty() && b.write_back.is_empty(),
             "{}: write-through run collected write-back stats",
@@ -369,13 +363,13 @@ fn write_back_off_is_bit_identical_for_every_engine() {
         assert_eq!(
             a.submissions,
             b.submissions,
-            "{}: inert flusher knobs changed the submission schedule",
+            "{}: an explicit write-through policy changed the submission schedule",
             scheme.name()
         );
         assert_eq!(
             a.stats_digest(),
             b.stats_digest(),
-            "{}: inert flusher knobs changed the stats digest",
+            "{}: an explicit write-through policy changed the stats digest",
             scheme.name()
         );
     }
@@ -811,7 +805,6 @@ fn engine_matrix_keeps_its_pinned_digests() {
             burst_bytes: 256 * 1024,
             epoch: ms(5),
             placement: true,
-            max_moves_per_epoch: 1,
             ..BrokerConfig::default()
         }),
         ..fio(Scheme::Gimbal)

@@ -504,7 +504,6 @@ fn wb_cache(lines: u64) -> SsdCache {
             capacity_bytes: lines * 4096,
             policy: AdmissionPolicy::Always,
             write_policy: WritePolicy::Back,
-            ..CacheConfig::default()
         },
     )
 }

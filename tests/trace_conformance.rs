@@ -36,7 +36,10 @@ use std::rc::Rc;
 use std::sync::OnceLock;
 
 use gimbal_repro::fabric::{IoType, RetryConfig, SsdId};
-use gimbal_repro::gimbal::{Params, RateController, WriteCostEstimator};
+use gimbal_repro::gimbal::{
+    Params, RateController, WriteCostEstimator, ALPHA_T, BUCKET_BYTES, DELTA, THRESH_MIN,
+    WRITE_COST_WORST,
+};
 use gimbal_repro::sim::{FaultPlan, FaultWindow, SimDuration, SimTime, SsdFaultSpec};
 use gimbal_repro::telemetry::export::chrome_trace;
 use gimbal_repro::telemetry::{
@@ -106,7 +109,7 @@ fn run_trace() -> &'static RecordedTrace {
 /// arithmetic. `from` is the previous state; the EWMA/threshold values were
 /// sampled inside the update that produced the transition.
 fn check_transition_snapshot(e: &Event, p: &Params) {
-    let tmin = p.thresh_min.as_nanos() as f64;
+    let tmin = THRESH_MIN.as_nanos() as f64;
     let tmax = p.thresh_max.as_nanos() as f64;
     let EventKind::CongestionTransition {
         to,
@@ -146,7 +149,7 @@ fn check_transition_snapshot(e: &Event, p: &Params) {
                 ewma_ns >= tmin - EPS && ewma_ns < thresh_before_ns + EPS,
                 "CA outside [Thresh_min, Thresh): {e:?}"
             );
-            let expect = (thresh_before_ns - p.alpha_t * (thresh_before_ns - ewma_ns)).max(tmin);
+            let expect = (thresh_before_ns - ALPHA_T * (thresh_before_ns - ewma_ns)).max(tmin);
             assert!(
                 (thresh_after_ns - expect).abs() < EPS,
                 "CA must decay the threshold toward the EWMA: {e:?}"
@@ -157,7 +160,7 @@ fn check_transition_snapshot(e: &Event, p: &Params) {
                 ewma_ns < tmin + EPS,
                 "underutilized above Thresh_min: {e:?}"
             );
-            let expect = (thresh_before_ns - p.alpha_t * (thresh_before_ns - ewma_ns)).max(tmin);
+            let expect = (thresh_before_ns - ALPHA_T * (thresh_before_ns - ewma_ns)).max(tmin);
             assert!(
                 (thresh_after_ns - expect).abs() < EPS,
                 "decay must also run while underutilized: {e:?}"
@@ -312,7 +315,7 @@ fn rate_never_increases_while_congested() {
 }
 
 /// Algorithm 4: a bucket only spills to its sibling when it filled to
-/// capacity — the recorded source-bucket level must sit at `bucket_bytes`,
+/// capacity — the recorded source-bucket level must sit at `BUCKET_BYTES`,
 /// proving the donating IO type was idle.
 #[test]
 fn overflow_tokens_only_flow_when_the_source_bucket_is_full() {
@@ -322,7 +325,7 @@ fn overflow_tokens_only_flow_when_the_source_bucket_is_full() {
         !transfers.is_empty(),
         "a 3r/3w mix must idle one bucket at some point"
     );
-    let cap = Params::default().bucket_bytes as f64;
+    let cap = BUCKET_BYTES as f64;
     for e in transfers.iter() {
         let EventKind::OverflowTransfer {
             amount, src_tokens, ..
@@ -534,7 +537,7 @@ fn write_cost_steps_expose_the_below_min_recovery_edge() {
     assert!(steps.len() >= 20, "one step per elapsed period");
     let mut saw_floor = false;
     let mut saw_recovery = false;
-    let mut last_cost = p.write_cost_worst;
+    let mut last_cost = WRITE_COST_WORST;
     for e in steps.iter() {
         let EventKind::WriteCostStep {
             old_cost,
@@ -549,9 +552,9 @@ fn write_cost_steps_expose_the_below_min_recovery_edge() {
             "cost stream tore: {e:?}"
         );
         let expect = if below_min {
-            (old_cost - p.delta).max(1.0)
+            (old_cost - DELTA).max(1.0)
         } else {
-            (old_cost + p.write_cost_worst) / 2.0
+            (old_cost + WRITE_COST_WORST) / 2.0
         };
         assert!((new_cost - expect).abs() < EPS, "ADMI step wrong: {e:?}");
         saw_floor |= below_min && (new_cost - 1.0).abs() < EPS;
