@@ -82,6 +82,13 @@ echo "==> figures smoke (registry listing, argument handling on the static Table
 cargo run --release --offline -q -p gimbal-bench --bin figures -- list > /dev/null
 cargo run --release --offline -q -p gimbal-bench --bin figures -- --quick tab2_comparison > /dev/null
 
+# Outside tests these figures are the only callers that set Gimbal's kept
+# Params (thresh_max, slots_per_tenant, the three ablation switches) or the
+# cache admission policy to non-default values (~10 s on 2 vCPUs).
+echo "==> figures smoke (the ablations and the P3600 profile: every non-default Params and cache policy)"
+cargo run --release --offline -q -p gimbal-bench --bin figures -- \
+    --quick abl_threshold abl_slots abl_bucket_cost abl_cache gen_p3600 > /dev/null
+
 echo "==> jbof_bench (the standalone benchmark crate still builds against the core crates: its tests, then quick mixed_frag, cache_wb_zipf, burst_skew, kv_ycsb_a and rack_failover runs through every gate)"
 cargo test --offline -q --manifest-path jbof_bench/Cargo.toml
 for w in mixed_frag cache_wb_zipf burst_skew kv_ycsb_a rack_failover; do

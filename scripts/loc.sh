@@ -7,6 +7,9 @@
 # The workspace total covers every .rs file under crates/*/src and src/
 # (library and binary sources; tests/, examples/, benches and the separate
 # jbof_bench workspace are left out).
+# A knob census follows: the `pub` fields of every `*Config`, `*Spec`,
+# `Params` and `FaultPlan` struct under crates/*/src, outside test modules —
+# each an independently settable value tests and the benchmark must cover.
 # Usage: scripts/loc.sh [FILE…]   (defaults to the engine-runtime files)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -47,3 +50,20 @@ while IFS= read -r f; do
     ws_t=$((ws_t + t)) ws_c=$((ws_c + c))
 done < <(find crates/*/src src -name '*.rs' | sort)
 printf '%-32s %9d %9d\n' "(workspace)" "$ws_t" "$ws_c"
+
+# Knob census: per struct, then the total.
+knobs() {
+    awk '
+        /^#\[cfg\(test\)\]/ { exit }
+        /^pub struct [A-Za-z0-9_]+ *\{/ {
+            name = $3; sub(/[^A-Za-z0-9_].*/, "", name)
+            if (name ~ /(Config|Spec)$/ || name == "Params" || name == "FaultPlan") { inside = 1; next }
+        }
+        inside && /^\}/ { inside = 0; next }
+        inside && /^    pub [a-z_0-9]+:/ { print name }
+    ' "$1"
+}
+while IFS= read -r f; do
+    knobs "$f"
+done < <(find crates/*/src -name '*.rs' | sort) | sort | uniq -c |
+    awk '{ printf "%-32s %9d\n", $2, $1; n += $1 } END { printf "%-32s %9d\n", "(config knobs)", n }'
