@@ -161,8 +161,6 @@ impl Tor {
 }
 
 impl Topology for Tor {
-    const LOSS_AFTER_PORT: bool = false;
-
     /// ToR downlink serialization (the capsule, plus a write's payload) and
     /// link latency.
     fn downlink(&mut self, node: usize, cmd: &NvmeCmd, at: SimTime) -> SimTime {

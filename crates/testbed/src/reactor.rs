@@ -86,10 +86,6 @@ pub trait Engine: Sized {
 /// Where capsules travel between the clients' ports and the nodes' ports,
 /// and which nodes answer.
 pub trait Topology {
-    /// Whether a lost capsule has already serialized on its sender's port.
-    /// The direct fabric loses capsules in flight; the ToR loses them
-    /// before they leave (DESIGN §21.6's fork).
-    const LOSS_AFTER_PORT: bool;
     /// A command cleared its client's port at `at`: when it reaches
     /// `node`.
     fn downlink(&mut self, _node: usize, _cmd: &NvmeCmd, at: SimTime) -> SimTime {
@@ -118,9 +114,7 @@ pub trait Topology {
 /// The direct fabric in front of a single node.
 pub struct Direct;
 
-impl Topology for Direct {
-    const LOSS_AFTER_PORT: bool = true;
-}
+impl Topology for Direct {}
 
 /// Per-SSD device latency and completion bandwidth, as the fio engine
 /// reports them.
@@ -164,7 +158,8 @@ impl<E: Engine> NodeHost<E> {
     }
 
     /// A `capsule` of `cmd` leaves at `at` through `port`, which returns
-    /// when it clears, and is lost in the topology's order.
+    /// when it clears: it serializes on the port, then the fabric may lose
+    /// it in flight.
     fn cross(
         &mut self,
         capsule: CapsuleKind,
@@ -172,12 +167,8 @@ impl<E: Engine> NodeHost<E> {
         at: SimTime,
         port: impl FnOnce(&mut Self) -> SimTime,
     ) -> Option<SimTime> {
-        let after = E::Topo::LOSS_AFTER_PORT;
-        if !after && self.init.lose(capsule, cmd, at) {
-            return None;
-        }
         let cleared = port(self);
-        (!(after && self.init.lose(capsule, cmd, at))).then_some(cleared)
+        (!self.init.lose(capsule, cmd, at)).then_some(cleared)
     }
 
     /// Schedule a wake of pipeline `ssd` at `at`; [`Node::wake`] handles it.

@@ -583,12 +583,12 @@ fn headline_configurations_keep_their_pinned_digests() {
         ),
         (
             "rack node-death + 2% loss",
-            0x3682_4d4a_3df0_ad28,
+            0xbae0_a65f_fe51_1f0f,
             lossy.stats_digest(),
         ),
         (
             "rack node-death + 2% loss: fault counters",
-            0xb11d_9919_a7ea_3a6b,
+            0xe10a_027e_8d47_6d59,
             fault_digest(&lossy.physical),
         ),
     ];
@@ -1177,9 +1177,9 @@ fn engine_matrix_keeps_its_pinned_digests() {
             0xbe5b_1fea_e858_93f4,
         ),
         ("rack Gimbal partition: faults", 0x3ef3_f2d3_c8e1_8249),
-        ("rack Gimbal 2% loss: stats", 0x2bf8_054d_748c_18e7),
-        ("rack Gimbal 2% loss: access journal", 0x8c8d_f360_01cb_2f77),
-        ("rack Gimbal 2% loss: faults", 0x57ff_3029_5a24_8850),
+        ("rack Gimbal 2% loss: stats", 0x6798_0753_5f61_e628),
+        ("rack Gimbal 2% loss: access journal", 0x54ca_3ead_6700_3b33),
+        ("rack Gimbal 2% loss: faults", 0xfbbd_3214_9afc_6f49),
         ("rack Parda no fault: stats", 0x7305_bf59_96a2_bf85),
         ("rack Parda no fault: access journal", 0x1108_455f_0f7c_4d54),
         ("rack Parda no fault: faults", 0x46af_b0fc_3f40_1415),
@@ -1195,9 +1195,9 @@ fn engine_matrix_keeps_its_pinned_digests() {
             0x5c11_fdc5_b389_bbec,
         ),
         ("rack Parda partition: faults", 0xb756_6e15_36f8_73fd),
-        ("rack Parda 2% loss: stats", 0xfe86_c3eb_3a6f_19e3),
-        ("rack Parda 2% loss: access journal", 0x74bb_edec_a068_ded2),
-        ("rack Parda 2% loss: faults", 0x0cb9_7205_b7be_eca9),
+        ("rack Parda 2% loss: stats", 0xe452_f7a2_b832_8551),
+        ("rack Parda 2% loss: access journal", 0xdf69_8b62_4c0f_36b5),
+        ("rack Parda 2% loss: faults", 0x73bb_d478_7a37_f9df),
         (
             "rack broker chaos with stealing: stats",
             0x185a_601c_8b60_be29,
