@@ -1,8 +1,9 @@
 //! The rack engine, in the shared [`Reactor`].
 //!
 //! N JBOF nodes ([`gimbal_testbed::Node`]), each `ssds_per_node` switch
-//! pipelines, behind one deterministic ToR switch ([`Tor`], the rack's
-//! [`Topology`]). Closed-loop clients issue logical IOs against
+//! pipelines, behind one deterministic ToR switch (the reactor's
+//! [`gimbal_testbed::reactor::Tor`], here with a hop). Closed-loop clients
+//! issue logical IOs against
 //! zone-replicated blobstore files; every logical read maps to one physical
 //! NVMe command (plus reroutes), every logical write fans out to one
 //! command per live replica.
@@ -11,13 +12,16 @@
 //!
 //! Command: client port serialization + fabric propagation
 //! ([`gimbal_fabric::RdmaDelays::command_arrival`]) → ToR downlink
-//! serialization + link latency ([`TorSwitch::to_node`]) → node.
+//! serialization + link latency ([`gimbal_fabric::TorSwitch::to_node`]) →
+//! node.
 //! Completion: node port + propagation
 //! ([`gimbal_fabric::RdmaDelays::completion_arrival`]) → ToR uplink →
-//! client. Node faults act at the crossings: a dead or partitioned node
-//! swallows capsules in both directions (`tor_cmd_drops` / `tor_cpl_drops`),
-//! a degraded link adds latency per crossing and is journaled as a
-//! [`EventKind::LinkDegraded`] event.
+//! client. A lost capsule has cleared its sender's port and vanishes in
+//! flight, before the ToR hop. Node faults, read from the plan by time
+//! alone, act at the crossings: a dead or partitioned node swallows
+//! capsules in both directions (`tor_cmd_drops` / `tor_cpl_drops`), a
+//! degraded link adds latency per crossing and is journaled as a
+//! [`EventKind::LinkDegraded`] event. `Ev::NodeDeath` only tells the router.
 //!
 //! ## Escalation ladder
 //!
@@ -42,15 +46,12 @@ use gimbal_blobstore::{
     BackendId, Blobstore, FileId, HbaConfig, HierarchicalAllocator, IoPlan, RateLimiter,
     ReplicaHealth,
 };
-use gimbal_fabric::{
-    NvmeCmd, NvmeCompletion, Priority, SsdId, TenantId, TorSwitch, CMD_CAPSULE_BYTES,
-    RSP_CAPSULE_BYTES,
-};
+use gimbal_fabric::{NvmeCmd, NvmeCompletion, Priority, SsdId, TenantId};
 use gimbal_sim::collections::DetMap;
-use gimbal_sim::{FaultPlan, Histogram, SimDuration, SimRng, SimTime};
-use gimbal_telemetry::{CapsuleKind, EventKind, TraceHandle};
+use gimbal_sim::{Histogram, SimRng, SimTime};
+use gimbal_telemetry::EventKind;
 use gimbal_testbed::initiator::{Expiry, Initiator, Timer};
-use gimbal_testbed::reactor::{Engine, Reactor, Rig, Topology};
+use gimbal_testbed::reactor::{Engine, Reactor, Rig};
 
 /// Queue the physical IO `plan` of logical IO `logical` behind client `i`'s
 /// gate for its backend.
@@ -131,76 +132,6 @@ pub enum Ev {
     NodeDeath(usize),
 }
 
-/// The ToR between the clients' ports and the nodes' ports, with the
-/// fault state every crossing consults.
-pub struct Tor {
-    tor: TorSwitch,
-    /// `Some` only when the plan actually targets this rack: a plan whose
-    /// every fault is aimed at absent nodes/SSDs runs exactly like
-    /// `faults: None`, timers and all.
-    active_plan: Option<FaultPlan>,
-    node_dead: Vec<bool>,
-    /// The crossings' counters: ToR drops and degraded-link crossings.
-    rack: RackCounters,
-    trace: TraceHandle,
-}
-
-impl Tor {
-    /// The degraded-link penalty for `cmd`'s crossing of `node`'s link at
-    /// `t`, with the counter and telemetry event it implies.
-    fn link_extra(&mut self, node: usize, cmd: &NvmeCmd, t: SimTime) -> SimDuration {
-        let spec = self.active_plan.as_ref().and_then(|p| p.node_spec(node));
-        let Some(extra) = spec.and_then(|s| s.link_extra(t)) else {
-            return SimDuration::ZERO;
-        };
-        self.rack.link_degraded_crossings += 1;
-        let kind = EventKind::LinkDegraded { node: node as u32 };
-        self.trace.record(t, cmd.ssd, Some(cmd.tenant), kind);
-        extra
-    }
-}
-
-impl Topology for Tor {
-    /// ToR downlink serialization (the capsule, plus a write's payload) and
-    /// link latency.
-    fn downlink(&mut self, node: usize, cmd: &NvmeCmd, at: SimTime) -> SimTime {
-        let extra = self.link_extra(node, cmd, at);
-        let payload = if cmd.opcode.is_write() { cmd.len } else { 0 };
-        let bytes = CMD_CAPSULE_BYTES + u64::from(payload);
-        self.tor.to_node(node, at, bytes, extra)
-    }
-
-    /// ToR uplink serialization (the capsule, plus a read's payload) and
-    /// link latency.
-    fn uplink(&mut self, node: usize, cmd: &NvmeCmd, at: SimTime) -> SimTime {
-        let extra = self.link_extra(node, cmd, at);
-        let payload = if cmd.opcode.is_write() { 0 } else { cmd.len };
-        let bytes = RSP_CAPSULE_BYTES + u64::from(payload);
-        self.tor.from_node(node, at, bytes, extra)
-    }
-
-    /// A dead or partitioned node swallows capsules both ways.
-    fn passes(&mut self, node: usize, t: SimTime, capsule: CapsuleKind) -> bool {
-        let down = !self.reachable(node, t);
-        let drops = match capsule {
-            CapsuleKind::Command => &mut self.rack.tor_cmd_drops,
-            CapsuleKind::Completion => &mut self.rack.tor_cpl_drops,
-        };
-        *drops += u64::from(down);
-        !down
-    }
-
-    /// Death is permanent, partitions are windowed.
-    fn reachable(&self, node: usize, t: SimTime) -> bool {
-        let spec = self.active_plan.as_ref().and_then(|p| p.node_spec(node));
-        !self.node_dead[node] && !spec.is_some_and(|s| s.dead(t) || s.partitioned(t))
-    }
-
-    fn alive(&self, node: usize) -> bool {
-        !self.node_dead[node]
-    }
-}
-
 /// The rack experiment.
 pub struct RackTestbed {
     cfg: RackConfig,
@@ -237,18 +168,22 @@ impl RackTestbed {
         let backends = cfg.backends() as usize;
         let nodes = cfg.nodes as usize;
 
-        // A fault plan is "active" only if some target exists in this rack;
-        // node faults aimed past `nodes` (or SSD faults past `backends`) are
-        // inert, so such a plan must not even arm timers — that keeps the
-        // run bit-identical to a fault-free one.
-        let faults = cfg.faults.as_ref().filter(|fc| {
-            let p = &fc.plan;
-            p.cmd_loss_prob > 0.0
-                || p.cpl_loss_prob > 0.0
-                || !p.burst_windows.is_empty()
-                || (0..backends).any(|i| p.ssd_spec(i).is_some())
-                || (0..nodes).any(|n| p.node_spec(n).is_some())
-        });
+        // Timers are armed only if some fault can act on this rack; node
+        // faults aimed past `nodes` (or SSD faults past `backends`) are
+        // inert, so such a plan runs bit-identical to a fault-free one.
+        let retry = cfg
+            .faults
+            .as_ref()
+            .filter(|fc| {
+                let p = &fc.plan;
+                p.cmd_loss_prob > 0.0
+                    || p.cpl_loss_prob > 0.0
+                    || !p.burst_windows.is_empty()
+                    || (0..backends).any(|i| p.ssd_spec(i).is_some())
+                    || (0..nodes).any(|n| p.node_spec(n).is_some())
+            })
+            .map(|fc| fc.retry);
+        let plan = cfg.faults.as_ref().map(|fc| &fc.plan);
         let spn = cfg.ssds_per_node as usize;
         let mut rt = Reactor::new(
             Rig {
@@ -270,21 +205,15 @@ impl RackTestbed {
                 lanes: backends,
                 fabric: cfg.fabric,
                 flow_control: true,
-                faults,
+                plan: plan.cloned().unwrap_or_default(),
+                retry,
+                tor: Some(cfg.tor),
                 meter_devices: false,
                 batch: 1,
                 sample_interval: None,
-                power_loss_at: None,
                 duration: cfg.duration,
             },
             &mut root_rng,
-            |trace| Tor {
-                tor: TorSwitch::new(cfg.tor, nodes),
-                active_plan: faults.map(|fc| fc.plan.clone()),
-                node_dead: vec![false; nodes],
-                rack: RackCounters::default(),
-                trace: trace.clone(),
-            },
         );
 
         let router = RateLimiter::new(backends, cfg.gimbal_params.initial_credit_ios, false);
@@ -325,7 +254,7 @@ impl RackTestbed {
             );
         }
         for node in 0..nodes {
-            let spec = faults.and_then(|fc| fc.plan.node_spec(node));
+            let spec = plan.and_then(|p| p.node_spec(node));
             if let Some(at) = spec.and_then(|s| s.die_at) {
                 rt.host.push(at, Ev::NodeDeath(node));
             }
@@ -352,11 +281,7 @@ impl RackTestbed {
     fn backend_health(&self, b: BackendId, now: SimTime) -> ReplicaHealth {
         ReplicaHealth {
             // A dead node's backends are already excluded as dead.
-            partitioned: !self
-                .rt
-                .host
-                .topo
-                .reachable(self.cfg.node_of(b.index()), now),
+            partitioned: !self.rt.host.tor.reachable(self.cfg.node_of(b.index()), now),
             // The GC signal is read straight off the device model, so
             // organic die-level collections steer exactly like injected
             // storms. The blind baseline reports "never busy".
@@ -658,15 +583,13 @@ impl RackTestbed {
     /// Run it.
     pub fn run(mut self) -> RackResult {
         Reactor::run(&mut self);
-        let tor = &self.rt.host.topo;
-        let nodes = self.cfg.nodes as usize;
-        let (tor_bytes_down, tor_bytes_up) = (0..nodes)
-            .map(|n| (tor.tor.bytes_down(n), tor.tor.bytes_up(n)))
-            .unzip();
+        let tor = &self.rt.host.tor;
+        let (tor_bytes_down, tor_bytes_up) =
+            (0..self.cfg.nodes as usize).map(|n| tor.bytes(n)).unzip();
         let rack = RackCounters {
-            tor_cmd_drops: tor.rack.tor_cmd_drops,
-            tor_cpl_drops: tor.rack.tor_cpl_drops,
-            link_degraded_crossings: tor.rack.link_degraded_crossings,
+            tor_cmd_drops: tor.cmd_drops,
+            tor_cpl_drops: tor.cpl_drops,
+            link_degraded_crossings: tor.link_degraded_crossings,
             in_flight_at_end: self.logical.len() as u64,
             ..self.rack
         };
@@ -704,7 +627,6 @@ impl Engine for RackTestbed {
     type Ev = Ev;
     type Tag = u64;
     type Queued = (u64, IoPlan);
-    type Topo = Tor;
     const FABRIC: &'static str = "rack.fabric";
     const WAKE: &'static str = "rack.wake";
     const FAULT: &'static str = "rack.fault";
@@ -727,14 +649,10 @@ impl Engine for RackTestbed {
                 self.dispatch(i, now);
             }
             Ev::NodeDeath(node) => {
-                let tor = &mut self.rt.host.topo;
-                if tor.node_dead[node] {
-                    return;
-                }
-                // The node is frozen from here on: its pipelines never
-                // pump again, and whatever was in flight inside them is
-                // recovered initiator-side by the ladder.
-                tor.node_dead[node] = true;
+                // The ToR freezes the node from here on: its pipelines
+                // never pump again, and whatever was in flight inside them
+                // is recovered initiator-side by the ladder. The router
+                // learns it here.
                 let first = node as u32 * self.cfg.ssds_per_node;
                 for b in first..first + self.cfg.ssds_per_node {
                     self.router.mark_dead(BackendId(b));
@@ -792,7 +710,7 @@ mod tests {
     use super::*;
     use gimbal_fabric::RetryConfig;
     use gimbal_sim::journal::first_divergence;
-    use gimbal_sim::FaultWindow;
+    use gimbal_sim::{FaultPlan, FaultWindow, SimDuration};
     use gimbal_testbed::{FaultConfig, Scheme};
 
     fn quick(scheme: Scheme) -> RackConfig {
@@ -846,6 +764,37 @@ mod tests {
         assert_eq!(clean.stats_digest(), absent.stats_digest());
         assert_eq!(clean.access_digest(), absent.access_digest());
         assert_eq!(absent.physical.timed_out, 0);
+    }
+
+    /// A plan whose only fault is a power loss fires it in the rack too:
+    /// one `power_loss` record at its tick, bit-identical across a double
+    /// run.
+    #[test]
+    fn a_planned_power_loss_fires_in_the_rack() {
+        let at = SimTime::from_millis(12);
+        let cfg = RackConfig {
+            sanitize: true,
+            faults: Some(FaultConfig {
+                plan: FaultPlan {
+                    power_loss_at: Some(at),
+                    ..FaultPlan::default()
+                },
+                retry: RetryConfig::default(),
+            }),
+            ..quick(Scheme::Gimbal)
+        };
+        let a = RackTestbed::new(cfg.clone()).run();
+        let b = RackTestbed::new(cfg).run();
+        assert_eq!(a.stats_digest(), b.stats_digest());
+        assert_eq!(a.access_digest(), b.access_digest());
+        let journal = a.access_journal.as_ref().expect("sanitizer on");
+        let losses: Vec<u64> = journal
+            .entries()
+            .iter()
+            .filter(|e| e.op == "power_loss")
+            .map(|e| e.tick)
+            .collect();
+        assert_eq!(losses, [at.as_nanos()]);
     }
 
     /// The 2-node borrowing chaos smoke: broker on, node 1 dies mid-run.

@@ -10,14 +10,15 @@
 //! node dies". The moving parts:
 //!
 //! * `engine` — the rack engine: its clients, logical IOs and routing,
-//!   and the ToR topology, run in the event loop every engine shares
-//!   ([`gimbal_testbed::reactor`]). Every capsule crosses the ToR
-//!   ([`gimbal_fabric::TorSwitch`]) twice: initiator port → ToR downlink →
-//!   node, and node uplink → ToR → initiator. Node-scoped faults
-//!   ([`gimbal_sim::NodeFaultSpec`]) act at those crossings: a dead or
-//!   partitioned node silently swallows capsules in both directions, a
-//!   degraded link adds latency per crossing, and a node-scoped GC storm
-//!   stalls every SSD in the node at once.
+//!   run in the event loop every engine shares
+//!   ([`gimbal_testbed::reactor`]), whose ToR here has a switch. Every
+//!   capsule crosses the ToR ([`gimbal_fabric::TorSwitch`]) twice:
+//!   initiator port → ToR downlink → node, and node uplink → ToR →
+//!   initiator. Node-scoped faults ([`gimbal_sim::NodeFaultSpec`]) come
+//!   from the run's one fault plan: a dead or partitioned node silently
+//!   swallows capsules in both directions at the ToR, a degraded link adds
+//!   latency per crossing, and a node-scoped GC storm stalls every SSD in
+//!   the node at once.
 //! * **GC/failure-aware routing** — reads are steered by
 //!   [`gimbal_blobstore::RateLimiter::choose_replica_aware`]: alive beats
 //!   dead (hard), reachable beats partitioned, trusted beats suspect,

@@ -162,9 +162,12 @@ pub struct FaultPlan {
     pub burst_windows: Vec<FaultWindow>,
     /// Per-SSD fault specs, indexed by SSD; missing entries are fault-free.
     pub ssd: Vec<SsdFaultSpec>,
-    /// Per-node fault specs, indexed by rack node; missing entries are
-    /// fault-free. Single-node engines ignore these entirely, so a plan whose
-    /// node faults target absent nodes is equivalent to one without them.
+    /// Per-node fault specs, indexed by node; missing entries are
+    /// fault-free. Every engine reads them: node `n`'s GC storms stall its
+    /// SSDs, and its death and partitions silence it at the ToR. The fio
+    /// and KV engines have only node 0, behind a direct fabric with no link
+    /// to degrade. A plan whose node faults target absent nodes is
+    /// equivalent to one without them.
     pub nodes: Vec<NodeFaultSpec>,
     /// Simulated NIC power loss at this instant: every byte of NIC DRAM —
     /// cache lines, and in particular write-back dirty lines — vanishes.

@@ -185,8 +185,9 @@ pub struct FlashSsd {
     /// Round-robin die cursor for drain batches.
     next_die: u32,
     inflight: usize,
-    /// When set (injected flash failure, §4.3's replication study), every
-    /// subsequent command completes quickly with an error.
+    /// Set by the first submission at or after the armed `fail_at` (§4.3's
+    /// replication study): every later command completes quickly with an
+    /// error.
     failed: bool,
     /// Deterministic fault profile, when armed.
     faults: Option<FaultState>,
@@ -254,13 +255,9 @@ impl FlashSsd {
         self.stats = SsdStats::default();
     }
 
-    /// Inject a permanent flash failure: from now on every command errors
-    /// out at controller latency (the scenario §4.3's replication tolerates).
-    pub fn inject_failure(&mut self) {
-        self.failed = true;
-    }
-
-    /// Whether a failure has been injected.
+    /// Whether the armed permanent failure has struck: from then on every
+    /// command errors out at controller latency (the scenario §4.3's
+    /// replication tolerates).
     pub fn is_failed(&self) -> bool {
         self.failed
     }
@@ -1084,26 +1081,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_failure_errors_all_commands_fast() {
-        let mut ssd = small();
-        ssd.precondition_clean();
-        ssd.submit(1, IoType::Read, 0, 4096, SimTime::ZERO);
-        ssd.inject_failure();
-        assert!(ssd.is_failed());
-        ssd.submit(2, IoType::Read, 0, 4096, SimTime::ZERO);
-        ssd.submit(3, IoType::Write, 0, 4096, SimTime::ZERO);
-        let done = run_until_idle(&mut ssd);
-        assert_eq!(done.len(), 3);
-        // The pre-failure IO completes normally; later ones error fast.
-        assert!(!done.iter().find(|c| c.tag == 1).unwrap().failed);
-        for tag in [2, 3] {
-            let c = done.iter().find(|c| c.tag == tag).unwrap();
-            assert!(c.failed, "tag {tag} must fail");
-            assert!(c.latency().as_micros() < 20, "fail fast");
-        }
-    }
-
-    #[test]
     fn armed_fail_at_kills_the_device_on_schedule() {
         let mut ssd = small();
         ssd.precondition_clean();
@@ -1116,12 +1093,20 @@ mod tests {
             gimbal_sim::FaultPlan::device_rng(1, 0),
         );
         ssd.submit(1, IoType::Read, 0, 4096, SimTime::ZERO);
+        assert!(!ssd.is_failed(), "alive before the instant");
         ssd.submit(2, IoType::Read, 0, 4096, t);
+        ssd.submit(3, IoType::Write, 0, 4096, t + SimDuration::from_micros(1));
         let done = run_until_idle(&mut ssd);
+        assert_eq!(done.len(), 3);
+        // The pre-failure IO completes normally; later ones error fast.
         assert!(!done.iter().find(|c| c.tag == 1).unwrap().failed);
-        assert!(done.iter().find(|c| c.tag == 2).unwrap().failed);
+        for tag in [2, 3] {
+            let c = done.iter().find(|c| c.tag == tag).unwrap();
+            assert!(c.failed, "tag {tag} must fail");
+            assert!(c.latency().as_micros() < 20, "fail fast");
+        }
         assert!(ssd.is_failed());
-        assert_eq!(ssd.stats().failed_cmds, 1);
+        assert_eq!(ssd.stats().failed_cmds, 2);
     }
 
     #[test]

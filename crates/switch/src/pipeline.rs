@@ -267,11 +267,6 @@ impl<D: StorageDevice> Pipeline<D> {
         &self.device
     }
 
-    /// Mutable access to the underlying device.
-    pub fn device_mut(&mut self) -> &mut D {
-        &mut self.device
-    }
-
     /// Access the policy (for scheme-specific inspection in experiments).
     pub fn policy(&self) -> &dyn SwitchPolicy {
         self.policy.as_ref()

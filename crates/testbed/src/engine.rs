@@ -6,7 +6,7 @@
 
 use crate::config::{TestbedConfig, WorkerSpec};
 use crate::initiator::{Expiry, Timer};
-use crate::reactor::{Direct, Engine, Reactor, Rig};
+use crate::reactor::{Engine, Reactor, Rig};
 use crate::results::{DeviceSeries, RunResult, SubmissionRecord, WorkerResult};
 use gimbal_broker::{BrokerHandle, SsdTelemetry};
 use gimbal_core::GimbalPolicy;
@@ -85,15 +85,19 @@ impl Testbed {
                 lanes: 1,
                 fabric: cfg.fabric,
                 flow_control: true,
-                faults: cfg.faults.as_ref(),
+                plan: cfg
+                    .faults
+                    .as_ref()
+                    .map(|f| f.plan.clone())
+                    .unwrap_or_default(),
+                retry: cfg.faults.as_ref().map(|f| f.retry),
+                tor: None,
                 meter_devices: true,
                 batch: cfg.batch,
                 sample_interval: cfg.sample_interval,
-                power_loss_at: cfg.faults.as_ref().and_then(|f| f.plan.power_loss_at),
                 duration: cfg.duration,
             },
             &mut root_rng,
-            |_| Direct,
         );
         let workers = specs
             .into_iter()
@@ -288,7 +292,6 @@ impl Engine for Testbed {
     type Ev = Ev;
     type Tag = ();
     type Queued = ();
-    type Topo = Direct;
 
     fn rt(&mut self) -> &mut Reactor<Self> {
         &mut self.rt

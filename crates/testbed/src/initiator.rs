@@ -13,7 +13,6 @@
 //! unless the table has nothing to hold: with no timers armed and a
 //! zero-sized tag (the fault-free fio engine), commands are only counted.
 
-use crate::config::FaultConfig;
 use crate::node::{InFlight, Tracked};
 use crate::results::FaultCounters;
 use crate::scheme::Gate;
@@ -21,7 +20,7 @@ use gimbal_fabric::{
     CmdId, EscalationAction, NvmeCmd, NvmeCompletion, Port, Priority, RdmaDelays, RetryConfig,
     SsdId, TenantId,
 };
-use gimbal_sim::{DetMap, FaultInjector, SimTime};
+use gimbal_sim::{DetMap, FaultInjector, FaultPlan, SimTime};
 use gimbal_switch::ClientPolicy;
 use gimbal_telemetry::{CapsuleKind, EventKind, TraceHandle};
 use std::collections::VecDeque;
@@ -81,12 +80,14 @@ fn arm(retry: &RetryConfig, cmd: u64, attempt: u32, now: SimTime) -> Timer {
 
 impl<T, P> Initiator<T, P> {
     /// `clients` clients with `lanes` lanes each, gated by `gate()` per lane.
-    /// With `faults`, capsules may be lost and every command arms a timer.
+    /// With `retry`, every command arms a timer and capsules may be lost
+    /// as `plan` says; without, nothing is lost.
     pub(crate) fn new(
         clients: usize,
         lanes: usize,
         port_bandwidth: u64,
-        faults: Option<&FaultConfig>,
+        plan: &FaultPlan,
+        retry: Option<RetryConfig>,
         seed: u64,
         trace: TraceHandle,
         gate: impl Fn() -> Gate,
@@ -104,8 +105,8 @@ impl<T, P> Initiator<T, P> {
             lanes_per_client: lanes,
             table: DetMap::new(),
             counters: FaultCounters::default(),
-            injector: faults.map(|f| FaultInjector::new(f.plan.clone(), seed)),
-            retry: faults.map(|f| f.retry),
+            injector: retry.map(|_| FaultInjector::new(plan.clone(), seed)),
+            retry,
             trace,
         }
     }
@@ -352,7 +353,6 @@ mod tests {
     use super::*;
     use gimbal_core::CreditClient;
     use gimbal_fabric::{CmdStatus, IoType};
-    use gimbal_sim::FaultPlan;
     use gimbal_switch::UnlimitedClient;
     use gimbal_telemetry::{RecordedTrace, TraceConfig};
 
@@ -367,11 +367,8 @@ mod tests {
     /// One client, one lane, the given gate and timers, tracing on.
     fn single(retry: Option<RetryConfig>, gate: fn() -> Gate) -> (Initiator<()>, TraceHandle) {
         let tracing = TraceHandle::new(&TraceConfig::default());
-        let faults = retry.map(|retry| FaultConfig {
-            plan: FaultPlan::default(),
-            retry,
-        });
-        let init = Initiator::new(1, 1, 1 << 30, faults.as_ref(), 0, tracing.clone(), gate);
+        let plan = FaultPlan::default();
+        let init = Initiator::new(1, 1, 1 << 30, &plan, retry, 0, tracing.clone(), gate);
         (init, tracing)
     }
 
@@ -480,8 +477,16 @@ mod tests {
     fn the_low_cap_holds_while_high_and_normal_drain() {
         let now = SimTime::ZERO;
         // Queued lanes carry tags, so the table tracks them without timers.
-        let mut i: Initiator<u64, u32> =
-            Initiator::new(1, 1, 1 << 30, None, 0, TraceHandle::disabled(), unlimited);
+        let mut i: Initiator<u64, u32> = Initiator::new(
+            1,
+            1,
+            1 << 30,
+            &FaultPlan::default(),
+            None,
+            0,
+            TraceHandle::disabled(),
+            unlimited,
+        );
         let drain = |i: &mut Initiator<u64, u32>, priority: Priority| {
             let mut sent = Vec::new();
             while let Some(n) = i.next_pending(0, 0, now) {

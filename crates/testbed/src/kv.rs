@@ -12,7 +12,7 @@
 
 use crate::config::Precondition;
 use crate::initiator::Timer;
-use crate::reactor::{Direct, Engine, Reactor, Rig};
+use crate::reactor::{Engine, Reactor, Rig};
 use crate::results::{FaultCounters, GimbalTrace};
 use crate::scheme::Scheme;
 use gimbal_blobstore::{BackendId, Blobstore, HbaConfig, HierarchicalAllocator, RateLimiter};
@@ -21,7 +21,7 @@ use gimbal_fabric::{FabricConfig, NvmeCmd, NvmeCompletion, SsdId, TenantId};
 use gimbal_lsm_kv::{IoCtx, LsmConfig, LsmKv, LsmStats, StepOutput, TaggedIo};
 use gimbal_sim::collections::DetMap;
 use gimbal_sim::stats::LatencySummary;
-use gimbal_sim::{Histogram, SimDuration, SimRng, SimTime};
+use gimbal_sim::{FaultPlan, Histogram, SimDuration, SimRng, SimTime, SsdFaultSpec};
 use gimbal_ssd::{SsdConfig, SsdStats};
 use gimbal_workload::{KvOp, YcsbMix, YcsbWorkload};
 
@@ -67,7 +67,8 @@ pub struct KvTestbedConfig {
     pub seed: u64,
     /// Record Gimbal control traces at this interval.
     pub sample_interval: Option<SimDuration>,
-    /// Inject a permanent flash failure: backend index + instant.
+    /// Inject a permanent flash failure: backend index + instant (the
+    /// backend's `SsdFaultSpec::fail_at`).
     pub fail_backend_at: Option<(u32, SimDuration)>,
     /// Simulated NIC power loss at this offset: every backend cache is
     /// cleared cold and write-back dirty lines surface as typed losses the
@@ -144,7 +145,29 @@ impl KvTestbedConfig {
                 self.duration, self.warmup
             ));
         }
+        if let Some((b, _)) = self.fail_backend_at {
+            if b >= self.backends() {
+                return Err(format!(
+                    "fail_backend_at names backend {b}, but there are only {}",
+                    self.backends()
+                ));
+            }
+        }
         Ok(())
+    }
+
+    /// The run's faults: the failing backend's death and the power loss.
+    fn plan(&self) -> FaultPlan {
+        let mut plan = FaultPlan {
+            power_loss_at: self.power_loss_at.map(|at| SimTime::ZERO + at),
+            ..FaultPlan::default()
+        };
+        if let Some((b, at)) = self.fail_backend_at {
+            let b = b as usize;
+            plan.ssd.resize(b + 1, SsdFaultSpec::default());
+            plan.ssd[b].fail_at = Some(SimTime::ZERO + at);
+        }
+        plan
     }
 }
 
@@ -241,7 +264,6 @@ impl KvRunResult {
 pub enum Ev {
     InstanceStart(usize),
     KvPump(usize),
-    FailBackend(usize),
 }
 
 struct OpTicket {
@@ -304,15 +326,15 @@ impl KvTestbed {
                 lanes: backends,
                 fabric: cfg.fabric,
                 flow_control: cfg.flow_control,
-                faults: None,
+                plan: cfg.plan(),
+                retry: None,
+                tor: None,
                 meter_devices: false,
                 batch: 1,
                 sample_interval: cfg.sample_interval,
-                power_loss_at: cfg.power_loss_at.map(|at| SimTime::ZERO + at),
                 duration: cfg.duration,
             },
             &mut root_rng,
-            |_| Direct,
         );
 
         // Shared blobstore over all backends.
@@ -371,12 +393,6 @@ impl KvTestbed {
         for i in 0..self.instances.len() {
             let at = SimTime::from_micros((i as u64).saturating_mul(10));
             self.rt.host.push(at, Ev::InstanceStart(i));
-        }
-        if let Some((b, at)) = self.cfg.fail_backend_at {
-            assert!(b < self.cfg.backends(), "failing a missing backend");
-            self.rt
-                .host
-                .push(SimTime::ZERO + at, Ev::FailBackend(b as usize));
         }
         Reactor::run(&mut self);
         let out = self.rt.finish();
@@ -495,7 +511,6 @@ impl Engine for KvTestbed {
     type Ev = Ev;
     type Tag = u64;
     type Queued = TaggedIo;
-    type Topo = Direct;
 
     fn rt(&mut self) -> &mut Reactor<Self> {
         &mut self.rt
@@ -505,13 +520,11 @@ impl Engine for KvTestbed {
         match *ev {
             Ev::InstanceStart(i) => ("kv.instance", "start", i as u64),
             Ev::KvPump(i) => ("kv.instance", "pump", i as u64),
-            Ev::FailBackend(b) => ("kv.fault", "fail_backend", b as u64),
         }
     }
 
     fn on_event(&mut self, ev: Ev, now: SimTime) {
         match ev {
-            Ev::FailBackend(b) => self.rt.nodes[0].fail_device(b),
             // A freshly loaded store has nothing to pump.
             Ev::InstanceStart(i) => self.settle(i, now),
             Ev::KvPump(i) => {
@@ -615,6 +628,12 @@ mod tests {
     #[test]
     fn check_rejects_zero_ops_concurrency() {
         assert!(rejected(|c| c.ops_concurrency = 0).contains("ops_concurrency"));
+    }
+
+    #[test]
+    fn check_rejects_failing_a_missing_backend() {
+        let err = rejected(|c| c.fail_backend_at = Some((2, SimDuration::from_millis(1))));
+        assert!(err.contains("backend 2") && err.contains("only 2"), "{err}");
     }
 
     #[test]

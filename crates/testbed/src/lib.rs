@@ -13,8 +13,8 @@
 //! * [`reactor`] — the one event loop every engine runs: the queue, the
 //!   nodes, the shared events (capsules both ways, wakes, timers, power
 //!   loss, broker epochs, core rebalances, samples) and their sanitizer
-//!   records, generic over an [`reactor::Engine`] and a
-//!   [`reactor::Topology`];
+//!   records, generic over an [`reactor::Engine`], with the one
+//!   [`reactor::Tor`] every capsule crosses and node faults are read from;
 //! * `node` — one JBOF node: its pipelines and reactor cores, driven by
 //!   every engine (the fio engine, the KV engine, and the rack's N nodes);
 //! * [`initiator`] — the client side every engine submits through: gates,

@@ -102,7 +102,7 @@ impl Node {
             cache: rig.cache.clone(),
             broker: broker.cloned(),
         };
-        let plan = rig.faults.map(|f| &f.plan);
+        let plan = &rig.plan;
         let pipelines = (0..ssds)
             .map(|l| {
                 let i = first + l;
@@ -112,11 +112,8 @@ impl Node {
                     Precondition::Fragmented => ssd.precondition_fragmented(),
                     Precondition::None => {}
                 }
-                let mut fault = plan
-                    .and_then(|p| p.ssd_spec(i))
-                    .cloned()
-                    .unwrap_or_default();
-                if let Some(ns) = plan.and_then(|p| p.node_spec(n)) {
+                let mut fault = plan.ssd_spec(i).cloned().unwrap_or_default();
+                if let Some(ns) = plan.node_spec(n) {
                     fault
                         .stall_windows
                         .extend(ns.gc_storm_windows.iter().copied());
@@ -154,13 +151,6 @@ impl Node {
     /// The node's pipelines, in SSD order.
     pub(crate) fn pipelines(&self) -> &[Pipeline<FlashSsd>] {
         &self.pipelines
-    }
-
-    /// Permanently fail SSD `ssd`'s flash.
-    pub(crate) fn fail_device(&mut self, ssd: usize) {
-        self.pipelines[ssd - self.first]
-            .device_mut()
-            .inject_failure();
     }
 
     /// A command capsule for SSD `ssd` arrived at `now`. A first arrival

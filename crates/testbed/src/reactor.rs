@@ -6,12 +6,13 @@
 //! the [`Node`]s, the one [`NodeHost`], the recorders, the broker
 //! ledger, `events_processed`, the end-of-run cut-off, and the eight events
 //! every engine shares, each with its sanitizer record. An [`Engine`] keeps
-//! its own events and answers the loop's hooks. A [`Topology`] says where
-//! capsules travel: [`Direct`] for one node, or the rack's ToR with node
-//! liveness. Everything is generic over the engine, so the per-event path
-//! is monomorphised: no trait objects and no allocation.
+//! its own events and answers the loop's hooks. The [`Tor`] says where
+//! capsules travel and which nodes answer: the rack's ToR switch, or the
+//! direct fabric in front of one node. Every injected fault comes from the
+//! run's one [`FaultPlan`]. Everything is generic over the engine, so the
+//! per-event path is monomorphised: no trait objects and no allocation.
 
-use crate::config::{FaultConfig, Precondition};
+use crate::config::Precondition;
 use crate::initiator::{Initiator, Timer};
 use crate::node::{Node, Tracked};
 use crate::results::{FaultCounters, GimbalTrace};
@@ -20,13 +21,18 @@ use gimbal_broker::{BrokerConfig, BrokerHandle, BrokerStats};
 use gimbal_cache::{CacheConfig, CacheStats, DurabilityJournal, StagedWriteLoss, WriteBackStats};
 use gimbal_core::Params;
 use gimbal_cores::{CoresStats, StealConfig};
-use gimbal_fabric::{FabricConfig, NvmeCmd, NvmeCompletion, Port, RdmaDelays, SsdId, TenantId};
+use gimbal_fabric::{
+    FabricConfig, NvmeCmd, NvmeCompletion, Port, RdmaDelays, RetryConfig, SsdId, TenantId,
+    TorConfig, TorSwitch, CMD_CAPSULE_BYTES, RSP_CAPSULE_BYTES,
+};
 use gimbal_nic::CpuCost;
 use gimbal_sim::journal::JournalHandle;
-use gimbal_sim::{AccessJournal, EventQueue, Ewma, Histogram, Meter, SimDuration, SimRng, SimTime};
+use gimbal_sim::{
+    AccessJournal, EventQueue, Ewma, FaultPlan, Histogram, Meter, SimDuration, SimRng, SimTime,
+};
 use gimbal_ssd::{FlashSsd, SsdConfig, SsdStats};
 use gimbal_switch::PipelineOut;
-use gimbal_telemetry::{CapsuleKind, RecordedTrace, TraceConfig, TraceHandle};
+use gimbal_telemetry::{CapsuleKind, EventKind, RecordedTrace, TraceConfig, TraceHandle};
 
 /// An event of an engine whose own events are `E`.
 pub enum Event<E> {
@@ -38,8 +44,8 @@ pub enum Event<E> {
     DeliverCpl(NvmeCompletion),
     /// A retransmission timer (only with fault injection).
     Timeout(Timer),
-    /// Simulated NIC power loss: every pipeline's cache goes cold and
-    /// acked-but-unflushed write-back lines surface as typed losses.
+    /// Simulated NIC power loss: every live node's pipeline caches go cold
+    /// and acked-but-unflushed write-back lines surface as typed losses.
     PowerLoss,
     /// Broker settlement boundary (only with a broker).
     BrokerEpoch,
@@ -56,7 +62,6 @@ pub trait Engine: Sized {
     type Tag: Default;
     /// An IO waiting behind an initiator gate.
     type Queued;
-    type Topo: Topology;
     /// Sanitizer components of the shared capsule, wake and fault events;
     /// broker, cores and sample events are `engine.*` in every engine.
     const FABRIC: &'static str = "engine.fabric";
@@ -83,38 +88,96 @@ pub trait Engine: Sized {
     fn sample(&mut self, _now: SimTime) {}
 }
 
-/// Where capsules travel between the clients' ports and the nodes' ports,
-/// and which nodes answer.
-pub trait Topology {
-    /// A command cleared its client's port at `at`: when it reaches
-    /// `node`.
-    fn downlink(&mut self, _node: usize, _cmd: &NvmeCmd, at: SimTime) -> SimTime {
-        at
-    }
-    /// A completion cleared `node`'s port at `at`: when it reaches the
-    /// client.
-    fn uplink(&mut self, _node: usize, _cmd: &NvmeCmd, at: SimTime) -> SimTime {
-        at
-    }
-    /// Whether `node`'s link passes a `capsule` at `t`; a swallowed one is
-    /// counted.
-    fn passes(&mut self, _node: usize, _t: SimTime, _capsule: CapsuleKind) -> bool {
-        true
-    }
-    /// Whether `node` answers at `t`; a broker epoch forgives the others.
-    fn reachable(&self, _node: usize, _t: SimTime) -> bool {
-        true
-    }
-    /// Whether `node` still runs; a dead node never pumps again.
-    fn alive(&self, _node: usize) -> bool {
-        true
-    }
+/// The fabric between the clients' ports and the nodes' ports, and the
+/// node faults every crossing reads. With a [`TorSwitch`] (the rack) each
+/// capsule takes one more hop; without one it is the direct fabric, which
+/// has no hop and no link to degrade.
+pub struct Tor {
+    switch: Option<TorSwitch>,
+    plan: FaultPlan,
+    trace: TraceHandle,
+    /// Command and completion capsules a dead or partitioned node
+    /// swallowed.
+    pub cmd_drops: u64,
+    pub cpl_drops: u64,
+    /// Capsules that crossed a degraded link.
+    pub link_degraded_crossings: u64,
 }
 
-/// The direct fabric in front of a single node.
-pub struct Direct;
+impl Tor {
+    /// The ToR hop of `cmd`'s crossing of `node`'s link at `t`, with the
+    /// degraded-link penalty and the counter and telemetry event it
+    /// implies; `None` on the direct fabric.
+    fn hop(
+        &mut self,
+        node: usize,
+        cmd: &NvmeCmd,
+        t: SimTime,
+    ) -> Option<(&mut TorSwitch, SimDuration)> {
+        let switch = self.switch.as_mut()?;
+        let spec = self.plan.node_spec(node);
+        let Some(extra) = spec.and_then(|s| s.link_extra(t)) else {
+            return Some((switch, SimDuration::ZERO));
+        };
+        self.link_degraded_crossings += 1;
+        let kind = EventKind::LinkDegraded { node: node as u32 };
+        self.trace.record(t, cmd.ssd, Some(cmd.tenant), kind);
+        Some((switch, extra))
+    }
 
-impl Topology for Direct {}
+    /// A command cleared its client's port at `at`: when it reaches `node`,
+    /// after the ToR downlink's serialization (the capsule, plus a write's
+    /// payload) and link latency.
+    fn downlink(&mut self, node: usize, cmd: &NvmeCmd, at: SimTime) -> SimTime {
+        let payload = if cmd.opcode.is_write() { cmd.len } else { 0 };
+        let bytes = CMD_CAPSULE_BYTES + u64::from(payload);
+        self.hop(node, cmd, at)
+            .map_or(at, |(switch, extra)| switch.to_node(node, at, bytes, extra))
+    }
+
+    /// A completion cleared `node`'s port at `at`: when it reaches the
+    /// client, after the ToR uplink's serialization (the capsule, plus a
+    /// read's payload) and link latency.
+    fn uplink(&mut self, node: usize, cmd: &NvmeCmd, at: SimTime) -> SimTime {
+        let payload = if cmd.opcode.is_write() { 0 } else { cmd.len };
+        let bytes = RSP_CAPSULE_BYTES + u64::from(payload);
+        self.hop(node, cmd, at).map_or(at, |(switch, extra)| {
+            switch.from_node(node, at, bytes, extra)
+        })
+    }
+
+    /// Whether `node`'s link passes a `capsule` at `t`: a dead or
+    /// partitioned node swallows capsules both ways, each one counted.
+    fn passes(&mut self, node: usize, t: SimTime, capsule: CapsuleKind) -> bool {
+        let down = !self.reachable(node, t);
+        let drops = match capsule {
+            CapsuleKind::Command => &mut self.cmd_drops,
+            CapsuleKind::Completion => &mut self.cpl_drops,
+        };
+        *drops += u64::from(down);
+        !down
+    }
+
+    /// Whether `node` answers at `t`; a broker epoch forgives the others.
+    /// Death is permanent, partitions are windowed.
+    pub fn reachable(&self, node: usize, t: SimTime) -> bool {
+        let spec = self.plan.node_spec(node);
+        !spec.is_some_and(|s| s.dead(t) || s.partitioned(t))
+    }
+
+    /// Whether `node` still runs at `t`; a dead node never pumps again.
+    fn alive(&self, node: usize, t: SimTime) -> bool {
+        !self.plan.node_spec(node).is_some_and(|s| s.dead(t))
+    }
+
+    /// Bytes the ToR carried down to and up from `node` (none on the
+    /// direct fabric).
+    pub fn bytes(&self, node: usize) -> (u64, u64) {
+        self.switch
+            .as_ref()
+            .map_or((0, 0), |s| (s.bytes_down(node), s.bytes_up(node)))
+    }
+}
 
 /// Per-SSD device latency and completion bandwidth, as the fio engine
 /// reports them.
@@ -126,12 +189,12 @@ pub(crate) struct DeviceMeters {
 }
 
 /// What the nodes call back into: the queue, the initiator, the fabric
-/// with its per-SSD target ports, the topology, and the device meters when
-/// the engine reports them. SSD ids are global.
+/// with its per-SSD target ports, the ToR, and the device meters when the
+/// engine reports them. SSD ids are global.
 pub struct NodeHost<E: Engine> {
     pub(crate) queue: EventQueue<Event<E::Ev>>,
     pub init: Initiator<E::Tag, E::Queued>,
-    pub topo: E::Topo,
+    pub tor: Tor,
     pub(crate) ports: Vec<Port>,
     pub(crate) meters: Option<DeviceMeters>,
     delays: RdmaDelays,
@@ -152,7 +215,7 @@ impl<E: Engine> NodeHost<E> {
         let port = |h: &mut Self| h.init.wire(&h.delays, &cmd, now);
         if let Some(at) = self.cross(CapsuleKind::Command, &cmd, now, port) {
             let node = cmd.ssd.index() / self.ssds_per_node;
-            let at = self.topo.downlink(node, &cmd, at);
+            let at = self.tor.downlink(node, &cmd, at);
             self.queue.push(at, Event::DeliverCmd(cmd));
         }
     }
@@ -199,12 +262,12 @@ impl<E: Engine> NodeHost<E> {
     /// Transmit the completion capsule of `cmd`, leaving SSD `ssd` at `at`.
     pub(crate) fn send(&mut self, ssd: usize, cmd: &NvmeCmd, cpl: NvmeCompletion, at: SimTime) {
         let node = ssd / self.ssds_per_node;
-        if !self.topo.passes(node, at, CapsuleKind::Completion) {
+        if !self.tor.passes(node, at, CapsuleKind::Completion) {
             return;
         }
         let port = |h: &mut Self| h.delays.completion_arrival(&mut h.ports[ssd], at, cmd);
         if let Some(cleared) = self.cross(CapsuleKind::Completion, cmd, at, port) {
-            let arrive = self.topo.uplink(node, cmd, cleared);
+            let arrive = self.tor.uplink(node, cmd, cleared);
             self.queue.push(arrive, Event::DeliverCpl(cpl));
         }
     }
@@ -245,13 +308,17 @@ pub struct Rig<'a> {
     pub fabric: FabricConfig,
     /// Whether a Gimbal client gates on credits.
     pub flow_control: bool,
-    /// Capsule loss, device faults and timers (`None` = fault-free).
-    pub faults: Option<&'a FaultConfig>,
+    /// Every injected fault: capsule loss, device and node faults, power
+    /// loss. The default plan is fault-free.
+    pub plan: FaultPlan,
+    /// Retransmission timers; capsules are lost only while they are armed.
+    pub retry: Option<RetryConfig>,
+    /// The ToR switch in front of the nodes (`None` = the direct fabric).
+    pub tor: Option<TorConfig>,
     pub meter_devices: bool,
     /// Same-instant commands one quantum may take (1 = unbatched).
     pub batch: u32,
     pub sample_interval: Option<SimDuration>,
-    pub power_loss_at: Option<SimTime>,
     pub duration: SimDuration,
 }
 
@@ -287,7 +354,6 @@ pub struct Reactor<E: Engine> {
     gimbal_traces: Vec<GimbalTrace>,
     batch: u32,
     sample_interval: Option<SimDuration>,
-    power_loss_at: Option<SimTime>,
     end: SimTime,
     events_processed: u64,
 }
@@ -295,7 +361,7 @@ pub struct Reactor<E: Engine> {
 impl<E: Engine> Reactor<E> {
     /// Build the recorders, the broker ledger, the nodes (drawing SSD seeds
     /// from `rng` in id order) and the initiator.
-    pub fn new(rig: Rig<'_>, rng: &mut SimRng, topo: impl FnOnce(&TraceHandle) -> E::Topo) -> Self {
+    pub fn new(rig: Rig<'_>, rng: &mut SimRng) -> Self {
         let trace = rig
             .trace
             .map_or_else(TraceHandle::disabled, TraceHandle::new);
@@ -326,7 +392,8 @@ impl<E: Engine> Reactor<E> {
             rig.clients,
             rig.lanes,
             bandwidth,
-            rig.faults,
+            &rig.plan,
+            rig.retry,
             rig.seed,
             trace.clone(),
             gate,
@@ -336,7 +403,14 @@ impl<E: Engine> Reactor<E> {
             host: NodeHost {
                 queue: EventQueue::new(),
                 init,
-                topo: topo(&trace),
+                tor: Tor {
+                    switch: rig.tor.map(|c| TorSwitch::new(c, rig.nodes)),
+                    plan: rig.plan,
+                    trace: trace.clone(),
+                    cmd_drops: 0,
+                    cpl_drops: 0,
+                    link_degraded_crossings: 0,
+                },
                 ports: per_ssd(ssds, || Port::new(bandwidth)),
                 meters,
                 delays: RdmaDelays::new(rig.fabric),
@@ -348,7 +422,6 @@ impl<E: Engine> Reactor<E> {
             gimbal_traces: per_ssd(ssds, GimbalTrace::default),
             batch: rig.batch,
             sample_interval: rig.sample_interval,
-            power_loss_at: rig.power_loss_at,
             end: SimTime::ZERO + rig.duration,
             events_processed: 0,
         }
@@ -368,7 +441,7 @@ impl<E: Engine> Reactor<E> {
         if let Some(step) = rt.sample_interval {
             q.push(SimTime::ZERO + step, Event::Sample);
         }
-        if let Some(at) = rt.power_loss_at {
+        if let Some(at) = rt.host.tor.plan.power_loss_at {
             q.push(at, Event::PowerLoss);
         }
         if let Some((_, epoch)) = &rt.broker {
@@ -392,15 +465,17 @@ impl<E: Engine> Reactor<E> {
                 Event::DeliverCmd(cmd) => rt.deliver(cmd, now),
                 Event::PipelineWake(ssd) => {
                     let n = ssd / host.ssds_per_node;
-                    if host.topo.alive(n) {
+                    if host.tor.alive(n, now) {
                         rt.nodes[n].wake(ssd, now, host);
                     }
                 }
                 Event::DeliverCpl(cpl) => e.complete(cpl, now),
                 Event::Timeout(t) => e.timeout(t, now),
                 Event::PowerLoss => {
-                    for node in &mut rt.nodes {
-                        node.power_loss(now, host);
+                    for (n, node) in rt.nodes.iter_mut().enumerate() {
+                        if host.tor.alive(n, now) {
+                            node.power_loss(now, host);
+                        }
                     }
                 }
                 Event::BrokerEpoch => Self::broker_epoch(e, now),
@@ -446,7 +521,7 @@ impl<E: Engine> Reactor<E> {
     fn deliver(&mut self, cmd: NvmeCmd, now: SimTime) {
         let ssd = cmd.ssd.index();
         let n = ssd / self.host.ssds_per_node;
-        if !self.host.topo.passes(n, now, CapsuleKind::Command) {
+        if !self.host.tor.passes(n, now, CapsuleKind::Command) {
             return;
         }
         let (sanitizer, events) = (&self.sanitizer, &mut self.events_processed);
@@ -479,7 +554,7 @@ impl<E: Engine> Reactor<E> {
         for ssd in 0..e.rt().host.ports.len() {
             let rt = e.rt();
             let node = ssd / rt.host.ssds_per_node;
-            if !rt.host.topo.reachable(node, now) || rt.device(ssd).is_failed() {
+            if !rt.host.tor.reachable(node, now) || rt.device(ssd).is_failed() {
                 continue;
             }
             active.push((SsdId(ssd as u32), e.tenants(ssd, now)));
@@ -491,7 +566,7 @@ impl<E: Engine> Reactor<E> {
         let sanitizer = &rt.sanitizer;
         broker.drain_journal_with(|op, key| sanitizer.record(now.as_nanos(), "broker", op, key));
         for (n, node) in rt.nodes.iter_mut().enumerate() {
-            if rt.host.topo.alive(n) {
+            if rt.host.tor.alive(n, now) {
                 node.pump_all(now, &mut rt.host);
             }
         }
