@@ -109,8 +109,7 @@ impl fmt::Display for IoType {
 }
 
 /// Client-assigned request priority carried over NVMe-oF (§3.5, "per-tenant
-/// priority queues"). Lower value = more urgent. The default is the lowest
-/// urgency so untagged traffic never preempts tagged traffic.
+/// priority queues"). Lower value = more urgent.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Priority(pub u8);
 
@@ -131,12 +130,6 @@ impl Priority {
 
 const _: () =
     assert!(Priority::WEIGHTS[0] > 0 && Priority::WEIGHTS[1] > 0 && Priority::WEIGHTS[2] > 0);
-
-impl Default for Priority {
-    fn default() -> Self {
-        Priority::NORMAL
-    }
-}
 
 #[cfg(test)]
 impl IoType {
@@ -171,6 +164,5 @@ mod tests {
     fn priority_ordering() {
         assert!(Priority::HIGH < Priority::NORMAL);
         assert!(Priority::NORMAL < Priority::LOW);
-        assert_eq!(Priority::default(), Priority::NORMAL);
     }
 }
