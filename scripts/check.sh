@@ -31,7 +31,9 @@ cargo run --release --offline -q --bin jbofsim -- \
     --sanitize --workers 2x4k-read,1x4k-write > /dev/null
 
 # A partition drives suspect → clear through the shared escalation ladder.
-for fault in node-death partition; do
+# Each node fault has its own reader: the ToR reads death and partitions,
+# the node's devices read GC storms.
+for fault in node-death partition gc-storm; do
     echo "==> rack chaos smoke (2-node replicated rack, $fault, sanitized double run)"
     cargo run --release --offline -q --bin jbofsim -- \
         --rack-nodes 2 --rack-ssds-per-node 2 --rack-fault "$fault" \

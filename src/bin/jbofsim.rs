@@ -707,6 +707,11 @@ mod tests {
                 FaultPlan::default()
                     .with_node_partition(1, FaultWindow::new(at(33_333), at(45_000))),
             ),
+            (
+                "gc-storm",
+                FaultPlan::default()
+                    .with_node_gc_storm(0, FaultWindow::new(at(25_000), at(75_000))),
+            ),
         ] {
             let line = format!(
                 "--rack-nodes 2 --rack-ssds-per-node 2 --rack-fault {fault} \
